@@ -400,31 +400,26 @@ let abl_fastpath =
         let copy_fp = { Cl.rx_batch = 1; rx_copy = true; tx_coalesce = false;
                         shared_pool = false } in
         let content = Httpd.In_memory [ ("/index.html", Httpd.default_page) ] in
-        let httpd_case name ~fp ~fast ?rtc ?(requests = reqs) () =
+        let fast = Ukapps.Serve.Netbuf { rtc = true } in
+        let nortc = Ukapps.Serve.Netbuf { rtc = false } in
+        let httpd_case name ~fp ~transport ?(requests = reqs) () =
           Bench.trial ();
           let c = Cl.create ~seed:42 ~fastpath:fp ~n () in
           let copies0 = Nb.total_copies () in
           let r =
             Bench.phase ("httpd_" ^ name) (fun () ->
-                if fast then begin
-                  ignore (Cl.add_httpd_fast c ?rtc content);
-                  (* Deep pipelining is an ability the netbuf client gains
-                     (replies are consumed in place, so nothing throttles
-                     the window); the legacy socket client is structurally
-                     serial per connection. *)
-                  Cl.run_httpd_load_fast c ~connections_per_core:conns
-                    ~requests_per_core:requests ~pipeline:32 ()
-                end
-                else begin
-                  ignore (Cl.add_httpd c content);
-                  Cl.run_httpd_load c ~connections_per_core:conns
-                    ~requests_per_core:requests ()
-                end)
+                ignore (Cl.add_httpd c ~transport content);
+                (* Deep pipelining is an ability the netbuf client gains
+                   (replies are consumed in place, so nothing throttles
+                   the window); the legacy socket client is structurally
+                   serial per connection. *)
+                Cl.run_httpd_load c ~transport ~connections_per_core:conns
+                  ~requests_per_core:requests ~pipeline:32 ())
           in
           let copies = Nb.total_copies () - copies0 in
           (r, copies, Cl.trace_hash c)
         in
-        let resp_case name ~fp ~fast ?rtc ?(requests = reqs) () =
+        let resp_case name ~fp ~transport ?(requests = reqs) () =
           Bench.trial ();
           let c = Cl.create ~seed:42 ~fastpath:fp ~n () in
           let copies0 = Nb.total_copies () in
@@ -432,16 +427,9 @@ let abl_fastpath =
             Bench.phase ("resp_" ^ name) (fun () ->
                 (* Same pipelined workload on both paths (redis-benchmark
                    -P 32). *)
-                if fast then begin
-                  ignore (Cl.add_resp_fast c ~populate:4096 ?rtc ());
-                  Cl.run_resp_load_fast c ~connections_per_core:conns ~pipeline:32
-                    ~requests_per_core:requests Ukapps.Resp_bench.Get
-                end
-                else begin
-                  ignore (Cl.add_resp c ~populate:4096 ());
-                  Cl.run_resp_load c ~connections_per_core:conns ~pipeline:32
-                    ~requests_per_core:requests Ukapps.Resp_bench.Get
-                end)
+                ignore (Cl.add_resp c ~transport ~populate:4096 ());
+                Cl.run_resp_load c ~transport ~connections_per_core:conns ~pipeline:32
+                  ~requests_per_core:requests Ukapps.Resp_bench.Get)
           in
           let copies = Nb.total_copies () - copies0 in
           (r, copies, Cl.trace_hash c)
@@ -450,30 +438,36 @@ let abl_fastpath =
           elapsed_ns /. float_of_int (requests * n)
         in
         (* --- httpd: baseline, full fast path, per-ingredient ablations --- *)
-        let h_legacy, h_legacy_copies, _ = httpd_case "legacy" ~fp:copy_fp ~fast:false () in
-        let h_fast, h_fast_copies, h_hash = httpd_case "fast" ~fp:Cl.fastpath_default ~fast:true () in
-        let h_fast2, _, h_hash2 = httpd_case "fast_replay" ~fp:Cl.fastpath_default ~fast:true () in
+        let h_legacy, h_legacy_copies, _ =
+          httpd_case "legacy" ~fp:copy_fp ~transport:Ukapps.Serve.Socket ()
+        in
+        let h_fast, h_fast_copies, h_hash =
+          httpd_case "fast" ~fp:Cl.fastpath_default ~transport:fast ()
+        in
+        let h_fast2, _, h_hash2 =
+          httpd_case "fast_replay" ~fp:Cl.fastpath_default ~transport:fast ()
+        in
         (* Warm-up control: same connections, one request each — the only
            requests that legally touch the counted-copy path. *)
         let _, h_warm_copies, _ =
-          httpd_case "fast_warmup_only" ~fp:Cl.fastpath_default ~fast:true
+          httpd_case "fast_warmup_only" ~fp:Cl.fastpath_default ~transport:fast
             ~requests:conns ()
         in
         let h_nobatch, _, _ =
           httpd_case "fast_nobatch"
             ~fp:{ Cl.fastpath_default with Cl.rx_batch = 1; tx_coalesce = false }
-            ~fast:true ()
+            ~transport:fast ()
         in
         let h_copy, _, _ =
           httpd_case "fast_copy" ~fp:{ Cl.fastpath_default with Cl.rx_copy = true }
-            ~fast:true ()
+            ~transport:fast ()
         in
         let h_nortc, _, _ =
-          httpd_case "fast_nortc" ~fp:Cl.fastpath_default ~fast:true ~rtc:false ()
+          httpd_case "fast_nortc" ~fp:Cl.fastpath_default ~transport:nortc ()
         in
         let h_pool, _, _ =
           httpd_case "fast_sharedpool"
-            ~fp:{ Cl.fastpath_default with Cl.shared_pool = true } ~fast:true ()
+            ~fp:{ Cl.fastpath_default with Cl.shared_pool = true } ~transport:fast ()
         in
         row "httpd, %d server cores, %d conns/core, %d reqs/core:\n" n conns reqs;
         row "  %-18s %12s %12s %10s\n" "config" "kreq/s" "cyc/req" "copies";
@@ -493,9 +487,11 @@ let abl_fastpath =
         row "=> httpd fast path: %.1fx; hot-path counted copies: %d (warm-up control: %d)\n"
           h_speedup h_hot_copies h_warm_copies;
         (* --- RESP: baseline vs fast (the Fig 14 porting story) ----------- *)
-        let r_legacy, _, _ = resp_case "legacy" ~fp:copy_fp ~fast:false () in
-        let r_fast, r_fast_copies, _ = resp_case "fast" ~fp:Cl.fastpath_default ~fast:true () in
-        let r_nortc, _, _ = resp_case "fast_nortc" ~fp:Cl.fastpath_default ~fast:true ~rtc:false () in
+        let r_legacy, _, _ = resp_case "legacy" ~fp:copy_fp ~transport:Ukapps.Serve.Socket () in
+        let r_fast, r_fast_copies, _ =
+          resp_case "fast" ~fp:Cl.fastpath_default ~transport:fast ()
+        in
+        let r_nortc, _, _ = resp_case "fast_nortc" ~fp:Cl.fastpath_default ~transport:nortc () in
         row "RESP GET, same topology:\n";
         let rrow name (r : Ukapps.Resp_bench.result) copies =
           row "  %-18s %12.1f %12.0f %10s\n" name (kreq r.Ukapps.Resp_bench.rate_per_sec)

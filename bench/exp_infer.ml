@@ -25,6 +25,8 @@ module Autoscaler = Ukfleet.Autoscaler
 module Cluster = Ukapps.Cluster
 module Infer = Ukapps.Infer
 
+let netbuf = Ukapps.Serve.Netbuf { rtc = true }
+
 let seed = 0x1FE2
 let shed_after_ns = Uksim.Units.msec 50.0
 let bucket_ns = Uksim.Units.msec 1.0
@@ -39,20 +41,21 @@ let run_batch_sweep () =
       (fun max_batch ->
         Bench.trial ();
         let c = Cluster.create ~seed ~n:1 () in
-        ignore (Cluster.add_infer_fast c ~size_mb:16 ~max_batch ());
+        ignore (Cluster.add_infer c ~transport:netbuf ~size_mb:16 ~max_batch ());
         let r =
-          Cluster.run_infer_load_fast c ~connections_per_core:16
+          Cluster.run_infer_load c ~transport:netbuf ~connections_per_core:16
             ~requests_per_core:requests ()
         in
         row "  max_batch %2d  p50 %8.1fus  p99 %8.1fus  %8.0f req/s\n" max_batch
-          r.Infer.p50_us r.Infer.p99_us r.Infer.rate_per_sec;
-        Bench.emit_f (Printf.sprintf "batch%d_p50_us" max_batch) r.Infer.p50_us;
-        Bench.emit_f (Printf.sprintf "batch%d_p99_us" max_batch) r.Infer.p99_us;
-        Bench.emit_f (Printf.sprintf "batch%d_rps" max_batch) r.Infer.rate_per_sec;
+          r.Ukapps.Line_client.p50_us r.Ukapps.Line_client.p99_us
+          r.Ukapps.Line_client.rate_per_sec;
+        Bench.emit_f (Printf.sprintf "batch%d_p50_us" max_batch) r.Ukapps.Line_client.p50_us;
+        Bench.emit_f (Printf.sprintf "batch%d_p99_us" max_batch) r.Ukapps.Line_client.p99_us;
+        Bench.emit_f (Printf.sprintf "batch%d_rps" max_batch) r.Ukapps.Line_client.rate_per_sec;
         (max_batch, r))
       [ 1; 2; 4; 8; 16 ]
   in
-  let rps k = (List.assoc k results).Infer.rate_per_sec in
+  let rps k = (List.assoc k results).Ukapps.Line_client.rate_per_sec in
   row "  => batching gains %.2fx throughput (1 -> 16)\n" (rps 16 /. rps 1);
   Bench.emit_f "batch_speedup_16_over_1" (rps 16 /. rps 1);
   Bench.emit_b "batch_amortizes" (rps 16 > rps 1)

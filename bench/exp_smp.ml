@@ -21,9 +21,11 @@ let resp_requests_per_core () = scaled 8000
 let run_httpd ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n () =
   Bench.trial ();
   let c = Cluster.create ~seed ~alloc_mode ~n () in
-  ignore (Cluster.add_httpd c (Ukapps.Httpd.In_memory [ ("/index.html", page) ]));
+  ignore
+    (Cluster.add_httpd c ~transport:Ukapps.Serve.Socket
+       (Ukapps.Httpd.In_memory [ ("/index.html", page) ]));
   let r =
-    Cluster.run_httpd_load c ~connections_per_core:8
+    Cluster.run_httpd_load c ~transport:Ukapps.Serve.Socket ~connections_per_core:8
       ~requests_per_core:(httpd_requests_per_core ()) ()
   in
   (c, r)
@@ -32,12 +34,12 @@ let run_resp ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n workload =
   Bench.trial ();
   let c = Cluster.create ~seed ~alloc_mode ~n () in
   (* 4096 keys covers Resp_bench's whole key space, so GETs are all hits. *)
-  ignore (Cluster.add_resp c ~populate:4096 ());
+  ignore (Cluster.add_resp c ~transport:Ukapps.Serve.Socket ~populate:4096 ());
   (* Prepopulation runs on core 0 before the load; drop its lock traffic so
      the reported spin stats cover only the measured serving phase. *)
   Spin.reset_stats (Cluster.alloc_spin c);
   let r =
-    Cluster.run_resp_load c ~connections_per_core:8
+    Cluster.run_resp_load c ~transport:Ukapps.Serve.Socket ~connections_per_core:8
       ~requests_per_core:(resp_requests_per_core ()) workload
   in
   (c, r)

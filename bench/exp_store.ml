@@ -32,6 +32,8 @@ module Store = Ukapps.Store
 module St = Ukstore.Store
 module Fb = Ukfault.Faultblk
 
+let netbuf = Ukapps.Serve.Netbuf { rtc = true }
+
 let seed = 0x5702E
 let shed_after_ns = Uksim.Units.msec 50.0
 let bucket_ns = Uksim.Units.msec 1.0
@@ -47,19 +49,19 @@ let mix_requests () = Bench.scaled 4000
 let store_mix write_frac =
   Bench.trial ();
   let c = Cluster.create ~seed ~n:1 () in
-  ignore (Cluster.add_store_fast c ~keys:256 ());
+  ignore (Cluster.add_store c ~transport:netbuf ~keys:256 ());
   let r =
-    Cluster.run_store_load_fast c ~connections_per_core:8 ~pipeline:8
+    Cluster.run_store_load c ~transport:netbuf ~connections_per_core:8 ~pipeline:8
       ~requests_per_core:(mix_requests ()) ~write_frac ~commit_every:64 ()
   in
-  (r.Store.rate_per_sec, r.Store.p99_us, r.Store.errors)
+  (r.Ukapps.Line_client.rate_per_sec, r.Ukapps.Line_client.p99_us, r.Ukapps.Line_client.errors)
 
 let resp_baseline workload =
   Bench.trial ();
   let c = Cluster.create ~seed ~n:1 () in
-  ignore (Cluster.add_resp_fast c ~populate:256 ());
+  ignore (Cluster.add_resp c ~transport:netbuf ~populate:256 ());
   let r =
-    Cluster.run_resp_load_fast c ~connections_per_core:8 ~pipeline:8
+    Cluster.run_resp_load c ~transport:netbuf ~connections_per_core:8 ~pipeline:8
       ~requests_per_core:(mix_requests ()) workload
   in
   r.Ukapps.Resp_bench.rate_per_sec
@@ -222,12 +224,12 @@ let run_replay () =
   let go () =
     Bench.trial ();
     let c = Cluster.create ~seed:23 ~n:2 () in
-    let srvs = Cluster.add_store_fast c ~keys:64 () in
+    let srvs = Cluster.add_store c ~transport:netbuf ~keys:64 () in
     let r =
-      Cluster.run_store_load_fast c ~connections_per_core:4
+      Cluster.run_store_load c ~transport:netbuf ~connections_per_core:4
         ~requests_per_core:(Bench.scaled 2000) ~write_frac:0.3 ~commit_every:40 ()
     in
-    (r.Store.errors, Array.map Store.state_hash srvs, Cluster.trace_hash c)
+    (r.Ukapps.Line_client.errors, Array.map Store.state_hash srvs, Cluster.trace_hash c)
   in
   let e1, roots1, h1 = go () in
   let e2, roots2, h2 = go () in

@@ -42,9 +42,11 @@ let planted_race () =
 let cluster_smoke () =
   let c = Ukapps.Cluster.create ~seed:11 ~n:4 () in
   let det = Lockset.attach (Ukapps.Cluster.smp c) in
-  ignore (Ukapps.Cluster.add_httpd c (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
+  let transport = Ukapps.Serve.Socket in
+  ignore (Ukapps.Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
   let r =
-    Ukapps.Cluster.run_httpd_load c ~connections_per_core:2 ~requests_per_core:50 ~path:"/x" ()
+    Ukapps.Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:50
+      ~path:"/x" ()
   in
   Lockset.detach det;
   if r.Ukapps.Wrk.errors <> 0 then fail "lockset: cluster smoke had %d http errors" r.Ukapps.Wrk.errors;

@@ -187,70 +187,55 @@ let t_start t =
   done;
   Uksim.Clock.ns (Uksmp.Smp.clock_of t.smp ~core:0)
 
+let clock_of t core = Uksmp.Smp.clock_of t.smp ~core
+let sched_of t core = Uksmp.Smp.sched_of t.smp ~core
+
+(* Spawn one client group per client core, each steered at its server
+   core, then drive the whole SMP domain to completion. Returns the
+   measurement start. *)
+let drive t ~port ~per_core spawn =
+  let ports = steered_ports t ~dport:port ~per_core in
+  for j = 0 to t.n - 1 do
+    let core = t.n + j in
+    spawn ~clock:(clock_of t core) ~sched:(sched_of t core) ~stack:t.client_stacks.(j)
+      ~server:(server_ip, port)
+      ~port_for:(fun ci -> Some ports.(j).(ci))
+  done;
+  let start = t_start t in
+  Uksmp.Smp.run t.smp;
+  start
+
 (* --- httpd ---------------------------------------------------------------- *)
 
-let add_httpd t ?(port = 80) content =
+let add_httpd t ~transport ?(port = 80) content =
   Array.init t.n (fun i ->
-      Httpd.create
-        ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-        ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
+      Httpd.serve ~transport ~clock:(clock_of t i) ~sched:(sched_of t i)
         ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i content)
 
-let run_httpd_load t ?(port = 80) ?(connections_per_core = 8) ?(requests_per_core = 4000)
-    ?path () =
-  let agg = Wrk.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Wrk.spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~requests:requests_per_core ?path
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Wrk.result_of_agg agg ~t_start:start
-
-let add_httpd_fast t ?(port = 80) ?rtc content =
-  Array.init t.n (fun i ->
-      Httpd.create_fast
-        ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-        ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-        ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i ?rtc content)
-
-let run_httpd_load_fast t ?(port = 80) ?(connections_per_core = 8)
+let run_httpd_load t ~transport ?(port = 80) ?(connections_per_core = 8)
     ?(requests_per_core = 4000) ?path ?pipeline () =
   let agg = Wrk.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Wrk.spawn_fast
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~requests:requests_per_core ?path ?pipeline
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
+  let start =
+    drive t ~port ~per_core:connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        let connections = connections_per_core and requests = requests_per_core in
+        match transport with
+        | Serve.Socket ->
+            Wrk.spawn ~clock ~sched ~stack ~server ~connections ~requests ?path ~port_for ~agg ()
+        | Serve.Netbuf _ ->
+            Wrk.spawn_fast ~clock ~sched ~stack ~server ~connections ~requests ?path ?pipeline
+              ~port_for ~agg ())
+  in
   Wrk.result_of_agg agg ~t_start:start
 
 (* --- RESP store ----------------------------------------------------------- *)
 
-let add_resp t ?(port = 6379) ?(populate = 0) () =
+let add_resp t ~transport ?(port = 6379) ?(populate = 0) () =
+  let first = ref None in
   let workers =
-    let first = ref None in
     Array.init t.n (fun i ->
         let w =
-          Resp_store.create
-            ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-            ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-            ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i
-            ?share_with:!first ()
+          Resp_store.serve ~transport ~clock:(clock_of t i) ~sched:(sched_of t i)
+            ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i ?share_with:!first ()
         in
         if !first = None then first := Some w;
         w)
@@ -262,51 +247,37 @@ let add_resp t ?(port = 6379) ?(populate = 0) () =
   done;
   workers
 
-let add_resp_fast t ?(port = 6379) ?(populate = 0) ?rtc () =
-  let workers =
-    let first = ref None in
-    Array.init t.n (fun i ->
-        let w =
-          Resp_store.create_fast
-            ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-            ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-            ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i
-            ?share_with:!first ?rtc ()
-        in
-        if !first = None then first := Some w;
-        w)
-  in
-  for k = 0 to populate - 1 do
-    ignore (Resp_store.execute workers.(0) [ "SET"; Printf.sprintf "key:%06d" k; "xxx" ])
-  done;
-  workers
-
-let run_resp_load_fast t ?(port = 6379) ?(connections_per_core = 8) ?(pipeline = 16)
+let run_resp_load t ~transport ?(port = 6379) ?(connections_per_core = 8) ?(pipeline = 16)
     ?(requests_per_core = 10_000) workload =
   let agg = Resp_bench.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Resp_bench.spawn_fast
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~pipeline ~requests:requests_per_core
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg workload
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
+  let spawn =
+    match transport with Serve.Socket -> Resp_bench.spawn | Serve.Netbuf _ -> Resp_bench.spawn_fast
+  in
+  let start =
+    drive t ~port ~per_core:connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        spawn ~clock ~sched ~stack ~server ~connections:connections_per_core ~pipeline
+          ~requests:requests_per_core ~port_for ~agg workload)
+  in
   Resp_bench.result_of_agg agg ~t_start:start
 
-(* --- inference ------------------------------------------------------------- *)
+(* --- line-protocol servers (inference, merkle store) ---------------------- *)
+
+let run_line_load t ~transport ~port ~connections_per_core ~requests_per_core ?pipeline proto =
+  let agg = Line_client.new_agg () in
+  let start =
+    drive t ~port ~per_core:connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        Line_client.spawn ~transport ~clock ~sched ~stack ~server
+          ~connections:connections_per_core ?pipeline ~requests:requests_per_core ~port_for
+          ~agg proto)
+  in
+  Line_client.result_of_agg agg ~t_start:start
 
 (* Per-core model serving: each server core gets its own virtio-blk
    store, weight file, vfs mount and admission queue (the replicated-
    image deployment — no cross-core weight sharing to serialize on). *)
-let add_infer_with mk t ?(port = 8000) ?(size_mb = 4) ?max_batch ?max_wait_ns () =
+let add_infer t ~transport ?(port = 8000) ?(size_mb = 4) ?max_batch ?max_wait_ns () =
   Array.init t.n (fun i ->
-      let clock = Uksmp.Smp.clock_of t.smp ~core:i in
+      let clock = clock_of t i in
       let engine = Uksmp.Smp.engine_of t.smp ~core:i in
       let dev =
         Ukblock.Virtio_blk.create ~clock ~engine
@@ -322,146 +293,36 @@ let add_infer_with mk t ?(port = 8000) ?(size_mb = 4) ?max_batch ?max_wait_ns ()
         | Ok m -> m
         | Error e -> invalid_arg ("Cluster.add_infer: " ^ e)
       in
-      mk ~clock ~engine
-        ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-        ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i ?max_batch
-        ?max_wait_ns ~model ())
+      Infer.serve ~transport ~clock ~engine ~sched:(sched_of t i) ~stack:t.server_stacks.(i)
+        ~alloc:t.allocs.(i) ~port ~core:i ?max_batch ?max_wait_ns ~model ())
 
-let add_infer t ?port ?size_mb ?max_batch ?max_wait_ns () =
-  add_infer_with
-    (fun ~clock ~engine ~sched ~stack ~alloc ~port ~core ?max_batch ?max_wait_ns ~model () ->
-      Infer.create ~clock ~engine ~sched ~stack ~alloc ~port ~core ?max_batch
-        ?max_wait_ns ~model ())
-    t ?port ?size_mb ?max_batch ?max_wait_ns ()
-
-let add_infer_fast t ?port ?size_mb ?rtc ?max_batch ?max_wait_ns () =
-  add_infer_with
-    (fun ~clock ~engine ~sched ~stack ~alloc ~port ~core ?max_batch ?max_wait_ns ~model () ->
-      Infer.create_fast ~clock ~engine ~sched ~stack ~alloc ~port ~core ?rtc ?max_batch
-        ?max_wait_ns ~model ())
-    t ?port ?size_mb ?max_batch ?max_wait_ns ()
-
-let run_infer_load_with spawn t ?(port = 8000) ?(connections_per_core = 8)
+let run_infer_load t ~transport ?(port = 8000) ?(connections_per_core = 8)
     ?(requests_per_core = 4000) ?pipeline ?width () =
-  let agg = Infer.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ?pipeline ~requests:requests_per_core ?width
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Infer.result_of_agg agg ~t_start:start
-
-let run_infer_load t =
-  run_infer_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?width ~port_for
-         ~agg () ->
-      Infer.spawn_load ~clock ~sched ~stack ~server ~connections ?pipeline ~requests
-        ?width ~port_for ~agg ())
-    t
-
-let run_infer_load_fast t =
-  run_infer_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?width ~port_for
-         ~agg () ->
-      Infer.spawn_load_fast ~clock ~sched ~stack ~server ~connections ?pipeline
-        ~requests ?width ~port_for ~agg ())
-    t
-
-(* --- merkle store ----------------------------------------------------------- *)
+  run_line_load t ~transport ~port ~connections_per_core ~requests_per_core ?pipeline
+    (Infer.client ?width ())
 
 (* Per-core store serving: each server core owns a virtio-blk device
    formatted as a ukstore, pre-populated and committed before the load
    starts (the fleet image's disk prep, replicated per core). *)
-let add_store_with mk t ?(port = 7000) ?(keys = 256) ?(journal_sectors = 512)
-    ?commit_every () =
+let add_store t ~transport ?(port = 7000) ?(keys = 256) ?(journal_sectors = 512) ?commit_every
+    () =
   Array.init t.n (fun i ->
-      let clock = Uksmp.Smp.clock_of t.smp ~core:i in
+      let clock = clock_of t i in
       let engine = Uksmp.Smp.engine_of t.smp ~core:i in
-      let dev =
-        Ukblock.Virtio_blk.create ~clock ~engine ~capacity_sectors:32768 ()
-      in
+      let dev = Ukblock.Virtio_blk.create ~clock ~engine ~capacity_sectors:32768 () in
       let store =
         match Ukstore.Store.format ~clock ~journal_sectors dev with
         | Ok s -> s
         | Error e -> invalid_arg ("Cluster.add_store: " ^ Ukvfs.Fs.errno_to_string e)
       in
       let srv =
-        mk ~clock
-          ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-          ~stack:t.server_stacks.(i) ~port ~core:i ?commit_every ~store ()
+        Store.serve ~transport ~clock ~sched:(sched_of t i) ~stack:t.server_stacks.(i) ~port
+          ~core:i ?commit_every ~store ()
       in
       Store.populate srv keys;
       srv)
 
-let add_store t ?port ?keys ?journal_sectors ?commit_every () =
-  add_store_with
-    (fun ~clock ~sched ~stack ~port ~core ?commit_every ~store () ->
-      Store.create ~clock ~sched ~stack ~port ~core ?commit_every ~store ())
-    t ?port ?keys ?journal_sectors ?commit_every ()
-
-let add_store_fast t ?port ?keys ?journal_sectors ?rtc ?commit_every () =
-  add_store_with
-    (fun ~clock ~sched ~stack ~port ~core ?commit_every ~store () ->
-      Store.create_fast ~clock ~sched ~stack ~port ~core ?rtc ?commit_every ~store ())
-    t ?port ?keys ?journal_sectors ?commit_every ()
-
-let run_store_load_with spawn t ?(port = 7000) ?(connections_per_core = 8)
+let run_store_load t ~transport ?(port = 7000) ?(connections_per_core = 8)
     ?(requests_per_core = 4000) ?pipeline ?write_frac ?keyspace ?commit_every ?seed () =
-  let agg = Store.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ?pipeline ~requests:requests_per_core
-      ?write_frac ?keyspace ?commit_every ?seed
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Store.result_of_agg agg ~t_start:start
-
-let run_store_load t =
-  run_store_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?write_frac
-         ?keyspace ?commit_every ?seed ~port_for ~agg () ->
-      Store.spawn_load ~clock ~sched ~stack ~server ~connections ?pipeline ~requests
-        ?write_frac ?keyspace ?commit_every ?seed ~port_for ~agg ())
-    t
-
-let run_store_load_fast t =
-  run_store_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?write_frac
-         ?keyspace ?commit_every ?seed ~port_for ~agg () ->
-      Store.spawn_load_fast ~clock ~sched ~stack ~server ~connections ?pipeline
-        ~requests ?write_frac ?keyspace ?commit_every ?seed ~port_for ~agg ())
-    t
-
-let run_resp_load t ?(port = 6379) ?(connections_per_core = 8) ?(pipeline = 16)
-    ?(requests_per_core = 10_000) workload =
-  let agg = Resp_bench.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Resp_bench.spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~pipeline ~requests:requests_per_core
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg workload
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Resp_bench.result_of_agg agg ~t_start:start
+  run_line_load t ~transport ~port ~connections_per_core ~requests_per_core ?pipeline
+    (Store.client ?write_frac ?keyspace ?commit_every ?seed ())

@@ -53,28 +53,20 @@ val arena : t -> Ukalloc.Percore.t option
 val trace_hash : t -> int
 val elapsed_ns : t -> float
 
-val add_httpd : t -> ?port:int -> Httpd.content -> Httpd.t array
-(** One worker per server core (port defaults to 80). *)
+(** {1 Serving}
+
+    Every app is added and driven over a {!Serve.transport}: [Socket]
+    pairs the socket/copy servers with the legacy clients, [Netbuf _]
+    pairs the zero-copy servers with the netbuf clients ([Netbuf
+    {rtc = false}] ablates run-to-completion on the server side). *)
+
+val add_httpd :
+  t -> transport:Serve.transport -> ?port:int -> Httpd.content -> Httpd.t array
+(** One {!Httpd.serve} worker per server core (port defaults to 80). *)
 
 val run_httpd_load :
   t ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?requests_per_core:int ->
-  ?path:string ->
-  unit ->
-  Wrk.result
-(** Spawn one wrk client group per client core (defaults: 8 connections,
-    4000 requests per core) and drive the whole SMP domain to completion.
-    Weak scaling: the per-core load is fixed, so ideal scaling keeps
-    elapsed flat while total throughput grows with [n]. *)
-
-val add_httpd_fast : t -> ?port:int -> ?rtc:bool -> Httpd.content -> Httpd.t array
-(** One {!Httpd.create_fast} worker per server core. [rtc:false] ablates
-    run-to-completion (requests hop through a pinned worker thread). *)
-
-val run_httpd_load_fast :
-  t ->
+  transport:Serve.transport ->
   ?port:int ->
   ?connections_per_core:int ->
   ?requests_per_core:int ->
@@ -82,16 +74,22 @@ val run_httpd_load_fast :
   ?pipeline:int ->
   unit ->
   Wrk.result
-(** {!run_httpd_load} driven by {!Wrk.spawn_fast} (zero-copy pipelined
-    clients; [pipeline] defaults to 16). *)
+(** Spawn one wrk client group per client core (defaults: 8 connections,
+    4000 requests per core) and drive the whole SMP domain to completion.
+    Weak scaling: the per-core load is fixed, so ideal scaling keeps
+    elapsed flat while total throughput grows with [n]. [pipeline]
+    (default 16) applies to the netbuf client only; the socket client is
+    serial per connection. *)
 
-val add_resp : t -> ?port:int -> ?populate:int -> unit -> Resp_store.t array
+val add_resp :
+  t -> transport:Serve.transport -> ?port:int -> ?populate:int -> unit -> Resp_store.t array
 (** One worker per server core sharing a single database (port defaults to
     6379); [populate] pre-loads that many keys in Resp_bench's key pattern
     so GET workloads measure hits. *)
 
 val run_resp_load :
   t ->
+  transport:Serve.transport ->
   ?port:int ->
   ?connections_per_core:int ->
   ?pipeline:int ->
@@ -100,94 +98,51 @@ val run_resp_load :
   Resp_bench.result
 (** Defaults: 8 connections, pipeline 16, 10k requests per core. *)
 
-val add_resp_fast :
-  t -> ?port:int -> ?populate:int -> ?rtc:bool -> unit -> Resp_store.t array
-(** One {!Resp_store.create_fast} worker per server core sharing a single
-    database. *)
-
-val run_resp_load_fast :
-  t ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?pipeline:int ->
-  ?requests_per_core:int ->
-  Resp_bench.workload ->
-  Resp_bench.result
-(** {!run_resp_load} driven by {!Resp_bench.spawn_fast}. *)
-
 val add_infer :
   t ->
+  transport:Serve.transport ->
   ?port:int ->
   ?size_mb:int ->
   ?max_batch:int ->
   ?max_wait_ns:float ->
   unit ->
   Infer.t array
-(** One {!Infer.create} worker per server core (port defaults to 8000),
+(** One {!Infer.serve} worker per server core (port defaults to 8000),
     each with its own virtio-blk weight store, published seeded model of
     [size_mb] (default 4) MiB, vfs mount at [/models] and boot-time weight
     load — the replicated-image deployment, no cross-core sharing. *)
 
-val add_infer_fast :
-  t ->
-  ?port:int ->
-  ?size_mb:int ->
-  ?rtc:bool ->
-  ?max_batch:int ->
-  ?max_wait_ns:float ->
-  unit ->
-  Infer.t array
-(** {!add_infer} with {!Infer.create_fast} workers. *)
-
 val run_infer_load :
   t ->
+  transport:Serve.transport ->
   ?port:int ->
   ?connections_per_core:int ->
   ?requests_per_core:int ->
   ?pipeline:int ->
   ?width:int ->
   unit ->
-  Infer.result
-(** Defaults: 8 connections, 4000 requests per core. *)
-
-val run_infer_load_fast :
-  t ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?requests_per_core:int ->
-  ?pipeline:int ->
-  ?width:int ->
-  unit ->
-  Infer.result
-(** {!run_infer_load} driven by {!Infer.spawn_load_fast}. *)
+  Line_client.result
+(** {!Line_client} over {!Infer.client}. Defaults: 8 connections, 4000
+    requests per core. *)
 
 val add_store :
   t ->
+  transport:Serve.transport ->
   ?port:int ->
   ?keys:int ->
   ?journal_sectors:int ->
   ?commit_every:int ->
   unit ->
   Store.t array
-(** One {!Store.create} worker per server core (port defaults to 7000),
+(** One {!Store.serve} worker per server core (port defaults to 7000),
     each with its own virtio-blk device formatted as a crash-consistent
     ukstore, pre-populated with [keys] (default 256) committed entries —
     the replicated stateful-image deployment. [commit_every] arms the
     server-side auto-commit (default: explicit COMMITs only). *)
 
-val add_store_fast :
-  t ->
-  ?port:int ->
-  ?keys:int ->
-  ?journal_sectors:int ->
-  ?rtc:bool ->
-  ?commit_every:int ->
-  unit ->
-  Store.t array
-(** {!add_store} with {!Store.create_fast} workers. *)
-
 val run_store_load :
   t ->
+  transport:Serve.transport ->
   ?port:int ->
   ?connections_per_core:int ->
   ?requests_per_core:int ->
@@ -197,21 +152,8 @@ val run_store_load :
   ?commit_every:int ->
   ?seed:int ->
   unit ->
-  Store.result
-(** Seeded SET/GET mix against the store tier; [write_frac] (default 0.5)
-    of requests mutate, every [commit_every]th request (client-side,
-    default off) is a COMMIT barrier. *)
-
-val run_store_load_fast :
-  t ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?requests_per_core:int ->
-  ?pipeline:int ->
-  ?write_frac:float ->
-  ?keyspace:int ->
-  ?commit_every:int ->
-  ?seed:int ->
-  unit ->
-  Store.result
-(** {!run_store_load} driven by {!Store.spawn_load_fast}. *)
+  Line_client.result
+(** {!Line_client} over {!Store.client}: a seeded SET/GET mix against the
+    store tier; [write_frac] (default 0.5) of requests mutate, every
+    [commit_every]th request (client-side, default off) is a COMMIT
+    barrier. *)

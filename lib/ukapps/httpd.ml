@@ -7,10 +7,10 @@ type content =
 
 type stats = { requests : int; errors_404 : int; errors_503 : int; bytes_sent : int }
 
+let zero_stats = { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 }
+
 type t = {
   clock : Uksim.Clock.t;
-  sched : Uksched.Sched.t;
-  stack : S.t;
   alloc : Ukalloc.Alloc.t;
   content : content;
   core : int; (* tracepoint lane; the owning core under SMP *)
@@ -73,86 +73,6 @@ let response ~status ~body =
   Printf.sprintf "HTTP/1.1 %s\r\nServer: ukraft\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n%s"
     status (String.length body) body
 
-(* Extract the path of a "GET <path> HTTP/1.x" request line. *)
-let parse_request line =
-  match String.split_on_char ' ' line with
-  | [ "GET"; path; _version ] -> Some path
-  | _ -> None
-
-let rec handle_request t req_line =
-  Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
-    "http_request" (fun () -> handle_request_untraced t req_line)
-
-and handle_request_untraced t req_line =
-  charge t parse_cost;
-  (* Per-request buffer from the app allocator, as nginx's request pool. *)
-  let pool = Ukalloc.Alloc.uk_malloc t.alloc 1024 in
-  let reply =
-    match pool with
-    | None ->
-        (* Allocator under pressure: shed the request instead of serving
-           it half-built (degraded mode). *)
-        t.st <- { t.st with errors_503 = t.st.errors_503 + 1 };
-        response ~status:"503 Service Unavailable" ~body:"overloaded"
-    | Some _ -> (
-        match parse_request req_line with
-        | None -> response ~status:"400 Bad Request" ~body:"bad request"
-        | Some path -> (
-            match lookup t path with
-            | Some body ->
-                charge t (Uksim.Cost.memcpy (String.length body));
-                response ~status:"200 OK" ~body
-            | None ->
-                t.st <- { t.st with errors_404 = t.st.errors_404 + 1 };
-                response ~status:"404 Not Found" ~body:"not found"))
-  in
-  charge t respond_cost;
-  (match pool with Some addr -> Ukalloc.Alloc.uk_free t.alloc addr | None -> ());
-  t.st <- { t.st with requests = t.st.requests + 1; bytes_sent = t.st.bytes_sent + String.length reply };
-  reply
-
-let handle_connection t flow =
-  let acc = Buffer.create 512 in
-  let rec serve () =
-    match S.Tcp_socket.recv ~block:true t.stack flow ~max:16384 with
-    | None -> S.Tcp_socket.close t.stack flow
-    | Some data ->
-        Buffer.add_bytes acc data;
-        let s = Buffer.contents acc in
-        (* Handle every complete request (terminated by CRLFCRLF); the
-           scan cursor is distinct from the unconsumed-request start. *)
-        let rec split_requests req_start scan acc_out =
-          match String.index_from_opt s scan '\r' with
-          | Some i when i + 3 < String.length s && String.sub s i 4 = "\r\n\r\n" ->
-              let req = String.sub s req_start (i - req_start) in
-              let first_line =
-                match String.index_opt req '\r' with
-                | Some j -> String.sub req 0 j
-                | None -> req
-              in
-              split_requests (i + 4) (i + 4) (first_line :: acc_out)
-          | Some i -> split_requests req_start (i + 1) acc_out
-          | None -> (req_start, List.rev acc_out)
-        in
-        let consumed, requests = split_requests 0 0 [] in
-        if consumed > 0 then begin
-          let rest = String.sub s consumed (String.length s - consumed) in
-          Buffer.clear acc;
-          Buffer.add_string acc rest
-        end;
-        let out = Buffer.create 1024 in
-        List.iter (fun line -> Buffer.add_string out (handle_request t line)) requests;
-        if Buffer.length out > 0 then
-          ignore (S.Tcp_socket.send ~block:true t.stack flow (Buffer.to_bytes out));
-        serve ()
-  in
-  serve ()
-
-(* --- zero-copy run-to-completion fast path (the paper's Fig 14 port) ------ *)
-
-module Nb = Uknetdev.Netbuf
-module Tcp = Uknetstack.Tcp
-
 (* Specialized request handling: the request line is parsed in place in
    the driver's ring buffer (no per-request pool, no header
    re-materialization), so the per-request budget shrinks from
@@ -176,91 +96,62 @@ let find_reqend buf from limit =
 
 (* Parse "GET <path> <version>" in place; the path is the only substring
    materialized (it is the lookup key, not payload). *)
-let parse_fast buf rs limit =
+let parse_get buf rs limit =
   if limit - rs > 4 && Bytes.sub_string buf rs 4 = "GET " then
     match Bytes.index_from_opt buf (rs + 4) ' ' with
     | Some sp when sp < limit -> Some (Bytes.sub_string buf (rs + 4) (sp - rs - 4))
     | Some _ | None -> None
   else None
 
-let fast_reply t w buf rs re =
+(* A request runs through the blank line ending its headers; what the
+   handler needs of it is the path of its request line. *)
+let frame buf pos limit =
+  match find_reqend buf pos limit with
+  | None -> Serve.Partial
+  | Some re -> Serve.Frame (parse_get buf pos (Bytes.index_from buf pos '\r'), re)
+
+let handle t ~fast sink path =
   Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
-    "http_request_fast" (fun () ->
-      charge t fast_parse_cost;
-      let line_end =
-        match Bytes.index_from_opt buf rs '\r' with
-        | Some i when i < re -> i
-        | Some _ | None -> re
-      in
+    (if fast then "http_request_fast" else "http_request")
+    (fun () ->
+      charge t (if fast then fast_parse_cost else parse_cost);
+      (* The generic build takes a per-request buffer from the app
+         allocator, as nginx's request pool. *)
+      let pool = if fast then None else Ukalloc.Alloc.uk_malloc t.alloc 1024 in
       let reply =
-        match parse_fast buf rs line_end with
-        | None -> response ~status:"400 Bad Request" ~body:"bad request"
-        | Some path -> (
+        match (path, pool) with
+        | _, None when not fast ->
+            (* Allocator under pressure: shed the request instead of
+               serving it half-built (degraded mode). *)
+            t.st <- { t.st with errors_503 = t.st.errors_503 + 1 };
+            response ~status:"503 Service Unavailable" ~body:"overloaded"
+        | None, _ -> response ~status:"400 Bad Request" ~body:"bad request"
+        | Some path, _ -> (
             match lookup t path with
-            | Some body -> response ~status:"200 OK" ~body
+            | Some body ->
+                if not fast then charge t (Uksim.Cost.memcpy (String.length body));
+                response ~status:"200 OK" ~body
             | None ->
                 t.st <- { t.st with errors_404 = t.st.errors_404 + 1 };
                 response ~status:"404 Not Found" ~body:"not found")
       in
-      charge t fast_respond_cost;
-      Nbio.add w reply;
+      charge t (if fast then fast_respond_cost else respond_cost);
+      Option.iter (Ukalloc.Alloc.uk_free t.alloc) pool;
+      Serve.write sink reply;
       t.st <-
         { t.st with
           requests = t.st.requests + 1;
           bytes_sent = t.st.bytes_sent + String.length reply })
 
-(* Scan [buf[off, off+len)] for complete requests; returns bytes consumed. *)
-let fast_scan t w buf off len =
-  let limit = off + len in
-  let rec go rs =
-    match find_reqend buf rs limit with
-    | Some re ->
-        fast_reply t w buf rs re;
-        go re
-    | None -> rs - off
-  in
-  go off
+type make =
+  clock:Uksim.Clock.t -> sched:Uksched.Sched.t -> stack:S.t -> alloc:Ukalloc.Alloc.t ->
+  ?port:int -> ?core:int -> content -> t
 
-(* Stash path: a request straddled a segment boundary, so this connection
-   temporarily falls back to materialized bytes (one counted copy per
-   stashed segment) until the pipeline realigns. *)
-let stash_drain t w stash =
-  let s = Buffer.contents stash in
-  let b = Bytes.unsafe_of_string s in
-  let consumed = fast_scan t w b 0 (String.length s) in
-  if consumed > 0 then begin
-    let rest = String.sub s consumed (String.length s - consumed) in
-    Buffer.clear stash;
-    Buffer.add_string stash rest
-  end
-
-let fast_on_data t flow stash nb =
-  let w = Nbio.writer ~clock:t.clock ~stack:t.stack ~flow in
-  (if Buffer.length stash = 0 then begin
-     let buf, off, len = Nb.view nb in
-     let consumed = fast_scan t w buf off len in
-     if consumed < len then begin
-       Nb.pull nb consumed;
-       Buffer.add_bytes stash (Nb.copy_out nb)
-     end;
-     Nb.recycle nb
-   end
-   else begin
-     Buffer.add_bytes stash (Nb.copy_out nb);
-     Nb.recycle nb;
-     stash_drain t w stash
-   end);
-  Nbio.flush w
-
-let create_fast ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) ?(rtc = true) content =
-  let t =
-    { clock; sched; stack; alloc; content; core;
-      st = { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 } }
-  in
+let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) content =
+  let t = { clock; alloc; content; core; st = zero_stats } in
   Uktrace.Registry.register
     (Uktrace.Source.make ~subsystem:"ukapps" ~name:"httpd"
-       ~reset:(fun () ->
-         t.st <- { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 })
+       ~reset:(fun () -> t.st <- zero_stats)
        (fun () ->
          [
            ("requests", Uktrace.Metric.Count t.st.requests);
@@ -268,73 +159,13 @@ let create_fast ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) ?(rtc = tru
            ("errors_503", Uktrace.Metric.Count t.st.errors_503);
            ("bytes_sent", Uktrace.Metric.Count t.st.bytes_sent);
          ]));
-  let l = S.Tcp_socket.listen stack ~port () in
-  let dispatch =
-    if rtc then fun job -> job ()
-    else begin
-      (* Ablation: instead of running to completion inside packet
-         processing, hop through a pinned worker thread — the classic
-         softirq-to-server handoff the fast path removes. *)
-      let q : (unit -> unit) Queue.t = Queue.create () in
-      let wtid =
-        Uksched.Sched.spawn sched ~name:"httpd-fast-worker" ~daemon:true ~pinned:true
-          (fun () ->
-            let rec loop () =
-              (match Queue.take_opt q with
-              | Some job -> job ()
-              | None -> Uksched.Sched.block ());
-              loop ()
-            in
-            loop ())
-      in
-      fun job ->
-        Queue.push job q;
-        Uksched.Sched.wake sched wtid
-    end
-  in
-  S.Tcp_socket.set_fast_accept l
-    (Some
-       (fun flow ->
-         let stash = Buffer.create 64 in
-         Tcp.set_rx_sink flow (Some (fun nb -> dispatch (fun () -> fast_on_data t flow stash nb)))));
+  let fast = transport <> Serve.Socket in
+  Serve.start transport ~name:"httpd" ~clock ~sched ~stack ~port ~frame
+    ~handle:(handle t ~fast);
   t
 
-let create ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) content =
-  let t =
-    { clock; sched; stack; alloc; content; core;
-      st = { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 } }
-  in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukapps" ~name:"httpd"
-       ~reset:(fun () ->
-         t.st <- { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 })
-       (fun () ->
-         [
-           ("requests", Uktrace.Metric.Count t.st.requests);
-           ("errors_404", Uktrace.Metric.Count t.st.errors_404);
-           ("errors_503", Uktrace.Metric.Count t.st.errors_503);
-           ("bytes_sent", Uktrace.Metric.Count t.st.bytes_sent);
-         ]));
-  (* Listen synchronously so the port is open before any other core's
-     virtual time reaches a connect (see the Resp_store note). *)
-  let l = S.Tcp_socket.listen stack ~port () in
-  let _ =
-    (* Pinned: server threads charge this instance's clock and stack, so
-       work stealing must not migrate them to another core. *)
-    Uksched.Sched.spawn sched ~name:"httpd-accept" ~daemon:true ~pinned:true (fun () ->
-        let rec loop () =
-          match S.Tcp_socket.accept ~block:true l with
-          | Some flow ->
-              let _ =
-                Uksched.Sched.spawn sched ~name:"httpd-conn" ~daemon:true ~pinned:true
-                  (fun () -> handle_connection t flow)
-              in
-              loop ()
-          | None -> loop ()
-        in
-        loop ())
-  in
-  t
+let create = serve ~transport:Serve.Socket
+let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 let stats t = t.st
 
@@ -347,5 +178,4 @@ let sum_stats ts =
         errors_503 = acc.errors_503 + t.st.errors_503;
         bytes_sent = acc.bytes_sent + t.st.bytes_sent;
       })
-    { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 }
-    ts
+    zero_stats ts

@@ -24,7 +24,7 @@ type stats = {
 val default_page : string
 (** The paper's 612-byte static page. *)
 
-val create :
+type make =
   clock:Uksim.Clock.t ->
   sched:Uksched.Sched.t ->
   stack:Uknetstack.Stack.t ->
@@ -33,32 +33,27 @@ val create :
   ?core:int ->
   content ->
   t
-(** Spawns the accept thread (daemon, pinned to [sched]'s core); port
-    defaults to 80. Multi-worker SMP mode: create one instance per core,
-    each on its own per-core stack/clock/alloc view — RSS then spreads
-    connections across them like SO_REUSEPORT sharding. [core] (default 0)
-    labels this worker's tracepoints; stats also register as an
-    ["ukapps.httpd"] {!Uktrace.Registry} source. *)
 
-val create_fast :
-  clock:Uksim.Clock.t ->
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  alloc:Ukalloc.Alloc.t ->
-  ?port:int ->
-  ?core:int ->
-  ?rtc:bool ->
-  content ->
-  t
-(** The zero-copy run-to-completion build (Fig 14's netbuf port): requests
-    are parsed in place in the driver's ring buffer from a per-connection
-    {!Uknetstack.Tcp.set_rx_sink}, and replies are written straight into
-    pool netbufs ({!Nbio}) handed down TX by ownership — the hot path
-    makes no counted payload copies. Handlers run inside packet processing
-    on the receiving core; [rtc:false] ablates that by hopping each
-    request through a pinned worker thread. Requests that straddle a
-    segment fall back to a counted-copy stash until the pipeline
-    realigns. *)
+val serve : transport:Serve.transport -> make
+(** Serve [content] on [port] (default 80) over [transport]. Multi-worker
+    SMP mode: create one instance per core, each on its own per-core
+    stack/clock/alloc view — RSS then spreads connections across them
+    like SO_REUSEPORT sharding. [core] (default 0) labels this worker's
+    tracepoints; stats also register as an ["ukapps.httpd"]
+    {!Uktrace.Registry} source.
+
+    On {!Serve.Socket} every request takes a 1 KiB buffer from [alloc]
+    (nginx's request pool — a failed allocation sheds the request with a
+    503) and pays the generic parse and respond costs. On
+    {!Serve.Netbuf} (Fig 14's netbuf port) the request line is parsed in
+    place, there is no pool, and the budget shrinks to a scan plus a
+    template write. *)
+
+val create : make
+(** [serve ~transport:Socket]. *)
+
+val create_fast : make
+(** [serve ~transport:(Netbuf {rtc = true})]. *)
 
 val stats : t -> stats
 

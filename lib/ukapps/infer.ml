@@ -1,6 +1,3 @@
-module S = Uknetstack.Stack
-module Nb = Uknetdev.Netbuf
-module Tcp = Uknetstack.Tcp
 module Bfs = Ukvfs.Blockfs
 
 (* --- cost model ----------------------------------------------------------
@@ -14,10 +11,8 @@ module Bfs = Ukvfs.Blockfs
 let weight_pass_per_mb = 65536 (* cycles: 1 MiB of weights at 16 B/cycle *)
 let item_per_mb_width = 64 (* cycles per MiB of model per token of width *)
 let admit_cost = 90 (* queue insert + deadline bookkeeping *)
-let parse_cost = 180 (* legacy: line materialization + field parse *)
-let fast_parse_cost = 60 (* in-place scan of the request line *)
-let client_cmd_cost = 120
-let fast_client_cmd_cost = 40
+let parse_cost = 180 (* socket path: line materialization + field parse *)
+let fast_parse_cost = 60 (* netbuf path: in-place scan of the request line *)
 
 let weight_pass_cycles size_mb = size_mb * weight_pass_per_mb
 let item_cycles size_mb width = max 1 (size_mb * width * item_per_mb_width)
@@ -200,7 +195,7 @@ let rec run_batch t =
             charge t (item_cycles t.model.size_mb it.pwidth);
             let out = out_digest t.model ~rid:it.prid ~width:it.pwidth in
             let r = reply_line ~ok:true ~rid:it.prid out in
-            (* Commutative fold: legacy and fast servers may batch the
+            (* Commutative fold: the two transports may batch the
                same request set differently, the hash must not care. *)
             t.state <- t.state lxor mix out (it.prid + (it.pwidth * 0x10001));
             t.st <-
@@ -274,295 +269,40 @@ let parse_req line =
 
 let bad_reply = reply_line ~ok:false ~rid:0 0
 
-(* --- legacy socket server ------------------------------------------------- *)
+(* --- serving ----------------------------------------------------------------- *)
 
-let handle_line t stack flow line =
-  (* Batch completions run in engine context (no current thread), so the
-     reply closure must not block; 29-byte replies sit well inside the
-     send buffer at any sane pipeline depth. *)
-  let reply s = ignore (S.Tcp_socket.send ~block:false stack flow (Bytes.of_string s)) in
-  charge t parse_cost;
-  match parse_req line with
-  | Some (rid, width) -> submit t ~rid ~width ~reply
-  | None ->
-      t.st <- { t.st with errors = t.st.errors + 1 };
-      reply bad_reply
+type make =
+  clock:Uksim.Clock.t -> engine:Uksim.Engine.t -> sched:Uksched.Sched.t ->
+  stack:Uknetstack.Stack.t -> alloc:Ukalloc.Alloc.t -> ?port:int -> ?core:int ->
+  ?max_batch:int -> ?max_wait_ns:float -> model:model -> unit -> t
 
-let handle_connection t stack flow =
-  let acc = Buffer.create 128 in
-  let rec serve () =
-    match S.Tcp_socket.recv ~block:true stack flow ~max:16384 with
-    | None -> S.Tcp_socket.close stack flow
-    | Some data ->
-        Buffer.add_bytes acc data;
-        let s = Buffer.contents acc in
-        let rec lines from =
-          match String.index_from_opt s from '\n' with
-          | Some nl ->
-              handle_line t stack flow (String.sub s from (nl - from));
-              lines (nl + 1)
-          | None -> from
-        in
-        let consumed = lines 0 in
-        if consumed > 0 then begin
-          let rest = String.sub s consumed (String.length s - consumed) in
-          Buffer.clear acc;
-          Buffer.add_string acc rest
-        end;
-        serve ()
-  in
-  serve ()
-
-let create ~clock ~engine ~sched ~stack ~alloc ?(port = 8000) ?core ?max_batch
+let serve ~transport ~clock ~engine ~sched ~stack ~alloc ?(port = 8000) ?core ?max_batch
     ?max_wait_ns ~model () =
   let t = mk_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~alloc ~model () in
-  (* Listen synchronously so the port is open before any other core's
-     virtual time reaches a connect (see the Resp_store note). *)
-  let l = S.Tcp_socket.listen stack ~port () in
-  let _ =
-    Uksched.Sched.spawn sched ~name:"infer-accept" ~daemon:true ~pinned:true (fun () ->
-        let rec loop () =
-          match S.Tcp_socket.accept ~block:true l with
-          | Some flow ->
-              let _ =
-                Uksched.Sched.spawn sched ~name:"infer-conn" ~daemon:true ~pinned:true
-                  (fun () -> handle_connection t stack flow)
-              in
-              loop ()
-          | None -> loop ()
-        in
-        loop ())
-  in
-  t
-
-(* --- zero-copy fast path --------------------------------------------------- *)
-
-let fast_reply t stack flow s =
-  let w = Nbio.writer ~clock:t.clock ~stack ~flow in
-  Nbio.add w s;
-  Nbio.flush w
-
-(* Scan [buf[off, off+len)] for complete request lines; returns consumed. *)
-let fast_scan t stack flow buf off len =
-  let limit = off + len in
-  let rec go ls =
-    match Bytes.index_from_opt buf ls '\n' with
-    | Some nl when nl < limit ->
-        charge t fast_parse_cost;
-        (match parse_req (Bytes.sub_string buf ls (nl - ls)) with
-        | Some (rid, width) ->
-            submit t ~rid ~width ~reply:(fast_reply t stack flow)
-        | None ->
-            t.st <- { t.st with errors = t.st.errors + 1 };
-            fast_reply t stack flow bad_reply);
-        go (nl + 1)
-    | Some _ | None -> ls - off
-  in
-  go off
-
-(* Stash path: a request line straddled a segment boundary — one counted
-   copy per stashed segment until the pipeline realigns (same fallback
-   contract as Httpd's). *)
-let stash_drain t stack flow stash =
-  let s = Buffer.contents stash in
-  let b = Bytes.unsafe_of_string s in
-  let consumed = fast_scan t stack flow b 0 (String.length s) in
-  if consumed > 0 then begin
-    let rest = String.sub s consumed (String.length s - consumed) in
-    Buffer.clear stash;
-    Buffer.add_string stash rest
-  end
-
-let fast_on_data t stack flow stash nb =
-  if Buffer.length stash = 0 then begin
-    let buf, off, len = Nb.view nb in
-    let consumed = fast_scan t stack flow buf off len in
-    if consumed < len then begin
-      Nb.pull nb consumed;
-      Buffer.add_bytes stash (Nb.copy_out nb)
-    end;
-    Nb.recycle nb
-  end
-  else begin
-    Buffer.add_bytes stash (Nb.copy_out nb);
-    Nb.recycle nb;
-    stash_drain t stack flow stash
-  end
-
-let create_fast ~clock ~engine ~sched ~stack ~alloc ?(port = 8000) ?core ?(rtc = true)
-    ?max_batch ?max_wait_ns ~model () =
-  let t = mk_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~alloc ~model () in
-  let l = S.Tcp_socket.listen stack ~port () in
-  let dispatch =
-    if rtc then fun job -> job ()
-    else begin
-      (* Ablation: hop through a pinned worker instead of running to
-         completion inside packet processing. *)
-      let q : (unit -> unit) Queue.t = Queue.create () in
-      let wtid =
-        Uksched.Sched.spawn sched ~name:"infer-fast-worker" ~daemon:true ~pinned:true
-          (fun () ->
-            let rec loop () =
-              (match Queue.take_opt q with
-              | Some job -> job ()
-              | None -> Uksched.Sched.block ());
-              loop ()
-            in
-            loop ())
+  let cost = if transport = Serve.Socket then parse_cost else fast_parse_cost in
+  Serve.start transport ~name:"infer" ~clock ~sched ~stack ~port ~frame:Serve.line
+    ~handle:(fun sink line ->
+      (* Batch completions run in engine context (no current thread), so
+         the reply flush must not block; 29-byte replies sit well inside
+         the send buffer at any sane pipeline depth. *)
+      let reply s =
+        Serve.write sink s;
+        Serve.flush sink
       in
-      fun job ->
-        Queue.push job q;
-        Uksched.Sched.wake sched wtid
-    end
-  in
-  S.Tcp_socket.set_fast_accept l
-    (Some
-       (fun flow ->
-         let stash = Buffer.create 64 in
-         Tcp.set_rx_sink flow
-           (Some (fun nb -> dispatch (fun () -> fast_on_data t stack flow stash nb)))));
+      charge t cost;
+      match parse_req line with
+      | Some (rid, width) -> submit t ~rid ~width ~reply
+      | None ->
+          t.st <- { t.st with errors = t.st.errors + 1 };
+          reply bad_reply);
   t
 
-(* --- load generation ------------------------------------------------------- *)
+let create = serve ~transport:Serve.Socket
+let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
-type result = {
-  requests : int;
-  elapsed_ns : float;
-  rate_per_sec : float;
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  errors : int;
-}
-
-type agg = {
-  lat : Uksim.Stats.t; (* per-request latency, ns *)
-  mutable a_requests : int;
-  mutable a_errors : int;
-  mutable t_end : float;
-}
-
-let new_agg () =
-  { lat = Uksim.Stats.create (); a_requests = 0; a_errors = 0; t_end = 0.0 }
-
-let spawn_load ~clock ~sched ~stack ~server ?(connections = 16) ?(pipeline = 1)
-    ?(requests = 4096) ?(width = 16) ?(port_for = fun _ -> None) ~agg () =
-  let per_conn = max 1 (requests / connections) in
-  agg.a_requests <- agg.a_requests + (per_conn * connections);
-  let client_thread ci () =
-    let flow = S.Tcp_socket.connect stack ?lport:(port_for ci) ~dst:server () in
-    let recvd = ref 0 (* reply-stream bytes; replies are fixed-size *) in
-    let sent = ref 0 in
-    while !sent < per_conn do
-      let batch = min pipeline (per_conn - !sent) in
-      let buf = Buffer.create (batch * 24) in
-      for k = 0 to batch - 1 do
-        Uksim.Clock.advance clock client_cmd_cost;
-        Buffer.add_string buf (request ~rid:((ci lsl 20) lor (!sent + k)) ~width)
-      done;
-      let t0 = Uksim.Clock.ns clock in
-      ignore (S.Tcp_socket.send ~block:true stack flow (Buffer.to_bytes buf));
-      sent := !sent + batch;
-      let target = !sent * reply_len in
-      while !recvd < target do
-        match S.Tcp_socket.recv ~block:true stack flow ~max:65536 with
-        | None -> failwith "infer load: server closed connection"
-        | Some data ->
-            let before = !recvd / reply_len in
-            Bytes.iter
-              (fun c ->
-                (* Status byte of every fixed-size reply block. *)
-                if !recvd mod reply_len = 0 && c <> 'O' then
-                  agg.a_errors <- agg.a_errors + 1;
-                incr recvd)
-              data;
-            let now = Uksim.Clock.ns clock in
-            for _ = before + 1 to !recvd / reply_len do
-              Uksim.Clock.advance clock client_cmd_cost;
-              Uksim.Stats.add agg.lat (now -. t0)
-            done
-      done
-    done;
-    S.Tcp_socket.close stack flow;
-    agg.t_end <- Float.max agg.t_end (Uksim.Clock.ns clock)
-  in
-  for ci = 0 to connections - 1 do
-    (* Pinned: the client charges its home core's clock and stack. *)
-    ignore
-      (Uksched.Sched.spawn sched ~name:(Printf.sprintf "infer-load-%d" ci) ~pinned:true
-         (client_thread ci))
-  done
-
-let spawn_load_fast ~clock ~sched ~stack ~server ?(connections = 16) ?(pipeline = 1)
-    ?(requests = 4096) ?(width = 16) ?(port_for = fun _ -> None) ~agg () =
-  let per_conn = max 1 (requests / connections) in
-  agg.a_requests <- agg.a_requests + (per_conn * connections);
-  let client_thread ci () =
-    let flow = S.Tcp_socket.connect stack ?lport:(port_for ci) ~dst:server () in
-    let me = Uksched.Sched.self () in
-    let recvd = ref 0 in
-    (* Fixed-size replies make the sink pure arithmetic: boundaries are
-       byte offsets mod reply_len, immune to netbuf splits. *)
-    Tcp.set_rx_sink flow
-      (Some
-         (fun nb ->
-           let buf, off, len = Nb.view nb in
-           for i = off to off + len - 1 do
-             if !recvd mod reply_len = 0 && Bytes.get buf i <> 'O' then
-               agg.a_errors <- agg.a_errors + 1;
-             incr recvd
-           done;
-           Nb.recycle nb;
-           Uksched.Sched.wake sched me));
-    let sent = ref 0 in
-    while !sent < per_conn do
-      let batch = min pipeline (per_conn - !sent) in
-      let w = Nbio.writer ~clock ~stack ~flow in
-      for k = 0 to batch - 1 do
-        Uksim.Clock.advance clock fast_client_cmd_cost;
-        Nbio.add w (request ~rid:((ci lsl 20) lor (!sent + k)) ~width)
-      done;
-      let t0 = Uksim.Clock.ns clock in
-      Nbio.flush w;
-      sent := !sent + batch;
-      let target = !sent * reply_len in
-      (* Count-then-block is race-free under the shared cooperative
-         per-core scheduler. *)
-      while !recvd < target do
-        Uksched.Sched.block ()
-      done;
-      let now = Uksim.Clock.ns clock in
-      for _ = 1 to batch do
-        Uksim.Clock.advance clock fast_client_cmd_cost;
-        Uksim.Stats.add agg.lat (now -. t0)
-      done
-    done;
-    Tcp.set_rx_sink flow None;
-    S.Tcp_socket.close stack flow;
-    agg.t_end <- Float.max agg.t_end (Uksim.Clock.ns clock)
-  in
-  for ci = 0 to connections - 1 do
-    ignore
-      (Uksched.Sched.spawn sched ~name:(Printf.sprintf "infer-load-%d" ci) ~pinned:true
-         (client_thread ci))
-  done
-
-let result_of_agg agg ~t_start =
-  let elapsed = agg.t_end -. t_start in
+let client ?(width = 16) () =
   {
-    requests = agg.a_requests;
-    elapsed_ns = elapsed;
-    rate_per_sec =
-      Uksim.Stats.throughput_per_sec ~events:agg.a_requests ~elapsed_ns:elapsed;
-    mean_us = Uksim.Stats.mean agg.lat /. 1e3;
-    p50_us = Uksim.Stats.percentile agg.lat 50.0 /. 1e3;
-    p99_us = Uksim.Stats.percentile agg.lat 99.0 /. 1e3;
-    errors = agg.a_errors;
+    Line_client.name = "infer";
+    reply_len;
+    requests = (fun ci j -> request ~rid:((ci lsl 20) lor j) ~width);
   }
-
-let run_load ~clock ~sched ~stack ~server ?connections ?pipeline ?requests ?width () =
-  let agg = new_agg () in
-  let t_start = Uksim.Clock.ns clock in
-  spawn_load ~clock ~sched ~stack ~server ?connections ?pipeline ?requests ?width ~agg ();
-  Uksched.Sched.run sched;
-  result_of_agg agg ~t_start

@@ -23,12 +23,12 @@
       waiting (immediate flush) or [max_wait_ns] elapses on the engine
       timer (partial flush). Replies ([OK <id> <digest>\n], fixed
       {!reply_len} bytes) carry a per-request output digest derived from
-      (weights digest, id, width), so fast/legacy servers can be checked
-      for state-hash equivalence.
+      (weights digest, id, width), so runs over different transports can
+      be checked for state-hash equivalence.
 
-    Both server flavors of the PR-8 ablation exist: {!create} (legacy
-    socket accept loop) and {!create_fast} (netbuf rx-sink
-    run-to-completion port). *)
+    The server is one {!Serve} framer plus handler, so it runs on either
+    transport; {!create} and {!create_fast} pick the socket path and the
+    netbuf run-to-completion path. *)
 
 (** {1 Weights} *)
 
@@ -82,7 +82,7 @@ val create_bare :
     unit-testable core both servers wrap. Defaults: [max_batch] 8,
     [max_wait_ns] 20 µs. *)
 
-val create :
+type make =
   clock:Uksim.Clock.t ->
   engine:Uksim.Engine.t ->
   sched:Uksched.Sched.t ->
@@ -95,28 +95,17 @@ val create :
   model:model ->
   unit ->
   t
-(** Legacy socket server (accept thread + per-connection threads), port
-    defaults to 8000. Batch completions run in engine context, so replies
-    go out through non-blocking sends. *)
 
-val create_fast :
-  clock:Uksim.Clock.t ->
-  engine:Uksim.Engine.t ->
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  alloc:Ukalloc.Alloc.t ->
-  ?port:int ->
-  ?core:int ->
-  ?rtc:bool ->
-  ?max_batch:int ->
-  ?max_wait_ns:float ->
-  model:model ->
-  unit ->
-  t
-(** Zero-copy port: requests are scanned in place in ring netbufs
-    ({!Uknetstack.Tcp.set_rx_sink}), replies leave through {!Nbio}
-    writers. [rtc:false] ablates run-to-completion (requests hop through
-    a pinned worker thread). *)
+val serve : transport:Serve.transport -> make
+(** Serve [model] on [port] (default 8000) over [transport]. Batch
+    completions run in engine context, so replies leave through
+    non-blocking flushes, one per reply. *)
+
+val create : make
+(** [serve ~transport:Socket]. *)
+
+val create_fast : make
+(** [serve ~transport:(Netbuf {rtc = true})]. *)
 
 val submit : t -> rid:int -> width:int -> reply:(string -> unit) -> unit
 (** Enqueue one request directly (bypassing the network) — the unit-test
@@ -137,7 +126,7 @@ type stats = {
 val stats : t -> stats
 val state_hash : t -> int
 (** Order-independent fold over every (id, width, output digest) served —
-    equal across legacy/fast servers given the same request set. *)
+    equal across transports given the same request set. *)
 
 val the_model : t -> model
 
@@ -145,72 +134,11 @@ val request : rid:int -> width:int -> string
 (** Wire format of one request line. *)
 
 val reply_len : int
-(** Every reply is exactly this many bytes (the fast clients count reply
+(** Every reply is exactly this many bytes ({!Line_client} counts reply
     boundaries by arithmetic, immune to netbuf splits). *)
 
 (** {1 Load generation} *)
 
-type result = {
-  requests : int;
-  elapsed_ns : float;
-  rate_per_sec : float;
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  errors : int;
-}
-
-type agg
-(** Shared aggregator for SMP runs — see {!Wrk.agg}. *)
-
-val new_agg : unit -> agg
-
-val spawn_load :
-  clock:Uksim.Clock.t ->
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  server:Uknetstack.Addr.Ipv4.t * int ->
-  ?connections:int ->
-  ?pipeline:int ->
-  ?requests:int ->
-  ?width:int ->
-  ?port_for:(int -> int option) ->
-  agg:agg ->
-  unit ->
-  unit
-(** Legacy client: [connections] (default 16) flows each issuing
-    [pipeline] (default 1) requests at a time. Concurrency across
-    connections is what gives the server's admission queue something to
-    coalesce. *)
-
-val spawn_load_fast :
-  clock:Uksim.Clock.t ->
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  server:Uknetstack.Addr.Ipv4.t * int ->
-  ?connections:int ->
-  ?pipeline:int ->
-  ?requests:int ->
-  ?width:int ->
-  ?port_for:(int -> int option) ->
-  agg:agg ->
-  unit ->
-  unit
-(** Zero-copy client: requests leave through an {!Nbio} writer, replies
-    are counted in place by fixed-size arithmetic over the rx sink. *)
-
-val result_of_agg : agg -> t_start:float -> result
-
-val run_load :
-  clock:Uksim.Clock.t ->
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  server:Uknetstack.Addr.Ipv4.t * int ->
-  ?connections:int ->
-  ?pipeline:int ->
-  ?requests:int ->
-  ?width:int ->
-  unit ->
-  result
-(** Drives [sched] to completion; call from outside any scheduler
-    thread. Defaults: 16 connections, pipeline 1, 4096 requests. *)
+val client : ?width:int -> unit -> Line_client.proto
+(** Request stream for {!Line_client}: connection [ci]'s [j]th request
+    has id [(ci lsl 20) lor j] and token width [width] (default 16). *)

@@ -7,8 +7,6 @@ type stats = { commands : int; hits : int; misses : int }
 
 type t = {
   clock : Uksim.Clock.t;
-  sched : Uksched.Sched.t;
-  stack : S.t;
   alloc : Ukalloc.Alloc.t;
   table : (string, entry) Hashtbl.t;
   lists : (string, string list ref) Hashtbl.t;
@@ -73,6 +71,62 @@ let with_cmd_objects t args f =
   List.iter (Ukalloc.Alloc.uk_free t.alloc) held;
   r
 
+(* The hot commands' bodies, shared by the generic and specialized
+   dispatchers (each charges its own envelope around them). *)
+let get t key =
+  charge t hash_cost;
+  match Hashtbl.find_opt t.table key with
+  | Some e ->
+      t.hits <- t.hits + 1;
+      charge t (Uksim.Cost.memcpy (String.length e.value));
+      Resp.Bulk e.value
+  | None ->
+      t.misses <- t.misses + 1;
+      Resp.Null
+
+let put t key value =
+  match store_bytes t value with
+  | None -> None
+  | Some e ->
+      (match Hashtbl.find_opt t.table key with Some old -> drop_entry t old | None -> ());
+      Hashtbl.replace t.table key e;
+      persist_set t key value;
+      Some ()
+
+let set t key value =
+  charge t hash_cost;
+  match put t key value with
+  | None -> Resp.Error "OOM command not allowed when used memory > 'maxmemory'"
+  | Some () -> Resp.Simple "OK"
+
+let del t keys =
+  charge t (hash_cost * List.length keys);
+  Resp.Integer
+    (List.fold_left
+       (fun acc key ->
+         match Hashtbl.find_opt t.table key with
+         | Some e ->
+             drop_entry t e;
+             Hashtbl.remove t.table key;
+             persist_del t key;
+             acc + 1
+         | None -> acc)
+       0 keys)
+
+let incr t key =
+  charge t hash_cost;
+  let cur =
+    match Hashtbl.find_opt t.table key with
+    | Some e -> int_of_string_opt e.value
+    | None -> Some 0
+  in
+  match cur with
+  | None -> Resp.Error "ERR value is not an integer or out of range"
+  | Some v -> (
+      match put t key (string_of_int (v + 1)) with
+      | None -> Resp.Error "OOM"
+      | Some () -> Resp.Integer (v + 1))
+
 let rec execute t args =
   Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
     "resp_command" (fun () -> execute_untraced t args)
@@ -88,65 +142,13 @@ and execute_untraced t args =
       match (upper cmd, rest) with
       | "PING", [] -> Resp.Simple "PONG"
       | "PING", [ msg ] -> Resp.Bulk msg
-      | "SET", [ key; value ] -> (
-          charge t hash_cost;
-          match store_bytes t value with
-          | None -> Resp.Error "OOM command not allowed when used memory > 'maxmemory'"
-          | Some e ->
-              (match Hashtbl.find_opt t.table key with
-              | Some old -> drop_entry t old
-              | None -> ());
-              Hashtbl.replace t.table key e;
-              persist_set t key value;
-              Resp.Simple "OK")
-      | "GET", [ key ] -> (
-          charge t hash_cost;
-          match Hashtbl.find_opt t.table key with
-          | Some e ->
-              t.hits <- t.hits + 1;
-              charge t (Uksim.Cost.memcpy (String.length e.value));
-              Resp.Bulk e.value
-          | None ->
-              t.misses <- t.misses + 1;
-              Resp.Null)
-      | "DEL", keys ->
-          charge t (hash_cost * List.length keys);
-          let n =
-            List.fold_left
-              (fun acc key ->
-                match Hashtbl.find_opt t.table key with
-                | Some e ->
-                    drop_entry t e;
-                    Hashtbl.remove t.table key;
-                    persist_del t key;
-                    acc + 1
-                | None -> acc)
-              0 keys
-          in
-          Resp.Integer n
+      | "SET", [ key; value ] -> set t key value
+      | "GET", [ key ] -> get t key
+      | "DEL", keys -> del t keys
       | "EXISTS", [ key ] ->
           charge t hash_cost;
           Resp.Integer (if Hashtbl.mem t.table key then 1 else 0)
-      | "INCR", [ key ] -> (
-          charge t hash_cost;
-          let cur =
-            match Hashtbl.find_opt t.table key with
-            | Some e -> int_of_string_opt e.value
-            | None -> Some 0
-          in
-          match cur with
-          | None -> Resp.Error "ERR value is not an integer or out of range"
-          | Some v -> (
-              let s = string_of_int (v + 1) in
-              match store_bytes t s with
-              | None -> Resp.Error "OOM"
-              | Some e ->
-                  (match Hashtbl.find_opt t.table key with
-                  | Some old -> drop_entry t old
-                  | None -> ());
-                  Hashtbl.replace t.table key e;
-                  persist_set t key s;
-                  Resp.Integer (v + 1)))
+      | "INCR", [ key ] -> incr t key
       | "LPUSH", key :: values when values <> [] ->
           charge t hash_cost;
           let l =
@@ -183,51 +185,6 @@ and execute_untraced t args =
           Resp.Simple "OK"
       | _, _ -> Resp.Error (Printf.sprintf "ERR unknown command '%s'" cmd))
 
-let value_of_command = function
-  | Resp.Array parts ->
-      let strings =
-        List.filter_map (function Resp.Bulk s | Resp.Simple s -> Some s | _ -> None) parts
-      in
-      if List.length strings = List.length parts then Some strings else None
-  | _ -> None
-
-let handle_connection t flow =
-  let parser = Resp.Parser.create () in
-  let out = Buffer.create 1024 in
-  let rec serve () =
-    match S.Tcp_socket.recv ~block:true t.stack flow ~max:16384 with
-    | None -> S.Tcp_socket.close t.stack flow
-    | Some data ->
-        if Bytes.length data > 0 then begin
-          Resp.Parser.feed parser data;
-          Buffer.clear out;
-          let rec drain () =
-            match Resp.Parser.next parser with
-            | Ok (Some v) ->
-                let reply =
-                  match value_of_command v with
-                  | Some args -> execute t args
-                  | None -> Resp.Error "ERR protocol error"
-                in
-                Buffer.add_string out (Resp.encode reply);
-                drain ()
-            | Ok None -> ()
-            | Error e ->
-                Buffer.add_string out (Resp.encode (Resp.Error ("ERR " ^ e)))
-          in
-          drain ();
-          if Buffer.length out > 0 then
-            ignore (S.Tcp_socket.send ~block:true t.stack flow (Buffer.to_bytes out))
-        end;
-        serve ()
-  in
-  serve ()
-
-(* --- zero-copy run-to-completion fast path -------------------------------- *)
-
-module Nb = Uknetdev.Netbuf
-module Tcp = Uknetstack.Tcp
-
 (* Specialized dispatch for the hot commands: no robj churn, no generic
    command table, no reply buffering — the in-place parser feeds a direct
    match whose real work (key hashing, value memcpy) is charged
@@ -235,10 +192,26 @@ module Tcp = Uknetstack.Tcp
    couple-of-thousand-cycle generic path shrinks to about a hundred. *)
 let fast_cmd_cost = 120
 
-(* In-place RESP parse of one command ("*N\r\n$len\r\narg\r\n...") at
+let execute_fast t args =
+  charge t fast_cmd_cost;
+  let hot r =
+    t.commands <- t.commands + 1;
+    r
+  in
+  match args with
+  | [ g; key ] when g = "GET" || g = "get" -> hot (get t key)
+  | [ s; key; value ] when s = "SET" || s = "set" -> hot (set t key value)
+  | [ p ] when p = "PING" || p = "ping" -> hot (Resp.Simple "PONG")
+  | [ d; key ] when d = "DEL" || d = "del" -> hot (del t [ key ])
+  | [ i; key ] when i = "INCR" || i = "incr" -> hot (incr t key)
+  | _ -> (* cold commands go through the generic engine *) execute_untraced t args
+
+(* In-place RESP framing of one command ("*N\r\n$len\r\narg\r\n...") at
    [pos] in [buf[.., limit)]. Argument strings are materialized (they are
-   keys and stored values — the app's objects, not payload frames). *)
-let parse_cmd buf pos limit =
+   keys and stored values — the app's objects, not payload frames). A
+   malformed command is answered once and closes the connection, as
+   Redis does. *)
+let frame buf pos limit =
   let exception Incomplete in
   let exception Bad in
   let line p =
@@ -255,144 +228,43 @@ let parse_cmd buf pos limit =
     | None -> raise Bad
   in
   try
-    if pos >= limit then Error `Incomplete
-    else if Bytes.get buf pos <> '*' then Error `Bad
+    if pos >= limit then Serve.Partial
+    else if Bytes.get buf pos <> '*' then raise Bad
     else begin
       let e = line pos in
       let n = int_at (pos + 1) e in
-      if n < 0 || n > 64 then Error `Bad
-      else begin
-        let p = ref (e + 2) in
-        let args = ref [] in
-        for _ = 1 to n do
-          if !p >= limit || Bytes.get buf !p <> '$' then raise Bad;
-          let e = line !p in
-          let len = int_at (!p + 1) e in
-          if len < 0 then raise Bad;
-          let s = e + 2 in
-          if s + len + 2 > limit then raise Incomplete;
-          if not (Bytes.get buf (s + len) = '\r' && Bytes.get buf (s + len + 1) = '\n') then
-            raise Bad;
-          args := Bytes.sub_string buf s len :: !args;
-          p := s + len + 2
-        done;
-        Ok (List.rev !args, !p)
-      end
+      if n < 0 || n > 64 then raise Bad;
+      let p = ref (e + 2) in
+      let args = ref [] in
+      for _ = 1 to n do
+        if !p >= limit then raise Incomplete;
+        if Bytes.get buf !p <> '$' then raise Bad;
+        let e = line !p in
+        let len = int_at (!p + 1) e in
+        if len < 0 then raise Bad;
+        let s = e + 2 in
+        if s + len + 2 > limit then raise Incomplete;
+        if not (Bytes.get buf (s + len) = '\r' && Bytes.get buf (s + len + 1) = '\n') then
+          raise Bad;
+        args := Bytes.sub_string buf s len :: !args;
+        p := s + len + 2
+      done;
+      Serve.Frame (List.rev !args, !p)
     end
   with
-  | Incomplete -> Error `Incomplete
-  | Bad -> Error `Bad
+  | Incomplete -> Serve.Partial
+  | Bad -> Serve.Bad (Resp.encode (Resp.Error "ERR Protocol error"))
 
-let execute_fast t args =
-  t.commands <- t.commands + 1;
-  charge t fast_cmd_cost;
-  match args with
-  | [ g; key ] when g = "GET" || g = "get" -> (
-      charge t hash_cost;
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-          t.hits <- t.hits + 1;
-          charge t (Uksim.Cost.memcpy (String.length e.value));
-          Resp.Bulk e.value
-      | None ->
-          t.misses <- t.misses + 1;
-          Resp.Null)
-  | [ s; key; value ] when s = "SET" || s = "set" -> (
-      charge t hash_cost;
-      match store_bytes t value with
-      | None -> Resp.Error "OOM command not allowed when used memory > 'maxmemory'"
-      | Some e ->
-          (match Hashtbl.find_opt t.table key with
-          | Some old -> drop_entry t old
-          | None -> ());
-          Hashtbl.replace t.table key e;
-          persist_set t key value;
-          Resp.Simple "OK")
-  | [ p ] when p = "PING" || p = "ping" -> Resp.Simple "PONG"
-  | [ d; key ] when d = "DEL" || d = "del" -> (
-      charge t hash_cost;
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-          drop_entry t e;
-          Hashtbl.remove t.table key;
-          persist_del t key;
-          Resp.Integer 1
-      | None -> Resp.Integer 0)
-  | [ i; key ] when i = "INCR" || i = "incr" -> (
-      charge t hash_cost;
-      let cur =
-        match Hashtbl.find_opt t.table key with
-        | Some e -> int_of_string_opt e.value
-        | None -> Some 0
-      in
-      match cur with
-      | None -> Resp.Error "ERR value is not an integer or out of range"
-      | Some v -> (
-          let s = string_of_int (v + 1) in
-          match store_bytes t s with
-          | None -> Resp.Error "OOM"
-          | Some e ->
-              (match Hashtbl.find_opt t.table key with
-              | Some old -> drop_entry t old
-              | None -> ());
-              Hashtbl.replace t.table key e;
-              persist_set t key s;
-              Resp.Integer (v + 1)))
-  | _ ->
-      (* Cold commands go through the generic engine (undo the counter
-         bump: execute_untraced counts it again). *)
-      t.commands <- t.commands - 1;
-      execute_untraced t args
-
-(* All replies for one received segment batch into one TX writer. *)
-let fast_scan t w buf off len =
-  let limit = off + len in
-  let rec go pos =
-    if pos >= limit then pos - off
-    else
-      match parse_cmd buf pos limit with
-      | Ok (args, next) ->
-          let reply =
-            Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
-              "resp_command_fast" (fun () -> execute_fast t args)
-          in
-          Nbio.add w (Resp.encode reply);
-          go next
-      | Error `Incomplete -> pos - off
-      | Error `Bad ->
-          Nbio.add w (Resp.encode (Resp.Error "ERR protocol error"));
-          len
+let handle t ~fast sink args =
+  let reply =
+    if fast then
+      Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
+        "resp_command_fast" (fun () -> execute_fast t args)
+    else execute t args
   in
-  go off
+  Serve.write sink (Resp.encode reply)
 
-let stash_drain t w stash =
-  let s = Buffer.contents stash in
-  let consumed = fast_scan t w (Bytes.unsafe_of_string s) 0 (String.length s) in
-  if consumed > 0 then begin
-    let rest = String.sub s consumed (String.length s - consumed) in
-    Buffer.clear stash;
-    Buffer.add_string stash rest
-  end
-
-let fast_on_data t flow stash nb =
-  let w = Nbio.writer ~clock:t.clock ~stack:t.stack ~flow in
-  (if Buffer.length stash = 0 then begin
-     let buf, off, len = Nb.view nb in
-     let consumed = fast_scan t w buf off len in
-     if consumed < len then begin
-       Nb.pull nb consumed;
-       Buffer.add_bytes stash (Nb.copy_out nb)
-     end;
-     Nb.recycle nb
-   end
-   else begin
-     Buffer.add_bytes stash (Nb.copy_out nb);
-     Nb.recycle nb;
-     stash_drain t w stash
-   end);
-  Nbio.flush w
-
-let mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () =
+let mk ~clock ~alloc ~core ?share_with ?persist () =
   (* [share_with]: SMP workers serve one logical database — every worker
      reuses the first worker's key space (per-worker command counters stay
      separate; see [sum_stats]). The merkle backing is likewise shared. *)
@@ -408,8 +280,7 @@ let mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () =
     | None, None -> None
   in
   let t =
-    { clock; sched; stack; alloc; table; lists; core; persist; commands = 0; hits = 0;
-      misses = 0 }
+    { clock; alloc; table; lists; core; persist; commands = 0; hits = 0; misses = 0 }
   in
   (* Restart-and-replay: hydrate the keyspace from the store's last
      durable commit (a fresh table only — share_with peers already share
@@ -441,63 +312,19 @@ let mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () =
          ]));
   t
 
-let create ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with ?persist () =
-  let t = mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () in
-  (* Listen synchronously so the port is open before any other core's
-     virtual time reaches a connect — under SMP this core's clock may
-     lag or lead the clients' by the time the coordinator first reaches
-     the accept thread. *)
-  let l = S.Tcp_socket.listen stack ~port () in
-  let _ =
-    (* Pinned: server threads charge this instance's clock and stack, so
-       work stealing must not migrate them to another core. *)
-    Uksched.Sched.spawn sched ~name:"redis-accept" ~daemon:true ~pinned:true (fun () ->
-        let rec loop () =
-          match S.Tcp_socket.accept ~block:true l with
-          | Some flow ->
-              let _ =
-                Uksched.Sched.spawn sched ~name:"redis-conn" ~daemon:true ~pinned:true
-                  (fun () -> handle_connection t flow)
-              in
-              loop ()
-          | None -> loop ()
-        in
-        loop ())
-  in
+type make =
+  clock:Uksim.Clock.t -> sched:Uksched.Sched.t -> stack:S.t -> alloc:Ukalloc.Alloc.t ->
+  ?port:int -> ?core:int -> ?share_with:t -> ?persist:St.t -> unit -> t
+
+let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with
+    ?persist () =
+  let t = mk ~clock ~alloc ~core ?share_with ?persist () in
+  Serve.start transport ~name:"redis" ~clock ~sched ~stack ~port ~frame
+    ~handle:(handle t ~fast:(transport <> Serve.Socket));
   t
 
-let create_fast ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with
-    ?persist ?(rtc = true) () =
-  let t = mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () in
-  let l = S.Tcp_socket.listen stack ~port () in
-  let dispatch =
-    if rtc then fun job -> job ()
-    else begin
-      (* Ablation: hop each command batch through a pinned worker thread
-         instead of executing inside packet processing. *)
-      let q : (unit -> unit) Queue.t = Queue.create () in
-      let wtid =
-        Uksched.Sched.spawn sched ~name:"redis-fast-worker" ~daemon:true ~pinned:true
-          (fun () ->
-            let rec loop () =
-              (match Queue.take_opt q with
-              | Some job -> job ()
-              | None -> Uksched.Sched.block ());
-              loop ()
-            in
-            loop ())
-      in
-      fun job ->
-        Queue.push job q;
-        Uksched.Sched.wake sched wtid
-    end
-  in
-  S.Tcp_socket.set_fast_accept l
-    (Some
-       (fun flow ->
-         let stash = Buffer.create 64 in
-         Tcp.set_rx_sink flow (Some (fun nb -> dispatch (fun () -> fast_on_data t flow stash nb)))));
-  t
+let create = serve ~transport:Serve.Socket
+let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 let stats t = { commands = t.commands; hits = t.hits; misses = t.misses }
 

@@ -11,7 +11,7 @@ type t
 
 type stats = { commands : int; hits : int; misses : int }
 
-val create :
+type make =
   clock:Uksim.Clock.t ->
   sched:Uksched.Sched.t ->
   stack:Uknetstack.Stack.t ->
@@ -22,12 +22,22 @@ val create :
   ?persist:Ukstore.Store.t ->
   unit ->
   t
-(** Spawns the accept thread (daemon, pinned) on [sched]; port defaults to
-    6379. [share_with] reuses another instance's key space — SMP workers
-    on per-core stacks then serve one logical database (commands and
-    hit/miss counters stay per-worker; see {!sum_stats}). [core] (default
-    0) labels this worker's tracepoints; stats also register as an
-    ["ukapps.resp"] {!Uktrace.Registry} source.
+
+val serve : transport:Serve.transport -> make
+(** Serve on [port] (default 6379) over [transport]. [share_with] reuses
+    another instance's key space — SMP workers on per-core stacks then
+    serve one logical database (commands and hit/miss counters stay
+    per-worker; see {!sum_stats}). [core] (default 0) labels this
+    worker's tracepoints; stats also register as an ["ukapps.resp"]
+    {!Uktrace.Registry} source.
+
+    Commands are framed in place on either transport; a malformed one is
+    answered with [-ERR Protocol error] and the connection is closed.
+    On {!Serve.Socket} every command runs through the generic engine
+    (robj allocations per argument, the generic cost envelope). On
+    {!Serve.Netbuf} the hot commands (PING/GET/SET/DEL/INCR) take a
+    specialized dispatch without robj churn; everything else falls back
+    to the generic engine.
 
     [persist] mirrors the string keyspace (SET/DEL/INCR/FLUSHALL) into a
     crash-consistent {!Ukstore.Store}: on creation the keyspace is
@@ -35,25 +45,11 @@ val create :
     write through (durable once {!persist_commit} — or a server-side
     auto-commit policy — runs). List keys stay memory-only. *)
 
-val create_fast :
-  clock:Uksim.Clock.t ->
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  alloc:Ukalloc.Alloc.t ->
-  ?port:int ->
-  ?core:int ->
-  ?share_with:t ->
-  ?persist:Ukstore.Store.t ->
-  ?rtc:bool ->
-  unit ->
-  t
-(** The zero-copy run-to-completion build: commands are parsed in place in
-    the driver's ring buffer (per-connection {!Uknetstack.Tcp.set_rx_sink})
-    with a specialized dispatch for the hot commands (PING/GET/SET/DEL/
-    INCR; everything else falls back to the generic engine), and all
-    replies for one received segment batch into minimal TX segments
-    ({!Nbio}). [rtc:false] ablates run-to-completion by hopping each batch
-    through a pinned worker thread. *)
+val create : make
+(** [serve ~transport:Socket]. *)
+
+val create_fast : make
+(** [serve ~transport:(Netbuf {rtc = true})]. *)
 
 val stats : t -> stats
 

@@ -3,9 +3,9 @@
    merkle store, so a served image that loses power recovers to its last
    acknowledged COMMIT on the next boot.
 
-   Wire protocol (one request per line, fixed 20-byte replies so the
-   zero-copy client counts boundaries by byte arithmetic, split-proof
-   like Infer's):
+   Wire protocol (one request per line, fixed 20-byte replies so
+   {!Line_client} counts boundaries by byte arithmetic, split-proof like
+   Infer's):
 
      SET <key> <value>      -> "OK <root16>\n"     new working-root hash
      GET <key>              -> "OK <blob16>\n"     value's content hash
@@ -16,19 +16,14 @@
 
    GET answers with the value's content address rather than its bytes —
    same modeling choice as Infer's output digest: the reply stays
-   fixed-size for the fast path while still proving end-to-end which
+   fixed-size while still proving end-to-end which
    value was read. 'N' (not found) is a negative answer, not an error;
    only 'E' counts against the error budget. *)
 
-module S = Uknetstack.Stack
-module Nb = Uknetdev.Netbuf
-module Tcp = Uknetstack.Tcp
 module St = Ukstore.Store
 
-let parse_cost = 150 (* legacy: line materialization + field parse *)
-let fast_parse_cost = 50 (* in-place scan of the request line *)
-let client_cmd_cost = 120
-let fast_client_cmd_cost = 40
+let parse_cost = 150 (* socket path: line materialization + field parse *)
+let fast_parse_cost = 50 (* netbuf path: in-place scan of the request line *)
 
 let reply_len = 3 + 16 + 1 (* "OK <hash16>\n" *)
 
@@ -136,155 +131,23 @@ let populate t ?(value_len = 32) n =
   | Ok _ -> ()
   | Error e -> invalid_arg ("Store.populate commit: " ^ Ukvfs.Fs.errno_to_string e)
 
-(* --- legacy socket server -------------------------------------------------- *)
+(* --- serving ------------------------------------------------------------------ *)
 
-let handle_connection t stack flow =
-  let acc = Buffer.create 128 in
-  let rec serve () =
-    match S.Tcp_socket.recv ~block:true stack flow ~max:16384 with
-    | None -> S.Tcp_socket.close stack flow
-    | Some data ->
-        Buffer.add_bytes acc data;
-        let s = Buffer.contents acc in
-        let rec lines from =
-          match String.index_from_opt s from '\n' with
-          | Some nl ->
-              charge t parse_cost;
-              let r = execute t (String.sub s from (nl - from)) in
-              ignore (S.Tcp_socket.send ~block:false stack flow (Bytes.of_string r));
-              lines (nl + 1)
-          | None -> from
-        in
-        let consumed = lines 0 in
-        if consumed > 0 then begin
-          let rest = String.sub s consumed (String.length s - consumed) in
-          Buffer.clear acc;
-          Buffer.add_string acc rest
-        end;
-        serve ()
-  in
-  serve ()
-
-let create ~clock ~sched ~stack ?(port = 7000) ?core ?commit_every ~store () =
+let serve ~transport ~clock ~sched ~stack ?(port = 7000) ?core ?commit_every ~store () =
   let t = mk ~clock ?core ?commit_every ~store () in
-  let l = S.Tcp_socket.listen stack ~port () in
-  let _ =
-    Uksched.Sched.spawn sched ~name:"store-accept" ~daemon:true ~pinned:true (fun () ->
-        let rec loop () =
-          match S.Tcp_socket.accept ~block:true l with
-          | Some flow ->
-              let _ =
-                Uksched.Sched.spawn sched ~name:"store-conn" ~daemon:true ~pinned:true
-                  (fun () -> handle_connection t stack flow)
-              in
-              loop ()
-          | None -> loop ()
-        in
-        loop ())
-  in
+  let cost = if transport = Serve.Socket then parse_cost else fast_parse_cost in
+  Serve.start transport ~name:"store" ~clock ~sched ~stack ~port ~frame:Serve.line
+    ~handle:(fun sink line ->
+      charge t cost;
+      (* Every reply leaves on its own: the protocol has no batching. *)
+      Serve.write sink (execute t line);
+      Serve.flush sink);
   t
 
-(* --- zero-copy fast path ---------------------------------------------------- *)
-
-let fast_reply t stack flow s =
-  ignore t;
-  let w = Nbio.writer ~clock:t.clock ~stack ~flow in
-  Nbio.add w s;
-  Nbio.flush w
-
-let fast_scan t stack flow buf off len =
-  let limit = off + len in
-  let rec go ls =
-    match Bytes.index_from_opt buf ls '\n' with
-    | Some nl when nl < limit ->
-        charge t fast_parse_cost;
-        fast_reply t stack flow (execute t (Bytes.sub_string buf ls (nl - ls)));
-        go (nl + 1)
-    | Some _ | None -> ls - off
-  in
-  go off
-
-let stash_drain t stack flow stash =
-  let s = Buffer.contents stash in
-  let b = Bytes.unsafe_of_string s in
-  let consumed = fast_scan t stack flow b 0 (String.length s) in
-  if consumed > 0 then begin
-    let rest = String.sub s consumed (String.length s - consumed) in
-    Buffer.clear stash;
-    Buffer.add_string stash rest
-  end
-
-let fast_on_data t stack flow stash nb =
-  if Buffer.length stash = 0 then begin
-    let buf, off, len = Nb.view nb in
-    let consumed = fast_scan t stack flow buf off len in
-    if consumed < len then begin
-      Nb.pull nb consumed;
-      Buffer.add_bytes stash (Nb.copy_out nb)
-    end;
-    Nb.recycle nb
-  end
-  else begin
-    Buffer.add_bytes stash (Nb.copy_out nb);
-    Nb.recycle nb;
-    stash_drain t stack flow stash
-  end
-
-let create_fast ~clock ~sched ~stack ?(port = 7000) ?core ?(rtc = true) ?commit_every
-    ~store () =
-  let t = mk ~clock ?core ?commit_every ~store () in
-  let l = S.Tcp_socket.listen stack ~port () in
-  let dispatch =
-    if rtc then fun job -> job ()
-    else begin
-      (* Ablation: hop through a pinned worker instead of running to
-         completion inside packet processing. *)
-      let q : (unit -> unit) Queue.t = Queue.create () in
-      let wtid =
-        Uksched.Sched.spawn sched ~name:"store-fast-worker" ~daemon:true ~pinned:true
-          (fun () ->
-            let rec loop () =
-              (match Queue.take_opt q with
-              | Some job -> job ()
-              | None -> Uksched.Sched.block ());
-              loop ()
-            in
-            loop ())
-      in
-      fun job ->
-        Queue.push job q;
-        Uksched.Sched.wake sched wtid
-    end
-  in
-  S.Tcp_socket.set_fast_accept l
-    (Some
-       (fun flow ->
-         let stash = Buffer.create 64 in
-         Tcp.set_rx_sink flow
-           (Some (fun nb -> dispatch (fun () -> fast_on_data t stack flow stash nb)))));
-  t
+let create = serve ~transport:Serve.Socket
+let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 (* --- load generation -------------------------------------------------------- *)
-
-type result = {
-  requests : int;
-  elapsed_ns : float;
-  rate_per_sec : float;
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  errors : int;
-}
-
-type agg = {
-  lat : Uksim.Stats.t;
-  mutable a_requests : int;
-  mutable a_errors : int;
-  mutable t_end : float;
-}
-
-let new_agg () =
-  { lat = Uksim.Stats.create (); a_requests = 0; a_errors = 0; t_end = 0.0 }
 
 (* The op mix: a seeded per-connection stream of SET/GET/DEL over a
    bounded keyspace, [write_frac] of them mutations, one COMMIT every
@@ -299,125 +162,12 @@ let op_line rng ~ci ~j ~write_frac ~keyspace ~commit_every =
     else Printf.sprintf "GET %s\n" k
   end
 
-let spawn_load ~clock ~sched ~stack ~server ?(connections = 16) ?(pipeline = 1)
-    ?(requests = 4096) ?(write_frac = 0.5) ?(keyspace = 512) ?(commit_every = 0)
-    ?(seed = 0x57012E) ?(port_for = fun _ -> None) ~agg () =
-  let per_conn = max 1 (requests / connections) in
-  agg.a_requests <- agg.a_requests + (per_conn * connections);
-  let client_thread ci () =
-    let rng = Uksim.Rng.create (seed + ci) in
-    let flow = S.Tcp_socket.connect stack ?lport:(port_for ci) ~dst:server () in
-    let recvd = ref 0 in
-    let sent = ref 0 in
-    while !sent < per_conn do
-      let batch = min pipeline (per_conn - !sent) in
-      let buf = Buffer.create (batch * 24) in
-      for k = 0 to batch - 1 do
-        Uksim.Clock.advance clock client_cmd_cost;
-        Buffer.add_string buf
-          (op_line rng ~ci ~j:(!sent + k) ~write_frac ~keyspace ~commit_every)
-      done;
-      let t0 = Uksim.Clock.ns clock in
-      ignore (S.Tcp_socket.send ~block:true stack flow (Buffer.to_bytes buf));
-      sent := !sent + batch;
-      let target = !sent * reply_len in
-      while !recvd < target do
-        match S.Tcp_socket.recv ~block:true stack flow ~max:65536 with
-        | None -> failwith "store load: server closed connection"
-        | Some data ->
-            let before = !recvd / reply_len in
-            Bytes.iter
-              (fun c ->
-                if !recvd mod reply_len = 0 && c = 'E' then
-                  agg.a_errors <- agg.a_errors + 1;
-                incr recvd)
-              data;
-            let now = Uksim.Clock.ns clock in
-            for _ = before + 1 to !recvd / reply_len do
-              Uksim.Clock.advance clock client_cmd_cost;
-              Uksim.Stats.add agg.lat (now -. t0)
-            done
-      done
-    done;
-    S.Tcp_socket.close stack flow;
-    agg.t_end <- Float.max agg.t_end (Uksim.Clock.ns clock)
-  in
-  for ci = 0 to connections - 1 do
-    ignore
-      (Uksched.Sched.spawn sched ~name:(Printf.sprintf "store-load-%d" ci) ~pinned:true
-         (client_thread ci))
-  done
-
-let spawn_load_fast ~clock ~sched ~stack ~server ?(connections = 16) ?(pipeline = 1)
-    ?(requests = 4096) ?(write_frac = 0.5) ?(keyspace = 512) ?(commit_every = 0)
-    ?(seed = 0x57012E) ?(port_for = fun _ -> None) ~agg () =
-  let per_conn = max 1 (requests / connections) in
-  agg.a_requests <- agg.a_requests + (per_conn * connections);
-  let client_thread ci () =
-    let rng = Uksim.Rng.create (seed + ci) in
-    let flow = S.Tcp_socket.connect stack ?lport:(port_for ci) ~dst:server () in
-    let me = Uksched.Sched.self () in
-    let recvd = ref 0 in
-    Tcp.set_rx_sink flow
-      (Some
-         (fun nb ->
-           let buf, off, len = Nb.view nb in
-           for i = off to off + len - 1 do
-             if !recvd mod reply_len = 0 && Bytes.get buf i = 'E' then
-               agg.a_errors <- agg.a_errors + 1;
-             incr recvd
-           done;
-           Nb.recycle nb;
-           Uksched.Sched.wake sched me));
-    let sent = ref 0 in
-    while !sent < per_conn do
-      let batch = min pipeline (per_conn - !sent) in
-      let w = Nbio.writer ~clock ~stack ~flow in
-      for k = 0 to batch - 1 do
-        Uksim.Clock.advance clock fast_client_cmd_cost;
-        Nbio.add w (op_line rng ~ci ~j:(!sent + k) ~write_frac ~keyspace ~commit_every)
-      done;
-      let t0 = Uksim.Clock.ns clock in
-      Nbio.flush w;
-      sent := !sent + batch;
-      let target = !sent * reply_len in
-      while !recvd < target do
-        Uksched.Sched.block ()
-      done;
-      let now = Uksim.Clock.ns clock in
-      for _ = 1 to batch do
-        Uksim.Clock.advance clock fast_client_cmd_cost;
-        Uksim.Stats.add agg.lat (now -. t0)
-      done
-    done;
-    Tcp.set_rx_sink flow None;
-    S.Tcp_socket.close stack flow;
-    agg.t_end <- Float.max agg.t_end (Uksim.Clock.ns clock)
-  in
-  for ci = 0 to connections - 1 do
-    ignore
-      (Uksched.Sched.spawn sched ~name:(Printf.sprintf "store-load-%d" ci) ~pinned:true
-         (client_thread ci))
-  done
-
-let result_of_agg (agg : agg) ~t_start =
-  let elapsed = agg.t_end -. t_start in
+let client ?(write_frac = 0.5) ?(keyspace = 512) ?(commit_every = 0) ?(seed = 0x57012E) () =
   {
-    requests = agg.a_requests;
-    elapsed_ns = elapsed;
-    rate_per_sec =
-      Uksim.Stats.throughput_per_sec ~events:agg.a_requests ~elapsed_ns:elapsed;
-    mean_us = Uksim.Stats.mean agg.lat /. 1e3;
-    p50_us = Uksim.Stats.percentile agg.lat 50.0 /. 1e3;
-    p99_us = Uksim.Stats.percentile agg.lat 99.0 /. 1e3;
-    errors = agg.a_errors;
+    Line_client.name = "store";
+    reply_len;
+    requests =
+      (fun ci ->
+        let rng = Uksim.Rng.create (seed + ci) in
+        fun j -> op_line rng ~ci ~j ~write_frac ~keyspace ~commit_every);
   }
-
-let run_load ~clock ~sched ~stack ~server ?connections ?pipeline ?requests
-    ?write_frac ?keyspace ?commit_every ?seed () =
-  let agg = new_agg () in
-  let t_start = Uksim.Clock.ns clock in
-  spawn_load ~clock ~sched ~stack ~server ?connections ?pipeline ?requests
-    ?write_frac ?keyspace ?commit_every ?seed ~agg ();
-  Uksched.Sched.run sched;
-  result_of_agg agg ~t_start

@@ -196,6 +196,13 @@ let measure_service img rig =
     ( A.Ipv4.of_string "10.99.0.1",
       match img.app with Httpd -> 80 | Resp -> 6379 | Store -> 7000 | Infer _ -> 8000 )
   in
+  let line proto =
+    let r =
+      Ukapps.Line_client.run ~transport:Ukapps.Serve.Socket ~clock:rig.clock ~sched:rig.sched
+        ~stack:client ~server ~connections:1 ~pipeline:1 ~requests:calib_requests proto
+    in
+    r.Ukapps.Line_client.elapsed_ns /. float_of_int r.Ukapps.Line_client.requests
+  in
   match img.app with
   | Httpd ->
       let r =
@@ -213,17 +220,8 @@ let measure_service img rig =
       (* The calibration mix is the benchmark default (half mutations,
          periodic COMMIT) so service_ns amortizes journal fsyncs the way
          steady-state traffic does. *)
-      let r =
-        Ukapps.Store.run_load ~clock:rig.clock ~sched:rig.sched ~stack:client ~server
-          ~connections:1 ~pipeline:1 ~requests:calib_requests ~commit_every:32 ()
-      in
-      r.Ukapps.Store.elapsed_ns /. float_of_int r.Ukapps.Store.requests
-  | Infer _ ->
-      let r =
-        Ukapps.Infer.run_load ~clock:rig.clock ~sched:rig.sched ~stack:client ~server
-          ~connections:1 ~pipeline:1 ~requests:calib_requests ()
-      in
-      r.Ukapps.Infer.elapsed_ns /. float_of_int r.Ukapps.Infer.requests
+      line (Ukapps.Store.client ~commit_every:32 ())
+  | Infer _ -> line (Ukapps.Infer.client ())
 
 let cache : (string * string, calib) Hashtbl.t = Hashtbl.create 8
 

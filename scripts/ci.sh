@@ -112,11 +112,14 @@ awk "BEGIN { exit !(${h_speedup} >= 5.0 && ${r_speedup} >= 5.0) }" || {
   echo "FAIL: zero-copy fast path not >= 5x over the socket/copy path"
   exit 1
 }
-grep -q '"fastpath_httpd_hot_copies": 0,' BENCH_ablation.json || {
+h_copies=$(awk -F': ' '/"fastpath_httpd_hot_copies"/ { sub(/,$/, "", $2); print $2 }' BENCH_ablation.json)
+r_copies=$(awk -F': ' '/"fastpath_resp_copies"/ { sub(/,$/, "", $2); print $2 }' BENCH_ablation.json)
+echo "counted copies: httpd hot path ${h_copies}, RESP fast run ${r_copies} (gate: both 0)"
+awk "BEGIN { exit !(${h_copies} == 0) }" || {
   echo "FAIL: httpd hot path made counted memcpys (steady state must be copy-free)"
   exit 1
 }
-grep -q '"fastpath_resp_copies": 0,' BENCH_ablation.json || {
+awk "BEGIN { exit !(${r_copies} == 0) }" || {
   echo "FAIL: RESP fast run made counted memcpys (must be copy-free end to end)"
   exit 1
 }
@@ -137,7 +140,8 @@ awk "BEGIN { exit !(${crossover} > 128 && ${crossover} <= 512) }" || {
   echo "FAIL: clone-vs-cold crossover outside (128, 512] MB — boot economics drifted"
   exit 1
 }
-grep -q '"infer_spike_lost": 0,' BENCH_infer.json || {
+infer_lost=$(awk -F': ' '/"infer_spike_lost"/ { sub(/,$/, "", $2); print $2 }' BENCH_infer.json)
+awk "BEGIN { exit !(${infer_lost} == 0) }" || {
   echo "FAIL: inference fleet lost responses under the 10x spike"
   exit 1
 }
@@ -164,7 +168,8 @@ grep -q '"store_replay_ok": true' BENCH_store.json || {
   echo "FAIL: same-seed store run did not replay to identical roots + trace"
   exit 1
 }
-grep -q '"store_spike_lost": 0,' BENCH_store.json || {
+store_lost=$(awk -F': ' '/"store_spike_lost"/ { sub(/,$/, "", $2); print $2 }' BENCH_store.json)
+awk "BEGIN { exit !(${store_lost} == 0) }" || {
   echo "FAIL: store fleet lost responses under the 10x spike"
   exit 1
 }
@@ -183,5 +188,8 @@ grep -q '"metrics"' BENCH_perf.json || {
   echo "FAIL: BENCH_perf.json has no metrics section"
   exit 1
 }
+
+echo "== perf drift (every fast-mode bench number vs bench/baseline) =="
+sh scripts/bench_diff.sh
 
 echo "== ci ok =="

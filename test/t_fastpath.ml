@@ -9,6 +9,8 @@ module P = Uknetstack.Pkt
 module A = Uknetstack.Addr
 module Cl = Ukapps.Cluster
 
+let netbuf = Ukapps.Serve.Netbuf { rtc = true }
+
 (* --- netbuf window / ownership edge cases --------------------------------- *)
 
 let test_window_ops () =
@@ -296,9 +298,9 @@ let test_fast_load_reply_exceeds_mss () =
   Alcotest.(check bool) "page spans several segments" true
     (String.length big > 2 * Uknetstack.Tcp.mss);
   let c = Cl.create ~seed:11 ~fastpath:Cl.fastpath_default ~n:1 () in
-  ignore (Cl.add_httpd_fast c (Ukapps.Httpd.In_memory [ ("/big.html", big) ]));
+  ignore (Cl.add_httpd c ~transport:netbuf (Ukapps.Httpd.In_memory [ ("/big.html", big) ]));
   let r =
-    Cl.run_httpd_load_fast c ~connections_per_core:2 ~requests_per_core:60
+    Cl.run_httpd_load c ~transport:netbuf ~connections_per_core:2 ~requests_per_core:60
       ~path:"/big.html" ()
   in
   Alcotest.(check int) "every reply counted once" 60 r.Ukapps.Wrk.requests;
@@ -395,9 +397,11 @@ let netbuf_bounds_prop =
 let test_fast_cluster_replay () =
   let run () =
     let c = Cl.create ~seed:7 ~fastpath:Cl.fastpath_default ~n:2 () in
-    ignore (Cl.add_httpd_fast c (Ukapps.Httpd.In_memory
+    ignore (Cl.add_httpd c ~transport:netbuf (Ukapps.Httpd.In_memory
       [ ("/index.html", Ukapps.Httpd.default_page) ]));
-    let r = Cl.run_httpd_load_fast c ~connections_per_core:2 ~requests_per_core:200 () in
+    let r =
+      Cl.run_httpd_load c ~transport:netbuf ~connections_per_core:2 ~requests_per_core:200 ()
+    in
     (r.Ukapps.Wrk.requests, r.Ukapps.Wrk.errors, Cl.trace_hash c, Cl.elapsed_ns c)
   in
   let (req1, err1, hash1, t1) = run () in
@@ -411,13 +415,13 @@ let test_fast_cluster_replay () =
 
 let test_fast_resp_copy_free () =
   let c = Cl.create ~seed:3 ~fastpath:Cl.fastpath_default ~n:2 () in
-  let workers = Cl.add_resp_fast c ~populate:4096 () in
+  let workers = Cl.add_resp c ~transport:netbuf ~populate:4096 () in
   (* Pre-population went through the direct execute path and counts as
      commands; the load below must add exactly one command per request. *)
   let st0 = Ukapps.Resp_store.sum_stats (Array.to_list workers) in
   let copies0 = Nb.total_copies () in
   let r =
-    Cl.run_resp_load_fast c ~connections_per_core:2 ~requests_per_core:200
+    Cl.run_resp_load c ~transport:netbuf ~connections_per_core:2 ~requests_per_core:200
       Ukapps.Resp_bench.Get
   in
   Alcotest.(check int) "all replies" 400 r.Ukapps.Resp_bench.requests;
@@ -429,6 +433,166 @@ let test_fast_resp_copy_free () =
     (st.Ukapps.Resp_store.hits - st0.Ukapps.Resp_store.hits);
   Alcotest.(check int) "the whole run made zero counted copies" 0
     (Nb.total_copies () - copies0)
+
+(* --- one server, every transport --------------------------------------------- *)
+
+(* A one-core rig: a server stack and a client stack joined by a loopback
+   pair on one cooperative scheduler. [start] brings up the server. *)
+let seam_rig start =
+  let clock = Uksim.Clock.create () in
+  let engine = Uksim.Engine.create clock in
+  let sched = Uksched.Sched.create_cooperative ~clock ~engine in
+  let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
+  let mk dev ip mac =
+    let s =
+      S.create ~clock ~engine ~sched ~dev
+        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
+    in
+    S.start s;
+    s
+  in
+  let server = mk da "10.8.0.1" 0x81 in
+  let client = mk db "10.8.0.2" 0x82 in
+  start ~clock ~engine ~sched ~stack:server;
+  (sched, client)
+
+(* Connect to [port], send [segments] as separate sends 50 us apart, and
+   read until [complete] holds of the reply bytes or the server closes.
+   Returns the reply bytes and whether the server closed. *)
+let seam_exchange (sched, stack) ~port ~complete segments =
+  let got = Buffer.create 256 and closed = ref false in
+  ignore
+    (Uksched.Sched.spawn sched ~name:"seam-client" (fun () ->
+         let flow = S.Tcp_socket.connect stack ~dst:(A.Ipv4.of_string "10.8.0.1", port) () in
+         List.iter
+           (fun seg ->
+             ignore (S.Tcp_socket.send ~block:true stack flow (Bytes.of_string seg));
+             Uksched.Sched.sleep_ns 50_000.0)
+           segments;
+         let rec read () =
+           if not (complete (Buffer.contents got)) then
+             match S.Tcp_socket.recv ~block:true stack flow ~max:65536 with
+             | None -> closed := true
+             | Some b ->
+                 Buffer.add_bytes got b;
+                 read ()
+         in
+         read ();
+         S.Tcp_socket.close stack flow));
+  Uksched.Sched.run sched;
+  (* Drop the rig's stack sources: a thousand rigs must not pile up. *)
+  Uktrace.Registry.clear ();
+  (Buffer.contents got, !closed)
+
+let transports =
+  Ukapps.Serve.[ ("socket", Socket); ("netbuf", Netbuf { rtc = true });
+                 ("netbuf-nortc", Netbuf { rtc = false }) ]
+
+let ends_with suffix s =
+  let n = String.length s and k = String.length suffix in
+  n >= k && String.sub s (n - k) k = suffix
+
+let alloc clock = Ukalloc.Tlsf.create ~clock ~base:(1 lsl 24) ~len:(1 lsl 24)
+
+(* One row per app: a server constructor, its port, a pipelined request
+   stream, and when the reply stream is complete. *)
+let seam_apps =
+  let resp = Ukapps.Resp.encode_command in
+  let lines n s = String.length s >= n in
+  [
+    ( "httpd",
+      (fun transport ~clock ~engine:_ ~sched ~stack ->
+        ignore
+          (Ukapps.Httpd.serve ~transport ~clock ~sched ~stack ~alloc:(alloc clock)
+             (Ukapps.Httpd.In_memory [ ("/a", "alpha"); ("/end", "END-OF-TEST") ]))),
+      80,
+      "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /nope HTTP/1.1\r\n\r\nBAD\r\n\r\n"
+      ^ "GET /end HTTP/1.1\r\n\r\n",
+      ends_with "END-OF-TEST" );
+    ( "resp",
+      (fun transport ~clock ~engine:_ ~sched ~stack ->
+        ignore
+          (Ukapps.Resp_store.serve ~transport ~clock ~sched ~stack ~alloc:(alloc clock) ())),
+      6379,
+      String.concat ""
+        [ resp [ "SET"; "k"; "v1" ]; resp [ "GET"; "k" ]; resp [ "INCR"; "n" ];
+          resp [ "DEL"; "k" ]; resp [ "GET"; "k" ]; resp [ "LPUSH"; "l"; "a" ];
+          resp [ "PING"; "end-of-test" ] ],
+      ends_with "end-of-test\r\n" );
+    ( "store",
+      (fun transport ~clock ~engine:_ ~sched ~stack ->
+        let dev = Ukblock.Virtio_blk.create_ramdisk ~clock ~capacity_sectors:4096 () in
+        match Ukstore.Store.format ~clock ~journal_sectors:64 dev with
+        | Ok store -> ignore (Ukapps.Store.serve ~transport ~clock ~sched ~stack ~store ())
+        | Error _ -> Alcotest.fail "format"),
+      7000,
+      "SET a 1\nGET a\nSET b 22\nDEL a\nGET a\nBOGUS\nCOMMIT\nROOT\n",
+      lines (8 * Ukapps.Store.reply_len) );
+    ( "infer",
+      (fun transport ~clock ~engine ~sched ~stack ->
+        let model =
+          { Ukapps.Infer.name = "feedfacefeedface"; digest = 0xfeedface; size_mb = 1;
+            bytes = 1 lsl 20; load_ns = 0.0 }
+        in
+        ignore
+          (Ukapps.Infer.serve ~transport ~clock ~engine ~sched ~stack ~alloc:(alloc clock)
+             ~max_batch:2 ~model ())),
+      8000,
+      (* The malformed line goes first: its reply is immediate, while the
+         others wait for their batch. *)
+      "XYZ\n"
+      ^ String.concat ""
+          (List.init 4 (fun i -> Ukapps.Infer.request ~rid:(i + 1) ~width:(3 * i))),
+      lines (5 * Ukapps.Infer.reply_len) );
+  ]
+
+(* The seam's contract: an app's reply stream depends on the bytes it was
+   sent, never on the transport or on where TCP cut the stream. Every
+   split offset drives the netbuf path's stash. *)
+let test_transport_equivalence () =
+  List.iter
+    (fun (app, start, port, stream, complete) ->
+      let run transport segments =
+        seam_exchange (seam_rig (start transport)) ~port ~complete segments
+      in
+      let expect, _ = run Ukapps.Serve.Socket [ stream ] in
+      if not (complete expect) then Alcotest.failf "%s: reference run incomplete" app;
+      List.iter
+        (fun (tname, transport) ->
+          for cut = 0 to String.length stream - 1 do
+            let segments =
+              if cut = 0 then [ stream ]
+              else
+                [ String.sub stream 0 cut;
+                  String.sub stream cut (String.length stream - cut) ]
+            in
+            let got, _ = run transport segments in
+            if got <> expect then
+              Alcotest.failf "%s over %s, split at byte %d:\n got %S\nwant %S" app tname cut got
+                expect
+          done)
+        transports)
+    seam_apps
+
+(* Redis semantics for a malformed command: one [-ERR Protocol error]
+   reply, then the connection closes — a command pipelined behind it in
+   the same segment is never executed. *)
+let test_resp_framing_error_closes () =
+  List.iter
+    (fun (tname, transport) ->
+      let start ~clock ~engine:_ ~sched ~stack =
+        ignore (Ukapps.Resp_store.serve ~transport ~clock ~sched ~stack ~alloc:(alloc clock) ())
+      in
+      let ping = Ukapps.Resp.encode_command [ "PING" ] in
+      let got, closed =
+        seam_exchange (seam_rig start) ~port:6379 ~complete:(fun _ -> false)
+          [ ping ^ "?bad\r\n" ^ ping ]
+      in
+      Alcotest.(check string) (tname ^ ": one error, nothing after it")
+        "+PONG\r\n-ERR Protocol error\r\n" got;
+      Alcotest.(check bool) (tname ^ ": connection closed") true closed)
+    transports
 
 let suite =
   [
@@ -451,4 +615,8 @@ let suite =
       test_fast_cluster_replay;
     Alcotest.test_case "fast RESP run is copy-free end to end" `Quick
       test_fast_resp_copy_free;
+    Alcotest.test_case "every app replies identically over every transport" `Quick
+      test_transport_equivalence;
+    Alcotest.test_case "RESP framing error answers once and closes" `Quick
+      test_resp_framing_error_closes;
   ]

@@ -209,55 +209,54 @@ let test_state_hash_order_independent () =
 
 (* --- servers over the cluster harness -------------------------------------- *)
 
+let netbuf = Ukapps.Serve.Netbuf { rtc = true }
+
 let test_legacy_fast_equivalence () =
   let serve fast =
     let c = Cl.create ~seed:5 ~n:1 () in
-    let workers =
-      if fast then Cl.add_infer_fast c ~size_mb:2 ()
-      else Cl.add_infer c ~size_mb:2 ()
-    in
-    let r =
-      (if fast then Cl.run_infer_load_fast else Cl.run_infer_load) c
-        ~connections_per_core:4 ~requests_per_core:200 ()
-    in
+    let transport = if fast then netbuf else Ukapps.Serve.Socket in
+    let workers = Cl.add_infer c ~transport ~size_mb:2 () in
+    let r = Cl.run_infer_load c ~transport ~connections_per_core:4 ~requests_per_core:200 () in
     (r, Infer.state_hash workers.(0), Infer.stats workers.(0))
   in
   let rl, hl, sl = serve false and rf, hf, sf = serve true in
-  Alcotest.(check int) "legacy answers everything" 200 rl.Infer.requests;
-  Alcotest.(check int) "fast answers everything" 200 rf.Infer.requests;
-  Alcotest.(check int) "no legacy errors" 0 rl.Infer.errors;
-  Alcotest.(check int) "no fast errors" 0 rf.Infer.errors;
+  Alcotest.(check int) "legacy answers everything" 200 rl.Ukapps.Line_client.requests;
+  Alcotest.(check int) "fast answers everything" 200 rf.Ukapps.Line_client.requests;
+  Alcotest.(check int) "no legacy errors" 0 rl.Ukapps.Line_client.errors;
+  Alcotest.(check int) "no fast errors" 0 rf.Ukapps.Line_client.errors;
   Alcotest.(check int) "identical served-set state hash" hl hf;
   Alcotest.(check int) "identical request counts server-side" sl.Infer.requests
     sf.Infer.requests;
   Alcotest.(check bool) "the fast path is faster" true
-    (rf.Infer.elapsed_ns < rl.Infer.elapsed_ns)
+    (rf.Ukapps.Line_client.elapsed_ns < rl.Ukapps.Line_client.elapsed_ns)
 
 let test_batch_knob_trades_latency_for_throughput () =
   let run max_batch =
     let c = Cl.create ~seed:9 ~n:1 () in
-    ignore (Cl.add_infer_fast c ~size_mb:4 ~max_batch ());
-    Cl.run_infer_load_fast c ~connections_per_core:8 ~requests_per_core:240 ()
+    ignore (Cl.add_infer c ~transport:netbuf ~size_mb:4 ~max_batch ());
+    Cl.run_infer_load c ~transport:netbuf ~connections_per_core:8 ~requests_per_core:240 ()
   in
   let r1 = run 1 and r8 = run 8 in
   Alcotest.(check bool) "batching lifts throughput under concurrency" true
-    (r8.Infer.rate_per_sec > r1.Infer.rate_per_sec);
+    (r8.Ukapps.Line_client.rate_per_sec > r1.Ukapps.Line_client.rate_per_sec);
   Alcotest.(check bool) "and lowers p99 under the same offered load" true
-    (r8.Infer.p99_us < r1.Infer.p99_us)
+    (r8.Ukapps.Line_client.p99_us < r1.Ukapps.Line_client.p99_us)
 
 let test_smp_replay_deterministic () =
   (* 8 cores: 4 server cores each loading its own weights and serving,
      4 client cores driving steered flows — replayed byte-identically. *)
   let go () =
     let c = Cl.create ~seed:21 ~n:4 () in
-    ignore (Cl.add_infer_fast c ~size_mb:2 ());
-    let r = Cl.run_infer_load_fast c ~connections_per_core:2 ~requests_per_core:120 () in
+    ignore (Cl.add_infer c ~transport:netbuf ~size_mb:2 ());
+    let r =
+      Cl.run_infer_load c ~transport:netbuf ~connections_per_core:2 ~requests_per_core:120 ()
+    in
     (r, Cl.trace_hash c, Cl.elapsed_ns c)
   in
   let r1, h1, t1 = go () in
   let r2, h2, t2 = go () in
-  Alcotest.(check int) "all requests served" 480 r1.Infer.requests;
-  Alcotest.(check int) "no errors" 0 r1.Infer.errors;
+  Alcotest.(check int) "all requests served" 480 r1.Ukapps.Line_client.requests;
+  Alcotest.(check int) "no errors" 0 r1.Ukapps.Line_client.errors;
   Alcotest.(check bool) "identical results" true (r1 = r2);
   Alcotest.(check int) "identical trace hash" h1 h2;
   Alcotest.(check (float 0.0)) "identical elapsed" t1 t2

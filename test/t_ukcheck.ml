@@ -222,9 +222,11 @@ let test_lockset_silent_on_cluster_workload () =
   let run_cluster ~detect =
     let c = Ukapps.Cluster.create ~seed:11 ~n:4 () in
     let det = if detect then Some (Lockset.attach (Ukapps.Cluster.smp c)) else None in
-    ignore (Ukapps.Cluster.add_httpd c (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
+    let transport = Ukapps.Serve.Socket in
+    ignore (Ukapps.Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
     let r =
-      Ukapps.Cluster.run_httpd_load c ~connections_per_core:2 ~requests_per_core:40 ~path:"/x" ()
+      Ukapps.Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:40
+        ~path:"/x" ()
     in
     Alcotest.(check int) "no http errors" 0 r.Ukapps.Wrk.errors;
     Option.iter Lockset.detach det;

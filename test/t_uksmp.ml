@@ -115,8 +115,11 @@ let test_trace_determinism () =
 let test_cluster_determinism () =
   let go () =
     let c = Cluster.create ~seed:7 ~n:2 () in
-    ignore (Cluster.add_httpd c (Ukapps.Httpd.In_memory [ ("/x", "hello") ]));
-    let r = Cluster.run_httpd_load c ~connections_per_core:2 ~requests_per_core:60 ~path:"/x" () in
+    let transport = Ukapps.Serve.Socket in
+    ignore (Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "hello") ]));
+    let r =
+      Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:60 ~path:"/x" ()
+    in
     (Cluster.trace_hash c, r.Ukapps.Wrk.rate_per_sec, r.Ukapps.Wrk.errors)
   in
   let h1, r1, e1 = go () and h2, r2, e2 = go () in
@@ -185,8 +188,11 @@ let test_cluster_rss_distribution () =
   (* Every server stack must see TCP traffic — flows really spread across
      the queues and stay on their cores. *)
   let c = Cluster.create ~n:4 () in
-  ignore (Cluster.add_httpd c (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
-  let r = Cluster.run_httpd_load c ~connections_per_core:2 ~requests_per_core:40 ~path:"/x" () in
+  let transport = Ukapps.Serve.Socket in
+  ignore (Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
+  let r =
+    Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:40 ~path:"/x" ()
+  in
   Alcotest.(check int) "no errors" 0 r.Ukapps.Wrk.errors;
   for i = 0 to 3 do
     let st = Uknetstack.Stack.stats (Cluster.server_stack c i) in

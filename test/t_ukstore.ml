@@ -353,29 +353,30 @@ let test_journal_ring_wraps_via_checkpoint () =
 
 let test_store_server_cluster () =
   let cl = Ukapps.Cluster.create ~seed:11 ~n:1 () in
-  let srvs = Ukapps.Cluster.add_store cl ~keys:64 () in
+  let srvs = Ukapps.Cluster.add_store cl ~transport:Ukapps.Serve.Socket ~keys:64 () in
   let r =
-    Ukapps.Cluster.run_store_load cl ~connections_per_core:4 ~requests_per_core:400
-      ~write_frac:0.5 ~keyspace:128 ~commit_every:50 ()
+    Ukapps.Cluster.run_store_load cl ~transport:Ukapps.Serve.Socket ~connections_per_core:4
+      ~requests_per_core:400 ~write_frac:0.5 ~keyspace:128 ~commit_every:50 ()
   in
-  Alcotest.(check int) "no protocol errors" 0 r.Ukapps.Store.errors;
-  Alcotest.(check int) "all requests answered" 400 r.Ukapps.Store.requests;
+  Alcotest.(check int) "no protocol errors" 0 r.Ukapps.Line_client.errors;
+  Alcotest.(check int) "all requests answered" 400 r.Ukapps.Line_client.requests;
   let st = Ukapps.Store.stats srvs.(0) in
   Alcotest.(check int) "server saw them all" 400 st.Ukapps.Store.requests;
   Alcotest.(check bool) "sets happened" true (st.Ukapps.Store.sets > 0);
   Alcotest.(check bool) "commits happened" true (st.Ukapps.Store.commits > 0);
-  Alcotest.(check bool) "throughput positive" true (r.Ukapps.Store.rate_per_sec > 0.0)
+  Alcotest.(check bool) "throughput positive" true (r.Ukapps.Line_client.rate_per_sec > 0.0)
 
 let test_store_server_fast_replay_identical () =
   let run () =
     let cl = Ukapps.Cluster.create ~seed:23 ~n:2 () in
-    let srvs = Ukapps.Cluster.add_store_fast cl ~keys:64 () in
+    let transport = Ukapps.Serve.Netbuf { rtc = true } in
+    let srvs = Ukapps.Cluster.add_store cl ~transport ~keys:64 () in
     let r =
-      Ukapps.Cluster.run_store_load_fast cl ~connections_per_core:4
+      Ukapps.Cluster.run_store_load cl ~transport ~connections_per_core:4
         ~requests_per_core:300 ~write_frac:0.3 ~commit_every:40 ()
     in
     let roots = Array.map Ukapps.Store.state_hash srvs in
-    (r.Ukapps.Store.errors, roots, Ukapps.Cluster.trace_hash cl)
+    (r.Ukapps.Line_client.errors, roots, Ukapps.Cluster.trace_hash cl)
   in
   let e1, roots1, h1 = run () in
   let e2, roots2, h2 = run () in

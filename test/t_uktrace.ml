@@ -195,9 +195,10 @@ let test_span_disabled_is_passthrough () =
 let test_tracing_preserves_trace_hash () =
   let go () =
     let c = Cluster.create ~seed:11 ~n:2 () in
-    ignore (Cluster.add_httpd c (Ukapps.Httpd.In_memory [ ("/x", "hello") ]));
+    let transport = Ukapps.Serve.Socket in
+    ignore (Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "hello") ]));
     let r =
-      Cluster.run_httpd_load c ~connections_per_core:2 ~requests_per_core:50 ~path:"/x" ()
+      Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:50 ~path:"/x" ()
     in
     (Cluster.trace_hash c, r.Ukapps.Wrk.rate_per_sec, r.Ukapps.Wrk.errors)
   in
