@@ -373,10 +373,8 @@ let abl_wheel =
    Gates (enforced by CI from BENCH_ablation.json):
    - fastpath_httpd_speedup and fastpath_resp_speedup >= 5 over the
      copy-path baseline;
-   - zero counted memcpys on the hot path: the RESP fast run makes no
-     counted copies at all, and the httpd fast run makes exactly the
-     copies of a warm-up-only control run (one legacy request per
-     connection), i.e. the steady state is copy-free;
+   - zero counted memcpys: neither the httpd nor the RESP fast run
+     makes any counted copy;
    - the 8-core fast run replays byte-identically from its seed
      (fastpath_replay_ok). *)
 let abl_fastpath =
@@ -402,24 +400,25 @@ let abl_fastpath =
         let content = Httpd.In_memory [ ("/index.html", Httpd.default_page) ] in
         let fast = Ukapps.Serve.Netbuf { rtc = true } in
         let nortc = Ukapps.Serve.Netbuf { rtc = false } in
-        let httpd_case name ~fp ~transport ?(requests = reqs) () =
+        let httpd_case name ~fp ~transport () =
           Bench.trial ();
           let c = Cl.create ~seed:42 ~fastpath:fp ~n () in
           let copies0 = Nb.total_copies () in
           let r =
             Bench.phase ("httpd_" ^ name) (fun () ->
                 ignore (Cl.add_httpd c ~transport content);
-                (* Deep pipelining is an ability the netbuf client gains
-                   (replies are consumed in place, so nothing throttles
-                   the window); the legacy socket client is structurally
-                   serial per connection. *)
-                Cl.run_httpd_load c ~transport ~connections_per_core:conns
-                  ~requests_per_core:requests ~pipeline:32 ())
+                (* The socket leg keeps wrk's one request in flight per
+                   connection; the netbuf leg pipelines 32 deep, since its
+                   replies are consumed in place and nothing throttles
+                   the window. *)
+                let pipeline = if transport = Ukapps.Serve.Socket then 1 else 32 in
+                Cl.run_load c ~transport ~port:80 ~connections_per_core:conns
+                  ~requests_per_core:reqs ~pipeline (Httpd.client ()))
           in
           let copies = Nb.total_copies () - copies0 in
           (r, copies, Cl.trace_hash c)
         in
-        let resp_case name ~fp ~transport ?(requests = reqs) () =
+        let resp_case name ~fp ~transport () =
           Bench.trial ();
           let c = Cl.create ~seed:42 ~fastpath:fp ~n () in
           let copies0 = Nb.total_copies () in
@@ -428,8 +427,8 @@ let abl_fastpath =
                 (* Same pipelined workload on both paths (redis-benchmark
                    -P 32). *)
                 ignore (Cl.add_resp c ~transport ~populate:4096 ());
-                Cl.run_resp_load c ~transport ~connections_per_core:conns ~pipeline:32
-                  ~requests_per_core:requests Ukapps.Resp_bench.Get)
+                Cl.run_load c ~transport ~port:6379 ~connections_per_core:conns ~pipeline:32
+                  ~requests_per_core:reqs (Ukapps.Resp_store.client Ukapps.Resp_store.Get))
           in
           let copies = Nb.total_copies () - copies0 in
           (r, copies, Cl.trace_hash c)
@@ -446,12 +445,6 @@ let abl_fastpath =
         in
         let h_fast2, _, h_hash2 =
           httpd_case "fast_replay" ~fp:Cl.fastpath_default ~transport:fast ()
-        in
-        (* Warm-up control: same connections, one request each — the only
-           requests that legally touch the counted-copy path. *)
-        let _, h_warm_copies, _ =
-          httpd_case "fast_warmup_only" ~fp:Cl.fastpath_default ~transport:fast
-            ~requests:conns ()
         in
         let h_nobatch, _, _ =
           httpd_case "fast_nobatch"
@@ -471,9 +464,9 @@ let abl_fastpath =
         in
         row "httpd, %d server cores, %d conns/core, %d reqs/core:\n" n conns reqs;
         row "  %-18s %12s %12s %10s\n" "config" "kreq/s" "cyc/req" "copies";
-        let hrow name (r : Ukapps.Wrk.result) copies =
-          row "  %-18s %12.1f %12.0f %10s\n" name (kreq r.Ukapps.Wrk.rate_per_sec)
-            (per_req r.Ukapps.Wrk.elapsed_ns reqs)
+        let hrow name (r : Ukapps.Load.result) copies =
+          row "  %-18s %12.1f %12.0f %10s\n" name (kreq r.Ukapps.Load.rate_per_sec)
+            (per_req r.Ukapps.Load.elapsed_ns reqs)
             (match copies with Some c -> string_of_int c | None -> "-")
         in
         hrow "legacy-copy" h_legacy (Some h_legacy_copies);
@@ -482,10 +475,8 @@ let abl_fastpath =
         hrow "  -zero-copy" h_copy None;
         hrow "  -rtc" h_nortc None;
         hrow "  -percore-pools" h_pool None;
-        let h_speedup = h_legacy.Ukapps.Wrk.elapsed_ns /. h_fast.Ukapps.Wrk.elapsed_ns in
-        let h_hot_copies = h_fast_copies - h_warm_copies in
-        row "=> httpd fast path: %.1fx; hot-path counted copies: %d (warm-up control: %d)\n"
-          h_speedup h_hot_copies h_warm_copies;
+        let h_speedup = h_legacy.Ukapps.Load.elapsed_ns /. h_fast.Ukapps.Load.elapsed_ns in
+        row "=> httpd fast path: %.1fx; counted copies in fast run: %d\n" h_speedup h_fast_copies;
         (* --- RESP: baseline vs fast (the Fig 14 porting story) ----------- *)
         let r_legacy, _, _ = resp_case "legacy" ~fp:copy_fp ~transport:Ukapps.Serve.Socket () in
         let r_fast, r_fast_copies, _ =
@@ -493,29 +484,29 @@ let abl_fastpath =
         in
         let r_nortc, _, _ = resp_case "fast_nortc" ~fp:Cl.fastpath_default ~transport:nortc () in
         row "RESP GET, same topology:\n";
-        let rrow name (r : Ukapps.Resp_bench.result) copies =
-          row "  %-18s %12.1f %12.0f %10s\n" name (kreq r.Ukapps.Resp_bench.rate_per_sec)
-            (per_req r.Ukapps.Resp_bench.elapsed_ns reqs)
+        let rrow name (r : Ukapps.Load.result) copies =
+          row "  %-18s %12.1f %12.0f %10s\n" name (kreq r.Ukapps.Load.rate_per_sec)
+            (per_req r.Ukapps.Load.elapsed_ns reqs)
             (match copies with Some c -> string_of_int c | None -> "-")
         in
         rrow "legacy-copy" r_legacy None;
         rrow "fast" r_fast (Some r_fast_copies);
         rrow "  -rtc" r_nortc None;
-        let r_speedup = r_legacy.Ukapps.Resp_bench.elapsed_ns /. r_fast.Ukapps.Resp_bench.elapsed_ns in
+        let r_speedup = r_legacy.Ukapps.Load.elapsed_ns /. r_fast.Ukapps.Load.elapsed_ns in
         let replay_ok =
           h_hash = h_hash2
-          && h_fast.Ukapps.Wrk.elapsed_ns = h_fast2.Ukapps.Wrk.elapsed_ns
+          && h_fast.Ukapps.Load.elapsed_ns = h_fast2.Ukapps.Load.elapsed_ns
         in
         row "=> RESP fast path: %.1fx; counted copies in fast run: %d; replay_ok: %b\n"
           r_speedup r_fast_copies replay_ok;
         Bench.emit_f "fastpath_httpd_speedup" h_speedup;
         Bench.emit_f "fastpath_resp_speedup" r_speedup;
-        Bench.emit_i "fastpath_httpd_hot_copies" h_hot_copies;
+        Bench.emit_i "fastpath_httpd_hot_copies" h_fast_copies;
         Bench.emit_i "fastpath_resp_copies" r_fast_copies;
-        Bench.emit_i "fastpath_httpd_errors" h_fast.Ukapps.Wrk.errors;
-        Bench.emit_i "fastpath_resp_errors" r_fast.Ukapps.Resp_bench.errors;
-        Bench.emit_f "fastpath_httpd_cyc_per_req" (per_req h_fast.Ukapps.Wrk.elapsed_ns reqs);
-        Bench.emit_f "fastpath_resp_cyc_per_req" (per_req r_fast.Ukapps.Resp_bench.elapsed_ns reqs);
+        Bench.emit_i "fastpath_httpd_errors" h_fast.Ukapps.Load.errors;
+        Bench.emit_i "fastpath_resp_errors" r_fast.Ukapps.Load.errors;
+        Bench.emit_f "fastpath_httpd_cyc_per_req" (per_req h_fast.Ukapps.Load.elapsed_ns reqs);
+        Bench.emit_f "fastpath_resp_cyc_per_req" (per_req r_fast.Ukapps.Load.elapsed_ns reqs);
         Bench.emit_b "fastpath_replay_ok" replay_ok);
   }
 

@@ -73,12 +73,13 @@ let web_run ?(seed = chaos_seed) ~loss ~corrupt ~requests () =
       (Ukapps.Httpd.In_memory [ ("/index.html", Ukapps.Httpd.default_page) ])
   in
   let r =
-    Ukapps.Wrk.run ~clock:c.clock ~sched:c.sched ~stack:c.client_stack
-      ~server:(A.Ipv4.of_string "10.0.0.1", 80) ~connections:10 ~requests ()
+    Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock:c.clock ~sched:c.sched
+      ~stack:c.client_stack ~server:(A.Ipv4.of_string "10.0.0.1", 80) ~connections:10 ~requests
+      (Ukapps.Httpd.client ())
   in
   let hs = Ukapps.Httpd.stats httpd in
-  { rate = r.Ukapps.Wrk.rate_per_sec; p99_us = r.Ukapps.Wrk.latency_us_p99;
-    wrk_errors = r.Ukapps.Wrk.errors; served = hs.Ukapps.Httpd.requests; drops = injected c;
+  { rate = r.Ukapps.Load.rate_per_sec; p99_us = r.Ukapps.Load.p99_us;
+    wrk_errors = r.Ukapps.Load.errors; served = hs.Ukapps.Httpd.requests; drops = injected c;
     stack_rx_drop = (S.stats c.server_stack).S.rx_drop + (S.stats c.client_stack).S.rx_drop }
 
 let run_web () =
@@ -121,13 +122,13 @@ let run_kv () =
       in
       ignore store;
       let r =
-        Ukapps.Resp_bench.run ~clock:c.clock ~sched:c.sched ~stack:c.client_stack
-          ~server:(A.Ipv4.of_string "10.0.0.1", 6379) ~connections:10 ~pipeline:8 ~requests
-          Ukapps.Resp_bench.Get
+        Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock:c.clock ~sched:c.sched
+          ~stack:c.client_stack ~server:(A.Ipv4.of_string "10.0.0.1", 6379) ~connections:10
+          ~pipeline:8 ~requests (Ukapps.Resp_store.client Ukapps.Resp_store.Get)
       in
       Common.row "  %-12s %12.0f %8d\n"
         (Printf.sprintf "%.0f%%" (loss *. 100.0))
-        r.Ukapps.Resp_bench.rate_per_sec r.Ukapps.Resp_bench.errors)
+        r.Ukapps.Load.rate_per_sec r.Ukapps.Load.errors)
     [ 0.0; 0.10 ]
 
 (* --- supervised app: crash injection, watchdog, recovery latency ---------- *)
@@ -198,14 +199,15 @@ let run_oom () =
   in
   let requests = Common.scaled 2000 in
   let r =
-    Ukapps.Wrk.run ~clock:c.clock ~sched:c.sched ~stack:c.client_stack
-      ~server:(A.Ipv4.of_string "10.0.0.1", 80) ~connections:10 ~requests ()
+    Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock:c.clock ~sched:c.sched
+      ~stack:c.client_stack ~server:(A.Ipv4.of_string "10.0.0.1", 80) ~connections:10 ~requests
+      (Ukapps.Httpd.client ())
   in
   let hs = Ukapps.Httpd.stats httpd in
   Common.row "  requests served          %d (every 25th pool alloc failed)\n"
     hs.Ukapps.Httpd.requests;
   Common.row "  shed with 503            %d (= wrk non-200 count: %d)\n"
-    hs.Ukapps.Httpd.errors_503 r.Ukapps.Wrk.errors;
+    hs.Ukapps.Httpd.errors_503 r.Ukapps.Load.errors;
   Common.row "  injected OOM failures    %d over %d attempts\n" (Fa.injected_failures fa)
     (Fa.attempts fa);
   Common.row "  => no crash, no lost connection: pressure becomes 503s.\n"

@@ -43,19 +43,19 @@ let run_batch_sweep () =
         let c = Cluster.create ~seed ~n:1 () in
         ignore (Cluster.add_infer c ~transport:netbuf ~size_mb:16 ~max_batch ());
         let r =
-          Cluster.run_infer_load c ~transport:netbuf ~connections_per_core:16
-            ~requests_per_core:requests ()
+          Cluster.run_load c ~transport:netbuf ~port:8000 ~connections_per_core:16
+            ~requests_per_core:requests (Ukapps.Infer.client ())
         in
         row "  max_batch %2d  p50 %8.1fus  p99 %8.1fus  %8.0f req/s\n" max_batch
-          r.Ukapps.Line_client.p50_us r.Ukapps.Line_client.p99_us
-          r.Ukapps.Line_client.rate_per_sec;
-        Bench.emit_f (Printf.sprintf "batch%d_p50_us" max_batch) r.Ukapps.Line_client.p50_us;
-        Bench.emit_f (Printf.sprintf "batch%d_p99_us" max_batch) r.Ukapps.Line_client.p99_us;
-        Bench.emit_f (Printf.sprintf "batch%d_rps" max_batch) r.Ukapps.Line_client.rate_per_sec;
+          r.Ukapps.Load.p50_us r.Ukapps.Load.p99_us
+          r.Ukapps.Load.rate_per_sec;
+        Bench.emit_f (Printf.sprintf "batch%d_p50_us" max_batch) r.Ukapps.Load.p50_us;
+        Bench.emit_f (Printf.sprintf "batch%d_p99_us" max_batch) r.Ukapps.Load.p99_us;
+        Bench.emit_f (Printf.sprintf "batch%d_rps" max_batch) r.Ukapps.Load.rate_per_sec;
         (max_batch, r))
       [ 1; 2; 4; 8; 16 ]
   in
-  let rps k = (List.assoc k results).Ukapps.Line_client.rate_per_sec in
+  let rps k = (List.assoc k results).Ukapps.Load.rate_per_sec in
   row "  => batching gains %.2fx throughput (1 -> 16)\n" (rps 16 /. rps 1);
   Bench.emit_f "batch_speedup_16_over_1" (rps 16 /. rps 1);
   Bench.emit_b "batch_amortizes" (rps 16 > rps 1)

@@ -46,14 +46,14 @@ let redis_rate ?(alloc = Cfg.Mimalloc) ?(requests = 100_000) workload =
     Ukapps.Resp_store.create ~clock:s.clock ~sched:s.sched ~stack:(Option.get s.env.Vm.stack)
       ~alloc:s.env.Vm.alloc ()
   in
-  let wl = match workload with Ukapps.Resp_bench.Get -> "get" | _ -> "set" in
+  let wl = match workload with Ukapps.Resp_store.Get -> "get" | _ -> "set" in
   let r =
     Bench.phase (Printf.sprintf "redis_%s_%s" (alloc_name alloc) wl) (fun () ->
-        Ukapps.Resp_bench.run ~clock:s.clock ~sched:s.sched ~stack:s.client_stack
-          ~server:(s.server_ip, 6379) ~connections:30 ~pipeline:16 ~requests:(scaled requests)
-          workload)
+        Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock:s.clock ~sched:s.sched
+          ~stack:s.client_stack ~server:(s.server_ip, 6379) ~connections:30 ~pipeline:16
+          ~requests:(scaled requests) (Ukapps.Resp_store.client workload))
   in
-  r.Ukapps.Resp_bench.rate_per_sec
+  r.Ukapps.Load.rate_per_sec
 
 let nginx_rate ?(alloc = Cfg.Mimalloc) ?(requests = 30_000) () =
   let s = serve_vm ~alloc ~app:"app-nginx" () in
@@ -64,10 +64,11 @@ let nginx_rate ?(alloc = Cfg.Mimalloc) ?(requests = 30_000) () =
   in
   let r =
     Bench.phase ("wrk_" ^ alloc_name alloc) (fun () ->
-        Ukapps.Wrk.run ~clock:s.clock ~sched:s.sched ~stack:s.client_stack
-          ~server:(s.server_ip, 80) ~connections:30 ~requests:(scaled requests) ())
+        Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock:s.clock ~sched:s.sched
+          ~stack:s.client_stack ~server:(s.server_ip, 80) ~connections:30
+          ~requests:(scaled requests) (Ukapps.Httpd.client ()))
   in
-  r.Ukapps.Wrk.rate_per_sec
+  r.Ukapps.Load.rate_per_sec
 
 (* Baseline OS rate derived from the measured Unikraft rate and the
    profile's relative per-request path length (see ukos/profiles.mli). *)
@@ -81,7 +82,7 @@ let fig12 =
     descr = "Redis throughput (30 conns, 100k reqs, pipelining 16)";
     run =
       (fun () ->
-        let uk = redis_rate Ukapps.Resp_bench.Get in
+        let uk = redis_rate Ukapps.Resp_store.Get in
         row "%-18s %14s %14s\n" "system" "qemu/kvm(k/s)" "firecracker(k/s)";
         row "%-18s %14.0f %14.0f\n" "unikraft" (kreq uk)
           (kreq (uk *. Ukos.Profiles.firecracker_penalty));
@@ -224,8 +225,8 @@ let fig18 =
         row "%-12s %12s %12s\n" "allocator" "GET (k/s)" "SET (k/s)";
         List.iter
           (fun alloc ->
-            let get = redis_rate ~alloc ~requests:30_000 Ukapps.Resp_bench.Get in
-            let set = redis_rate ~alloc ~requests:30_000 Ukapps.Resp_bench.Set in
+            let get = redis_rate ~alloc ~requests:30_000 Ukapps.Resp_store.Get in
+            let set = redis_rate ~alloc ~requests:30_000 Ukapps.Resp_store.Set in
             row "%-12s %12.0f %12.0f\n" (alloc_name alloc) (kreq get) (kreq set))
           all_allocs;
         row "=> paper: no allocator wins everywhere; right choice buys up to 2.5x\n");

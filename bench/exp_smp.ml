@@ -25,30 +25,32 @@ let run_httpd ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n () =
     (Cluster.add_httpd c ~transport:Ukapps.Serve.Socket
        (Ukapps.Httpd.In_memory [ ("/index.html", page) ]));
   let r =
-    Cluster.run_httpd_load c ~transport:Ukapps.Serve.Socket ~connections_per_core:8
-      ~requests_per_core:(httpd_requests_per_core ()) ()
+    Cluster.run_load c ~transport:Ukapps.Serve.Socket ~port:80 ~connections_per_core:8
+      ~requests_per_core:(httpd_requests_per_core ()) (Ukapps.Httpd.client ())
   in
   (c, r)
 
 let run_resp ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n workload =
   Bench.trial ();
   let c = Cluster.create ~seed ~alloc_mode ~n () in
-  (* 4096 keys covers Resp_bench's whole key space, so GETs are all hits. *)
+  (* 4096 keys covers the RESP client's whole key space, so GETs are all
+     hits. *)
   ignore (Cluster.add_resp c ~transport:Ukapps.Serve.Socket ~populate:4096 ());
   (* Prepopulation runs on core 0 before the load; drop its lock traffic so
      the reported spin stats cover only the measured serving phase. *)
   Spin.reset_stats (Cluster.alloc_spin c);
   let r =
-    Cluster.run_resp_load c ~transport:Ukapps.Serve.Socket ~connections_per_core:8
-      ~requests_per_core:(resp_requests_per_core ()) workload
+    Cluster.run_load c ~transport:Ukapps.Serve.Socket ~port:6379 ~connections_per_core:8
+      ~pipeline:16 ~requests_per_core:(resp_requests_per_core ())
+      (Ukapps.Resp_store.client workload)
   in
   (c, r)
 
 (* One line that must replay byte-identically for a fixed seed. *)
-let httpd_fingerprint c (r : Ukapps.Wrk.result) =
+let httpd_fingerprint c (r : Ukapps.Load.result) =
   Printf.sprintf "trace=%016x requests=%d errors=%d rate=%.6f elapsed=%.6f"
-    (Cluster.trace_hash c) r.Ukapps.Wrk.requests r.Ukapps.Wrk.errors
-    r.Ukapps.Wrk.rate_per_sec r.Ukapps.Wrk.elapsed_ns
+    (Cluster.trace_hash c) r.Ukapps.Load.requests r.Ukapps.Load.errors
+    r.Ukapps.Load.rate_per_sec r.Ukapps.Load.elapsed_ns
 
 let smp =
   {
@@ -70,15 +72,15 @@ let smp =
                 core_counts)
         in
         let base_rate =
-          (List.assoc 1 httpd_rates).Ukapps.Wrk.rate_per_sec
+          (List.assoc 1 httpd_rates).Ukapps.Load.rate_per_sec
         in
         List.iter
-          (fun (n, (r : Ukapps.Wrk.result)) ->
+          (fun (n, (r : Ukapps.Load.result)) ->
             row "%-8d %12.1f %9.2fx %12.2f %8d\n" n (kreq r.rate_per_sec)
               (r.rate_per_sec /. base_rate) (ms r.elapsed_ns) r.errors)
           httpd_rates;
         let speedup_4 =
-          (List.assoc 4 httpd_rates).Ukapps.Wrk.rate_per_sec /. base_rate
+          (List.assoc 4 httpd_rates).Ukapps.Load.rate_per_sec /. base_rate
         in
 
         (* --- RESP scaling curves --- *)
@@ -94,28 +96,28 @@ let smp =
                     (n, r))
                   core_counts)
           in
-          let base = (List.assoc 1 runs).Ukapps.Resp_bench.rate_per_sec in
+          let base = (List.assoc 1 runs).Ukapps.Load.rate_per_sec in
           List.iter
-            (fun (n, (r : Ukapps.Resp_bench.result)) ->
+            (fun (n, (r : Ukapps.Load.result)) ->
               row "%-8d %12.1f %9.2fx %8d\n" n (kreq r.rate_per_sec)
                 (r.rate_per_sec /. base) r.errors)
             runs;
           runs
         in
-        ignore (resp_curve Ukapps.Resp_bench.Get "GET");
-        let set_runs = resp_curve Ukapps.Resp_bench.Set "SET" in
+        ignore (resp_curve Ukapps.Resp_store.Get "GET");
+        let set_runs = resp_curve Ukapps.Resp_store.Set "SET" in
         ignore set_runs;
 
         (* --- allocator ablation: per-core arena vs one shared lock --- *)
         row "\nallocator ablation, RESP SET at 4 cores\n";
         row "%-14s %12s %16s %16s\n" "allocator" "kreq/s" "spin waits" "spin wait cyc";
         let ablate mode label =
-          let c, r = run_resp ~alloc_mode:mode ~n:4 Ukapps.Resp_bench.Set in
+          let c, r = run_resp ~alloc_mode:mode ~n:4 Ukapps.Resp_store.Set in
           let st = Spin.stats (Cluster.alloc_spin c) in
           row "%-14s %12.1f %16d %16d\n" label
-            (kreq r.Ukapps.Resp_bench.rate_per_sec)
+            (kreq r.Ukapps.Load.rate_per_sec)
             st.Spin.contended st.Spin.wait_cycles;
-          r.Ukapps.Resp_bench.rate_per_sec
+          r.Ukapps.Load.rate_per_sec
         in
         let arena_rate, shared_rate =
           Bench.phase "alloc_ablation" (fun () ->
@@ -155,7 +157,7 @@ let smp =
           (Printf.sprintf "{%s}"
              (String.concat ", "
                 (List.map
-                   (fun (n, (r : Ukapps.Wrk.result)) ->
+                   (fun (n, (r : Ukapps.Load.result)) ->
                      Printf.sprintf "\"%d\": %.1f" n r.rate_per_sec)
                    httpd_rates)));
         Bench.emit "speedup_4" (Printf.sprintf "%.3f" speedup_4);

@@ -51,27 +51,27 @@ let store_mix write_frac =
   let c = Cluster.create ~seed ~n:1 () in
   ignore (Cluster.add_store c ~transport:netbuf ~keys:256 ());
   let r =
-    Cluster.run_store_load c ~transport:netbuf ~connections_per_core:8 ~pipeline:8
-      ~requests_per_core:(mix_requests ()) ~write_frac ~commit_every:64 ()
+    Cluster.run_load c ~transport:netbuf ~port:7000 ~connections_per_core:8 ~pipeline:8
+      ~requests_per_core:(mix_requests ()) (Store.client ~write_frac ~commit_every:64 ())
   in
-  (r.Ukapps.Line_client.rate_per_sec, r.Ukapps.Line_client.p99_us, r.Ukapps.Line_client.errors)
+  (r.Ukapps.Load.rate_per_sec, r.Ukapps.Load.p99_us, r.Ukapps.Load.errors)
 
 let resp_baseline workload =
   Bench.trial ();
   let c = Cluster.create ~seed ~n:1 () in
   ignore (Cluster.add_resp c ~transport:netbuf ~populate:256 ());
   let r =
-    Cluster.run_resp_load c ~transport:netbuf ~connections_per_core:8 ~pipeline:8
-      ~requests_per_core:(mix_requests ()) workload
+    Cluster.run_load c ~transport:netbuf ~port:6379 ~connections_per_core:8 ~pipeline:8
+      ~requests_per_core:(mix_requests ()) (Ukapps.Resp_store.client workload)
   in
-  r.Ukapps.Resp_bench.rate_per_sec
+  r.Ukapps.Load.rate_per_sec
 
 let run_mix () =
   row "write/read mix: merkle+journal store vs in-memory RESP (zero-copy path)\n";
   let w_rps, w_p99, w_err = store_mix 0.9 in
   let r_rps, r_p99, r_err = store_mix 0.1 in
-  let resp_set = resp_baseline Ukapps.Resp_bench.Set in
-  let resp_get = resp_baseline Ukapps.Resp_bench.Get in
+  let resp_set = resp_baseline Ukapps.Resp_store.Set in
+  let resp_get = resp_baseline Ukapps.Resp_store.Get in
   row "  store write-heavy (0.9)  %8.0f req/s  p99 %8.1fus  errors %d\n" w_rps w_p99 w_err;
   row "  store read-heavy  (0.1)  %8.0f req/s  p99 %8.1fus  errors %d\n" r_rps r_p99 r_err;
   row "  resp  SET baseline       %8.0f req/s\n" resp_set;
@@ -226,10 +226,10 @@ let run_replay () =
     let c = Cluster.create ~seed:23 ~n:2 () in
     let srvs = Cluster.add_store c ~transport:netbuf ~keys:64 () in
     let r =
-      Cluster.run_store_load c ~transport:netbuf ~connections_per_core:4
-        ~requests_per_core:(Bench.scaled 2000) ~write_frac:0.3 ~commit_every:40 ()
+      Cluster.run_load c ~transport:netbuf ~port:7000 ~connections_per_core:4
+        ~requests_per_core:(Bench.scaled 2000) (Store.client ~write_frac:0.3 ~commit_every:40 ())
     in
-    (r.Ukapps.Line_client.errors, Array.map Store.state_hash srvs, Cluster.trace_hash c)
+    (r.Ukapps.Load.errors, Array.map Store.state_hash srvs, Cluster.trace_hash c)
   in
   let e1, roots1, h1 = go () in
   let e2, roots2, h2 = go () in

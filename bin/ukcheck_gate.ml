@@ -45,11 +45,11 @@ let cluster_smoke () =
   let transport = Ukapps.Serve.Socket in
   ignore (Ukapps.Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
   let r =
-    Ukapps.Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:50
-      ~path:"/x" ()
+    Ukapps.Cluster.run_load c ~transport ~port:80 ~connections_per_core:2 ~requests_per_core:50
+      (Ukapps.Httpd.client ~path:"/x" ())
   in
   Lockset.detach det;
-  if r.Ukapps.Wrk.errors <> 0 then fail "lockset: cluster smoke had %d http errors" r.Ukapps.Wrk.errors;
+  if r.Ukapps.Load.errors <> 0 then fail "lockset: cluster smoke had %d http errors" r.Ukapps.Load.errors;
   (match Lockset.reports det with
   | [] ->
       info "lockset: 4-core cluster smoke: 0 violations (%d lock events, %d ipis)"

@@ -30,18 +30,19 @@ let run_with ~alloc workload =
   in
   Uknetstack.Stack.start cstack;
   let r =
-    Ukapps.Resp_bench.run ~clock ~sched ~stack:cstack ~server:(A.Ipv4.of_string "172.44.0.2", 6379)
-      ~connections:30 ~pipeline:16 ~requests:20_000 workload
+    Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:cstack
+      ~server:(A.Ipv4.of_string "172.44.0.2", 6379) ~connections:30 ~pipeline:16
+      ~requests:20_000 (Ukapps.Resp_store.client workload)
   in
-  (r.Ukapps.Resp_bench.rate_per_sec, Ukapps.Resp_store.stats server)
+  (r.Ukapps.Load.rate_per_sec, Ukapps.Resp_store.stats server)
 
 let () =
   Format.printf "redis-benchmark: 30 connections, pipeline 16, 20k requests@.@.";
   Format.printf "%-12s %14s %14s@." "allocator" "GET (req/s)" "SET (req/s)";
   List.iter
     (fun alloc ->
-      let get, _ = run_with ~alloc Ukapps.Resp_bench.Get in
-      let set, st = run_with ~alloc Ukapps.Resp_bench.Set in
+      let get, _ = run_with ~alloc Ukapps.Resp_store.Get in
+      let set, st = run_with ~alloc Ukapps.Resp_store.Set in
       ignore st;
       Format.printf "%-12s %14.0f %14.0f@." (Cfg.alloc_backend_name alloc) get set)
     [ Cfg.Tlsf; Cfg.Mimalloc; Cfg.Tinyalloc; Cfg.Buddy ];

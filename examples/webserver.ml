@@ -57,12 +57,12 @@ let () =
 
   (* Load test: 30 connections fetching the 612-byte page. *)
   let r =
-    Ukapps.Wrk.run ~clock ~sched ~stack:cstack ~server:(A.Ipv4.of_string "172.44.0.2", 80)
-      ~connections:30 ~requests:20_000 ()
+    Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:cstack
+      ~server:(A.Ipv4.of_string "172.44.0.2", 80) ~connections:30 ~requests:20_000
+      (Ukapps.Httpd.client ())
   in
   Format.printf "wrk: %.0f req/s, mean latency %.1f us, p99 %.1f us, errors %d@."
-    r.Ukapps.Wrk.rate_per_sec r.Ukapps.Wrk.latency_us_mean r.Ukapps.Wrk.latency_us_p99
-    r.Ukapps.Wrk.errors;
+    r.Ukapps.Load.rate_per_sec r.Ukapps.Load.mean_us r.Ukapps.Load.p99_us r.Ukapps.Load.errors;
   let hs = Ukapps.Httpd.stats httpd in
   Format.printf "server: %d requests, %d x 404, %a sent@." hs.Ukapps.Httpd.requests
     hs.Ukapps.Httpd.errors_404 Uksim.Units.pp_bytes hs.Ukapps.Httpd.bytes_sent;

@@ -191,19 +191,21 @@ let clock_of t core = Uksmp.Smp.clock_of t.smp ~core
 let sched_of t core = Uksmp.Smp.sched_of t.smp ~core
 
 (* Spawn one client group per client core, each steered at its server
-   core, then drive the whole SMP domain to completion. Returns the
-   measurement start. *)
-let drive t ~port ~per_core spawn =
-  let ports = steered_ports t ~dport:port ~per_core in
+   core, then drive the whole SMP domain to completion. *)
+let run_load t ~transport ~port ~connections_per_core ~requests_per_core ?pipeline proto =
+  let agg = Load.new_agg () in
+  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
   for j = 0 to t.n - 1 do
     let core = t.n + j in
-    spawn ~clock:(clock_of t core) ~sched:(sched_of t core) ~stack:t.client_stacks.(j)
-      ~server:(server_ip, port)
+    Load.spawn ~transport ~clock:(clock_of t core) ~sched:(sched_of t core)
+      ~stack:t.client_stacks.(j) ~server:(server_ip, port) ~connections:connections_per_core
+      ~requests:requests_per_core ?pipeline
       ~port_for:(fun ci -> Some ports.(j).(ci))
+      ~agg proto
   done;
   let start = t_start t in
   Uksmp.Smp.run t.smp;
-  start
+  Load.result_of_agg agg ~t_start:start
 
 (* --- httpd ---------------------------------------------------------------- *)
 
@@ -211,21 +213,6 @@ let add_httpd t ~transport ?(port = 80) content =
   Array.init t.n (fun i ->
       Httpd.serve ~transport ~clock:(clock_of t i) ~sched:(sched_of t i)
         ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i content)
-
-let run_httpd_load t ~transport ?(port = 80) ?(connections_per_core = 8)
-    ?(requests_per_core = 4000) ?path ?pipeline () =
-  let agg = Wrk.new_agg () in
-  let start =
-    drive t ~port ~per_core:connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
-        let connections = connections_per_core and requests = requests_per_core in
-        match transport with
-        | Serve.Socket ->
-            Wrk.spawn ~clock ~sched ~stack ~server ~connections ~requests ?path ~port_for ~agg ()
-        | Serve.Netbuf _ ->
-            Wrk.spawn_fast ~clock ~sched ~stack ~server ~connections ~requests ?path ?pipeline
-              ~port_for ~agg ())
-  in
-  Wrk.result_of_agg agg ~t_start:start
 
 (* --- RESP store ----------------------------------------------------------- *)
 
@@ -240,37 +227,15 @@ let add_resp t ~transport ?(port = 6379) ?(populate = 0) () =
         if !first = None then first := Some w;
         w)
   in
-  (* Pre-populate the shared database (key pattern matches Resp_bench's)
-     through worker 0 so GET workloads measure hits. *)
+  (* Pre-populate the shared database (key pattern matches
+     Resp_store.client's) through worker 0 so GET workloads measure
+     hits. *)
   for k = 0 to populate - 1 do
     ignore (Resp_store.execute workers.(0) [ "SET"; Printf.sprintf "key:%06d" k; "xxx" ])
   done;
   workers
 
-let run_resp_load t ~transport ?(port = 6379) ?(connections_per_core = 8) ?(pipeline = 16)
-    ?(requests_per_core = 10_000) workload =
-  let agg = Resp_bench.new_agg () in
-  let spawn =
-    match transport with Serve.Socket -> Resp_bench.spawn | Serve.Netbuf _ -> Resp_bench.spawn_fast
-  in
-  let start =
-    drive t ~port ~per_core:connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
-        spawn ~clock ~sched ~stack ~server ~connections:connections_per_core ~pipeline
-          ~requests:requests_per_core ~port_for ~agg workload)
-  in
-  Resp_bench.result_of_agg agg ~t_start:start
-
 (* --- line-protocol servers (inference, merkle store) ---------------------- *)
-
-let run_line_load t ~transport ~port ~connections_per_core ~requests_per_core ?pipeline proto =
-  let agg = Line_client.new_agg () in
-  let start =
-    drive t ~port ~per_core:connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
-        Line_client.spawn ~transport ~clock ~sched ~stack ~server
-          ~connections:connections_per_core ?pipeline ~requests:requests_per_core ~port_for
-          ~agg proto)
-  in
-  Line_client.result_of_agg agg ~t_start:start
 
 (* Per-core model serving: each server core gets its own virtio-blk
    store, weight file, vfs mount and admission queue (the replicated-
@@ -296,11 +261,6 @@ let add_infer t ~transport ?(port = 8000) ?(size_mb = 4) ?max_batch ?max_wait_ns
       Infer.serve ~transport ~clock ~engine ~sched:(sched_of t i) ~stack:t.server_stacks.(i)
         ~alloc:t.allocs.(i) ~port ~core:i ?max_batch ?max_wait_ns ~model ())
 
-let run_infer_load t ~transport ?(port = 8000) ?(connections_per_core = 8)
-    ?(requests_per_core = 4000) ?pipeline ?width () =
-  run_line_load t ~transport ~port ~connections_per_core ~requests_per_core ?pipeline
-    (Infer.client ?width ())
-
 (* Per-core store serving: each server core owns a virtio-blk device
    formatted as a ukstore, pre-populated and committed before the load
    starts (the fleet image's disk prep, replicated per core). *)
@@ -321,8 +281,3 @@ let add_store t ~transport ?(port = 7000) ?(keys = 256) ?(journal_sectors = 512)
       in
       Store.populate srv keys;
       srv)
-
-let run_store_load t ~transport ?(port = 7000) ?(connections_per_core = 8)
-    ?(requests_per_core = 4000) ?pipeline ?write_frac ?keyspace ?commit_every ?seed () =
-  run_line_load t ~transport ~port ~connections_per_core ~requests_per_core ?pipeline
-    (Store.client ?write_frac ?keyspace ?commit_every ?seed ())

@@ -56,47 +56,34 @@ val elapsed_ns : t -> float
 (** {1 Serving}
 
     Every app is added and driven over a {!Serve.transport}: [Socket]
-    pairs the socket/copy servers with the legacy clients, [Netbuf _]
+    pairs the socket/copy servers with the socket clients, [Netbuf _]
     pairs the zero-copy servers with the netbuf clients ([Netbuf
     {rtc = false}] ablates run-to-completion on the server side). *)
+
+val run_load :
+  t ->
+  transport:Serve.transport ->
+  port:int ->
+  connections_per_core:int ->
+  requests_per_core:int ->
+  ?pipeline:int ->
+  Load.proto ->
+  Load.result
+(** Spawn one {!Load} client group per client core, each steered at its
+    server core, and drive the whole SMP domain to completion. Weak
+    scaling: the per-core load is fixed, so ideal scaling keeps elapsed
+    flat while total throughput grows with [n]. [pipeline] defaults to
+    1. *)
 
 val add_httpd :
   t -> transport:Serve.transport -> ?port:int -> Httpd.content -> Httpd.t array
 (** One {!Httpd.serve} worker per server core (port defaults to 80). *)
 
-val run_httpd_load :
-  t ->
-  transport:Serve.transport ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?requests_per_core:int ->
-  ?path:string ->
-  ?pipeline:int ->
-  unit ->
-  Wrk.result
-(** Spawn one wrk client group per client core (defaults: 8 connections,
-    4000 requests per core) and drive the whole SMP domain to completion.
-    Weak scaling: the per-core load is fixed, so ideal scaling keeps
-    elapsed flat while total throughput grows with [n]. [pipeline]
-    (default 16) applies to the netbuf client only; the socket client is
-    serial per connection. *)
-
 val add_resp :
   t -> transport:Serve.transport -> ?port:int -> ?populate:int -> unit -> Resp_store.t array
 (** One worker per server core sharing a single database (port defaults to
-    6379); [populate] pre-loads that many keys in Resp_bench's key pattern
-    so GET workloads measure hits. *)
-
-val run_resp_load :
-  t ->
-  transport:Serve.transport ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?pipeline:int ->
-  ?requests_per_core:int ->
-  Resp_bench.workload ->
-  Resp_bench.result
-(** Defaults: 8 connections, pipeline 16, 10k requests per core. *)
+    6379); [populate] pre-loads that many keys in {!Resp_store.client}'s
+    key pattern so GET workloads measure hits. *)
 
 val add_infer :
   t ->
@@ -112,19 +99,6 @@ val add_infer :
     [size_mb] (default 4) MiB, vfs mount at [/models] and boot-time weight
     load — the replicated-image deployment, no cross-core sharing. *)
 
-val run_infer_load :
-  t ->
-  transport:Serve.transport ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?requests_per_core:int ->
-  ?pipeline:int ->
-  ?width:int ->
-  unit ->
-  Line_client.result
-(** {!Line_client} over {!Infer.client}. Defaults: 8 connections, 4000
-    requests per core. *)
-
 val add_store :
   t ->
   transport:Serve.transport ->
@@ -139,21 +113,3 @@ val add_store :
     ukstore, pre-populated with [keys] (default 256) committed entries —
     the replicated stateful-image deployment. [commit_every] arms the
     server-side auto-commit (default: explicit COMMITs only). *)
-
-val run_store_load :
-  t ->
-  transport:Serve.transport ->
-  ?port:int ->
-  ?connections_per_core:int ->
-  ?requests_per_core:int ->
-  ?pipeline:int ->
-  ?write_frac:float ->
-  ?keyspace:int ->
-  ?commit_every:int ->
-  ?seed:int ->
-  unit ->
-  Line_client.result
-(** {!Line_client} over {!Store.client}: a seeded SET/GET mix against the
-    store tier; [write_frac] (default 0.5) of requests mutate, every
-    [commit_every]th request (client-side, default off) is a COMMIT
-    barrier. *)

@@ -179,3 +179,74 @@ let sum_stats ts =
         bytes_sent = acc.bytes_sent + t.st.bytes_sent;
       })
     zero_stats ts
+
+(* --- load client ------------------------------------------------------------ *)
+
+(* [Some v] for a Content-Length header line, where [v] is [None] unless
+   the value is a decimal length that fits an int. *)
+let content_length line =
+  match String.index_opt line ':' with
+  | Some i when String.lowercase_ascii (String.trim (String.sub line 0 i)) = "content-length" ->
+      let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
+      Some
+        (if v <> "" && String.for_all (fun c -> c >= '0' && c <= '9') v then int_of_string_opt v
+         else None)
+  | Some _ | None -> None
+
+(* The status line, then the headers (only Content-Length matters), then
+   the body. The state carries across feeds, so any segmentation yields
+   the same replies. *)
+let scanner () : Load.scanner =
+  let line = Buffer.create 64 in
+  let in_head = ref false (* the status line is read *) and ok = ref false in
+  let length = ref 0 and skip = ref 0 and broken = ref false in
+  let complete on_reply =
+    in_head := false;
+    length := 0;
+    on_reply (if !ok then `Ok else `Err)
+  in
+  fun buf off len ~on_reply ->
+    let i = ref off and limit = off + len in
+    while (not !broken) && !i < limit do
+      if !skip > 0 then begin
+        let n = min !skip (limit - !i) in
+        skip := !skip - n;
+        i := !i + n;
+        if !skip = 0 then complete on_reply
+      end
+      else begin
+        let c = Bytes.get buf !i in
+        incr i;
+        Buffer.add_char line c;
+        let l = Buffer.length line in
+        if c = '\n' && l >= 2 && Buffer.nth line (l - 2) = '\r' then begin
+          let s = Buffer.sub line 0 (l - 2) in
+          Buffer.clear line;
+          if not !in_head then begin
+            in_head := true;
+            ok := String.length s >= 12 && String.sub s 9 3 = "200"
+          end
+          else if s = "" then (if !length = 0 then complete on_reply else skip := !length)
+          else
+            match content_length s with
+            | Some (Some n) -> length := n
+            | Some None ->
+                broken := true;
+                on_reply `Err
+            | None -> ()
+        end
+      end
+    done;
+    not !broken
+
+let client ?(path = "/index.html") () =
+  let request = Printf.sprintf "GET %s HTTP/1.1\r\nHost: bench\r\n\r\n" path in
+  {
+    Load.name = "http";
+    requests = (fun ~conn:_ ~first:_ _ -> request);
+    (* wrk formats each request and validates each response; the netbuf
+       client replays the request bytes and scans replies in place. *)
+    socket = { request = 150; reply = 0 };
+    netbuf = { request = 60; reply = 0 };
+    scanner;
+  }

@@ -59,3 +59,12 @@ val stats : t -> stats
 
 val sum_stats : t list -> stats
 (** Aggregate over SMP workers. *)
+
+(** {1 Load generation} *)
+
+val client : ?path:string -> unit -> Load.proto
+(** wrk (paper Fig 13: 30 connections, the static 612 B page): keep-alive
+    GETs of [path] (default ["/index.html"]). Replies are scanned
+    incrementally (status line, Content-Length, body); a status other
+    than 200 is an error, and a Content-Length that is negative, not
+    decimal or too large ends the connection with one error. *)

@@ -301,8 +301,5 @@ let create = serve ~transport:Serve.Socket
 let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 let client ?(width = 16) () =
-  {
-    Line_client.name = "infer";
-    reply_len;
-    requests = (fun ci j -> request ~rid:((ci lsl 20) lor j) ~width);
-  }
+  Load.fixed ~name:"infer" ~reply_len (fun ~conn ~first:_ j ->
+      request ~rid:((conn lsl 20) lor j) ~width)

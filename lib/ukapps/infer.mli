@@ -134,11 +134,11 @@ val request : rid:int -> width:int -> string
 (** Wire format of one request line. *)
 
 val reply_len : int
-(** Every reply is exactly this many bytes ({!Line_client} counts reply
+(** Every reply is exactly this many bytes ({!Load} counts reply
     boundaries by arithmetic, immune to netbuf splits). *)
 
 (** {1 Load generation} *)
 
-val client : ?width:int -> unit -> Line_client.proto
-(** Request stream for {!Line_client}: connection [ci]'s [j]th request
-    has id [(ci lsl 20) lor j] and token width [width] (default 16). *)
+val client : ?width:int -> unit -> Load.proto
+(** Connection [ci]'s [j]th request has id [(ci lsl 20) lor j] and token
+    width [width] (default 16). *)

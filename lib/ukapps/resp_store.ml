@@ -340,3 +340,62 @@ let sum_stats ts =
     { commands = 0; hits = 0; misses = 0 }
     ts
 let dbsize t = Hashtbl.length t.table
+
+(* --- load client ------------------------------------------------------------ *)
+
+type workload = Get | Set
+
+(* Counts complete replies without materializing values. The state is
+   tiny (bulk-body bytes still to skip, plus the current header line), so
+   replies can be counted directly in the driver's ring buffer. Only the
+   reply shapes the hot commands produce (simple/error/integer/bulk/null)
+   are recognized; the client never issues array-valued commands. *)
+let rscan () : Load.scanner =
+  let skip = ref 0 and line = Buffer.create 16 in
+  fun buf off len ~on_reply ->
+    let i = ref off and limit = off + len in
+    while !i < limit do
+      if !skip > 0 then begin
+        let n = min !skip (limit - !i) in
+        skip := !skip - n;
+        i := !i + n;
+        if !skip = 0 then on_reply `Ok
+      end
+      else begin
+        let c = Bytes.get buf !i in
+        Buffer.add_char line c;
+        i := !i + 1;
+        let l = Buffer.length line in
+        if l >= 2 && c = '\n' && Buffer.nth line (l - 2) = '\r' then begin
+          let s = Buffer.contents line in
+          Buffer.clear line;
+          match s.[0] with
+          | '-' -> on_reply `Err
+          | '$' -> (
+              match int_of_string_opt (String.sub s 1 (String.length s - 3)) with
+              | Some n when n >= 0 -> skip := n + 2 (* body + CRLF *)
+              | Some _ | None -> on_reply `Ok (* $-1 null *))
+          | _ -> on_reply `Ok
+        end
+      end
+    done;
+    true
+
+let client ?(value_size = 3) workload =
+  let value = String.make value_size 'x' in
+  let command n =
+    let key = Printf.sprintf "key:%06d" (n land 0xfff) in
+    match workload with
+    | Get -> Resp.encode_command [ "GET"; key ]
+    | Set -> Resp.encode_command [ "SET"; key; value ]
+  in
+  {
+    Load.name = "resp";
+    requests = (fun ~conn:_ ~first j -> command (first + j));
+    (* redis-benchmark runs on its own pinned core in the paper, so its
+       costs only matter for pipelining depth; the netbuf client formats
+       straight into pool netbufs and scans replies in place. *)
+    socket = { request = 120; reply = 120 };
+    netbuf = { request = 40; reply = 40 };
+    scanner = rscan;
+  }

@@ -71,3 +71,17 @@ val state_hash : t -> int
 val execute : t -> string list -> Resp.value
 (** Run one command directly (bypassing the network) — used by unit
     tests. *)
+
+(** {1 Load generation} *)
+
+type workload = Get | Set
+(** GET hits pre-populated keys; SET writes fresh values (exercising the
+    server allocator differently — Fig 18's request-type axis). *)
+
+val client : ?value_size:int -> workload -> Load.proto
+(** redis-benchmark (paper Figs 12, 18: 30 connections, 100k requests,
+    pipelining 16). The load's [n]th request uses key
+    [key:%06d] of [n land 0xfff], so populating 4096 keys makes every
+    GET a hit; SET values are [value_size] (default 3) bytes. Replies are
+    counted by an incremental boundary scanner without materializing
+    values; [-ERR] replies are errors. *)

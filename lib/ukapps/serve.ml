@@ -15,7 +15,12 @@ type sink =
 let write sink s =
   match sink with Sock { out; _ } -> Buffer.add_string out s | Nbuf w -> Nbio.add w s
 
-let send ~block = function
+let sink transport ~clock ~stack flow =
+  match transport with
+  | Socket -> Sock { stack; flow; out = Buffer.create 1024 }
+  | Netbuf _ -> Nbuf (Nbio.writer ~clock ~stack ~flow)
+
+let push ~block = function
   | Sock { stack; flow; out } ->
       if Buffer.length out > 0 then begin
         let data = Buffer.to_bytes out in
@@ -24,7 +29,8 @@ let send ~block = function
       end
   | Nbuf w -> Nbio.flush w
 
-let flush = send ~block:false
+let send = push ~block:true
+let flush = push ~block:false
 
 type 'req frame = Frame of 'req * int | Partial | Bad of string
 
@@ -70,15 +76,14 @@ let drain ~frame ~handle c =
       end;
       true
 
-let socket_conn ~stack ~frame ~handle flow =
-  let c = conn (Sock { stack; flow; out = Buffer.create 1024 }) in
+let socket_conn ~stack ~frame ~handle c flow =
   let rec serve () =
     match S.Tcp_socket.recv ~block:true stack flow ~max:16384 with
     | None -> S.Tcp_socket.close stack flow
     | Some data ->
         Buffer.add_bytes c.acc data;
         let ok = drain ~frame ~handle c in
-        send ~block:true c.sink;
+        send c.sink;
         if ok then serve () else S.Tcp_socket.close stack flow
   in
   serve ()
@@ -127,7 +132,8 @@ let start transport ~name ~clock ~sched ~stack ~port ~frame ~handle =
              let rec loop () =
                (match S.Tcp_socket.accept ~block:true l with
                | Some flow ->
-                   ignore (spawn "-conn" (fun () -> socket_conn ~stack ~frame ~handle flow))
+                   let c = conn (sink transport ~clock ~stack flow) in
+                   ignore (spawn "-conn" (fun () -> socket_conn ~stack ~frame ~handle c flow))
                | None -> ());
                loop ()
              in
@@ -158,6 +164,6 @@ let start transport ~name ~clock ~sched ~stack ~port ~frame ~handle =
       S.Tcp_socket.set_fast_accept l
         (Some
            (fun flow ->
-             let c = conn (Nbuf (Nbio.writer ~clock ~stack ~flow)) in
+             let c = conn (sink transport ~clock ~stack flow) in
              Tcp.set_rx_sink flow
                (Some (fun nb -> dispatch (fun () -> netbuf_data ~stack ~frame ~handle c flow nb)))))

@@ -28,11 +28,26 @@ type transport =
           chunk through one pinned worker thread. *)
 
 type sink
-(** A connection's reply channel. *)
+(** A connection's outgoing channel: replies on a server, requests on a
+    client ({!Load}). *)
+
+val sink :
+  transport ->
+  clock:Uksim.Clock.t ->
+  stack:Uknetstack.Stack.t ->
+  Uknetstack.Stack.Tcp_socket.flow ->
+  sink
+(** [flow]'s channel on [transport]: a [Buffer] sent with one
+    {!Uknetstack.Stack.Tcp_socket.send} on [Socket], an {!Nbio} writer on
+    [Netbuf]. *)
 
 val write : sink -> string -> unit
 (** Queue reply bytes (on the netbuf path they are written straight into
     pool netbufs, charged as one memcpy). *)
+
+val send : sink -> unit
+(** Send what is queued now, blocking for socket buffer space on the
+    socket path: thread context only. *)
 
 val flush : sink -> unit
 (** Send what is queued now, without blocking — safe from engine context

@@ -4,7 +4,7 @@
    acknowledged COMMIT on the next boot.
 
    Wire protocol (one request per line, fixed 20-byte replies so
-   {!Line_client} counts boundaries by byte arithmetic, split-proof like
+   {!Load} counts boundaries by byte arithmetic, split-proof like
    Infer's):
 
      SET <key> <value>      -> "OK <root16>\n"     new working-root hash
@@ -163,11 +163,6 @@ let op_line rng ~ci ~j ~write_frac ~keyspace ~commit_every =
   end
 
 let client ?(write_frac = 0.5) ?(keyspace = 512) ?(commit_every = 0) ?(seed = 0x57012E) () =
-  {
-    Line_client.name = "store";
-    reply_len;
-    requests =
-      (fun ci ->
-        let rng = Uksim.Rng.create (seed + ci) in
-        fun j -> op_line rng ~ci ~j ~write_frac ~keyspace ~commit_every);
-  }
+  Load.fixed ~name:"store" ~reply_len (fun ~conn:ci ~first:_ ->
+      let rng = Uksim.Rng.create (seed + ci) in
+      fun j -> op_line rng ~ci ~j ~write_frac ~keyspace ~commit_every)

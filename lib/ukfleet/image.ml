@@ -196,32 +196,22 @@ let measure_service img rig =
     ( A.Ipv4.of_string "10.99.0.1",
       match img.app with Httpd -> 80 | Resp -> 6379 | Store -> 7000 | Infer _ -> 8000 )
   in
-  let line proto =
-    let r =
-      Ukapps.Line_client.run ~transport:Ukapps.Serve.Socket ~clock:rig.clock ~sched:rig.sched
-        ~stack:client ~server ~connections:1 ~pipeline:1 ~requests:calib_requests proto
-    in
-    r.Ukapps.Line_client.elapsed_ns /. float_of_int r.Ukapps.Line_client.requests
+  let proto =
+    match img.app with
+    | Httpd -> Ukapps.Httpd.client ()
+    | Resp -> Ukapps.Resp_store.client Ukapps.Resp_store.Set
+    | Store ->
+        (* The calibration mix is the benchmark default (half mutations,
+           periodic COMMIT) so service_ns amortizes journal fsyncs the way
+           steady-state traffic does. *)
+        Ukapps.Store.client ~commit_every:32 ()
+    | Infer _ -> Ukapps.Infer.client ()
   in
-  match img.app with
-  | Httpd ->
-      let r =
-        Ukapps.Wrk.run ~clock:rig.clock ~sched:rig.sched ~stack:client ~server ~connections:1
-          ~requests:calib_requests ()
-      in
-      r.Ukapps.Wrk.elapsed_ns /. float_of_int r.Ukapps.Wrk.requests
-  | Resp ->
-      let r =
-        Ukapps.Resp_bench.run ~clock:rig.clock ~sched:rig.sched ~stack:client ~server
-          ~connections:1 ~pipeline:1 ~requests:calib_requests Ukapps.Resp_bench.Set
-      in
-      r.Ukapps.Resp_bench.elapsed_ns /. float_of_int r.Ukapps.Resp_bench.requests
-  | Store ->
-      (* The calibration mix is the benchmark default (half mutations,
-         periodic COMMIT) so service_ns amortizes journal fsyncs the way
-         steady-state traffic does. *)
-      line (Ukapps.Store.client ~commit_every:32 ())
-  | Infer _ -> line (Ukapps.Infer.client ())
+  let r =
+    Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock:rig.clock ~sched:rig.sched
+      ~stack:client ~server ~connections:1 ~requests:calib_requests proto
+  in
+  r.Ukapps.Load.elapsed_ns /. float_of_int r.Ukapps.Load.requests
 
 let cache : (string * string, calib) Hashtbl.t = Hashtbl.create 8
 

@@ -722,16 +722,19 @@ let to_list t =
           | Tree.Node _ | Tree.Commit _ -> raise (Err Ukvfs.Fs.Eio))
         (Tree.to_list t.src t.root))
 
+(* Every commit record goes through here. A full journal ring (or data
+   area) is checkpointed, which frees the ring, and the commit is retried
+   once. *)
+let commit_retrying t ~parents ~msg =
+  try commit_with t ~parents ~msg
+  with Err Ukvfs.Fs.Enospc ->
+    checkpoint_exn t;
+    commit_with t ~parents ~msg
+
 let commit t ?(msg = "") () =
   guard (fun () ->
       if t.head <> null && not (dirty t) then t.head
-      else
-        try commit_with t ~parents:(if t.head = null then [] else [ t.head ]) ~msg
-        with Err Ukvfs.Fs.Enospc ->
-          (* Journal ring or data area full: checkpoint frees the ring
-             and retry once. *)
-          checkpoint_exn t;
-          commit_with t ~parents:(if t.head = null then [] else [ t.head ]) ~msg)
+      else commit_retrying t ~parents:(if t.head = null then [] else [ t.head ]) ~msg)
 
 let checkout t h =
   guard (fun () ->
@@ -827,6 +830,7 @@ let merge t other ?(msg = "merge") () =
         in
         let omap = map_of t (commit_of t ours).Tree.root in
         let tmap = map_of t (commit_of t other).Tree.root in
+        let root0 = t.root in
         let keys = Hashtbl.create 64 in
         Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) bmap;
         Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) omap;
@@ -856,7 +860,14 @@ let merge t other ?(msg = "merge") () =
               | Some vh -> t.root <- Tree.set t.src t.root k vh
               | None -> t.root <- Tree.remove t.src t.root k)
           sorted;
-        let ch = commit_with t ~parents:[ ours; other ] ~msg in
+        let ch =
+          (* A failed merge leaves the store as it found it (clean), so
+             it can be retried. *)
+          try commit_retrying t ~parents:[ ours; other ] ~msg
+          with e ->
+            t.root <- root0;
+            raise e
+        in
         t.st <- { t.st with merges = t.st.merges + 1; conflicts = t.st.conflicts + !conflicts };
         g.g_merges <- g.g_merges + 1;
         g.g_conflicts <- g.g_conflicts + !conflicts;

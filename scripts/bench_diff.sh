@@ -5,22 +5,30 @@
 # wall-clock "seconds" lines every number is exact: any moved line is a
 # real change. Prints the moved lines per group and exits 1 on drift.
 #
+# Usage: scripts/bench_diff.sh [DIR]. With DIR, diff the BENCH files of a
+# fast-mode run already made there instead of running the bench.
+#
 # To accept a deliberate change, regenerate the baseline in the same
 # commit:  (cd bench/baseline && UKRAFT_FAST=1 ../../_build/default/bench/main.exe)
 set -eu
 cd "$(dirname "$0")/.."
 root=$(pwd)
 
-dune build bench/main.exe
-out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+if [ $# -ge 1 ]; then
+  out=$(cd "$1" && pwd)
+else
+  out=$tmp
+  dune build bench/main.exe
+  if ! (cd "$out" && UKRAFT_FAST=1 "$root/_build/default/bench/main.exe" >run.log 2>&1); then
+    tail -20 "$out/run.log"
+    echo "FAIL: fast-mode bench run exited non-zero"
+    exit 1
+  fi
+fi
 
 echo "== bench diff (fast mode vs bench/baseline) =="
-if ! (cd "$out" && UKRAFT_FAST=1 "$root/_build/default/bench/main.exe" >run.log 2>&1); then
-  tail -20 "$out/run.log"
-  echo "FAIL: fast-mode bench run exited non-zero"
-  exit 1
-fi
 
 drift=0
 for cur in "$out"/BENCH_*.json; do
@@ -39,9 +47,9 @@ for base in bench/baseline/BENCH_*.json; do
     drift=1
     continue
   fi
-  grep -v '"seconds":' "$base" >"$out/base.txt"
-  grep -v '"seconds":' "$out/$f" >"$out/cur.txt"
-  moved=$(diff "$out/base.txt" "$out/cur.txt" | grep '^[<>]' || true)
+  grep -v '"seconds":' "$base" >"$tmp/base.txt"
+  grep -v '"seconds":' "$out/$f" >"$tmp/cur.txt"
+  moved=$(diff "$tmp/base.txt" "$tmp/cur.txt" | grep '^[<>]' || true)
   if [ -z "$moved" ]; then
     echo "$group: 0 moved lines"
   else

@@ -259,36 +259,93 @@ let equivalence_prop =
       && Tcp.state_hash ra.client = Tcp.state_hash rb.client
       && Tcp.state_hash ra.server = Tcp.state_hash rb.server)
 
-(* --- reply scanners vs netbuf boundaries ----------------------------------- *)
+(* --- the load client's reply scanners --------------------------------------- *)
 
-(* The fast clients' reply counters must not care how the byte stream is
-   segmented (netbufs split wherever TCP felt like it). The RESP scanner
-   carries persistent state across feeds; this regression replays the
-   same reply stream under every pathological segmentation. *)
-let test_rscan_split_safe () =
-  let stream =
-    "+OK\r\n$3\r\nxxx\r\n-ERR nope\r\n$-1\r\n:42\r\n$10\r\nabcde\r\nfgh\r\n+PONG\r\n"
-  in
-  let count segments =
-    let sc = Ukapps.Resp_bench.rscan_create () in
-    let ok = ref 0 and err = ref 0 in
-    List.iter
+(* Every protocol's scanner with a reply stream and the (ok, err) replies
+   it holds. Scanners must not care how the stream is segmented (netbufs
+   split wherever TCP felt like it): their state carries across feeds. *)
+let scanners =
+  let store_ok = Printf.sprintf "OK %016x\n" 0xabc and store_er = Printf.sprintf "ER %016x\n" 0 in
+  [
+    ( "http",
+      (Ukapps.Httpd.client ()).Ukapps.Load.scanner,
+      "HTTP/1.1 200 OK\r\nServer: ukraft\r\nContent-Length: 6\r\n\r\nab\r\n\r\n"
+      ^ "HTTP/1.1 404 Not Found\r\ncontent-length:  9 \r\n\r\nnot found"
+      ^ "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+      (2, 1) );
+    ( "resp",
+      (Ukapps.Resp_store.client Ukapps.Resp_store.Get).Ukapps.Load.scanner,
+      "+OK\r\n$3\r\nxxx\r\n-ERR nope\r\n$-1\r\n:42\r\n$10\r\nabcde\r\nfgh\r\n+PONG\r\n",
+      (6, 1) );
+    ( "fixed", (Ukapps.Store.client ()).Ukapps.Load.scanner, store_ok ^ store_er ^ store_ok, (2, 1) );
+  ]
+
+(* Feed [segments] in order, each from the middle of a padded buffer;
+   the replies counted and whether the stream is still framed. *)
+let scan_count scanner segments =
+  let scan = scanner () in
+  let ok = ref 0 and err = ref 0 in
+  let framed =
+    List.for_all
       (fun s ->
-        Ukapps.Resp_bench.rscan_feed sc (Bytes.of_string s) 0 (String.length s)
-          ~on_reply:(function `Ok -> incr ok | `Err -> incr err))
-      segments;
-    (!ok, !err)
+        scan (Bytes.of_string ("##" ^ s ^ "##")) 2 (String.length s) ~on_reply:(function
+          | `Ok -> incr ok
+          | `Err -> incr err))
+      segments
   in
-  let whole = count [ stream ] in
-  Alcotest.(check (pair int int)) "whole stream: 6 ok + 1 err" (6, 1) whole;
-  let bytes = List.init (String.length stream) (fun i -> String.sub stream i 1) in
-  Alcotest.(check (pair int int)) "byte at a time" whole (count bytes);
-  for cut = 1 to String.length stream - 1 do
-    let segs = [ String.sub stream 0 cut;
-                 String.sub stream cut (String.length stream - cut) ] in
-    if count segs <> whole then
-      Alcotest.failf "split at byte %d miscounts replies" cut
-  done
+  ((!ok, !err), framed)
+
+let test_scanners_split_safe () =
+  List.iter
+    (fun (name, scanner, stream, expect) ->
+      let count segs = fst (scan_count scanner segs) in
+      Alcotest.(check (pair int int)) (name ^ ": whole stream") expect (count [ stream ]);
+      Alcotest.(check (pair int int)) (name ^ ": byte at a time") expect
+        (count (List.init (String.length stream) (fun i -> String.sub stream i 1)));
+      for cut = 1 to String.length stream - 1 do
+        let segs = [ String.sub stream 0 cut; String.sub stream cut (String.length stream - cut) ] in
+        if count segs <> expect then Alcotest.failf "%s: split at byte %d miscounts replies" name cut
+      done)
+    scanners
+
+(* On arbitrary bytes (drawn mostly from the protocols' own tokens) a
+   scanner never raises and reports at most one reply per CRLF-terminated
+   line, or per whole fixed-size reply. *)
+let scanners_total_prop =
+  let token =
+    QCheck.Gen.(
+      oneof
+        [ oneofl [ "\r\n"; "\r"; "\n"; "$"; "-"; "+OK"; ":"; "5"; "-1000"; "E"; "OK ";
+                   "HTTP/1.1 200 OK"; "HTTP/1.1 404 x"; "Content-Length: "; "99999999999999999999" ];
+          map (String.make 1) char ])
+  in
+  let stream = QCheck.Gen.(map (String.concat "") (list_size (int_range 0 60) token)) in
+  QCheck.Test.make ~name:"reply scanners are total on arbitrary bytes" ~count:500
+    QCheck.(pair (make ~print:(Printf.sprintf "%S") stream) small_nat)
+    (fun (s, cut) ->
+      let cut = cut mod (String.length s + 1) in
+      let segs = [ String.sub s 0 cut; String.sub s cut (String.length s - cut) ] in
+      let crlfs = ref 0 in
+      String.iteri (fun i c -> if c = '\n' && i > 0 && s.[i - 1] = '\r' then incr crlfs) s;
+      List.for_all
+        (fun (name, scanner, _, _) ->
+          let (ok, err), _ = scan_count scanner segs in
+          let bound = if name = "fixed" then String.length s / Ukapps.Store.reply_len else !crlfs in
+          ok + err <= bound)
+        scanners)
+
+(* A Content-Length the client cannot use (negative, not decimal, too
+   large for an int) is one error reply, after which the stream is no
+   longer framed. *)
+let test_http_bad_content_length () =
+  List.iter
+    (fun v ->
+      let reply = Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" v in
+      let (ok, err), framed =
+        scan_count (Ukapps.Httpd.client ()).Ukapps.Load.scanner [ reply ^ reply ]
+      in
+      Alcotest.(check (triple int int bool)) ("Content-Length: " ^ v) (0, 1, false) (ok, err, framed))
+    [ "-1000"; "-3"; "12abc"; ""; "0x10"; "99999999999999999999" ]
 
 let test_fast_load_reply_exceeds_mss () =
   (* End-to-end: a reply body well over one MSS arrives as several
@@ -300,11 +357,11 @@ let test_fast_load_reply_exceeds_mss () =
   let c = Cl.create ~seed:11 ~fastpath:Cl.fastpath_default ~n:1 () in
   ignore (Cl.add_httpd c ~transport:netbuf (Ukapps.Httpd.In_memory [ ("/big.html", big) ]));
   let r =
-    Cl.run_httpd_load c ~transport:netbuf ~connections_per_core:2 ~requests_per_core:60
-      ~path:"/big.html" ()
+    Cl.run_load c ~transport:netbuf ~port:80 ~connections_per_core:2 ~requests_per_core:60
+      ~pipeline:16 (Ukapps.Httpd.client ~path:"/big.html" ())
   in
-  Alcotest.(check int) "every reply counted once" 60 r.Ukapps.Wrk.requests;
-  Alcotest.(check int) "no errors" 0 r.Ukapps.Wrk.errors
+  Alcotest.(check int) "every reply counted once" 60 r.Ukapps.Load.requests;
+  Alcotest.(check int) "no errors" 0 r.Ukapps.Load.errors
 
 (* --- qcheck: Nbio writer == legacy copy writer ----------------------------- *)
 
@@ -400,9 +457,10 @@ let test_fast_cluster_replay () =
     ignore (Cl.add_httpd c ~transport:netbuf (Ukapps.Httpd.In_memory
       [ ("/index.html", Ukapps.Httpd.default_page) ]));
     let r =
-      Cl.run_httpd_load c ~transport:netbuf ~connections_per_core:2 ~requests_per_core:200 ()
+      Cl.run_load c ~transport:netbuf ~port:80 ~connections_per_core:2 ~requests_per_core:200
+        ~pipeline:16 (Ukapps.Httpd.client ())
     in
-    (r.Ukapps.Wrk.requests, r.Ukapps.Wrk.errors, Cl.trace_hash c, Cl.elapsed_ns c)
+    (r.Ukapps.Load.requests, r.Ukapps.Load.errors, Cl.trace_hash c, Cl.elapsed_ns c)
   in
   let (req1, err1, hash1, t1) = run () in
   let (req2, err2, hash2, t2) = run () in
@@ -421,11 +479,11 @@ let test_fast_resp_copy_free () =
   let st0 = Ukapps.Resp_store.sum_stats (Array.to_list workers) in
   let copies0 = Nb.total_copies () in
   let r =
-    Cl.run_resp_load c ~transport:netbuf ~connections_per_core:2 ~requests_per_core:200
-      Ukapps.Resp_bench.Get
+    Cl.run_load c ~transport:netbuf ~port:6379 ~connections_per_core:2 ~requests_per_core:200
+      ~pipeline:16 (Ukapps.Resp_store.client Ukapps.Resp_store.Get)
   in
-  Alcotest.(check int) "all replies" 400 r.Ukapps.Resp_bench.requests;
-  Alcotest.(check int) "no errors" 0 r.Ukapps.Resp_bench.errors;
+  Alcotest.(check int) "all replies" 400 r.Ukapps.Load.requests;
+  Alcotest.(check int) "no errors" 0 r.Ukapps.Load.errors;
   let st = Ukapps.Resp_store.sum_stats (Array.to_list workers) in
   Alcotest.(check int) "server executed every command" 400
     (st.Ukapps.Resp_store.commands - st0.Ukapps.Resp_store.commands);
@@ -455,12 +513,12 @@ let seam_rig start =
   let server = mk da "10.8.0.1" 0x81 in
   let client = mk db "10.8.0.2" 0x82 in
   start ~clock ~engine ~sched ~stack:server;
-  (sched, client)
+  (clock, sched, client)
 
 (* Connect to [port], send [segments] as separate sends 50 us apart, and
    read until [complete] holds of the reply bytes or the server closes.
    Returns the reply bytes and whether the server closed. *)
-let seam_exchange (sched, stack) ~port ~complete segments =
+let seam_exchange (_, sched, stack) ~port ~complete segments =
   let got = Buffer.create 256 and closed = ref false in
   ignore
     (Uksched.Sched.spawn sched ~name:"seam-client" (fun () ->
@@ -594,6 +652,52 @@ let test_resp_framing_error_closes () =
       Alcotest.(check bool) (tname ^ ": connection closed") true closed)
     transports
 
+(* A server that hangs up mid-load ends that connection the same way on
+   every transport: RESP answers the malformed 4th request with -ERR and
+   closes, so of the batches [2; 3] and [4; 5] the -ERR and the two
+   requests never answered are the errors, and the run completes. *)
+let test_close_mid_load () =
+  let base = Ukapps.Resp_store.client Ukapps.Resp_store.Get in
+  let proto =
+    { base with
+      Ukapps.Load.requests =
+        (fun ~conn ~first ->
+          let next = base.Ukapps.Load.requests ~conn ~first in
+          fun j -> if j = 3 then "?bad\r\n" else next j) }
+  in
+  List.iter
+    (fun (tname, transport) ->
+      let start ~clock ~engine:_ ~sched ~stack =
+        ignore (Ukapps.Resp_store.serve ~transport ~clock ~sched ~stack ~alloc:(alloc clock) ())
+      in
+      let clock, sched, stack = seam_rig start in
+      let r =
+        Ukapps.Load.run ~transport ~clock ~sched ~stack ~server:(A.Ipv4.of_string "10.8.0.1", 6379)
+          ~connections:1 ~requests:8 ~pipeline:2 proto
+      in
+      Uktrace.Registry.clear ();
+      Alcotest.(check int) (tname ^ ": -ERR plus two unanswered") 3 r.Ukapps.Load.errors)
+    transports
+
+(* End to end, an unusable Content-Length costs one error and ends the
+   connection instead of raising inside the client. *)
+let test_http_bad_length_ends_connection () =
+  List.iter
+    (fun (tname, transport) ->
+      let start ~clock ~engine:_ ~sched ~stack =
+        Ukapps.Serve.start transport ~name:"bad-http" ~clock ~sched ~stack ~port:80
+          ~frame:Ukapps.Serve.line ~handle:(fun sink _ ->
+            Ukapps.Serve.write sink "HTTP/1.1 200 OK\r\nContent-Length: -1000\r\n\r\n")
+      in
+      let clock, sched, stack = seam_rig start in
+      let r =
+        Ukapps.Load.run ~transport ~clock ~sched ~stack ~server:(A.Ipv4.of_string "10.8.0.1", 80)
+          ~connections:1 ~requests:4 (Ukapps.Httpd.client ())
+      in
+      Uktrace.Registry.clear ();
+      Alcotest.(check int) (tname ^ ": one error") 1 r.Ukapps.Load.errors)
+    transports
+
 let suite =
   [
     Alcotest.test_case "netbuf window push/pull/view/reset" `Quick test_window_ops;
@@ -605,8 +709,10 @@ let suite =
     Alcotest.test_case "debug guard: use after give" `Quick test_guard_use_after_give;
     Alcotest.test_case "debug guard: double give" `Quick test_guard_double_give;
     QCheck_alcotest.to_alcotest equivalence_prop;
-    Alcotest.test_case "RESP reply scanner survives any split" `Quick
-      test_rscan_split_safe;
+    Alcotest.test_case "reply scanners survive any split" `Quick test_scanners_split_safe;
+    QCheck_alcotest.to_alcotest scanners_total_prop;
+    Alcotest.test_case "HTTP scanner rejects unusable Content-Length" `Quick
+      test_http_bad_content_length;
     Alcotest.test_case "fast load counts replies larger than one MSS" `Quick
       test_fast_load_reply_exceeds_mss;
     QCheck_alcotest.to_alcotest nbio_equivalence_prop;
@@ -619,4 +725,8 @@ let suite =
       test_transport_equivalence;
     Alcotest.test_case "RESP framing error answers once and closes" `Quick
       test_resp_framing_error_closes;
+    Alcotest.test_case "a server closing mid-load ends the connection" `Quick
+      test_close_mid_load;
+    Alcotest.test_case "unusable Content-Length ends the connection" `Quick
+      test_http_bad_length_ends_connection;
   ]

@@ -225,10 +225,10 @@ let test_lockset_silent_on_cluster_workload () =
     let transport = Ukapps.Serve.Socket in
     ignore (Ukapps.Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
     let r =
-      Ukapps.Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:40
-        ~path:"/x" ()
+      Ukapps.Cluster.run_load c ~transport ~port:80 ~connections_per_core:2 ~requests_per_core:40
+        (Ukapps.Httpd.client ~path:"/x" ())
     in
-    Alcotest.(check int) "no http errors" 0 r.Ukapps.Wrk.errors;
+    Alcotest.(check int) "no http errors" 0 r.Ukapps.Load.errors;
     Option.iter Lockset.detach det;
     (Ukapps.Cluster.trace_hash c, det)
   in

@@ -118,9 +118,10 @@ let test_cluster_determinism () =
     let transport = Ukapps.Serve.Socket in
     ignore (Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "hello") ]));
     let r =
-      Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:60 ~path:"/x" ()
+      Cluster.run_load c ~transport ~port:80 ~connections_per_core:2 ~requests_per_core:60
+        (Ukapps.Httpd.client ~path:"/x" ())
     in
-    (Cluster.trace_hash c, r.Ukapps.Wrk.rate_per_sec, r.Ukapps.Wrk.errors)
+    (Cluster.trace_hash c, r.Ukapps.Load.rate_per_sec, r.Ukapps.Load.errors)
   in
   let h1, r1, e1 = go () and h2, r2, e2 = go () in
   Alcotest.(check int) "cluster trace hash" h1 h2;
@@ -191,9 +192,10 @@ let test_cluster_rss_distribution () =
   let transport = Ukapps.Serve.Socket in
   ignore (Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
   let r =
-    Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:40 ~path:"/x" ()
+    Cluster.run_load c ~transport ~port:80 ~connections_per_core:2 ~requests_per_core:40
+      (Ukapps.Httpd.client ~path:"/x" ())
   in
-  Alcotest.(check int) "no errors" 0 r.Ukapps.Wrk.errors;
+  Alcotest.(check int) "no errors" 0 r.Ukapps.Load.errors;
   for i = 0 to 3 do
     let st = Uknetstack.Stack.stats (Cluster.server_stack c i) in
     Alcotest.(check bool)

@@ -231,6 +231,28 @@ let test_merge_conflict_policy () =
   Alcotest.(check int) "mirror conflict" 1 c2;
   Alcotest.(check (option string)) "same winner either way" (Some winner) (get t2 "k")
 
+(* Merges keep landing on a tiny journal ring: whenever a merge record no
+   longer fits, merge checkpoints and retries, as commit does. *)
+let test_merge_on_full_ring () =
+  let _, _, t = fresh ~journal_sectors:12 () in
+  set t "base" "b";
+  ignore (commit t);
+  for i = 1 to 20 do
+    let ours = St.head t in
+    set t (Printf.sprintf "side-%02d" i) (String.make 100 's');
+    let side = commit t in
+    ok (St.checkout t ours);
+    set t (Printf.sprintf "main-%02d" i) (String.make 100 'm');
+    ignore (commit t);
+    let _, conflicts = ok (St.merge t side ()) in
+    Alcotest.(check int) (Printf.sprintf "merge %d: disjoint edits" i) 0 conflicts
+  done;
+  Alcotest.(check bool) "merges wrapped the ring" true ((St.stats t).St.checkpoints > 0);
+  Alcotest.(check (option string)) "first side edit merged" (Some (String.make 100 's'))
+    (get t "side-01");
+  Alcotest.(check (option string)) "last main edit kept" (Some (String.make 100 'm'))
+    (get t "main-20")
+
 (* --- crash matrix -----------------------------------------------------------
 
    The heart of the durability claim. Build a store, commit [pre]
@@ -355,16 +377,17 @@ let test_store_server_cluster () =
   let cl = Ukapps.Cluster.create ~seed:11 ~n:1 () in
   let srvs = Ukapps.Cluster.add_store cl ~transport:Ukapps.Serve.Socket ~keys:64 () in
   let r =
-    Ukapps.Cluster.run_store_load cl ~transport:Ukapps.Serve.Socket ~connections_per_core:4
-      ~requests_per_core:400 ~write_frac:0.5 ~keyspace:128 ~commit_every:50 ()
+    Ukapps.Cluster.run_load cl ~transport:Ukapps.Serve.Socket ~port:7000 ~connections_per_core:4
+      ~requests_per_core:400
+      (Ukapps.Store.client ~write_frac:0.5 ~keyspace:128 ~commit_every:50 ())
   in
-  Alcotest.(check int) "no protocol errors" 0 r.Ukapps.Line_client.errors;
-  Alcotest.(check int) "all requests answered" 400 r.Ukapps.Line_client.requests;
+  Alcotest.(check int) "no protocol errors" 0 r.Ukapps.Load.errors;
+  Alcotest.(check int) "all requests answered" 400 r.Ukapps.Load.requests;
   let st = Ukapps.Store.stats srvs.(0) in
   Alcotest.(check int) "server saw them all" 400 st.Ukapps.Store.requests;
   Alcotest.(check bool) "sets happened" true (st.Ukapps.Store.sets > 0);
   Alcotest.(check bool) "commits happened" true (st.Ukapps.Store.commits > 0);
-  Alcotest.(check bool) "throughput positive" true (r.Ukapps.Line_client.rate_per_sec > 0.0)
+  Alcotest.(check bool) "throughput positive" true (r.Ukapps.Load.rate_per_sec > 0.0)
 
 let test_store_server_fast_replay_identical () =
   let run () =
@@ -372,11 +395,11 @@ let test_store_server_fast_replay_identical () =
     let transport = Ukapps.Serve.Netbuf { rtc = true } in
     let srvs = Ukapps.Cluster.add_store cl ~transport ~keys:64 () in
     let r =
-      Ukapps.Cluster.run_store_load cl ~transport ~connections_per_core:4
-        ~requests_per_core:300 ~write_frac:0.3 ~commit_every:40 ()
+      Ukapps.Cluster.run_load cl ~transport ~port:7000 ~connections_per_core:4
+        ~requests_per_core:300 (Ukapps.Store.client ~write_frac:0.3 ~commit_every:40 ())
     in
     let roots = Array.map Ukapps.Store.state_hash srvs in
-    (r.Ukapps.Line_client.errors, roots, Ukapps.Cluster.trace_hash cl)
+    (r.Ukapps.Load.errors, roots, Ukapps.Cluster.trace_hash cl)
   in
   let e1, roots1, h1 = run () in
   let e2, roots2, h2 = run () in
@@ -508,6 +531,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_conflict_free;
     QCheck_alcotest.to_alcotest prop_merge_idempotent;
     ("merge conflict policy", `Quick, test_merge_conflict_policy);
+    ("merge on a full journal ring", `Quick, test_merge_on_full_ring);
     ("crash matrix", `Quick, test_crash_matrix);
     ("crash on first commit", `Quick, test_crash_on_first_commit);
     ("crash during checkpoint", `Quick, test_crash_during_checkpoint);

@@ -198,9 +198,10 @@ let test_tracing_preserves_trace_hash () =
     let transport = Ukapps.Serve.Socket in
     ignore (Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "hello") ]));
     let r =
-      Cluster.run_httpd_load c ~transport ~connections_per_core:2 ~requests_per_core:50 ~path:"/x" ()
+      Cluster.run_load c ~transport ~port:80 ~connections_per_core:2 ~requests_per_core:50
+        (Ukapps.Httpd.client ~path:"/x" ())
     in
-    (Cluster.trace_hash c, r.Ukapps.Wrk.rate_per_sec, r.Ukapps.Wrk.errors)
+    (Cluster.trace_hash c, r.Ukapps.Load.rate_per_sec, r.Ukapps.Load.errors)
   in
   let h_off, rate_off, e_off = go () in
   let t = Tracer.default in

@@ -148,12 +148,13 @@ let test_end_to_end_nginx_wrk () =
   in
   Uknetstack.Stack.start cstack;
   let r =
-    Ukapps.Wrk.run ~clock ~sched ~stack:cstack ~server:(A.Ipv4.of_string "172.44.0.2", 80)
-      ~connections:8 ~requests:400 ()
+    Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:cstack
+      ~server:(A.Ipv4.of_string "172.44.0.2", 80) ~connections:8 ~requests:400
+      (Ukapps.Httpd.client ())
   in
-  Alcotest.(check int) "no errors" 0 r.Ukapps.Wrk.errors;
-  Alcotest.(check int) "all requests served" 400 r.Ukapps.Wrk.requests;
-  Alcotest.(check bool) "throughput sane" true (r.Ukapps.Wrk.rate_per_sec > 10_000.0)
+  Alcotest.(check int) "no errors" 0 r.Ukapps.Load.errors;
+  Alcotest.(check int) "all requests served" 400 r.Ukapps.Load.requests;
+  Alcotest.(check bool) "throughput sane" true (r.Ukapps.Load.rate_per_sec > 10_000.0)
 
 let test_end_to_end_redis_bench () =
   let clock = Uksim.Clock.create () in
@@ -175,11 +176,11 @@ let test_end_to_end_redis_bench () =
   in
   Uknetstack.Stack.start cstack;
   let r =
-    Ukapps.Resp_bench.run ~clock ~sched ~stack:cstack
+    Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:cstack
       ~server:(A.Ipv4.of_string "172.44.0.2", 6379) ~connections:6 ~pipeline:8 ~requests:600
-      Ukapps.Resp_bench.Set
+      (Ukapps.Resp_store.client Ukapps.Resp_store.Set)
   in
-  Alcotest.(check int) "no errors" 0 r.Ukapps.Resp_bench.errors;
+  Alcotest.(check int) "no errors" 0 r.Ukapps.Load.errors;
   Alcotest.(check bool) "server stored keys" true (Ukapps.Resp_store.dbsize server > 0)
 
 let test_vm_sanitized_build () =
