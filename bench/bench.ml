@@ -6,6 +6,9 @@
    startup; [main] owns --list / --only / --micro, runs the selection,
    and writes one BENCH_<group>.json per group touched. Inside a run,
    experiments use [emit] to add result fields to their JSON object,
+   [gate] and [replay] to declare pass/fail checks next to the
+   measurement (they land in the object's "gates" section, and [main]
+   exits 1 naming every false gate and every experiment that raised),
    [phase] to bracket a measurement window with a registry diff, and
    [trial] to mark a repetition boundary (clears instance sources and
    resets survivors, so counters never leak between trials).
@@ -34,6 +37,7 @@ let tracing = try Sys.getenv "UKRAFT_TRACE" = "1" with Not_found -> false
 
 type state = {
   mutable emits : (string * string) list; (* key -> raw JSON, newest first *)
+  mutable gates : (string * bool) list; (* newest first *)
   mutable phases : (string * Uktrace.Registry.snapshot) list; (* newest first *)
 }
 
@@ -46,6 +50,45 @@ let emit_i key v = emit key (string_of_int v)
 let emit_f ?(fmt = format_of_string "%.3f") key v = emit key (Printf.sprintf fmt v)
 let emit_b key v = emit key (if v then "true" else "false")
 let emit_s key v = emit key (Printf.sprintf "\"%s\"" (String.escaped v))
+
+let gate name ok =
+  match !cur with Some s -> s.gates <- (name, ok) :: s.gates | None -> ()
+
+(* A replay fingerprint: named fields, each printed exactly. *)
+type fingerprint = (string * string) list
+
+let fp_i name v = (name, string_of_int v)
+let fp_f name v = (name, Printf.sprintf "%h" v)
+
+(* [first] is the fingerprint of a seeded run; [rerun] repeats that run
+   once with the default tracer enabled. Tracing must not move a cycle,
+   so the one rerun checks determinism and tracer invisibility
+   together. *)
+let replay name ~(first : fingerprint) (rerun : unit -> fingerprint) =
+  let tracer = Uktrace.Tracer.default in
+  let was = Uktrace.Tracer.enabled tracer in
+  Uktrace.Tracer.set_enabled tracer true;
+  let again =
+    Fun.protect rerun ~finally:(fun () ->
+        Uktrace.Tracer.set_enabled tracer was;
+        if not was then Uktrace.Tracer.reset tracer)
+  in
+  let rec diverge = function
+    | [], [] -> None
+    | (k, a) :: rest, (k', b) :: rest' when k = k' ->
+        if a = b then diverge (rest, rest') else Some (k, a, b)
+    | (k, a) :: _, _ -> Some (k, a, "<absent>")
+    | [], (k, b) :: _ -> Some (k, "<absent>", b)
+  in
+  let name = name ^ "_replay" in
+  match diverge (first, again) with
+  | None ->
+      Printf.printf "  %s: %d-field fingerprint identical (rerun traced)\n" name
+        (List.length first);
+      gate name true
+  | Some (k, a, b) ->
+      Printf.printf "  %s: MISMATCH at %s: %s (first run) vs %s (traced rerun)\n" name k a b;
+      gate name false
 
 let trial () =
   Uktrace.Registry.clear ();
@@ -69,13 +112,14 @@ type result = {
   rseconds : float;
   rfailed : string option;
   remits : (string * string) list; (* oldest first *)
+  rgates : (string * bool) list; (* oldest first *)
   rphases : (string * Uktrace.Registry.snapshot) list; (* oldest first *)
   rtotal : Uktrace.Registry.snapshot;
 }
 
 let run_one e =
   Printf.printf "\n=== %s: %s ===\n" e.id e.descr;
-  let s = { emits = []; phases = [] } in
+  let s = { emits = []; gates = []; phases = [] } in
   cur := Some s;
   trial ();
   if tracing then Uktrace.Tracer.(reset default);
@@ -107,6 +151,7 @@ let run_one e =
     rseconds = dt;
     rfailed = failed;
     remits = List.rev s.emits;
+    rgates = List.rev s.gates;
     rphases = List.rev s.phases;
     rtotal = Uktrace.Registry.(prune (diff ~before ~after));
   }
@@ -132,6 +177,13 @@ let write_group_file group results =
       | Some msg -> scalar "failed" (Printf.sprintf "\"%s\"" (String.escaped msg))
       | None -> ());
       List.iter (fun (k, v) -> scalar k v) r.remits;
+      if r.rgates <> [] then
+        scalar "gates"
+          (Printf.sprintf "{\n%s\n      }"
+             (String.concat ",\n"
+                (List.map
+                   (fun (g, ok) -> Printf.sprintf "        \"%s\": %b" (String.escaped g) ok)
+                   r.rgates)));
       Buffer.add_string b "      \"metrics\": {\n";
       Buffer.add_string b
         (Printf.sprintf "        \"total\": %s" (Uktrace.Registry.to_json ~indent:8 r.rtotal));
@@ -204,5 +256,22 @@ let main ?micro () =
     List.iter
       (fun g -> write_group_file g (List.filter (fun r -> r.rgroup = g) results))
       groups;
-    if has "--micro" then match micro with Some f -> f () | None -> ()
+    if has "--micro" then (match micro with Some f -> f () | None -> ());
+    let failures =
+      List.concat_map
+        (fun r ->
+          (match r.rfailed with
+          | Some msg -> [ Printf.sprintf "experiment %s raised: %s" r.rid msg ]
+          | None -> [])
+          @ List.filter_map
+              (fun (g, ok) -> if ok then None else Some (Printf.sprintf "gate %s.%s" r.rid g))
+              r.rgates)
+        results
+    in
+    let gates = List.fold_left (fun n r -> n + List.length r.rgates) 0 results in
+    if failures = [] then (if gates > 0 then Printf.printf "[%d gates passed]\n" gates)
+    else begin
+      List.iter (Printf.printf "FAIL: %s\n") failures;
+      exit 1
+    end
   end

@@ -20,6 +20,33 @@ let ok = function
   | Ok v -> v
   | Error e -> failwith ("experiment setup failed: " ^ e)
 
+(* Replay fingerprints (Bench.replay) of the result records several
+   experiments share: every field, floats exact. The patterns name every
+   field, so a field added to a record fails the build here until the
+   fingerprint covers it. *)
+let load_fingerprint
+    { Ukapps.Load.requests; elapsed_ns; rate_per_sec; mean_us; p50_us; p99_us; errors } =
+  Bench.
+    [
+      fp_i "requests" requests; fp_f "elapsed_ns" elapsed_ns; fp_f "rate_per_sec" rate_per_sec;
+      fp_f "mean_us" mean_us; fp_f "p50_us" p50_us; fp_f "p99_us" p99_us; fp_i "errors" errors;
+    ]
+
+let fleet_fingerprint
+    { Ukfleet.Fleet.offered; completed; shed; lost; redispatched; mean_us; p50_us; p99_us;
+      max_us; slo_violation_ns; cold_boots; clones; warm_hits; crashes; restarts; retired;
+      peak_instances; final_ready; elapsed_ns; trace_hash } =
+  Bench.
+    [
+      fp_i "offered" offered; fp_i "completed" completed; fp_i "shed" shed; fp_i "lost" lost;
+      fp_i "redispatched" redispatched; fp_f "mean_us" mean_us; fp_f "p50_us" p50_us;
+      fp_f "p99_us" p99_us; fp_f "max_us" max_us; fp_f "slo_violation_ns" slo_violation_ns;
+      fp_i "cold_boots" cold_boots; fp_i "clones" clones; fp_i "warm_hits" warm_hits;
+      fp_i "crashes" crashes; fp_i "restarts" restarts; fp_i "retired" retired;
+      fp_i "peak_instances" peak_instances; fp_i "final_ready" final_ready;
+      fp_f "elapsed_ns" elapsed_ns; fp_i "trace_hash" trace_hash;
+    ]
+
 (* A served Unikraft VM + client-side stack over a virtio wire, ready for
    load generation. Both sides share one timeline; client-side costs are
    kept small so the guest remains the bottleneck (the paper pins VM, VMM

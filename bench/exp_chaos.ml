@@ -3,8 +3,9 @@
    block-device error drills.
 
    Everything is driven from fixed seeds, so two runs of this experiment
-   produce identical numbers — the determinism check at the end verifies
-   that property on the 10%-loss webserver run. *)
+   produce identical numbers. Gates: the fleet drill loses no response
+   (fleet_zero_lost), and the 10%-loss webserver run replays identically
+   with the tracer on (chaos_replay). *)
 
 module Fn = Ukfault.Faultnet
 module Fa = Ukfault.Faultalloc
@@ -297,21 +298,22 @@ let run_fleet () =
   Bench.emit_i "fleet_restarts" r.Fleet.restarts;
   Bench.emit_i "fleet_redispatched" r.Fleet.redispatched;
   Bench.emit_i "fleet_lost" r.Fleet.lost;
-  Bench.emit_b "fleet_zero_lost" (r.Fleet.lost = 0 && st.Fv.killed > 0);
-  if r.Fleet.lost <> 0 then Common.row "  !! fleet drill LOST responses\n"
+  Bench.gate "fleet_zero_lost" (r.Fleet.lost = 0 && st.Fv.killed > 0)
 
 (* --- determinism ----------------------------------------------------------- *)
 
+let web_fingerprint { rate; p99_us; wrk_errors; served; drops; stack_rx_drop } =
+  Bench.
+    [
+      fp_f "rate" rate; fp_f "p99_us" p99_us; fp_i "wrk_errors" wrk_errors; fp_i "served" served;
+      fp_i "drops" drops; fp_i "stack_rx_drop" stack_rx_drop;
+    ]
+
 let run_determinism () =
-  Common.row "\ndeterministic replay (same seed, 10%% loss webserver run twice)\n";
+  Common.row "\ndeterministic replay (same seed, 10%% loss webserver run)\n";
   let requests = Common.scaled 1000 in
-  let a = web_run ~loss:0.10 ~corrupt:0.0 ~requests () in
-  let b = web_run ~loss:0.10 ~corrupt:0.0 ~requests () in
-  let identical = a = b in
-  Common.row "  run 1: %.0f req/s, %d drops, %d errors\n" a.rate a.drops a.wrk_errors;
-  Common.row "  run 2: %.0f req/s, %d drops, %d errors\n" b.rate b.drops b.wrk_errors;
-  Common.row "  identical stats: %b\n" identical;
-  if not identical then Common.row "  !! chaos run is NOT deterministic\n"
+  let go () = web_fingerprint (web_run ~loss:0.10 ~corrupt:0.0 ~requests ()) in
+  Bench.replay "chaos" ~first:(go ()) go
 
 let run () =
   Bench.phase "web" run_web;

@@ -4,19 +4,19 @@
    cluster of hosts surviving the failures that actually happen in a
    multi-host deployment: crashes, gray freezes, *asymmetric*
    partitions (requests arrive, responses vanish), and hosts dying in
-   the middle of a live migration. Headline gates, enforced by CI from
-   BENCH_cluster.json:
+   the middle of a live migration. Headline gates:
 
    - the full drill — diurnal load, a 60 s (virtual) asymmetric
      partition, and a seeded kill of the migration destination mid-copy
      — ends with zero lost responses (every offered request completes,
      sheds, or expires: nothing vanishes);
-   - live migration beats the kill+clone baseline on p99;
+   - live migration beats the kill+clone baseline on p99, and neither
+     loses a response;
    - hedged requests beat unhedged p99.9 under a straggler host;
    - the planted-bug detector control (suspect_phi = 0) produces false
      positives — proving the suspicion machinery actually fires;
    - the whole drill replays byte-identically from one seed with
-     hedging and tracing on (cluster_replay_ok).
+     hedging on, the rerun with the tracer on (cluster_replay).
 
    FAST mode scales the request rates down, never the partition or
    migration windows — shrinking the fault windows would make the drill
@@ -82,7 +82,7 @@ let run_drill () =
   Bench.emit_i "drill_suspects" r.Cluster.suspects;
   Bench.emit_i "drill_migration_aborts" r.Cluster.migration_aborts;
   Bench.emit_i "drill_migrations" r.Cluster.migrations;
-  Bench.emit_b "zero_lost_responses"
+  Bench.gate "zero_lost_responses"
     (r.Cluster.lost = 0 && r.Cluster.migrations >= 1
    && r.Cluster.migration_aborts >= 1 && r.Cluster.suspects >= 1)
 
@@ -116,7 +116,7 @@ let run_migration_vs_kill_clone () =
   Bench.emit_f "kill_clone_p99_us" kc.Cluster.p99_us;
   Bench.emit_i "migration_lost" mig.Cluster.lost;
   Bench.emit_i "kill_clone_lost" kc.Cluster.lost;
-  Bench.emit_b "migration_beats_kill_clone"
+  Bench.gate "migration_beats_kill_clone"
     (mig.Cluster.lost = 0 && kc.Cluster.lost = 0
    && mig.Cluster.p99_us < kc.Cluster.p99_us)
 
@@ -152,7 +152,7 @@ let run_hedging () =
   Bench.emit_f "unhedged_p999_us" plain.Cluster.p999_us;
   Bench.emit_f "hedged_p999_us" hedged.Cluster.p999_us;
   Bench.emit_i "hedge_wins" hedged.Cluster.hedge_wins;
-  Bench.emit_b "hedging_beats_straggler"
+  Bench.gate "hedging_beats_straggler"
     (hedged.Cluster.lost = 0 && plain.Cluster.lost = 0
    && hedged.Cluster.hedge_wins > 0
    && hedged.Cluster.p999_us < plain.Cluster.p999_us)
@@ -172,7 +172,7 @@ let run_planted () =
     r.Cluster.suspects r.Cluster.recovers;
   Bench.emit_i "planted_suspects" r.Cluster.suspects;
   (* if this stops firing, the suspicion machinery is broken *)
-  Bench.emit_b "planted_detector_fp" (r.Cluster.suspects > 0 && r.Cluster.lost = 0)
+  Bench.gate "planted_detector_fp" (r.Cluster.suspects > 0 && r.Cluster.lost = 0)
 
 (* --- seeded replay --------------------------------------------------------- *)
 
@@ -197,14 +197,28 @@ let replay_drill () =
     (Ukfleet.Workload.diurnal ~base_rps:(rps 1500.0) ~amplitude:0.6
        ~period_ns:(ms 200.0) ~duration_ns:(ms 400.0))
 
+let report_fingerprint
+    { Cluster.offered; completed; shed; expired; lost; retries; hedges; hedge_wins; cancelled;
+      lost_replies; suspects; recovers; deads; migrations; migration_aborts; mean_us; p50_us;
+      p99_us; p999_us; max_us; trace_hash } =
+  Bench.
+    [
+      fp_i "offered" offered; fp_i "completed" completed; fp_i "shed" shed;
+      fp_i "expired" expired; fp_i "lost" lost; fp_i "retries" retries; fp_i "hedges" hedges;
+      fp_i "hedge_wins" hedge_wins; fp_i "cancelled" cancelled;
+      fp_i "lost_replies" lost_replies; fp_i "suspects" suspects; fp_i "recovers" recovers;
+      fp_i "deads" deads; fp_i "migrations" migrations;
+      fp_i "migration_aborts" migration_aborts; fp_f "mean_us" mean_us; fp_f "p50_us" p50_us;
+      fp_f "p99_us" p99_us; fp_f "p999_us" p999_us; fp_f "max_us" max_us;
+      fp_i "trace_hash" trace_hash;
+    ]
+
 let run_replay () =
   row "\nseeded replay: same seed, same drill => byte-identical trace (hedging on)\n";
-  let a = replay_drill () and b = replay_drill () in
-  let ok = a.Cluster.trace_hash = b.Cluster.trace_hash && a = b in
-  row "  trace hash %016x vs %016x: %s\n" a.Cluster.trace_hash b.Cluster.trace_hash
-    (if ok then "identical" else "MISMATCH");
+  let a = replay_drill () in
   Bench.emit_s "cluster_trace_hash" (Printf.sprintf "%016x" a.Cluster.trace_hash);
-  Bench.emit_b "cluster_replay_ok" ok
+  Bench.replay "cluster" ~first:(report_fingerprint a) (fun () ->
+      report_fingerprint (replay_drill ()))
 
 let run () =
   Bench.phase "drill" run_drill;

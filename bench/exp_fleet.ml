@@ -6,14 +6,14 @@
    compressed diurnal cycle, and the flash-crowd 10x spike — against an
    autoscaled fleet under each scale-out path (cold boot, warm pool,
    snapshot clone) and against Linux-VM and Docker baseline fleets built
-   from the same §5 profiles. Headline gates, which CI enforces from
-   BENCH_fleet.json:
+   from the same §5 profiles. Headline gates:
 
-   - snapshot-clone scale-out beats cold boot on spike p99;
+   - a clone costs less than a cold boot, and snapshot-clone scale-out
+     beats cold boot on spike p99;
    - the unikernel fleet's SLO-violation window under the spike is
      >= 5x shorter than the Linux-VM baseline's (cold boots beat it too);
-   - a fixed seed replays with a byte-identical event-trace hash
-     (fleet_replay_ok).
+   - a fixed seed replays with a byte-identical report and event-trace
+     hash, the rerun with the tracer on (fleet_replay).
 
    Everything derives from the calibrated substrate: Image.calibrate
    boots the httpd constructor table through Ukplat.Vmm.boot and
@@ -73,7 +73,7 @@ let run_calib () =
   Bench.emit_f "clone_ms" (c.Fleet.clone_ns /. 1e6);
   Bench.emit_f "warm_activation_ms" (c.Fleet.warm_activation_ns /. 1e6);
   Bench.emit_f "service_us" (c.Fleet.service_ns /. 1e3);
-  Bench.emit_b "clone_cheaper_than_cold" (c.Fleet.clone_ns < c.Fleet.cold_boot_ns)
+  Bench.gate "clone_cheaper_than_cold" (c.Fleet.clone_ns < c.Fleet.cold_boot_ns)
 
 (* --- ramp ------------------------------------------------------------------ *)
 
@@ -146,9 +146,9 @@ let run_spike () =
   row "  => clone p99 %.0fus vs cold %.0fus; SLO window linux/clone = %.1fx\n"
     (get "clone").Fleet.p99_us (get "cold").Fleet.p99_us ratio;
   Bench.emit_f "spike_slo_ratio_linux_over_clone" ratio;
-  Bench.emit_b "spike_clone_beats_cold" ((get "clone").Fleet.p99_us < (get "cold").Fleet.p99_us);
-  Bench.emit_b "spike_slo_ratio_ge5" (ratio >= 5.0);
-  Bench.emit_b "spike_cold_beats_linux" (slo "cold" < slo "linux_vm")
+  Bench.gate "spike_clone_beats_cold" ((get "clone").Fleet.p99_us < (get "cold").Fleet.p99_us);
+  Bench.gate "spike_slo_ratio_ge5" (ratio >= 5.0);
+  Bench.gate "spike_cold_beats_linux" (slo "cold" < slo "linux_vm")
 
 (* --- front-door policies --------------------------------------------------- *)
 
@@ -179,12 +179,9 @@ let run_replay () =
   row "\nseeded replay: same seed, same config => byte-identical event trace\n";
   let w = spike_workload cap in
   let go () = Fleet.run (mk ~boot_mode:Fleet.Snapshot ()) w in
-  let a = go () and b = go () in
-  let ok = a.Fleet.trace_hash = b.Fleet.trace_hash && a = b in
-  row "  trace hash %016x vs %016x: %s\n" a.Fleet.trace_hash b.Fleet.trace_hash
-    (if ok then "identical" else "MISMATCH");
+  let a = go () in
   Bench.emit_s "fleet_trace_hash" (Printf.sprintf "%016x" a.Fleet.trace_hash);
-  Bench.emit_b "fleet_replay_ok" ok
+  Bench.replay "fleet" ~first:(fleet_fingerprint a) (fun () -> fleet_fingerprint (go ()))
 
 let run () =
   Bench.phase "calib" run_calib;

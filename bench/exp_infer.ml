@@ -11,11 +11,11 @@
       the block store through Blockfs's windowed path (cheap per byte,
       large fixed cost), while a snapshot clone eagerly copies the full
       loaded footprint (expensive per byte, small fixed cost). The
-      model-size sweep locates the crossover; CI gates that clones win
-      at <= 128 MB and the crossover sits in (128, 512].
+      model-size sweep locates the crossover; gates check that clones
+      win at <= 128 MB and the crossover sits in (128, 512].
 
    Plus the fleet drills: a 10x flash crowd must lose zero responses,
-   and a fixed seed must replay byte-identically. *)
+   and a fixed seed must replay byte-identically (infer_replay). *)
 
 open Common
 module Fleet = Ukfleet.Fleet
@@ -58,7 +58,7 @@ let run_batch_sweep () =
   let rps k = (List.assoc k results).Ukapps.Load.rate_per_sec in
   row "  => batching gains %.2fx throughput (1 -> 16)\n" (rps 16 /. rps 1);
   Bench.emit_f "batch_speedup_16_over_1" (rps 16 /. rps 1);
-  Bench.emit_b "batch_amortizes" (rps 16 > rps 1)
+  Bench.gate "batch_amortizes" (rps 16 > rps 1)
 
 (* --- model-size sweep: cold boot vs warm pool vs snapshot clone ------------ *)
 
@@ -110,7 +110,9 @@ let run_model_sweep () =
   | Some mb -> row "  => clone/cold crossover at ~%.0f MB of weights\n" mb
   | None -> row "  => no crossover inside the swept range\n");
   Bench.emit_f "crossover_mb" (Option.value crossover ~default:0.0);
-  Bench.emit_b "clone_beats_cold_le128" clone_wins_le128
+  Bench.gate "crossover_in_128_512"
+    (match crossover with Some mb -> mb > 128.0 && mb <= 512.0 | None -> false);
+  Bench.gate "clone_beats_cold_le128" clone_wins_le128
 
 (* --- 10x flash crowd ------------------------------------------------------- *)
 
@@ -137,7 +139,8 @@ let run_spike () =
   Bench.emit_f "infer_spike_p99_us" r.Fleet.p99_us;
   Bench.emit_i "infer_spike_shed" r.Fleet.shed;
   Bench.emit_i "infer_spike_lost" r.Fleet.lost;
-  Bench.emit_i "infer_spike_peak" r.Fleet.peak_instances
+  Bench.emit_i "infer_spike_peak" r.Fleet.peak_instances;
+  Bench.gate "infer_spike_zero_lost" (r.Fleet.lost = 0)
 
 (* --- seeded replay --------------------------------------------------------- *)
 
@@ -146,12 +149,9 @@ let run_replay () =
   let cap = 1e9 /. (Fleet.costs (Fleet.create ~image:spike_image ())).Fleet.service_ns in
   let w = spike_workload cap in
   let go () = Fleet.run (mk_fleet ()) w in
-  let a = go () and b = go () in
-  let ok = a.Fleet.trace_hash = b.Fleet.trace_hash && a = b in
-  row "  trace hash %016x vs %016x: %s\n" a.Fleet.trace_hash b.Fleet.trace_hash
-    (if ok then "identical" else "MISMATCH");
+  let a = go () in
   Bench.emit_s "infer_trace_hash" (Printf.sprintf "%016x" a.Fleet.trace_hash);
-  Bench.emit_b "infer_replay_ok" ok
+  Bench.replay "infer" ~first:(fleet_fingerprint a) (fun () -> fleet_fingerprint (go ()))
 
 let run () =
   Bench.phase "batch" run_batch_sweep;

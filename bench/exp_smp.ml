@@ -5,8 +5,8 @@
    server cores (weak scaling — fixed per-core load, so ideal scaling is
    rate proportional to cores with flat elapsed), a per-core-arena vs.
    shared-lock allocator ablation at 4 cores, and a same-seed 8-core
-   determinism replay. A machine-readable summary lands in
-   BENCH_smp.json for CI to gate on. *)
+   replay with the tracer on. Gates: 4-core httpd speedup >= 2 and the
+   traced replay (smp_replay). *)
 
 open Common
 module Cluster = Ukapps.Cluster
@@ -46,11 +46,7 @@ let run_resp ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n workload =
   in
   (c, r)
 
-(* One line that must replay byte-identically for a fixed seed. *)
-let httpd_fingerprint c (r : Ukapps.Load.result) =
-  Printf.sprintf "trace=%016x requests=%d errors=%d rate=%.6f elapsed=%.6f"
-    (Cluster.trace_hash c) r.Ukapps.Load.requests r.Ukapps.Load.errors
-    r.Ukapps.Load.rate_per_sec r.Ukapps.Load.elapsed_ns
+let httpd_fingerprint c r = Bench.fp_i "trace_hash" (Cluster.trace_hash c) :: load_fingerprint r
 
 let smp =
   {
@@ -127,32 +123,14 @@ let smp =
         in
         row "arena/shared: %.2fx\n" (arena_rate /. shared_rate);
 
-        (* --- determinism: same seed, 8 cores, twice --- *)
+        (* --- replay: same seed, 8 cores, rerun with the tracer live --- *)
         let fp () =
           let c, r = run_httpd ~seed:7 ~n:8 () in
           httpd_fingerprint c r
         in
-        let fp1, fp2 = Bench.phase "determinism" (fun () -> (fp (), fp ())) in
-        let det_ok = String.equal fp1 fp2 in
-        row "\ndeterminism (8 cores, seed 7): %s\n"
-          (if det_ok then "byte-identical replay" else "MISMATCH");
-        row "  run 1: %s\n  run 2: %s\n" fp1 fp2;
+        row "\nseeded replay (8 cores, seed 7)\n";
+        Bench.phase "determinism" (fun () -> Bench.replay "smp" ~first:(fp ()) fp);
 
-        (* --- tracing invariance: same run with the tracer live --- *)
-        (* The uktrace determinism guarantee, gated in CI: spans and the
-           profiling sampler must not move the simulation by a cycle, so
-           the fingerprint (which includes the uksmp trace hash) has to
-           replay byte-identically with tracing on. *)
-        let tracer = Uktrace.Tracer.default in
-        let was = Uktrace.Tracer.enabled tracer in
-        Uktrace.Tracer.set_enabled tracer true;
-        let fp3 = fp () in
-        Uktrace.Tracer.set_enabled tracer was;
-        let trace_ok = String.equal fp1 fp3 in
-        row "tracing-on replay: %s\n"
-          (if trace_ok then "byte-identical (tracer is invisible)" else "MISMATCH");
-
-        (* --- machine-readable summary for CI --- *)
         Bench.emit "httpd_rate_per_sec"
           (Printf.sprintf "{%s}"
              (String.concat ", "
@@ -163,8 +141,7 @@ let smp =
         Bench.emit "speedup_4" (Printf.sprintf "%.3f" speedup_4);
         Bench.emit "arena_rate_per_sec" (Printf.sprintf "%.1f" arena_rate);
         Bench.emit "sharedlock_rate_per_sec" (Printf.sprintf "%.1f" shared_rate);
-        Bench.emit_b "determinism_ok" det_ok;
-        Bench.emit_b "trace_invariant_ok" trace_ok);
+        Bench.gate "speedup_4_ge_2" (speedup_4 >= 2.0));
   }
 
 let register () = Bench.register_exp smp

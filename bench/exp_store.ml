@@ -19,7 +19,7 @@
    4. Does it hold up as a fleet citizen? A 10x flash crowd on the
       snapshot-cloned image must lose zero responses (single-host fleet
       and multi-host ukcluster), and a fixed seed must replay to
-      identical store roots and trace hashes. *)
+      identical store roots and trace hashes (store_replay). *)
 
 open Common
 module Fleet = Ukfleet.Fleet
@@ -87,7 +87,7 @@ let run_mix () =
   (* Priced = the order is physical: reads beat writes (no journal on
      the read path), and the durable store never beats the in-memory
      baseline it adds hashing + journaling on top of. *)
-  Bench.emit_b "write_read_mix_priced"
+  Bench.gate "write_read_mix_priced"
     (w_err = 0 && r_err = 0 && r_rps > w_rps && resp_set > w_rps)
 
 (* --- recovery time vs journal depth ---------------------------------------- *)
@@ -129,8 +129,8 @@ let run_recovery () =
   let all_replayed = List.for_all (fun (d, r, _) -> r = d) curve in
   let dt_of d = match List.find (fun (d', _, _) -> d' = d) curve with _, _, t -> t in
   row "  => replay scales %.1fx from depth 1 to 256\n" (dt_of 256 /. dt_of 1);
-  Bench.emit_b "recovery_replays_full_journal" all_replayed;
-  Bench.emit_b "recovery_scales_with_depth" (dt_of 256 > dt_of 1)
+  Bench.gate "recovery_replays_full_journal" all_replayed;
+  Bench.gate "recovery_scales_with_depth" (dt_of 256 > dt_of 1)
 
 (* --- crash matrix: zero lost durable commits ------------------------------- *)
 
@@ -176,7 +176,7 @@ let run_crash_matrix () =
     [ 0; 3 ];
   row "  %d crash points, %d violations\n" !cases !failures;
   Bench.emit_i "crash_points" !cases;
-  Bench.emit_b "recovery_zero_lost_commits" (!failures = 0)
+  Bench.gate "recovery_zero_lost_commits" (!failures = 0)
 
 (* --- flash crowd on the fleet + multi-host cluster ------------------------- *)
 
@@ -204,6 +204,7 @@ let run_spike () =
   Bench.emit_i "store_spike_shed" r.Fleet.shed;
   Bench.emit_i "store_spike_lost" r.Fleet.lost;
   Bench.emit_i "store_spike_peak" r.Fleet.peak_instances;
+  Bench.gate "store_spike_zero_lost" (r.Fleet.lost = 0);
   (* And across hosts: the same image served by the fault-tolerant tier. *)
   Bench.trial ();
   let c = UC.create ~seed ~n_hosts:2 ~image:spike_image () in
@@ -215,7 +216,8 @@ let run_spike () =
   row "  ukcluster: offered %d  completed %d  shed %d  lost %d  p99 %8.0fus\n"
     rc.UC.offered rc.UC.completed rc.UC.shed rc.UC.lost rc.UC.p99_us;
   Bench.emit_i "store_cluster_offered" rc.UC.offered;
-  Bench.emit_i "store_cluster_lost" rc.UC.lost
+  Bench.emit_i "store_cluster_lost" rc.UC.lost;
+  Bench.gate "store_cluster_zero_lost" (rc.UC.lost = 0)
 
 (* --- seeded replay ---------------------------------------------------------- *)
 
@@ -229,14 +231,17 @@ let run_replay () =
       Cluster.run_load c ~transport:netbuf ~port:7000 ~connections_per_core:4
         ~requests_per_core:(Bench.scaled 2000) (Store.client ~write_frac:0.3 ~commit_every:40 ())
     in
-    (r.Ukapps.Load.errors, Array.map Store.state_hash srvs, Cluster.trace_hash c)
+    (r, Array.map Store.state_hash srvs, Cluster.trace_hash c)
   in
-  let e1, roots1, h1 = go () in
-  let e2, roots2, h2 = go () in
-  let ok = e1 = 0 && e2 = 0 && roots1 = roots2 && h1 = h2 in
-  row "  trace hash %016x vs %016x: %s\n" h1 h2 (if ok then "identical" else "MISMATCH");
-  Bench.emit_s "store_trace_hash" (Printf.sprintf "%016x" h1);
-  Bench.emit_b "store_replay_ok" ok
+  let fingerprint (r, roots, hash) =
+    Bench.fp_i "trace_hash" hash
+    :: List.mapi (fun i root -> Bench.fp_i (Printf.sprintf "root%d" i) root) (Array.to_list roots)
+    @ load_fingerprint r
+  in
+  let ((r, _, hash) as first) = go () in
+  Bench.emit_s "store_trace_hash" (Printf.sprintf "%016x" hash);
+  Bench.gate "store_replay_zero_errors" (r.Ukapps.Load.errors = 0);
+  Bench.replay "store" ~first:(fingerprint first) (fun () -> fingerprint (go ()))
 
 let run () =
   Bench.phase "mix" run_mix;

@@ -32,10 +32,13 @@ and stats = { reads : int; writes : int; sectors_read : int; sectors_written : i
 
 let zero_stats = { reads = 0; writes = 0; sectors_read = 0; sectors_written = 0 }
 
+(* The source closes over [stats] alone: capturing [dev] would keep the
+   device's backing store alive for as long as the source is registered. *)
 let register_source (dev : t) =
+  let stats = dev.stats in
   Uktrace.Registry.register
     (Uktrace.Source.make ~subsystem:"ukblock" ~name:dev.name (fun () ->
-         let s = dev.stats () in
+         let s = stats () in
          [
            ("reads", Uktrace.Metric.Count s.reads);
            ("writes", Uktrace.Metric.Count s.writes);

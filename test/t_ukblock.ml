@@ -231,6 +231,19 @@ let tcp_lossy_prop =
       | exception Failure _ -> ());
       Bytes.equal payload (Buffer.to_bytes received))
 
+(* Each device registers a uktrace source at create; that source must
+   not keep the device (and its backing sectors) reachable. *)
+let test_source_does_not_pin_device () =
+  let collected = ref false in
+  let create_and_drop () =
+    let clock, _ = env () in
+    Gc.finalise (fun _ -> collected := true) (V.create_ramdisk ~clock ~capacity_sectors:8 ())
+  in
+  create_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped ramdisk collected while its source is registered" true
+    !collected
+
 let suite =
   [
     Alcotest.test_case "ramdisk read/write" `Quick test_ramdisk_rw;
@@ -240,6 +253,8 @@ let suite =
     Alcotest.test_case "queue depth" `Quick test_virtio_blk_queue_depth;
     Alcotest.test_case "host latency charged" `Quick test_virtio_blk_latency_charged;
     Alcotest.test_case "batched submit amortizes kicks" `Quick test_batch_amortizes_kick;
+    Alcotest.test_case "registry source does not pin the device" `Quick
+      test_source_does_not_pin_device;
     Alcotest.test_case "wire loss injection" `Quick test_wire_loss_counted;
     Alcotest.test_case "wire duplication" `Quick test_wire_duplication;
     Alcotest.test_case "TCP recovers over lossy virtio link" `Quick test_tcp_over_lossy_virtio;

@@ -1,7 +1,8 @@
 (* Tests for ukcheck: the schedule explorer (planted lost-wakeup bug,
    shrinking, byte-identical certificate replay), the lockset race
    detector (racy vs locked counter, false-positive silence on real
-   workloads) and the property harness. *)
+   workloads) and the property harness, which also explores the uklock
+   mutex and the ukalloc per-core arena. *)
 
 module Smp = Uksmp.Smp
 module Explore = Ukcheck.Explore
@@ -264,6 +265,66 @@ let test_prop_check_passes () =
       done;
       fun () -> Prop.require (!n = 2) "lost an increment")
 
+(* Five threads on two cores contend for one mutex (equal sleeps inside
+   the critical section keep the cores' clocks tied, so step-order and
+   dispatch choice points stay plentiful); every explored handoff order
+   must still run all five critical sections exactly once,
+   deadlock-free. *)
+let test_prop_uklock_mutex () =
+  Prop.check ~cores:2 ~schedules:64 ~name:"uklock mutex (2 cores, 5 threads)"
+    (fun smp ~seed:_ ->
+      let m =
+        Uklock.Lock.Mutex.create ~name:"explored" (Uklock.Lock.Threaded (Smp.sched_of smp ~core:0))
+      in
+      let count = ref 0 in
+      List.iter
+        (fun core ->
+          ignore
+            (Smp.spawn_on smp ~core ~pinned:true (fun () ->
+                 Sched.yield ();
+                 Uklock.Lock.Mutex.lock m;
+                 let v = !count in
+                 Sched.sleep_ns 50.0;
+                 count := v + 1;
+                 Uklock.Lock.Mutex.unlock m)))
+        [ 0; 0; 0; 1; 1 ];
+      fun () -> Prop.require (!count = 5) (Printf.sprintf "mutex lost updates: %d/5" !count))
+
+(* Three threads per core hammer the per-core arena; every interleaving
+   must keep concurrently-held addresses disjoint and leak nothing. *)
+let test_prop_percore_arena () =
+  Prop.check ~cores:2 ~schedules:64 ~name:"percore arena (2 cores, 6 threads)"
+    (fun smp ~seed:_ ->
+      let clocks = Array.init 2 (fun i -> Smp.clock_of smp ~core:i) in
+      let backend =
+        Ukalloc.Tlsf.create ~clock:(Uksim.Clock.create ()) ~base:(1 lsl 20) ~len:(1 lsl 20)
+      in
+      let arena = Ukalloc.Percore.create ~clocks ~backend ~batch:4 () in
+      let bad = ref None in
+      let held : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+      let note e = if !bad = None then bad := Some e in
+      for core = 0 to 1 do
+        let view = Ukalloc.Percore.view arena ~core in
+        for _ = 0 to 2 do
+          ignore
+            (Smp.spawn_on smp ~core ~pinned:true (fun () ->
+                 for _ = 1 to 3 do
+                   match Ukalloc.Alloc.uk_malloc view 96 with
+                   | None -> note "arena oom"
+                   | Some a ->
+                       if Hashtbl.mem held a then note "address handed out twice";
+                       Hashtbl.add held a ();
+                       Sched.sleep_ns 50.0;
+                       Hashtbl.remove held a;
+                       Ukalloc.Alloc.uk_free view a
+                 done))
+        done
+      done;
+      fun () ->
+        match !bad with
+        | Some e -> Error e
+        | None -> Prop.require (Hashtbl.length held = 0) "allocations leaked")
+
 let test_prop_check_raises_with_cert () =
   match Prop.check ~cores:1 ~schedules:64 ~name:"lost wakeup" lost_wakeup_fixture with
   | () -> Alcotest.fail "Prop.check missed the planted bug"
@@ -297,6 +358,8 @@ let suite =
       test_lockset_silent_on_cluster_workload;
     Alcotest.test_case "one detector at a time" `Quick test_lockset_exclusive_attach;
     Alcotest.test_case "prop: invariant holds across schedules" `Quick test_prop_check_passes;
+    Alcotest.test_case "prop: uklock mutex over 64 schedules" `Quick test_prop_uklock_mutex;
+    Alcotest.test_case "prop: percore arena over 64 schedules" `Quick test_prop_percore_arena;
     Alcotest.test_case "prop: violation raises with certificate" `Quick
       test_prop_check_raises_with_cert;
   ]
