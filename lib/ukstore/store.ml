@@ -17,13 +17,13 @@
    into one journal record, writes it with a single multi-sector write,
    and fsyncs — when [commit] returns [Ok], the commit survives any
    crash. A checkpoint later copies journaled objects to their
-   pre-assigned data-area frames, fsyncs, flips the root slot, and
-   fsyncs again; the journal ring then restarts from zero. Recovery
-   reads the newest valid root slot and replays journal records while
-   the chain stays intact: header checksum valid, sequence number
-   contiguous, payload checksum valid. The first torn or stale record
-   ends replay — everything before it is exactly the set of commits
-   whose [commit] call returned [Ok]. *)
+   pre-assigned data-area frames, one write per run of abutting frames,
+   fsyncs, flips the root slot, and fsyncs again; the journal ring then
+   restarts from zero. Recovery reads the newest valid root slot and
+   replays journal records while the chain stays intact: header checksum
+   valid, sequence number contiguous, payload checksum valid. The first
+   torn or stale record ends replay — everything before it is exactly
+   the set of commits whose [commit] call returned [Ok]. *)
 
 module B = Ukblock.Blockdev
 module D = Ukvfs.Digest
@@ -123,7 +123,7 @@ type t = {
   cache : (hash, Tree.obj) Hashtbl.t;
   locs : (hash, int * int) Hashtbl.t; (* object -> (lba, frame bytes) *)
   durable : (hash, unit) Hashtbl.t; (* journaled or checkpointed *)
-  mutable unckpt : hash list; (* journal-only objects, oldest first *)
+  mutable unckpt : hash list; (* journal-only objects, newest first *)
   mutable head : hash; (* last durable commit, null before the first *)
   mutable root : hash; (* working tree (may be ahead of head) *)
   mutable epoch : int;
@@ -232,7 +232,7 @@ let decode_frame t s pos =
   let kind = hdr.[19] in
   let blen = int_of_dec (String.sub hdr 21 8) in
   let lba = int_of_dec (String.sub hdr 30 8) in
-  if pos + frame_header + blen > String.length s then raise (Err Ukvfs.Fs.Eio);
+  if blen < 0 || pos + frame_header + blen > String.length s then raise (Err Ukvfs.Fs.Eio);
   let body = String.sub s (pos + frame_header) blen in
   let obj =
     match kind with
@@ -516,7 +516,7 @@ let commit_with t ~parents ~msg =
   List.iter
     (fun h ->
       Hashtbl.replace t.durable h ();
-      t.unckpt <- t.unckpt @ [ h ])
+      t.unckpt <- h :: t.unckpt)
     objs;
   t.head <- ch;
   t.st <-
@@ -533,20 +533,34 @@ let commit_with t ~parents ~msg =
 let checkpoint_exn t =
   if t.unckpt = [] && t.jsector = 0 then ()
   else begin
-    (* Copy journaled frames to their pre-assigned data-area homes. *)
+    (* Copy journaled frames to their pre-assigned data-area homes with
+       one write per run of abutting frames. Oldest first is data-area
+       order, since commits hand out homes consecutively, so a
+       checkpoint is normally a single run. *)
     let ss = t.dev.B.sector_size in
-    List.iter
-      (fun h ->
-        let o = Hashtbl.find t.cache h in
-        let lba, flen = loc_of t h in
-        let frame = encode_frame t h o ~lba in
-        let buf = Bytes.make (sectors_of t flen * ss) '\000' in
-        Bytes.blit_string frame 0 buf 0 (String.length frame);
-        charge t (Uksim.Cost.memcpy flen);
-        match t.dev.B.write_sync ~lba buf with
-        | Ok () -> ()
-        | Error _ -> raise (Err Ukvfs.Fs.Eio))
-      t.unckpt;
+    let objs = Array.of_list (List.rev t.unckpt) in
+    let locs = Array.map (loc_of t) objs in
+    let n = Array.length objs in
+    let i = ref 0 in
+    while !i < n do
+      let start, _ = locs.(!i) in
+      let j = ref !i and stop = ref start in
+      while !j < n && fst locs.(!j) = !stop do
+        stop := !stop + sectors_of t (snd locs.(!j));
+        incr j
+      done;
+      let buf = Bytes.make ((!stop - start) * ss) '\000' in
+      for k = !i to !j - 1 do
+        let h = objs.(k) and lba, flen = locs.(k) in
+        let frame = encode_frame t h (Hashtbl.find t.cache h) ~lba in
+        Bytes.blit_string frame 0 buf ((lba - start) * ss) (String.length frame);
+        charge t (Uksim.Cost.memcpy flen)
+      done;
+      (match t.dev.B.write_sync ~lba:start buf with
+      | Ok () -> ()
+      | Error _ -> raise (Err Ukvfs.Fs.Eio));
+      i := !j
+    done;
     fsync t;
     (* Atomic publish: one sector, alternate slot, then barrier. *)
     t.epoch <- t.epoch + 1;
@@ -637,7 +651,7 @@ let replay_record t ~off ~expect_seq =
                         Hashtbl.replace t.cache h obj;
                         Hashtbl.replace t.locs h (lba, flen);
                         Hashtbl.replace t.durable h ();
-                        t.unckpt <- t.unckpt @ [ h ];
+                        t.unckpt <- h :: t.unckpt;
                         if lba + sectors_of t flen > t.data_head then
                           t.data_head <- lba + sectors_of t flen)
                       (List.rev !applied);

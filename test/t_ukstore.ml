@@ -315,33 +315,143 @@ let test_crash_on_first_commit () =
     crash_matrix_case ~arm_sectors:arm ~pre:0
   done
 
+let checkpoint_history t =
+  for i = 1 to 8 do
+    set t (Printf.sprintf "k%d" i) (String.make 600 (Char.chr (64 + i)));
+    ignore (commit t)
+  done
+
+let sectors_written (dev : B.t) = (dev.B.stats ()).B.sectors_written
+
 let test_crash_during_checkpoint () =
+  (* The checkpoint's data-area run, measured on a twin store with the
+     same history: its sectors less the root slot's one. *)
+  let run_sectors =
+    let _, dev, twin = fresh () in
+    checkpoint_history twin;
+    let before = sectors_written dev in
+    ok (St.checkpoint twin);
+    sectors_written dev - before - 1
+  in
   let c = clock () in
   let inner = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
   let rng = Uksim.Rng.create 7 in
   let fb = Fb.wrap ~clock:c ~rng ~plan:(Fb.plan ()) inner in
   let dev = Fb.dev fb in
   let t = ok (St.format ~clock:c ~journal_sectors:64 dev) in
-  for i = 1 to 8 do
-    set t (Printf.sprintf "k%d" i) (String.make 600 (Char.chr (64 + i)));
-    ignore (commit t)
-  done;
+  checkpoint_history t;
   let head = St.head t in
-  (* Kill the device partway through checkpoint's data-area writes: the
-     journal is already durable, so nothing may be lost. *)
-  for arm = 0 to 20 do
-    Fb.crash_after_writes fb (arm * 2);
-    ignore (St.checkpoint t : (unit, Ukvfs.Fs.errno) result);
+  (* Kill the device at every sector of checkpoint's data-area write, at
+     the root slot, and past it: the journal is already durable, so
+     nothing may be lost. *)
+  let torn = ref 0 in
+  for arm = 0 to run_sectors + 1 do
+    Fb.crash_after_writes fb arm;
+    let before = sectors_written inner in
+    let r = St.checkpoint t in
     Fb.revive fb;
+    let persisted = sectors_written inner - before in
+    if Result.is_error r && persisted > 0 && persisted < run_sectors then incr torn;
     let t' = ok (St.open_ ~clock:c inner) in
     Alcotest.(check int)
       (Printf.sprintf "ckpt arm=%d: head survives" arm)
       head (St.head t');
-    Alcotest.(check (option string))
-      (Printf.sprintf "ckpt arm=%d: data survives" arm)
-      (Some (String.make 600 'H'))
-      (ok (St.get t' "k8"))
-  done
+    for i = 1 to 8 do
+      Alcotest.(check (option string))
+        (Printf.sprintf "ckpt arm=%d: k%d survives" arm i)
+        (Some (String.make 600 (Char.chr (64 + i))))
+        (ok (St.get t' (Printf.sprintf "k%d" i)))
+    done
+  done;
+  Alcotest.(check bool) "some arm tore the run partway" true (!torn > 0)
+
+(* Commits hand out data-area homes consecutively, so a checkpoint is
+   one run of abutting frames: one device write, plus the root slot,
+   however many commits it folds. *)
+let test_checkpoint_one_write_per_run () =
+  let value i = String.make (1 + (i * 277 mod 1500)) (Char.chr (97 + (i mod 26))) in
+  List.iter
+    (fun n ->
+      let c, dev, t = fresh ~journal_sectors:256 () in
+      for i = 1 to n do
+        set t (Printf.sprintf "key-%d" i) (value i);
+        ignore (commit t)
+      done;
+      Alcotest.(check int) (Printf.sprintf "n=%d: ring never wrapped" n) 0
+        (St.stats t).St.checkpoints;
+      let writes () = (dev.B.stats ()).B.writes in
+      let before = writes () in
+      ok (St.checkpoint t);
+      Alcotest.(check int) (Printf.sprintf "n=%d: run + slot" n) 2 (writes () - before);
+      (* Cold reads decode and hash-verify each frame at its offset
+         inside the run. *)
+      let t' = ok (St.open_ ~clock:c dev) in
+      Alcotest.(check int) (Printf.sprintf "n=%d: no replay" n) 0
+        (St.stats t').St.replayed_records;
+      for i = 1 to n do
+        Alcotest.(check (option string))
+          (Printf.sprintf "n=%d: key-%d cold" n i)
+          (Some (value i))
+          (ok (St.get t' (Printf.sprintf "key-%d" i)))
+      done)
+    [ 1; 5; 16 ]
+
+let read_sectors (dev : B.t) ~lba ~sectors =
+  match dev.B.read_sync ~lba ~sectors with
+  | Ok b -> b
+  | Error _ -> Alcotest.failf "read at lba %d failed" lba
+
+let write_sectors (dev : B.t) ~lba b =
+  match dev.B.write_sync ~lba b with
+  | Ok () -> ()
+  | Error _ -> Alcotest.failf "write at lba %d failed" lba
+
+(* A frame whose length field reads negative is corrupt input. A cold
+   read of it reports Eio, and journal replay ends at the record holding
+   it, as at a torn record; neither raises. The blob comes first in a
+   commit's post-order, so its frame opens both the data area and the
+   record's payload. *)
+let test_negative_frame_length () =
+  let journal_sectors = 16 in
+  let corrupt sec =
+    Alcotest.(check char) "blob frame" 'b' (Bytes.get sec 19);
+    Bytes.blit_string "-0000001" 0 sec 21 8
+  in
+  (* In the data area, just past the two root slots and the ring. *)
+  let c, dev, t = fresh ~journal_sectors () in
+  set t "k" "v";
+  ignore (commit t);
+  ok (St.checkpoint t);
+  let lba = 2 + journal_sectors in
+  let sec = read_sectors dev ~lba ~sectors:1 in
+  corrupt sec;
+  write_sectors dev ~lba sec;
+  let t' = ok (St.open_ ~clock:c dev) in
+  Alcotest.(check bool) "cold read is Eio" true (St.get t' "k" = Error Ukvfs.Fs.Eio);
+  (* In the journal, where record 1 opens the ring at lba 2. Its trailer
+     is re-sealed over the corrupted payload, so only the frame decoder
+     can reject it. *)
+  let c, dev, t = fresh ~journal_sectors () in
+  set t "k" "v";
+  ignore (commit t);
+  let header = Bytes.to_string (read_sectors dev ~lba:2 ~sectors:1) in
+  let psec = Scanf.sscanf header "%s %d %d" (fun _ _ psec -> psec) in
+  let payload = read_sectors dev ~lba:3 ~sectors:psec in
+  corrupt payload;
+  write_sectors dev ~lba:3 payload;
+  let trailer = Bytes.to_string (read_sectors dev ~lba:(3 + psec) ~sectors:1) in
+  let seq, plen = Scanf.sscanf trailer "%s %d %d" (fun _ seq plen -> (seq, plen)) in
+  let core =
+    Printf.sprintf "%s %d %d %016x" St.jc_magic seq plen
+      (Ukvfs.Digest.string_hash (Bytes.sub_string payload 0 plen))
+  in
+  let line = Printf.sprintf "%s %016x\n" core (Ukvfs.Digest.fnv_string core) in
+  let sec = Bytes.make dev.B.sector_size '\000' in
+  Bytes.blit_string line 0 sec 0 (String.length line);
+  write_sectors dev ~lba:(3 + psec) sec;
+  let t' = ok (St.open_ ~clock:c dev) in
+  Alcotest.(check int) "replay ends at the record" 0 (St.stats t').St.replayed_records;
+  Alcotest.(check (option string)) "its commit is not recovered" None (ok (St.get t' "k"))
 
 let test_recovery_is_deterministic () =
   let c = clock () in
@@ -535,6 +645,8 @@ let suite =
     ("crash matrix", `Quick, test_crash_matrix);
     ("crash on first commit", `Quick, test_crash_on_first_commit);
     ("crash during checkpoint", `Quick, test_crash_during_checkpoint);
+    ("checkpoint writes one request per run", `Quick, test_checkpoint_one_write_per_run);
+    ("negative frame length is Eio", `Quick, test_negative_frame_length);
     ("recovery deterministic", `Quick, test_recovery_is_deterministic);
     ("journal ring wraps", `Quick, test_journal_ring_wraps_via_checkpoint);
     ("store server on cluster", `Quick, test_store_server_cluster);
