@@ -8,7 +8,8 @@
    experiments use [emit] to add result fields to their JSON object,
    [gate] and [replay] to declare pass/fail checks next to the
    measurement (they land in the object's "gates" section, and [main]
-   exits 1 naming every false gate and every experiment that raised),
+   exits 1 naming every false gate, every experiment that raised and
+   every negative count in a metrics window),
    [phase] to bracket a measurement window with a registry diff, and
    [trial] to mark a repetition boundary (clears instance sources and
    resets survivors, so counters never leak between trials).
@@ -202,6 +203,26 @@ let write_group_file group results =
   close_out oc;
   Printf.printf "[wrote %s]\n%!" fname
 
+(* A count that falls inside a window is a counting bug, never a
+   measurement: "<exp>.<window>.<source>.<sample>" for each one. *)
+let negative_counts r =
+  let negative = function
+    | Uktrace.Metric.Count n -> n < 0
+    | Uktrace.Metric.Buckets b -> Array.exists (fun n -> n < 0) b
+    | Uktrace.Metric.Level _ -> false
+  in
+  List.concat_map
+    (fun (window, snap) ->
+      List.concat_map
+        (fun (e : Uktrace.Registry.entry_snap) ->
+          List.filter_map
+            (fun (name, v) ->
+              if negative v then Some (Printf.sprintf "%s.%s.%s.%s" r.rid window e.suid name)
+              else None)
+            e.samples)
+        snap)
+    (("total", r.rtotal) :: r.rphases)
+
 (* --- entry point -------------------------------------------------------- *)
 
 let print_experiments oc =
@@ -265,7 +286,8 @@ let main ?micro () =
           | None -> [])
           @ List.filter_map
               (fun (g, ok) -> if ok then None else Some (Printf.sprintf "gate %s.%s" r.rid g))
-              r.rgates)
+              r.rgates
+          @ List.map (fun s -> "negative count " ^ s) (negative_counts r))
         results
     in
     let gates = List.fold_left (fun n r -> n + List.length r.rgates) 0 results in

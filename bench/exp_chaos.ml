@@ -14,6 +14,8 @@ module S = Uknetstack.Stack
 module A = Uknetstack.Addr
 module B = Ukblock.Blockdev
 
+let count = Uktrace.Source.count
+
 let chaos_seed = 0xC4A05 (* fixed: the soak replays byte-for-byte *)
 
 (* A served workload over a loopback link with BOTH transmit directions
@@ -53,8 +55,8 @@ let chaotic_link ?(seed = chaos_seed) plan =
   { clock; engine; sched; server_stack; client_stack; server_fault; client_fault; alloc }
 
 let injected (c : chaotic) =
-  let a = Fn.stats c.server_fault and b = Fn.stats c.client_fault in
-  a.Fn.dropped + b.Fn.dropped + a.Fn.flap_dropped + b.Fn.flap_dropped
+  let a = Fn.source c.server_fault and b = Fn.source c.client_fault in
+  count a "dropped" + count b "dropped" + count a "flap_dropped" + count b "flap_dropped"
 
 (* --- webserver under increasing loss ------------------------------------- *)
 
@@ -78,10 +80,10 @@ let web_run ?(seed = chaos_seed) ~loss ~corrupt ~requests () =
       ~stack:c.client_stack ~server:(A.Ipv4.of_string "10.0.0.1", 80) ~connections:10 ~requests
       (Ukapps.Httpd.client ())
   in
-  let hs = Ukapps.Httpd.stats httpd in
+  let rx_drop s = count (S.source s) "rx_drop" in
   { rate = r.Ukapps.Load.rate_per_sec; p99_us = r.Ukapps.Load.p99_us;
-    wrk_errors = r.Ukapps.Load.errors; served = hs.Ukapps.Httpd.requests; drops = injected c;
-    stack_rx_drop = (S.stats c.server_stack).S.rx_drop + (S.stats c.client_stack).S.rx_drop }
+    wrk_errors = r.Ukapps.Load.errors; served = count (Ukapps.Httpd.source httpd) "requests";
+    drops = injected c; stack_rx_drop = rx_drop c.server_stack + rx_drop c.client_stack }
 
 let run_web () =
   let requests = Common.scaled 4000 in
@@ -204,11 +206,11 @@ let run_oom () =
       ~stack:c.client_stack ~server:(A.Ipv4.of_string "10.0.0.1", 80) ~connections:10 ~requests
       (Ukapps.Httpd.client ())
   in
-  let hs = Ukapps.Httpd.stats httpd in
+  let hs = Ukapps.Httpd.source httpd in
   Common.row "  requests served          %d (every 25th pool alloc failed)\n"
-    hs.Ukapps.Httpd.requests;
+    (count hs "requests");
   Common.row "  shed with 503            %d (= wrk non-200 count: %d)\n"
-    hs.Ukapps.Httpd.errors_503 r.Ukapps.Load.errors;
+    (count hs "errors_503") r.Ukapps.Load.errors;
   Common.row "  injected OOM failures    %d over %d attempts\n" (Fa.injected_failures fa)
     (Fa.attempts fa);
   Common.row "  => no crash, no lost connection: pressure becomes 503s.\n"
@@ -246,9 +248,9 @@ let run_blk () =
     | Ok got -> if Bytes.get got 0 <> Char.chr (i land 0xff) then verified := false
     | Error _ -> verified := false
   done;
-  let st = Fb.stats fb in
+  let st = Fb.source fb in
   Common.row "  %d writes, %d retries; injected: %d io errors, %d torn, %d spikes\n" writes
-    !retries st.Fb.io_errors st.Fb.torn_writes st.Fb.latency_spikes;
+    !retries (count st "io_errors") (count st "torn_writes") (count st "latency_spikes");
   Common.row "  data verified after retry: %b\n" !verified
 
 (* --- fleet drill: kill instances mid-spike -------------------------------- *)
@@ -287,18 +289,18 @@ let run_fleet () =
       ~kill:(fun ~now_ns iid -> Fleet.kill fleet ~now_ns ~iid)
   in
   let r = Fleet.run fleet w in
-  let st = Fv.stats fv in
-  Common.row "  killed %d instances mid-spike (%d missed); %d respawns\n" st.Fv.killed
-    st.Fv.missed r.Fleet.restarts;
+  let killed = count (Fv.source fv) "killed" in
+  Common.row "  killed %d instances mid-spike (%d missed); %d respawns\n" killed
+    (count (Fv.source fv) "missed") r.Fleet.restarts;
   Common.row "  offered=%d completed=%d shed=%d redispatched=%d lost=%d\n" r.Fleet.offered
     r.Fleet.completed r.Fleet.shed r.Fleet.redispatched r.Fleet.lost;
   Common.row "  p99=%.0fus slo_violation=%.1fms peak=%d instances\n" r.Fleet.p99_us
     (r.Fleet.slo_violation_ns /. 1e6) r.Fleet.peak_instances;
-  Bench.emit_i "fleet_killed" st.Fv.killed;
+  Bench.emit_i "fleet_killed" killed;
   Bench.emit_i "fleet_restarts" r.Fleet.restarts;
   Bench.emit_i "fleet_redispatched" r.Fleet.redispatched;
   Bench.emit_i "fleet_lost" r.Fleet.lost;
-  Bench.gate "fleet_zero_lost" (r.Fleet.lost = 0 && st.Fv.killed > 0)
+  Bench.gate "fleet_zero_lost" (r.Fleet.lost = 0 && killed > 0)
 
 (* --- determinism ----------------------------------------------------------- *)
 

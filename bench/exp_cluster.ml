@@ -75,7 +75,7 @@ let run_drill () =
   show "drill" r;
   row "  detector: %d suspects, %d recovers, %d deads;  migrations %d (aborts %d);  faults applied %d\n"
     r.Cluster.suspects r.Cluster.recovers r.Cluster.deads r.Cluster.migrations
-    r.Cluster.migration_aborts (Fh.stats fh).Fh.applied;
+    r.Cluster.migration_aborts (Uktrace.Source.count (Fh.source fh) "applied");
   Bench.emit_i "drill_offered" r.Cluster.offered;
   Bench.emit_i "drill_completed" r.Cluster.completed;
   Bench.emit_i "drill_lost" r.Cluster.lost;

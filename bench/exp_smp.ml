@@ -38,7 +38,7 @@ let run_resp ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n workload =
   ignore (Cluster.add_resp c ~transport:Ukapps.Serve.Socket ~populate:4096 ());
   (* Prepopulation runs on core 0 before the load; drop its lock traffic so
      the reported spin stats cover only the measured serving phase. *)
-  Spin.reset_stats (Cluster.alloc_spin c);
+  (Spin.source (Cluster.alloc_spin c)).Uktrace.Source.reset ();
   let r =
     Cluster.run_load c ~transport:Ukapps.Serve.Socket ~port:6379 ~connections_per_core:8
       ~pipeline:16 ~requests_per_core:(resp_requests_per_core ())
@@ -109,10 +109,10 @@ let smp =
         row "%-14s %12s %16s %16s\n" "allocator" "kreq/s" "spin waits" "spin wait cyc";
         let ablate mode label =
           let c, r = run_resp ~alloc_mode:mode ~n:4 Ukapps.Resp_store.Set in
-          let st = Spin.stats (Cluster.alloc_spin c) in
+          let st = Spin.source (Cluster.alloc_spin c) in
           row "%-14s %12.1f %16d %16d\n" label
             (kreq r.Ukapps.Load.rate_per_sec)
-            st.Spin.contended st.Spin.wait_cycles;
+            (Uktrace.Source.count st "contended") (Uktrace.Source.count st "wait_cycles");
           r.Ukapps.Load.rate_per_sec
         in
         let arena_rate, shared_rate =

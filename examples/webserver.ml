@@ -63,12 +63,13 @@ let () =
   in
   Format.printf "wrk: %.0f req/s, mean latency %.1f us, p99 %.1f us, errors %d@."
     r.Ukapps.Load.rate_per_sec r.Ukapps.Load.mean_us r.Ukapps.Load.p99_us r.Ukapps.Load.errors;
-  let hs = Ukapps.Httpd.stats httpd in
-  Format.printf "server: %d requests, %d x 404, %a sent@." hs.Ukapps.Httpd.requests
-    hs.Ukapps.Httpd.errors_404 Uksim.Units.pp_bytes hs.Ukapps.Httpd.bytes_sent;
-  let ss = Uknetstack.Stack.stats (Option.get env.Vm.stack) in
+  let count = Uktrace.Source.count in
+  let hs = Ukapps.Httpd.source httpd in
+  Format.printf "server: %d requests, %d x 404, %a sent@." (count hs "requests")
+    (count hs "errors_404") Uksim.Units.pp_bytes (count hs "bytes_sent");
+  let ss = Uknetstack.Stack.source (Option.get env.Vm.stack) in
   Format.printf "server stack: %d frames in, %d tcp segments, %d dropped@."
-    ss.Uknetstack.Stack.rx_eth ss.Uknetstack.Stack.rx_tcp ss.Uknetstack.Stack.rx_drop;
+    (count ss "rx_eth") (count ss "rx_tcp") (count ss "rx_drop");
   let st = env.Vm.alloc.Ukalloc.Alloc.stats () in
   Format.printf "allocator (%s): %d allocs / %d frees, peak %a@."
     env.Vm.alloc.Ukalloc.Alloc.name st.Ukalloc.Alloc.allocs st.Ukalloc.Alloc.frees

@@ -13,15 +13,6 @@ let max_class_size = 4096
 let min_class = 4 (* 16-byte minimum object *)
 let max_class = 12 (* log2 max_class_size *)
 
-type counters = {
-  fast_hits : int; (* allocations served from a magazine *)
-  refills : int;
-  flushes : int;
-  backend_oom : int; (* refills/bypasses that got fewer objects than asked *)
-  cached_objs : int; (* objects currently sitting in magazines *)
-  cached_bytes : int;
-}
-
 type t = {
   clocks : Uksim.Clock.t array;
   backend : Alloc.t;
@@ -32,16 +23,49 @@ type t = {
   mag_len : int array array; (* avoid O(n) List.length on the hot path *)
   addr2class : (int, int) Hashtbl.t; (* live or magazine-cached small objects *)
   bypass : (int, int) Hashtbl.t; (* addr -> size, for > max_class_size *)
-  mutable fast_hits : int;
+  mutable fast_hits : int; (* allocations served from a magazine *)
   mutable refills : int;
   mutable flushes : int;
-  mutable backend_oom : int;
+  mutable backend_oom : int; (* refills/bypasses that got fewer objects than asked *)
   mutable allocs : int;
   mutable frees : int;
   mutable failed : int;
   mutable in_use : int;
   mutable peak : int;
 }
+
+(* Objects and bytes sitting in magazines right now. *)
+let cached t =
+  let objs = ref 0 and bytes = ref 0 in
+  Array.iter
+    (Array.iteri (fun c len ->
+         objs := !objs + len;
+         bytes := !bytes + (len * (1 lsl c))))
+    t.mag_len;
+  (!objs, !bytes)
+
+(* A computed source: the magazine levels are summed at snapshot time. *)
+let source t =
+  Uktrace.Source.make ~subsystem:"ukalloc" ~name:"percore"
+    ~reset:(fun () ->
+      t.fast_hits <- 0;
+      t.refills <- 0;
+      t.flushes <- 0;
+      t.backend_oom <- 0)
+    (fun () ->
+      let objs, bytes = cached t in
+      [
+        ("fast_hits", Uktrace.Metric.Count t.fast_hits);
+        ("refills", Uktrace.Metric.Count t.refills);
+        ("flushes", Uktrace.Metric.Count t.flushes);
+        ("backend_oom", Uktrace.Metric.Count t.backend_oom);
+        ("allocs", Uktrace.Metric.Count t.allocs);
+        ("frees", Uktrace.Metric.Count t.frees);
+        ("cached_objs", Uktrace.Metric.Level (float_of_int objs));
+        ("cached_bytes", Uktrace.Metric.Level (float_of_int bytes));
+        ("bytes_in_use", Uktrace.Metric.Level (float_of_int t.in_use));
+        ("peak_bytes", Uktrace.Metric.Level (float_of_int t.peak));
+      ])
 
 let create ~clocks ~backend ?(batch = 16) ?(max_cached = 64) () =
   if Array.length clocks = 0 then invalid_arg "Percore.create: no cores";
@@ -69,55 +93,11 @@ let create ~clocks ~backend ?(batch = 16) ?(max_cached = 64) () =
     peak = 0;
   }
   in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukalloc" ~name:"percore"
-       ~reset:(fun () ->
-         t.fast_hits <- 0;
-         t.refills <- 0;
-         t.flushes <- 0;
-         t.backend_oom <- 0)
-       (fun () ->
-         let objs = ref 0 and bytes = ref 0 in
-         Array.iter
-           (Array.iteri (fun c len ->
-                objs := !objs + len;
-                bytes := !bytes + (len * (1 lsl c))))
-           t.mag_len;
-         [
-           ("fast_hits", Uktrace.Metric.Count t.fast_hits);
-           ("refills", Uktrace.Metric.Count t.refills);
-           ("flushes", Uktrace.Metric.Count t.flushes);
-           ("backend_oom", Uktrace.Metric.Count t.backend_oom);
-           ("allocs", Uktrace.Metric.Count t.allocs);
-           ("frees", Uktrace.Metric.Count t.frees);
-           ("cached_objs", Uktrace.Metric.Level (float_of_int !objs));
-           ("cached_bytes", Uktrace.Metric.Level (float_of_int !bytes));
-           ("bytes_in_use", Uktrace.Metric.Level (float_of_int t.in_use));
-           ("peak_bytes", Uktrace.Metric.Level (float_of_int t.peak));
-         ]));
+  Uktrace.Registry.register (source t);
   t
 
 let n_cores t = Array.length t.clocks
 let lock t = t.lock
-
-let counters t =
-  let objs = ref 0 and bytes = ref 0 in
-  Array.iter
-    (fun per_class ->
-      Array.iteri
-        (fun c len ->
-          objs := !objs + len;
-          bytes := !bytes + (len * (1 lsl c)))
-        per_class)
-    t.mag_len;
-  {
-    fast_hits = t.fast_hits;
-    refills = t.refills;
-    flushes = t.flushes;
-    backend_oom = t.backend_oom;
-    cached_objs = !objs;
-    cached_bytes = !bytes;
-  }
 
 let class_of size = max min_class (Alloc.log2_ceil size)
 
@@ -224,14 +204,13 @@ let free t ~core addr =
       | None -> invalid_arg "Percore.free: unknown address")
 
 let stats t =
-  let ctr = counters t in
   {
     Alloc.allocs = t.allocs;
     frees = t.frees;
     failed = t.failed;
     bytes_in_use = t.in_use;
     peak_bytes = t.peak;
-    metadata_bytes = ctr.cached_bytes;
+    metadata_bytes = snd (cached t);
   }
 
 let view t ~core =

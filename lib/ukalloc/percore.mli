@@ -40,19 +40,15 @@ val view : t -> core:int -> Alloc.t
 
 val n_cores : t -> int
 val lock : t -> Uklock.Lock.Spin.t
-(** The backend spinlock — its {!Uklock.Lock.Spin.stats} quantify refill
-    contention. *)
+(** The backend spinlock — its {!Uklock.Lock.Spin.source} quantifies
+    refill contention. *)
 
-type counters = {
-  fast_hits : int;  (** allocations served from a magazine, no lock *)
-  refills : int;
-  flushes : int;
-  backend_oom : int;  (** refills/bypasses the backend could not satisfy *)
-  cached_objs : int;  (** objects currently cached in magazines *)
-  cached_bytes : int;
-}
-
-val counters : t -> counters
+val source : t -> Uktrace.Source.t
+(** The arena's ["ukalloc.percore"] source: counts [fast_hits]
+    (allocations served from a magazine, no lock), [refills], [flushes],
+    [backend_oom] (refills/bypasses the backend could not satisfy),
+    [allocs] and [frees]; levels [cached_objs] and [cached_bytes] (what
+    the magazines hold now), [bytes_in_use] and [peak_bytes]. *)
 
 val shared_lock_views :
   clocks:Uksim.Clock.t array ->

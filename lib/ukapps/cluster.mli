@@ -45,7 +45,7 @@ val client_stack : t -> int -> Uknetstack.Stack.t
 val alloc_view : t -> int -> Ukalloc.Alloc.t
 val alloc_spin : t -> Uklock.Lock.Spin.t
 (** The allocator's backend lock (arena refill lock, or the global lock in
-    [Shared_lock] mode) — its stats quantify allocator contention. *)
+    [Shared_lock] mode) — its source quantifies allocator contention. *)
 
 val arena : t -> Ukalloc.Percore.t option
 (** The arena, in [Arena] mode. *)

@@ -1,20 +1,21 @@
 module S = Uknetstack.Stack
+module C = Uktrace.Metric.Counter
 
 type content =
   | In_memory of (string * string) list
   | Via_vfs of Ukvfs.Vfs.t
   | Via_shfs of Ukvfs.Shfs.t
 
-type stats = { requests : int; errors_404 : int; errors_503 : int; bytes_sent : int }
-
-let zero_stats = { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 }
-
 type t = {
   clock : Uksim.Clock.t;
   alloc : Ukalloc.Alloc.t;
   content : content;
   core : int; (* tracepoint lane; the owning core under SMP *)
-  mutable st : stats;
+  group : Uktrace.Registry.group;
+  requests : C.t;
+  errors_404 : C.t;
+  errors_503 : C.t;
+  bytes_sent : C.t;
 }
 
 (* nginx-ish request handling work: header parse, route, log. *)
@@ -123,7 +124,7 @@ let handle t ~fast sink path =
         | _, None when not fast ->
             (* Allocator under pressure: shed the request instead of
                serving it half-built (degraded mode). *)
-            t.st <- { t.st with errors_503 = t.st.errors_503 + 1 };
+            C.incr t.errors_503;
             response ~status:"503 Service Unavailable" ~body:"overloaded"
         | None, _ -> response ~status:"400 Bad Request" ~body:"bad request"
         | Some path, _ -> (
@@ -132,33 +133,26 @@ let handle t ~fast sink path =
                 if not fast then charge t (Uksim.Cost.memcpy (String.length body));
                 response ~status:"200 OK" ~body
             | None ->
-                t.st <- { t.st with errors_404 = t.st.errors_404 + 1 };
+                C.incr t.errors_404;
                 response ~status:"404 Not Found" ~body:"not found")
       in
       charge t (if fast then fast_respond_cost else respond_cost);
       Option.iter (Ukalloc.Alloc.uk_free t.alloc) pool;
       Serve.write sink reply;
-      t.st <-
-        { t.st with
-          requests = t.st.requests + 1;
-          bytes_sent = t.st.bytes_sent + String.length reply })
+      C.incr t.requests;
+      C.add t.bytes_sent (String.length reply))
 
 type make =
   clock:Uksim.Clock.t -> sched:Uksched.Sched.t -> stack:S.t -> alloc:Ukalloc.Alloc.t ->
   ?port:int -> ?core:int -> content -> t
 
 let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) content =
-  let t = { clock; alloc; content; core; st = zero_stats } in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukapps" ~name:"httpd"
-       ~reset:(fun () -> t.st <- zero_stats)
-       (fun () ->
-         [
-           ("requests", Uktrace.Metric.Count t.st.requests);
-           ("errors_404", Uktrace.Metric.Count t.st.errors_404);
-           ("errors_503", Uktrace.Metric.Count t.st.errors_503);
-           ("bytes_sent", Uktrace.Metric.Count t.st.bytes_sent);
-         ]));
+  let group = Uktrace.Registry.group ~subsystem:"ukapps" "httpd" in
+  let requests = Uktrace.Registry.counter group "requests" in
+  let errors_404 = Uktrace.Registry.counter group "errors_404" in
+  let errors_503 = Uktrace.Registry.counter group "errors_503" in
+  let bytes_sent = Uktrace.Registry.counter group "bytes_sent" in
+  let t = { clock; alloc; content; core; group; requests; errors_404; errors_503; bytes_sent } in
   let fast = transport <> Serve.Socket in
   Serve.start transport ~name:"httpd" ~clock ~sched ~stack ~port ~frame
     ~handle:(handle t ~fast);
@@ -167,18 +161,7 @@ let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) conten
 let create = serve ~transport:Serve.Socket
 let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
-let stats t = t.st
-
-let sum_stats ts =
-  List.fold_left
-    (fun acc t ->
-      {
-        requests = acc.requests + t.st.requests;
-        errors_404 = acc.errors_404 + t.st.errors_404;
-        errors_503 = acc.errors_503 + t.st.errors_503;
-        bytes_sent = acc.bytes_sent + t.st.bytes_sent;
-      })
-    zero_stats ts
+let source t = Uktrace.Registry.source t.group
 
 (* --- load client ------------------------------------------------------------ *)
 

@@ -12,15 +12,6 @@ type content =
 
 type t
 
-type stats = {
-  requests : int;
-  errors_404 : int;
-  errors_503 : int;
-      (** requests shed in degraded mode (the per-request pool allocation
-          failed — e.g. under a {!Ukfault.Faultalloc} OOM sweep) *)
-  bytes_sent : int;
-}
-
 val default_page : string
 (** The paper's 612-byte static page. *)
 
@@ -39,8 +30,7 @@ val serve : transport:Serve.transport -> make
     SMP mode: create one instance per core, each on its own per-core
     stack/clock/alloc view — RSS then spreads connections across them
     like SO_REUSEPORT sharding. [core] (default 0) labels this worker's
-    tracepoints; stats also register as an ["ukapps.httpd"]
-    {!Uktrace.Registry} source.
+    tracepoints; its counters are the worker's {!source}.
 
     On {!Serve.Socket} every request takes a 1 KiB buffer from [alloc]
     (nginx's request pool — a failed allocation sheds the request with a
@@ -55,10 +45,11 @@ val create : make
 val create_fast : make
 (** [serve ~transport:(Netbuf {rtc = true})]. *)
 
-val stats : t -> stats
-
-val sum_stats : t list -> stats
-(** Aggregate over SMP workers. *)
+val source : t -> Uktrace.Source.t
+(** The worker's ["ukapps.httpd"] source: [requests], [errors_404],
+    [errors_503] (requests shed in degraded mode, when the per-request
+    pool allocation failed, e.g. under a {!Ukfault.Faultalloc} OOM sweep)
+    and [bytes_sent]. *)
 
 (** {1 Load generation} *)
 

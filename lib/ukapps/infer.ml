@@ -29,34 +29,30 @@ let mix a b =
 
 (* --- the sticky ukapps.infer source ------------------------------------- *)
 
-type gstats = {
-  mutable g_loads : int;
-  mutable g_load_ns : float; (* most recent weight load *)
-  mutable g_weight_bytes : int;
-  mutable g_requests : int;
-  mutable g_batches : int;
+module C = Uktrace.Metric.Counter
+
+type metrics = {
+  group : Uktrace.Registry.group;
+  weight_loads : C.t;
+  weight_bytes : C.t;
+  load_ns : Uktrace.Metric.Gauge.t; (* most recent weight load *)
+  requests : C.t;
+  batches : C.t;
+  errors : C.t;
 }
 
-let g = { g_loads = 0; g_load_ns = 0.0; g_weight_bytes = 0; g_requests = 0; g_batches = 0 }
-
-let source =
+let metrics =
   lazy
-    (Uktrace.Registry.register ~sticky:true
-       (Uktrace.Source.make ~subsystem:"ukapps" ~name:"infer"
-          ~reset:(fun () ->
-            g.g_loads <- 0;
-            g.g_load_ns <- 0.0;
-            g.g_weight_bytes <- 0;
-            g.g_requests <- 0;
-            g.g_batches <- 0)
-          (fun () ->
-            [
-              ("weight_loads", Uktrace.Metric.Count g.g_loads);
-              ("weight_bytes", Uktrace.Metric.Count g.g_weight_bytes);
-              ("load_ns", Uktrace.Metric.Level g.g_load_ns);
-              ("requests", Uktrace.Metric.Count g.g_requests);
-              ("batches", Uktrace.Metric.Count g.g_batches);
-            ])))
+    (let group = Uktrace.Registry.group ~sticky:true ~subsystem:"ukapps" "infer" in
+     let weight_loads = Uktrace.Registry.counter group "weight_loads" in
+     let weight_bytes = Uktrace.Registry.counter group "weight_bytes" in
+     let load_ns = Uktrace.Registry.gauge group "load_ns" in
+     let requests = Uktrace.Registry.counter group "requests" in
+     let batches = Uktrace.Registry.counter group "batches" in
+     let errors = Uktrace.Registry.counter group "errors" in
+     { group; weight_loads; weight_bytes; load_ns; requests; batches; errors })
+
+let source () = Uktrace.Registry.source (Lazy.force metrics).group
 
 (* --- weights -------------------------------------------------------------- *)
 
@@ -95,7 +91,7 @@ let basename path =
   match List.rev (Ukvfs.Fs.split_path path) with n :: _ -> n | [] -> path
 
 let load ~clock ~vfs ~store ~path () =
-  Lazy.force source;
+  let m = Lazy.force metrics in
   let t0 = Uksim.Clock.ns clock in
   let name = basename path in
   (* Resolution and metadata go through vfscore — the mount table, path
@@ -126,9 +122,9 @@ let load ~clock ~vfs ~store ~path () =
           then Error (Printf.sprintf "weights %s: content address mismatch" path)
           else begin
             let load_ns = Uksim.Clock.ns clock -. t0 in
-            g.g_loads <- g.g_loads + 1;
-            g.g_load_ns <- load_ns;
-            g.g_weight_bytes <- g.g_weight_bytes + bytes;
+            C.incr m.weight_loads;
+            Uktrace.Metric.Gauge.set m.load_ns load_ns;
+            C.add m.weight_bytes bytes;
             Ok
               {
                 name;
@@ -140,16 +136,6 @@ let load ~clock ~vfs ~store ~path () =
           end)
 
 (* --- admission queue + batch executor ------------------------------------ *)
-
-type stats = {
-  requests : int;
-  batches : int;
-  errors : int;
-  max_occupancy : int;
-  bytes_out : int;
-}
-
-let zero_stats = { requests = 0; batches = 0; errors = 0; max_occupancy = 0; bytes_out = 0 }
 
 type pending = { prid : int; pwidth : int; preply : string -> unit }
 
@@ -163,7 +149,7 @@ type t = {
   q : pending Queue.t;
   mutable timer_gen : int; (* armed deadlines carry the gen they saw *)
   mutable timer_armed : bool;
-  mutable st : stats;
+  m : metrics;
   mutable state : int;
   alloc : Ukalloc.Alloc.t option;
 }
@@ -198,21 +184,13 @@ let rec run_batch t =
             (* Commutative fold: the two transports may batch the
                same request set differently, the hash must not care. *)
             t.state <- t.state lxor mix out (it.prid + (it.pwidth * 0x10001));
-            t.st <-
-              { t.st with
-                requests = t.st.requests + 1;
-                bytes_out = t.st.bytes_out + String.length r };
-            g.g_requests <- g.g_requests + 1;
+            C.incr t.m.requests;
             it.preply r)
           items;
         (match (scratch, t.alloc) with
         | Some addr, Some a -> Ukalloc.Alloc.uk_free a addr
         | _ -> ());
-        t.st <-
-          { t.st with
-            batches = t.st.batches + 1;
-            max_occupancy = max t.st.max_occupancy b };
-        g.g_batches <- g.g_batches + 1);
+        C.incr t.m.batches);
     if Queue.length t.q >= t.max_batch then run_batch t
     else if not (Queue.is_empty t.q) then arm_timer t
   end
@@ -233,7 +211,7 @@ let pump t = if not (Queue.is_empty t.q) then run_batch t
 
 let mk_bare ~clock ~engine ?(max_batch = 8) ?(max_wait_ns = Uksim.Units.usec 20.0)
     ?(core = 0) ?alloc ~model () =
-  Lazy.force source;
+  let m = Lazy.force metrics in
   if max_batch < 1 then invalid_arg "Infer: max_batch must be >= 1";
   {
     clock;
@@ -245,7 +223,7 @@ let mk_bare ~clock ~engine ?(max_batch = 8) ?(max_wait_ns = Uksim.Units.usec 20.
     q = Queue.create ();
     timer_gen = 0;
     timer_armed = false;
-    st = zero_stats;
+    m;
     state = 0;
     alloc;
   }
@@ -253,7 +231,6 @@ let mk_bare ~clock ~engine ?(max_batch = 8) ?(max_wait_ns = Uksim.Units.usec 20.
 let create_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~model () =
   mk_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~model ()
 
-let stats t = t.st
 let state_hash t = t.state
 let the_model t = t.model
 
@@ -293,7 +270,7 @@ let serve ~transport ~clock ~engine ~sched ~stack ~alloc ?(port = 8000) ?core ?m
       match parse_req line with
       | Some (rid, width) -> submit t ~rid ~width ~reply
       | None ->
-          t.st <- { t.st with errors = t.st.errors + 1 };
+          C.incr t.m.errors;
           reply bad_reply);
   t
 

@@ -115,15 +115,12 @@ val pump : t -> unit
 (** Flush a pending partial batch immediately (drains the admission
     queue without waiting for the engine timer). *)
 
-type stats = {
-  requests : int;
-  batches : int;
-  errors : int;
-  max_occupancy : int;  (** largest batch executed *)
-  bytes_out : int;
-}
+val source : unit -> Uktrace.Source.t
+(** The sticky ["ukapps.infer"] source every server and {!load} count
+    into (registered on first use): [weight_loads], [weight_bytes],
+    [load_ns] (a level: the latest load), [requests], [batches] and
+    [errors] (malformed request lines). *)
 
-val stats : t -> stats
 val state_hash : t -> int
 (** Order-independent fold over every (id, width, output digest) served —
     equal across transports given the same request set. *)

@@ -1,9 +1,8 @@
 module S = Uknetstack.Stack
 module St = Ukstore.Store
+module C = Uktrace.Metric.Counter
 
 type entry = { addr : int; value : string }
-
-type stats = { commands : int; hits : int; misses : int }
 
 type t = {
   clock : Uksim.Clock.t;
@@ -15,9 +14,10 @@ type t = {
       (* write-through merkle backing: the string keyspace (SET/DEL/INCR/
          FLUSHALL) mirrors into the crash-consistent store; list keys stay
          memory-only (Redis-without-AOF semantics for them) *)
-  mutable commands : int;
-  mutable hits : int;
-  mutable misses : int;
+  group : Uktrace.Registry.group;
+  commands : C.t;
+  hits : C.t;
+  misses : C.t;
 }
 
 let persist_set t k v =
@@ -77,11 +77,11 @@ let get t key =
   charge t hash_cost;
   match Hashtbl.find_opt t.table key with
   | Some e ->
-      t.hits <- t.hits + 1;
+      C.incr t.hits;
       charge t (Uksim.Cost.memcpy (String.length e.value));
       Resp.Bulk e.value
   | None ->
-      t.misses <- t.misses + 1;
+      C.incr t.misses;
       Resp.Null
 
 let put t key value =
@@ -132,7 +132,7 @@ let rec execute t args =
     "resp_command" (fun () -> execute_untraced t args)
 
 and execute_untraced t args =
-  t.commands <- t.commands + 1;
+  C.incr t.commands;
   charge t cmd_cost;
   with_cmd_objects t args @@ fun () ->
   let upper = String.uppercase_ascii in
@@ -195,7 +195,7 @@ let fast_cmd_cost = 120
 let execute_fast t args =
   charge t fast_cmd_cost;
   let hot r =
-    t.commands <- t.commands + 1;
+    C.incr t.commands;
     r
   in
   match args with
@@ -267,7 +267,7 @@ let handle t ~fast sink args =
 let mk ~clock ~alloc ~core ?share_with ?persist () =
   (* [share_with]: SMP workers serve one logical database — every worker
      reuses the first worker's key space (per-worker command counters stay
-     separate; see [sum_stats]). The merkle backing is likewise shared. *)
+     separate). The merkle backing is likewise shared. *)
   let table, lists =
     match share_with with
     | Some peer -> (peer.table, peer.lists)
@@ -279,9 +279,11 @@ let mk ~clock ~alloc ~core ?share_with ?persist () =
     | None, Some peer -> peer.persist
     | None, None -> None
   in
-  let t =
-    { clock; alloc; table; lists; core; persist; commands = 0; hits = 0; misses = 0 }
-  in
+  let group = Uktrace.Registry.group ~subsystem:"ukapps" "resp" in
+  let commands = Uktrace.Registry.counter group "commands" in
+  let hits = Uktrace.Registry.counter group "hits" in
+  let misses = Uktrace.Registry.counter group "misses" in
+  let t = { clock; alloc; table; lists; core; persist; group; commands; hits; misses } in
   (* Restart-and-replay: hydrate the keyspace from the store's last
      durable commit (a fresh table only — share_with peers already share
      the hydrated one). *)
@@ -298,18 +300,6 @@ let mk ~clock ~alloc ~core ?share_with ?persist () =
       | Error e ->
           invalid_arg ("Resp_store: persist replay: " ^ Ukvfs.Fs.errno_to_string e))
   | _ -> ());
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukapps" ~name:"resp"
-       ~reset:(fun () ->
-         t.commands <- 0;
-         t.hits <- 0;
-         t.misses <- 0)
-       (fun () ->
-         [
-           ("commands", Uktrace.Metric.Count t.commands);
-           ("hits", Uktrace.Metric.Count t.hits);
-           ("misses", Uktrace.Metric.Count t.misses);
-         ]));
   t
 
 type make =
@@ -326,19 +316,7 @@ let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?sha
 let create = serve ~transport:Serve.Socket
 let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
-let stats t = { commands = t.commands; hits = t.hits; misses = t.misses }
-
-let sum_stats ts =
-  List.fold_left
-    (fun (acc : stats) t ->
-      ({
-         commands = acc.commands + t.commands;
-         hits = acc.hits + t.hits;
-         misses = acc.misses + t.misses;
-       }
-        : stats))
-    { commands = 0; hits = 0; misses = 0 }
-    ts
+let source t = Uktrace.Registry.source t.group
 let dbsize t = Hashtbl.length t.table
 
 (* --- load client ------------------------------------------------------------ *)

@@ -9,8 +9,6 @@
 
 type t
 
-type stats = { commands : int; hits : int; misses : int }
-
 type make =
   clock:Uksim.Clock.t ->
   sched:Uksched.Sched.t ->
@@ -26,10 +24,9 @@ type make =
 val serve : transport:Serve.transport -> make
 (** Serve on [port] (default 6379) over [transport]. [share_with] reuses
     another instance's key space — SMP workers on per-core stacks then
-    serve one logical database (commands and hit/miss counters stay
-    per-worker; see {!sum_stats}). [core] (default 0) labels this
-    worker's tracepoints; stats also register as an ["ukapps.resp"]
-    {!Uktrace.Registry} source.
+    serve one logical database (the counters of each worker's {!source}
+    stay its own). [core] (default 0) labels this worker's
+    tracepoints.
 
     Commands are framed in place on either transport; a malformed one is
     answered with [-ERR Protocol error] and the connection is closed.
@@ -51,10 +48,9 @@ val create : make
 val create_fast : make
 (** [serve ~transport:(Netbuf {rtc = true})]. *)
 
-val stats : t -> stats
-
-val sum_stats : t list -> stats
-(** Aggregate over SMP workers sharing one database. *)
+val source : t -> Uktrace.Source.t
+(** The worker's ["ukapps.resp"] source: [commands], [hits] and
+    [misses]. *)
 
 val dbsize : t -> int
 

@@ -27,30 +27,15 @@ let fast_parse_cost = 50 (* netbuf path: in-place scan of the request line *)
 
 let reply_len = 3 + 16 + 1 (* "OK <hash16>\n" *)
 
-type stats = {
-  requests : int;
-  sets : int;
-  gets : int;
-  dels : int;
-  commits : int;
-  errors : int;
-  bytes_out : int;
-}
-
-let zero_stats =
-  { requests = 0; sets = 0; gets = 0; dels = 0; commits = 0; errors = 0; bytes_out = 0 }
-
 type t = {
   clock : Uksim.Clock.t;
   core : int;
   store : St.t;
   commit_every : int; (* auto-commit period in mutations; 0 = explicit only *)
   mutable muts : int; (* mutations since last commit *)
-  mutable st : stats;
 }
 
 let charge t c = Uksim.Clock.advance t.clock c
-let stats t = t.st
 let store t = t.store
 let state_hash t = St.content_hash t.store
 
@@ -60,7 +45,7 @@ let nf_reply = reply_line "NF" 0
 let er_reply = reply_line "ER" 0
 
 let mk ~clock ?(core = 0) ?(commit_every = 0) ~store () =
-  { clock; core; store; commit_every; muts = 0; st = zero_stats }
+  { clock; core; store; commit_every; muts = 0 }
 
 let do_commit t =
   Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
@@ -68,54 +53,36 @@ let do_commit t =
       match St.commit t.store () with
       | Ok h ->
           t.muts <- 0;
-          t.st <- { t.st with commits = t.st.commits + 1 };
           ok_reply h
-      | Error _ ->
-          t.st <- { t.st with errors = t.st.errors + 1 };
-          er_reply)
+      | Error _ -> er_reply)
 
 let after_mutation t =
   t.muts <- t.muts + 1;
   if t.commit_every > 0 && t.muts >= t.commit_every then ignore (do_commit t)
 
 let execute t line =
-  let r =
-    match String.split_on_char ' ' line with
-    | [ "SET"; k; v ] -> (
-        t.st <- { t.st with sets = t.st.sets + 1 };
-        match St.set t.store k v with
-        | Ok () ->
-            after_mutation t;
-            ok_reply (St.content_hash t.store)
-        | Error _ ->
-            t.st <- { t.st with errors = t.st.errors + 1 };
-            er_reply)
-    | [ "GET"; k ] -> (
-        t.st <- { t.st with gets = t.st.gets + 1 };
-        match St.get t.store k with
-        | Ok (Some v) -> ok_reply (Ukvfs.Digest.string_hash v)
-        | Ok None -> nf_reply
-        | Error _ ->
-            t.st <- { t.st with errors = t.st.errors + 1 };
-            er_reply)
-    | [ "DEL"; k ] -> (
-        t.st <- { t.st with dels = t.st.dels + 1 };
-        match St.del t.store k with
-        | Ok true ->
-            after_mutation t;
-            ok_reply (St.content_hash t.store)
-        | Ok false -> nf_reply
-        | Error _ ->
-            t.st <- { t.st with errors = t.st.errors + 1 };
-            er_reply)
-    | [ "COMMIT" ] -> do_commit t
-    | [ "ROOT" ] -> ok_reply (St.content_hash t.store)
-    | _ ->
-        t.st <- { t.st with errors = t.st.errors + 1 };
-        er_reply
-  in
-  t.st <- { t.st with requests = t.st.requests + 1; bytes_out = t.st.bytes_out + reply_len };
-  r
+  match String.split_on_char ' ' line with
+  | [ "SET"; k; v ] -> (
+      match St.set t.store k v with
+      | Ok () ->
+          after_mutation t;
+          ok_reply (St.content_hash t.store)
+      | Error _ -> er_reply)
+  | [ "GET"; k ] -> (
+      match St.get t.store k with
+      | Ok (Some v) -> ok_reply (Ukvfs.Digest.string_hash v)
+      | Ok None -> nf_reply
+      | Error _ -> er_reply)
+  | [ "DEL"; k ] -> (
+      match St.del t.store k with
+      | Ok true ->
+          after_mutation t;
+          ok_reply (St.content_hash t.store)
+      | Ok false -> nf_reply
+      | Error _ -> er_reply)
+  | [ "COMMIT" ] -> do_commit t
+  | [ "ROOT" ] -> ok_reply (St.content_hash t.store)
+  | _ -> er_reply
 
 (* Server-side seeding: [n] deterministic keys, committed durable — the
    fleet image preps its disk with this before first boot. *)

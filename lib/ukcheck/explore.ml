@@ -23,7 +23,7 @@ let config ?(cores = 2) ?(budget = 64) ?(seeds = [ 1 ]) ?(max_decisions = 256)
   if max_decisions <= 0 then invalid_arg "Explore.config: max_decisions must be positive";
   { cores; budget; seeds = (if seeds = [] then [ 1 ] else seeds); max_decisions; walk_seed }
 
-type stats = { schedules : int; exhaustive : bool }
+type summary = { schedules : int; exhaustive : bool }
 
 type failure = {
   cert : Schedule.cert;
@@ -39,7 +39,7 @@ type replay_out = {
   log : Schedule.decision list;
 }
 
-type result = Passed of stats | Failed of failure
+type result = Passed of summary | Failed of failure
 
 (* Policy for decisions beyond the forced prefix: the default branch, or
    random choices down to a depth bound (iterative depth bounding). *)

@@ -39,7 +39,7 @@ val config :
   ?cores:int -> ?budget:int -> ?seeds:int list -> ?max_decisions:int -> ?walk_seed:int ->
   unit -> config
 
-type stats = {
+type summary = {
   schedules : int;  (** schedules actually run *)
   exhaustive : bool;  (** the whole decision tree was enumerated *)
 }
@@ -58,7 +58,7 @@ type replay_out = {
   log : Schedule.decision list;  (** decisions actually taken *)
 }
 
-type result = Passed of stats | Failed of failure
+type result = Passed of summary | Failed of failure
 
 val run : config -> fixture -> result
 

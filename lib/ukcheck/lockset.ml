@@ -62,9 +62,11 @@ type cell_handle = (t * cell_state) option
 let current : t option ref = ref None
 
 (* Aggregate counters, registered once under "ukcheck.metrics" (sticky). *)
-let m_accesses = lazy (Uktrace.Registry.counter ~subsystem:"ukcheck" "shared_accesses")
-let m_lock_events = lazy (Uktrace.Registry.counter ~subsystem:"ukcheck" "lock_events")
-let m_races = lazy (Uktrace.Registry.counter ~subsystem:"ukcheck" "races")
+let metrics = lazy (Uktrace.Registry.group ~sticky:true ~subsystem:"ukcheck" "metrics")
+let counter name = lazy (Uktrace.Registry.counter (Lazy.force metrics) name)
+let m_accesses = counter "shared_accesses"
+let m_lock_events = counter "lock_events"
+let m_races = counter "races"
 
 (* --- vector clocks ------------------------------------------------------- *)
 

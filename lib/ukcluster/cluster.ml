@@ -245,11 +245,7 @@ type report = {
   trace_hash : int;
 }
 
-let mix h v =
-  let x = (h lxor v) land max_int in
-  let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
-  let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
-  x lxor (x lsr 31)
+let mix = Uksim.Rng.mix
 
 let trace_hash t =
   Array.fold_left

@@ -1,11 +1,13 @@
+module C = Uktrace.Metric.Counter
+
 type t = {
   n : int;
   latency_ns : float array array;
   bytes_per_ns : float array array;
   blocked : bool array array; (* blocked.(src).(dst): directed *)
-  mutable c_transfers : int;
-  mutable c_bytes : int;
-  mutable c_dropped : int;
+  c_transfers : C.t;
+  c_bytes : C.t;
+  c_dropped : C.t;
 }
 
 let gbps_to_bytes_per_ns g = g *. 1e9 /. 8.0 /. 1e9
@@ -14,27 +16,24 @@ let create ?(latency_ns = 50_000.0) ?(gbps = 10.0) ~nodes () =
   if nodes < 1 then invalid_arg "Netmodel.create: need at least one node";
   if latency_ns < 0.0 || gbps <= 0.0 then
     invalid_arg "Netmodel.create: bad link parameters";
+  let group = Uktrace.Registry.group ~subsystem:"ukcluster" "net" in
+  let c_transfers = Uktrace.Registry.counter group "transfers" in
+  let c_bytes = Uktrace.Registry.counter group "bytes" in
+  let c_dropped = Uktrace.Registry.counter group "dropped" in
   let t =
     {
       n = nodes;
       latency_ns = Array.make_matrix nodes nodes latency_ns;
       bytes_per_ns = Array.make_matrix nodes nodes (gbps_to_bytes_per_ns gbps);
       blocked = Array.make_matrix nodes nodes false;
-      c_transfers = 0;
-      c_bytes = 0;
-      c_dropped = 0;
+      c_transfers;
+      c_bytes;
+      c_dropped;
     }
   in
   for i = 0 to nodes - 1 do
     t.latency_ns.(i).(i) <- 0.0
   done;
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukcluster" ~name:"net" (fun () ->
-         [
-           ("transfers", Uktrace.Metric.Count t.c_transfers);
-           ("bytes", Uktrace.Metric.Count t.c_bytes);
-           ("dropped", Uktrace.Metric.Count t.c_dropped);
-         ]));
   t
 
 let nodes t = t.n
@@ -68,12 +67,12 @@ let transfer_ns t ~src ~dst ~bytes =
   check t src dst;
   if src = dst then Some 0.0
   else if t.blocked.(src).(dst) then begin
-    t.c_dropped <- t.c_dropped + 1;
+    C.incr t.c_dropped;
     None
   end
   else begin
-    t.c_transfers <- t.c_transfers + 1;
-    t.c_bytes <- t.c_bytes + bytes;
+    C.incr t.c_transfers;
+    C.add t.c_bytes bytes;
     Some (t.latency_ns.(src).(dst) +. (float_of_int bytes /. t.bytes_per_ns.(src).(dst)))
   end
 

@@ -98,12 +98,7 @@ type t = {
   mutable trace : int;
 }
 
-(* splitmix64-style avalanche, same shape as the fleet's trace hash. *)
-let mix h v =
-  let x = (h lxor v) land max_int in
-  let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
-  let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
-  x lxor (x lsr 31)
+let mix = Uksim.Rng.mix
 
 let trace t tag a ns =
   t.trace <-

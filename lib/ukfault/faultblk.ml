@@ -1,4 +1,5 @@
 module B = Ukblock.Blockdev
+module C = Uktrace.Metric.Counter
 
 type plan = {
   io_error : float;
@@ -10,14 +11,6 @@ type plan = {
 let plan ?(io_error = 0.0) ?(torn_write = 0.0) ?(latency_spike = 0.0) ?(spike_ns = 2.0e6) () =
   { io_error; torn_write; latency_spike; spike_ns }
 
-type stats = {
-  forwarded : int;
-  io_errors : int;
-  torn_writes : int;
-  latency_spikes : int;
-  crash_stops : int;
-}
-
 (* Per-request verdict; like Faultnet, a fixed number of Rng draws per
    request keeps the stream aligned across plans. *)
 type verdict = Pass | Fail_io | Tear
@@ -28,7 +21,12 @@ type t = {
   p : plan;
   inner : B.t;
   synthetic : B.completion Queue.t;
-  mutable st : stats;
+  group : Uktrace.Registry.group;
+  forwarded : C.t;
+  io_errors : C.t;
+  torn_writes : C.t;
+  latency_spikes : C.t;
+  crash_stops : C.t;
   mutable wrapped : B.t option;
   (* Deterministic stop-the-device crash mode: a countdown in *sectors*
      written. When the budget runs out mid-write the prefix persists
@@ -45,19 +43,20 @@ let judge t ~is_write =
   let u_torn = Uksim.Rng.float t.rng 1.0 in
   let u_spike = Uksim.Rng.float t.rng 1.0 in
   if u_spike < t.p.latency_spike then begin
-    t.st <- { t.st with latency_spikes = t.st.latency_spikes + 1 };
+    C.incr t.latency_spikes;
     Uksim.Clock.advance_ns t.clock t.p.spike_ns
   end;
   if u_err < t.p.io_error then begin
-    t.st <- { t.st with io_errors = t.st.io_errors + 1 };
+    C.incr t.io_errors;
     Fail_io
   end
   else if is_write && u_torn < t.p.torn_write then begin
-    t.st <- { t.st with torn_writes = t.st.torn_writes + 1; io_errors = t.st.io_errors + 1 };
+    C.incr t.torn_writes;
+    C.incr t.io_errors;
     Tear
   end
   else begin
-    t.st <- { t.st with forwarded = t.st.forwarded + 1 };
+    C.incr t.forwarded;
     Pass
   end
 
@@ -81,15 +80,22 @@ let crash_take t ~sectors =
       else begin
         t.crash_budget <- Some 0;
         t.dead <- true;
-        t.st <- { t.st with crash_stops = t.st.crash_stops + 1 };
+        C.incr t.crash_stops;
         budget
       end
 
 let wrap ~clock ~rng ~plan:p inner =
+  let group = Uktrace.Registry.group ~subsystem:"ukfault" "blk" in
+  let c = Uktrace.Registry.counter group in
+  let forwarded = c "forwarded" in
+  let io_errors = c "io_errors" in
+  let torn_writes = c "torn_writes" in
+  let latency_spikes = c "latency_spikes" in
+  let crash_stops = c "crash_stops" in
   let t =
-    { clock; rng; p; inner; synthetic = Queue.create (); st = { forwarded = 0; io_errors = 0;
-      torn_writes = 0; latency_spikes = 0; crash_stops = 0 }; wrapped = None;
-      crash_budget = None; dead = false }
+    { clock; rng; p; inner; synthetic = Queue.create (); group; forwarded; io_errors;
+      torn_writes; latency_spikes; crash_stops; wrapped = None; crash_budget = None;
+      dead = false }
   in
   (* Crash-mode write: persist whatever prefix the budget allows, fail
      the rest. [Ok] when the whole write fit the budget. *)
@@ -179,24 +185,10 @@ let wrap ~clock ~rng ~plan:p inner =
       write_sync }
   in
   t.wrapped <- Some dev;
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukfault" ~name:"blk"
-       ~reset:(fun () ->
-         t.st <-
-           { forwarded = 0; io_errors = 0; torn_writes = 0; latency_spikes = 0;
-             crash_stops = 0 })
-       (fun () ->
-         [
-           ("forwarded", Uktrace.Metric.Count t.st.forwarded);
-           ("io_errors", Uktrace.Metric.Count t.st.io_errors);
-           ("torn_writes", Uktrace.Metric.Count t.st.torn_writes);
-           ("latency_spikes", Uktrace.Metric.Count t.st.latency_spikes);
-           ("crash_stops", Uktrace.Metric.Count t.st.crash_stops);
-         ]));
   t
 
 let dev t = match t.wrapped with Some d -> d | None -> assert false
-let stats t = t.st
+let source t = Uktrace.Registry.source t.group
 
 (* --- deterministic crash injection ---------------------------------------- *)
 

@@ -21,19 +21,16 @@ val plan :
   ?io_error:float -> ?torn_write:float -> ?latency_spike:float -> ?spike_ns:float -> unit -> plan
 (** All rates default to 0.0; [spike_ns] defaults to 2 ms. *)
 
-type stats = {
-  forwarded : int;
-  io_errors : int;  (** injected [Eio] failures *)
-  torn_writes : int;
-  latency_spikes : int;
-  crash_stops : int;  (** deterministic stop-the-device crashes fired *)
-}
-
 type t
 
 val wrap : clock:Uksim.Clock.t -> rng:Uksim.Rng.t -> plan:plan -> Ukblock.Blockdev.t -> t
 val dev : t -> Ukblock.Blockdev.t
-val stats : t -> stats
+
+val source : t -> Uktrace.Source.t
+(** The injector's ["ukfault.blk"] source: [forwarded], [io_errors]
+    (injected [Eio] failures, torn writes included), [torn_writes],
+    [latency_spikes] and [crash_stops] (deterministic stop-the-device
+    crashes fired). *)
 
 val crash_after_writes : t -> int -> unit
 (** [crash_after_writes t n] arms the deterministic crash mode: the

@@ -17,20 +17,17 @@ type ops = {
   unblock : now_ns:float -> src:int -> dst:int -> bool;
 }
 
-type stats = { applied : int; missed : int }
-
 type t = {
   clock : Uksim.Clock.t;
   engine : Uksim.Engine.t;
   ops : ops;
-  mutable st : stats;
+  group : Uktrace.Registry.group;
+  applied : Uktrace.Metric.Counter.t;
+  missed : Uktrace.Metric.Counter.t;
 }
 
-let stats t = t.st
-
-let count t ok =
-  if ok then t.st <- { t.st with applied = t.st.applied + 1 }
-  else t.st <- { t.st with missed = t.st.missed + 1 }
+let source t = Uktrace.Registry.source t.group
+let count t ok = Uktrace.Metric.Counter.incr (if ok then t.applied else t.missed)
 
 let at_abs t ns f =
   Uksim.Engine.at t.engine
@@ -69,13 +66,10 @@ let rec apply t ~now_ns ev =
         (pairs a b @ pairs b a)
 
 let arm ~clock ~engine ~ops timeline =
-  let t = { clock; engine; ops; st = { applied = 0; missed = 0 } } in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukfault" ~name:"host" (fun () ->
-         [
-           ("applied", Uktrace.Metric.Count t.st.applied);
-           ("missed", Uktrace.Metric.Count t.st.missed);
-         ]));
+  let group = Uktrace.Registry.group ~subsystem:"ukfault" "host" in
+  let applied = Uktrace.Registry.counter group "applied" in
+  let missed = Uktrace.Registry.counter group "missed" in
+  let t = { clock; engine; ops; group; applied; missed } in
   List.iter (fun (at_ns, ev) -> at_abs t at_ns (fun () -> apply t ~now_ns:at_ns ev))
     timeline;
   t

@@ -39,8 +39,6 @@ type ops = {
 (** The owner's fault primitives; returning [false] counts as missed
     (target already gone, link already cut). *)
 
-type stats = { applied : int; missed : int }
-
 type t
 
 val arm :
@@ -49,7 +47,8 @@ val arm :
   ops:ops ->
   (float * event) list ->
   t
-(** Schedule the timeline (absolute engine nanoseconds). Registers a
-    ["ukfault.host"] source with the registry. *)
+(** Schedule the timeline (absolute engine nanoseconds). *)
 
-val stats : t -> stats
+val source : t -> Uktrace.Source.t
+(** The timeline's ["ukfault.host"] source: [applied] and [missed]
+    events. *)

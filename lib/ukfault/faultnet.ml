@@ -16,14 +16,7 @@ let plan ?(drop = 0.0) ?(drop_every = 0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(r
   { drop; drop_every; duplicate; corrupt; reorder; reorder_delay_ns; flap_period_ns;
     flap_down_ns }
 
-type stats = {
-  forwarded : int;
-  dropped : int;
-  duplicated : int;
-  corrupted : int;
-  reordered : int;
-  flap_dropped : int;
-}
+module C = Uktrace.Metric.Counter
 
 type t = {
   clock : Uksim.Clock.t;
@@ -32,12 +25,15 @@ type t = {
   p : plan;
   inner : Uknetdev.Netdev.t;
   mutable passed : int; (* frames not randomly dropped, drives drop_every *)
-  mutable st : stats;
   mutable wrapped : Uknetdev.Netdev.t option;
+  group : Uktrace.Registry.group;
+  forwarded : C.t;
+  dropped : C.t;
+  duplicated : C.t;
+  corrupted : C.t;
+  reordered : C.t;
+  flap_dropped : C.t;
 }
-
-let zero_stats =
-  { forwarded = 0; dropped = 0; duplicated = 0; corrupted = 0; reordered = 0; flap_dropped = 0 }
 
 let link_up t =
   t.p.flap_period_ns <= 0.0 || t.p.flap_down_ns <= 0.0
@@ -53,7 +49,7 @@ let flip_bit t nb aux =
     let bit = aux mod (len * 8) in
     let i = Uknetdev.Netbuf.offset nb + (bit / 8) in
     Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor (1 lsl (bit mod 8))));
-    t.st <- { t.st with corrupted = t.st.corrupted + 1 }
+    C.incr t.corrupted
   end
 
 (* The fate of one frame: [None] = consumed by the injector (dropped or
@@ -67,19 +63,19 @@ let judge t ~qid nb =
   let u_reorder = Uksim.Rng.float t.rng 1.0 in
   let aux = Uksim.Rng.int t.rng max_int in
   if not (link_up t) then begin
-    t.st <- { t.st with flap_dropped = t.st.flap_dropped + 1 };
+    C.incr t.flap_dropped;
     Uknetdev.Netbuf.recycle nb;
     None
   end
   else if u_drop < t.p.drop then begin
-    t.st <- { t.st with dropped = t.st.dropped + 1 };
+    C.incr t.dropped;
     Uknetdev.Netbuf.recycle nb;
     None
   end
   else begin
     t.passed <- t.passed + 1;
     if t.p.drop_every > 0 && t.passed mod t.p.drop_every = 0 then begin
-      t.st <- { t.st with dropped = t.st.dropped + 1 };
+      C.incr t.dropped;
       Uknetdev.Netbuf.recycle nb;
       None
     end
@@ -99,11 +95,11 @@ let judge t ~qid nb =
       in
       (match dup with
       | Some d ->
-          t.st <- { t.st with duplicated = t.st.duplicated + 1 };
+          C.incr t.duplicated;
           ignore (t.inner.Uknetdev.Netdev.tx_burst ~qid [| d |])
       | None -> ());
       if u_reorder < t.p.reorder then begin
-        t.st <- { t.st with reordered = t.st.reordered + 1 };
+        C.incr t.reordered;
         Uksim.Engine.after_ns t.engine t.p.reorder_delay_ns (fun () ->
             ignore (t.inner.Uknetdev.Netdev.tx_burst ~qid [| nb |]));
         None
@@ -119,16 +115,23 @@ let tx_burst t ~qid pkts =
   in
   if Array.length survivors > 0 then begin
     let accepted = t.inner.Uknetdev.Netdev.tx_burst ~qid survivors in
-    t.st <-
-      { t.st with
-        forwarded = t.st.forwarded + accepted;
-        dropped = t.st.dropped + (Array.length survivors - accepted) }
+    C.add t.forwarded accepted;
+    C.add t.dropped (Array.length survivors - accepted)
   end;
   offered
 
 let wrap ~clock ~engine ~rng ~plan:p inner =
+  let group = Uktrace.Registry.group ~subsystem:"ukfault" "net" in
+  let c = Uktrace.Registry.counter group in
+  let forwarded = c "forwarded" in
+  let dropped = c "dropped" in
+  let duplicated = c "duplicated" in
+  let corrupted = c "corrupted" in
+  let reordered = c "reordered" in
+  let flap_dropped = c "flap_dropped" in
   let t =
-    { clock; engine; rng; p; inner; passed = 0; st = zero_stats; wrapped = None }
+    { clock; engine; rng; p; inner; passed = 0; wrapped = None; group; forwarded; dropped;
+      duplicated; corrupted; reordered; flap_dropped }
   in
   let dev =
     { inner with
@@ -136,19 +139,7 @@ let wrap ~clock ~engine ~rng ~plan:p inner =
       tx_burst = (fun ~qid pkts -> tx_burst t ~qid pkts) }
   in
   t.wrapped <- Some dev;
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukfault" ~name:"net"
-       ~reset:(fun () -> t.st <- zero_stats)
-       (fun () ->
-         [
-           ("forwarded", Uktrace.Metric.Count t.st.forwarded);
-           ("dropped", Uktrace.Metric.Count t.st.dropped);
-           ("duplicated", Uktrace.Metric.Count t.st.duplicated);
-           ("corrupted", Uktrace.Metric.Count t.st.corrupted);
-           ("reordered", Uktrace.Metric.Count t.st.reordered);
-           ("flap_dropped", Uktrace.Metric.Count t.st.flap_dropped);
-         ]));
   t
 
 let dev t = match t.wrapped with Some d -> d | None -> assert false
-let stats t = t.st
+let source t = Uktrace.Registry.source t.group

@@ -44,15 +44,6 @@ val plan :
 (** All faults default to off (rate 0.0 / every 0); [reorder_delay_ns]
     defaults to 50 µs. *)
 
-type stats = {
-  forwarded : int;  (** frames passed through unharmed *)
-  dropped : int;  (** random + systematic drops *)
-  duplicated : int;
-  corrupted : int;
-  reordered : int;
-  flap_dropped : int;  (** frames lost to a link-down window *)
-}
-
 type t
 
 val wrap :
@@ -70,6 +61,11 @@ val dev : t -> Uknetdev.Netdev.t
 (** The wrapped device to hand to the consumer (e.g.
     {!Uknetstack.Stack.create}). *)
 
-val stats : t -> stats
+val source : t -> Uktrace.Source.t
+(** The injector's ["ukfault.net"] source: [forwarded] (frames passed
+    through unharmed), [dropped] (random and systematic drops),
+    [duplicated], [corrupted], [reordered] and [flap_dropped] (frames
+    lost to a link-down window). *)
+
 val link_up : t -> bool
 (** Whether the current instant falls outside a flap-down window. *)

@@ -15,7 +15,7 @@ let plan ~at_ns ?(kill_fraction = 0.2) ?(min_kills = 1) ?(stagger_ns = 10_000.0)
   if rounds < 1 then invalid_arg "Faultvm.plan: rounds must be >= 1";
   { at_ns; kill_fraction; min_kills; stagger_ns; repeat_ns; rounds }
 
-type stats = { rounds_run : int; killed : int; missed : int }
+module C = Uktrace.Metric.Counter
 
 type t = {
   clock : Uksim.Clock.t;
@@ -24,10 +24,13 @@ type t = {
   p : plan;
   targets : unit -> int list;
   kill : now_ns:float -> int -> bool;
-  mutable st : stats;
+  group : Uktrace.Registry.group;
+  rounds_run : C.t;
+  killed : C.t;
+  missed : C.t;
 }
 
-let stats t = t.st
+let source t = Uktrace.Registry.source t.group
 
 let victims ~rng ~fraction ~min_kills ids =
   let arr = Array.of_list ids in
@@ -55,7 +58,7 @@ let at_abs t ns f =
 
 let rec round t ~start ~left =
   at_abs t start (fun () ->
-      t.st <- { t.st with rounds_run = t.st.rounds_run + 1 };
+      C.incr t.rounds_run;
       let vs =
         victims ~rng:t.rng ~fraction:t.p.kill_fraction ~min_kills:t.p.min_kills
           (t.targets ())
@@ -64,22 +67,16 @@ let rec round t ~start ~left =
         (fun i iid ->
           let when_ = start +. (float_of_int i *. t.p.stagger_ns) in
           at_abs t when_ (fun () ->
-              if t.kill ~now_ns:when_ iid then t.st <- { t.st with killed = t.st.killed + 1 }
-              else t.st <- { t.st with missed = t.st.missed + 1 }))
+              C.incr (if t.kill ~now_ns:when_ iid then t.killed else t.missed)))
         vs;
       if left > 1 && t.p.repeat_ns > 0.0 then
         round t ~start:(start +. t.p.repeat_ns) ~left:(left - 1))
 
 let arm ~clock ~engine ~rng ~plan:p ~targets ~kill =
-  let t =
-    { clock; engine; rng; p; targets; kill; st = { rounds_run = 0; killed = 0; missed = 0 } }
-  in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukfault" ~name:"vm" (fun () ->
-         [
-           ("rounds", Uktrace.Metric.Count t.st.rounds_run);
-           ("killed", Uktrace.Metric.Count t.st.killed);
-           ("missed", Uktrace.Metric.Count t.st.missed);
-         ]));
+  let group = Uktrace.Registry.group ~subsystem:"ukfault" "vm" in
+  let rounds_run = Uktrace.Registry.counter group "rounds" in
+  let killed = Uktrace.Registry.counter group "killed" in
+  let missed = Uktrace.Registry.counter group "missed" in
+  let t = { clock; engine; rng; p; targets; kill; group; rounds_run; killed; missed } in
   round t ~start:p.at_ns ~left:p.rounds;
   t

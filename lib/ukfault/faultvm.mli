@@ -32,12 +32,6 @@ val plan :
 (** Defaults: kill 20% of live targets, at least 1, 10 µs apart,
     one-shot. *)
 
-type stats = {
-  rounds_run : int;
-  killed : int;  (** kills the owner confirmed *)
-  missed : int;  (** victims already gone when the shot landed *)
-}
-
 type t
 
 val victims : rng:Uksim.Rng.t -> fraction:float -> min_kills:int -> int list -> int list
@@ -56,7 +50,9 @@ val arm :
   t
 (** Schedule the drill on [engine]. At each round's start the injector
     snapshots [targets ()], draws victims, and fires [kill] for each at
-    its staggered instant; [kill] returning [false] counts as missed.
-    Registers a ["ukfault.vm"] source with the registry. *)
+    its staggered instant; [kill] returning [false] counts as missed. *)
 
-val stats : t -> stats
+val source : t -> Uktrace.Source.t
+(** The drill's ["ukfault.vm"] source: [rounds] run, [killed] (kills the
+    owner confirmed) and [missed] (victims already gone when the shot
+    landed). *)

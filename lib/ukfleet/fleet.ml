@@ -125,12 +125,14 @@ type t = {
 
 (* --- gauges every fleet publishes (the autoscaler's inputs) ------------- *)
 
-let g_up = lazy (Uktrace.Registry.gauge ~subsystem:"ukfleet" "instances_up")
-let g_warming = lazy (Uktrace.Registry.gauge ~subsystem:"ukfleet" "instances_warming")
-let g_lbq = lazy (Uktrace.Registry.gauge ~subsystem:"ukfleet" "lb_queue_depth")
-let g_queue = lazy (Uktrace.Registry.gauge ~subsystem:"ukfleet" "queue_depth")
-let g_p99 = lazy (Uktrace.Registry.gauge ~subsystem:"ukfleet" "window_p99_us")
-let c_shed_total = lazy (Uktrace.Registry.counter ~subsystem:"ukfleet" "shed")
+let metrics = lazy (Uktrace.Registry.group ~sticky:true ~subsystem:"ukfleet" "metrics")
+let gauge name = lazy (Uktrace.Registry.gauge (Lazy.force metrics) name)
+let g_up = gauge "instances_up"
+let g_warming = gauge "instances_warming"
+let g_lbq = gauge "lb_queue_depth"
+let g_queue = gauge "queue_depth"
+let g_p99 = gauge "window_p99_us"
+let c_shed_total = lazy (Uktrace.Registry.counter (Lazy.force metrics) "shed")
 
 let publish_gauges t =
   Uktrace.Metric.Gauge.set (Lazy.force g_up) (float_of_int t.ready_n);
@@ -166,12 +168,7 @@ let settle_ns t =
   t.costs.cold_boot_ns +. t.costs.clone_ns +. t.costs.warm_activation_ns
   +. Uksim.Units.msec 1.0
 
-(* splitmix64-style avalanche (same shape as uksmp's trace hash). *)
-let mix h v =
-  let x = (h lxor v) land max_int in
-  let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
-  let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
-  x lxor (x lsr 31)
+let mix = Uksim.Rng.mix
 
 let trace t tag a ns =
   t.trace <- mix (mix (mix t.trace tag) a) (Int64.to_int (Int64.bits_of_float ns) land max_int)

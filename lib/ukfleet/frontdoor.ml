@@ -14,13 +14,9 @@ type t = {
   quarantined : (int, unit) Hashtbl.t; (* excluded from pick, ring spot kept *)
 }
 
-(* splitmix64-style avalanche over the positive int range: the ring
-   placement and flow hashes — stable across runs by construction. *)
-let mix v =
-  let x = v land max_int in
-  let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
-  let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
-  x lxor (x lsr 31)
+(* The ring placement and flow hashes: stable across runs by
+   construction. *)
+let mix = Uksim.Rng.avalanche
 
 let create ?(vnodes = 32) pol =
   if vnodes <= 0 then invalid_arg "Frontdoor.create: vnodes must be positive";

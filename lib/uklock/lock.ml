@@ -170,41 +170,30 @@ end
    watermark, the wait is recorded), then holds the lock for [hold]
    cycles. Deterministic given a deterministic acquisition order. *)
 module Spin = struct
-  type stats = {
-    acquisitions : int;
-    contended : int;
-    wait_cycles : int;
-    held_cycles : int;
-  }
+  module C = Uktrace.Metric.Counter
 
   type t = {
     sname : string;
     suid : int;
     mutable free_at : int;
-    mutable st : stats;
+    group : Uktrace.Registry.group;
+    acquisitions : C.t;
+    contended : C.t;
+    wait_cycles : C.t;
+    held_cycles : C.t;
   }
 
-  let reset_stats t =
-    t.st <- { acquisitions = 0; contended = 0; wait_cycles = 0; held_cycles = 0 }
-
   let create ?(name = "spinlock") () =
-    let t =
-      { sname = name; suid = Hook.fresh_uid (); free_at = 0;
-        st = { acquisitions = 0; contended = 0; wait_cycles = 0; held_cycles = 0 } }
-    in
-    Uktrace.Registry.register
-      (Uktrace.Source.make ~subsystem:"uklock" ~name
-         ~reset:(fun () -> reset_stats t)
-         (fun () ->
-           [
-             ("acquisitions", Uktrace.Metric.Count t.st.acquisitions);
-             ("contended", Uktrace.Metric.Count t.st.contended);
-             ("wait_cycles", Uktrace.Metric.Count t.st.wait_cycles);
-             ("held_cycles", Uktrace.Metric.Count t.st.held_cycles);
-           ]));
-    t
+    let group = Uktrace.Registry.group ~subsystem:"uklock" name in
+    let acquisitions = Uktrace.Registry.counter group "acquisitions" in
+    let contended = Uktrace.Registry.counter group "contended" in
+    let wait_cycles = Uktrace.Registry.counter group "wait_cycles" in
+    let held_cycles = Uktrace.Registry.counter group "held_cycles" in
+    { sname = name; suid = Hook.fresh_uid (); free_at = 0; group; acquisitions; contended;
+      wait_cycles; held_cycles }
 
   let name t = t.sname
+  let source t = Uktrace.Registry.source t.group
 
   let acquire t clock ~hold =
     if hold < 0 then invalid_arg "Lock.Spin.acquire: negative hold";
@@ -212,17 +201,16 @@ module Spin = struct
     let wait = max 0 (t.free_at - now) in
     if wait > 0 then begin
       Uksim.Clock.advance clock wait;
-      t.st <- { t.st with contended = t.st.contended + 1; wait_cycles = t.st.wait_cycles + wait }
+      C.incr t.contended;
+      C.add t.wait_cycles wait
     end;
     let entered = Uksim.Clock.cycles clock in
     Hook.emit Hook.Acquire t.suid t.sname;
     Uksim.Clock.advance clock hold;
     t.free_at <- entered + hold;
-    t.st <-
-      { t.st with acquisitions = t.st.acquisitions + 1; held_cycles = t.st.held_cycles + hold };
+    C.incr t.acquisitions;
+    C.add t.held_cycles hold;
     Hook.emit Hook.Release t.suid t.sname
-
-  let stats t = t.st
 end
 
 module Condvar = struct

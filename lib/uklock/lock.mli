@@ -76,23 +76,17 @@ end
 module Spin : sig
   type t
 
-  type stats = {
-    acquisitions : int;
-    contended : int;  (** acquisitions that found the lock held *)
-    wait_cycles : int;  (** total cycles spent spinning *)
-    held_cycles : int;  (** total cycles the lock was held *)
-  }
-
   val create : ?name:string -> unit -> t
-  (** Also registers the lock's stats as a [Uktrace.Registry] source
-      under ["uklock.<name>"]. *)
 
   val acquire : t -> Uksim.Clock.t -> hold:int -> unit
   (** Acquire on the core owning [clock], hold for [hold] cycles, release.
       Advances [clock] by the spin wait (if any) plus [hold]. *)
 
-  val stats : t -> stats
-  val reset_stats : t -> unit
+  val source : t -> Uktrace.Source.t
+  (** The lock's ["uklock.<name>"] source: [acquisitions], [contended]
+      (acquisitions that found the lock held), [wait_cycles] (spent
+      spinning) and [held_cycles]. Its [reset] zeroes them. *)
+
   val name : t -> string
 end
 

@@ -55,37 +55,23 @@ and pool = {
 let debug = ref false
 let set_debug b = debug := b
 
-let copy_out_count = ref 0
-let copy_in_count = ref 0
-let copy_count = ref 0
-let copied_bytes = ref 0
-
-let total_copies () = !copy_out_count + !copy_in_count + !copy_count
-let copied_bytes_total () = !copied_bytes
-
-let reset_copy_counters () =
-  copy_out_count := 0;
-  copy_in_count := 0;
-  copy_count := 0;
-  copied_bytes := 0
+module C = Uktrace.Metric.Counter
 
 (* Sticky: survives Registry.clear so bench trial boundaries keep the
    source (its reset still zeroes the window). *)
-let () =
-  Uktrace.Registry.register ~sticky:true
-    (Uktrace.Source.make ~subsystem:"uknetdev" ~name:"copies" ~reset:reset_copy_counters
-       (fun () ->
-         [
-           ("copy_out", Uktrace.Metric.Count !copy_out_count);
-           ("copy_in", Uktrace.Metric.Count !copy_in_count);
-           ("copy", Uktrace.Metric.Count !copy_count);
-           ("bytes", Uktrace.Metric.Count !copied_bytes);
-         ]))
+let copies = Uktrace.Registry.group ~sticky:true ~subsystem:"uknetdev" "copies"
+let copy_out_count = Uktrace.Registry.counter copies "copy_out"
+let copy_in_count = Uktrace.Registry.counter copies "copy_in"
+let copy_count = Uktrace.Registry.counter copies "copy"
+let copied_bytes = Uktrace.Registry.counter copies "bytes"
+
+let total_copies () = C.get copy_out_count + C.get copy_in_count + C.get copy_count
+let copied_bytes_total () = C.get copied_bytes
 
 let counted counter n =
   if n > 0 then begin
-    incr counter;
-    copied_bytes := !copied_bytes + n
+    C.incr counter;
+    C.add copied_bytes n
   end
 
 (* --- descriptors ---------------------------------------------------------- *)

@@ -108,7 +108,8 @@ val set_debug : bool -> unit
 
 val total_copies : unit -> int
 val copied_bytes_total : unit -> int
-val reset_copy_counters : unit -> unit
+(** Readings of the ["uknetdev.copies"] source: the sum of its
+    [copy_out], [copy_in] and [copy] counts, and its [bytes]. *)
 
 module Pool : sig
   type netbuf := t

@@ -11,12 +11,7 @@ let get_u8 b i = Char.code (Bytes.get b i)
 let get_u16 b i = (get_u8 b i lsl 8) lor get_u8 b (i + 1)
 let get_u32 b i = (get_u16 b i lsl 16) lor get_u16 b (i + 2)
 
-(* splitmix64-style finalizer: avalanche a 63-bit value. *)
-let mix x =
-  let x = x land max_int in
-  let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
-  let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
-  x lxor (x lsr 31)
+let mix = Uksim.Rng.avalanche
 
 let hash_tuple ~proto ~src_ip ~src_port ~dst_ip ~dst_port =
   let a = mix ((src_ip lsl 16) lor src_port) in

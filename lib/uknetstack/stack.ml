@@ -1,5 +1,6 @@
 module Nb = Uknetdev.Netbuf
 module Nd = Uknetdev.Netdev
+module C = Uktrace.Metric.Counter
 
 type conf = {
   mac : Addr.Mac.t;
@@ -7,21 +8,6 @@ type conf = {
   netmask : Addr.Ipv4.t;
   gateway : Addr.Ipv4.t option;
 }
-
-type stats = {
-  rx_eth : int;
-  rx_arp : int;
-  rx_icmp : int;
-  rx_udp : int;
-  rx_tcp : int;
-  rx_drop : int;
-  tx_pkts : int;
-  arp_requests : int;
-}
-
-let zero_stats =
-  { rx_eth = 0; rx_arp = 0; rx_icmp = 0; rx_udp = 0; rx_tcp = 0; rx_drop = 0; tx_pkts = 0;
-    arp_requests = 0 }
 
 (* Per-layer processing costs (cycles), lwIP-calibrated: the full socket
    path costs thousands of cycles per packet. *)
@@ -74,15 +60,25 @@ type t = {
   mutable ip_id : int;
   mutable iss : int;
   mutable next_port : int;
-  mutable st : stats;
+  group : Uktrace.Registry.group;
+  rx_eth : C.t;
+  rx_arp : C.t;
+  rx_icmp : C.t;
+  rx_udp : C.t;
+  rx_tcp : C.t;
+  rx_drop : C.t; (* undecodable / no socket / checksum failures *)
+  tx_pkts : C.t;
+  arp_requests : C.t;
+  tcp_retransmits : C.t;
+  tcp_fast_retransmits : C.t;
   mutable service_tid : Uksched.Sched.tid option;
   mutable tcp_io : Tcp.io option;
 }
 
 let conf t = t.cfg
-let stats t = t.st
+let source t = Uktrace.Registry.source t.group
 let charge t c = Uksim.Clock.advance t.clock c
-let drop t = t.st <- { t.st with rx_drop = t.st.rx_drop + 1 }
+let drop t = C.incr t.rx_drop
 
 (* The pool may be shared between stacks (ablation); always charge this
    stack's own clock for pool traffic. *)
@@ -103,14 +99,14 @@ let tx_frame t nb =
   if t.coalescing then Queue.push nb t.txq
   else begin
     let sent = t.dev.Nd.tx_burst ~qid:t.qid [| nb |] in
-    if sent = 1 then t.st <- { t.st with tx_pkts = t.st.tx_pkts + 1 } else Nb.recycle nb
+    if sent = 1 then C.incr t.tx_pkts else Nb.recycle nb
   end
 
 let flush_tx t =
   if not (Queue.is_empty t.txq) then begin
     let pkts = Array.init (Queue.length t.txq) (fun _ -> Queue.pop t.txq) in
     let sent = t.dev.Nd.tx_burst ~qid:t.qid pkts in
-    t.st <- { t.st with tx_pkts = t.st.tx_pkts + sent };
+    C.add t.tx_pkts sent;
     for i = sent to Array.length pkts - 1 do
       Nb.recycle pkts.(i)
     done
@@ -141,7 +137,7 @@ let rec arp_request t key next_hop attempt =
       drop t
     end
     else begin
-      t.st <- { t.st with arp_requests = t.st.arp_requests + 1 };
+      C.incr t.arp_requests;
       send_arp t ~op:Pkt.Arp.Request ~tha:Addr.Mac.broadcast ~tpa:next_hop;
       Uksim.Engine.after t.engine arp_retry_cycles (fun () ->
           arp_request t key next_hop (attempt + 1))
@@ -243,6 +239,8 @@ let tcp_io t : Tcp.io =
               Uksim.Engine.after t.engine delay_cycles (fun () -> Tcp.on_timer conn));
           wake =
             (fun tid -> match t.sched with Some s -> Uksched.Sched.wake s tid | None -> ());
+          retransmitted =
+            (fun ~fast -> C.incr (if fast then t.tcp_fast_retransmits else t.tcp_retransmits));
           notify_accept =
             (fun conn ->
               match List.assq_opt conn t.conn_of with
@@ -275,7 +273,7 @@ let next_iss t =
    application parses. *)
 
 let handle_arp t nb =
-  t.st <- { t.st with rx_arp = t.st.rx_arp + 1 };
+  C.incr t.rx_arp;
   charge t arp_cost;
   (match Pkt.Arp.decode nb with
   | Error _ -> drop t
@@ -292,7 +290,7 @@ let handle_arp t nb =
   Nb.recycle nb
 
 let handle_icmp t (ip : Pkt.Ipv4.t) nb =
-  t.st <- { t.st with rx_icmp = t.st.rx_icmp + 1 };
+  C.incr t.rx_icmp;
   (match Pkt.Icmp.decode nb with
   | Error _ -> drop t
   | Ok { echo_reply = false; ident; seq } ->
@@ -313,7 +311,7 @@ let handle_udp t (ip : Pkt.Ipv4.t) nb =
       | None -> drop t
       | Some sock ->
           charge t sock_enqueue_cost;
-          t.st <- { t.st with rx_udp = t.st.rx_udp + 1 };
+          C.incr t.rx_udp;
           (* Socket API: materialize into the receive queue (counted). *)
           Queue.push (ip.src, u.src_port, Nb.copy_out nb) sock.urxq;
           (match (t.sched, sock.uwaiter) with
@@ -329,7 +327,7 @@ let handle_tcp t (ip : Pkt.Ipv4.t) nb =
       drop t;
       Nb.recycle nb
   | Ok h -> (
-      t.st <- { t.st with rx_tcp = t.st.rx_tcp + 1 };
+      C.incr t.rx_tcp;
       let key = conn_key ~lport:h.dst_port ~rip:ip.src ~rport:h.src_port in
       match Hashtbl.find_opt t.conns key with
       | Some conn ->
@@ -375,7 +373,7 @@ let handle_tcp t (ip : Pkt.Ipv4.t) nb =
               drop t))
 
 let process_frame t nb =
-  t.st <- { t.st with rx_eth = t.st.rx_eth + 1 };
+  C.incr t.rx_eth;
   charge t eth_cost;
   match Pkt.Eth.decode nb with
   | Error _ ->
@@ -462,6 +460,18 @@ let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(pool_size = 512) ?(rx_
     | Some p -> p
     | None -> Nb.Pool.create ~clock ?alloc ~count:pool_size ~size:2048 ()
   in
+  let group = Uktrace.Registry.group ~subsystem:"uknetstack" "stack" in
+  let c = Uktrace.Registry.counter group in
+  let rx_eth = c "rx_eth" in
+  let rx_arp = c "rx_arp" in
+  let rx_icmp = c "rx_icmp" in
+  let rx_udp = c "rx_udp" in
+  let rx_tcp = c "rx_tcp" in
+  let rx_drop = c "rx_drop" in
+  let tx_pkts = c "tx_pkts" in
+  let arp_requests = c "arp_requests" in
+  let tcp_retransmits = c "tcp_retransmits" in
+  let tcp_fast_retransmits = c "tcp_fast_retransmits" in
   let t =
     {
       clock;
@@ -486,35 +496,23 @@ let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(pool_size = 512) ?(rx_
       ip_id = 0;
       iss = 0x1000;
       next_port = 49152;
-      st = zero_stats;
+      group;
+      rx_eth;
+      rx_arp;
+      rx_icmp;
+      rx_udp;
+      rx_tcp;
+      rx_drop;
+      tx_pkts;
+      arp_requests;
+      tcp_retransmits;
+      tcp_fast_retransmits;
       service_tid = None;
       tcp_io = None;
     }
   in
   dev.Nd.configure_queue ~qid
     { Nd.rx_path = rx_path_of t; mode = Nd.Polling; rx_handler = None };
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"uknetstack" ~name:"stack"
-       ~reset:(fun () -> t.st <- zero_stats)
-       (fun () ->
-         let rt = ref 0 and frt = ref 0 in
-         Hashtbl.iter
-           (fun _ c ->
-             rt := !rt + Tcp.stats_retransmits c;
-             frt := !frt + Tcp.stats_fast_retransmits c)
-           t.conns;
-         [
-           ("rx_eth", Uktrace.Metric.Count t.st.rx_eth);
-           ("rx_arp", Uktrace.Metric.Count t.st.rx_arp);
-           ("rx_icmp", Uktrace.Metric.Count t.st.rx_icmp);
-           ("rx_udp", Uktrace.Metric.Count t.st.rx_udp);
-           ("rx_tcp", Uktrace.Metric.Count t.st.rx_tcp);
-           ("rx_drop", Uktrace.Metric.Count t.st.rx_drop);
-           ("tx_pkts", Uktrace.Metric.Count t.st.tx_pkts);
-           ("arp_requests", Uktrace.Metric.Count t.st.arp_requests);
-           ("tcp_retransmits", Uktrace.Metric.Count !rt);
-           ("tcp_fast_retransmits", Uktrace.Metric.Count !frt);
-         ]));
   t
 
 let start t =

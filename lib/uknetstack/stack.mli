@@ -28,17 +28,6 @@ type conf = {
 
 type t
 
-type stats = {
-  rx_eth : int;
-  rx_arp : int;
-  rx_icmp : int;
-  rx_udp : int;
-  rx_tcp : int;
-  rx_drop : int;  (** undecodable / no socket / checksum failures *)
-  tx_pkts : int;
-  arp_requests : int;
-}
-
 val create :
   clock:Uksim.Clock.t ->
   engine:Uksim.Engine.t ->
@@ -66,7 +55,12 @@ val create :
     cost. *)
 
 val conf : t -> conf
-val stats : t -> stats
+
+val source : t -> Uktrace.Source.t
+(** The stack's ["uknetstack.stack"] source: [rx_eth], [rx_arp],
+    [rx_icmp], [rx_udp], [rx_tcp], [rx_drop] (undecodable, no socket,
+    checksum failures), [tx_pkts], [arp_requests], [tcp_retransmits] and
+    [tcp_fast_retransmits], each counted as it happens. *)
 
 val poll : t -> int
 (** Drain and process pending receive packets and due timers; returns the

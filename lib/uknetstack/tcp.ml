@@ -94,14 +94,13 @@ and io = {
   tx_segment : conn -> Pkt.Tcp.t -> tx_payload -> unit;
   set_timer : conn -> delay_cycles:int -> unit;
   wake : Uksched.Sched.tid -> unit;
+  retransmitted : fast:bool -> unit;
   notify_accept : conn -> unit;
 }
 
 let state c = c.st
 let local_addr c = c.local
 let remote_addr c = c.remote
-let stats_retransmits c = c.retransmits
-let stats_fast_retransmits c = c.fast_retransmits
 let set_recv_waiter c w = c.recv_waiter <- w
 let set_send_waiter c w = c.send_waiter <- w
 let set_connect_waiter c w = c.connect_waiter <- w
@@ -319,6 +318,7 @@ let handle_ack c (h : Pkt.Tcp.t) =
       (* Fast retransmit of the oldest outstanding segment. *)
       c.dupacks <- 0;
       c.fast_retransmits <- c.fast_retransmits + 1;
+      c.io.retransmitted ~fast:true;
       match c.inflight with
       | s :: _ -> transmit_seg ~rexmit:true c s
       | [] -> ()
@@ -462,6 +462,7 @@ let on_timer c =
             end
             else begin
               c.retransmits <- c.retransmits + 1;
+              c.io.retransmitted ~fast:false;
               c.backoff <- min 64 (c.backoff * 2);
               transmit_seg ~rexmit:true c s;
               arm_timer c (rto_base_cycles * c.backoff)

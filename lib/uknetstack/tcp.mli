@@ -49,6 +49,9 @@ type io = {
       (** arm (or re-arm) the connection's retransmission timer; the stack
           must call {!on_timer} when it fires *)
   wake : Uksched.Sched.tid -> unit;
+  retransmitted : fast:bool -> unit;
+      (** a segment went out again: on a retransmission timeout, or on
+          three duplicate ACKs when [fast] *)
   notify_accept : conn -> unit;  (** a passive open reached ESTABLISHED *)
 }
 
@@ -135,6 +138,3 @@ val state_hash : conn -> int
 val set_recv_waiter : conn -> Uksched.Sched.tid option -> unit
 val set_send_waiter : conn -> Uksched.Sched.tid option -> unit
 val set_connect_waiter : conn -> Uksched.Sched.tid option -> unit
-
-val stats_retransmits : conn -> int
-val stats_fast_retransmits : conn -> int

@@ -2,7 +2,7 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -11,7 +11,7 @@ let create seed = { state = Int64.of_int seed }
 
 let next t =
   t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+  mix64 t.state
 
 let split t = { state = next t }
 
@@ -47,3 +47,14 @@ let shuffle t a =
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))
+
+(* [mix64]'s shape on the non-negative int range, with other constants:
+   trace hashes, RSS queues and the front door's ring are defined by
+   these ones. *)
+let avalanche v =
+  let x = v land max_int in
+  let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
+  let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
+  x lxor (x lsr 31)
+
+let mix h v = avalanche (h lxor v)

@@ -34,3 +34,13 @@ val shuffle : t -> 'a array -> unit
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
+
+(** {1 Hashing} *)
+
+val avalanche : int -> int
+(** A splitmix64-style finalizer over the non-negative int range: each
+    input bit flips about half of the output bits. *)
+
+val mix : int -> int -> int
+(** [mix h v] is [avalanche (h lxor v)]: folds [v] into the rolling hash
+    [h]. *)

@@ -150,12 +150,7 @@ let ipi t ~src ~dst f =
   (match t.wake_observer with Some obs -> obs ~src ~dst | None -> ());
   Uksim.Engine.at d.engine at f
 
-(* splitmix64-style avalanche, for the rolling trace hash. *)
-let mix h v =
-  let x = (h lxor v) land max_int in
-  let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
-  let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
-  x lxor (x lsr 31)
+let mix = Uksim.Rng.mix
 
 let trace_hash t = t.trace
 

@@ -40,78 +40,49 @@ let null = Tree.null
 let node_cost = 40 (* cache-hit object resolution *)
 let frame_header = 39 (* fixed-width: "o <hash16> <kind> <len8> <lba8>\n" *)
 
-type stats = {
-  commits : int;
-  merges : int;
-  conflicts : int;
-  checkpoints : int;
-  journal_records : int;
-  journal_bytes : int;
-  fsync_barriers : int;
-  cache_hits : int;
-  cache_misses : int;
-  replayed_records : int;
+(* --- the sticky ukstore source -------------------------------------------
+   One group counts for every store in the process: crash matrices open
+   hundreds of stores, and readers take its difference around an
+   operation. *)
+
+module C = Uktrace.Metric.Counter
+
+type metrics = {
+  group : Uktrace.Registry.group;
+  commits : C.t;
+  journal_records : C.t;
+  journal_bytes : C.t;
+  fsync_barriers : C.t;
+  cache_hits : C.t;
+  cache_misses : C.t;
+  checkpoints : C.t;
+  merges : C.t;
+  conflicts : C.t;
+  replays : C.t;
+  replayed_records : C.t;
+  tree_depth : Uktrace.Metric.Gauge.t;
 }
 
-let zero_stats =
-  { commits = 0; merges = 0; conflicts = 0; checkpoints = 0; journal_records = 0;
-    journal_bytes = 0; fsync_barriers = 0; cache_hits = 0; cache_misses = 0;
-    replayed_records = 0 }
-
-(* --- the sticky ukstore source ------------------------------------------- *)
-
-type gstats = {
-  mutable g_commits : int;
-  mutable g_journal_records : int;
-  mutable g_journal_bytes : int;
-  mutable g_fsync_barriers : int;
-  mutable g_cache_hits : int;
-  mutable g_cache_misses : int;
-  mutable g_checkpoints : int;
-  mutable g_merges : int;
-  mutable g_conflicts : int;
-  mutable g_replays : int;
-  mutable g_replayed_records : int;
-  mutable g_tree_depth : float;
-}
-
-let g =
-  { g_commits = 0; g_journal_records = 0; g_journal_bytes = 0; g_fsync_barriers = 0;
-    g_cache_hits = 0; g_cache_misses = 0; g_checkpoints = 0; g_merges = 0;
-    g_conflicts = 0; g_replays = 0; g_replayed_records = 0; g_tree_depth = 0.0 }
-
-let source =
+let metrics =
   lazy
-    (Uktrace.Registry.register ~sticky:true
-       (Uktrace.Source.make ~subsystem:"ukstore" ~name:"store"
-          ~reset:(fun () ->
-            g.g_commits <- 0;
-            g.g_journal_records <- 0;
-            g.g_journal_bytes <- 0;
-            g.g_fsync_barriers <- 0;
-            g.g_cache_hits <- 0;
-            g.g_cache_misses <- 0;
-            g.g_checkpoints <- 0;
-            g.g_merges <- 0;
-            g.g_conflicts <- 0;
-            g.g_replays <- 0;
-            g.g_replayed_records <- 0;
-            g.g_tree_depth <- 0.0)
-          (fun () ->
-            [
-              ("commits", Uktrace.Metric.Count g.g_commits);
-              ("journal_records", Uktrace.Metric.Count g.g_journal_records);
-              ("journal_bytes", Uktrace.Metric.Count g.g_journal_bytes);
-              ("fsync_barriers", Uktrace.Metric.Count g.g_fsync_barriers);
-              ("cache_hits", Uktrace.Metric.Count g.g_cache_hits);
-              ("cache_misses", Uktrace.Metric.Count g.g_cache_misses);
-              ("checkpoints", Uktrace.Metric.Count g.g_checkpoints);
-              ("merges", Uktrace.Metric.Count g.g_merges);
-              ("conflicts", Uktrace.Metric.Count g.g_conflicts);
-              ("replays", Uktrace.Metric.Count g.g_replays);
-              ("replayed_records", Uktrace.Metric.Count g.g_replayed_records);
-              ("tree_depth", Uktrace.Metric.Level g.g_tree_depth);
-            ])))
+    (let group = Uktrace.Registry.group ~sticky:true ~subsystem:"ukstore" "store" in
+     let c = Uktrace.Registry.counter group in
+     let commits = c "commits" in
+     let journal_records = c "journal_records" in
+     let journal_bytes = c "journal_bytes" in
+     let fsync_barriers = c "fsync_barriers" in
+     let cache_hits = c "cache_hits" in
+     let cache_misses = c "cache_misses" in
+     let checkpoints = c "checkpoints" in
+     let merges = c "merges" in
+     let conflicts = c "conflicts" in
+     let replays = c "replays" in
+     let replayed_records = c "replayed_records" in
+     let tree_depth = Uktrace.Registry.gauge group "tree_depth" in
+     { group; commits; journal_records; journal_bytes; fsync_barriers; cache_hits;
+       cache_misses; checkpoints; merges; conflicts; replays; replayed_records; tree_depth })
+
+let source () = Uktrace.Registry.source (Lazy.force metrics).group
 
 (* --- store state ----------------------------------------------------------- *)
 
@@ -131,13 +102,12 @@ type t = {
   mutable applied_seq : int; (* folded into the current root slot *)
   mutable jsector : int; (* next free journal sector, ring-relative *)
   mutable data_head : int; (* next free absolute data-area lba *)
-  mutable st : stats;
+  m : metrics;
   mutable src : Tree.src; (* object source the trie ops run against *)
 }
 
 let charge t c = Uksim.Clock.advance t.clock c
 let sectors_of t len = (len + t.dev.B.sector_size - 1) / t.dev.B.sector_size
-let stats t = t.st
 let head t = t.head
 let content_hash t = t.root
 let tree_depth t = t.src.Tree.depth_seen
@@ -301,13 +271,11 @@ let decode_frame t s pos =
 let load_obj t h =
   match Hashtbl.find_opt t.cache h with
   | Some o ->
-      t.st <- { t.st with cache_hits = t.st.cache_hits + 1 };
-      g.g_cache_hits <- g.g_cache_hits + 1;
+      C.incr t.m.cache_hits;
       charge t node_cost;
       o
   | None -> (
-      t.st <- { t.st with cache_misses = t.st.cache_misses + 1 };
-      g.g_cache_misses <- g.g_cache_misses + 1;
+      C.incr t.m.cache_misses;
       match Hashtbl.find_opt t.locs h with
       | None -> raise (Err Ukvfs.Fs.Eio)
       | Some (lba, len) -> (
@@ -387,8 +355,7 @@ let parse_slot raw =
 let fsync t =
   t.dev.B.flush ();
   charge t Uksim.Cost.vm_exit;
-  t.st <- { t.st with fsync_barriers = t.st.fsync_barriers + 1 };
-  g.g_fsync_barriers <- g.g_fsync_barriers + 1
+  C.incr t.m.fsync_barriers
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -398,11 +365,10 @@ let mk ~clock dev ~jcap =
   let t =
     { clock; dev; jstart = 2; jcap; cache = Hashtbl.create 256; locs = Hashtbl.create 256;
       durable = Hashtbl.create 256; unckpt = []; head = null; root = null; epoch = 0;
-      next_seq = 1; applied_seq = 0; jsector = 0; data_head = 2 + jcap; st = zero_stats;
+      next_seq = 1; applied_seq = 0; jsector = 0; data_head = 2 + jcap; m = Lazy.force metrics;
       src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 } }
   in
   t.src <- mk_src t;
-  Lazy.force source;
   t
 
 let guard f = try Ok (f ()) with Err e -> Error e
@@ -519,13 +485,10 @@ let commit_with t ~parents ~msg =
       t.unckpt <- h :: t.unckpt)
     objs;
   t.head <- ch;
-  t.st <-
-    { t.st with commits = t.st.commits + 1; journal_records = t.st.journal_records + 1;
-      journal_bytes = t.st.journal_bytes + (rsec * ss) };
-  g.g_commits <- g.g_commits + 1;
-  g.g_journal_records <- g.g_journal_records + 1;
-  g.g_journal_bytes <- g.g_journal_bytes + (rsec * ss);
-  g.g_tree_depth <- float_of_int t.src.Tree.depth_seen;
+  C.incr t.m.commits;
+  C.incr t.m.journal_records;
+  C.add t.m.journal_bytes (rsec * ss);
+  Uktrace.Metric.Gauge.set t.m.tree_depth (float_of_int t.src.Tree.depth_seen);
   ch
 
 (* --- checkpoint ------------------------------------------------------------ *)
@@ -572,8 +535,7 @@ let checkpoint_exn t =
     fsync t;
     t.unckpt <- [];
     t.jsector <- 0;
-    t.st <- { t.st with checkpoints = t.st.checkpoints + 1 };
-    g.g_checkpoints <- g.g_checkpoints + 1
+    C.incr t.m.checkpoints
   end
 
 let checkpoint t = guard (fun () -> checkpoint_exn t)
@@ -656,8 +618,7 @@ let replay_record t ~off ~expect_seq =
                           t.data_head <- lba + sectors_of t flen)
                       (List.rev !applied);
                     t.head <- chash;
-                    t.st <- { t.st with replayed_records = t.st.replayed_records + 1 };
-                    g.g_replayed_records <- g.g_replayed_records + 1;
+                    C.incr t.m.replayed_records;
                     Some (off + 2 + psec)
                   with Err _ -> None
                 end)
@@ -698,7 +659,7 @@ let open_ ~clock dev =
           done;
           t.jsector <- !off;
           t.root <- (if t.head = null then null else (commit_of t t.head).Tree.root);
-          g.g_replays <- g.g_replays + 1;
+          C.incr t.m.replays;
           t)
 
 (* --- KV operations --------------------------------------------------------- *)
@@ -882,8 +843,7 @@ let merge t other ?(msg = "merge") () =
             t.root <- root0;
             raise e
         in
-        t.st <- { t.st with merges = t.st.merges + 1; conflicts = t.st.conflicts + !conflicts };
-        g.g_merges <- g.g_merges + 1;
-        g.g_conflicts <- g.g_conflicts + !conflicts;
+        C.incr t.m.merges;
+        C.add t.m.conflicts !conflicts;
         (ch, !conflicts)
       end)

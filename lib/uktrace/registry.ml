@@ -7,7 +7,7 @@
    one simulated machine per process at a time, with [clear] as the
    trial boundary.
 
-   Sticky sources (the tracer, registry-owned metric groups) survive
+   Sticky sources (the tracer, process-wide metric groups) survive
    [clear]; instance sources do not — their objects are recreated each
    trial anyway, and dropping the old closures lets the dead instances be
    collected. *)
@@ -19,7 +19,7 @@ let max_sources = 4096
 type state = {
   mutable entries : entry list; (* newest first *)
   mutable dropped : int;
-  mutable gen : int; (* bumped by [clear]: uids never diff across trials *)
+  mutable gen : int; (* bumped by [clear] and [reset]: no diff spans either *)
   seen : (string, int) Hashtbl.t; (* base id -> #instances, for unique uids *)
 }
 
@@ -49,65 +49,62 @@ let clear () =
   (* Re-seed uid dedup with the survivors. *)
   List.iter (fun e -> Hashtbl.replace st.seen e.uid 1) st.entries
 
-let reset () = List.iter (fun e -> e.src.Source.reset ()) st.entries
+(* A reset also renews every generation: a window that spans it keeps the
+   post-reset readings instead of subtracting across the zeroing. *)
+let reset () =
+  List.iter (fun e -> e.src.Source.reset ()) st.entries;
+  st.gen <- st.gen + 1;
+  st.entries <- List.map (fun (e : entry) -> { e with gen = st.gen }) st.entries
 
 let sources () = List.rev_map (fun e -> e.src) st.entries
 
-(* --- registry-owned metrics -------------------------------------------- *)
+(* --- metric groups ------------------------------------------------------- *)
 
-(* [counter ~subsystem name] style creation: metrics grouped into one
-   sticky source per subsystem, so ad-hoc instrumentation points need no
-   Source plumbing of their own. *)
+(* A group is a source whose samples are metric cells it owns, listed in
+   creation order. Its closures see only the cells, so a registered group
+   never keeps the component that bumps them alive. *)
 
-type owned = {
-  mutable metrics : (string * [ `C of Metric.Counter.t | `G of Metric.Gauge.t | `H of Metric.Histogram.t ]) list;
-}
+type metric = C of Metric.Counter.t | G of Metric.Gauge.t | H of Metric.Histogram.t
+type group = { gsrc : Source.t; cells : (string * metric) list ref (* newest first *) }
 
-let owned : (string, owned) Hashtbl.t = Hashtbl.create 8
+let group ?sticky ~subsystem name =
+  let cells = ref [] in
+  let gsrc =
+    Source.make ~subsystem ~name
+      ~reset:(fun () ->
+        List.iter
+          (function
+            | _, C c -> Metric.Counter.reset c
+            | _, G g -> Metric.Gauge.reset g
+            | _, H h -> Metric.Histogram.reset h)
+          !cells)
+      (fun () ->
+        List.rev_map
+          (function
+            | n, C c -> (n, Metric.Counter.value c)
+            | n, G g -> (n, Metric.Gauge.value g)
+            | n, H h -> (n, Metric.Histogram.value h))
+          !cells)
+  in
+  register ?sticky gsrc;
+  { gsrc; cells }
 
-let owned_group subsystem =
-  match Hashtbl.find_opt owned subsystem with
-  | Some g -> g
-  | None ->
-      let g = { metrics = [] } in
-      Hashtbl.replace owned subsystem g;
-      register ~sticky:true
-        (Source.make ~subsystem ~name:"metrics"
-           ~reset:(fun () ->
-             List.iter
-               (fun (_, m) ->
-                 match m with
-                 | `C c -> Metric.Counter.reset c
-                 | `G x -> Metric.Gauge.reset x
-                 | `H h -> Metric.Histogram.reset h)
-               g.metrics)
-           (fun () ->
-             List.rev_map
-               (fun (n, m) ->
-                 ( n,
-                   match m with
-                   | `C c -> Metric.Counter.value c
-                   | `G x -> Metric.Gauge.value x
-                   | `H h -> Metric.Histogram.value h ))
-               g.metrics));
-      g
+let source g = g.gsrc
+let add g name m = g.cells := (name, m) :: !(g.cells)
 
-let counter ~subsystem name =
-  let g = owned_group subsystem in
+let counter g name =
   let c = Metric.Counter.create () in
-  g.metrics <- (name, `C c) :: g.metrics;
+  add g name (C c);
   c
 
-let gauge ~subsystem name =
-  let g = owned_group subsystem in
+let gauge g name =
   let x = Metric.Gauge.create () in
-  g.metrics <- (name, `G x) :: g.metrics;
+  add g name (G x);
   x
 
-let histogram ~subsystem name =
-  let g = owned_group subsystem in
+let histogram g name =
   let h = Metric.Histogram.create () in
-  g.metrics <- (name, `H h) :: g.metrics;
+  add g name (H h);
   h
 
 (* --- snapshots ---------------------------------------------------------- *)

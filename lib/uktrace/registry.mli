@@ -16,28 +16,43 @@ val clear : unit -> unit
 (** Remove all non-sticky sources (per-trial setup). *)
 
 val reset : unit -> unit
-(** Call every registered source's [reset]. *)
+(** Call every registered source's [reset], then renew every entry's
+    generation: a {!diff} window that spans a reset keeps the post-reset
+    readings rather than subtracting across the zeroing. *)
 
 val sources : unit -> Source.t list
 (** Registration order. *)
 
 val dropped_registrations : unit -> int
 
-(** {1 Registry-owned metrics}
+(** {1 Metric groups}
 
-    For instrumentation points that don't have a natural object to hang a
-    source on: metrics created here are grouped into one sticky
-    ["<subsystem>.metrics"] source per subsystem. *)
+    The usual way to publish counters: a group is a registered source
+    whose samples are metrics the group owns, in creation order, and
+    whose [reset] zeroes them all. Create the group where the component
+    is created, then its metrics with [let]-sequencing (record fields
+    evaluate right to left, which would reverse the sample order). The
+    source sees only the metric cells, never the component. A sample
+    computed at snapshot time needs {!Source.make} instead. *)
 
-val counter : subsystem:string -> string -> Metric.Counter.t
-val gauge : subsystem:string -> string -> Metric.Gauge.t
-val histogram : subsystem:string -> string -> Metric.Histogram.t
+type group
+
+val group : ?sticky:bool -> subsystem:string -> string -> group
+(** Register a new, empty ["subsystem.name"] source, as {!register}
+    does. *)
+
+val counter : group -> string -> Metric.Counter.t
+val gauge : group -> string -> Metric.Gauge.t
+val histogram : group -> string -> Metric.Histogram.t
+(** Add a metric as the group's last sample. *)
+
+val source : group -> Source.t
 
 (** {1 Snapshots} *)
 
 type entry_snap = {
   suid : string;  (** source uid *)
-  sgen : int;  (** registration generation (bumped by {!clear}) *)
+  sgen : int;  (** generation: set at registration, renewed by {!reset} *)
   samples : Source.sample list;
 }
 
@@ -48,8 +63,8 @@ val snapshot : unit -> snapshot
 
 val diff : before:snapshot -> after:snapshot -> snapshot
 (** Per-sample {!Metric.diff_value}; sources present only in [after] — or
-    re-registered under a reused uid after a {!clear} — are kept as-is,
-    sources gone from [after] are dropped. *)
+    re-registered under a reused uid after a {!clear}, or reset in
+    between — are kept as-is, sources gone from [after] are dropped. *)
 
 val prune : snapshot -> snapshot
 (** Drop all-zero samples and then empty sources — keeps exported JSON

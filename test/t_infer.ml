@@ -122,12 +122,19 @@ let light_model =
   { Infer.name = "feedfacefeedface"; digest = 0xfeedface; size_mb = 1;
     bytes = 1 lsl 20; load_ns = 0.0 }
 
+(* How far sample [name] of the sticky infer source moves from now on. *)
+let counting name =
+  let count () = Uktrace.Source.count (Infer.source ()) name in
+  let at = count () in
+  fun () -> count () - at
+
 let capture replies rid width = fun s ->
   replies := (rid, width, s) :: !replies
 
 let test_batch_full_flush () =
   let clock, engine = rig () in
   let t = Infer.create_bare ~clock ~engine ~max_batch:4 ~model:light_model () in
+  let batches = counting "batches" and requests = counting "requests" in
   let replies = ref [] in
   for rid = 1 to 3 do
     Infer.submit t ~rid ~width:8 ~reply:(capture replies rid 8)
@@ -135,10 +142,8 @@ let test_batch_full_flush () =
   Alcotest.(check int) "below max_batch nothing fires" 0 (List.length !replies);
   Infer.submit t ~rid:4 ~width:8 ~reply:(capture replies 4 8);
   Alcotest.(check int) "the 4th request flushes the batch" 4 (List.length !replies);
-  let st = Infer.stats t in
-  Alcotest.(check int) "one batch" 1 st.Infer.batches;
-  Alcotest.(check int) "four requests" 4 st.Infer.requests;
-  Alcotest.(check int) "occupancy is the full batch" 4 st.Infer.max_occupancy;
+  Alcotest.(check int) "one batch" 1 (batches ());
+  Alcotest.(check int) "four requests" 4 (requests ());
   List.iter
     (fun (rid, _, s) ->
       Alcotest.(check int) "fixed reply size" Infer.reply_len (String.length s);
@@ -152,6 +157,7 @@ let test_batch_deadline_flush () =
     Infer.create_bare ~clock ~engine ~max_batch:8
       ~max_wait_ns:(Uksim.Units.usec 20.0) ~model:light_model ()
   in
+  let batches = counting "batches" in
   let replies = ref [] in
   Infer.submit t ~rid:1 ~width:8 ~reply:(capture replies 1 8);
   Infer.submit t ~rid:2 ~width:8 ~reply:(capture replies 2 8);
@@ -159,7 +165,7 @@ let test_batch_deadline_flush () =
   Alcotest.(check int) "before the deadline nothing fires" 0 (List.length !replies);
   Uksim.Engine.run_for_ns engine (Uksim.Units.usec 200.0);
   Alcotest.(check int) "deadline flushes the partial batch" 2 (List.length !replies);
-  Alcotest.(check int) "as one batch" 1 (Infer.stats t).Infer.batches
+  Alcotest.(check int) "as one batch" 1 (batches ())
 
 let test_stale_timer_is_inert () =
   let clock, engine = rig () in
@@ -167,6 +173,7 @@ let test_stale_timer_is_inert () =
     Infer.create_bare ~clock ~engine ~max_batch:2
       ~max_wait_ns:(Uksim.Units.usec 20.0) ~model:light_model ()
   in
+  let batches = counting "batches" in
   let replies = ref [] in
   (* First submit arms a deadline; the second flushes by occupancy. The
      armed timer must then fire as a no-op, not re-batch or double-count. *)
@@ -175,7 +182,7 @@ let test_stale_timer_is_inert () =
   Alcotest.(check int) "occupancy flush" 2 (List.length !replies);
   Uksim.Engine.run_for_ns engine (Uksim.Units.usec 200.0);
   Alcotest.(check int) "stale deadline adds nothing" 2 (List.length !replies);
-  Alcotest.(check int) "still one batch" 1 (Infer.stats t).Infer.batches
+  Alcotest.(check int) "still one batch" 1 (batches ())
 
 let test_batching_amortizes_weight_pass () =
   let serve max_batch =
@@ -216,11 +223,12 @@ let test_legacy_fast_equivalence () =
     let c = Cl.create ~seed:5 ~n:1 () in
     let transport = if fast then netbuf else Ukapps.Serve.Socket in
     let workers = Cl.add_infer c ~transport ~size_mb:2 () in
+    let requests = counting "requests" in
     let r =
       Cl.run_load c ~transport ~port:8000 ~connections_per_core:4 ~requests_per_core:200
         (Infer.client ())
     in
-    (r, Infer.state_hash workers.(0), Infer.stats workers.(0))
+    (r, Infer.state_hash workers.(0), requests ())
   in
   let rl, hl, sl = serve false and rf, hf, sf = serve true in
   Alcotest.(check int) "legacy answers everything" 200 rl.Ukapps.Load.requests;
@@ -228,8 +236,7 @@ let test_legacy_fast_equivalence () =
   Alcotest.(check int) "no legacy errors" 0 rl.Ukapps.Load.errors;
   Alcotest.(check int) "no fast errors" 0 rf.Ukapps.Load.errors;
   Alcotest.(check int) "identical served-set state hash" hl hf;
-  Alcotest.(check int) "identical request counts server-side" sl.Infer.requests
-    sf.Infer.requests;
+  Alcotest.(check int) "identical request counts server-side" sl sf;
   Alcotest.(check bool) "the fast path is faster" true
     (rf.Ukapps.Load.elapsed_ns < rl.Ukapps.Load.elapsed_ns)
 

@@ -110,7 +110,7 @@ let test_detector_crash_to_dead () =
   in
   let r = Cluster.run c (steady ~dur:120.0 1500.0) in
   check_no_lost r;
-  Alcotest.(check int) "the crash was applied" 1 (Fh.stats fh).Fh.applied;
+  Alcotest.(check int) "the crash was applied" 1 (Uktrace.Source.count (Fh.source fh) "applied");
   Alcotest.(check bool) "crash suspected" true (r.Cluster.suspects >= 1);
   Alcotest.(check bool) "then declared dead" true (r.Cluster.deads >= 1);
   Alcotest.(check bool) "dead is sticky" true

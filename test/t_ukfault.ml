@@ -9,6 +9,8 @@ module B = Ukblock.Blockdev
 module Nd = Uknetdev.Netdev
 module Nb = Uknetdev.Netbuf
 
+let count = Uktrace.Source.count
+
 let sim () =
   let clock = Uksim.Clock.create () in
   let engine = Uksim.Engine.create clock in
@@ -47,15 +49,15 @@ let test_faultnet_passthrough () =
   tx_frames fn 10;
   let got = drain engine db in
   Alcotest.(check int) "all frames delivered" 10 (List.length got);
-  Alcotest.(check int) "forwarded" 10 (Fn.stats fn).Fn.forwarded;
-  Alcotest.(check int) "no drops" 0 (Fn.stats fn).Fn.dropped
+  Alcotest.(check int) "forwarded" 10 (count (Fn.source fn) "forwarded");
+  Alcotest.(check int) "no drops" 0 (count (Fn.source fn) "dropped")
 
 let test_faultnet_drop_every () =
   let _, engine, fn, db = fault_link (Fn.plan ~drop_every:2 ()) in
   tx_frames fn 10;
   let got = drain engine db in
   Alcotest.(check int) "every 2nd frame dropped" 5 (List.length got);
-  Alcotest.(check int) "drops counted" 5 (Fn.stats fn).Fn.dropped;
+  Alcotest.(check int) "drops counted" 5 (count (Fn.source fn) "dropped");
   (* Systematic pattern: the odd-numbered frames survive. *)
   Alcotest.(check (list string)) "deterministic pattern"
     [ "frame-001"; "frame-003"; "frame-005"; "frame-007"; "frame-009" ] got
@@ -65,7 +67,7 @@ let test_faultnet_duplicate () =
   tx_frames fn 5;
   let got = drain engine db in
   Alcotest.(check int) "every frame doubled" 10 (List.length got);
-  Alcotest.(check int) "dups counted" 5 (Fn.stats fn).Fn.duplicated
+  Alcotest.(check int) "dups counted" 5 (count (Fn.source fn) "duplicated")
 
 let test_faultnet_corrupt () =
   let _, engine, fn, db = fault_link (Fn.plan ~corrupt:1.0 ()) in
@@ -94,7 +96,7 @@ let test_faultnet_reorder () =
   tx_frames fn 2;
   let got = drain engine db in
   Alcotest.(check int) "delayed frames still arrive" 2 (List.length got);
-  Alcotest.(check int) "reorders counted" 2 (Fn.stats fn).Fn.reordered
+  Alcotest.(check int) "reorders counted" 2 (count (Fn.source fn) "reordered")
 
 let test_faultnet_flap () =
   (* 1 ms period with the last 0.5 ms down: frames sent in the down window
@@ -109,7 +111,7 @@ let test_faultnet_flap () =
   tx_frames fn 1;
   let got = drain engine db in
   Alcotest.(check int) "only the up-window frame arrived" 1 (List.length got);
-  Alcotest.(check int) "flap drop counted" 1 (Fn.stats fn).Fn.flap_dropped
+  Alcotest.(check int) "flap drop counted" 1 (count (Fn.source fn) "flap_dropped")
 
 let run_random_schedule seed =
   let _, engine, fn, db =
@@ -117,7 +119,7 @@ let run_random_schedule seed =
   in
   tx_frames fn 200;
   let got = drain engine db in
-  (Fn.stats fn, got)
+  ((Fn.source fn).Uktrace.Source.snapshot (), got)
 
 let test_faultnet_deterministic () =
   let st1, got1 = run_random_schedule 7 in
@@ -146,7 +148,7 @@ let test_faultblk_io_error () =
   (match dev.B.read_sync ~lba:0 ~sectors:1 with
   | Error B.Eio -> ()
   | _ -> Alcotest.fail "read should have failed");
-  Alcotest.(check int) "both injections counted" 2 (Fb.stats fb).Fb.io_errors
+  Alcotest.(check int) "both injections counted" 2 (count (Fb.source fb) "io_errors")
 
 let test_faultblk_torn_write () =
   let _, inner, fb = fault_disk (Fb.plan ~torn_write:1.0 ()) in
@@ -155,7 +157,7 @@ let test_faultblk_torn_write () =
   (match dev.B.write_sync ~lba:0 data with
   | Error B.Eio -> ()
   | _ -> Alcotest.fail "torn write must report failure");
-  Alcotest.(check int) "torn write counted" 1 (Fb.stats fb).Fb.torn_writes;
+  Alcotest.(check int) "torn write counted" 1 (count (Fb.source fb) "torn_writes");
   (* The first half of the sectors reached the medium, the rest did not. *)
   (match inner.B.read_sync ~lba:0 ~sectors:4 with
   | Ok got ->
@@ -171,7 +173,7 @@ let test_faultblk_latency_spike () =
   (match dev.B.read_sync ~lba:0 ~sectors:1 with Ok _ -> () | Error _ -> Alcotest.fail "read");
   Alcotest.(check bool) "spike stalled the caller >= 5 ms" true
     (Uksim.Clock.ns clock -. before >= 5.0e6);
-  Alcotest.(check int) "spike counted" 1 (Fb.stats fb).Fb.latency_spikes
+  Alcotest.(check int) "spike counted" 1 (count (Fb.source fb) "latency_spikes")
 
 let test_faultblk_submit_path () =
   let _, _, fb = fault_disk (Fb.plan ~io_error:1.0 ()) in

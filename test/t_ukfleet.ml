@@ -204,10 +204,10 @@ let test_kill_respawns_zero_lost () =
       ~kill:(fun ~now_ns iid -> Fleet.kill f ~now_ns ~iid)
   in
   let r = Fleet.run f (steady 2.0) in
-  let st = Fv.stats fv in
-  Alcotest.(check bool) "instances were killed" true (st.Fv.killed >= 1);
-  Alcotest.(check int) "every kill respawned" st.Fv.killed r.Fleet.restarts;
-  Alcotest.(check int) "crashes recorded" st.Fv.killed r.Fleet.crashes;
+  let killed = Uktrace.Source.count (Fv.source fv) "killed" in
+  Alcotest.(check bool) "instances were killed" true (killed >= 1);
+  Alcotest.(check int) "every kill respawned" killed r.Fleet.restarts;
+  Alcotest.(check int) "crashes recorded" killed r.Fleet.crashes;
   Alcotest.(check int) "zero lost responses" 0 r.Fleet.lost;
   Alcotest.(check int) "offered all answered" r.Fleet.offered
     (r.Fleet.completed + r.Fleet.shed)
@@ -233,10 +233,10 @@ let test_back_to_back_kills_one_backoff_window () =
       ~kill:(fun ~now_ns iid -> Fleet.kill f ~now_ns ~iid)
   in
   let r = Fleet.run f (steady 2.0) in
-  let st = Fv.stats fv in
-  Alcotest.(check int) "both rounds fired" 2 st.Fv.rounds_run;
-  Alcotest.(check bool) "both kills landed" true (st.Fv.killed >= 2);
-  Alcotest.(check int) "every kill respawned exactly once" st.Fv.killed
+  let count = Uktrace.Source.count (Fv.source fv) in
+  Alcotest.(check int) "both rounds fired" 2 (count "rounds");
+  Alcotest.(check bool) "both kills landed" true (count "killed" >= 2);
+  Alcotest.(check int) "every kill respawned exactly once" (count "killed")
     r.Fleet.restarts;
   Alcotest.(check int) "zero lost responses" 0 r.Fleet.lost;
   Alcotest.(check int) "books balance" r.Fleet.offered

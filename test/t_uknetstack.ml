@@ -133,6 +133,8 @@ type fake_net = {
   mutable sent : (Tcp.conn * P.Tcp.t * bytes) list; (* reversed *)
   mutable timers : (Tcp.conn * int) list;
   mutable drop_next : int; (* drop this many upcoming segments *)
+  mutable rexmits : int;
+  mutable fast_rexmits : int;
 }
 
 let fake_io net : Tcp.io =
@@ -157,12 +159,16 @@ let fake_io net : Tcp.io =
       (fun conn ~delay_cycles ->
         net.timers <- (conn, Uksim.Clock.cycles net.clock + delay_cycles) :: net.timers);
     wake = (fun _ -> ());
+    retransmitted =
+      (fun ~fast ->
+        if fast then net.fast_rexmits <- net.fast_rexmits + 1
+        else net.rexmits <- net.rexmits + 1);
     notify_accept = (fun _ -> ());
   }
 
 let mk_fake () =
   let clock = Uksim.Clock.create () in
-  { clock; sent = []; timers = []; drop_next = 0 }
+  { clock; sent = []; timers = []; drop_next = 0; rexmits = 0; fast_rexmits = 0 }
 
 let take_sent net =
   let s = List.rev net.sent in
@@ -238,7 +244,7 @@ let test_tcp_retransmission () =
   deliver_all neta netb client server;
   Alcotest.(check (option string)) "recovered" (Some "lost-once")
     (Option.map Bytes.to_string (Tcp.recv server ~max:100));
-  Alcotest.(check int) "one retransmit counted" 1 (Tcp.stats_retransmits client)
+  Alcotest.(check int) "one retransmit counted" 1 neta.rexmits
 
 let test_tcp_fast_retransmit () =
   let neta, netb, client, server = handshake () in
@@ -253,7 +259,7 @@ let test_tcp_fast_retransmit () =
   deliver_all neta netb client server;
   ignore (Tcp.send client (Bytes.make 10 'd'));
   deliver_all neta netb client server;
-  Alcotest.(check bool) "fast retransmit fired" true (Tcp.stats_fast_retransmits client >= 1);
+  Alcotest.(check bool) "fast retransmit fired" true (neta.fast_rexmits >= 1);
   (* The out-of-order segments behind the hole were dropped by the
      receiver (no SACK); RTO rounds recover them one at a time. *)
   for _ = 1 to 4 do
@@ -407,7 +413,7 @@ let test_udp_fragmentation_end_to_end () =
   | None -> Alcotest.fail "datagram lost");
   (* The wire really carried fragments: > 1 frame for one datagram (plus
      one ARP exchange). *)
-  let tx = (S.stats s2).S.tx_pkts in
+  let tx = Uktrace.Source.count (S.source s2) "tx_pkts" in
   Alcotest.(check bool) (Printf.sprintf "fragmented on the wire (%d frames)" tx) true (tx >= 4)
 
 let frag_random_order_prop =
@@ -612,10 +618,10 @@ let test_stack_arp_populated () =
          (* Stay alive until the datagram has traversed ARP + the wire. *)
          Uksched.Sched.sleep_ns 1.0e6));
   Uksched.Sched.run sched;
-  let st2 = S.stats s2 in
-  Alcotest.(check int) "one arp request" 1 st2.S.arp_requests;
+  Alcotest.(check int) "one arp request" 1 (Uktrace.Source.count (S.source s2) "arp_requests");
   (* Packet to an unbound port on s1 is dropped there. *)
-  Alcotest.(check bool) "s1 dropped the datagram" true ((S.stats s1).S.rx_drop >= 1)
+  Alcotest.(check bool) "s1 dropped the datagram" true
+    (Uktrace.Source.count (S.source s1) "rx_drop" >= 1)
 
 let test_stack_port_management () =
   let _, _, s1, _ = two_stacks () in

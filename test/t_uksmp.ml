@@ -197,11 +197,11 @@ let test_cluster_rss_distribution () =
   in
   Alcotest.(check int) "no errors" 0 r.Ukapps.Load.errors;
   for i = 0 to 3 do
-    let st = Uknetstack.Stack.stats (Cluster.server_stack c i) in
+    let st = Uknetstack.Stack.source (Cluster.server_stack c i) in
     Alcotest.(check bool)
       (Printf.sprintf "server stack %d saw tcp" i)
       true
-      (st.Uknetstack.Stack.rx_tcp > 0)
+      (Uktrace.Source.count st "rx_tcp" > 0)
   done
 
 (* --- spinlock ------------------------------------------------------------ *)
@@ -212,15 +212,15 @@ let test_spin_contention () =
   Spin.acquire l c0 ~hold:1000;
   (* c1 is behind: it must spin until c0's release point *)
   Spin.acquire l c1 ~hold:500;
-  let st = Spin.stats l in
-  Alcotest.(check int) "acquisitions" 2 st.Spin.acquisitions;
-  Alcotest.(check int) "contended" 1 st.Spin.contended;
-  Alcotest.(check int) "wait cycles" 1000 st.Spin.wait_cycles;
+  let count = Uktrace.Source.count (Spin.source l) in
+  Alcotest.(check int) "acquisitions" 2 (count "acquisitions");
+  Alcotest.(check int) "contended" 1 (count "contended");
+  Alcotest.(check int) "wait cycles" 1000 (count "wait_cycles");
   Alcotest.(check int) "c1 waited then held" 1500 (Uksim.Clock.cycles c1);
   (* c1 released at 1500; a late acquirer at 2000 sails through *)
   Uksim.Clock.advance c0 1000 (* c0 now at 2000 *);
   Spin.acquire l c0 ~hold:100;
-  Alcotest.(check int) "no new contention" 1 (Spin.stats l).Spin.contended
+  Alcotest.(check int) "no new contention" 1 (count "contended")
 
 let test_mutex_contention_accounting () =
   let clock = Uksim.Clock.create () in
@@ -257,15 +257,15 @@ let test_arena_basic_and_refill () =
     | None -> Alcotest.fail "arena malloc failed"
   done;
   Alcotest.(check int) "unique addrs" 8 (List.length (List.sort_uniq compare !addrs));
-  let ctr = Ukalloc.Percore.counters arena in
-  Alcotest.(check int) "one refill of 8 serves 8 allocs" 1 ctr.Ukalloc.Percore.refills;
-  Alcotest.(check int) "fast hits after first" 7 ctr.Ukalloc.Percore.fast_hits;
+  let src = Ukalloc.Percore.source arena in
+  Alcotest.(check int) "one refill of 8 serves 8 allocs" 1 (Uktrace.Source.count src "refills");
+  Alcotest.(check int) "fast hits after first" 7 (Uktrace.Source.count src "fast_hits");
   (* batch amortization: backend saw one burst of allocs, not one per malloc *)
   Alcotest.(check int) "backend allocs = batch" 8 (backend.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.allocs;
   List.iter (Ukalloc.Alloc.uk_free v0) !addrs;
   Alcotest.(check int) "frees accounted" 8 (v0.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.frees;
-  let ctr' = Ukalloc.Percore.counters arena in
-  Alcotest.(check int) "freed objects cached in magazine" 8 ctr'.Ukalloc.Percore.cached_objs
+  Alcotest.(check (float 0.0)) "freed objects cached in magazine" 8.0
+    (Uktrace.Source.level src "cached_objs")
 
 let test_arena_oom_propagates () =
   let clocks = [| Uksim.Clock.create () |] in
@@ -325,7 +325,7 @@ let test_arena_beats_shared_lock_under_contention () =
         views;
       Array.iter (fun c -> Uksim.Clock.advance c 50) clocks
     done;
-    (Spin.stats spin).Spin.wait_cycles
+    Uktrace.Source.count (Spin.source spin) "wait_cycles"
   in
   let arena_wait = run `Arena and shared_wait = run `Shared in
   Alcotest.(check bool)

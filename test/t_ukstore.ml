@@ -24,6 +24,13 @@ let get t k = ok (St.get t k)
 let del t k = ok (St.del t k)
 let commit ?msg t = ok (St.commit t ?msg ())
 
+(* How far sample [name] of the process-wide ukstore source moves from
+   now on. *)
+let counting name =
+  let count () = Uktrace.Source.count (St.source ()) name in
+  let at = count () in
+  fun () -> count () - at
+
 (* --- basic KV + commit/checkout ------------------------------------------- *)
 
 let test_basic_kv () =
@@ -57,11 +64,12 @@ let test_commit_checkout () =
 
 let test_empty_commit_noop () =
   let _, _, t = fresh () in
+  let records = counting "journal_records" in
   set t "k" "v";
   let c1 = commit t in
   let c2 = commit t in
   Alcotest.(check int) "clean commit is a no-op" c1 c2;
-  Alcotest.(check int) "only one journal record" 1 (St.stats t).St.journal_records
+  Alcotest.(check int) "only one journal record" 1 (records ())
 
 (* --- persistence round-trips ----------------------------------------------- *)
 
@@ -73,9 +81,10 @@ let test_remount_replays_journal () =
   set t "a" "3";
   let h2 = commit t in
   (* No checkpoint: everything lives in the journal only. *)
+  let replayed = counting "replayed_records" in
   let t' = ok (St.open_ ~clock:c dev) in
   Alcotest.(check int) "head recovered" h2 (St.head t');
-  Alcotest.(check int) "two records replayed" 2 (St.stats t').St.replayed_records;
+  Alcotest.(check int) "two records replayed" 2 (replayed ());
   Alcotest.(check (option string)) "value" (Some "3") (ok (St.get t' "a"));
   Alcotest.(check (option string)) "other value" (Some "2") (ok (St.get t' "b"));
   ok (St.checkout t' h1);
@@ -88,13 +97,15 @@ let test_remount_after_checkpoint () =
   done;
   let h = commit t in
   ok (St.checkpoint t);
+  let replayed = counting "replayed_records" in
+  let hits = counting "cache_hits" and misses = counting "cache_misses" in
   let t' = ok (St.open_ ~clock:c dev) in
   Alcotest.(check int) "head from slot" h (St.head t');
-  Alcotest.(check int) "no journal replay needed" 0 (St.stats t').St.replayed_records;
+  Alcotest.(check int) "no journal replay needed" 0 (replayed ());
   (* Cold reads come from the data area and verify structural hashes. *)
   Alcotest.(check (option string)) "cold read" (Some "val-49") (ok (St.get t' "key-07"));
-  Alcotest.(check int) "cold reads miss the cache" 0 (St.stats t').St.cache_hits |> ignore;
-  Alcotest.(check bool) "misses counted" true ((St.stats t').St.cache_misses > 0)
+  Alcotest.(check int) "cold reads miss the cache" 0 (hits ()) |> ignore;
+  Alcotest.(check bool) "misses counted" true (misses () > 0)
 
 let test_content_hash_matches_across_stores () =
   let _, _, t1 = fresh () in
@@ -235,6 +246,7 @@ let test_merge_conflict_policy () =
    longer fits, merge checkpoints and retries, as commit does. *)
 let test_merge_on_full_ring () =
   let _, _, t = fresh ~journal_sectors:12 () in
+  let checkpoints = counting "checkpoints" in
   set t "base" "b";
   ignore (commit t);
   for i = 1 to 20 do
@@ -247,7 +259,7 @@ let test_merge_on_full_ring () =
     let _, conflicts = ok (St.merge t side ()) in
     Alcotest.(check int) (Printf.sprintf "merge %d: disjoint edits" i) 0 conflicts
   done;
-  Alcotest.(check bool) "merges wrapped the ring" true ((St.stats t).St.checkpoints > 0);
+  Alcotest.(check bool) "merges wrapped the ring" true (checkpoints () > 0);
   Alcotest.(check (option string)) "first side edit merged" (Some (String.make 100 's'))
     (get t "side-01");
   Alcotest.(check (option string)) "last main edit kept" (Some (String.make 100 'm'))
@@ -373,21 +385,21 @@ let test_checkpoint_one_write_per_run () =
   List.iter
     (fun n ->
       let c, dev, t = fresh ~journal_sectors:256 () in
+      let checkpoints = counting "checkpoints" in
       for i = 1 to n do
         set t (Printf.sprintf "key-%d" i) (value i);
         ignore (commit t)
       done;
-      Alcotest.(check int) (Printf.sprintf "n=%d: ring never wrapped" n) 0
-        (St.stats t).St.checkpoints;
+      Alcotest.(check int) (Printf.sprintf "n=%d: ring never wrapped" n) 0 (checkpoints ());
       let writes () = (dev.B.stats ()).B.writes in
       let before = writes () in
       ok (St.checkpoint t);
       Alcotest.(check int) (Printf.sprintf "n=%d: run + slot" n) 2 (writes () - before);
       (* Cold reads decode and hash-verify each frame at its offset
          inside the run. *)
+      let replayed = counting "replayed_records" in
       let t' = ok (St.open_ ~clock:c dev) in
-      Alcotest.(check int) (Printf.sprintf "n=%d: no replay" n) 0
-        (St.stats t').St.replayed_records;
+      Alcotest.(check int) (Printf.sprintf "n=%d: no replay" n) 0 (replayed ());
       for i = 1 to n do
         Alcotest.(check (option string))
           (Printf.sprintf "n=%d: key-%d cold" n i)
@@ -449,8 +461,9 @@ let test_negative_frame_length () =
   let sec = Bytes.make dev.B.sector_size '\000' in
   Bytes.blit_string line 0 sec 0 (String.length line);
   write_sectors dev ~lba:(3 + psec) sec;
+  let replayed = counting "replayed_records" in
   let t' = ok (St.open_ ~clock:c dev) in
-  Alcotest.(check int) "replay ends at the record" 0 (St.stats t').St.replayed_records;
+  Alcotest.(check int) "replay ends at the record" 0 (replayed ());
   Alcotest.(check (option string)) "its commit is not recovered" None (ok (St.get t' "k"))
 
 let test_recovery_is_deterministic () =
@@ -473,19 +486,21 @@ let test_recovery_is_deterministic () =
 let test_journal_ring_wraps_via_checkpoint () =
   (* A tiny journal forces the Enospc → checkpoint → retry path. *)
   let _, _, t = fresh ~journal_sectors:12 () in
+  let commits = counting "commits" and checkpoints = counting "checkpoints" in
   for i = 1 to 40 do
     set t (Printf.sprintf "k%d" i) (String.make 100 'x');
     ignore (commit t)
   done;
-  Alcotest.(check int) "all commits landed" 40 (St.stats t).St.commits;
-  Alcotest.(check bool) "checkpoints forced" true ((St.stats t).St.checkpoints > 0);
+  Alcotest.(check int) "all commits landed" 40 (commits ());
+  Alcotest.(check bool) "checkpoints forced" true (checkpoints () > 0);
   Alcotest.(check (option string)) "data intact" (Some (String.make 100 'x')) (get t "k40")
 
 (* --- the served workload ---------------------------------------------------- *)
 
 let test_store_server_cluster () =
   let cl = Ukapps.Cluster.create ~seed:11 ~n:1 () in
-  let srvs = Ukapps.Cluster.add_store cl ~transport:Ukapps.Serve.Socket ~keys:64 () in
+  ignore (Ukapps.Cluster.add_store cl ~transport:Ukapps.Serve.Socket ~keys:64 ());
+  let commits = counting "commits" in
   let r =
     Ukapps.Cluster.run_load cl ~transport:Ukapps.Serve.Socket ~port:7000 ~connections_per_core:4
       ~requests_per_core:400
@@ -493,10 +508,7 @@ let test_store_server_cluster () =
   in
   Alcotest.(check int) "no protocol errors" 0 r.Ukapps.Load.errors;
   Alcotest.(check int) "all requests answered" 400 r.Ukapps.Load.requests;
-  let st = Ukapps.Store.stats srvs.(0) in
-  Alcotest.(check int) "server saw them all" 400 st.Ukapps.Store.requests;
-  Alcotest.(check bool) "sets happened" true (st.Ukapps.Store.sets > 0);
-  Alcotest.(check bool) "commits happened" true (st.Ukapps.Store.commits > 0);
+  Alcotest.(check bool) "commits happened" true (commits () > 0);
   Alcotest.(check bool) "throughput positive" true (r.Ukapps.Load.rate_per_sec > 0.0)
 
 let test_store_server_fast_replay_identical () =

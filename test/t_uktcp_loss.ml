@@ -8,6 +8,8 @@ module S = Uknetstack.Stack
 module Tcp = Uknetstack.Tcp
 module Fn = Ukfault.Faultnet
 
+let count = Uktrace.Source.count
+
 (* Two stacks over a loopback link whose [client] transmit path goes
    through a fault injector. *)
 let faulty_pair plan =
@@ -30,7 +32,9 @@ let faulty_pair plan =
   let server = mk db "10.0.0.2" 0x2 in
   (sched, fn, client, server)
 
-let transfer ~total plan =
+(* With [close], the server closes once it has every byte and the client
+   closes after reading the server's FIN (a passive close). *)
+let transfer ?(close = false) ~total plan =
   let sched, fn, cstack, sstack = faulty_pair plan in
   let payload = Bytes.init total (fun i -> Char.chr ((i * 7) land 0xff)) in
   let received = Buffer.create total in
@@ -49,7 +53,8 @@ let transfer ~total plan =
                      Buffer.add_bytes received data;
                      pump ()
              in
-             pump ()));
+             pump ();
+             if close then S.Tcp_socket.close sstack flow));
   ignore
     (Uksched.Sched.spawn sched ~name:"client" (fun () ->
          let flow = S.Tcp_socket.connect cstack ~dst:(A.Ipv4.of_string "10.0.0.2", 80) () in
@@ -58,46 +63,76 @@ let transfer ~total plan =
          while !sent < total do
            let chunk = Bytes.sub payload !sent (min 8192 (total - !sent)) in
            sent := !sent + S.Tcp_socket.send ~block:true cstack flow chunk
-         done));
+         done;
+         if close then begin
+           while S.Tcp_socket.recv ~block:true cstack flow ~max:1 <> None do
+             ()
+           done;
+           S.Tcp_socket.close cstack flow;
+           (* Stay until the last ACK is in (the FIN may need an RTO). *)
+           let rec linger n =
+             if n > 0 && S.Tcp_socket.state flow <> Tcp.Closed then begin
+               Uksched.Sched.sleep_ns 1.0e6;
+               linger (n - 1)
+             end
+           in
+           linger 1000
+         end));
   Uksched.Sched.run sched;
-  (fn, Option.get !client_flow, payload, Buffer.to_bytes received)
+  (fn, cstack, Option.get !client_flow, payload, Buffer.to_bytes received)
 
 let test_every_5th_dropped () =
-  let fn, flow, payload, received = transfer ~total:32_768 (Fn.plan ~drop_every:5 ()) in
+  let fn, cstack, _, payload, received = transfer ~total:32_768 (Fn.plan ~drop_every:5 ()) in
   Alcotest.(check int) "every byte delivered" (Bytes.length payload) (Bytes.length received);
   Alcotest.(check bool) "delivered intact" true (Bytes.equal payload received);
-  Alcotest.(check bool) "injector really dropped frames" true ((Fn.stats fn).Fn.dropped > 0);
-  Alcotest.(check bool) "RTO retransmissions fired" true (Tcp.stats_retransmits flow > 0)
+  Alcotest.(check bool) "injector really dropped frames" true (count (Fn.source fn) "dropped" > 0);
+  Alcotest.(check bool) "RTO retransmissions fired" true
+    (count (S.source cstack) "tcp_retransmits" > 0)
+
+(* A flow leaves its stack's table when a passive close reaches CLOSED;
+   the retransmits it made must stay counted. *)
+let test_retransmits_outlive_a_passive_close () =
+  let _, cstack, flow, payload, received =
+    transfer ~close:true ~total:32_768 (Fn.plan ~drop_every:5 ())
+  in
+  Alcotest.(check bool) "delivered intact" true (Bytes.equal payload received);
+  Alcotest.(check string) "client flow closed" "CLOSED"
+    (Tcp.state_to_string (S.Tcp_socket.state flow));
+  Alcotest.(check bool) "its retransmits still counted" true
+    (count (S.source cstack) "tcp_retransmits" > 0)
 
 let test_fast_retransmit_under_loss () =
   (* A light random-loss schedule with plenty of segments in flight: dup
      ACKs must trigger fast retransmit at least once. *)
-  let _, flow, payload, received = transfer ~total:65_536 (Fn.plan ~drop:0.05 ()) in
+  let _, cstack, _, payload, received = transfer ~total:65_536 (Fn.plan ~drop:0.05 ()) in
   Alcotest.(check bool) "delivered intact" true (Bytes.equal payload received);
-  Alcotest.(check bool) "fast retransmit fired" true (Tcp.stats_fast_retransmits flow >= 1)
+  Alcotest.(check bool) "fast retransmit fired" true
+    (count (S.source cstack) "tcp_fast_retransmits" >= 1)
 
 let test_lossless_has_no_retransmits () =
-  let fn, flow, payload, received = transfer ~total:16_384 (Fn.plan ()) in
+  let fn, cstack, _, payload, received = transfer ~total:16_384 (Fn.plan ()) in
   Alcotest.(check bool) "delivered intact" true (Bytes.equal payload received);
-  Alcotest.(check int) "no injected drops" 0 (Fn.stats fn).Fn.dropped;
-  Alcotest.(check int) "no retransmits on a clean link" 0 (Tcp.stats_retransmits flow)
+  Alcotest.(check int) "no injected drops" 0 (count (Fn.source fn) "dropped");
+  Alcotest.(check int) "no retransmits on a clean link" 0
+    (count (S.source cstack) "tcp_retransmits")
 
 let test_duplication_is_harmless () =
-  let _, flow, payload, received = transfer ~total:16_384 (Fn.plan ~duplicate:0.3 ()) in
+  let _, _, _, payload, received = transfer ~total:16_384 (Fn.plan ~duplicate:0.3 ()) in
   Alcotest.(check bool) "duplicates do not corrupt the stream" true
-    (Bytes.equal payload received);
-  ignore flow
+    (Bytes.equal payload received)
 
 let test_corruption_is_detected () =
   (* Corrupted frames must be discarded by checksums and recovered by
      retransmission — never delivered to the application. *)
-  let _, _, payload, received = transfer ~total:16_384 (Fn.plan ~corrupt:0.05 ()) in
+  let _, _, _, payload, received = transfer ~total:16_384 (Fn.plan ~corrupt:0.05 ()) in
   Alcotest.(check bool) "stream survives bit flips intact" true (Bytes.equal payload received)
 
 let suite =
   [
     Alcotest.test_case "every 5th segment dropped: intact + retransmits" `Quick
       test_every_5th_dropped;
+    Alcotest.test_case "retransmits stay counted after a passive close" `Quick
+      test_retransmits_outlive_a_passive_close;
     Alcotest.test_case "fast retransmit under random loss" `Quick
       test_fast_retransmit_under_loss;
     Alcotest.test_case "clean link: zero retransmits" `Quick test_lossless_has_no_retransmits;

@@ -115,8 +115,9 @@ let test_registry_sticky_reset () =
 
 let test_registry_owned_and_prune () =
   Registry.clear ();
-  let c = Registry.counter ~subsystem:"owned_t" "hits" in
-  let g = Registry.gauge ~subsystem:"owned_t" "level" in
+  let grp = Registry.group ~subsystem:"owned_t" "metrics" in
+  let c = Registry.counter grp "hits" in
+  let g = Registry.gauge grp "level" in
   M.Counter.add c 3;
   M.Gauge.set g 1.5;
   let s = Registry.snapshot () in
@@ -128,6 +129,70 @@ let test_registry_owned_and_prune () =
   let p = Registry.prune (Registry.snapshot ()) in
   Alcotest.(check bool) "all-zero source pruned" true (Registry.find p "owned_t.metrics" = None);
   Registry.clear ()
+
+let test_group_order_and_reset () =
+  Registry.clear ();
+  let grp = Registry.group ~subsystem:"grp_t" "g" in
+  let b = Registry.counter grp "b" in
+  let a = Registry.gauge grp "a" in
+  let h = Registry.histogram grp "h" in
+  M.Counter.add b 2;
+  M.Gauge.set a 0.5;
+  M.Histogram.observe h 7;
+  let src = Registry.source grp in
+  Alcotest.(check string) "source id" "grp_t.g" (Source.id src);
+  Alcotest.(check (list string)) "samples in creation order" [ "b"; "a"; "h" ]
+    (List.map fst (src.Source.snapshot ()));
+  src.Source.reset ();
+  Alcotest.(check int) "reset zeroes the counter" 0 (M.Counter.get b);
+  Alcotest.(check (float 0.0)) "reset zeroes the gauge" 0.0 (M.Gauge.get a);
+  Alcotest.(check int) "reset empties the histogram" 0 (M.Histogram.count h);
+  Registry.clear ()
+
+let test_group_sticky_survives_clear () =
+  Registry.clear ();
+  let sticky = Registry.group ~sticky:true ~subsystem:"grp_sticky" "s" in
+  let c = Registry.counter sticky "n" in
+  ignore (Registry.counter (Registry.group ~subsystem:"grp_plain" "s") "n");
+  M.Counter.incr c;
+  Registry.clear ();
+  let s = Registry.snapshot () in
+  Alcotest.(check int) "sticky group survives clear" 1
+    (count (Registry.find_sample s "grp_sticky.s" "n"));
+  Alcotest.(check bool) "instance group dropped by clear" true
+    (Registry.find s "grp_plain.s" = None)
+
+let test_source_count () =
+  let src =
+    Source.make ~subsystem:"read_t" ~name:"s" (fun () ->
+        [ ("n", M.Count 4); ("lvl", M.Level 2.5) ])
+  in
+  Alcotest.(check int) "count reads the sample" 4 (Source.count src "n");
+  Alcotest.(check (float 0.0)) "level reads the sample" 2.5 (Source.level src "lvl");
+  let raises_naming sample =
+    match Source.count src sample with
+    | _ -> Alcotest.failf "counting %s should raise" sample
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names read_t.s and %s" msg sample)
+          true
+          (Astring_contains.contains msg "read_t.s" && Astring_contains.contains msg sample)
+  in
+  raises_naming "missing";
+  raises_naming "lvl"
+
+(* A bench window can span a trial boundary: the reset in between must
+   not turn the sticky counters' readings negative. *)
+let test_window_spans_reset () =
+  Registry.clear ();
+  let c = Registry.counter (Registry.group ~sticky:true ~subsystem:"span_t" "s") "n" in
+  M.Counter.add c 10;
+  let before = Registry.snapshot () in
+  Registry.reset ();
+  M.Counter.add c 3;
+  let d = Registry.diff ~before ~after:(Registry.snapshot ()) in
+  Alcotest.(check int) "the window keeps the post-reset reading" 3
+    (count (Registry.find_sample d "span_t.s" "n"))
 
 (* --- tracer -------------------------------------------------------------- *)
 
@@ -245,11 +310,11 @@ let test_trial_resets () =
   let c0 = Uksim.Clock.create () and c1 = Uksim.Clock.create () in
   Uklock.Lock.Spin.acquire l c0 ~hold:1000;
   Uklock.Lock.Spin.acquire l c1 ~hold:500;
-  Uklock.Lock.Spin.reset_stats l;
-  let st = Uklock.Lock.Spin.stats l in
+  let src = Uklock.Lock.Spin.source l in
+  src.Source.reset ();
   Alcotest.(check int) "spin stats cleared" 0
-    (st.Uklock.Lock.Spin.acquisitions + st.Uklock.Lock.Spin.contended
-   + st.Uklock.Lock.Spin.wait_cycles)
+    (Source.count src "acquisitions" + Source.count src "contended"
+   + Source.count src "wait_cycles")
 
 let suite =
   [
@@ -261,6 +326,11 @@ let suite =
       test_registry_clear_generations;
     Alcotest.test_case "registry: sticky sources and reset" `Quick test_registry_sticky_reset;
     Alcotest.test_case "registry: owned metrics and prune" `Quick test_registry_owned_and_prune;
+    Alcotest.test_case "group: creation order, reset zeroes" `Quick test_group_order_and_reset;
+    Alcotest.test_case "group: sticky survives clear" `Quick test_group_sticky_survives_clear;
+    Alcotest.test_case "source: count/level, errors name the sample" `Quick test_source_count;
+    Alcotest.test_case "registry: a window spanning reset stays non-negative" `Quick
+      test_window_spans_reset;
     Alcotest.test_case "tracer: span nesting, flame fold, sampler" `Quick
       test_span_nesting_flame;
     Alcotest.test_case "tracer: ring overflow drops oldest" `Quick
