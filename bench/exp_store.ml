@@ -4,8 +4,10 @@
 
    1. What does durability cost? The same zero-copy serving path as the
       RESP store, but every mutation hashes into the merkle trie and
-      every COMMIT journals + fsyncs. The write/read mix sweep prices
-      that against the in-memory RESP baseline.
+      every COMMIT waits for a journal record + fsync (group commit: the
+      COMMITs that arrive while one record is in flight share the next).
+      The write/read mix sweep prices that against the in-memory RESP
+      baseline.
 
    2. How fast is recovery? Mount time is slot scan + journal replay, so
       it must scale with the journal depth a crash left behind — the

@@ -264,8 +264,7 @@ let add_infer t ~transport ?(port = 8000) ?(size_mb = 4) ?max_batch ?max_wait_ns
 (* Per-core store serving: each server core owns a virtio-blk device
    formatted as a ukstore, pre-populated and committed before the load
    starts (the fleet image's disk prep, replicated per core). *)
-let add_store t ~transport ?(port = 7000) ?(keys = 256) ?(journal_sectors = 512) ?commit_every
-    () =
+let add_store t ~transport ?(port = 7000) ?(keys = 256) ?(journal_sectors = 512) () =
   Array.init t.n (fun i ->
       let clock = clock_of t i in
       let engine = Uksmp.Smp.engine_of t.smp ~core:i in
@@ -277,7 +276,7 @@ let add_store t ~transport ?(port = 7000) ?(keys = 256) ?(journal_sectors = 512)
       in
       let srv =
         Store.serve ~transport ~clock ~sched:(sched_of t i) ~stack:t.server_stacks.(i) ~port
-          ~core:i ?commit_every ~store ()
+          ~core:i ~store ()
       in
       Store.populate srv keys;
       srv)

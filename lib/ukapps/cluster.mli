@@ -105,11 +105,9 @@ val add_store :
   ?port:int ->
   ?keys:int ->
   ?journal_sectors:int ->
-  ?commit_every:int ->
   unit ->
   Store.t array
 (** One {!Store.serve} worker per server core (port defaults to 7000),
     each with its own virtio-blk device formatted as a crash-consistent
     ukstore, pre-populated with [keys] (default 256) committed entries —
-    the replicated stateful-image deployment. [commit_every] arms the
-    server-side auto-commit (default: explicit COMMITs only). *)
+    the replicated stateful-image deployment. *)

@@ -259,19 +259,16 @@ let serve ~transport ~clock ~engine ~sched ~stack ~alloc ?(port = 8000) ?core ?m
   let cost = if transport = Serve.Socket then parse_cost else fast_parse_cost in
   Serve.start transport ~name:"infer" ~clock ~sched ~stack ~port ~frame:Serve.line
     ~handle:(fun sink line ->
-      (* Batch completions run in engine context (no current thread), so
-         the reply flush must not block; 29-byte replies sit well inside
-         the send buffer at any sane pipeline depth. *)
-      let reply s =
-        Serve.write sink s;
-        Serve.flush sink
-      in
       charge t cost;
       match parse_req line with
-      | Some (rid, width) -> submit t ~rid ~width ~reply
+      | Some (rid, width) ->
+          (* The reply holds its place until the batch runs, often in
+             engine context (the deadline), where the flush must not
+             block. *)
+          submit t ~rid ~width ~reply:(Serve.defer sink)
       | None ->
           C.incr t.m.errors;
-          reply bad_reply);
+          Serve.write sink bad_reply);
   t
 
 let create = serve ~transport:Serve.Socket

@@ -97,9 +97,11 @@ type make =
   t
 
 val serve : transport:Serve.transport -> make
-(** Serve [model] on [port] (default 8000) over [transport]. Batch
-    completions run in engine context, so replies leave through
-    non-blocking flushes, one per reply. *)
+(** Serve [model] on [port] (default 8000) over [transport]. Each
+    request's reply holds its place with {!Serve.defer}, so a connection's
+    replies (an [ER] for a malformed line included) leave in request
+    order. Batch completions run in engine context, so replies leave
+    through non-blocking flushes, one per reply. *)
 
 val create : make
 (** [serve ~transport:Socket]. *)

@@ -8,29 +8,84 @@ module Tcp = Uknetstack.Tcp
 
 type transport = Socket | Netbuf of { rtc : bool }
 
-type sink =
-  | Sock of { stack : S.t; flow : S.Tcp_socket.flow; out : Buffer.t }
+type chan =
+  | Sock of {
+      stack : S.t;
+      flow : S.Tcp_socket.flow;
+      out : Buffer.t;
+      mutable sending : bool;
+      mutable owner : Uksched.Sched.tid option; (* the connection thread *)
+    }
   | Nbuf of Nbio.t
 
+(* A deferred reply's place in the stream, and the replies written after
+   it, which wait for it. *)
+type slot = { mutable reply : string option; behind : Buffer.t }
+
+type sink = { chan : chan; held : slot Queue.t; mutable newest : slot option }
+
+let emit chan s =
+  match chan with Sock { out; _ } -> Buffer.add_string out s | Nbuf w -> Nbio.add w s
+
 let write sink s =
-  match sink with Sock { out; _ } -> Buffer.add_string out s | Nbuf w -> Nbio.add w s
+  match sink.newest with None -> emit sink.chan s | Some slot -> Buffer.add_string slot.behind s
 
 let sink transport ~clock ~stack flow =
-  match transport with
-  | Socket -> Sock { stack; flow; out = Buffer.create 1024 }
-  | Netbuf _ -> Nbuf (Nbio.writer ~clock ~stack ~flow)
+  let chan =
+    match transport with
+    | Socket -> Sock { stack; flow; out = Buffer.create 1024; sending = false; owner = None }
+    | Netbuf _ -> Nbuf (Nbio.writer ~clock ~stack ~flow)
+  in
+  { chan; held = Queue.create (); newest = None }
 
-let push ~block = function
-  | Sock { stack; flow; out } ->
-      if Buffer.length out > 0 then begin
-        let data = Buffer.to_bytes out in
-        Buffer.clear out;
-        ignore (S.Tcp_socket.send ~block stack flow data)
-      end
+let push ~block sink =
+  match sink.chan with
+  | Sock ({ stack; flow; out; _ } as s) ->
+      (* Bytes written during a blocking send wait in [out] and leave
+         with the send that follows it. A non-blocking send keeps what
+         did not fit and arms the send-space wakeup of the connection
+         thread, which then sends it ([socket_conn]). *)
+      let rec go () =
+        if (not s.sending) && Buffer.length out > 0 then begin
+          let data = Buffer.to_bytes out in
+          Buffer.clear out;
+          s.sending <- block;
+          let n = S.Tcp_socket.send ~block stack flow data in
+          s.sending <- false;
+          if n < Bytes.length data then begin
+            let later = Buffer.contents out in
+            Buffer.clear out;
+            Buffer.add_subbytes out data n (Bytes.length data - n);
+            Buffer.add_string out later;
+            Tcp.set_send_waiter flow s.owner
+          end
+          else if block then go ()
+        end
+      in
+      go ()
   | Nbuf w -> Nbio.flush w
 
 let send = push ~block:true
 let flush = push ~block:false
+
+let defer sink =
+  let slot = { reply = None; behind = Buffer.create 64 } in
+  Queue.push slot sink.held;
+  sink.newest <- Some slot;
+  fun reply ->
+    slot.reply <- Some reply;
+    let rec release () =
+      match Queue.peek_opt sink.held with
+      | Some { reply = Some r; behind } ->
+          ignore (Queue.pop sink.held);
+          emit sink.chan r;
+          emit sink.chan (Buffer.contents behind);
+          release ()
+      | Some { reply = None; _ } | None -> ()
+    in
+    release ();
+    if Queue.is_empty sink.held then sink.newest <- None;
+    flush sink
 
 type 'req frame = Frame of 'req * int | Partial | Bad of string
 
@@ -76,10 +131,29 @@ let drain ~frame ~handle c =
       end;
       true
 
+(* The connection thread: a blocking receive that also wakes when a
+   non-blocking flush left bytes for it to send. *)
 let socket_conn ~stack ~frame ~handle c flow =
+  let self = Uksched.Sched.self () in
+  let unsent =
+    match c.sink.chan with
+    | Sock s ->
+        s.owner <- Some self;
+        fun () -> Buffer.length s.out > 0
+    | Nbuf _ -> fun () -> false
+  in
   let rec serve () =
-    match S.Tcp_socket.recv ~block:true stack flow ~max:16384 with
+    match S.Tcp_socket.recv stack flow ~max:16384 with
     | None -> S.Tcp_socket.close stack flow
+    | Some data when Bytes.length data = 0 ->
+        if unsent () then send c.sink
+        else begin
+          Tcp.set_recv_waiter flow (Some self);
+          Uksched.Sched.block ();
+          Tcp.set_recv_waiter flow None;
+          Tcp.set_send_waiter flow None
+        end;
+        serve ()
     | Some data ->
         Buffer.add_bytes c.acc data;
         let ok = drain ~frame ~handle c in

@@ -49,10 +49,16 @@ val send : sink -> unit
 (** Send what is queued now, blocking for socket buffer space on the
     socket path: thread context only. *)
 
-val flush : sink -> unit
-(** Send what is queued now, without blocking — safe from engine context
-    (deferred replies). The transport itself flushes once per received
-    chunk, blocking for socket buffer space on the socket path. *)
+val defer : sink -> string -> unit
+(** Reserve the next reply's place in the stream, for a reply that is not
+    known yet (a COMMIT waiting for its journal record, an inference
+    waiting for its batch). Replies written after it wait behind it, so a
+    connection's replies leave in request order. The returned function
+    supplies the reply, releases every reply it held back, and sends them
+    without blocking; call it once, from any context. On the socket path
+    what the send buffer cannot take yet is sent by the connection thread
+    when space opens. The transport itself flushes once per received
+    chunk. *)
 
 type 'req frame =
   | Frame of 'req * int  (** a complete request and the offset just past it *)

@@ -11,14 +11,20 @@
      GET <key>              -> "OK <blob16>\n"     value's content hash
                                "NF <zero16>\n"     absent
      DEL <key>              -> "OK <root16>\n" | "NF <zero16>\n"
-     COMMIT                 -> "OK <commit16>\n"   durable on return
+     COMMIT                 -> "OK <commit16>\n"   durable when sent
      ROOT                   -> "OK <root16>\n"
 
    GET answers with the value's content address rather than its bytes —
    same modeling choice as Infer's output digest: the reply stays
    fixed-size while still proving end-to-end which
    value was read. 'N' (not found) is a negative answer, not an error;
-   only 'E' counts against the error budget. *)
+   only 'E' counts against the error budget.
+
+   COMMITs are group commits: the handler only joins the next group and
+   holds the COMMIT's place in the reply stream, so the core keeps
+   serving while the journal record is written. A pinned committer
+   thread per store, woken by the block device's completion interrupt,
+   publishes each record and answers its COMMITs. *)
 
 module St = Ukstore.Store
 
@@ -27,13 +33,7 @@ let fast_parse_cost = 50 (* netbuf path: in-place scan of the request line *)
 
 let reply_len = 3 + 16 + 1 (* "OK <hash16>\n" *)
 
-type t = {
-  clock : Uksim.Clock.t;
-  core : int;
-  store : St.t;
-  commit_every : int; (* auto-commit period in mutations; 0 = explicit only *)
-  mutable muts : int; (* mutations since last commit *)
-}
+type t = { clock : Uksim.Clock.t; core : int; store : St.t }
 
 let charge t c = Uksim.Clock.advance t.clock c
 let store t = t.store
@@ -44,29 +44,11 @@ let ok_reply h = reply_line "OK" h
 let nf_reply = reply_line "NF" 0
 let er_reply = reply_line "ER" 0
 
-let mk ~clock ?(core = 0) ?(commit_every = 0) ~store () =
-  { clock; core; store; commit_every; muts = 0 }
-
-let do_commit t =
-  Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
-    "store_commit" (fun () ->
-      match St.commit t.store () with
-      | Ok h ->
-          t.muts <- 0;
-          ok_reply h
-      | Error _ -> er_reply)
-
-let after_mutation t =
-  t.muts <- t.muts + 1;
-  if t.commit_every > 0 && t.muts >= t.commit_every then ignore (do_commit t)
-
-let execute t line =
-  match String.split_on_char ' ' line with
+(* Every command but COMMIT, answered at once. *)
+let execute t = function
   | [ "SET"; k; v ] -> (
       match St.set t.store k v with
-      | Ok () ->
-          after_mutation t;
-          ok_reply (St.content_hash t.store)
+      | Ok () -> ok_reply (St.content_hash t.store)
       | Error _ -> er_reply)
   | [ "GET"; k ] -> (
       match St.get t.store k with
@@ -75,12 +57,9 @@ let execute t line =
       | Error _ -> er_reply)
   | [ "DEL"; k ] -> (
       match St.del t.store k with
-      | Ok true ->
-          after_mutation t;
-          ok_reply (St.content_hash t.store)
+      | Ok true -> ok_reply (St.content_hash t.store)
       | Ok false -> nf_reply
       | Error _ -> er_reply)
-  | [ "COMMIT" ] -> do_commit t
   | [ "ROOT" ] -> ok_reply (St.content_hash t.store)
   | _ -> er_reply
 
@@ -100,15 +79,31 @@ let populate t ?(value_len = 32) n =
 
 (* --- serving ------------------------------------------------------------------ *)
 
-let serve ~transport ~clock ~sched ~stack ?(port = 7000) ?core ?commit_every ~store () =
-  let t = mk ~clock ?core ?commit_every ~store () in
+let serve ~transport ~clock ~sched ~stack ?(port = 7000) ?(core = 0) ~store () =
+  let t = { clock; core; store } in
   let cost = if transport = Serve.Socket then parse_cost else fast_parse_cost in
+  (* The committer: woken when a group is ready to start or its record
+     completes, it runs in thread context, so its replies enter TCP the
+     way every other reply does, never from the completion interrupt. *)
+  let committer =
+    Uksched.Sched.spawn sched ~name:"store-committer" ~daemon:true ~pinned:true (fun () ->
+        let rec loop () =
+          Uktrace.Tracer.span Uktrace.Tracer.default clock ~core:t.core ~cat:"ukapps"
+            "store_commit" (fun () -> ignore (St.reap store));
+          Uksched.Sched.block ();
+          loop ()
+        in
+        loop ())
+  in
+  St.set_committer store (Some (fun () -> Uksched.Sched.wake sched committer));
   Serve.start transport ~name:"store" ~clock ~sched ~stack ~port ~frame:Serve.line
     ~handle:(fun sink line ->
       charge t cost;
-      (* Every reply leaves on its own: the protocol has no batching. *)
-      Serve.write sink (execute t line);
-      Serve.flush sink);
+      match String.split_on_char ' ' line with
+      | [ "COMMIT" ] ->
+          let reply = Serve.defer sink in
+          St.commit_group store (function Ok h -> reply (ok_reply h) | Error _ -> reply er_reply)
+      | cmd -> Serve.write sink (execute t cmd));
   t
 
 let create = serve ~transport:Serve.Socket
@@ -118,8 +113,8 @@ let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 (* The op mix: a seeded per-connection stream of SET/GET/DEL over a
    bounded keyspace, [write_frac] of them mutations, one COMMIT every
-   [commit_every] requests (0 = none — the server may auto-commit
-   instead). Deterministic per (seed, connection). *)
+   [commit_every] requests (0 = none). Deterministic per (seed,
+   connection). *)
 let op_line rng ~ci ~j ~write_frac ~keyspace ~commit_every =
   if commit_every > 0 && j mod commit_every = commit_every - 1 then "COMMIT\n"
   else begin

@@ -30,7 +30,9 @@ type t = {
       (** Interrupt-style notification when completions become available
           while the queue was idle. *)
   read_sync : lba:int -> sectors:int -> (bytes, error) result;
-      (** Convenience: submit one read and wait for it. *)
+      (** Convenience: submit one read and wait for its own completion;
+          completions of [submit]ted requests stay queued for
+          [poll_completions]. *)
   write_sync : lba:int -> bytes -> (unit, error) result;
   flush : unit -> unit;
   stats : unit -> stats;  (** Completed-operation counters. *)

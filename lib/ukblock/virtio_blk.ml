@@ -97,24 +97,34 @@ let create ~clock ~engine ?(sector_size = 512) ?(capacity_sectors = 131072) ?(qu
     in
     take [] 0
   in
-  let wait_one () =
-    (* Synchronous convenience: spin virtual time until a completion. *)
+  (* Take [req]'s own completion out of the queue, leaving every other
+     one (a [submit]ted request's) for [poll_completions]. *)
+  let take_own req =
+    let mine = ref None and rest = Queue.create () in
+    Queue.iter
+      (fun (c : B.completion) ->
+        if !mine = None && c.B.req == req then mine := Some c else Queue.push c rest)
+      done_q;
+    Queue.clear done_q;
+    Queue.transfer rest done_q;
+    !mine
+  in
+  let wait_for req =
+    (* Synchronous convenience: spin virtual time until [req] completes. *)
     let rec go () =
-      match poll_completions ~max:1 with
-      | [ c ] -> c
-      | _ ->
+      Uksim.Engine.run ~until:(Uksim.Clock.cycles clock) engine;
+      match take_own req with
+      | Some c -> c.B.result
+      | None ->
           Uksim.Clock.advance clock 500;
           go ()
     in
     go ()
   in
-  let read_sync ~lba ~sectors =
-    if submit [| B.Read { lba; sectors } |] = 0 then Error B.Equeue_full
-    else (wait_one ()).B.result
-  in
+  let sync req = if submit [| req |] = 0 then Error B.Equeue_full else wait_for req in
+  let read_sync ~lba ~sectors = sync (B.Read { lba; sectors }) in
   let write_sync ~lba data =
-    if submit [| B.Write { lba; data } |] = 0 then Error B.Equeue_full
-    else match (wait_one ()).B.result with Ok _ -> Ok () | Error e -> Error e
+    match sync (B.Write { lba; data }) with Ok _ -> Ok () | Error e -> Error e
   in
   let dev =
     {

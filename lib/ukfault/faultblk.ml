@@ -97,6 +97,9 @@ let wrap ~clock ~rng ~plan:p inner =
       torn_writes; latency_spikes; crash_stops; wrapped = None; crash_budget = None;
       dead = false }
   in
+  (* A completion decided here (an injected failure, a crash-mode write)
+     is queued at once. *)
+  let synthesize req result = Queue.push { B.req; result } t.synthetic in
   (* Crash-mode write: persist whatever prefix the budget allows, fail
      the rest. [Ok] when the whole write fit the budget. *)
   let crash_write ~lba data =
@@ -115,7 +118,7 @@ let wrap ~clock ~rng ~plan:p inner =
        Array.iter
          (fun req ->
            if t.dead then begin
-             Queue.push { B.req; result = Error B.Eio } t.synthetic;
+             synthesize req (Error B.Eio);
              incr accepted
            end
            else
@@ -123,24 +126,20 @@ let wrap ~clock ~rng ~plan:p inner =
              match judge t ~is_write with
              | Pass when is_write && t.crash_budget <> None ->
                  (match req with
-                 | B.Write { lba; data } -> (
-                     match crash_write ~lba data with
-                     | Ok () ->
-                         Queue.push { B.req; result = Ok Bytes.empty } t.synthetic;
-                         incr accepted
-                     | Error e ->
-                         Queue.push { B.req; result = Error e } t.synthetic;
-                         incr accepted)
+                 | B.Write { lba; data } ->
+                     synthesize req
+                       (Result.map (fun () -> Bytes.empty) (crash_write ~lba data));
+                     incr accepted
                  | B.Read _ -> assert false)
              | Pass ->
                  if t.inner.B.submit [| req |] = 1 then incr accepted
                  else raise Exit (* inner queue full: stop accepting *)
              | Fail_io ->
-                 Queue.push { B.req; result = Error B.Eio } t.synthetic;
+                 synthesize req (Error B.Eio);
                  incr accepted
              | Tear ->
                  (match req with B.Write { lba; data } -> tear t ~lba data | B.Read _ -> ());
-                 Queue.push { B.req; result = Error B.Eio } t.synthetic;
+                 synthesize req (Error B.Eio);
                  incr accepted)
          reqs
      with Exit -> ());

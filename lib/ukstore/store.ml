@@ -16,10 +16,12 @@
    Durability protocol: a commit serializes every newly reachable object
    into one journal record, writes it with a single multi-sector write,
    and fsyncs — when [commit] returns [Ok], the commit survives any
-   crash. A checkpoint later copies journaled objects to their
-   pre-assigned data-area frames, one write per run of abutting frames,
-   fsyncs, flips the root slot, and fsyncs again; the journal ring then
-   restarts from zero. Recovery reads the newest valid root slot and
+   crash. Group commit writes the same record without blocking: COMMITs
+   that arrive while one record is in flight share the next one, and
+   each is answered once its record is durable. A checkpoint later
+   copies journaled objects to their pre-assigned data-area frames, one
+   write per run of abutting frames, fsyncs, flips the root slot, and
+   fsyncs again; the journal ring then restarts from zero. Recovery reads the newest valid root slot and
    replays journal records while the chain stays intact: header checksum
    valid, sequence number contiguous, payload checksum valid. The first
    torn or stale record ends replay — everything before it is exactly
@@ -104,7 +106,27 @@ type t = {
   mutable data_head : int; (* next free absolute data-area lba *)
   m : metrics;
   mutable src : Tree.src; (* object source the trie ops run against *)
+  (* Group commit: at most one record in flight, the COMMITs waiting for
+     the next one (newest first), and groups settled but not yet
+     answered (newest first). *)
+  mutable flight : (record * waiter list) option;
+  mutable joined : waiter list;
+  mutable settled : ((hash, errno) result * waiter list) list;
+  mutable committer : (unit -> unit) option;
 }
+
+(* One encoded journal record and the data-area homes it assigned. *)
+and record = {
+  ch : hash; (* its commit object *)
+  objs : hash list; (* newly durable objects, post-order *)
+  lba : int;
+  data : bytes; (* header, payload and trailer sectors *)
+  rsec : int;
+  seq : int;
+  dh : int; (* data_head once durable *)
+}
+
+and waiter = (hash, errno) result -> unit
 
 let charge t c = Uksim.Clock.advance t.clock c
 let sectors_of t len = (len + t.dev.B.sector_size - 1) / t.dev.B.sector_size
@@ -266,6 +288,64 @@ let decode_frame t s pos =
   in
   (h, obj, lba, frame_header + blen, pos + frame_header + blen)
 
+(* --- the record in flight ---------------------------------------------------- *)
+
+let fsync t =
+  t.dev.B.flush ();
+  charge t Uksim.Cost.vm_exit;
+  C.incr t.m.fsync_barriers
+
+(* The record is on the medium: one barrier, and its commit is durable. *)
+let publish t r =
+  fsync t;
+  t.jsector <- t.jsector + r.rsec;
+  t.next_seq <- r.seq + 1;
+  t.data_head <- r.dh;
+  List.iter
+    (fun h ->
+      Hashtbl.replace t.durable h ();
+      t.unckpt <- h :: t.unckpt)
+    r.objs;
+  t.head <- r.ch;
+  C.incr t.m.commits;
+  C.incr t.m.journal_records;
+  C.add t.m.journal_bytes (r.rsec * t.dev.B.sector_size);
+  Uktrace.Metric.Gauge.set t.m.tree_depth (float_of_int t.src.Tree.depth_seen);
+  r.ch
+
+(* A record that never reached the medium gives its data-area homes back. *)
+let unassign t r = List.iter (fun h -> Hashtbl.remove t.locs h) r.objs
+
+(* Non-blocking: settle the in-flight record if its completion is in. A
+   store keeps one request outstanding, so a completion is the record's. *)
+let poll_flight t =
+  match t.flight with
+  | None -> ()
+  | Some (r, waiters) -> (
+      match t.dev.B.poll_completions ~max:1 with
+      | [ c ] ->
+          t.flight <- None;
+          t.dev.B.set_completion_handler None;
+          let outcome =
+            match c.B.result with
+            | Ok _ -> Ok (publish t r)
+            | Error _ ->
+                unassign t r;
+                Error Ukvfs.Fs.Eio
+          in
+          t.settled <- (outcome, waiters) :: t.settled
+      | _ -> ())
+
+(* Every synchronous device call (cache-miss read, checkpoint, sync
+   commit) first waits out the in-flight record, spinning virtual time
+   as the device's own sync helpers do. *)
+let rec await_flight t =
+  poll_flight t;
+  if t.flight <> None then begin
+    charge t 500;
+    await_flight t
+  end
+
 (* --- object resolution ----------------------------------------------------- *)
 
 let load_obj t h =
@@ -279,6 +359,7 @@ let load_obj t h =
       match Hashtbl.find_opt t.locs h with
       | None -> raise (Err Ukvfs.Fs.Eio)
       | Some (lba, len) -> (
+          await_flight t;
           match t.dev.B.read_sync ~lba ~sectors:(sectors_of t len) with
           | Error _ -> raise (Err Ukvfs.Fs.Eio)
           | Ok raw ->
@@ -352,11 +433,6 @@ let parse_slot raw =
                 with _ -> None)
             | _ -> None))
 
-let fsync t =
-  t.dev.B.flush ();
-  charge t Uksim.Cost.vm_exit;
-  C.incr t.m.fsync_barriers
-
 (* --- construction ---------------------------------------------------------- *)
 
 let default_journal_sectors = 256
@@ -366,7 +442,8 @@ let mk ~clock dev ~jcap =
     { clock; dev; jstart = 2; jcap; cache = Hashtbl.create 256; locs = Hashtbl.create 256;
       durable = Hashtbl.create 256; unckpt = []; head = null; root = null; epoch = 0;
       next_seq = 1; applied_seq = 0; jsector = 0; data_head = 2 + jcap; m = Lazy.force metrics;
-      src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 } }
+      src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 };
+      flight = None; joined = []; settled = []; committer = None }
   in
   t.src <- mk_src t;
   t
@@ -415,15 +492,18 @@ let collect_new t root =
   walk root;
   List.rev !acc
 
-let commit_with t ~parents ~msg =
+(* Encode the record that commits the working root with [parents]:
+   data-area homes for every new object (sector-aligned frames), then
+   header, payload and trailer — the post-order guarantees every child
+   ref resolves. The homes are taken back if it does not fit, and by
+   [unassign] if its write fails. *)
+let build_record t ~parents ~msg =
   let ss = t.dev.B.sector_size in
   let cobj = Tree.Commit { root = t.root; parents; msg } in
   let ch = put_obj t cobj in
   let objs = collect_new t ch in
-  (* Assign data-area homes (sector-aligned frames), then encode — the
-     post-order guarantees every child ref resolves. Rolled back if the
-     journal write fails. *)
   let assigned = ref [] in
+  let rollback () = List.iter (fun h -> Hashtbl.remove t.locs h) !assigned in
   let dh = ref t.data_head in
   let frames =
     try
@@ -436,20 +516,17 @@ let commit_with t ~parents ~msg =
           dh := !dh + sectors_of t flen;
           Hashtbl.replace t.locs h (lba, flen);
           assigned := h :: !assigned;
-          (h, encode_frame t h o ~lba))
+          encode_frame t h o ~lba)
         objs
     with e ->
-      List.iter (fun h -> Hashtbl.remove t.locs h) !assigned;
+      rollback ();
       raise e
-  in
-  let rollback () =
-    List.iter (fun h -> Hashtbl.remove t.locs h) !assigned
   in
   if !dh > t.dev.B.capacity_sectors then begin
     rollback ();
     raise (Err Ukvfs.Fs.Enospc)
   end;
-  let payload = String.concat "" (List.map snd frames) in
+  let payload = String.concat "" frames in
   let plen = String.length payload in
   let psec = max 1 (sectors_of t plen) in
   let rsec = 2 + psec in
@@ -464,36 +541,25 @@ let commit_with t ~parents ~msg =
   let pck = D.string_hash payload in
   let tcore = Printf.sprintf "%s %d %d %016x" jc_magic seq plen pck in
   let tline = Printf.sprintf "%s %016x\n" tcore (D.fnv_string tcore) in
-  let rec_bytes = Bytes.make (rsec * ss) '\000' in
-  Bytes.blit_string hline 0 rec_bytes 0 (String.length hline);
-  Bytes.blit_string payload 0 rec_bytes ss plen;
-  Bytes.blit_string tline 0 rec_bytes ((1 + psec) * ss) (String.length tline);
+  let data = Bytes.make (rsec * ss) '\000' in
+  Bytes.blit_string hline 0 data 0 (String.length hline);
+  Bytes.blit_string payload 0 data ss plen;
+  Bytes.blit_string tline 0 data ((1 + psec) * ss) (String.length tline);
   charge t (Uksim.Cost.memcpy (rsec * ss) + Uksim.Cost.checksum plen);
-  (match t.dev.B.write_sync ~lba:(t.jstart + t.jsector) rec_bytes with
-  | Ok () -> ()
+  { ch; objs; lba = t.jstart + t.jsector; data; rsec; seq; dh = !dh }
+
+let commit_with t ~parents ~msg =
+  let r = build_record t ~parents ~msg in
+  match t.dev.B.write_sync ~lba:r.lba r.data with
+  | Ok () -> publish t r
   | Error _ ->
-      rollback ();
-      raise (Err Ukvfs.Fs.Eio));
-  fsync t;
-  (* The record is on the medium: the commit is durable. *)
-  t.jsector <- t.jsector + rsec;
-  t.next_seq <- seq + 1;
-  t.data_head <- !dh;
-  List.iter
-    (fun h ->
-      Hashtbl.replace t.durable h ();
-      t.unckpt <- h :: t.unckpt)
-    objs;
-  t.head <- ch;
-  C.incr t.m.commits;
-  C.incr t.m.journal_records;
-  C.add t.m.journal_bytes (rsec * ss);
-  Uktrace.Metric.Gauge.set t.m.tree_depth (float_of_int t.src.Tree.depth_seen);
-  ch
+      unassign t r;
+      raise (Err Ukvfs.Fs.Eio)
 
 (* --- checkpoint ------------------------------------------------------------ *)
 
 let checkpoint_exn t =
+  await_flight t;
   if t.unckpt = [] && t.jsector = 0 then ()
   else begin
     (* Copy journaled frames to their pre-assigned data-area homes with
@@ -697,22 +763,99 @@ let to_list t =
           | Tree.Node _ | Tree.Commit _ -> raise (Err Ukvfs.Fs.Eio))
         (Tree.to_list t.src t.root))
 
-(* Every commit record goes through here. A full journal ring (or data
-   area) is checkpointed, which frees the ring, and the commit is retried
-   once. *)
-let commit_retrying t ~parents ~msg =
-  try commit_with t ~parents ~msg
+(* Every journal record is built through here. A full journal ring (or
+   data area) is checkpointed, which frees the ring, and the build is
+   retried once. *)
+let retrying t f =
+  try f ()
   with Err Ukvfs.Fs.Enospc ->
     checkpoint_exn t;
-    commit_with t ~parents ~msg
+    f ()
+
+let commit_retrying t ~parents ~msg = retrying t (fun () -> commit_with t ~parents ~msg)
+let head_parents t = if t.head = null then [] else [ t.head ]
 
 let commit t ?(msg = "") () =
   guard (fun () ->
+      await_flight t;
       if t.head <> null && not (dirty t) then t.head
-      else commit_retrying t ~parents:(if t.head = null then [] else [ t.head ]) ~msg)
+      else commit_retrying t ~parents:(head_parents t) ~msg)
+
+(* --- group commit -----------------------------------------------------------
+
+   The non-blocking commit. A COMMIT joins the next group. While no
+   record is in flight that group starts at once: its record is built
+   from the working root and submitted. COMMITs that arrive meanwhile
+   join the group after it, whose record is built from the working root
+   when this one completes. No window, delay or batch size: the device's
+   own latency forms the groups, and each store keeps one request
+   outstanding. [reap] does the building, publishing and answering; it
+   runs in the committer, never in the completion interrupt. *)
+
+(* Start the joined group: a clean store answers it with the head and a
+   failed build with the error; otherwise its record goes to the device. *)
+let start_group t =
+  let waiters = List.rev t.joined in
+  t.joined <- [];
+  let settle outcome = t.settled <- (outcome, waiters) :: t.settled in
+  match
+    guard (fun () ->
+        if t.head <> null && not (dirty t) then None
+        else Some (retrying t (fun () -> build_record t ~parents:(head_parents t) ~msg:"")))
+  with
+  | Ok None -> settle (Ok t.head)
+  | Error e -> settle (Error e)
+  | Ok (Some r) ->
+      (* The interrupt is armed only while a record is in flight (the
+         synchronous calls poll). A completion already queued when
+         [submit] returns (a ramdisk, an injected fault) is taken by the
+         [poll_flight] that follows in [reap]. *)
+      t.flight <- Some (r, waiters);
+      t.dev.B.set_completion_handler t.committer;
+      if t.dev.B.submit [| B.Write { lba = r.lba; data = r.data } |] = 0 then begin
+        t.flight <- None;
+        t.dev.B.set_completion_handler None;
+        unassign t r;
+        settle (Error Ukvfs.Fs.Eio)
+      end
+
+(* Join the next group; [k] gets its outcome from [reap]. With no record
+   in flight the group can start now, so the committer is woken. *)
+let commit_group t k =
+  t.joined <- k :: t.joined;
+  if t.flight = None then Option.iter (fun wake -> wake ()) t.committer
+
+(* Settle the record in flight if its completion is in, answer every
+   settled group, and start the next group while nothing is in flight.
+   Non-blocking; true when it did anything. *)
+let reap t =
+  let progress = ref false in
+  let rec go () =
+    poll_flight t;
+    if t.settled <> [] then begin
+      let groups = List.rev t.settled in
+      t.settled <- [];
+      List.iter (fun (outcome, waiters) -> List.iter (fun k -> k outcome) waiters) groups;
+      progress := true;
+      go ()
+    end
+    else if t.flight = None && t.joined <> [] then begin
+      start_group t;
+      progress := true;
+      go ()
+    end
+  in
+  go ();
+  !progress
+
+(* [wake] runs the committer (the thread that calls [reap]): from
+   [commit_group], and as the device's completion interrupt while a
+   record is in flight. Without one, callers drive [reap] themselves. *)
+let set_committer t wake = t.committer <- wake
 
 let checkout t h =
   guard (fun () ->
+      await_flight t;
       if h = null then begin
         t.head <- null;
         t.root <- null
@@ -787,6 +930,7 @@ let map_of t root =
    commit and the number of conflicts resolved by policy. *)
 let merge t other ?(msg = "merge") () =
   guard (fun () ->
+      await_flight t;
       if dirty t then raise (Err Ukvfs.Fs.Einval);
       let ours = t.head in
       if other = ours || is_ancestor t ~anc:other ~desc:ours then (ours, 0)

@@ -33,6 +33,8 @@ echo "== observability smoke (tracing on, fast workloads) =="
 mkdir "$bench/trace"
 (cd "$bench/trace" && UKRAFT_FAST=1 UKRAFT_TRACE=1 "$root/_build/default/bench/main.exe" --only fig13)
 python3 scripts/check_trace.py "$bench/trace/TRACE_fig13.json" ukapps uknetstack ukalloc
+(cd "$bench/trace" && UKRAFT_FAST=1 UKRAFT_TRACE=1 "$root/_build/default/bench/main.exe" --only store)
+python3 scripts/check_trace.py "$bench/trace/TRACE_store.json" ukapps uknetstack
 
 echo "== perf drift (every fast-mode bench number vs bench/baseline) =="
 sh scripts/bench_diff.sh "$bench"

@@ -556,6 +556,33 @@ let ends_with suffix s =
 
 let alloc clock = Ukalloc.Tlsf.create ~clock ~base:(1 lsl 24) ~len:(1 lsl 24)
 
+let serve_infer transport ~clock ~engine ~sched ~stack =
+  let model =
+    { Ukapps.Infer.name = "feedfacefeedface"; digest = 0xfeedface; size_mb = 1;
+      bytes = 1 lsl 20; load_ns = 0.0 }
+  in
+  ignore
+    (Ukapps.Infer.serve ~transport ~clock ~engine ~sched ~stack ~alloc:(alloc clock) ~max_batch:2
+       ~model ())
+
+(* Request [rid] has width [3 * (rid - 1)]: the first is zero-width. *)
+let infer_requests rids =
+  String.concat "" (List.map (fun rid -> Ukapps.Infer.request ~rid ~width:(3 * (rid - 1))) rids)
+
+let store_group_stream = "SET a 1\nCOMMIT\nGET a\nROOT\n"
+
+let lines_at_least n s =
+  String.fold_left (fun k c -> if c = '\n' then k + 1 else k) 0 s >= n
+let virtio_stores = ref []
+
+let serve_virtio_store transport ~clock ~engine ~sched ~stack =
+  let dev = Ukblock.Virtio_blk.create ~clock ~engine ~capacity_sectors:4096 () in
+  match Ukstore.Store.format ~clock ~journal_sectors:64 dev with
+  | Ok store ->
+      virtio_stores := store :: !virtio_stores;
+      ignore (Ukapps.Store.serve ~transport ~clock ~sched ~stack ~store ())
+  | Error _ -> Alcotest.fail "format"
+
 (* One row per app: a server constructor, its port, a pipelined request
    stream, and when the reply stream is complete. *)
 let seam_apps =
@@ -590,21 +617,22 @@ let seam_apps =
       7000,
       "SET a 1\nGET a\nSET b 22\nDEL a\nGET a\nBOGUS\nCOMMIT\nROOT\n",
       lines (8 * Ukapps.Store.reply_len) );
+    ( "store over virtio-blk",
+      (* The COMMIT's reply waits for its journal record's device write;
+         the replies pipelined behind it wait for it. *)
+      serve_virtio_store,
+      7000,
+      store_group_stream,
+      lines (4 * Ukapps.Store.reply_len) );
     ( "infer",
-      (fun transport ~clock ~engine ~sched ~stack ->
-        let model =
-          { Ukapps.Infer.name = "feedfacefeedface"; digest = 0xfeedface; size_mb = 1;
-            bytes = 1 lsl 20; load_ns = 0.0 }
-        in
-        ignore
-          (Ukapps.Infer.serve ~transport ~clock ~engine ~sched ~stack ~alloc:(alloc clock)
-             ~max_batch:2 ~model ())),
+      serve_infer,
       8000,
-      (* The malformed line goes first: its reply is immediate, while the
-         others wait for their batch. *)
-      "XYZ\n"
-      ^ String.concat ""
-          (List.init 4 (fun i -> Ukapps.Infer.request ~rid:(i + 1) ~width:(3 * i))),
+      "XYZ\n" ^ infer_requests [ 1; 2; 3; 4 ],
+      lines (5 * Ukapps.Infer.reply_len) );
+    ( "infer, malformed line behind pending requests",
+      serve_infer,
+      8000,
+      infer_requests [ 1 ] ^ "XYZ\n" ^ infer_requests [ 2; 3; 4 ],
       lines (5 * Ukapps.Infer.reply_len) );
   ]
 
@@ -701,6 +729,120 @@ let test_http_bad_length_ends_connection () =
       Alcotest.(check int) (tname ^ ": one error") 1 r.Ukapps.Load.errors)
     transports
 
+(* Request order through a deferred reply, on every transport: the
+   COMMIT is answered with the commit its record made durable, and the
+   GET and ROOT pipelined behind it come after it. *)
+let test_store_group_reply_order () =
+  List.iter
+    (fun (tname, transport) ->
+      virtio_stores := [];
+      let got, _ =
+        seam_exchange
+          (seam_rig (serve_virtio_store transport))
+          ~port:7000 ~complete:(lines_at_least 4) [ store_group_stream ]
+      in
+      let head = match !virtio_stores with [ st ] -> Ukstore.Store.head st | _ -> 0 in
+      let root = match String.split_on_char '\n' got with r :: _ -> r | [] -> "" in
+      Alcotest.(check (list string))
+        (tname ^ ": replies in request order")
+        [ root; Printf.sprintf "OK %016x" head;
+          Printf.sprintf "OK %016x" (Ukvfs.Digest.string_hash "1"); root; "" ]
+        (String.split_on_char '\n' got);
+      Alcotest.(check bool) (tname ^ ": the COMMIT made a commit") true (head <> 0))
+    transports
+
+(* An ER for a malformed line waits behind the inference requests before
+   it, on every transport. *)
+let test_infer_error_in_order () =
+  List.iter
+    (fun (tname, transport) ->
+      let got, _ =
+        seam_exchange (seam_rig (serve_infer transport)) ~port:8000 ~complete:(lines_at_least 5)
+          [ infer_requests [ 1 ] ^ "XYZ\n" ^ infer_requests [ 2; 3; 4 ] ]
+      in
+      let tags =
+        List.filter_map
+          (fun l -> if String.length l >= 11 then Some (String.sub l 0 11) else None)
+          (String.split_on_char '\n' got)
+      in
+      Alcotest.(check (list string))
+        (tname ^ ": replies in request order")
+        [ "OK 00000001"; "ER 00000000"; "OK 00000002"; "OK 00000003"; "OK 00000004" ]
+        tags)
+    transports
+
+(* On the socket path a deferred reply must neither be dropped nor jump
+   the queue. Supplied while the send buffer is full (the peer is not
+   reading), it is queued and follows the bulk reply once the peer reads,
+   ahead of the next reply, also when the peer sends nothing more until
+   it has it. Supplied by another thread while the connection's blocking
+   send of the bulk reply is under way (the peer reading as fast as it
+   can), it waits for that send to finish. The peer sends PING once it
+   has read [ping_after] bytes. *)
+let test_socket_deferred_flush_when_full () =
+  let bulk_then_later ?(wait_for_later = false) ~bulk ~supply ~pause_ns () =
+    let start ~clock ~engine ~sched ~stack =
+      Ukapps.Serve.start Ukapps.Serve.Socket ~name:"full" ~clock ~sched ~stack ~port:9000
+        ~frame:Ukapps.Serve.line ~handle:(fun sink line ->
+          match line with
+          | "BULK" -> Ukapps.Serve.write sink (String.make bulk 'b')
+          | "LATER" -> supply ~engine ~sched (Ukapps.Serve.defer sink)
+          | _ -> Ukapps.Serve.write sink "PONG\n")
+    in
+    let _, sched, stack = seam_rig start in
+    let got = Buffer.create (bulk + 64) in
+    ignore
+      (Uksched.Sched.spawn sched ~name:"reader" (fun () ->
+           let flow = S.Tcp_socket.connect stack ~dst:(A.Ipv4.of_string "10.8.0.1", 9000) () in
+           ignore (S.Tcp_socket.send ~block:true stack flow (Bytes.of_string "BULK\nLATER\n"));
+           if pause_ns > 0.0 then Uksched.Sched.sleep_ns pause_ns;
+           let read_until n =
+             while Buffer.length got < n do
+               match S.Tcp_socket.recv ~block:true stack flow ~max:1500 with
+               | None -> Alcotest.fail "closed"
+               | Some b -> Buffer.add_bytes got b
+             done
+           in
+           read_until (if wait_for_later then bulk + 6 else bulk);
+           ignore (S.Tcp_socket.send ~block:true stack flow (Bytes.of_string "PING\n"));
+           read_until (bulk + 11);
+           S.Tcp_socket.close stack flow));
+    Uksched.Sched.run sched;
+    Uktrace.Registry.clear ();
+    Buffer.contents got
+  in
+  let check what got bulk =
+    Alcotest.(check string) what (String.make bulk 'b' ^ "LATER\nPONG\n") got
+  in
+  List.iter
+    (fun wait_for_later ->
+      List.iter
+        (fun (bulk, delay_ns) ->
+          let timer ~engine ~sched:_ reply =
+            Uksim.Engine.after_ns engine delay_ns (fun () -> reply "LATER\n")
+          in
+          check
+            (Printf.sprintf "bulk %d, supplied at +%.0f us to a full buffer%s" bulk
+               (delay_ns /. 1e3)
+               (if wait_for_later then ", peer waits for it" else ""))
+            (bulk_then_later ~wait_for_later ~bulk ~supply:timer ~pause_ns:(delay_ns +. 2e6) ())
+            bulk)
+        [ (200_000, 100_000.0); (131_072, 100_000.0); (65_536, 300_000.0); (100_000, 1e6) ])
+    [ false; true ];
+  List.iter
+    (fun delay_ns ->
+      let thread ~engine:_ ~sched reply =
+        ignore
+          (Uksched.Sched.spawn sched ~name:"supplier" (fun () ->
+               Uksched.Sched.sleep_ns delay_ns;
+               reply "LATER\n"))
+      in
+      check
+        (Printf.sprintf "supplied by a thread at +%.0f us during the blocking send" (delay_ns /. 1e3))
+        (bulk_then_later ~bulk:150_000 ~supply:thread ~pause_ns:0.0 ())
+        150_000)
+    [ 20_000.0; 22_100.0; 24_900.0; 60_000.0 ]
+
 let suite =
   [
     Alcotest.test_case "netbuf window push/pull/view/reset" `Quick test_window_ops;
@@ -726,6 +868,12 @@ let suite =
       test_fast_resp_copy_free;
     Alcotest.test_case "every app replies identically over every transport" `Quick
       test_transport_equivalence;
+    Alcotest.test_case "store group commit answers in request order" `Quick
+      test_store_group_reply_order;
+    Alcotest.test_case "infer answers a malformed line in request order" `Quick
+      test_infer_error_in_order;
+    Alcotest.test_case "socket flush neither drops nor reorders a deferred reply" `Quick
+      test_socket_deferred_flush_when_full;
     Alcotest.test_case "RESP framing error answers once and closes" `Quick
       test_resp_framing_error_closes;
     Alcotest.test_case "a server closing mid-load ends the connection" `Quick

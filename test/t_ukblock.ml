@@ -65,6 +65,29 @@ let test_virtio_blk_interrupt () =
   Alcotest.(check int) "one interrupt" 1 !irqs;
   Alcotest.(check int) "completions there" 4 (List.length (d.B.poll_completions ~max:8))
 
+(* A sync read issued while a submitted write is outstanding gets its own
+   sectors back, and the write's completion stays queued for the poller. *)
+let test_sync_read_beside_async_write () =
+  let clock, engine = env () in
+  let d = V.create ~clock ~engine ~host_latency_ns:20_000.0 () in
+  let data = Bytes.make 512 'r' in
+  (match d.B.write_sync ~lba:3 data with Ok () -> () | Error _ -> Alcotest.fail "seed write");
+  let irqs = ref 0 in
+  d.B.set_completion_handler (Some (fun () -> incr irqs));
+  let w = B.Write { lba = 100; data = Bytes.make 2048 'w' } in
+  Alcotest.(check int) "write submitted" 1 (d.B.submit [| w |]);
+  (* Issued 1 us later, so the write completes first. *)
+  Uksim.Clock.advance_ns clock 1_000.0;
+  (match d.B.read_sync ~lba:3 ~sectors:1 with
+  | Ok got -> Alcotest.(check bytes) "read got its own sectors" data got
+  | Error e -> Alcotest.fail (B.error_to_string e));
+  Alcotest.(check int) "the write's interrupt fired" 1 !irqs;
+  match d.B.poll_completions ~max:8 with
+  | [ c ] ->
+      Alcotest.(check bool) "the write's completion is still queued" true (c.B.req == w);
+      Alcotest.(check bool) "and succeeded" true (Result.is_ok c.B.result)
+  | cs -> Alcotest.failf "%d completions queued, want the write's" (List.length cs)
+
 let test_virtio_blk_queue_depth () =
   let clock, engine = env () in
   let d = V.create ~clock ~engine ~queue_depth:4 () in
@@ -250,6 +273,7 @@ let suite =
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "virtio-blk async completion" `Quick test_virtio_blk_async;
     Alcotest.test_case "virtio-blk interrupts" `Quick test_virtio_blk_interrupt;
+    Alcotest.test_case "sync read beside an async write" `Quick test_sync_read_beside_async_write;
     Alcotest.test_case "queue depth" `Quick test_virtio_blk_queue_depth;
     Alcotest.test_case "host latency charged" `Quick test_virtio_blk_latency_charged;
     Alcotest.test_case "batched submit amortizes kicks" `Quick test_batch_amortizes_kick;

@@ -530,35 +530,350 @@ let test_store_server_fast_replay_identical () =
   Alcotest.(check int) "same seed, same trace hash" h1 h2;
   Alcotest.(check int) "errors deterministic" e1 e2
 
+(* --- the served store -----------------------------------------------------------
+
+   A one-core rig: the store served over a loopback pair on one
+   cooperative scheduler. Each client is a thread body given [rpc], which
+   sends request lines as one chunk and returns their replies in order;
+   [at_ns] starts the chunk at an absolute virtual time. *)
+
+module S = Uknetstack.Stack
+module A = Uknetstack.Addr
+
+type rpc = ?at_ns:float -> string list -> string list
+
+let serve_store ~clock ~engine st (clients : (rpc -> unit) list) =
+  let sched = Uksched.Sched.create_cooperative ~clock ~engine in
+  let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
+  let stack dev ip mac =
+    let s =
+      S.create ~clock ~engine ~sched ~dev
+        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
+    in
+    S.start s;
+    s
+  in
+  let server = stack da "10.9.0.1" 0x91 and client = stack db "10.9.0.2" 0x92 in
+  ignore (Ukapps.Store.create ~clock ~sched ~stack:server ~store:st ());
+  List.iter
+    (fun body ->
+      ignore
+        (Uksched.Sched.spawn sched ~name:"store-client" (fun () ->
+             let flow = S.Tcp_socket.connect client ~dst:(A.Ipv4.of_string "10.9.0.1", 7000) () in
+             let rpc ?at_ns lines =
+               Option.iter
+                 (fun at -> Uksched.Sched.sleep_ns (Float.max 0.0 (at -. Uksim.Clock.ns clock)))
+                 at_ns;
+               let chunk = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+               ignore (S.Tcp_socket.send ~block:true client flow (Bytes.of_string chunk));
+               let want = List.length lines * Ukapps.Store.reply_len in
+               let got = Buffer.create want in
+               while Buffer.length got < want do
+                 let max = want - Buffer.length got in
+                 match S.Tcp_socket.recv ~block:true client flow ~max with
+                 | None -> Alcotest.fail "server closed"
+                 | Some b -> Buffer.add_bytes got b
+               done;
+               List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents got))
+             in
+             body rpc;
+             S.Tcp_socket.close client flow)))
+    clients;
+  Uksched.Sched.run sched;
+  Uktrace.Registry.clear ()
+
+let status r = String.sub r 0 2
+let reply_hash r = int_of_string ("0x" ^ String.sub r 3 16)
+
 let test_store_server_survives_crash_restart () =
   (* Serve writes against a fault-wrapped device, kill it mid-flight,
      remount: the store must come back to the last acked COMMIT. *)
   let c = clock () in
+  let engine = Uksim.Engine.create c in
   let inner = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
   let rng = Uksim.Rng.create 3 in
   let fb = Fb.wrap ~clock:c ~rng ~plan:(Fb.plan ()) inner in
   let t = ok (St.format ~clock:c (Fb.dev fb)) in
-  let srv = Ukapps.Store.mk ~clock:c ~commit_every:10 ~store:t () in
-  let seen = ref [] in
-  (* Drive the server's execute path directly (no network needed to
-     exercise persistence semantics). *)
-  for i = 0 to 34 do
-    let r = Ukapps.Store.execute srv (Printf.sprintf "SET user%d data%d" i i) in
-    seen := r :: !seen
+  let acked = ref [] and durable_head = ref St.null and doomed = ref [] in
+  let sets lo hi =
+    List.init (hi - lo + 1) (fun i -> Printf.sprintf "SET user%d data%d" (lo + i) (lo + i))
+  in
+  serve_store ~clock:c ~engine t
+    [
+      (fun (rpc : rpc) ->
+        (* Three explicit COMMITs, then five SETs left uncommitted. *)
+        List.iter
+          (fun lo ->
+            match List.rev (rpc (sets lo (lo + 9) @ [ "COMMIT" ])) with
+            | r :: _ -> acked := r :: !acked
+            | [] -> ())
+          [ 0; 10; 20 ];
+        ignore (rpc (sets 30 34));
+        durable_head := St.head t;
+        (* The device dies: the SETs are acked into the working tree, but
+           the COMMIT after them fails and nothing new becomes durable. *)
+        Fb.crash_after_writes fb 0;
+        doomed := rpc (sets 100 120 @ [ "COMMIT" ]));
+    ];
+  Fb.revive fb;
+  Alcotest.(check (list string)) "three COMMITs acked" [ "OK"; "OK"; "OK" ]
+    (List.map status !acked);
+  Alcotest.(check int) "last ack names the head" (reply_hash (List.hd !acked)) !durable_head;
+  Alcotest.(check string) "COMMIT on a dead device fails" "ER"
+    (status (List.nth !doomed 21));
+  let t' = ok (St.open_ ~clock:c inner) in
+  Alcotest.(check int) "recovered to last durable commit" !durable_head (St.head t');
+  Alcotest.(check (option string)) "committed data present" (Some "data29")
+    (ok (St.get t' "user29"));
+  Alcotest.(check (option string)) "uncommitted SET gone" None (ok (St.get t' "user30"));
+  Alcotest.(check (option string)) "post-crash writes gone" None (ok (St.get t' "user100"))
+
+(* --- group commit ----------------------------------------------------------------- *)
+
+(* COMMITs from k connections that arrive while one record is in flight
+   share the next record: two records for k + 1 COMMITs, and the late
+   ones are answered with one commit. *)
+let test_group_commit_shares_a_record () =
+  let c = clock () in
+  let engine = Uksim.Engine.create c in
+  let dev = Ukblock.Virtio_blk.create ~clock:c ~engine ~capacity_sectors:16384 () in
+  let t = ok (St.format ~clock:c dev) in
+  let records = counting "journal_records" and commits = ref [] in
+  let k = 4 in
+  (* The first COMMIT goes out at 2 ms; the rest land 5 us later, well
+     inside its 20 us device write. *)
+  serve_store ~clock:c ~engine t
+    (List.init (k + 1) (fun i (rpc : rpc) ->
+         let at_ns = if i = 0 then 2e6 else 2.005e6 in
+         match rpc ~at_ns [ Printf.sprintf "SET key%d v%d" i i; "COMMIT" ] with
+         | [ _; r ] -> commits := (i, r) :: !commits
+         | _ -> Alcotest.fail "two replies"));
+  Alcotest.(check int) "two journal records" 2 (records ());
+  let acks = List.sort compare !commits in
+  List.iter
+    (fun (i, r) -> Alcotest.(check string) (Printf.sprintf "conn %d acked" i) "OK" (status r))
+    acks;
+  let late =
+    List.sort_uniq compare (List.filter_map (fun (i, r) -> if i > 0 then Some r else None) acks)
+  in
+  Alcotest.(check int) "late COMMITs share one commit" 1 (List.length late);
+  Alcotest.(check int) "it is the head" (St.head t) (reply_hash (List.hd late));
+  for i = 0 to k do
+    Alcotest.(check (option string)) "value" (Some (Printf.sprintf "v%d" i))
+      (ok (St.get t (Printf.sprintf "key%d" i)))
+  done
+
+(* Library-level group commit over virtio-blk: a committer-less store is
+   driven by hand with [reap] and the device's latency. *)
+let virtio_store () =
+  let c = clock () in
+  let engine = Uksim.Engine.create c in
+  let dev = Ukblock.Virtio_blk.create ~clock:c ~engine ~capacity_sectors:16384 () in
+  (c, dev, ok (St.format ~clock:c dev))
+
+let waiter () =
+  let got = ref None in
+  ((fun r -> got := Some r), got)
+
+(* A cache miss during an in-flight record waits the record out first:
+   the read gets its own sectors back (not the record's completion), and
+   the group is still answered. *)
+let test_cache_miss_during_flight () =
+  let c, dev, t = virtio_store () in
+  for i = 0 to 63 do
+    set t (Printf.sprintf "old%02d" i) (Printf.sprintf "value-%d" i)
   done;
-  let durable_head = St.head t in
-  Fb.crash_after_writes fb 0;
-  (* These writes are acked into the working tree but the device is dead:
-     the next auto-commit fails and nothing new becomes durable. *)
-  for i = 100 to 120 do
-    ignore (Ukapps.Store.execute srv (Printf.sprintf "SET user%d data%d" i i))
+  ignore (commit t);
+  ok (St.checkpoint t);
+  St.drop_caches t;
+  set t "new" "fresh";
+  let k, got = waiter () in
+  St.commit_group t k;
+  Alcotest.(check bool) "record submitted" true (St.reap t = true);
+  Alcotest.(check bool) "not answered yet" true (!got = None);
+  let misses = counting "cache_misses" in
+  Alcotest.(check (option string)) "cold GET during the flight" (Some "value-17")
+    (get t "old17");
+  Alcotest.(check bool) "it missed" true (misses () > 0);
+  Alcotest.(check bool) "record waited out: head moved" true (St.head t <> St.null);
+  ignore (St.reap t);
+  (match !got with
+  | Some (Ok h) -> Alcotest.(check int) "answered with the head" (St.head t) h
+  | _ -> Alcotest.fail "COMMIT not acked");
+  let t' = ok (St.open_ ~clock:c dev) in
+  Alcotest.(check (option string)) "durable" (Some "fresh") (ok (St.get t' "new"))
+
+(* Under random I/O errors every waiter of a group shares its fate, and
+   a failed group does not wedge the store: a later one commits
+   everything, the failed group's writes included. *)
+let test_group_io_error () =
+  let c = clock () in
+  let inner = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
+  let fb = Fb.wrap ~clock:c ~rng:(Uksim.Rng.create 11) ~plan:(Fb.plan ~io_error:0.4 ()) inner in
+  let rec format () = match St.format ~clock:c (Fb.dev fb) with Ok t -> t | Error _ -> format () in
+  let t = format () in
+  let outcomes = ref [] in
+  for g = 0 to 19 do
+    set t (Printf.sprintf "g%02d" g) "x";
+    let ws = List.init 3 (fun _ -> waiter ()) in
+    List.iter (fun (k, _) -> St.commit_group t k) ws;
+    ignore (St.reap t);
+    let rs = List.map (fun (_, got) -> Option.get !got) ws in
+    (match rs with
+    | Ok h :: rest ->
+        List.iter (fun r -> Alcotest.(check bool) "one commit per group" true (r = Ok h)) rest
+    | Error _ :: rest ->
+        List.iter
+          (fun r -> Alcotest.(check bool) "every waiter gets the error" true (Result.is_error r))
+          rest
+    | [] -> ());
+    outcomes := (g, List.hd rs) :: !outcomes
   done;
+  let outcomes = List.rev !outcomes in
+  let failed_then_ok =
+    List.exists
+      (fun (g, r) ->
+        Result.is_error r && List.exists (fun (g', r') -> g' > g && Result.is_ok r') outcomes)
+      outcomes
+  in
+  Alcotest.(check bool) "a failed group, then a committed one" true failed_then_ok;
+  let last_ok =
+    List.fold_left (fun acc (g, r) -> if Result.is_ok r then g else acc) (-1) outcomes
+  in
   Fb.revive fb;
   let t' = ok (St.open_ ~clock:c inner) in
-  Alcotest.(check int) "recovered to last durable commit" durable_head (St.head t');
-  Alcotest.(check (option string)) "committed data present" (Some "data9")
-    (ok (St.get t' "user9"));
-  Alcotest.(check (option string)) "post-crash writes gone" None (ok (St.get t' "user100"))
+  for g = 0 to last_ok do
+    Alcotest.(check (option string)) (Printf.sprintf "g%02d durable" g) (Some "x")
+      (ok (St.get t' (Printf.sprintf "g%02d" g)))
+  done
+
+(* The crash matrix over group commit: two grouped records, the device
+   dies at every sector of either. Whatever was acked survives. *)
+let group_crash_case arm =
+  let c = clock () in
+  let inner = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
+  let fb = Fb.wrap ~clock:c ~rng:(Uksim.Rng.create 7) ~plan:(Fb.plan ()) inner in
+  let t = ok (St.format ~clock:c ~journal_sectors:64 (Fb.dev fb)) in
+  set t "base" "b";
+  ignore (commit t);
+  Fb.crash_after_writes fb arm;
+  let group keys =
+    List.iter (fun k -> set t k (k ^ "-value")) keys;
+    let ws = List.init 3 (fun _ -> waiter ()) in
+    List.iter (fun (k, _) -> St.commit_group t k) ws;
+    ignore (St.reap t);
+    List.map (fun (_, got) -> Option.get !got) ws
+  in
+  let a = group [ "a1"; "a2" ] in
+  let b = group [ "b1"; "b2"; "b3" ] in
+  Fb.revive fb;
+  let t' = ok (St.open_ ~clock:c inner) in
+  let acked rs keys =
+    match rs with
+    | Ok h :: _ ->
+        Alcotest.(check bool) (Printf.sprintf "arm=%d: head at or past the ack" arm) true
+          (St.head t' = h || St.is_ancestor t' ~anc:h ~desc:(St.head t'));
+        List.iter
+          (fun k ->
+            Alcotest.(check (option string)) (Printf.sprintf "arm=%d: %s survives" arm k)
+              (Some (k ^ "-value")) (ok (St.get t' k)))
+          keys;
+        true
+    | _ -> false
+  in
+  let a_ok = acked a [ "a1"; "a2" ] in
+  let b_ok = acked b [ "a1"; "a2"; "b1"; "b2"; "b3" ] in
+  Alcotest.(check (option string)) (Printf.sprintf "arm=%d: history intact" arm) (Some "b")
+    (ok (St.get t' "base"));
+  (a_ok, b_ok)
+
+let test_group_crash_matrix () =
+  (* Sweep until both records land whole; the early arms tear the first
+     record, the later ones the second. *)
+  let rec sweep arm ~tore_b =
+    let a_ok, b_ok = group_crash_case arm in
+    let tore_b = tore_b || (a_ok && not b_ok) in
+    if a_ok && b_ok then (arm, tore_b) else sweep (arm + 1) ~tore_b
+  in
+  let arms, tore_b = sweep 0 ~tore_b:false in
+  Alcotest.(check bool) "some arm tore the second record" true tore_b;
+  Alcotest.(check bool) "both records span several sectors" true (arms >= 6)
+
+(* The same invariant as a seeded property over random pipelines of SETs,
+   COMMITs, device progress and crash budgets armed mid-pipeline: after
+   the crash and a remount, the state an acked COMMIT saw survives. *)
+type op = Set of int * int | Commit | Tick | Crash of int
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (5, map2 (fun k v -> Set (k, v)) (int_bound 7) (int_bound 99)); (2, return Commit);
+        (2, return Tick); (1, map (fun n -> Crash n) (int_bound 30)) ])
+
+let pipeline_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Set (k, v) -> Printf.sprintf "S%d=%d" k v
+             | Commit -> "C"
+             | Tick -> "T"
+             | Crash n -> Printf.sprintf "X%d" n)
+           ops))
+    QCheck.Gen.(list_size (int_range 1 40) op_gen)
+
+let prop_group_crash_loses_no_ack =
+  QCheck.Test.make ~name:"group commit loses no acked COMMIT at any crash point" ~count:60
+    pipeline_arb (fun ops ->
+      let c = clock () in
+      let engine = Uksim.Engine.create c in
+      let inner = Ukblock.Virtio_blk.create ~clock:c ~engine ~capacity_sectors:16384 () in
+      let fb = Fb.wrap ~clock:c ~rng:(Uksim.Rng.create 5) ~plan:(Fb.plan ()) inner in
+      let t = ok (St.format ~clock:c ~journal_sectors:32 (Fb.dev fb)) in
+      (* model.(k): every value SET for key k, newest first. *)
+      let model = Array.make 8 [] in
+      let last_ack = ref None in
+      let tick () =
+        Uksim.Clock.advance_ns c 30_000.0;
+        ignore (St.reap t)
+      in
+      List.iteri
+        (fun i -> function
+          | Set (k, v) ->
+              (* Unique per SET, so a value names the SET that wrote it. *)
+              let v = Printf.sprintf "%d.%d" v i in
+              ignore (St.set t (Printf.sprintf "k%d" k) v);
+              model.(k) <- v :: model.(k)
+          | Commit ->
+              (* What this COMMIT must keep: each key's value now. *)
+              let seen = Array.map (fun l -> List.length l) model in
+              St.commit_group t (function Ok _ -> last_ack := Some seen | Error _ -> ())
+          | Tick -> tick ()
+          | Crash n -> if not (Fb.crashed fb) then Fb.crash_after_writes fb n)
+        ops;
+      tick ();
+      tick ();
+      Fb.revive fb;
+      match St.open_ ~clock:c inner with
+      | Error _ -> false
+      | Ok t' -> (
+          match !last_ack with
+          | None -> true
+          | Some seen ->
+              (* Each key holds the value it had at the acked COMMIT, or
+                 one SET after it. *)
+              Array.for_all Fun.id
+                (Array.mapi
+                   (fun k n ->
+                     let vs = model.(k) in
+                     let allowed = List.filteri (fun i _ -> i < List.length vs - n + 1) vs in
+                     match St.get t' (Printf.sprintf "k%d" k) with
+                     | Ok None -> n = 0
+                     | Ok (Some v) -> n = 0 || List.mem v allowed
+                     | Error _ -> false)
+                   seen)))
 
 (* --- RESP persistence -------------------------------------------------------- *)
 
@@ -664,6 +979,12 @@ let suite =
     ("store server on cluster", `Quick, test_store_server_cluster);
     ("fast store replay identical", `Quick, test_store_server_fast_replay_identical);
     ("server survives crash+restart", `Quick, test_store_server_survives_crash_restart);
+    ("group commit shares a record", `Quick, test_group_commit_shares_a_record);
+    ("cache miss during an in-flight record", `Quick, test_cache_miss_during_flight);
+    ("group commit under I/O errors", `Quick, test_group_io_error);
+    ("group commit crash matrix", `Quick, test_group_crash_matrix);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x6c0 |])
+      prop_group_crash_loses_no_ack;
     ("RESP persist restart+replay", `Quick, test_resp_persist_restart_replay);
     ("trace source", `Quick, test_trace_source_registered);
   ]
