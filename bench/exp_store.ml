@@ -9,9 +9,10 @@
       The write/read mix sweep prices that against the in-memory RESP
       baseline.
 
-   2. How fast is recovery? Mount time is slot scan + journal replay, so
-      it must scale with the journal depth a crash left behind — the
-      depth sweep measures the curve that sizes the checkpoint policy.
+   2. How fast is recovery? Mount time is slot scan + log replay from
+      the live root slot's position, so it must scale with the records
+      written since the last flip — the depth sweep measures that curve,
+      which [journal_sectors] bounds.
 
    3. Is recovery *correct*? The crash matrix kills the device at every
       sector boundary of a commit's journal record and remounts: an
@@ -21,7 +22,12 @@
    4. Does it hold up as a fleet citizen? A 10x flash crowd on the
       snapshot-cloned image must lose zero responses (single-host fleet
       and multi-host ukcluster), and a fixed seed must replay to
-      identical store roots and trace hashes (store_replay). *)
+      identical store roots and trace hashes (store_replay).
+
+   5. How fast does the device fill? Each object is written once, in
+      the record that made it durable, and a checkpoint is one slot
+      sector: the space phase counts device sectors written per commit
+      and commits until ENOSPC on a fixed device. *)
 
 open Common
 module Fleet = Ukfleet.Fleet
@@ -107,7 +113,11 @@ let recover_at depth =
     ignore (oke (St.set t (Printf.sprintf "base%03d" i) (String.make 24 'b')))
   done;
   ignore (oke (St.commit t ~msg:"base" ()));
+  let before = dev.Ukblock.Blockdev.stats () in
   oke (St.checkpoint t);
+  let after = dev.Ukblock.Blockdev.stats () in
+  let ckpt_writes = after.writes - before.writes
+  and ckpt_sectors = after.sectors_written - before.sectors_written in
   for i = 1 to depth do
     ignore (oke (St.set t (Printf.sprintf "j%04d" i) (Printf.sprintf "v%d" i)));
     ignore (oke (St.commit t ()))
@@ -116,24 +126,26 @@ let recover_at depth =
   let r0 = replayed () and t0 = Uksim.Clock.ns c in
   ignore (oke (St.open_ ~clock:c dev));
   let dt = Uksim.Clock.ns c -. t0 in
-  (replayed () - r0, dt)
+  (replayed () - r0, dt, ckpt_writes = 1 && ckpt_sectors = 1)
 
 let run_recovery () =
   row "\nrecovery: mount time vs journal depth (records replayed since checkpoint)\n";
   let curve =
     List.map
       (fun depth ->
-        let replayed, dt = recover_at depth in
+        let replayed, dt, one_sector = recover_at depth in
         row "  depth %4d  replayed %4d  mount %8.1f us\n" depth replayed (us dt);
         Bench.emit_f (Printf.sprintf "recovery_depth%d_us" depth) (us dt);
-        (depth, replayed, dt))
+        (depth, replayed, dt, one_sector))
       depths
   in
-  let all_replayed = List.for_all (fun (d, r, _) -> r = d) curve in
-  let dt_of d = match List.find (fun (d', _, _) -> d' = d) curve with _, _, t -> t in
+  let all_replayed = List.for_all (fun (d, r, _, _) -> r = d) curve in
+  let dt_of d = match List.find (fun (d', _, _, _) -> d' = d) curve with _, _, t, _ -> t in
   row "  => replay scales %.1fx from depth 1 to 256\n" (dt_of 256 /. dt_of 1);
   Bench.gate "recovery_replays_full_journal" all_replayed;
-  Bench.gate "recovery_scales_with_depth" (dt_of 256 > dt_of 1)
+  Bench.gate "recovery_scales_with_depth" (dt_of 256 > dt_of 1);
+  (* A checkpoint copies nothing: its one write is the root slot. *)
+  Bench.gate "checkpoint_writes_one_sector" (List.for_all (fun (_, _, _, ok) -> ok) curve)
 
 (* --- crash matrix: zero lost durable commits ------------------------------- *)
 
@@ -180,6 +192,40 @@ let run_crash_matrix () =
   row "  %d crash points, %d violations\n" !cases !failures;
   Bench.emit_i "crash_points" !cases;
   Bench.gate "recovery_zero_lost_commits" (!failures = 0)
+
+(* --- space: how fast the log fills ---------------------------------------- *)
+
+let space_sectors = 16384
+
+(* Commits of 16 random SETs over 1,024 keys on a fixed device, until
+   ENOSPC: the sectors the device wrote per commit, and how many commits
+   it held. *)
+let run_space () =
+  row "\nspace: commits of 16 random SETs over 1,024 keys, %d-sector device\n" space_sectors;
+  Bench.trial ();
+  let c = Uksim.Clock.create () in
+  let dev = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:space_sectors () in
+  let t = oke (St.format ~clock:c ~journal_sectors:256 dev) in
+  let rng = Uksim.Rng.create seed in
+  let rec fill n =
+    for _ = 1 to 16 do
+      oke
+        (St.set t
+           (Printf.sprintf "key%04d" (Uksim.Rng.int rng 1024))
+           (Printf.sprintf "value-%d" (Uksim.Rng.int rng 1_000_000)))
+    done;
+    match St.commit t () with
+    | Ok _ -> fill (n + 1)
+    | Error Ukvfs.Fs.Enospc -> n
+    | Error e -> failwith ("exp_store: space: " ^ Ukvfs.Fs.errno_to_string e)
+  in
+  let commits = fill 0 in
+  let per_commit =
+    float_of_int (dev.Ukblock.Blockdev.stats ()).sectors_written /. float_of_int commits
+  in
+  row "  %d commits until ENOSPC, %.1f device sectors written per commit\n" commits per_commit;
+  Bench.emit_i "store_commits_to_enospc" commits;
+  Bench.emit_f "store_sectors_per_commit" per_commit
 
 (* --- flash crowd on the fleet + multi-host cluster ------------------------- *)
 
@@ -250,11 +296,13 @@ let run () =
   Bench.phase "mix" run_mix;
   Bench.phase "recovery" run_recovery;
   Bench.phase "crash" run_crash_matrix;
+  Bench.phase "space" run_space;
   Bench.phase "spike" run_spike;
   Bench.phase "replay" run_replay
 
 let register () =
   Bench.register ~id:"store" ~group:"store"
     ~descr:
-      "crash-consistent merkle KV: durability tax, recovery curve, crash matrix, spike, replay"
+      "crash-consistent merkle KV: durability tax, recovery curve, crash matrix, space, spike, \
+       replay"
     run

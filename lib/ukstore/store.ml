@@ -1,5 +1,5 @@
 (* The crash-consistent store: {!Tree}'s merkle objects persisted over a
-   {!Ukblock.Blockdev} behind a write-ahead journal.
+   {!Ukblock.Blockdev} as one append-only log.
 
    On-disk layout (sector granularity, 512 B default):
 
@@ -8,24 +8,30 @@
                        publishes a checkpoint is a single-sector write,
                        which the device model (and real hardware) performs
                        atomically.
-     sector 2..2+J-1   journal ring: per commit one record =
-                       [header sector][payload sectors][trailer sector].
-     sector 2+J..      data area: append-only object frames, one per
-                       merkle object, sector-aligned.
+     sector 2..        the log: per commit one record =
+                       [header sector][payload sectors][trailer sector],
+                       appended at the log head. The payload is one frame
+                       per newly durable merkle object, and that frame is
+                       the object's home: it is addressed by its device
+                       byte address, and never copied.
 
    Durability protocol: a commit serializes every newly reachable object
-   into one journal record, writes it with a single multi-sector write,
-   and fsyncs — when [commit] returns [Ok], the commit survives any
-   crash. Group commit writes the same record without blocking: COMMITs
-   that arrive while one record is in flight share the next one, and
-   each is answered once its record is durable. A checkpoint later
-   copies journaled objects to their pre-assigned data-area frames, one
-   write per run of abutting frames, fsyncs, flips the root slot, and
-   fsyncs again; the journal ring then restarts from zero. Recovery reads the newest valid root slot and
-   replays journal records while the chain stays intact: header checksum
-   valid, sequence number contiguous, payload checksum valid. The first
-   torn or stale record ends replay — everything before it is exactly
-   the set of commits whose [commit] call returned [Ok]. *)
+   into one record, writes it with a single multi-sector write at the
+   log head, and fsyncs — when [commit] returns [Ok], the commit survives
+   any crash. Group commit writes the same record without blocking:
+   COMMITs that arrive while one record is in flight share the next one,
+   and each is answered once its record is durable. A checkpoint copies
+   nothing: it flips the root slot to (head, last sequence number, log
+   position), which bounds the next mount's replay. It is due once a
+   publish takes the log [journal_sectors] past the live slot; the
+   committer then writes it in the background, beside the record in
+   flight, so at most one record and one slot write are outstanding.
+   Recovery reads the newest valid root slot and replays records from
+   its log position while the chain stays intact: header checksum valid,
+   sequence number contiguous, payload checksum valid, every frame at
+   its own address. The first torn or stale record ends replay —
+   everything before it is exactly the set of commits whose [commit]
+   call returned [Ok]. *)
 
 module B = Ukblock.Blockdev
 module D = Ukvfs.Digest
@@ -40,7 +46,11 @@ let null = Tree.null
 (* Guest-side compute costs (cycles); device time is charged by the
    block layer itself. *)
 let node_cost = 40 (* cache-hit object resolution *)
-let frame_header = 39 (* fixed-width: "o <hash16> <kind> <len8> <lba8>\n" *)
+let frame_header = 39 (* fixed-width: "o <hash16> <kind> <len8> <addr8>\n" *)
+
+(* A frame's own byte address must fit its 8 hex digits (4 GiB);
+   [format] refuses a device whose byte addresses would not. *)
+let max_addr = 0xffff_ffff
 
 (* --- the sticky ukstore source -------------------------------------------
    One group counts for every store in the process: crash matrices open
@@ -91,31 +101,30 @@ let source () = Uktrace.Registry.source (Lazy.force metrics).group
 type t = {
   clock : Uksim.Clock.t;
   dev : B.t;
-  jstart : int;
-  jcap : int; (* journal ring, sectors *)
+  jcap : int; (* replay bound: log sectors past the live slot before a flip *)
   cache : (hash, Tree.obj) Hashtbl.t;
-  locs : (hash, int * int) Hashtbl.t; (* object -> (lba, frame bytes) *)
-  durable : (hash, unit) Hashtbl.t; (* journaled or checkpointed *)
-  mutable unckpt : hash list; (* journal-only objects, newest first *)
+  locs : (hash, int * int) Hashtbl.t; (* object -> (byte address, frame bytes) *)
+  durable : (hash, unit) Hashtbl.t; (* its record is on the medium *)
   mutable head : hash; (* last durable commit, null before the first *)
   mutable root : hash; (* working tree (may be ahead of head) *)
-  mutable epoch : int;
+  mutable epoch : int; (* of the live root slot *)
   mutable next_seq : int;
-  mutable applied_seq : int; (* folded into the current root slot *)
-  mutable jsector : int; (* next free journal sector, ring-relative *)
-  mutable data_head : int; (* next free absolute data-area lba *)
+  mutable log_head : int; (* next free lba of the log *)
+  mutable slot_pos : int; (* log position the live root slot replays from *)
   m : metrics;
   mutable src : Tree.src; (* object source the trie ops run against *)
-  (* Group commit: at most one record in flight, the COMMITs waiting for
-     the next one (newest first), and groups settled but not yet
-     answered (newest first). *)
-  mutable flight : (record * waiter list) option;
+  (* At most one record and one slot write in flight, each with the
+     request whose completion settles it; the COMMITs waiting for the
+     next record (newest first), and groups settled but not yet answered
+     (newest first). *)
+  mutable flight : (B.request * record * waiter list) option;
+  mutable flip : (B.request * int * int) option; (* request, its epoch, its log position *)
   mutable joined : waiter list;
   mutable settled : ((hash, errno) result * waiter list) list;
   mutable committer : (unit -> unit) option;
 }
 
-(* One encoded journal record and the data-area homes it assigned. *)
+(* One encoded record, its objects' homes already assigned inside it. *)
 and record = {
   ch : hash; (* its commit object *)
   objs : hash list; (* newly durable objects, post-order *)
@@ -123,7 +132,6 @@ and record = {
   data : bytes; (* header, payload and trailer sectors *)
   rsec : int;
   seq : int;
-  dh : int; (* data_head once durable *)
 }
 
 and waiter = (hash, errno) result -> unit
@@ -135,11 +143,10 @@ let content_hash t = t.root
 let tree_depth t = t.src.Tree.depth_seen
 
 (* --- frame codec -----------------------------------------------------------
-   One frame per object, identical bytes in the journal payload and the
-   data area: a fixed-width header line, then a textual body. Child refs
-   carry (hash, lba, len) so a cold mount can navigate the tree from
-   disk; the structural hash ignores the locations. Keys and commit
-   messages are hex-encoded to survive the line format. *)
+   One frame per object: a fixed-width header line, then a textual body.
+   Child refs carry (hash, byte address, len) so a cold mount can
+   navigate the tree from disk; the structural hash ignores the
+   locations. Addresses, keys and commit messages are hex-encoded. *)
 
 let to_hex s =
   let b = Buffer.create (String.length s * 2) in
@@ -166,25 +173,25 @@ let encode_body t (o : Tree.obj) =
       Buffer.add_string b (Printf.sprintf "L %d\n" (List.length entries));
       List.iter
         (fun (k, vh) ->
-          let lba, len = loc_of t vh in
-          Buffer.add_string b (Printf.sprintf "%016x %d %d %s\n" vh lba len (to_hex k)))
+          let addr, len = loc_of t vh in
+          Buffer.add_string b (Printf.sprintf "%016x %x %d %s\n" vh addr len (to_hex k)))
         entries
   | Tree.Node (Tree.Branch (n, kids)) ->
       Buffer.add_string b (Printf.sprintf "T %d %d\n" n (List.length kids));
       List.iter
         (fun (nb, ch) ->
-          let lba, len = loc_of t ch in
-          Buffer.add_string b (Printf.sprintf "%d %016x %d %d\n" nb ch lba len))
+          let addr, len = loc_of t ch in
+          Buffer.add_string b (Printf.sprintf "%d %016x %x %d\n" nb ch addr len))
         kids
   | Tree.Commit { root; parents; msg } ->
-      let rlba, rlen = loc_of t root in
+      let raddr, rlen = loc_of t root in
       Buffer.add_string b
-        (Printf.sprintf "C %016x %d %d %d %s\n" root rlba rlen (List.length parents)
+        (Printf.sprintf "C %016x %x %d %d %s\n" root raddr rlen (List.length parents)
            (to_hex msg));
       List.iter
         (fun p ->
-          let plba, plen = loc_of t p in
-          Buffer.add_string b (Printf.sprintf "%016x %d %d\n" p plba plen))
+          let paddr, plen = loc_of t p in
+          Buffer.add_string b (Printf.sprintf "%016x %x %d\n" p paddr plen))
         parents);
   Buffer.contents b
 
@@ -193,13 +200,11 @@ let kind_of = function
   | Tree.Node _ -> 'n'
   | Tree.Commit _ -> 'c'
 
-(* [lba] is the frame's own home in the data area — embedded so journal
-   replay re-learns the assignment without a separate allocation map. *)
-let encode_frame t h o ~lba =
+(* [addr] is the frame's own home — embedded so replay and cold reads
+   can check that a frame is the one they asked for. *)
+let encode_frame t h o ~addr =
   let body = encode_body t o in
-  Printf.sprintf "o %016x %c %08d %08d\n%s" h (kind_of o) (String.length body) lba body
-
-let frame_len body_len = frame_header + body_len
+  Printf.sprintf "o %016x %c %08d %08x\n%s" h (kind_of o) (String.length body) addr body
 
 let int_of_hex s = try int_of_string ("0x" ^ s) with _ -> raise (Err Ukvfs.Fs.Eio)
 let int_of_dec s = try int_of_string s with _ -> raise (Err Ukvfs.Fs.Eio)
@@ -211,10 +216,11 @@ let take_line s pos =
   | None -> raise (Err Ukvfs.Fs.Eio)
   | Some nl -> (String.sub s pos (nl - pos), nl + 1)
 
-let note_loc t h lba len = if h <> null && len > 0 then Hashtbl.replace t.locs h (lba, len)
+let note_loc t h addr len = if h <> null && len > 0 then Hashtbl.replace t.locs h (addr, len)
 
 (* Decode one frame starting at [pos]; registers child locations as a
-   side effect and returns (hash, obj, own lba, frame bytes, next pos). *)
+   side effect and returns (hash, obj, own address, frame bytes, next
+   pos). *)
 let decode_frame t s pos =
   if pos + frame_header > String.length s then raise (Err Ukvfs.Fs.Eio);
   let hdr = String.sub s pos frame_header in
@@ -223,7 +229,7 @@ let decode_frame t s pos =
   let h = int_of_hex (String.sub hdr 2 16) in
   let kind = hdr.[19] in
   let blen = int_of_dec (String.sub hdr 21 8) in
-  let lba = int_of_dec (String.sub hdr 30 8) in
+  let addr = int_of_hex (String.sub hdr 30 8) in
   if blen < 0 || pos + frame_header + blen > String.length s then raise (Err Ukvfs.Fs.Eio);
   let body = String.sub s (pos + frame_header) blen in
   let obj =
@@ -240,9 +246,9 @@ let decode_frame t s pos =
               let line, p' = take_line body !p in
               p := p';
               match String.split_on_char ' ' line with
-              | [ vh; vlba; vlen; hk ] ->
+              | [ vh; vaddr; vlen; hk ] ->
                   let vh = int_of_hex vh in
-                  note_loc t vh (int_of_dec vlba) (int_of_dec vlen);
+                  note_loc t vh (int_of_hex vaddr) (int_of_dec vlen);
                   entries := (of_hex hk, vh) :: !entries
               | _ -> raise (Err Ukvfs.Fs.Eio)
             done;
@@ -255,9 +261,9 @@ let decode_frame t s pos =
               let line, p' = take_line body !p in
               p := p';
               match String.split_on_char ' ' line with
-              | [ nb; ch; clba; clen ] ->
+              | [ nb; ch; caddr; clen ] ->
                   let ch = int_of_hex ch in
-                  note_loc t ch (int_of_dec clba) (int_of_dec clen);
+                  note_loc t ch (int_of_hex caddr) (int_of_dec clen);
                   kids := (int_of_dec nb, ch) :: !kids
               | _ -> raise (Err Ukvfs.Fs.Eio)
             done;
@@ -266,9 +272,9 @@ let decode_frame t s pos =
     | 'c' -> (
         let line, p = take_line body 0 in
         match String.split_on_char ' ' line with
-        | [ "C"; root; rlba; rlen; np; hmsg ] ->
+        | [ "C"; root; raddr; rlen; np; hmsg ] ->
             let root = int_of_hex root in
-            note_loc t root (int_of_dec rlba) (int_of_dec rlen);
+            note_loc t root (int_of_hex raddr) (int_of_dec rlen);
             let np = int_of_dec np in
             let p = ref p in
             let parents = ref [] in
@@ -276,9 +282,9 @@ let decode_frame t s pos =
               let line, p' = take_line body !p in
               p := p';
               match String.split_on_char ' ' line with
-              | [ ph; plba; plen ] ->
+              | [ ph; paddr; plen ] ->
                   let ph = int_of_hex ph in
-                  note_loc t ph (int_of_dec plba) (int_of_dec plen);
+                  note_loc t ph (int_of_hex paddr) (int_of_dec plen);
                   parents := ph :: !parents
               | _ -> raise (Err Ukvfs.Fs.Eio)
             done;
@@ -286,123 +292,26 @@ let decode_frame t s pos =
         | _ -> raise (Err Ukvfs.Fs.Eio))
     | _ -> raise (Err Ukvfs.Fs.Eio)
   in
-  (h, obj, lba, frame_header + blen, pos + frame_header + blen)
-
-(* --- the record in flight ---------------------------------------------------- *)
-
-let fsync t =
-  t.dev.B.flush ();
-  charge t Uksim.Cost.vm_exit;
-  C.incr t.m.fsync_barriers
-
-(* The record is on the medium: one barrier, and its commit is durable. *)
-let publish t r =
-  fsync t;
-  t.jsector <- t.jsector + r.rsec;
-  t.next_seq <- r.seq + 1;
-  t.data_head <- r.dh;
-  List.iter
-    (fun h ->
-      Hashtbl.replace t.durable h ();
-      t.unckpt <- h :: t.unckpt)
-    r.objs;
-  t.head <- r.ch;
-  C.incr t.m.commits;
-  C.incr t.m.journal_records;
-  C.add t.m.journal_bytes (r.rsec * t.dev.B.sector_size);
-  Uktrace.Metric.Gauge.set t.m.tree_depth (float_of_int t.src.Tree.depth_seen);
-  r.ch
-
-(* A record that never reached the medium gives its data-area homes back. *)
-let unassign t r = List.iter (fun h -> Hashtbl.remove t.locs h) r.objs
-
-(* Non-blocking: settle the in-flight record if its completion is in. A
-   store keeps one request outstanding, so a completion is the record's. *)
-let poll_flight t =
-  match t.flight with
-  | None -> ()
-  | Some (r, waiters) -> (
-      match t.dev.B.poll_completions ~max:1 with
-      | [ c ] ->
-          t.flight <- None;
-          t.dev.B.set_completion_handler None;
-          let outcome =
-            match c.B.result with
-            | Ok _ -> Ok (publish t r)
-            | Error _ ->
-                unassign t r;
-                Error Ukvfs.Fs.Eio
-          in
-          t.settled <- (outcome, waiters) :: t.settled
-      | _ -> ())
-
-(* Every synchronous device call (cache-miss read, checkpoint, sync
-   commit) first waits out the in-flight record, spinning virtual time
-   as the device's own sync helpers do. *)
-let rec await_flight t =
-  poll_flight t;
-  if t.flight <> None then begin
-    charge t 500;
-    await_flight t
-  end
-
-(* --- object resolution ----------------------------------------------------- *)
-
-let load_obj t h =
-  match Hashtbl.find_opt t.cache h with
-  | Some o ->
-      C.incr t.m.cache_hits;
-      charge t node_cost;
-      o
-  | None -> (
-      C.incr t.m.cache_misses;
-      match Hashtbl.find_opt t.locs h with
-      | None -> raise (Err Ukvfs.Fs.Eio)
-      | Some (lba, len) -> (
-          await_flight t;
-          match t.dev.B.read_sync ~lba ~sectors:(sectors_of t len) with
-          | Error _ -> raise (Err Ukvfs.Fs.Eio)
-          | Ok raw ->
-              let s = Bytes.sub_string raw 0 len in
-              charge t (Uksim.Cost.memcpy len + Uksim.Cost.checksum len);
-              let h', obj, _, _, _ = decode_frame t s 0 in
-              (* Structural-hash verification: a frame that does not hash
-                 to its own address is a torn or misdirected read. *)
-              if h' <> h || Tree.hash_of_obj obj <> h then raise (Err Ukvfs.Fs.Eio);
-              Hashtbl.replace t.cache h obj;
-              Hashtbl.replace t.durable h ();
-              obj))
-
-let put_obj t o =
-  let h = Tree.hash_of_obj o in
-  charge t node_cost;
-  if not (Hashtbl.mem t.cache h) then Hashtbl.replace t.cache h o;
-  h
-
-let mk_src t = { Tree.get = (fun h -> load_obj t h); put = (fun o -> put_obj t o); depth_seen = 0 }
+  (h, obj, addr, frame_header + blen, pos + frame_header + blen)
 
 (* --- root slots ------------------------------------------------------------ *)
 
-let slot_magic = "ukss1"
+let slot_magic = "ukss2"
 let jr_magic = "ukjr1"
 let jc_magic = "ukjc1"
 
-let slot_line t =
-  let hlba, hlen = if t.head = null then (0, 0) else loc_of t t.head in
+(* The slot for [epoch]: the head, the last sequence number and the log
+   position replay starts from. *)
+let slot_sector t ~epoch ~pos =
+  let haddr, hlen = if t.head = null then (0, 0) else loc_of t t.head in
   let core =
-    Printf.sprintf "%s %d %d %016x %d %d %d %d" slot_magic t.epoch t.jcap t.head hlba hlen
-      t.applied_seq t.data_head
+    Printf.sprintf "%s %d %d %016x %x %d %d %d" slot_magic epoch t.jcap t.head haddr hlen
+      (t.next_seq - 1) pos
   in
-  Printf.sprintf "%s %016x\n" core (D.fnv_string core)
-
-let write_slot t =
-  let ss = t.dev.B.sector_size in
-  let line = slot_line t in
-  let sec = Bytes.make ss '\000' in
+  let line = Printf.sprintf "%s %016x\n" core (D.fnv_string core) in
+  let sec = Bytes.make t.dev.B.sector_size '\000' in
   Bytes.blit_string line 0 sec 0 (String.length line);
-  match t.dev.B.write_sync ~lba:(t.epoch mod 2) sec with
-  | Ok () -> ()
-  | Error _ -> raise (Err Ukvfs.Fs.Eio)
+  sec
 
 (* Parse a slot sector; None when invalid (unformatted, torn, stale
    magic). *)
@@ -420,18 +329,144 @@ let parse_slot raw =
           if (try int_of_string ("0x" ^ ck) <> D.fnv_string core with _ -> true) then None
           else
             (match String.split_on_char ' ' core with
-            | [ m; epoch; jcap; head; hlba; hlen; aseq; dh ] when m = slot_magic -> (
+            | [ m; epoch; jcap; head; haddr; hlen; aseq; pos ] when m = slot_magic -> (
                 try
                   Some
                     ( int_of_string epoch,
                       int_of_string jcap,
                       int_of_string ("0x" ^ head),
-                      int_of_string hlba,
+                      int_of_string ("0x" ^ haddr),
                       int_of_string hlen,
                       int_of_string aseq,
-                      int_of_string dh )
+                      int_of_string pos )
                 with _ -> None)
             | _ -> None))
+
+(* --- the requests in flight -------------------------------------------------- *)
+
+let fsync t =
+  t.dev.B.flush ();
+  charge t Uksim.Cost.vm_exit;
+  C.incr t.m.fsync_barriers
+
+(* One write in the background. The completion interrupt is armed while
+   anything is in flight (the synchronous calls poll); a completion
+   already queued when [submit] returns (a ramdisk, an injected fault)
+   is taken by the next [poll_io]. *)
+let submit t req =
+  t.dev.B.set_completion_handler t.committer;
+  t.dev.B.submit [| req |] = 1
+
+(* The flip: the alternate root slot names the head, the last published
+   sequence number and the log head. It settles in [poll_io]. *)
+let start_flip t =
+  let epoch = t.epoch + 1 and pos = t.log_head in
+  let req = B.Write { lba = epoch mod 2; data = slot_sector t ~epoch ~pos } in
+  if submit t req then t.flip <- Some (req, epoch, pos)
+
+(* The record is on the medium: one barrier, and its commit is durable.
+   A flip is due once the log has run [jcap] sectors past the live slot,
+   and is started here, after a publish, never retried on its own: a
+   failed flip waits for the next publish. *)
+let publish t r =
+  fsync t;
+  t.log_head <- r.lba + r.rsec;
+  t.next_seq <- r.seq + 1;
+  List.iter (fun h -> Hashtbl.replace t.durable h ()) r.objs;
+  t.head <- r.ch;
+  C.incr t.m.commits;
+  C.incr t.m.journal_records;
+  C.add t.m.journal_bytes (r.rsec * t.dev.B.sector_size);
+  Uktrace.Metric.Gauge.set t.m.tree_depth (float_of_int t.src.Tree.depth_seen);
+  if t.flip = None && t.log_head - t.slot_pos >= t.jcap then start_flip t;
+  r.ch
+
+(* A record that never reached the medium gives its homes back. *)
+let unassign t r = List.iter (fun h -> Hashtbl.remove t.locs h) r.objs
+
+let settle t (c : B.completion) =
+  match (t.flight, t.flip) with
+  | Some (req, r, waiters), _ when c.B.req == req ->
+      t.flight <- None;
+      let outcome =
+        match c.B.result with
+        | Ok _ -> Ok (publish t r)
+        | Error _ ->
+            unassign t r;
+            Error Ukvfs.Fs.Eio
+      in
+      t.settled <- (outcome, waiters) :: t.settled
+  | _, Some (req, epoch, pos) when c.B.req == req -> (
+      t.flip <- None;
+      match c.B.result with
+      | Ok _ ->
+          fsync t;
+          t.epoch <- epoch;
+          t.slot_pos <- pos;
+          C.incr t.m.checkpoints
+      | Error _ -> ())
+  | _ -> ()
+
+(* Non-blocking: settle every completion that is in, matching each to
+   its request. It drains until the queue is empty: a barrier taken
+   while settling one completion can queue the other, and the
+   edge-triggered interrupt would not fire for it again. *)
+let rec poll_io t =
+  match t.dev.B.poll_completions ~max:2 with
+  | [] -> if t.flight = None && t.flip = None then t.dev.B.set_completion_handler None
+  | cs ->
+      List.iter (settle t) cs;
+      poll_io t
+
+(* Every synchronous device call (cache-miss read, checkpoint, sync
+   commit) first waits out what is in flight, spinning virtual time as
+   the device's own sync helpers do. *)
+let rec await_io t =
+  poll_io t;
+  if t.flight <> None || t.flip <> None then begin
+    charge t 500;
+    await_io t
+  end
+
+(* --- object resolution ----------------------------------------------------- *)
+
+let load_obj t h =
+  match Hashtbl.find_opt t.cache h with
+  | Some o ->
+      C.incr t.m.cache_hits;
+      charge t node_cost;
+      o
+  | None -> (
+      C.incr t.m.cache_misses;
+      match Hashtbl.find_opt t.locs h with
+      | None -> raise (Err Ukvfs.Fs.Eio)
+      | Some (addr, len) -> (
+          if addr < 0 then raise (Err Ukvfs.Fs.Eio);
+          await_io t;
+          let ss = t.dev.B.sector_size in
+          let off = addr mod ss in
+          match t.dev.B.read_sync ~lba:(addr / ss) ~sectors:(sectors_of t (off + len)) with
+          | Error _ -> raise (Err Ukvfs.Fs.Eio)
+          | Ok raw ->
+              let s = Bytes.sub_string raw off len in
+              charge t (Uksim.Cost.memcpy len + Uksim.Cost.checksum len);
+              let h', obj, addr', _, _ = decode_frame t s 0 in
+              (* Structural-hash verification: a frame that does not hash
+                 to its own address, or sits elsewhere than it says, is a
+                 torn or misdirected read. *)
+              if h' <> h || addr' <> addr || Tree.hash_of_obj obj <> h then
+                raise (Err Ukvfs.Fs.Eio);
+              Hashtbl.replace t.cache h obj;
+              Hashtbl.replace t.durable h ();
+              obj))
+
+let put_obj t o =
+  let h = Tree.hash_of_obj o in
+  charge t node_cost;
+  if not (Hashtbl.mem t.cache h) then Hashtbl.replace t.cache h o;
+  h
+
+let mk_src t = { Tree.get = (fun h -> load_obj t h); put = (fun o -> put_obj t o); depth_seen = 0 }
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -439,11 +474,11 @@ let default_journal_sectors = 256
 
 let mk ~clock dev ~jcap =
   let t =
-    { clock; dev; jstart = 2; jcap; cache = Hashtbl.create 256; locs = Hashtbl.create 256;
-      durable = Hashtbl.create 256; unckpt = []; head = null; root = null; epoch = 0;
-      next_seq = 1; applied_seq = 0; jsector = 0; data_head = 2 + jcap; m = Lazy.force metrics;
+    { clock; dev; jcap; cache = Hashtbl.create 256; locs = Hashtbl.create 256;
+      durable = Hashtbl.create 256; head = null; root = null; epoch = 0; next_seq = 1;
+      log_head = 2; slot_pos = 2; m = Lazy.force metrics;
       src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 };
-      flight = None; joined = []; settled = []; committer = None }
+      flight = None; flip = None; joined = []; settled = []; committer = None }
   in
   t.src <- mk_src t;
   t
@@ -452,10 +487,15 @@ let guard f = try Ok (f ()) with Err e -> Error e
 
 let format ~clock ?(journal_sectors = default_journal_sectors) dev =
   guard (fun () ->
-      if journal_sectors < 3 || 2 + journal_sectors >= dev.B.capacity_sectors then
-        raise (Err Ukvfs.Fs.Einval);
+      if
+        journal_sectors < 3
+        || 2 + journal_sectors >= dev.B.capacity_sectors
+        || (dev.B.capacity_sectors * dev.B.sector_size) - 1 > max_addr
+      then raise (Err Ukvfs.Fs.Einval);
       let t = mk ~clock dev ~jcap:journal_sectors in
-      write_slot t;
+      (match dev.B.write_sync ~lba:0 (slot_sector t ~epoch:0 ~pos:t.log_head) with
+      | Ok () -> ()
+      | Error _ -> raise (Err Ukvfs.Fs.Eio));
       fsync t;
       t)
 
@@ -492,46 +532,39 @@ let collect_new t root =
   walk root;
   List.rev !acc
 
-(* Encode the record that commits the working root with [parents]:
-   data-area homes for every new object (sector-aligned frames), then
-   header, payload and trailer — the post-order guarantees every child
-   ref resolves. The homes are taken back if it does not fit, and by
+(* Encode the record that commits the working root with [parents] at the
+   log head: each new object's home is its frame's byte address inside
+   the payload, assigned in post-order so every child ref resolves. The
+   homes are taken back if the record does not fit the device, and by
    [unassign] if its write fails. *)
 let build_record t ~parents ~msg =
   let ss = t.dev.B.sector_size in
   let cobj = Tree.Commit { root = t.root; parents; msg } in
   let ch = put_obj t cobj in
   let objs = collect_new t ch in
+  let lba = t.log_head in
   let assigned = ref [] in
   let rollback () = List.iter (fun h -> Hashtbl.remove t.locs h) !assigned in
-  let dh = ref t.data_head in
+  let addr = ref ((lba + 1) * ss) in
   let frames =
     try
       List.map
         (fun h ->
-          let o = Hashtbl.find t.cache h in
-          let body = encode_body t o in
-          let flen = frame_len (String.length body) in
-          let lba = !dh in
-          dh := !dh + sectors_of t flen;
-          Hashtbl.replace t.locs h (lba, flen);
+          let frame = encode_frame t h (Hashtbl.find t.cache h) ~addr:!addr in
+          Hashtbl.replace t.locs h (!addr, String.length frame);
           assigned := h :: !assigned;
-          encode_frame t h o ~lba)
+          addr := !addr + String.length frame;
+          frame)
         objs
     with e ->
       rollback ();
       raise e
   in
-  if !dh > t.dev.B.capacity_sectors then begin
-    rollback ();
-    raise (Err Ukvfs.Fs.Enospc)
-  end;
   let payload = String.concat "" frames in
   let plen = String.length payload in
   let psec = max 1 (sectors_of t plen) in
   let rsec = 2 + psec in
-  if t.jsector + rsec > t.jcap then begin
-    (* Ring full: fall through to the caller-visible checkpoint path. *)
+  if lba + rsec > t.dev.B.capacity_sectors then begin
     rollback ();
     raise (Err Ukvfs.Fs.Enospc)
   end;
@@ -546,65 +579,33 @@ let build_record t ~parents ~msg =
   Bytes.blit_string payload 0 data ss plen;
   Bytes.blit_string tline 0 data ((1 + psec) * ss) (String.length tline);
   charge t (Uksim.Cost.memcpy (rsec * ss) + Uksim.Cost.checksum plen);
-  { ch; objs; lba = t.jstart + t.jsector; data; rsec; seq; dh = !dh }
+  { ch; objs; lba; data; rsec; seq }
 
+(* The synchronous commit: write the record, publish it, and wait out
+   the flip the publish may have started. *)
 let commit_with t ~parents ~msg =
   let r = build_record t ~parents ~msg in
   match t.dev.B.write_sync ~lba:r.lba r.data with
-  | Ok () -> publish t r
+  | Ok () ->
+      let h = publish t r in
+      await_io t;
+      h
   | Error _ ->
       unassign t r;
       raise (Err Ukvfs.Fs.Eio)
 
 (* --- checkpoint ------------------------------------------------------------ *)
 
-let checkpoint_exn t =
-  await_flight t;
-  if t.unckpt = [] && t.jsector = 0 then ()
-  else begin
-    (* Copy journaled frames to their pre-assigned data-area homes with
-       one write per run of abutting frames. Oldest first is data-area
-       order, since commits hand out homes consecutively, so a
-       checkpoint is normally a single run. *)
-    let ss = t.dev.B.sector_size in
-    let objs = Array.of_list (List.rev t.unckpt) in
-    let locs = Array.map (loc_of t) objs in
-    let n = Array.length objs in
-    let i = ref 0 in
-    while !i < n do
-      let start, _ = locs.(!i) in
-      let j = ref !i and stop = ref start in
-      while !j < n && fst locs.(!j) = !stop do
-        stop := !stop + sectors_of t (snd locs.(!j));
-        incr j
-      done;
-      let buf = Bytes.make ((!stop - start) * ss) '\000' in
-      for k = !i to !j - 1 do
-        let h = objs.(k) and lba, flen = locs.(k) in
-        let frame = encode_frame t h (Hashtbl.find t.cache h) ~lba in
-        Bytes.blit_string frame 0 buf ((lba - start) * ss) (String.length frame);
-        charge t (Uksim.Cost.memcpy flen)
-      done;
-      (match t.dev.B.write_sync ~lba:start buf with
-      | Ok () -> ()
-      | Error _ -> raise (Err Ukvfs.Fs.Eio));
-      i := !j
-    done;
-    fsync t;
-    (* Atomic publish: one sector, alternate slot, then barrier. *)
-    t.epoch <- t.epoch + 1;
-    t.applied_seq <- t.next_seq - 1;
-    (try write_slot t
-     with e ->
-       t.epoch <- t.epoch - 1;
-       raise e);
-    fsync t;
-    t.unckpt <- [];
-    t.jsector <- 0;
-    C.incr t.m.checkpoints
-  end
-
-let checkpoint t = guard (fun () -> checkpoint_exn t)
+(* Flip the root slot to the log head and wait for it: the next mount
+   replays nothing written before this call. *)
+let checkpoint t =
+  guard (fun () ->
+      await_io t;
+      if t.log_head <> t.slot_pos then begin
+        start_flip t;
+        await_io t;
+        if t.slot_pos <> t.log_head then raise (Err Ukvfs.Fs.Eio)
+      end)
 
 (* --- recovery -------------------------------------------------------------- *)
 
@@ -613,7 +614,7 @@ let read_sectors t ~lba ~sectors =
   | Ok raw -> raw
   | Error _ -> raise (Err Ukvfs.Fs.Eio)
 
-(* Parse a journal header sector: (seq, payload sectors, commit hash). *)
+(* Parse a record header sector: (seq, payload sectors, commit hash). *)
 let parse_jheader raw =
   let s = Bytes.to_string raw in
   match String.index_opt s '\n' with
@@ -644,21 +645,23 @@ let parse_jtrailer raw =
           with _ -> None)
       | _ -> None)
 
-(* Replay one record at ring offset [off]; returns the ring offset past
-   it, or None when the chain breaks (torn, stale, out-of-sequence). *)
-let replay_record t ~off ~expect_seq =
-  if off + 3 > t.jcap then None
+(* Replay the record at [lba]; returns the lba past it, or None when the
+   chain breaks (torn, stale, out-of-sequence, a frame not at its own
+   address). *)
+let replay_record t ~lba ~expect_seq =
+  let ss = t.dev.B.sector_size and cap = t.dev.B.capacity_sectors in
+  if lba + 3 > cap then None
   else
-    match parse_jheader (read_sectors t ~lba:(t.jstart + off) ~sectors:1) with
+    match parse_jheader (read_sectors t ~lba ~sectors:1) with
     | None -> None
     | Some (seq, psec, chash) ->
-        if seq <> expect_seq || psec < 1 || off + 2 + psec > t.jcap then None
+        if seq <> expect_seq || psec < 1 || lba + 2 + psec > cap then None
         else
-          let payload_raw = read_sectors t ~lba:(t.jstart + off + 1) ~sectors:psec in
-          (match parse_jtrailer (read_sectors t ~lba:(t.jstart + off + 1 + psec) ~sectors:1) with
+          let payload_raw = read_sectors t ~lba:(lba + 1) ~sectors:psec in
+          (match parse_jtrailer (read_sectors t ~lba:(lba + 1 + psec) ~sectors:1) with
           | None -> None
           | Some (tseq, plen, pck) ->
-              if tseq <> seq || plen < 0 || plen > psec * t.dev.B.sector_size then None
+              if tseq <> seq || plen < 0 || plen > psec * ss then None
               else
                 let payload = Bytes.sub_string payload_raw 0 plen in
                 charge t (Uksim.Cost.checksum plen);
@@ -666,26 +669,25 @@ let replay_record t ~off ~expect_seq =
                 else begin
                   (* Checksums hold: decode and apply every frame. *)
                   try
+                    let base = (lba + 1) * ss in
                     let pos = ref 0 in
                     let applied = ref [] in
                     while !pos < plen do
-                      let h, obj, lba, flen, pos' = decode_frame t payload !pos in
-                      if Tree.hash_of_obj obj <> h then raise (Err Ukvfs.Fs.Eio);
-                      applied := (h, obj, lba, flen) :: !applied;
+                      let h, obj, addr, flen, pos' = decode_frame t payload !pos in
+                      if addr <> base + !pos || Tree.hash_of_obj obj <> h then
+                        raise (Err Ukvfs.Fs.Eio);
+                      applied := (h, obj, addr, flen) :: !applied;
                       pos := pos'
                     done;
                     List.iter
-                      (fun (h, obj, lba, flen) ->
+                      (fun (h, obj, addr, flen) ->
                         Hashtbl.replace t.cache h obj;
-                        Hashtbl.replace t.locs h (lba, flen);
-                        Hashtbl.replace t.durable h ();
-                        t.unckpt <- h :: t.unckpt;
-                        if lba + sectors_of t flen > t.data_head then
-                          t.data_head <- lba + sectors_of t flen)
+                        Hashtbl.replace t.locs h (addr, flen);
+                        Hashtbl.replace t.durable h ())
                       (List.rev !applied);
                     t.head <- chash;
                     C.incr t.m.replayed_records;
-                    Some (off + 2 + psec)
+                    Some (lba + 2 + psec)
                   with Err _ -> None
                 end)
 
@@ -697,33 +699,32 @@ let open_ ~clock dev =
         | Error _ -> ()
         | Ok raw -> (
             match parse_slot raw with
-            | Some ((epoch, _, _, _, _, _, _) as s) -> (
+            | Some ((epoch, _, _, _, _, _, pos) as s) when pos >= 2 && pos <= dev.B.capacity_sectors
+              -> (
                 match !best with
                 | Some (e', _, _, _, _, _, _) when e' >= epoch -> ()
                 | _ -> best := Some s)
-            | None -> ())
+            | Some _ | None -> ())
       done;
       match !best with
       | None -> raise (Err Ukvfs.Fs.Einval)
-      | Some (epoch, jcap, hd, hlba, hlen, aseq, dh) ->
+      | Some (epoch, jcap, hd, haddr, hlen, aseq, pos) ->
           let t = mk ~clock dev ~jcap in
           t.epoch <- epoch;
-          t.applied_seq <- aseq;
           t.next_seq <- aseq + 1;
-          t.data_head <- dh;
-          if hd <> null then note_loc t hd hlba hlen;
+          t.slot_pos <- pos;
+          t.log_head <- pos;
+          note_loc t hd haddr hlen;
           t.head <- hd;
-          (* Chain-replay the journal ring from the top. *)
-          let off = ref 0 in
+          (* Chain-replay the log from the slot's position. *)
           let continue = ref true in
           while !continue do
-            match replay_record t ~off:!off ~expect_seq:t.next_seq with
-            | Some off' ->
+            match replay_record t ~lba:t.log_head ~expect_seq:t.next_seq with
+            | Some lba' ->
                 t.next_seq <- t.next_seq + 1;
-                off := off'
+                t.log_head <- lba'
             | None -> continue := false
           done;
-          t.jsector <- !off;
           t.root <- (if t.head = null then null else (commit_of t t.head).Tree.root);
           C.incr t.m.replays;
           t)
@@ -763,23 +764,13 @@ let to_list t =
           | Tree.Node _ | Tree.Commit _ -> raise (Err Ukvfs.Fs.Eio))
         (Tree.to_list t.src t.root))
 
-(* Every journal record is built through here. A full journal ring (or
-   data area) is checkpointed, which frees the ring, and the build is
-   retried once. *)
-let retrying t f =
-  try f ()
-  with Err Ukvfs.Fs.Enospc ->
-    checkpoint_exn t;
-    f ()
-
-let commit_retrying t ~parents ~msg = retrying t (fun () -> commit_with t ~parents ~msg)
 let head_parents t = if t.head = null then [] else [ t.head ]
 
 let commit t ?(msg = "") () =
   guard (fun () ->
-      await_flight t;
+      await_io t;
       if t.head <> null && not (dirty t) then t.head
-      else commit_retrying t ~parents:(head_parents t) ~msg)
+      else commit_with t ~parents:(head_parents t) ~msg)
 
 (* --- group commit -----------------------------------------------------------
 
@@ -788,9 +779,10 @@ let commit t ?(msg = "") () =
    from the working root and submitted. COMMITs that arrive meanwhile
    join the group after it, whose record is built from the working root
    when this one completes. No window, delay or batch size: the device's
-   own latency forms the groups, and each store keeps one request
-   outstanding. [reap] does the building, publishing and answering; it
-   runs in the committer, never in the completion interrupt. *)
+   own latency forms the groups, and each store keeps at most one record
+   and one slot write outstanding. [reap] does the building, publishing
+   and answering; it runs in the committer, never in the completion
+   interrupt. *)
 
 (* Start the joined group: a clean store answers it with the head and a
    failed build with the error; otherwise its record goes to the device. *)
@@ -801,20 +793,14 @@ let start_group t =
   match
     guard (fun () ->
         if t.head <> null && not (dirty t) then None
-        else Some (retrying t (fun () -> build_record t ~parents:(head_parents t) ~msg:"")))
+        else Some (build_record t ~parents:(head_parents t) ~msg:""))
   with
   | Ok None -> settle (Ok t.head)
   | Error e -> settle (Error e)
   | Ok (Some r) ->
-      (* The interrupt is armed only while a record is in flight (the
-         synchronous calls poll). A completion already queued when
-         [submit] returns (a ramdisk, an injected fault) is taken by the
-         [poll_flight] that follows in [reap]. *)
-      t.flight <- Some (r, waiters);
-      t.dev.B.set_completion_handler t.committer;
-      if t.dev.B.submit [| B.Write { lba = r.lba; data = r.data } |] = 0 then begin
-        t.flight <- None;
-        t.dev.B.set_completion_handler None;
+      let req = B.Write { lba = r.lba; data = r.data } in
+      if submit t req then t.flight <- Some (req, r, waiters)
+      else begin
         unassign t r;
         settle (Error Ukvfs.Fs.Eio)
       end
@@ -825,13 +811,13 @@ let commit_group t k =
   t.joined <- k :: t.joined;
   if t.flight = None then Option.iter (fun wake -> wake ()) t.committer
 
-(* Settle the record in flight if its completion is in, answer every
-   settled group, and start the next group while nothing is in flight.
-   Non-blocking; true when it did anything. *)
+(* Settle whatever has completed, answer every settled group, and start
+   the next group while no record is in flight. Non-blocking; true when
+   it answered or started a group. *)
 let reap t =
   let progress = ref false in
   let rec go () =
-    poll_flight t;
+    poll_io t;
     if t.settled <> [] then begin
       let groups = List.rev t.settled in
       t.settled <- [];
@@ -850,12 +836,13 @@ let reap t =
 
 (* [wake] runs the committer (the thread that calls [reap]): from
    [commit_group], and as the device's completion interrupt while a
-   record is in flight. Without one, callers drive [reap] themselves. *)
+   record or a flip is in flight. Without one, callers drive [reap]
+   themselves. *)
 let set_committer t wake = t.committer <- wake
 
 let checkout t h =
   guard (fun () ->
-      await_flight t;
+      await_io t;
       if h = null then begin
         t.head <- null;
         t.root <- null
@@ -869,16 +856,12 @@ let checkout t h =
 let commit_info t h = guard (fun () -> commit_of t h)
 let is_dirty t = guard (fun () -> dirty t)
 
-(* Drop every clean cached object that can be re-read from the medium —
-   the cold-cache lever for recovery and hit-rate experiments. *)
+(* Drop every cached object whose home is on the medium — the
+   cold-cache lever for recovery and hit-rate experiments. *)
 let drop_caches t =
-  let keep = Hashtbl.create 16 in
-  List.iter (fun h -> Hashtbl.replace keep h ()) t.unckpt;
-  Hashtbl.iter
-    (fun h _ ->
-      if Hashtbl.mem t.durable h && Hashtbl.mem t.locs h && not (Hashtbl.mem keep h) then
-        Hashtbl.remove t.cache h)
-    (Hashtbl.copy t.cache)
+  Hashtbl.filter_map_inplace
+    (fun h o -> if Hashtbl.mem t.durable h && Hashtbl.mem t.locs h then None else Some o)
+    t.cache
 
 (* --- merge ------------------------------------------------------------------ *)
 
@@ -930,7 +913,7 @@ let map_of t root =
    commit and the number of conflicts resolved by policy. *)
 let merge t other ?(msg = "merge") () =
   guard (fun () ->
-      await_flight t;
+      await_io t;
       if dirty t then raise (Err Ukvfs.Fs.Einval);
       let ours = t.head in
       if other = ours || is_ancestor t ~anc:other ~desc:ours then (ours, 0)
@@ -982,7 +965,7 @@ let merge t other ?(msg = "merge") () =
         let ch =
           (* A failed merge leaves the store as it found it (clean), so
              it can be retried. *)
-          try commit_retrying t ~parents:[ ours; other ] ~msg
+          try commit_with t ~parents:[ ours; other ] ~msg
           with e ->
             t.root <- root0;
             raise e

@@ -102,7 +102,8 @@ let test_remount_after_checkpoint () =
   let t' = ok (St.open_ ~clock:c dev) in
   Alcotest.(check int) "head from slot" h (St.head t');
   Alcotest.(check int) "no journal replay needed" 0 (replayed ());
-  (* Cold reads come from the data area and verify structural hashes. *)
+  (* Cold reads come from the log by address and verify structural
+     hashes. *)
   Alcotest.(check (option string)) "cold read" (Some "val-49") (ok (St.get t' "key-07"));
   Alcotest.(check int) "cold reads miss the cache" 0 (hits ()) |> ignore;
   Alcotest.(check bool) "misses counted" true (misses () > 0)
@@ -242,8 +243,8 @@ let test_merge_conflict_policy () =
   Alcotest.(check int) "mirror conflict" 1 c2;
   Alcotest.(check (option string)) "same winner either way" (Some winner) (get t2 "k")
 
-(* Merges keep landing on a tiny journal ring: whenever a merge record no
-   longer fits, merge checkpoints and retries, as commit does. *)
+(* Merges keep landing on a tiny replay bound: whenever a merge record
+   takes the log past it, merge flips the root slot, as commit does. *)
 let test_merge_on_full_ring () =
   let _, _, t = fresh ~journal_sectors:12 () in
   let checkpoints = counting "checkpoints" in
@@ -259,7 +260,7 @@ let test_merge_on_full_ring () =
     let _, conflicts = ok (St.merge t side ()) in
     Alcotest.(check int) (Printf.sprintf "merge %d: disjoint edits" i) 0 conflicts
   done;
-  Alcotest.(check bool) "merges wrapped the ring" true (checkpoints () > 0);
+  Alcotest.(check bool) "merges flipped the root slot" true (checkpoints () > 0);
   Alcotest.(check (option string)) "first side edit merged" (Some (String.make 100 's'))
     (get t "side-01");
   Alcotest.(check (option string)) "last main edit kept" (Some (String.make 100 'm'))
@@ -335,16 +336,11 @@ let checkpoint_history t =
 
 let sectors_written (dev : B.t) = (dev.B.stats ()).B.sectors_written
 
+(* A checkpoint's one write is the root slot, so there is no run of
+   frames to tear. The device dies before that sector and after it;
+   either way the head and every key survive, replayed from the log or
+   read cold through the new slot. *)
 let test_crash_during_checkpoint () =
-  (* The checkpoint's data-area run, measured on a twin store with the
-     same history: its sectors less the root slot's one. *)
-  let run_sectors =
-    let _, dev, twin = fresh () in
-    checkpoint_history twin;
-    let before = sectors_written dev in
-    ok (St.checkpoint twin);
-    sectors_written dev - before - 1
-  in
   let c = clock () in
   let inner = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
   let rng = Uksim.Rng.create 7 in
@@ -353,35 +349,41 @@ let test_crash_during_checkpoint () =
   let t = ok (St.format ~clock:c ~journal_sectors:64 dev) in
   checkpoint_history t;
   let head = St.head t in
-  (* Kill the device at every sector of checkpoint's data-area write, at
-     the root slot, and past it: the journal is already durable, so
-     nothing may be lost. *)
-  let torn = ref 0 in
-  for arm = 0 to run_sectors + 1 do
-    Fb.crash_after_writes fb arm;
-    let before = sectors_written inner in
-    let r = St.checkpoint t in
-    Fb.revive fb;
-    let persisted = sectors_written inner - before in
-    if Result.is_error r && persisted > 0 && persisted < run_sectors then incr torn;
-    let t' = ok (St.open_ ~clock:c inner) in
-    Alcotest.(check int)
-      (Printf.sprintf "ckpt arm=%d: head survives" arm)
-      head (St.head t');
-    for i = 1 to 8 do
-      Alcotest.(check (option string))
-        (Printf.sprintf "ckpt arm=%d: k%d survives" arm i)
-        (Some (String.make 600 (Char.chr (64 + i))))
-        (ok (St.get t' (Printf.sprintf "k%d" i)))
-    done
-  done;
-  Alcotest.(check bool) "some arm tore the run partway" true (!torn > 0)
+  List.iter
+    (fun arm ->
+      Fb.crash_after_writes fb arm;
+      let before = sectors_written inner in
+      let r = St.checkpoint t in
+      Fb.revive fb;
+      Alcotest.(check int) (Printf.sprintf "ckpt arm=%d: sectors persisted" arm) arm
+        (sectors_written inner - before);
+      Alcotest.(check bool) (Printf.sprintf "ckpt arm=%d: Ok iff the slot landed" arm) (arm = 1)
+        (Result.is_ok r);
+      let replayed = counting "replayed_records" in
+      let t' = ok (St.open_ ~clock:c inner) in
+      Alcotest.(check int)
+        (Printf.sprintf "ckpt arm=%d: records replayed" arm)
+        (if arm = 0 then 8 else 0)
+        (replayed ());
+      Alcotest.(check int)
+        (Printf.sprintf "ckpt arm=%d: head survives" arm)
+        head (St.head t');
+      for i = 1 to 8 do
+        Alcotest.(check (option string))
+          (Printf.sprintf "ckpt arm=%d: k%d survives" arm i)
+          (Some (String.make 600 (Char.chr (64 + i))))
+          (ok (St.get t' (Printf.sprintf "k%d" i)))
+      done)
+    [ 0; 1 ]
 
-(* Commits hand out data-area homes consecutively, so a checkpoint is
-   one run of abutting frames: one device write, plus the root slot,
-   however many commits it folds. *)
-let test_checkpoint_one_write_per_run () =
+(* An object's home is its frame inside the record that made it durable,
+   so a checkpoint writes the root slot and nothing else, however many
+   commits it folds. Values of 1-1,500 bytes make frames straddle
+   sector boundaries, and cold reads fetch each one from its byte
+   address. *)
+let test_checkpoint_is_one_slot_write () =
   let value i = String.make (1 + (i * 277 mod 1500)) (Char.chr (97 + (i mod 26))) in
+  let straddling = ref 0 in
   List.iter
     (fun n ->
       let c, dev, t = fresh ~journal_sectors:256 () in
@@ -390,13 +392,16 @@ let test_checkpoint_one_write_per_run () =
         set t (Printf.sprintf "key-%d" i) (value i);
         ignore (commit t)
       done;
-      Alcotest.(check int) (Printf.sprintf "n=%d: ring never wrapped" n) 0 (checkpoints ());
-      let writes () = (dev.B.stats ()).B.writes in
-      let before = writes () in
+      Alcotest.(check int) (Printf.sprintf "n=%d: no flip before the checkpoint" n) 0
+        (checkpoints ());
+      let stats () = dev.B.stats () in
+      let before = stats () in
       ok (St.checkpoint t);
-      Alcotest.(check int) (Printf.sprintf "n=%d: run + slot" n) 2 (writes () - before);
-      (* Cold reads decode and hash-verify each frame at its offset
-         inside the run. *)
+      Alcotest.(check int) (Printf.sprintf "n=%d: one write" n) 1
+        ((stats ()).B.writes - before.B.writes);
+      Alcotest.(check int) (Printf.sprintf "n=%d: of one sector" n) 1
+        ((stats ()).B.sectors_written - before.B.sectors_written);
+      Alcotest.(check int) (Printf.sprintf "n=%d: one flip" n) 1 (checkpoints ());
       let replayed = counting "replayed_records" in
       let t' = ok (St.open_ ~clock:c dev) in
       Alcotest.(check int) (Printf.sprintf "n=%d: no replay" n) 0 (replayed ());
@@ -405,8 +410,13 @@ let test_checkpoint_one_write_per_run () =
           (Printf.sprintf "n=%d: key-%d cold" n i)
           (Some (value i))
           (ok (St.get t' (Printf.sprintf "key-%d" i)))
-      done)
-    [ 1; 5; 16 ]
+      done;
+      let ss = dev.B.sector_size in
+      Hashtbl.iter
+        (fun _ (addr, len) -> if addr / ss <> (addr + len - 1) / ss then incr straddling)
+        t'.St.locs)
+    [ 1; 5; 16 ];
+  Alcotest.(check bool) "some cold frames straddle sectors" true (!straddling > 0)
 
 let read_sectors (dev : B.t) ~lba ~sectors =
   match dev.B.read_sync ~lba ~sectors with
@@ -419,31 +429,29 @@ let write_sectors (dev : B.t) ~lba b =
   | Error _ -> Alcotest.failf "write at lba %d failed" lba
 
 (* A frame whose length field reads negative is corrupt input. A cold
-   read of it reports Eio, and journal replay ends at the record holding
-   it, as at a torn record; neither raises. The blob comes first in a
-   commit's post-order, so its frame opens both the data area and the
-   record's payload. *)
+   read of it reports Eio, and replay ends at the record holding it, as
+   at a torn record; neither raises. Record 1 opens the log at lba 2,
+   its payload at lba 3, and the blob comes first in a commit's
+   post-order, so its frame opens the payload. *)
 let test_negative_frame_length () =
-  let journal_sectors = 16 in
   let corrupt sec =
     Alcotest.(check char) "blob frame" 'b' (Bytes.get sec 19);
     Bytes.blit_string "-0000001" 0 sec 21 8
   in
-  (* In the data area, just past the two root slots and the ring. *)
-  let c, dev, t = fresh ~journal_sectors () in
+  (* Past the checkpoint, where only a cold read decodes it. *)
+  let c, dev, t = fresh () in
   set t "k" "v";
   ignore (commit t);
   ok (St.checkpoint t);
-  let lba = 2 + journal_sectors in
-  let sec = read_sectors dev ~lba ~sectors:1 in
+  let sec = read_sectors dev ~lba:3 ~sectors:1 in
   corrupt sec;
-  write_sectors dev ~lba sec;
+  write_sectors dev ~lba:3 sec;
   let t' = ok (St.open_ ~clock:c dev) in
   Alcotest.(check bool) "cold read is Eio" true (St.get t' "k" = Error Ukvfs.Fs.Eio);
-  (* In the journal, where record 1 opens the ring at lba 2. Its trailer
-     is re-sealed over the corrupted payload, so only the frame decoder
-     can reject it. *)
-  let c, dev, t = fresh ~journal_sectors () in
+  (* Before any checkpoint, where replay decodes it. Its trailer is
+     re-sealed over the corrupted payload, so only the frame decoder can
+     reject it. *)
+  let c, dev, t = fresh () in
   set t "k" "v";
   ignore (commit t);
   let header = Bytes.to_string (read_sectors dev ~lba:2 ~sectors:1) in
@@ -481,10 +489,10 @@ let test_recovery_is_deterministic () =
   Alcotest.(check bool) "same content" true (ok (St.to_list t1) = ok (St.to_list t2));
   Alcotest.(check int) "same root hash" (St.content_hash t1) (St.content_hash t2)
 
-(* --- journal ring / checkpoint pressure ------------------------------------ *)
+(* --- replay bound / checkpoint pressure ------------------------------------ *)
 
 let test_journal_ring_wraps_via_checkpoint () =
-  (* A tiny journal forces the Enospc → checkpoint → retry path. *)
+  (* A tiny replay bound makes commits flip the root slot as they go. *)
   let _, _, t = fresh ~journal_sectors:12 () in
   let commits = counting "commits" and checkpoints = counting "checkpoints" in
   for i = 1 to 40 do
@@ -824,6 +832,10 @@ let pipeline_arb =
            ops))
     QCheck.Gen.(list_size (int_range 1 40) op_gen)
 
+(* Cases in which a flip landed. The property runs at the smallest
+   replay bound, so every publish starts a flip beside the next record. *)
+let flipped_cases = ref 0
+
 let prop_group_crash_loses_no_ack =
   QCheck.Test.make ~name:"group commit loses no acked COMMIT at any crash point" ~count:60
     pipeline_arb (fun ops ->
@@ -831,7 +843,8 @@ let prop_group_crash_loses_no_ack =
       let engine = Uksim.Engine.create c in
       let inner = Ukblock.Virtio_blk.create ~clock:c ~engine ~capacity_sectors:16384 () in
       let fb = Fb.wrap ~clock:c ~rng:(Uksim.Rng.create 5) ~plan:(Fb.plan ()) inner in
-      let t = ok (St.format ~clock:c ~journal_sectors:32 (Fb.dev fb)) in
+      let t = ok (St.format ~clock:c ~journal_sectors:3 (Fb.dev fb)) in
+      let flips = counting "checkpoints" in
       (* model.(k): every value SET for key k, newest first. *)
       let model = Array.make 8 [] in
       let last_ack = ref None in
@@ -855,6 +868,7 @@ let prop_group_crash_loses_no_ack =
         ops;
       tick ();
       tick ();
+      if flips () > 0 then incr flipped_cases;
       Fb.revive fb;
       match St.open_ ~clock:c inner with
       | Error _ -> false
@@ -874,6 +888,218 @@ let prop_group_crash_loses_no_ack =
                      | Ok (Some v) -> n = 0 || List.mem v allowed
                      | Error _ -> false)
                    seen)))
+
+let test_group_crash_property () =
+  flipped_cases := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0x6c0 |]) prop_group_crash_loses_no_ack;
+  Alcotest.(check bool)
+    (Printf.sprintf "most cases flip mid-pipeline (%d of 60)" !flipped_cases)
+    true
+    (!flipped_cases > 30)
+
+(* --- flips beside records -------------------------------------------------------- *)
+
+(* A device whose completions the test releases by hand: a write
+   persists at submit (a crash budget counts sectors in submit order),
+   but the store sees it complete only once [release] lets it through,
+   so a record and a slot write can be outstanding together. *)
+let held (dev : B.t) =
+  let allowed = ref 0 in
+  let poll_completions ~max =
+    let cs = dev.B.poll_completions ~max:(min max !allowed) in
+    allowed := !allowed - List.length cs;
+    cs
+  in
+  ({ dev with B.poll_completions }, fun n -> allowed := n)
+
+(* Record A completes and its publish starts flip A; group B, joined
+   while A was in flight, goes out before flip A completes. The device
+   dies at every sector of A, flip A, B and flip B: whatever was acked
+   survives. Returns (A acked, B acked, flip A landed, both were
+   outstanding). *)
+let flip_crash_case arm =
+  let c = clock () in
+  let inner = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
+  let fb = Fb.wrap ~clock:c ~rng:(Uksim.Rng.create 7) ~plan:(Fb.plan ()) inner in
+  let dev, release = held (Fb.dev fb) in
+  let t = ok (St.format ~clock:c ~journal_sectors:3 dev) in
+  release max_int;
+  set t "base" "b";
+  ignore (commit t);
+  release 0;
+  Fb.crash_after_writes fb arm;
+  let flips = counting "checkpoints" in
+  let join keys =
+    List.iter (fun k -> set t k (k ^ "-value")) keys;
+    let ws = List.init 2 (fun _ -> waiter ()) in
+    List.iter (fun (k, _) -> St.commit_group t k) ws;
+    ws
+  in
+  let a = join [ "a1"; "a2" ] in
+  ignore (St.reap t);
+  let b = join [ "b1"; "b2"; "b3" ] in
+  release 1;
+  ignore (St.reap t);
+  let both = t.St.flip <> None && t.St.flight <> None in
+  release 1;
+  ignore (St.reap t);
+  let flip_a = flips () > 0 in
+  release 2;
+  ignore (St.reap t);
+  Fb.revive fb;
+  let outcome ws = List.map (fun (_, got) -> Option.get !got) ws in
+  let t' = ok (St.open_ ~clock:c inner) in
+  let acked rs keys =
+    match rs with
+    | Ok h :: _ ->
+        Alcotest.(check bool) (Printf.sprintf "arm=%d: head at or past the ack" arm) true
+          (St.head t' = h || St.is_ancestor t' ~anc:h ~desc:(St.head t'));
+        List.iter
+          (fun k ->
+            Alcotest.(check (option string)) (Printf.sprintf "arm=%d: %s survives" arm k)
+              (Some (k ^ "-value")) (ok (St.get t' k)))
+          keys;
+        true
+    | _ -> false
+  in
+  let a_ok = acked (outcome a) [ "a1"; "a2" ] in
+  let b_ok = acked (outcome b) [ "a1"; "a2"; "b1"; "b2"; "b3" ] in
+  Alcotest.(check (option string)) (Printf.sprintf "arm=%d: history intact" arm) (Some "b")
+    (ok (St.get t' "base"));
+  (a_ok, b_ok, flip_a, both)
+
+let test_flip_crash_matrix () =
+  let rec sweep arm ~torn_beside_flip ~outstanding =
+    let a_ok, b_ok, flip_a, both = flip_crash_case arm in
+    let torn_beside_flip = torn_beside_flip || (a_ok && flip_a && not b_ok) in
+    let outstanding = outstanding || both in
+    if a_ok && b_ok then (arm, torn_beside_flip, outstanding)
+    else sweep (arm + 1) ~torn_beside_flip ~outstanding
+  in
+  let arms, torn_beside_flip, outstanding = sweep 0 ~torn_beside_flip:false ~outstanding:false in
+  Alcotest.(check bool) "a record and a flip were outstanding together" true outstanding;
+  Alcotest.(check bool) "some arm tore record B after flip A landed" true torn_beside_flip;
+  Alcotest.(check bool) "the sweep crossed both records" true (arms >= 6)
+
+(* The served store over virtio-blk at the smallest replay bound: a flip
+   goes out beside most records, and every COMMIT is still answered. *)
+let test_served_flips_beside_records () =
+  let c = clock () in
+  let engine = Uksim.Engine.create c in
+  let dev = Ukblock.Virtio_blk.create ~clock:c ~engine ~capacity_sectors:16384 () in
+  let t = ok (St.format ~clock:c ~journal_sectors:3 dev) in
+  let records = counting "journal_records" and flips = counting "checkpoints" in
+  let answered = ref 0 in
+  let clients = 8 and rounds = 10 in
+  serve_store ~clock:c ~engine t
+    (List.init clients (fun i (rpc : rpc) ->
+         for r = 0 to rounds - 1 do
+           match rpc [ Printf.sprintf "SET c%d-%d v%d" i r r; "COMMIT" ] with
+           | [ _; reply ] when status reply = "OK" -> incr answered
+           | _ -> ()
+         done));
+  Alcotest.(check int) "every COMMIT answered OK" (clients * rounds) !answered;
+  Alcotest.(check bool)
+    (Printf.sprintf "a flip beside most records (%d flips, %d records)" (flips ()) (records ()))
+    true
+    (2 * flips () > records ());
+  let t' = ok (St.open_ ~clock:c dev) in
+  for i = 0 to clients - 1 do
+    Alcotest.(check (option string)) "durable" (Some "v9")
+      (ok (St.get t' (Printf.sprintf "c%d-9" i)))
+  done
+
+(* --- hostile bytes ------------------------------------------------------------------ *)
+
+(* A committed image with both kinds of record: some folded by a
+   checkpoint, so cold reads navigate them by address, and some after
+   it, which mount replays. Returns its bytes and its sectors. *)
+let hostile_image =
+  lazy
+    (let _, dev, t = fresh ~capacity_sectors:256 () in
+     for i = 1 to 12 do
+       set t (Printf.sprintf "key-%02d" i) (String.make (i * 37) (Char.chr (96 + i)));
+       if i mod 3 = 0 then ignore (commit ~msg:(Printf.sprintf "c%d" i) t);
+       if i = 6 then ok (St.checkpoint t)
+     done;
+     let used = t.St.log_head in
+     (read_sectors dev ~lba:0 ~sectors:used, used))
+
+(* Random byte overwrites of that image: slots, headers, payloads and
+   trailers alike, biased to each sector's first line. *)
+let flips_arb =
+  QCheck.make
+    ~print:(fun fl ->
+      String.concat " " (List.map (fun (s, o, b) -> Printf.sprintf "%d:%d=%02x" s o b) fl))
+    QCheck.Gen.(
+      list_size (int_range 1 4)
+        (triple (int_bound 10_000) (oneof [ int_bound 80; int_bound 511 ]) (int_bound 255)))
+
+let prop_mount_total =
+  QCheck.Test.make ~name:"mount and reads never raise on hostile bytes" ~count:300 flips_arb
+    (fun fl ->
+      let image, used = Lazy.force hostile_image in
+      let c = clock () in
+      let dev = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:256 () in
+      let img = Bytes.copy image in
+      List.iter
+        (fun (s, o, b) -> Bytes.set img ((s mod used * dev.B.sector_size) + o) (Char.chr b))
+        fl;
+      write_sectors dev ~lba:0 img;
+      try
+        (match St.open_ ~clock:c dev with
+        | Error _ -> ()
+        | Ok t ->
+            for i = 1 to 12 do
+              ignore (St.get t (Printf.sprintf "key-%02d" i))
+            done;
+            ignore (St.to_list t);
+            ignore (St.commit_info t (St.head t)));
+        true
+      with e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* --- space ---------------------------------------------------------------------------- *)
+
+(* Each object is written once, in the record that made it durable, so
+   the log fills only as fast as records are written. *)
+let test_space () =
+  let _, _, t = fresh ~journal_sectors:256 ~capacity_sectors:16384 () in
+  let rng = Uksim.Rng.create 19 in
+  for i = 1 to 500 do
+    for _ = 1 to 16 do
+      set t
+        (Printf.sprintf "key%04d" (Uksim.Rng.int rng 1024))
+        (Printf.sprintf "value-%d" (Uksim.Rng.int rng 1_000_000))
+    done;
+    match St.commit t () with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "commit %d: %s" i (Ukvfs.Fs.errno_to_string e)
+  done
+
+(* Frames carry their own byte address in a fixed-width field of 8 hex
+   digits. Past 99,999,999, where 8 decimal digits would overflow it
+   (~195k sectors), it still round-trips, and [format] refuses a device
+   whose last byte address would not fit. *)
+let test_frame_address_width () =
+  let c, dev, t = fresh () in
+  let o = Tr.Blob "v" in
+  let h = Tr.hash_of_obj o in
+  List.iter
+    (fun addr ->
+      let frame = St.encode_frame t h o ~addr in
+      Alcotest.(check int) (Printf.sprintf "%d: fixed-width header" addr) (St.frame_header + 1)
+        (String.length frame);
+      let h', o', addr', flen, _ = St.decode_frame t frame 0 in
+      Alcotest.(check bool) (Printf.sprintf "%d: same object" addr) true (h' = h && o' = o);
+      Alcotest.(check int) (Printf.sprintf "%d: own address" addr) addr addr';
+      Alcotest.(check int) (Printf.sprintf "%d: frame length" addr) (String.length frame) flen)
+    [ 99_999_999; 100_000_000; St.max_addr ];
+  let sized n = { dev with B.capacity_sectors = n } in
+  let last = (St.max_addr + 1) / dev.B.sector_size in
+  Alcotest.(check bool) "largest device formats" true
+    (Result.is_ok (St.format ~clock:c (sized last)));
+  Alcotest.(check bool) "one sector more is Einval" true
+    (St.format ~clock:c (sized (last + 1)) = Error Ukvfs.Fs.Einval)
 
 (* --- RESP persistence -------------------------------------------------------- *)
 
@@ -972,7 +1198,7 @@ let suite =
     ("crash matrix", `Quick, test_crash_matrix);
     ("crash on first commit", `Quick, test_crash_on_first_commit);
     ("crash during checkpoint", `Quick, test_crash_during_checkpoint);
-    ("checkpoint writes one request per run", `Quick, test_checkpoint_one_write_per_run);
+    ("checkpoint is one slot write", `Quick, test_checkpoint_is_one_slot_write);
     ("negative frame length is Eio", `Quick, test_negative_frame_length);
     ("recovery deterministic", `Quick, test_recovery_is_deterministic);
     ("journal ring wraps", `Quick, test_journal_ring_wraps_via_checkpoint);
@@ -983,8 +1209,12 @@ let suite =
     ("cache miss during an in-flight record", `Quick, test_cache_miss_during_flight);
     ("group commit under I/O errors", `Quick, test_group_io_error);
     ("group commit crash matrix", `Quick, test_group_crash_matrix);
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x6c0 |])
-      prop_group_crash_loses_no_ack;
+    ("group commit loses no acked COMMIT at any crash point", `Quick, test_group_crash_property);
+    ("crash matrix with a flip in flight", `Quick, test_flip_crash_matrix);
+    ("served store with flips beside records", `Quick, test_served_flips_beside_records);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mount_total;
+    ("500 commits fit a 16k-sector device", `Quick, test_space);
+    ("frame address width", `Quick, test_frame_address_width);
     ("RESP persist restart+replay", `Quick, test_resp_persist_restart_replay);
     ("trace source", `Quick, test_trace_source_registered);
   ]
