@@ -36,7 +36,7 @@ let abl_batch =
               if accepted = 0 then Uksim.Clock.advance clock 2000 else sent := !sent + accepted
             done;
             Uksim.Engine.run engine;
-            let gbps = float_of_int (Wire.rx_bytes wb * 8) /. Uksim.Clock.ns clock in
+            let gbps = float_of_int (Uktrace.Source.count (Wire.source wb) "rx_bytes" * 8) /. Uksim.Clock.ns clock in
             row "%-8d %14.2f\n" batch gbps)
           [ 1; 4; 8; 16; 32; 64 ]);
   }
@@ -81,7 +81,7 @@ let abl_netmode =
             incr polls;
             received := !received + List.length (dev.Nd.rx_burst ~qid:0 ~max:64)
           done;
-          (!polls, !woken, (dev.Nd.stats ()).Nd.rx_irqs)
+          (!polls, !woken, Uktrace.Source.count dev.Nd.source "rx_irqs")
         in
         let p_polls, _, _ = run_mode Nd.Polling in
         let i_polls, _, irqs = run_mode Nd.Interrupt_driven in

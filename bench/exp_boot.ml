@@ -57,7 +57,7 @@ let min_memory_mb ~app ~alloc ~workload =
         | Error _ -> false
         | Ok env -> (
             match workload env with
-            | () -> (env.Vm.alloc.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.failed = 0
+            | () -> Uktrace.Source.count env.Vm.alloc.Ukalloc.Alloc.source "failed" = 0
             | exception _ -> false))
   in
   let rec scan m = if m > 64 then m else if works m then m else scan (m + 1) in

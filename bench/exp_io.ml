@@ -33,7 +33,7 @@ let tx_throughput ~backend ~size ~frames ?(extra_pkt_cost = 0) () =
   done;
   Uksim.Engine.run engine;
   let elapsed_ns = Uksim.Clock.ns clock in
-  let bits = float_of_int (Wire.rx_bytes wb * 8) in
+  let bits = float_of_int (Uktrace.Source.count (Wire.source wb) "rx_bytes" * 8) in
   bits /. elapsed_ns (* Gb/s: bits per ns *)
 
 let fig19 =

@@ -113,11 +113,14 @@ let recover_at depth =
     ignore (oke (St.set t (Printf.sprintf "base%03d" i) (String.make 24 'b')))
   done;
   ignore (oke (St.commit t ~msg:"base" ()));
-  let before = dev.Ukblock.Blockdev.stats () in
+  let written () =
+    let count = Uktrace.Source.count dev.Ukblock.Blockdev.source in
+    (count "writes", count "sectors_written")
+  in
+  let writes0, sectors0 = written () in
   oke (St.checkpoint t);
-  let after = dev.Ukblock.Blockdev.stats () in
-  let ckpt_writes = after.writes - before.writes
-  and ckpt_sectors = after.sectors_written - before.sectors_written in
+  let writes1, sectors1 = written () in
+  let ckpt_writes = writes1 - writes0 and ckpt_sectors = sectors1 - sectors0 in
   for i = 1 to depth do
     ignore (oke (St.set t (Printf.sprintf "j%04d" i) (Printf.sprintf "v%d" i)));
     ignore (oke (St.commit t ()))
@@ -221,7 +224,8 @@ let run_space () =
   in
   let commits = fill 0 in
   let per_commit =
-    float_of_int (dev.Ukblock.Blockdev.stats ()).sectors_written /. float_of_int commits
+    float_of_int (Uktrace.Source.count dev.Ukblock.Blockdev.source "sectors_written")
+    /. float_of_int commits
   in
   row "  %d commits until ENOSPC, %.1f device sectors written per commit\n" commits per_commit;
   Bench.emit_i "store_commits_to_enospc" commits;

@@ -70,7 +70,7 @@ let () =
   let ss = Uknetstack.Stack.source (Option.get env.Vm.stack) in
   Format.printf "server stack: %d frames in, %d tcp segments, %d dropped@."
     (count ss "rx_eth") (count ss "rx_tcp") (count ss "rx_drop");
-  let st = env.Vm.alloc.Ukalloc.Alloc.stats () in
+  let a = env.Vm.alloc.Ukalloc.Alloc.source in
   Format.printf "allocator (%s): %d allocs / %d frees, peak %a@."
-    env.Vm.alloc.Ukalloc.Alloc.name st.Ukalloc.Alloc.allocs st.Ukalloc.Alloc.frees
-    Uksim.Units.pp_bytes st.Ukalloc.Alloc.peak_bytes
+    env.Vm.alloc.Ukalloc.Alloc.name (count a "allocs") (count a "frees")
+    Uksim.Units.pp_bytes (int_of_float (Uktrace.Source.level a "peak_bytes"))

@@ -1,12 +1,3 @@
-type stats = {
-  allocs : int;
-  frees : int;
-  failed : int;
-  bytes_in_use : int;
-  peak_bytes : int;
-  metadata_bytes : int;
-}
-
 type t = {
   name : string;
   malloc : int -> int option;
@@ -15,7 +6,7 @@ type t = {
   free : int -> unit;
   realloc : int -> int -> int option;
   availmem : unit -> int;
-  stats : unit -> stats;
+  source : Uktrace.Source.t;
 }
 
 let uk_malloc a size = a.malloc size
@@ -23,9 +14,6 @@ let uk_calloc a n size = a.calloc n size
 let uk_free a addr = a.free addr
 let uk_memalign a ~align size = a.memalign ~align size
 let uk_realloc a addr size = a.realloc addr size
-
-let zero_stats =
-  { allocs = 0; frees = 0; failed = 0; bytes_in_use = 0; peak_bytes = 0; metadata_bytes = 0 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
@@ -42,19 +30,51 @@ let log2_ceil n =
   let f = log2_floor n in
   if 1 lsl f = n then f else f + 1
 
-let source_of (a : t) =
-  Uktrace.Source.make ~subsystem:"ukalloc" ~name:a.name (fun () ->
-      let s = a.stats () in
-      [
-        ("allocs", Uktrace.Metric.Count s.allocs);
-        ("frees", Uktrace.Metric.Count s.frees);
-        ("failed", Uktrace.Metric.Count s.failed);
-        ("bytes_in_use", Uktrace.Metric.Level (float_of_int s.bytes_in_use));
-        ("peak_bytes", Uktrace.Metric.Level (float_of_int s.peak_bytes));
-        ("metadata_bytes", Uktrace.Metric.Level (float_of_int s.metadata_bytes));
-      ])
+module Counts = struct
+  type t = {
+    mutable allocs : int;
+    mutable frees : int;
+    mutable failed : int;
+    mutable in_use : int;
+    mutable peak : int;
+  }
 
-let register_source a = Uktrace.Registry.register (source_of a)
+  let create () = { allocs = 0; frees = 0; failed = 0; in_use = 0; peak = 0 }
+
+  let alloc c bytes =
+    c.allocs <- c.allocs + 1;
+    c.in_use <- c.in_use + bytes;
+    if c.in_use > c.peak then c.peak <- c.in_use
+
+  let free c bytes =
+    c.frees <- c.frees + 1;
+    c.in_use <- c.in_use - bytes
+
+  let failed c = c.failed <- c.failed + 1
+end
+
+let backend ~name ?(metadata = fun () -> 0) ~memalign ~free ~realloc ~availmem (c : Counts.t) =
+  let malloc size = memalign ~align:16 size in
+  let level n = Uktrace.Metric.Level (float_of_int n) in
+  {
+    name;
+    malloc;
+    calloc = (fun n size -> if n <= 0 || size <= 0 then None else malloc (n * size));
+    memalign;
+    free;
+    realloc;
+    availmem;
+    source =
+      Uktrace.Source.make ~subsystem:"ukalloc" ~name (fun () ->
+          [
+            ("allocs", Uktrace.Metric.Count c.allocs);
+            ("frees", Uktrace.Metric.Count c.frees);
+            ("failed", Uktrace.Metric.Count c.failed);
+            ("bytes_in_use", level c.in_use);
+            ("peak_bytes", level c.peak);
+            ("metadata_bytes", level (metadata ()));
+          ]);
+  }
 
 let traced ~clock (a : t) =
   let sp name f = Uktrace.Tracer.span Uktrace.Tracer.default clock ~cat:"ukalloc" name f in
@@ -79,7 +99,7 @@ module Registry = struct
   let register t (a : allocator) =
     if List.exists (fun (x : allocator) -> String.equal x.name a.name) t.order then
       invalid_arg (Printf.sprintf "Alloc.Registry.register: duplicate allocator %s" a.name);
-    register_source a;
+    Uktrace.Registry.register a.source;
     t.order <- a :: t.order
 
   let all t = List.rev t.order

@@ -11,15 +11,6 @@
     backends charge their work to the {!Uksim.Clock.t} they were initialized
     with, so allocation behaviour shows up in virtual-time measurements. *)
 
-type stats = {
-  allocs : int;        (** successful malloc/calloc/memalign calls *)
-  frees : int;
-  failed : int;        (** out-of-memory failures *)
-  bytes_in_use : int;  (** live payload bytes *)
-  peak_bytes : int;
-  metadata_bytes : int;(** current allocator-metadata overhead *)
-}
-
 type t = {
   name : string;
   malloc : int -> int option;
@@ -28,7 +19,14 @@ type t = {
   free : int -> unit;
   realloc : int -> int -> int option;
   availmem : unit -> int;  (** free bytes remaining (approximate for some backends) *)
-  stats : unit -> stats;
+  source : Uktrace.Source.t;
+      (** The allocator's counters, read with {!Uktrace.Source.count} and
+          {!Uktrace.Source.level}. A backend's source is ["ukalloc.<name>"]
+          (see {!backend}); {!Percore} views share their arena's
+          ["ukalloc.percore"]. Wrappers built with [{ a with ... }] share
+          the wrapped allocator's source, so nothing is counted twice. It
+          joins the {!Uktrace.Registry} with the allocator's {!Registry}
+          registration. *)
 }
 
 val uk_malloc : t -> int -> int option
@@ -39,8 +37,6 @@ val uk_free : t -> int -> unit
 val uk_memalign : t -> align:int -> int -> int option
 val uk_realloc : t -> int -> int -> int option
 
-val zero_stats : stats
-
 val is_power_of_two : int -> bool
 val round_up : int -> int -> int
 (** [round_up n align] rounds [n] up to a multiple of [align] (a power of
@@ -49,19 +45,42 @@ val round_up : int -> int -> int
 val log2_ceil : int -> int
 val log2_floor : int -> int
 
-(** {1 Observability}
+(** {1 Backends} *)
 
-    Stats are exposed to harnesses through the {!Uktrace.Registry}, not by
-    reaching for the [stats] record directly: every allocator registered
-    with {!Registry.register} (the ukboot path) is mirrored as a
-    ["ukalloc.<name>"] source automatically. *)
+(** The counting every backend shares. Each backend passes the bytes it
+    accounts for: the requested size, or the block size where it keeps no
+    request size. *)
+module Counts : sig
+  type t
 
-val source_of : t -> Uktrace.Source.t
-(** The allocator's stats as a registry source (samples mirror {!stats}). *)
+  val create : unit -> t
 
-val register_source : t -> unit
-(** [Uktrace.Registry.register (source_of a)] — for allocators created
-    outside the boot registry. *)
+  val alloc : t -> int -> unit
+  (** One successful allocation of that many bytes. *)
+
+  val free : t -> int -> unit
+  (** One free, releasing that many bytes (0 for a region allocator that
+      never reclaims). *)
+
+  val failed : t -> unit
+  (** One out-of-memory failure. *)
+end
+
+val backend :
+  name:string ->
+  ?metadata:(unit -> int) ->
+  memalign:(align:int -> int -> int option) ->
+  free:(int -> unit) ->
+  realloc:(int -> int -> int option) ->
+  availmem:(unit -> int) ->
+  Counts.t ->
+  t
+(** A backend's record. [malloc] is [memalign ~align:16], [calloc n size]
+    is [None] unless both are positive and otherwise mallocs [n * size],
+    and [source] is ["ukalloc.<name>"]: counts [allocs] (successful
+    malloc/calloc/memalign calls), [frees] and [failed] (out-of-memory
+    failures); levels [bytes_in_use], [peak_bytes] and [metadata_bytes]
+    ([metadata ()] at snapshot time, default 0). *)
 
 val traced : clock:Uksim.Clock.t -> t -> t
 (** Wrap every operation in a ["ukalloc"] tracepoint span timed on
@@ -80,8 +99,9 @@ module Registry : sig
   val create : unit -> t
 
   val register : t -> allocator -> unit
-  (** First registered allocator becomes the default. Raises
-      [Invalid_argument] on duplicate allocator names. *)
+  (** First registered allocator becomes the default. The allocator's
+      [source] joins the {!Uktrace.Registry}. Raises [Invalid_argument]
+      on duplicate allocator names. *)
 
   val default : t -> allocator option
   val find : t -> string -> allocator option

@@ -99,6 +99,7 @@ let wrap ~clock ?(redzone = 32) ?(quarantine = 64) inner_alloc =
       checks = 0;
       checked =
         {
+          inner_alloc with
           Alloc.name = inner_alloc.Alloc.name ^ "+asan";
           malloc = (fun size -> asan_malloc t size);
           calloc = (fun n size -> if n <= 0 || size <= 0 then None else asan_malloc t (n * size));
@@ -117,8 +118,6 @@ let wrap ~clock ?(redzone = 32) ?(quarantine = 64) inner_alloc =
                         Uksim.Clock.advance clock (Uksim.Cost.memcpy (min r.size size));
                         asan_free t addr;
                         Some naddr));
-          availmem = inner_alloc.Alloc.availmem;
-          stats = inner_alloc.Alloc.stats;
         };
     }
   and asan_malloc t size =

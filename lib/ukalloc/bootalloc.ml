@@ -7,53 +7,39 @@ let create ~clock ~base ~len =
   Uksim.Clock.advance clock init_cost;
   let cursor = ref base in
   let limit = base + len in
-  let st = ref Alloc.zero_stats in
-  let bump inc f =
-    st := { !st with bytes_in_use = !st.bytes_in_use + inc };
-    if !st.bytes_in_use > !st.peak_bytes then st := { !st with peak_bytes = !st.bytes_in_use };
-    st := f !st
-  in
+  let counts = Alloc.Counts.create () in
   let memalign ~align size =
     Uksim.Clock.advance clock op_cost;
     if size <= 0 || not (Alloc.is_power_of_two align) then None
     else begin
       let addr = Alloc.round_up !cursor align in
       if addr + size > limit then begin
-        st := { !st with failed = !st.failed + 1 };
+        Alloc.Counts.failed counts;
         None
       end
       else begin
         cursor := addr + size;
-        bump size (fun s -> { s with allocs = s.allocs + 1 });
+        Alloc.Counts.alloc counts size;
         Some addr
       end
     end
   in
-  let malloc size = memalign ~align:16 size in
-  let calloc n size = if n <= 0 || size <= 0 then None else malloc (n * size) in
   let free _addr =
-    (* Region allocator: individual frees are ignored by design. *)
+    (* Region allocator: individual frees are ignored by design, and
+       release no bytes. *)
     Uksim.Clock.advance clock 2;
-    st := { !st with frees = !st.frees + 1 }
+    Alloc.Counts.free counts 0
   in
   let realloc addr size =
-    if addr = 0 then malloc size
+    if addr = 0 then memalign ~align:16 size
     else
-      match malloc size with
+      match memalign ~align:16 size with
       | None -> None
       | Some naddr ->
           (* Old contents would be copied; charge a conservative copy. *)
           Uksim.Clock.advance clock (Uksim.Cost.memcpy size);
           Some naddr
   in
-  let availmem () = limit - !cursor in
-  {
-    Alloc.name = "bootalloc";
-    malloc;
-    calloc;
-    memalign;
-    free;
-    realloc;
-    availmem;
-    stats = (fun () -> !st);
-  }
+  Alloc.backend ~name:"bootalloc" ~memalign ~free ~realloc
+    ~availmem:(fun () -> limit - !cursor)
+    counts

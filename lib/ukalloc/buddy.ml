@@ -15,7 +15,7 @@ type state = {
   free_lists : (int, unit) Hashtbl.t array; (* index: order; keys: block addr *)
   allocated : (int, int) Hashtbl.t; (* addr -> order *)
   sizes : (int, int) Hashtbl.t; (* addr -> requested payload size *)
-  mutable st : Alloc.stats;
+  counts : Alloc.Counts.t;
 }
 
 let charge t c = Uksim.Clock.advance t.clock c
@@ -62,14 +62,7 @@ let buddy_of t addr order =
 let record_alloc t addr order size =
   Hashtbl.replace t.allocated addr order;
   Hashtbl.replace t.sizes addr size;
-  let in_use = t.st.bytes_in_use + size in
-  t.st <-
-    {
-      t.st with
-      allocs = t.st.allocs + 1;
-      bytes_in_use = in_use;
-      peak_bytes = max t.st.peak_bytes in_use;
-    }
+  Alloc.Counts.alloc t.counts size
 
 let do_malloc t ~align size =
   charge t base_cost;
@@ -80,7 +73,7 @@ let do_malloc t ~align size =
     let order = max (order_of_size size) (order_of_size align) in
     match alloc_order t order with
     | None ->
-        t.st <- { t.st with failed = t.st.failed + 1 };
+        Alloc.Counts.failed t.counts;
         None
     | Some addr ->
         record_alloc t addr order size;
@@ -108,7 +101,7 @@ let do_free t addr =
       let size = try Hashtbl.find t.sizes addr with Not_found -> 0 in
       Hashtbl.remove t.allocated addr;
       Hashtbl.remove t.sizes addr;
-      t.st <- { t.st with frees = t.st.frees + 1; bytes_in_use = t.st.bytes_in_use - size };
+      Alloc.Counts.free t.counts size;
       coalesce t addr order
 
 let availmem t () =
@@ -132,12 +125,11 @@ let create ~clock ~base ~len =
       free_lists = Array.init (max_order + 1) (fun _ -> Hashtbl.create 8);
       allocated = Hashtbl.create 64;
       sizes = Hashtbl.create 64;
-      st = Alloc.zero_stats;
+      counts = Alloc.Counts.create ();
     }
   in
   Hashtbl.replace t.free_lists.(max_order) base ();
   let malloc size = do_malloc t ~align:16 size in
-  let calloc n size = if n <= 0 || size <= 0 then None else malloc (n * size) in
   let realloc addr size =
     if addr = 0 then malloc size
     else
@@ -153,14 +145,6 @@ let create ~clock ~base ~len =
                 do_free t addr;
                 Some naddr)
   in
-  let metadata () = (Hashtbl.length t.allocated * 16) + (t.len / page_size) in
-  {
-    Alloc.name = "buddy";
-    malloc;
-    calloc;
-    memalign = (fun ~align size -> do_malloc t ~align size);
-    free = (fun addr -> do_free t addr);
-    realloc;
-    availmem = availmem t;
-    stats = (fun () -> { t.st with metadata_bytes = metadata () });
-  }
+  Alloc.backend ~name:"buddy"
+    ~metadata:(fun () -> (Hashtbl.length t.allocated * 16) + (t.len / page_size))
+    ~memalign:(do_malloc t) ~free:(do_free t) ~realloc ~availmem:(availmem t) t.counts

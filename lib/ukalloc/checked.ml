@@ -39,6 +39,7 @@ let wrap inner =
       live = Imap.empty;
       checked =
         {
+          inner with
           Alloc.name = inner.Alloc.name ^ "+checked";
           malloc =
             (fun size ->
@@ -77,8 +78,6 @@ let wrap inner =
                     violation "%s: realloc returned overlapping block %#x" inner.Alloc.name naddr;
                   t.live <- Imap.add naddr size t.live;
                   Some naddr);
-          availmem = inner.Alloc.availmem;
-          stats = inner.Alloc.stats;
         };
     }
   in

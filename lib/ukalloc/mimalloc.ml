@@ -29,7 +29,7 @@ type state = {
   req_sizes : (int, int) Hashtbl.t; (* payload addr -> requested size *)
   mutable huge_free : int; (* bytes returned from huge frees *)
   mutable n_pages : int;
-  mutable st : Alloc.stats;
+  counts : Alloc.Counts.t;
 }
 
 let charge t c = Uksim.Clock.advance t.clock c
@@ -63,16 +63,6 @@ let carve_page t cls =
     Some p
   end
 
-let bump_stats t payload =
-  let in_use = t.st.bytes_in_use + payload in
-  t.st <-
-    {
-      t.st with
-      allocs = t.st.allocs + 1;
-      bytes_in_use = in_use;
-      peak_bytes = max t.st.peak_bytes in_use;
-    }
-
 (* Pop a block from a page, swapping in local_free when the allocation
    shard runs dry (mimalloc's "collect"). *)
 let rec page_pop t p =
@@ -97,7 +87,7 @@ let rec alloc_small t cls size =
       match page_pop t p with
       | Some addr ->
           Hashtbl.replace t.req_sizes addr size;
-          bump_stats t size;
+          Alloc.Counts.alloc t.counts size;
           Some addr
       | None ->
           (* Page exhausted: rotate it out and retry. *)
@@ -106,7 +96,7 @@ let rec alloc_small t cls size =
   | [] -> (
       match carve_page t cls with
       | None ->
-          t.st <- { t.st with failed = t.st.failed + 1 };
+          Alloc.Counts.failed t.counts;
           None
       | Some p ->
           Hashtbl.replace t.avail cls [ p ];
@@ -117,14 +107,14 @@ let alloc_huge t size =
   let addr = Alloc.round_up t.bump 4096 in
   charge t (fast_cost * 8);
   if addr + rounded > t.limit then begin
-    t.st <- { t.st with failed = t.st.failed + 1 };
+    Alloc.Counts.failed t.counts;
     None
   end
   else begin
     t.bump <- addr + rounded;
     Hashtbl.replace t.huge addr rounded;
     Hashtbl.replace t.req_sizes addr size;
-    bump_stats t size;
+    Alloc.Counts.alloc t.counts size;
     Some addr
   end
 
@@ -148,7 +138,7 @@ let do_free t addr =
   | None -> invalid_arg (Printf.sprintf "Mimalloc.free: unknown address %#x" addr)
   | Some size ->
       Hashtbl.remove t.req_sizes addr;
-      t.st <- { t.st with frees = t.st.frees + 1; bytes_in_use = t.st.bytes_in_use - size };
+      Alloc.Counts.free t.counts size;
       (match Hashtbl.find_opt t.huge addr with
       | Some rounded ->
           Hashtbl.remove t.huge addr;
@@ -178,11 +168,10 @@ let create ~clock ~base ~len =
       req_sizes = Hashtbl.create 256;
       huge_free = 0;
       n_pages = 0;
-      st = Alloc.zero_stats;
+      counts = Alloc.Counts.create ();
     }
   in
   let malloc size = do_malloc t ~align:16 size in
-  let calloc n size = if n <= 0 || size <= 0 then None else malloc (n * size) in
   let realloc addr size =
     if addr = 0 then malloc size
     else
@@ -204,13 +193,6 @@ let create ~clock ~base ~len =
                 Some naddr)
   in
   let availmem () = t.limit - t.bump + t.huge_free in
-  {
-    Alloc.name = "mimalloc";
-    malloc;
-    calloc;
-    memalign = (fun ~align size -> do_malloc t ~align size);
-    free = (fun a -> do_free t a);
-    realloc;
-    availmem;
-    stats = (fun () -> { t.st with metadata_bytes = t.n_pages * page_header });
-  }
+  Alloc.backend ~name:"mimalloc"
+    ~metadata:(fun () -> t.n_pages * page_header)
+    ~memalign:(do_malloc t) ~free:(do_free t) ~realloc ~availmem t.counts

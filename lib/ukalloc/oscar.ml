@@ -9,7 +9,7 @@ type state = {
   mutable phys_used : int;
   phys_len : int;
   live : (int, int) Hashtbl.t; (* shadow addr -> payload size *)
-  mutable st : Alloc.stats;
+  counts : Alloc.Counts.t;
 }
 
 let charge t c = Uksim.Clock.advance t.clock c
@@ -21,7 +21,7 @@ let do_malloc t ~align size =
     let pages = (size + page - 1) / page in
     let need = pages * page in
     if t.phys_used + need > t.phys_len then begin
-      t.st <- { t.st with failed = t.st.failed + 1 };
+      Alloc.Counts.failed t.counts;
       None
     end
     else begin
@@ -29,14 +29,7 @@ let do_malloc t ~align size =
       t.shadow <- addr + need + page (* guard page *);
       t.phys_used <- t.phys_used + need;
       Hashtbl.replace t.live addr size;
-      let in_use = t.st.bytes_in_use + size in
-      t.st <-
-        {
-          t.st with
-          allocs = t.st.allocs + 1;
-          bytes_in_use = in_use;
-          peak_bytes = max t.st.peak_bytes in_use;
-        };
+      Alloc.Counts.alloc t.counts size;
       Some addr
     end
   end
@@ -49,7 +42,7 @@ let do_free t addr =
       Hashtbl.remove t.live addr;
       let pages = (size + page - 1) / page in
       t.phys_used <- t.phys_used - (pages * page);
-      t.st <- { t.st with frees = t.st.frees + 1; bytes_in_use = t.st.bytes_in_use - size }
+      Alloc.Counts.free t.counts size
 
 let create ~clock ~base ~len =
   if len < page then invalid_arg "Oscar.create: region too small";
@@ -61,11 +54,10 @@ let create ~clock ~base ~len =
       phys_used = 0;
       phys_len = len;
       live = Hashtbl.create 128;
-      st = Alloc.zero_stats;
+      counts = Alloc.Counts.create ();
     }
   in
   let malloc size = do_malloc t ~align:16 size in
-  let calloc n size = if n <= 0 || size <= 0 then None else malloc (n * size) in
   let realloc addr size =
     if addr = 0 then malloc size
     else
@@ -80,13 +72,8 @@ let create ~clock ~base ~len =
               do_free t addr;
               Some naddr)
   in
-  {
-    Alloc.name = "oscar";
-    malloc;
-    calloc;
-    memalign = (fun ~align size -> do_malloc t ~align size);
-    free = (fun a -> do_free t a);
-    realloc;
-    availmem = (fun () -> t.phys_len - t.phys_used);
-    stats = (fun () -> { t.st with metadata_bytes = Hashtbl.length t.live * 16 });
-  }
+  Alloc.backend ~name:"oscar"
+    ~metadata:(fun () -> Hashtbl.length t.live * 16)
+    ~memalign:(do_malloc t) ~free:(do_free t) ~realloc
+    ~availmem:(fun () -> t.phys_len - t.phys_used)
+    t.counts

@@ -29,7 +29,6 @@ type t = {
   mutable backend_oom : int; (* refills/bypasses that got fewer objects than asked *)
   mutable allocs : int;
   mutable frees : int;
-  mutable failed : int;
   mutable in_use : int;
   mutable peak : int;
 }
@@ -88,7 +87,6 @@ let create ~clocks ~backend ?(batch = 16) ?(max_cached = 64) () =
     backend_oom = 0;
     allocs = 0;
     frees = 0;
-    failed = 0;
     in_use = 0;
     peak = 0;
   }
@@ -161,7 +159,6 @@ let malloc t ~core size =
         Some addr
     | None ->
         t.backend_oom <- t.backend_oom + 1;
-        t.failed <- t.failed + 1;
         None
   end
   else begin
@@ -178,9 +175,7 @@ let malloc t ~core size =
         Uksim.Clock.advance clock Uksim.Cost.arena_fast_path;
         note_alloc t (1 lsl c);
         Some addr
-    | [] ->
-        t.failed <- t.failed + 1;
-        None
+    | [] -> None
   end
 
 let free t ~core addr =
@@ -203,16 +198,6 @@ let free t ~core addr =
           if t.mag_len.(core).(c) > t.max_cached then flush t ~core c
       | None -> invalid_arg "Percore.free: unknown address")
 
-let stats t =
-  {
-    Alloc.allocs = t.allocs;
-    frees = t.frees;
-    failed = t.failed;
-    bytes_in_use = t.in_use;
-    peak_bytes = t.peak;
-    metadata_bytes = snd (cached t);
-  }
-
 let view t ~core =
   if core < 0 || core >= n_cores t then invalid_arg "Percore.view: bad core";
   let clock = t.clocks.(core) in
@@ -231,9 +216,7 @@ let view t ~core =
             Hashtbl.replace t.bypass addr size;
             note_alloc t size;
             Some addr
-        | None ->
-            t.failed <- t.failed + 1;
-            None);
+        | None -> None);
     free;
     realloc =
       (fun addr size ->
@@ -243,7 +226,7 @@ let view t ~core =
             Some naddr
         | None -> None);
     availmem = (fun () -> t.backend.Alloc.availmem ());
-    stats = (fun () -> stats t);
+    source = source t;
   }
 
 (* The ablation baseline: every view funnels every operation through one
@@ -258,14 +241,13 @@ let shared_lock_views ~clocks ~backend ?(hold = Uksim.Cost.alloc_backend_op) () 
       f ()
     in
     {
+      backend with
       Alloc.name = Printf.sprintf "sharedlock[%d]/%s" core backend.Alloc.name;
       malloc = (fun size -> locked (fun () -> backend.Alloc.malloc size));
       calloc = (fun n size -> locked (fun () -> backend.Alloc.calloc n size));
       memalign = (fun ~align size -> locked (fun () -> backend.Alloc.memalign ~align size));
       free = (fun addr -> locked (fun () -> backend.Alloc.free addr));
       realloc = (fun addr size -> locked (fun () -> backend.Alloc.realloc addr size));
-      availmem = (fun () -> backend.Alloc.availmem ());
-      stats = (fun () -> backend.Alloc.stats ());
     }
   in
   (Array.init (Array.length clocks) view, lock)

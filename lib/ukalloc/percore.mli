@@ -36,7 +36,8 @@ val create :
 
 val view : t -> core:int -> Alloc.t
 (** The ukalloc-facing allocator for one core. All views share the backend
-    and stats ([stats ()] reports the whole arena, not one core). *)
+    and the arena's {!source}: its counts cover the whole arena, not one
+    core. *)
 
 val n_cores : t -> int
 val lock : t -> Uklock.Lock.Spin.t
@@ -58,5 +59,6 @@ val shared_lock_views :
   Alloc.t array * Uklock.Lock.Spin.t
 (** Ablation baseline: per-core views that funnel {e every} operation
     through one spinlock around [backend], held for [hold] cycles
-    (default {!Uksim.Cost.alloc_backend_op}). Returns the views (indexed
-    like [clocks]) and the lock for contention stats. *)
+    (default {!Uksim.Cost.alloc_backend_op}). The views share [backend]'s
+    source. Returns the views (indexed like [clocks]) and the lock for
+    contention stats. *)

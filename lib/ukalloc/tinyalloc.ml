@@ -17,21 +17,11 @@ type state = {
   mutable top : int; (* bump pointer for fresh blocks *)
   mutable free : block list; (* address-ordered *)
   mutable used : (int, block) Hashtbl.t;
-  mutable st : Alloc.stats;
+  counts : Alloc.Counts.t;
 }
 
 let charge t c = Uksim.Clock.advance t.clock c
 let n_blocks t = Hashtbl.length t.used + List.length t.free
-
-let bump_stats t payload =
-  let in_use = t.st.bytes_in_use + payload in
-  t.st <-
-    {
-      t.st with
-      allocs = t.st.allocs + 1;
-      bytes_in_use = in_use;
-      peak_bytes = max t.st.peak_bytes in_use;
-    }
 
 (* First fit over the address-ordered free list; charges per node walked. *)
 let take_free t size =
@@ -56,19 +46,19 @@ let do_malloc t ~align size =
     | Some b ->
         (* tinyalloc reuses the whole block without splitting. *)
         Hashtbl.replace t.used b.addr b;
-        bump_stats t b.size;
+        Alloc.Counts.alloc t.counts b.size;
         Some b.addr
     | None ->
         let addr = Alloc.round_up t.top (max align 16) in
         if addr + want > t.limit || n_blocks t >= t.max_blocks then begin
-          t.st <- { t.st with failed = t.st.failed + 1 };
+          Alloc.Counts.failed t.counts;
           None
         end
         else begin
           t.top <- addr + want;
           let b = { addr; size = want } in
           Hashtbl.replace t.used addr b;
-          bump_stats t want;
+          Alloc.Counts.alloc t.counts want;
           Some addr
         end
   end
@@ -100,8 +90,8 @@ let do_free t addr =
   | Some b ->
       Hashtbl.remove t.used addr;
       (* Payload accounting uses block size as the C version does not keep
-         requested sizes; stats track block-granularity live bytes. *)
-      t.st <- { t.st with frees = t.st.frees + 1; bytes_in_use = max 0 (t.st.bytes_in_use - b.size) };
+         requested sizes; the counts track block-granularity live bytes. *)
+      Alloc.Counts.free t.counts b.size;
       insert_free t b
 
 let create ?(max_blocks = 1 lsl 20) ~clock ~base ~len () =
@@ -115,11 +105,10 @@ let create ?(max_blocks = 1 lsl 20) ~clock ~base ~len () =
       top = base;
       free = [];
       used = Hashtbl.create 128;
-      st = Alloc.zero_stats;
+      counts = Alloc.Counts.create ();
     }
   in
   let malloc size = do_malloc t ~align:16 size in
-  let calloc n size = if n <= 0 || size <= 0 then None else malloc (n * size) in
   let realloc addr size =
     if addr = 0 then malloc size
     else
@@ -138,13 +127,6 @@ let create ?(max_blocks = 1 lsl 20) ~clock ~base ~len () =
   let availmem () =
     t.limit - t.top + List.fold_left (fun acc b -> acc + b.size) 0 t.free
   in
-  {
-    Alloc.name = "tinyalloc";
-    malloc;
-    calloc;
-    memalign = (fun ~align size -> do_malloc t ~align size);
-    free = (fun a -> do_free t a);
-    realloc;
-    availmem;
-    stats = (fun () -> { t.st with metadata_bytes = n_blocks t * 24 });
-  }
+  Alloc.backend ~name:"tinyalloc"
+    ~metadata:(fun () -> n_blocks t * 24)
+    ~memalign:(do_malloc t) ~free:(do_free t) ~realloc ~availmem t.counts

@@ -37,7 +37,7 @@ type state = {
   sl_bitmap : int array;
   by_payload_addr : (int, block) Hashtbl.t; (* payload addr -> block *)
   mutable free_bytes : int;
-  mutable st : Alloc.stats;
+  counts : Alloc.Counts.t;
   mutable n_blocks : int;
 }
 
@@ -159,16 +159,6 @@ let merge_with_neighbours t b0 =
   | Some _ | None -> ());
   b
 
-let bump_stats t payload =
-  let in_use = t.st.bytes_in_use + payload in
-  t.st <-
-    {
-      t.st with
-      allocs = t.st.allocs + 1;
-      bytes_in_use = in_use;
-      peak_bytes = max t.st.peak_bytes in_use;
-    }
-
 let do_memalign t ~align size =
   charge t base_cost;
   if size <= 0 || not (Alloc.is_power_of_two align) then None
@@ -179,7 +169,7 @@ let do_memalign t ~align size =
     let want = payload_sz + overhead + (if align > 16 then align else 0) in
     match search_suitable t want with
     | None ->
-        t.st <- { t.st with failed = t.st.failed + 1 };
+        Alloc.Counts.failed t.counts;
         None
     | Some b ->
         remove_block t b;
@@ -187,7 +177,7 @@ let do_memalign t ~align size =
         let payload_addr = Alloc.round_up (b.addr + overhead) align in
         b.payload <- size;
         Hashtbl.replace t.by_payload_addr payload_addr b;
-        bump_stats t size;
+        Alloc.Counts.alloc t.counts size;
         Some payload_addr
   end
 
@@ -197,7 +187,7 @@ let do_free t payload_addr =
   | None -> invalid_arg (Printf.sprintf "Tlsf.free: unknown address %#x" payload_addr)
   | Some b ->
       Hashtbl.remove t.by_payload_addr payload_addr;
-      t.st <- { t.st with frees = t.st.frees + 1; bytes_in_use = t.st.bytes_in_use - b.payload };
+      Alloc.Counts.free t.counts b.payload;
       b.payload <- 0;
       let merged = merge_with_neighbours t b in
       insert_block t merged
@@ -213,7 +203,7 @@ let create ~clock ~base ~len =
       sl_bitmap = Array.make fl_count 0;
       by_payload_addr = Hashtbl.create 256;
       free_bytes = 0;
-      st = Alloc.zero_stats;
+      counts = Alloc.Counts.create ();
       n_blocks = 1;
     }
   in
@@ -231,7 +221,6 @@ let create ~clock ~base ~len =
   in
   insert_block t initial;
   let malloc size = do_memalign t ~align:16 size in
-  let calloc n size = if n <= 0 || size <= 0 then None else malloc (n * size) in
   let realloc addr size =
     if addr = 0 then malloc size
     else
@@ -247,13 +236,8 @@ let create ~clock ~base ~len =
                 do_free t addr;
                 Some naddr)
   in
-  {
-    Alloc.name = "tlsf";
-    malloc;
-    calloc;
-    memalign = (fun ~align size -> do_memalign t ~align size);
-    free = (fun a -> do_free t a);
-    realloc;
-    availmem = (fun () -> t.free_bytes);
-    stats = (fun () -> { t.st with metadata_bytes = t.n_blocks * overhead });
-  }
+  Alloc.backend ~name:"tlsf"
+    ~metadata:(fun () -> t.n_blocks * overhead)
+    ~memalign:(do_memalign t) ~free:(do_free t) ~realloc
+    ~availmem:(fun () -> t.free_bytes)
+    t.counts

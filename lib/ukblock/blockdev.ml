@@ -25,23 +25,5 @@ type t = {
   read_sync : lba:int -> sectors:int -> (bytes, error) result;
   write_sync : lba:int -> bytes -> (unit, error) result;
   flush : unit -> unit;
-  stats : unit -> stats;
+  source : Uktrace.Source.t;
 }
-
-and stats = { reads : int; writes : int; sectors_read : int; sectors_written : int }
-
-let zero_stats = { reads = 0; writes = 0; sectors_read = 0; sectors_written = 0 }
-
-(* The source closes over [stats] alone: capturing [dev] would keep the
-   device's backing store alive for as long as the source is registered. *)
-let register_source (dev : t) =
-  let stats = dev.stats in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukblock" ~name:dev.name (fun () ->
-         let s = stats () in
-         [
-           ("reads", Uktrace.Metric.Count s.reads);
-           ("writes", Uktrace.Metric.Count s.writes);
-           ("sectors_read", Uktrace.Metric.Count s.sectors_read);
-           ("sectors_written", Uktrace.Metric.Count s.sectors_written);
-         ]))

@@ -35,13 +35,9 @@ type t = {
           [poll_completions]. *)
   write_sync : lba:int -> bytes -> (unit, error) result;
   flush : unit -> unit;
-  stats : unit -> stats;  (** Completed-operation counters. *)
+  source : Uktrace.Source.t;
+      (** The device's ["ukblock.<name>"] source, registered when the
+          device is created: completed [reads], [writes], [sectors_read]
+          and [sectors_written]. A wrapper built with [{ dev with ... }]
+          shares it. *)
 }
-
-and stats = { reads : int; writes : int; sectors_read : int; sectors_written : int }
-
-val zero_stats : stats
-
-val register_source : t -> unit
-(** Mirror [stats] as a ["ukblock.<name>"] source in the
-    {!Uktrace.Registry} (device implementations call this at create). *)

@@ -34,29 +34,50 @@ let sectors_of ~sector_size = function
   | B.Read { sectors; _ } -> sectors
   | B.Write { data; _ } -> Bytes.length data / sector_size
 
+module C = Uktrace.Metric.Counter
+
+(* The device's "ukblock.<name>" group, bumped once per completed
+   request. *)
+type counters = {
+  group : Uktrace.Registry.group;
+  reads : C.t;
+  writes : C.t;
+  sectors_read : C.t;
+  sectors_written : C.t;
+}
+
+let counters name =
+  let group = Uktrace.Registry.group ~subsystem:"ukblock" name in
+  let reads = Uktrace.Registry.counter group "reads" in
+  let writes = Uktrace.Registry.counter group "writes" in
+  let sectors_read = Uktrace.Registry.counter group "sectors_read" in
+  let sectors_written = Uktrace.Registry.counter group "sectors_written" in
+  { group; reads; writes; sectors_read; sectors_written }
+
+(* Run [req] against the backing store, counting it if it succeeds. *)
+let complete_on backing c req =
+  let result = do_request backing req in
+  (if Result.is_ok result then
+     let n = sectors_of ~sector_size:backing.sector_size req in
+     match req with
+     | B.Read _ ->
+         C.incr c.reads;
+         C.add c.sectors_read n
+     | B.Write _ ->
+         C.incr c.writes;
+         C.add c.sectors_written n);
+  result
+
 let create ~clock ~engine ?(sector_size = 512) ?(capacity_sectors = 131072) ?(queue_depth = 128)
     ?(host_latency_ns = 20_000.0) () =
   let backing = mk_backing ~sector_size ~capacity_sectors in
   let inflight = ref 0 in
   let done_q : B.completion Queue.t = Queue.create () in
   let handler = ref None in
-  let st = ref B.zero_stats in
-  let note req = function
-    | Error _ -> ()
-    | Ok _ ->
-        let n = sectors_of ~sector_size req in
-        st :=
-          (match req with
-          | B.Read _ ->
-              { !st with B.reads = !st.B.reads + 1; sectors_read = !st.B.sectors_read + n }
-          | B.Write _ ->
-              { !st with B.writes = !st.B.writes + 1;
-                sectors_written = !st.B.sectors_written + n })
-  in
+  let counted = counters "virtio-blk" in
   let charge c = Uksim.Clock.advance clock c in
   let complete req =
-    let result = do_request backing req in
-    note req result;
+    let result = complete_on backing counted req in
     let was_idle = Queue.is_empty done_q in
     Queue.push { B.req; result } done_q;
     decr inflight;
@@ -126,44 +147,27 @@ let create ~clock ~engine ?(sector_size = 512) ?(capacity_sectors = 131072) ?(qu
   let write_sync ~lba data =
     match sync (B.Write { lba; data }) with Ok _ -> Ok () | Error e -> Error e
   in
-  let dev =
-    {
-      B.name = "virtio-blk";
-      sector_size;
-      capacity_sectors;
-      submit;
-      poll_completions;
-      pending = (fun () -> !inflight);
-      set_completion_handler = (fun f -> handler := f);
-      read_sync;
-      write_sync;
-      flush = (fun () -> Uksim.Engine.run ~until:(Uksim.Clock.cycles clock) engine);
-      stats = (fun () -> !st);
-    }
-  in
-  B.register_source dev;
-  dev
+  {
+    B.name = "virtio-blk";
+    sector_size;
+    capacity_sectors;
+    submit;
+    poll_completions;
+    pending = (fun () -> !inflight);
+    set_completion_handler = (fun f -> handler := f);
+    read_sync;
+    write_sync;
+    flush = (fun () -> Uksim.Engine.run ~until:(Uksim.Clock.cycles clock) engine);
+    source = Uktrace.Registry.source counted.group;
+  }
 
 let create_ramdisk ~clock ?(sector_size = 512) ?(capacity_sectors = 131072) () =
   let backing = mk_backing ~sector_size ~capacity_sectors in
   let done_q : B.completion Queue.t = Queue.create () in
-  let st = ref B.zero_stats in
-  let charge c = Uksim.Clock.advance clock c in
+  let counted = counters "ramdisk" in
   let run req =
-    charge (40 + Uksim.Cost.memcpy (sectors_of ~sector_size req * sector_size));
-    let result = do_request backing req in
-    (match result with
-    | Error _ -> ()
-    | Ok _ ->
-        let n = sectors_of ~sector_size req in
-        st :=
-          (match req with
-          | B.Read _ ->
-              { !st with B.reads = !st.B.reads + 1; sectors_read = !st.B.sectors_read + n }
-          | B.Write _ ->
-              { !st with B.writes = !st.B.writes + 1;
-                sectors_written = !st.B.sectors_written + n }));
-    result
+    Uksim.Clock.advance clock (40 + Uksim.Cost.memcpy (sectors_of ~sector_size req * sector_size));
+    complete_on backing counted req
   in
   let submit reqs =
     Array.iter (fun req -> Queue.push { B.req; result = run req } done_q) reqs;
@@ -179,22 +183,17 @@ let create_ramdisk ~clock ?(sector_size = 512) ?(capacity_sectors = 131072) () =
     in
     take [] 0
   in
-  let dev =
-    {
-      B.name = "ramdisk";
-      sector_size;
-      capacity_sectors;
-      submit;
-      poll_completions;
-      pending = (fun () -> 0);
-      set_completion_handler = (fun _ -> ());
-      read_sync = (fun ~lba ~sectors -> run (B.Read { lba; sectors }));
-      write_sync =
-        (fun ~lba data ->
-          match run (B.Write { lba; data }) with Ok _ -> Ok () | Error e -> Error e);
-      flush = (fun () -> ());
-      stats = (fun () -> !st);
-    }
-  in
-  B.register_source dev;
-  dev
+  {
+    B.name = "ramdisk";
+    sector_size;
+    capacity_sectors;
+    submit;
+    poll_completions;
+    pending = (fun () -> 0);
+    set_completion_handler = (fun _ -> ());
+    read_sync = (fun ~lba ~sectors -> run (B.Read { lba; sectors }));
+    write_sync =
+      (fun ~lba data -> match run (B.Write { lba; data }) with Ok _ -> Ok () | Error e -> Error e);
+    flush = (fun () -> ());
+    source = Uktrace.Registry.source counted.group;
+  }

@@ -20,6 +20,8 @@ module Hook = struct
     match !hook with Some f -> f { op; uid; lock_name } | None -> ()
 end
 
+module C = Uktrace.Metric.Counter
+
 module Mutex = struct
   type inner = {
     sched : Uksched.Sched.t;
@@ -27,8 +29,10 @@ module Mutex = struct
     mname : string;
     mutable holder : Uksched.Sched.tid option;
     waiters : Uksched.Sched.tid Queue.t;
-    mutable waits : int;
-    mutable wait_cycles : int;
+    group : Uktrace.Registry.group;
+    acquisitions : C.t;
+    contended : C.t;
+    wait_cycles : C.t;
   }
 
   type t = Nop | Real of inner
@@ -37,16 +41,17 @@ module Mutex = struct
     match mode with
     | Compiled_out -> Nop
     | Threaded sched ->
+        let group = Uktrace.Registry.group ~subsystem:"uklock" name in
+        let acquisitions = Uktrace.Registry.counter group "acquisitions" in
+        let contended = Uktrace.Registry.counter group "contended" in
+        let wait_cycles = Uktrace.Registry.counter group "wait_cycles" in
         Real
-          {
-            sched;
-            uid = Hook.fresh_uid ();
-            mname = name;
-            holder = None;
-            waiters = Queue.create ();
-            waits = 0;
-            wait_cycles = 0;
-          }
+          { sched; uid = Hook.fresh_uid (); mname = name; holder = None;
+            waiters = Queue.create (); group; acquisitions; contended; wait_cycles }
+
+  let acquired m =
+    C.incr m.acquisitions;
+    Hook.emit Hook.Acquire m.uid m.mname
 
   let rec lock = function
     | Nop -> ()
@@ -54,19 +59,17 @@ module Mutex = struct
         match m.holder with
         | None ->
             m.holder <- Some (Uksched.Sched.self ());
-            Hook.emit Hook.Acquire m.uid m.mname
+            acquired m
         | Some _ ->
             let clk = Uksched.Sched.clock m.sched in
             let blocked_at = Uksim.Clock.cycles clk in
             Queue.push (Uksched.Sched.self ()) m.waiters;
             Uksched.Sched.block ();
-            m.waits <- m.waits + 1;
-            m.wait_cycles <- m.wait_cycles + (Uksim.Clock.cycles clk - blocked_at);
+            C.incr m.contended;
+            C.add m.wait_cycles (Uksim.Clock.cycles clk - blocked_at);
             (* Woken by unlock, which already transferred ownership to us;
                re-check defensively in case of spurious wakeups. *)
-            if m.holder = Some (Uksched.Sched.self ()) then
-              Hook.emit Hook.Acquire m.uid m.mname
-            else lock t)
+            if m.holder = Some (Uksched.Sched.self ()) then acquired m else lock t)
 
   let try_lock = function
     | Nop -> true
@@ -74,7 +77,7 @@ module Mutex = struct
         match m.holder with
         | None ->
             m.holder <- Some (Uksched.Sched.self ());
-            Hook.emit Hook.Acquire m.uid m.mname;
+            acquired m;
             true
         | Some _ -> false)
 
@@ -93,15 +96,14 @@ module Mutex = struct
 
   let locked = function Nop -> false | Real m -> m.holder <> None
 
-  let contention = function
-    | Nop -> (0, 0)
-    | Real m -> (m.waits, m.wait_cycles)
+  (* A compiled-out mutex registers nothing; its source reads zero. *)
+  let compiled_out =
+    Uktrace.Source.make ~subsystem:"uklock" ~name:"compiled-out" (fun () ->
+        List.map
+          (fun n -> (n, Uktrace.Metric.Count 0))
+          [ "acquisitions"; "contended"; "wait_cycles" ])
 
-  let reset_contention = function
-    | Nop -> ()
-    | Real m ->
-        m.waits <- 0;
-        m.wait_cycles <- 0
+  let source = function Nop -> compiled_out | Real m -> Uktrace.Registry.source m.group
 
   let with_lock t f =
     lock t;
@@ -170,8 +172,6 @@ end
    watermark, the wait is recorded), then holds the lock for [hold]
    cycles. Deterministic given a deterministic acquisition order. *)
 module Spin = struct
-  module C = Uktrace.Metric.Counter
-
   type t = {
     sname : string;
     suid : int;

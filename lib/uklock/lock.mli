@@ -42,12 +42,12 @@ module Mutex : sig
 
   val locked : t -> bool
 
-  val contention : t -> int * int
-  (** [(waits, wait_cycles)]: how many lock acquisitions had to block, and
-      the total virtual cycles spent blocked. [(0, 0)] when compiled out. *)
-
-  val reset_contention : t -> unit
-  (** Zero the contention counters (per-trial reset). *)
+  val source : t -> Uktrace.Source.t
+  (** The mutex's ["uklock.<name>"] source, registered at {!create}:
+      [acquisitions], [contended] (acquisitions that had to block) and
+      [wait_cycles] (virtual cycles spent blocked), as {!Spin.source}
+      names them. Its [reset] zeroes them. A compiled-out mutex registers
+      nothing, and its source reads zero. *)
 
   val with_lock : t -> (unit -> 'a) -> 'a
 end

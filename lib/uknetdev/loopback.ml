@@ -1,16 +1,10 @@
-type queue = {
-  q_clock : Uksim.Clock.t;
-  q_engine : Uksim.Engine.t;
-  rx_ring : Netbuf.t Queue.t;
-  mutable conf : Netdev.queue_conf option;
-  mutable irq_armed : bool;
-}
+type queue = { q_clock : Uksim.Clock.t; q_engine : Uksim.Engine.t; rx : Netdev.Rxq.t }
 
 type side = {
+  name : string;
   latency : int;
-  ring_size : int;
   queues : queue array;
-  mutable st : Netdev.stats;
+  counters : Netdev.counters;
   mutable peer : side option;
 }
 
@@ -21,28 +15,8 @@ let rx_cost = 35
    the cost TX coalescing amortizes across a batch. *)
 let kick_cost = 250
 
-let deliver s q nb =
-  match q.conf with
-  | None ->
-      s.st <- { s.st with rx_dropped = s.st.rx_dropped + 1 };
-      Netbuf.recycle nb
-  | Some conf ->
-      if Queue.length q.rx_ring >= s.ring_size then begin
-        s.st <- { s.st with rx_dropped = s.st.rx_dropped + 1 };
-        Netbuf.recycle nb
-      end
-      else begin
-        Queue.push nb q.rx_ring;
-        match (conf.Netdev.mode, conf.Netdev.rx_handler) with
-        | Netdev.Interrupt_driven, Some handler when q.irq_armed ->
-            q.irq_armed <- false;
-            s.st <- { s.st with rx_irqs = s.st.rx_irqs + 1 };
-            Uksim.Clock.advance q.q_clock Uksim.Cost.interrupt_delivery;
-            handler ()
-        | (Netdev.Interrupt_driven | Netdev.Polling), _ -> ()
-      end
-
-let dev_of_side name s =
+let dev_of_side s =
+  let name = s.name in
   let n_queues = Array.length s.queues in
   let check_qid qid =
     if qid < 0 || qid >= n_queues then invalid_arg (Printf.sprintf "%s: bad qid %d" name qid)
@@ -55,9 +29,7 @@ let dev_of_side name s =
     configure_queue =
       (fun ~qid conf ->
         check_qid qid;
-        let q = s.queues.(qid) in
-        q.conf <- Some conf;
-        q.irq_armed <- conf.Netdev.mode = Netdev.Interrupt_driven);
+        Netdev.Rxq.configure s.queues.(qid).rx conf);
     tx_burst =
       (fun ~qid pkts ->
         check_qid qid;
@@ -79,7 +51,7 @@ let dev_of_side name s =
               let at =
                 max (Uksim.Clock.cycles pq.q_clock) (Uksim.Clock.cycles q.q_clock + s.latency)
               in
-              Uksim.Engine.at pq.q_engine at (fun () -> deliver peer pq nb)
+              Uksim.Engine.at pq.q_engine at (fun () -> Netdev.Rxq.deliver pq.rx nb)
             in
             match Rss.queue_of_netbuf nb ~n_queues:peer_n with
             | Some tq -> deliver_to tq nb
@@ -96,9 +68,8 @@ let dev_of_side name s =
           pkts;
         if n > 0 then begin
           Uksim.Clock.advance q.q_clock kick_cost;
-          s.st <-
-            { s.st with tx_pkts = s.st.tx_pkts + n; tx_bytes = s.st.tx_bytes + !bytes;
-              tx_kicks = s.st.tx_kicks + 1 }
+          Netdev.count_tx s.counters ~pkts:n ~bytes:!bytes;
+          Netdev.count_kick s.counters
         end;
         n);
     tx_room =
@@ -106,85 +77,38 @@ let dev_of_side name s =
         check_qid qid;
         max_int);
     rx_burst =
-      (fun ~qid ~max:max_pkts ->
+      (fun ~qid ~max ->
         check_qid qid;
-        let q = s.queues.(qid) in
-        catch_up q;
-        match q.conf with
-        | None -> []
-        | Some conf ->
-            let rec take acc n =
-              if n >= max_pkts then List.rev acc
-              else
-                match Queue.take_opt q.rx_ring with
-                | None -> List.rev acc
-                | Some nb -> (
-                    Uksim.Clock.advance q.q_clock rx_cost;
-                    let account () =
-                      s.st <-
-                        {
-                          s.st with
-                          rx_pkts = s.st.rx_pkts + 1;
-                          rx_bytes = s.st.rx_bytes + Netbuf.len nb;
-                          rx_digest = Netdev.fold_digest s.st.rx_digest nb;
-                        }
-                    in
-                    match conf.Netdev.rx_path with
-                    | Netdev.Zero_copy ->
-                        account ();
-                        take (nb :: acc) (n + 1)
-                    | Netdev.Copy_into rx_alloc -> (
-                        match rx_alloc () with
-                        | None ->
-                            s.st <- { s.st with rx_dropped = s.st.rx_dropped + 1 };
-                            Netbuf.recycle nb;
-                            take acc (n + 1)
-                        | Some dst ->
-                            Uksim.Clock.advance q.q_clock (Uksim.Cost.memcpy (Netbuf.len nb));
-                            Netbuf.copy_into nb dst;
-                            account ();
-                            Netbuf.recycle nb;
-                            take (dst :: acc) (n + 1)))
-            in
-            let pkts = take [] 0 in
-            if conf.Netdev.mode = Netdev.Interrupt_driven && Queue.is_empty q.rx_ring then
-              q.irq_armed <- true;
-            pkts);
+        Netdev.Rxq.burst s.queues.(qid).rx ~max);
     rx_pending =
       (fun ~qid ->
         check_qid qid;
-        let q = s.queues.(qid) in
-        catch_up q;
-        Queue.length q.rx_ring);
-    stats = (fun () -> s.st);
+        Netdev.Rxq.pending s.queues.(qid).rx);
+    source = Netdev.source s.counters;
   }
 
 let create_pair ~clock ~engine ?(latency_ns = 2000.0) ?(ring_size = 512) ?(n_queues = 1)
     ?queues_a ?queues_b () =
   if n_queues <= 0 then invalid_arg "Loopback.create_pair: n_queues must be positive";
-  let mk_queue (q_clock, q_engine) =
-    { q_clock; q_engine; rx_ring = Queue.create (); conf = None; irq_armed = false }
+  let mk_side name qs =
+    let counters = Netdev.counters name in
+    let queues =
+      Array.map
+        (fun (q_clock, q_engine) ->
+          { q_clock; q_engine;
+            rx = Netdev.Rxq.create counters ~clock:q_clock ~engine:q_engine ~ring_size
+                   ~pkt_cost:rx_cost })
+        qs
+    in
+    { name; latency = Uksim.Clock.cycles_of_ns latency_ns; queues; counters; peer = None }
   in
-  let mk_side = function
-    | Some qs when Array.length qs > 0 ->
-        {
-          latency = Uksim.Clock.cycles_of_ns latency_ns;
-          ring_size;
-          queues = Array.map mk_queue qs;
-          st = Netdev.zero_stats;
-          peer = None;
-        }
+  let queue_pairs = function
+    | Some qs when Array.length qs > 0 -> qs
     | Some _ -> invalid_arg "Loopback.create_pair: empty queue array"
-    | None ->
-        {
-          latency = Uksim.Clock.cycles_of_ns latency_ns;
-          ring_size;
-          queues = Array.init n_queues (fun _ -> mk_queue (clock, engine));
-          st = Netdev.zero_stats;
-          peer = None;
-        }
+    | None -> Array.make n_queues (clock, engine)
   in
-  let a = mk_side queues_a and b = mk_side queues_b in
+  let a = mk_side "loopback-a" (queue_pairs queues_a) in
+  let b = mk_side "loopback-b" (queue_pairs queues_b) in
   a.peer <- Some b;
   b.peer <- Some a;
-  (dev_of_side "loopback-a" a, dev_of_side "loopback-b" b)
+  (dev_of_side a, dev_of_side b)

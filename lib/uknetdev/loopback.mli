@@ -26,4 +26,5 @@ val create_pair :
 (** Default latency 2 µs (VM-to-VM on one host), ring 512, one queue per
     side on the shared [clock]/[engine]. [queues_a]/[queues_b] give a side
     one queue per array entry, each on its own clock/engine (overriding
-    [n_queues] for that side). *)
+    [n_queues] for that side). The sides are named ["loopback-a"] and
+    ["loopback-b"] and register their sources in that order. *)

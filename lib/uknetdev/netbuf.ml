@@ -186,17 +186,6 @@ let copy ?headroom t =
 let to_payload = copy_out
 let blit_payload = copy_in
 
-(* Content hash of the payload window (FNV-1a): replay digests and the
-   copy-vs-zero-copy equivalence property compare these, never the bytes
-   themselves, so hashing is copy-free by construction. *)
-let payload_hash t =
-  check t;
-  let h = ref 0x2545f4914f6cdd1d in
-  for i = t.off to t.off + t.length - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get t.cell.buf i)) * 0x100000001b3
-  done;
-  !h land max_int
-
 (* --- sharing and release -------------------------------------------------- *)
 
 let share t =

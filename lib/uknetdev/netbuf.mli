@@ -53,9 +53,6 @@ val view : t -> bytes * int * int
 (** Zero-copy [(storage, off, len)] window onto the payload. The reader
     must not retain it past the descriptor's ownership. *)
 
-val payload_hash : t -> int
-(** FNV-1a over the payload window — content digests without copying. *)
-
 (** {1 Counted copies}
 
     The only ways to materialize payload bytes; each increments the

@@ -10,17 +10,6 @@ type queue_conf = {
   rx_handler : (unit -> unit) option;
 }
 
-type stats = {
-  tx_pkts : int;
-  tx_bytes : int;
-  tx_kicks : int;
-  rx_pkts : int;
-  rx_bytes : int;
-  rx_digest : int;
-  rx_irqs : int;
-  rx_dropped : int;
-}
-
 type t = {
   name : string;
   mtu : int;
@@ -30,15 +19,122 @@ type t = {
   tx_room : qid:int -> int;
   rx_burst : qid:int -> max:int -> Netbuf.t list;
   rx_pending : qid:int -> int;
-  stats : unit -> stats;
+  source : Uktrace.Source.t;
 }
 
-let zero_stats =
-  { tx_pkts = 0; tx_bytes = 0; tx_kicks = 0; rx_pkts = 0; rx_bytes = 0; rx_digest = 0;
-    rx_irqs = 0; rx_dropped = 0 }
+module C = Uktrace.Metric.Counter
 
-let fold_digest d nb = (d * 0x100000001b3) lxor Netbuf.payload_hash nb land max_int
+type counters = {
+  group : Uktrace.Registry.group;
+  tx_pkts : C.t;
+  tx_bytes : C.t;
+  tx_kicks : C.t;
+  rx_pkts : C.t;
+  rx_bytes : C.t;
+  rx_irqs : C.t;
+  rx_dropped : C.t;
+}
 
-let pp_stats ppf s =
-  Fmt.pf ppf "tx %d pkts/%d B (%d kicks), rx %d pkts/%d B (%d irqs, %d dropped)" s.tx_pkts
-    s.tx_bytes s.tx_kicks s.rx_pkts s.rx_bytes s.rx_irqs s.rx_dropped
+let counters name =
+  let group = Uktrace.Registry.group ~subsystem:"uknetdev" name in
+  let c = Uktrace.Registry.counter group in
+  let tx_pkts = c "tx_pkts" in
+  let tx_bytes = c "tx_bytes" in
+  let tx_kicks = c "tx_kicks" in
+  let rx_pkts = c "rx_pkts" in
+  let rx_bytes = c "rx_bytes" in
+  let rx_irqs = c "rx_irqs" in
+  let rx_dropped = c "rx_dropped" in
+  { group; tx_pkts; tx_bytes; tx_kicks; rx_pkts; rx_bytes; rx_irqs; rx_dropped }
+
+let source c = Uktrace.Registry.source c.group
+
+let count_tx c ~pkts ~bytes =
+  C.add c.tx_pkts pkts;
+  C.add c.tx_bytes bytes
+
+let count_kick c = C.incr c.tx_kicks
+
+module Rxq = struct
+  type t = {
+    c : counters;
+    clock : Uksim.Clock.t;
+    engine : Uksim.Engine.t;
+    ring_size : int;
+    pkt_cost : int;
+    ring : Netbuf.t Queue.t;
+    mutable conf : queue_conf option;
+    mutable irq_armed : bool;
+  }
+
+  let create c ~clock ~engine ~ring_size ~pkt_cost =
+    { c; clock; engine; ring_size; pkt_cost; ring = Queue.create (); conf = None;
+      irq_armed = false }
+
+  let configure q conf =
+    q.conf <- Some conf;
+    q.irq_armed <- conf.mode = Interrupt_driven
+
+  let drop q nb =
+    C.incr q.c.rx_dropped;
+    Netbuf.recycle nb
+
+  let deliver q nb =
+    match q.conf with
+    | None -> drop q nb
+    | Some _ when Queue.length q.ring >= q.ring_size -> drop q nb
+    | Some conf -> (
+        Queue.push nb q.ring;
+        match (conf.mode, conf.rx_handler) with
+        | Interrupt_driven, Some handler when q.irq_armed ->
+            (* Inject once; the line stays inactive until [burst] drains
+               the ring and re-arms it (the paper's interrupt-storm
+               avoidance). *)
+            q.irq_armed <- false;
+            C.incr q.c.rx_irqs;
+            Uksim.Clock.advance q.clock Uksim.Cost.interrupt_delivery;
+            handler ()
+        | (Interrupt_driven | Polling), _ -> ())
+
+  let catch_up q = Uksim.Engine.run ~until:(Uksim.Clock.cycles q.clock) q.engine
+
+  let received q nb =
+    C.incr q.c.rx_pkts;
+    C.add q.c.rx_bytes (Netbuf.len nb)
+
+  let burst q ~max:max_pkts =
+    catch_up q;
+    match q.conf with
+    | None -> []
+    | Some conf ->
+        let rec take acc n =
+          if n >= max_pkts then List.rev acc
+          else
+            match Queue.take_opt q.ring with
+            | None -> List.rev acc
+            | Some nb -> (
+                Uksim.Clock.advance q.clock q.pkt_cost;
+                match conf.rx_path with
+                | Zero_copy ->
+                    received q nb;
+                    take (nb :: acc) (n + 1)
+                | Copy_into rx_alloc -> (
+                    match rx_alloc () with
+                    | None ->
+                        drop q nb;
+                        take acc (n + 1)
+                    | Some dst ->
+                        Uksim.Clock.advance q.clock (Uksim.Cost.memcpy (Netbuf.len nb));
+                        Netbuf.copy_into nb dst;
+                        received q nb;
+                        Netbuf.recycle nb;
+                        take (dst :: acc) (n + 1)))
+        in
+        let pkts = take [] 0 in
+        if conf.mode = Interrupt_driven && Queue.is_empty q.ring then q.irq_armed <- true;
+        pkts
+
+  let pending q =
+    catch_up q;
+    Queue.length q.ring
+end

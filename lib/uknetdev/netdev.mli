@@ -35,20 +35,6 @@ type queue_conf = {
           queue's interrupt line is armed *)
 }
 
-type stats = {
-  tx_pkts : int;
-  tx_bytes : int;
-  tx_kicks : int;
-      (** doorbells/backend notifications (VM exits for vhost-net) *)
-  rx_pkts : int;
-  rx_bytes : int;
-  rx_digest : int;
-      (** FNV fold over received frame contents in delivery order — the
-          replay/equivalence fingerprint of this device's ingress *)
-  rx_irqs : int;
-  rx_dropped : int;  (** ring overflow or rx buffer exhaustion *)
-}
-
 type t = {
   name : string;
   mtu : int;
@@ -65,12 +51,58 @@ type t = {
           line (paper §3.1). *)
 
   rx_pending : qid:int -> int;
-  stats : unit -> stats;
+  source : Uktrace.Source.t;
+      (** The device's ["uknetdev.<name>"] source: [tx_pkts], [tx_bytes],
+          [tx_kicks] (doorbells/backend notifications, VM exits for
+          vhost-net), [rx_pkts], [rx_bytes], [rx_irqs] and [rx_dropped]
+          (unconfigured queue, ring overflow or rx buffer exhaustion). A
+          wrapper built with [{ dev with ... }] shares it, so nothing is
+          counted twice. *)
 }
 
-val zero_stats : stats
+(** {1 Driver helpers} *)
 
-val fold_digest : int -> Netbuf.t -> int
-(** One step of the rx_digest fold (exposed for drivers). *)
+type counters
+(** A device's ["uknetdev.<name>"] metric group. *)
 
-val pp_stats : Format.formatter -> stats -> unit
+val counters : string -> counters
+(** Register the group for device [name]. *)
+
+val source : counters -> Uktrace.Source.t
+val count_tx : counters -> pkts:int -> bytes:int -> unit
+val count_kick : counters -> unit
+
+(** One RX queue, as every driver runs it: a bounded ring filled by the
+    device side, the queue's {!queue_conf}, and its interrupt line. It
+    owns the RX counters. *)
+module Rxq : sig
+  type t
+
+  val create :
+    counters ->
+    clock:Uksim.Clock.t ->
+    engine:Uksim.Engine.t ->
+    ring_size:int ->
+    pkt_cost:int ->
+    t
+  (** [clock] is the consuming core's: it pays [pkt_cost] per dequeued
+      packet, the copy on {!Copy_into}, and interrupt delivery. [burst]
+      and [pending] first run [engine] up to [clock]'s present, so device
+      progress is observed. *)
+
+  val configure : t -> queue_conf -> unit
+
+  val deliver : t -> Netbuf.t -> unit
+  (** A frame arrives from the device side. It is dropped (counted and
+      recycled) when the queue is unconfigured or the ring is full.
+      Otherwise it is queued, and an armed interrupt line fires once: it
+      stays inactive until [burst] drains the ring. *)
+
+  val burst : t -> max:int -> Netbuf.t list
+  (** The driver's [rx_burst]: up to [max] packets, zero-copy or copied
+      into buffers from the queue's allocation callback (a failing
+      callback drops the frame). Draining the ring re-arms an
+      interrupt-driven queue. *)
+
+  val pending : t -> int
+end

@@ -10,12 +10,6 @@ let host_pkt_cost = function Vhost_net -> 2900 | Vhost_user -> 250
 let host_batch = 64
 let vhost_user_poll_cycles = 1200 (* ~0.33us poll interval when idle *)
 
-type rxq = {
-  rx_ring : Netbuf.t Queue.t;
-  mutable conf : Netdev.queue_conf option;
-  mutable irq_armed : bool;
-}
-
 type txq = { tx_ring : Netbuf.t Queue.t; mutable drain_scheduled : bool }
 
 type state = {
@@ -24,9 +18,9 @@ type state = {
   backend : backend;
   wire : Wire.endpoint;
   ring_size : int;
-  rxqs : rxq array;
+  rxqs : Netdev.Rxq.t array;
   txqs : txq array;
-  mutable st : Netdev.stats;
+  counters : Netdev.counters;
 }
 
 let catch_up t = Uksim.Engine.run ~until:(Uksim.Clock.cycles t.clock) t.engine
@@ -59,33 +53,12 @@ and drain t q =
      poll interval out — the poller's pickup latency — so the event queue
      stays finite in simulation). *)
 
-let deliver t qid nb =
-  let q = t.rxqs.(qid) in
-  match q.conf with
-  | None ->
-      t.st <- { t.st with rx_dropped = t.st.rx_dropped + 1 };
-      Netbuf.recycle nb
-  | Some conf ->
-      if Queue.length q.rx_ring >= t.ring_size then begin
-        t.st <- { t.st with rx_dropped = t.st.rx_dropped + 1 };
-        Netbuf.recycle nb
-      end
-      else begin
-        Queue.push nb q.rx_ring;
-        match (conf.mode, conf.rx_handler) with
-        | Netdev.Interrupt_driven, Some handler when q.irq_armed ->
-            (* Inject once; the line stays inactive until rx_burst drains
-               the ring and re-arms it (paper's interrupt-storm
-               avoidance). *)
-            q.irq_armed <- false;
-            t.st <- { t.st with rx_irqs = t.st.rx_irqs + 1 };
-            Uksim.Clock.advance t.clock Uksim.Cost.interrupt_delivery;
-            handler ()
-        | (Netdev.Interrupt_driven | Netdev.Polling), _ -> ()
-      end
-
 let create ~clock ~engine ~backend ~wire ?(ring_size = 256) ?(n_queues = 1) () =
   if ring_size <= 0 || n_queues <= 0 then invalid_arg "Virtio_net.create";
+  let name =
+    match backend with Vhost_net -> "virtio-net/vhost-net" | Vhost_user -> "virtio-net/vhost-user"
+  in
+  let counters = Netdev.counters name in
   let t =
     {
       clock;
@@ -95,9 +68,9 @@ let create ~clock ~engine ~backend ~wire ?(ring_size = 256) ?(n_queues = 1) () =
       ring_size;
       rxqs =
         Array.init n_queues (fun _ ->
-            { rx_ring = Queue.create (); conf = None; irq_armed = false });
+            Netdev.Rxq.create counters ~clock ~engine ~ring_size ~pkt_cost:guest_rx_cost);
       txqs = Array.init n_queues (fun _ -> { tx_ring = Queue.create (); drain_scheduled = false });
-      st = Netdev.zero_stats;
+      counters;
     }
   in
   (* Inbound steering: with one queue everything lands on queue 0; with
@@ -110,14 +83,13 @@ let create ~clock ~engine ~backend ~wire ?(ring_size = 256) ?(n_queues = 1) () =
            if n_queues = 1 then 0
            else match Rss.queue_of_netbuf nb ~n_queues with Some q -> q | None -> 0
          in
-         deliver t qid nb));
+         Netdev.Rxq.deliver t.rxqs.(qid) nb));
   let check_qid qid =
     if qid < 0 || qid >= n_queues then invalid_arg "Virtio_net: bad queue id"
   in
   let configure_queue ~qid conf =
     check_qid qid;
-    t.rxqs.(qid).conf <- Some conf;
-    t.rxqs.(qid).irq_armed <- conf.Netdev.mode = Netdev.Interrupt_driven
+    Netdev.Rxq.configure t.rxqs.(qid) conf
   in
   let tx_burst ~qid (pkts : Netbuf.t array) =
     check_qid qid;
@@ -135,13 +107,13 @@ let create ~clock ~engine ~backend ~wire ?(ring_size = 256) ?(n_queues = 1) () =
       Queue.push pkts.(i) q.tx_ring
     done;
     if n > 0 then begin
-      t.st <- { t.st with tx_pkts = t.st.tx_pkts + n; tx_bytes = t.st.tx_bytes + !bytes };
+      Netdev.count_tx t.counters ~pkts:n ~bytes:!bytes;
       (match t.backend with
       | Vhost_net ->
           (* Notify the host when it may be sleeping (empty->nonempty). *)
           if was_empty then begin
             Uksim.Clock.advance t.clock Uksim.Cost.vm_exit;
-            t.st <- { t.st with tx_kicks = t.st.tx_kicks + 1 }
+            Netdev.count_kick t.counters
           end
       | Vhost_user -> ());
       schedule_drain t q
@@ -153,58 +125,16 @@ let create ~clock ~engine ~backend ~wire ?(ring_size = 256) ?(n_queues = 1) () =
     catch_up t;
     t.ring_size - Queue.length t.txqs.(qid).tx_ring
   in
-  let rx_burst ~qid ~max:max_pkts =
+  let rx_burst ~qid ~max =
     check_qid qid;
-    catch_up t;
-    let q = t.rxqs.(qid) in
-    match q.conf with
-    | None -> []
-    | Some conf ->
-        let rec take acc n =
-          if n >= max_pkts then List.rev acc
-          else
-            match Queue.take_opt q.rx_ring with
-            | None -> List.rev acc
-            | Some nb -> (
-                Uksim.Clock.advance t.clock guest_rx_cost;
-                let account () =
-                  t.st <-
-                    {
-                      t.st with
-                      rx_pkts = t.st.rx_pkts + 1;
-                      rx_bytes = t.st.rx_bytes + Netbuf.len nb;
-                      rx_digest = Netdev.fold_digest t.st.rx_digest nb;
-                    }
-                in
-                match conf.rx_path with
-                | Netdev.Zero_copy ->
-                    account ();
-                    take (nb :: acc) (n + 1)
-                | Netdev.Copy_into rx_alloc -> (
-                    match rx_alloc () with
-                    | None ->
-                        t.st <- { t.st with rx_dropped = t.st.rx_dropped + 1 };
-                        Netbuf.recycle nb;
-                        take acc (n + 1)
-                    | Some dst ->
-                        Uksim.Clock.advance t.clock (Uksim.Cost.memcpy (Netbuf.len nb));
-                        Netbuf.copy_into nb dst;
-                        account ();
-                        Netbuf.recycle nb;
-                        take (dst :: acc) (n + 1)))
-        in
-        let pkts = take [] 0 in
-        if conf.mode = Netdev.Interrupt_driven && Queue.is_empty q.rx_ring then
-          q.irq_armed <- true;
-        pkts
+    Netdev.Rxq.burst t.rxqs.(qid) ~max
   in
   let rx_pending ~qid =
     check_qid qid;
-    catch_up t;
-    Queue.length t.rxqs.(qid).rx_ring
+    Netdev.Rxq.pending t.rxqs.(qid)
   in
   {
-    Netdev.name = (match backend with Vhost_net -> "virtio-net/vhost-net" | Vhost_user -> "virtio-net/vhost-user");
+    Netdev.name;
     mtu = 1500;
     max_queues = n_queues;
     configure_queue;
@@ -212,5 +142,5 @@ let create ~clock ~engine ~backend ~wire ?(ring_size = 256) ?(n_queues = 1) () =
     tx_room;
     rx_burst;
     rx_pending;
-    stats = (fun () -> t.st);
+    source = Netdev.source counters;
   }

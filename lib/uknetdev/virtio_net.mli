@@ -27,7 +27,9 @@ val create :
 (** The device transmits onto (and receives from) [wire]. [ring_size]
     defaults to 256 descriptors per queue, [n_queues] to 1. Frames arriving
     for an unconfigured queue, a full ring, or a failing [rx_alloc] are
-    dropped (counted). *)
+    dropped (counted in [rx_dropped]). Registers the device's
+    ["uknetdev.virtio-net/vhost-net"] or ["uknetdev.virtio-net/vhost-user"]
+    source. *)
 
 val guest_tx_cost : backend -> int
 (** Guest cycles per transmitted packet (descriptor setup). *)

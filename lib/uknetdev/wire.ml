@@ -1,3 +1,5 @@
+module C = Uktrace.Metric.Counter
+
 type endpoint = {
   engine : Uksim.Engine.t;
   latency_cycles : int;
@@ -8,15 +10,20 @@ type endpoint = {
   mutable peer : endpoint option;
   mutable receiver : (Netbuf.t -> unit) option;
   mutable line_free_at : int; (* serialization: next cycle the line is free *)
-  mutable rx_frames : int;
-  mutable rx_bytes : int;
-  mutable rx_digest : int;
-  mutable tx_frames : int;
-  mutable dropped : int;
+  group : Uktrace.Registry.group;
+  rx_frames : C.t;
+  rx_bytes : C.t;
+  tx_frames : C.t;
+  dropped : C.t;
 }
 
 let make engine ~latency_ns ~bandwidth_gbps ~loss ~duplicate ~rng =
   let cycles_per_byte = Uksim.Clock.ghz *. 8.0 /. bandwidth_gbps in
+  let group = Uktrace.Registry.group ~subsystem:"uknetdev" "wire" in
+  let rx_frames = Uktrace.Registry.counter group "rx_frames" in
+  let rx_bytes = Uktrace.Registry.counter group "rx_bytes" in
+  let tx_frames = Uktrace.Registry.counter group "tx_frames" in
+  let dropped = Uktrace.Registry.counter group "dropped" in
   {
     engine;
     latency_cycles = Uksim.Clock.cycles_of_ns latency_ns;
@@ -27,11 +34,11 @@ let make engine ~latency_ns ~bandwidth_gbps ~loss ~duplicate ~rng =
     peer = None;
     receiver = None;
     line_free_at = 0;
-    rx_frames = 0;
-    rx_bytes = 0;
-    rx_digest = 0;
-    tx_frames = 0;
-    dropped = 0;
+    group;
+    rx_frames;
+    rx_bytes;
+    tx_frames;
+    dropped;
   }
 
 let create_pair ~engine ?(latency_ns = 5000.0) ?(bandwidth_gbps = 10.0) ?(loss = 0.0)
@@ -46,9 +53,8 @@ let create_pair ~engine ?(latency_ns = 5000.0) ?(bandwidth_gbps = 10.0) ?(loss =
   (a, b)
 
 let deliver ep nb =
-  ep.rx_frames <- ep.rx_frames + 1;
-  ep.rx_bytes <- ep.rx_bytes + Netbuf.len nb;
-  ep.rx_digest <- (ep.rx_digest * 0x100000001b3) lxor Netbuf.payload_hash nb land max_int;
+  C.incr ep.rx_frames;
+  C.add ep.rx_bytes (Netbuf.len nb);
   match ep.receiver with Some f -> f nb | None -> Netbuf.recycle nb
 
 let rec transmit ep peer nb =
@@ -68,9 +74,9 @@ let send ep nb =
   match ep.peer with
   | None -> invalid_arg "Wire.send: unconnected endpoint"
   | Some peer ->
-      ep.tx_frames <- ep.tx_frames + 1;
+      C.incr ep.tx_frames;
       if ep.loss > 0.0 && Uksim.Rng.float ep.rng 1.0 < ep.loss then begin
-        ep.dropped <- ep.dropped + 1;
+        C.incr ep.dropped;
         Netbuf.recycle nb
       end
       else transmit ep peer nb
@@ -92,16 +98,4 @@ let set_receiver_bytes ep f =
          f payload)
        f)
 
-let rx_frames ep = ep.rx_frames
-let rx_bytes ep = ep.rx_bytes
-let rx_digest ep = ep.rx_digest
-let tx_frames ep = ep.tx_frames
-
-let dropped_frames ep = ep.dropped
-
-let reset_counters ep =
-  ep.rx_frames <- 0;
-  ep.rx_bytes <- 0;
-  ep.rx_digest <- 0;
-  ep.tx_frames <- 0;
-  ep.dropped <- 0
+let source ep = Uktrace.Registry.source ep.group

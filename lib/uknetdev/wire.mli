@@ -22,10 +22,8 @@ val create_pair :
     than the line rate are serialized (delivery times push out). [loss]
     and [duplicate] are per-frame probabilities (default 0.0 — the paper's
     direct cable) applied deterministically from [seed]; lost frames are
-    counted in {!dropped_frames}. *)
-
-val dropped_frames : endpoint -> int
-(** Frames this endpoint transmitted that the fault model discarded. *)
+    counted in the sender's [dropped]. Registers one {!source} per
+    endpoint, the first endpoint's first. *)
 
 val send : endpoint -> Netbuf.t -> unit
 (** Transmit a frame towards the peer endpoint, consuming the buffer. *)
@@ -49,11 +47,7 @@ val attach_echo : endpoint -> unit
 (** Reflect every frame back (source/dest rewriting is the sender's
     problem — this is a raw reflector). *)
 
-val rx_frames : endpoint -> int
-val rx_bytes : endpoint -> int
-
-val rx_digest : endpoint -> int
-(** Running FNV fold over delivered frame contents (replay checks). *)
-
-val tx_frames : endpoint -> int
-val reset_counters : endpoint -> unit
+val source : endpoint -> Uktrace.Source.t
+(** The endpoint's ["uknetdev.wire"] source: [rx_frames] and [rx_bytes]
+    delivered to it, [tx_frames] sent from it, and [dropped] (frames it
+    sent that the fault model discarded). *)

@@ -2,8 +2,13 @@
 # Perf-drift check: rerun every bench group in fast mode (UKRAFT_FAST=1)
 # and diff each BENCH_<group>.json against the committed baseline in
 # bench/baseline/. Runs are virtual-time and seeded, so outside the
-# wall-clock "seconds" lines every number is exact: any moved line is a
-# real change. Prints the moved lines per group and exits 1 on drift.
+# wall-clock "seconds" lines every number is exact: any differing line is
+# a real change. Each group prints three counts taken from diff's own
+# hunks: added lines (a hunks, e.g. a newly registered source), removed
+# lines (d hunks) and moved lines (c hunks: a baseline line that now
+# reads differently; the extra lines of an uneven c hunk count as added
+# or removed). Any non-zero count is drift: the lines are listed and the
+# script exits 1.
 #
 # Usage: scripts/bench_diff.sh [DIR]. With DIR, diff the BENCH files of a
 # fast-mode run already made there instead of running the bench.
@@ -49,14 +54,27 @@ for base in bench/baseline/BENCH_*.json; do
   fi
   grep -v '"seconds":' "$base" >"$tmp/base.txt"
   grep -v '"seconds":' "$out/$f" >"$tmp/cur.txt"
-  moved=$(diff "$tmp/base.txt" "$tmp/cur.txt" | grep '^[<>]' || true)
-  if [ -z "$moved" ]; then
-    echo "$group: 0 moved lines"
-  else
-    echo "$group: $(printf '%s\n' "$moved" | grep -c '^<') moved lines"
-    printf '%s\n' "$moved" | sed 's/^</  baseline:/; s/^>/  now:     /'
-    drift=1
-  fi
+  diff "$tmp/base.txt" "$tmp/cur.txt" >"$tmp/diff.txt" || true
+  # One pass over the hunks: tally the three kinds and label each line.
+  # A c hunk pairs its first min(old, new) lines as moved; the rest of
+  # the longer side is removed (baseline) or added (now).
+  report=$(awk '
+    function flush(   i, m) {
+      m = (kind == "c") ? ((old < new) ? old : new) : 0
+      moved += m; removed += old - m; added += new - m
+      for (i = 1; i <= old; i++) lines = lines "\n  " (i <= m ? "baseline:" : "removed: ") " " o[i]
+      for (i = 1; i <= new; i++) lines = lines "\n  " (i <= m ? "now:     " : "added:   ") " " n[i]
+      old = 0; new = 0
+    }
+    /^[0-9]/ { flush(); kind = ($0 ~ /a/) ? "a" : ($0 ~ /d/) ? "d" : "c"; next }
+    /^</ { o[++old] = substr($0, 3) }
+    /^>/ { n[++new] = substr($0, 3) }
+    END {
+      flush()
+      printf "%d added, %d removed, %d moved lines%s\n", added, removed, moved, lines
+    }' "$tmp/diff.txt")
+  echo "$group: $report"
+  if [ -s "$tmp/diff.txt" ]; then drift=1; fi
 done
 
 if [ "$drift" -ne 0 ]; then

@@ -75,7 +75,6 @@ let test_copy_counters () =
   Nb.set_len b 17;
   Nb.push b 0;
   Nb.pull b 0;
-  ignore (Nb.payload_hash b);
   Alcotest.(check int) "zero-copy ops are uncounted" before (Nb.total_copies ());
   let bytes_before = Nb.copied_bytes_total () in
   ignore (Nb.copy_out b);
@@ -843,6 +842,106 @@ let test_socket_deferred_flush_when_full () =
         150_000)
     [ 20_000.0; 22_100.0; 24_900.0; 60_000.0 ]
 
+(* --- each layer counts a packet once ------------------------------------------- *)
+
+(* Per loopback side, the device counts what the stacks bound to it
+   count: every packet a stack handed to tx_burst, and every packet
+   rx_burst handed to a stack. A wrapper that counted into the device's
+   source, or a layer that lost a count, breaks the equalities. *)
+let check_counted_once label dev stacks =
+  let count = Uktrace.Source.count in
+  let sum name = List.fold_left (fun n s -> n + count (S.source s) name) 0 stacks in
+  Alcotest.(check bool) (label ^ ": traffic flowed") true (count dev "rx_pkts" > 0);
+  Alcotest.(check int) (label ^ ": device tx_pkts") (sum "tx_pkts") (count dev "tx_pkts");
+  Alcotest.(check int) (label ^ ": device rx_pkts") (sum "rx_eth") (count dev "rx_pkts")
+
+let httpd_content = Ukapps.Httpd.In_memory [ ("/index.html", Ukapps.Httpd.default_page) ]
+
+let test_cluster_counts_once () =
+  List.iter
+    (fun (name, transport) ->
+      Uktrace.Registry.clear ();
+      let c = Cl.create ~seed:5 ~n:2 () in
+      (* The pair registers its two device sources on a cleared registry. *)
+      let device id =
+        List.find (fun s -> Uktrace.Source.id s = id) (Uktrace.Registry.sources ())
+      in
+      let server_dev = device "uknetdev.loopback-a" and client_dev = device "uknetdev.loopback-b" in
+      ignore (Cl.add_httpd c ~transport httpd_content);
+      let r =
+        Cl.run_load c ~transport ~port:80 ~connections_per_core:2 ~requests_per_core:100
+          ~pipeline:4 (Ukapps.Httpd.client ())
+      in
+      Alcotest.(check int) (name ^ ": all answered") 200 r.Ukapps.Load.requests;
+      check_counted_once (name ^ " server side") server_dev
+        [ Cl.server_stack c 0; Cl.server_stack c 1 ];
+      check_counted_once (name ^ " client side") client_dev
+        [ Cl.client_stack c 0; Cl.client_stack c 1 ])
+    [ ("socket", Ukapps.Serve.Socket); ("netbuf", netbuf) ];
+  Uktrace.Registry.clear ()
+
+(* One core, httpd over a loopback pair whose server side is optionally
+   wrapped in a Faultnet that injects nothing. Returns each side's device
+   readings. *)
+let faultnet_run ~wrap transport =
+  let clock = Uksim.Clock.create () in
+  let engine = Uksim.Engine.create clock in
+  let sched = Uksched.Sched.create_cooperative ~clock ~engine in
+  let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
+  let da =
+    if not wrap then da
+    else
+      Ukfault.Faultnet.(
+        dev (wrap ~clock ~engine ~rng:(Uksim.Rng.create 3) ~plan:(plan ()) da))
+  in
+  let mk dev ip mac =
+    let s =
+      S.create ~clock ~engine ~sched ~dev
+        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
+    in
+    S.start s;
+    s
+  in
+  let server = mk da "10.9.0.1" 0x91 in
+  let client = mk db "10.9.0.2" 0x92 in
+  ignore (Ukapps.Httpd.serve ~transport ~clock ~sched ~stack:server ~alloc:(alloc clock) httpd_content);
+  let r =
+    Ukapps.Load.run ~transport ~clock ~sched ~stack:client
+      ~server:(A.Ipv4.of_string "10.9.0.1", 80) ~connections:2 ~requests:100 ~pipeline:4
+      (Ukapps.Httpd.client ())
+  in
+  Alcotest.(check int) "all answered" 100 r.Ukapps.Load.requests;
+  let label = if wrap then "wrapped" else "bare" in
+  check_counted_once (label ^ " server side") da.Uknetdev.Netdev.source [ server ];
+  check_counted_once (label ^ " client side") db.Uknetdev.Netdev.source [ client ];
+  let readings (d : Uknetdev.Netdev.t) = d.source.Uktrace.Source.snapshot () in
+  let got = (readings da, readings db) in
+  Uktrace.Registry.clear ();
+  got
+
+let test_faultnet_counts_nothing () =
+  List.iter
+    (fun (name, transport) ->
+      let bare = faultnet_run ~wrap:false transport in
+      Alcotest.(check bool) (name ^ ": a fault-free wrapper moves no device count") true
+        (faultnet_run ~wrap:true transport = bare))
+    [ ("socket", Ukapps.Serve.Socket); ("netbuf", netbuf) ];
+  (* The block side: a fault-free Faultblk shares the ramdisk's source. *)
+  let clock = Uksim.Clock.create () in
+  let disk = Ukblock.Virtio_blk.create_ramdisk ~clock ~capacity_sectors:64 () in
+  let fb = Ukfault.Faultblk.wrap ~clock ~rng:(Uksim.Rng.create 3) ~plan:(Ukfault.Faultblk.plan ()) disk in
+  let dev = Ukfault.Faultblk.dev fb in
+  for lba = 0 to 4 do
+    match dev.Ukblock.Blockdev.write_sync ~lba (Bytes.make 1024 'w') with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Ukblock.Blockdev.error_to_string e)
+  done;
+  let count = Uktrace.Source.count dev.Ukblock.Blockdev.source in
+  Alcotest.(check int) "each write_sync counted once" 5 (count "writes");
+  Alcotest.(check int) "its sectors counted once" 10 (count "sectors_written");
+  Uktrace.Registry.clear ()
+
 let suite =
   [
     Alcotest.test_case "netbuf window push/pull/view/reset" `Quick test_window_ops;
@@ -880,4 +979,7 @@ let suite =
       test_close_mid_load;
     Alcotest.test_case "unusable Content-Length ends the connection" `Quick
       test_http_bad_length_ends_connection;
+    Alcotest.test_case "each layer counts a packet once" `Quick test_cluster_counts_once;
+    Alcotest.test_case "a fault-free wrapper counts nothing twice" `Quick
+      test_faultnet_counts_nothing;
   ]

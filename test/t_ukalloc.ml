@@ -24,9 +24,9 @@ let test_roundtrip () =
       | Some addr ->
           Alcotest.(check bool) (name ^ ": 16-aligned") true (addr land 15 = 0);
           Alloc.uk_free a addr;
-          let st = a.Alloc.stats () in
-          Alcotest.(check int) (name ^ ": one alloc") 1 st.Alloc.allocs;
-          Alcotest.(check int) (name ^ ": one free") 1 st.Alloc.frees)
+          let count = Uktrace.Source.count a.Alloc.source in
+          Alcotest.(check int) (name ^ ": one alloc") 1 (count "allocs");
+          Alcotest.(check int) (name ^ ": one free") 1 (count "frees"))
     (backends ())
 
 let test_zero_and_negative () =
@@ -75,7 +75,8 @@ let test_oom_and_recovery () =
       in
       fill ();
       Alcotest.(check bool) (name ^ ": filled region") true (List.length !addrs > 100);
-      Alcotest.(check bool) (name ^ ": OOM recorded") true ((a.Alloc.stats ()).Alloc.failed > 0);
+      Alcotest.(check bool) (name ^ ": OOM recorded") true
+        (Uktrace.Source.count a.Alloc.source "failed" > 0);
       List.iter (Alloc.uk_free a) !addrs;
       (match Alloc.uk_malloc a 4096 with
       | Some _ -> ()
@@ -83,7 +84,7 @@ let test_oom_and_recovery () =
       Alcotest.(check bool)
         (name ^ ": live bytes low after frees")
         true
-        ((a.Alloc.stats ()).Alloc.bytes_in_use <= 4096))
+        (Uktrace.Source.level a.Alloc.source "bytes_in_use" <= 4096.0))
     small
 
 let test_buddy_coalescing () =

@@ -118,6 +118,8 @@ let test_batch_amortizes_kick () =
 
 (* --- lossy wire + TCP recovery ------------------------------------------ *)
 
+let wire_count ep name = Uktrace.Source.count (Wire.source ep) name
+
 let test_wire_loss_counted () =
   let _, engine = env () in
   let a, b = Wire.create_pair ~engine ~loss:0.5 ~seed:7 () in
@@ -126,8 +128,8 @@ let test_wire_loss_counted () =
     Wire.send_bytes a (Bytes.make 64 'l')
   done;
   Uksim.Engine.run engine;
-  let dropped = Wire.dropped_frames a in
-  Alcotest.(check int) "conservation" 1000 (dropped + Wire.rx_frames b);
+  let dropped = wire_count a "dropped" in
+  Alcotest.(check int) "conservation" 1000 (dropped + wire_count b "rx_frames");
   Alcotest.(check bool)
     (Printf.sprintf "about half dropped (%d)" dropped)
     true
@@ -142,9 +144,9 @@ let test_wire_duplication () =
   done;
   Uksim.Engine.run engine;
   Alcotest.(check bool)
-    (Printf.sprintf "duplicates delivered (%d)" (Wire.rx_frames b))
+    (Printf.sprintf "duplicates delivered (%d)" (wire_count b "rx_frames"))
     true
-    (Wire.rx_frames b > 1200)
+    (wire_count b "rx_frames" > 1200)
 
 let test_tcp_over_lossy_virtio () =
   (* End-to-end: a TCP transfer across a 2%-loss, 1%-duplication link
@@ -195,7 +197,7 @@ let test_tcp_over_lossy_virtio () =
   Alcotest.(check int) "every byte arrived" (Bytes.length payload) (Buffer.length received);
   Alcotest.(check bytes) "in order and uncorrupted" payload (Buffer.to_bytes received);
   Alcotest.(check bool) "the link really dropped frames" true
-    (Wire.dropped_frames wa + Wire.dropped_frames wb > 0)
+    (wire_count wa "dropped" + wire_count wb "dropped" > 0)
 
 let tcp_lossy_prop =
   QCheck.Test.make ~name:"TCP delivers intact streams across random lossy links" ~count:8

@@ -5,6 +5,8 @@ module Nd = Uknetdev.Netdev
 module Wire = Uknetdev.Wire
 module Vn = Uknetdev.Virtio_net
 
+let count = Uktrace.Source.count
+
 let env () =
   let clock = Uksim.Clock.create () in
   let engine = Uksim.Engine.create clock in
@@ -54,7 +56,7 @@ let test_pool_backed_by_allocator () =
   let clock, _ = env () in
   let alloc = Ukalloc.Tlsf.create ~clock ~base:(1 lsl 20) ~len:(1 lsl 20) in
   let _ = Nb.Pool.create ~clock ~alloc ~count:16 ~size:1500 () in
-  Alcotest.(check int) "backing allocations made" 16 ((alloc.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.allocs)
+  Alcotest.(check int) "backing allocations made" 16 (count alloc.Ukalloc.Alloc.source "allocs")
 
 let test_wire_delivery () =
   let clock, engine = env () in
@@ -65,8 +67,8 @@ let test_wire_delivery () =
   Wire.send_bytes a (Bytes.of_string "two");
   Uksim.Engine.run engine;
   Alcotest.(check (list string)) "in order" [ "one"; "two" ] (List.rev !got);
-  Alcotest.(check int) "tx counted" 2 (Wire.tx_frames a);
-  Alcotest.(check int) "rx counted" 2 (Wire.rx_frames b);
+  Alcotest.(check int) "tx counted" 2 (count (Wire.source a) "tx_frames");
+  Alcotest.(check int) "rx counted" 2 (count (Wire.source b) "rx_frames");
   Alcotest.(check bool) "latency applied" true (Uksim.Clock.ns clock >= 1000.0)
 
 let test_wire_serialization () =
@@ -108,10 +110,9 @@ let test_virtio_tx_reaches_wire () =
   let sent = dev.Nd.tx_burst ~qid:0 pkts in
   Alcotest.(check int) "all accepted" 8 sent;
   Uksim.Engine.run engine;
-  Alcotest.(check int) "frames on the wire" 8 (Wire.rx_frames peer);
-  let st = dev.Nd.stats () in
-  Alcotest.(check int) "tx pkts" 8 st.Nd.tx_pkts;
-  Alcotest.(check bool) "vhost-net kicked" true (st.Nd.tx_kicks >= 1)
+  Alcotest.(check int) "frames on the wire" 8 (count (Wire.source peer) "rx_frames");
+  Alcotest.(check int) "tx pkts" 8 (count dev.Nd.source "tx_pkts");
+  Alcotest.(check bool) "vhost-net kicked" true (count dev.Nd.source "tx_kicks" >= 1)
 
 let test_vhost_user_no_kicks () =
   let _, engine, dev, peer = mk_virtio ~backend:Vn.Vhost_user () in
@@ -119,8 +120,8 @@ let test_vhost_user_no_kicks () =
   let pkts = Array.init 8 (fun _ -> Nb.of_bytes (Bytes.make 64 'p')) in
   ignore (dev.Nd.tx_burst ~qid:0 pkts);
   Uksim.Engine.run ~until:(Uksim.Clock.cycles (Uksim.Engine.clock engine) + 1_000_000) engine;
-  Alcotest.(check int) "no VM exits" 0 ((dev.Nd.stats ()).Nd.tx_kicks);
-  Alcotest.(check int) "frames still flow" 8 (Wire.rx_frames peer)
+  Alcotest.(check int) "no VM exits" 0 (count dev.Nd.source "tx_kicks");
+  Alcotest.(check int) "frames still flow" 8 (count (Wire.source peer) "rx_frames")
 
 let test_virtio_rx_polling () =
   let clock, engine, dev, peer = mk_virtio () in
@@ -134,7 +135,7 @@ let test_virtio_rx_polling () =
   (match pkts with
   | [ nb ] -> Alcotest.(check string) "payload intact" "hello-guest" (Bytes.to_string (Nb.to_payload nb))
   | _ -> Alcotest.fail "expected one");
-  Alcotest.(check int) "no irqs in polling mode" 0 ((dev.Nd.stats ()).Nd.rx_irqs)
+  Alcotest.(check int) "no irqs in polling mode" 0 (count dev.Nd.source "rx_irqs")
 
 let test_virtio_rx_interrupt_storm_avoidance () =
   let clock, engine, dev, peer = mk_virtio () in
@@ -163,7 +164,7 @@ let test_virtio_rx_drop_when_unconfigured () =
   let _, engine, dev, peer = mk_virtio () in
   Wire.send_bytes peer (Bytes.make 64 'q');
   Uksim.Engine.run engine;
-  Alcotest.(check int) "dropped" 1 ((dev.Nd.stats ()).Nd.rx_dropped)
+  Alcotest.(check int) "dropped" 1 (count dev.Nd.source "rx_dropped")
 
 let test_virtio_ring_capacity () =
   let clock, engine = env () in
@@ -184,7 +185,7 @@ let test_loopback_pair () =
   Uksim.Clock.advance clock 1;
   let got = db.Nd.rx_burst ~qid:0 ~max:4 in
   Alcotest.(check int) "delivered" 1 (List.length got);
-  Alcotest.(check int) "b rx counted" 1 ((db.Nd.stats ()).Nd.rx_pkts)
+  Alcotest.(check int) "b rx counted" 1 (count db.Nd.source "rx_pkts")
 
 let test_guest_costs_differ () =
   Alcotest.(check bool) "vhost-user cheaper per packet" true

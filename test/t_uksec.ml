@@ -135,7 +135,7 @@ let test_asan_quarantine_eviction () =
   let t = Asan.wrap ~clock:c ~quarantine:4 inner in
   let a = Asan.alloc t in
   let addrs = List.init 10 (fun _ -> Option.get (a.Ukalloc.Alloc.malloc 64)) in
-  let inner_frees () = (inner.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.frees in
+  let inner_frees () = Uktrace.Source.count inner.Ukalloc.Alloc.source "frees" in
   List.iteri
     (fun i addr ->
       a.Ukalloc.Alloc.free addr;

@@ -237,9 +237,10 @@ let test_mutex_contention_accounting () =
          Uklock.Lock.Mutex.lock m;
          Uklock.Lock.Mutex.unlock m));
   Uksched.Sched.run sched;
-  let waits, cycles = Uklock.Lock.Mutex.contention m in
-  Alcotest.(check int) "one blocked acquisition" 1 waits;
-  Alcotest.(check bool) "waited some cycles" true (cycles > 0)
+  let count = Uktrace.Source.count (Uklock.Lock.Mutex.source m) in
+  Alcotest.(check int) "two acquisitions" 2 (count "acquisitions");
+  Alcotest.(check int) "one blocked acquisition" 1 (count "contended");
+  Alcotest.(check bool) "waited some cycles" true (count "wait_cycles" > 0)
 
 (* --- per-core arena ------------------------------------------------------ *)
 
@@ -261,9 +262,10 @@ let test_arena_basic_and_refill () =
   Alcotest.(check int) "one refill of 8 serves 8 allocs" 1 (Uktrace.Source.count src "refills");
   Alcotest.(check int) "fast hits after first" 7 (Uktrace.Source.count src "fast_hits");
   (* batch amortization: backend saw one burst of allocs, not one per malloc *)
-  Alcotest.(check int) "backend allocs = batch" 8 (backend.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.allocs;
+  Alcotest.(check int) "backend allocs = batch" 8
+    (Uktrace.Source.count backend.Ukalloc.Alloc.source "allocs");
   List.iter (Ukalloc.Alloc.uk_free v0) !addrs;
-  Alcotest.(check int) "frees accounted" 8 (v0.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.frees;
+  Alcotest.(check int) "frees accounted" 8 (Uktrace.Source.count v0.Ukalloc.Alloc.source "frees");
   Alcotest.(check (float 0.0)) "freed objects cached in magazine" 8.0
     (Uktrace.Source.level src "cached_objs")
 

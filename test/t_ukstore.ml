@@ -334,7 +334,7 @@ let checkpoint_history t =
     ignore (commit t)
   done
 
-let sectors_written (dev : B.t) = (dev.B.stats ()).B.sectors_written
+let sectors_written (dev : B.t) = Uktrace.Source.count dev.B.source "sectors_written"
 
 (* A checkpoint's one write is the root slot, so there is no run of
    frames to tear. The device dies before that sector and after it;
@@ -394,13 +394,12 @@ let test_checkpoint_is_one_slot_write () =
       done;
       Alcotest.(check int) (Printf.sprintf "n=%d: no flip before the checkpoint" n) 0
         (checkpoints ());
-      let stats () = dev.B.stats () in
-      let before = stats () in
+      let count = Uktrace.Source.count dev.B.source in
+      let writes = count "writes" and sectors = count "sectors_written" in
       ok (St.checkpoint t);
-      Alcotest.(check int) (Printf.sprintf "n=%d: one write" n) 1
-        ((stats ()).B.writes - before.B.writes);
+      Alcotest.(check int) (Printf.sprintf "n=%d: one write" n) 1 (count "writes" - writes);
       Alcotest.(check int) (Printf.sprintf "n=%d: of one sector" n) 1
-        ((stats ()).B.sectors_written - before.B.sectors_written);
+        (count "sectors_written" - sectors);
       Alcotest.(check int) (Printf.sprintf "n=%d: one flip" n) 1 (checkpoints ());
       let replayed = counting "replayed_records" in
       let t' = ok (St.open_ ~clock:c dev) in

@@ -302,10 +302,11 @@ let test_trial_resets () =
          Uklock.Lock.Mutex.lock m;
          Uklock.Lock.Mutex.unlock m));
   Uksched.Sched.run sched;
-  Alcotest.(check bool) "contention observed" true (fst (Uklock.Lock.Mutex.contention m) > 0);
-  Uklock.Lock.Mutex.reset_contention m;
+  let msrc = Uklock.Lock.Mutex.source m in
+  Alcotest.(check bool) "contention observed" true (Source.count msrc "contended" > 0);
+  msrc.Source.reset ();
   Alcotest.(check (pair int int)) "mutex contention cleared" (0, 0)
-    (Uklock.Lock.Mutex.contention m);
+    (Source.count msrc "contended", Source.count msrc "wait_cycles");
   let l = Uklock.Lock.Spin.create ~name:"t" () in
   let c0 = Uksim.Clock.create () and c1 = Uksim.Clock.create () in
   Uklock.Lock.Spin.acquire l c0 ~hold:1000;
