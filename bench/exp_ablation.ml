@@ -64,7 +64,7 @@ let abl_netmode =
           (* 100 packets, 10us apart: an idle-ish queue. *)
           for i = 1 to 100 do
             Uksim.Engine.at engine (Uksim.Clock.cycles_of_ns (float_of_int i *. 10_000.0))
-              (fun () -> Wire.send_bytes wb (Bytes.make 64 'p'))
+              (fun () -> Wire.send wb (Nb.of_bytes (Bytes.make 64 'p')))
           done;
           let polls = ref 0 in
           let received = ref 0 in

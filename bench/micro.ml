@@ -51,7 +51,7 @@ let tab4_tests =
       (Uknetstack.Pkt.Ipv4.header ~src ~dst ~proto:Uknetstack.Pkt.Ipv4.Udp
          ~payload_len:(Uknetdev.Netbuf.len b))
       b;
-    Uknetdev.Netbuf.to_payload b
+    Uknetdev.Netbuf.copy_out b
   in
   [
     Test.make ~name:"udpkv/store-get"

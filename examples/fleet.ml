@@ -1,7 +1,7 @@
 (* Fleet quickstart: absorb a 10x flash crowd by booting through it.
 
    A fleet of calibrated httpd unikernels sits behind an L4 front door;
-   an autoscaler watches the fleet's own uktrace gauges and scales out
+   an autoscaler watches the fleet's own readings and scales out
    via snapshot clones (~1.3 ms each) when the spike hits.
 
    Run with: dune exec examples/fleet.exe *)

@@ -85,7 +85,7 @@ let serve_netdev ~clock ~sched ~dev ~store ~mac ~ip ?(port = 5000) () =
                     when A.Ipv4.equal dst ip -> (
                       match P.Udp.decode ~src:peer_ip ~dst nb with
                       | Ok { P.Udp.src_port; dst_port } when dst_port = port ->
-                          let reply = answer store (Bytes.to_string (Nb.to_payload nb)) in
+                          let reply = answer store (Bytes.to_string (Nb.copy_out nb)) in
                           Uksim.Clock.advance clock spec_reply_cost;
                           let out = Nb.of_bytes (Bytes.of_string reply) in
                           P.Udp.encode

@@ -1,5 +1,4 @@
 type t = {
-  seed : int;
   clock : Uksim.Clock.t;
   engine : Uksim.Engine.t;
   rng : Uksim.Rng.t;
@@ -8,12 +7,10 @@ type t = {
   router : Router.t;
   detector : Detector.t;
   image : Ukfleet.Image.t;
-  mig_params : Migrate.params;
   mutable loading : bool;
   mutable c_migrations : int;
   mutable c_mig_aborts : int;
   mutable last_pause_ns : float;
-  mutable c_collected : int;
   mutable pending_clone : (int * int * int) option; (* src, dst, slot *)
 }
 
@@ -21,10 +18,8 @@ let default_classes n =
   (* A heterogeneous default: every third host is ARM-class. *)
   Array.init n (fun i -> if i mod 3 = 2 then Host.Arm else Host.X86)
 
-let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
-    ?(image = Ukfleet.Image.httpd) ?(net_latency_ns = 50_000.0) ?(net_gbps = 10.0)
-    ?(detector_params = Detector.params ()) ?(router_params = Router.params ())
-    ?(mig_params = Migrate.params ()) () =
+let create ?(seed = 42) ?(n_hosts = 4) ?classes ?(image = Ukfleet.Image.httpd)
+    ?(detector_params = Detector.params ()) ?(router_params = Router.params ()) () =
   if n_hosts < 2 then invalid_arg "Cluster.create: need at least two hosts";
   let classes = Option.value classes ~default:(default_classes n_hosts) in
   if Array.length classes <> n_hosts then
@@ -34,12 +29,10 @@ let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
   let rng = Uksim.Rng.create (seed lxor 0xc105) in
   (* Node ids: hosts are 0..n-1, the front tier is node n — it shares
      the fabric, so partitions can isolate it from any subset. *)
-  let net =
-    Netmodel.create ~latency_ns:net_latency_ns ~gbps:net_gbps ~nodes:(n_hosts + 1) ()
-  in
+  let net = Netmodel.create ~nodes:(n_hosts + 1) () in
   let hosts =
     Array.init n_hosts (fun i ->
-        Host.create ~clock ~engine ~seed ~id:i ~cls:classes.(i) ?instances ~image ())
+        Host.create ~clock ~engine ~seed ~id:i ~cls:classes.(i) ~image ())
   in
   let router =
     Router.create ~clock ~engine ~seed ~net ~front:n_hosts ~n_hosts
@@ -66,11 +59,10 @@ let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
         Router.collect_host router h;
         match !tref with
         | None -> ()
-        | Some t ->
-            t.c_collected <- t.c_collected + 1;
+        | Some t -> (
             (* The kill+clone baseline is reactive: the clone only
                starts once the detector has buried the source. *)
-            (match t.pending_clone with
+            match t.pending_clone with
             | Some (src, dst, slot) when src = h ->
                 t.pending_clone <- None;
                 let clone_ns =
@@ -92,7 +84,6 @@ let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
   in
   let t =
     {
-      seed;
       clock;
       engine;
       rng;
@@ -101,12 +92,10 @@ let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
       router;
       detector;
       image;
-      mig_params;
       loading = false;
       c_migrations = 0;
       c_mig_aborts = 0;
       last_pause_ns = 0.0;
-      c_collected = 0;
       pending_clone = None;
     }
   in
@@ -118,11 +107,8 @@ let engine t = t.engine
 let net t = t.net
 let router t = t.router
 let detector t = t.detector
-let n_hosts t = Array.length t.hosts
 let host t i = t.hosts.(i)
 let front t = Array.length t.hosts
-let migrations t = t.c_migrations
-let migration_aborts t = t.c_mig_aborts
 let last_pause_ns t = t.last_pause_ns
 
 let at_abs t ns f =
@@ -167,35 +153,31 @@ let alive_dst t ~src ~avoid =
 
 let rec start_migration t ~at_ns ~slot ~src ~dst ~attempt =
   let fp = footprint_bytes t in
-  ignore
-    (Migrate.start ~clock:t.clock ~engine:t.engine ~net:t.net ~src ~dst
-       ~src_up:(fun () -> Host.up t.hosts.(src))
-       ~dst_up:(fun () -> Host.up t.hosts.(dst))
-       ~footprint_bytes:fp
-       ~dirty_bps:(fun () -> 0.25 *. float_of_int fp)
-       ~params:t.mig_params
-       ~on_drain:(fun ~now_ns on ->
-         Router.drain_slot t.router ~slot on;
-         Ukfleet.Fleet.set_draining (Host.fleet t.hosts.(src)) on;
-         ignore now_ns)
-       ~on_commit:(fun ~now_ns ~pause_ns ->
-         t.c_migrations <- t.c_migrations + 1;
-         t.last_pause_ns <- pause_ns;
-         Router.reassign t.router ~slot ~host:dst;
-         ignore now_ns)
-       ~on_abort:(fun ~now_ns reason ->
-         t.c_mig_aborts <- t.c_mig_aborts + 1;
-         (* Abort-and-restart: pick a live destination and go again
-            after a short backoff — unless the *source* died, in which
-            case the detector/collection path owns recovery. *)
-         if reason <> Migrate.Src_down && attempt < 4 then
-           match alive_dst t ~src ~avoid:dst with
-           | Some dst' ->
-               start_migration t
-                 ~at_ns:(now_ns +. Uksim.Units.msec 2.0)
-                 ~slot ~src ~dst:dst' ~attempt:(attempt + 1)
-           | None -> ())
-       ~at_ns ())
+  Migrate.start ~clock:t.clock ~engine:t.engine ~net:t.net ~src ~dst
+    ~src_up:(fun () -> Host.up t.hosts.(src))
+    ~dst_up:(fun () -> Host.up t.hosts.(dst))
+    ~footprint_bytes:fp
+    ~dirty_bps:(fun () -> 0.25 *. float_of_int fp)
+    ~on_drain:(fun ~now_ns:_ on ->
+      Router.drain_slot t.router ~slot on;
+      Ukfleet.Fleet.set_draining (Host.fleet t.hosts.(src)) on)
+    ~on_commit:(fun ~now_ns:_ ~pause_ns ->
+      t.c_migrations <- t.c_migrations + 1;
+      t.last_pause_ns <- pause_ns;
+      Router.reassign t.router ~slot ~host:dst)
+    ~on_abort:(fun ~now_ns reason ->
+      t.c_mig_aborts <- t.c_mig_aborts + 1;
+      (* Abort-and-restart: pick a live destination and go again
+         after a short backoff — unless the *source* died, in which
+         case the detector/collection path owns recovery. *)
+      if reason <> Migrate.Src_down && attempt < 4 then
+        match alive_dst t ~src ~avoid:dst with
+        | Some dst' ->
+            start_migration t
+              ~at_ns:(now_ns +. Uksim.Units.msec 2.0)
+              ~slot ~src ~dst:dst' ~attempt:(attempt + 1)
+        | None -> ())
+    ~at_ns
 
 let migrate t ~at_ns ~src ~dst =
   if src = dst then invalid_arg "Cluster.migrate: src = dst";
@@ -248,11 +230,11 @@ type report = {
 let mix = Uksim.Rng.mix
 
 let trace_hash t =
+  let detected = Uktrace.Source.count (Detector.source t.detector) in
   Array.fold_left
     (fun h host -> mix h (Ukfleet.Fleet.trace_hash (Host.fleet host)))
     (mix (Router.trace_hash t.router)
-       (mix (Detector.suspects t.detector)
-          (mix (Detector.recovers t.detector) (Detector.deads t.detector))))
+       (mix (detected "suspects") (mix (detected "recovers") (detected "deads"))))
     t.hosts
 
 let settle_ns t =
@@ -279,25 +261,26 @@ let run t (wl : Ukfleet.Workload.t) =
   in
   at_abs t t0 (fun () -> arrive t0);
   Uksim.Engine.run t.engine;
-  let r = t.router in
-  let lat = Router.latency r in
+  let routed = Uktrace.Source.count (Router.source t.router) in
+  let detected = Uktrace.Source.count (Detector.source t.detector) in
+  let lat = Router.latency t.router in
   let conv ns = ns /. 1e3 in
   let n = Uksim.Stats.count lat in
   {
-    offered = Router.offered r;
-    completed = Router.completed r;
-    shed = Router.shed r;
-    expired = Router.expired r;
+    offered = routed "offered";
+    completed = routed "completed";
+    shed = routed "shed";
+    expired = routed "expired";
     lost =
-      Router.offered r - Router.completed r - Router.shed r - Router.expired r;
-    retries = Router.retries r;
-    hedges = Router.hedges r;
-    hedge_wins = Router.hedge_wins r;
-    cancelled = Router.cancelled r;
-    lost_replies = Router.lost_replies r;
-    suspects = Detector.suspects t.detector;
-    recovers = Detector.recovers t.detector;
-    deads = Detector.deads t.detector;
+      routed "offered" - routed "completed" - routed "shed" - routed "expired";
+    retries = routed "retries";
+    hedges = routed "hedges";
+    hedge_wins = routed "hedge_wins";
+    cancelled = routed "cancelled";
+    lost_replies = routed "lost_replies";
+    suspects = detected "suspects";
+    recovers = detected "recovers";
+    deads = detected "deads";
     migrations = t.c_migrations;
     migration_aborts = t.c_mig_aborts;
     mean_us = (if n = 0 then 0.0 else conv (Uksim.Stats.mean lat));
@@ -307,16 +290,3 @@ let run t (wl : Ukfleet.Workload.t) =
     max_us = (if n = 0 then 0.0 else conv (Uksim.Stats.max lat));
     trace_hash = trace_hash t;
   }
-
-let pp_report ppf r =
-  Fmt.pf ppf
-    "@[<v>offered %d  completed %d  shed %d  expired %d  lost %d@,\
-     retries %d  hedges %d (wins %d)  cancelled %d  lost_replies %d@,\
-     detector: %d suspects, %d recovers, %d deads@,\
-     migrations %d (aborts %d)@,\
-     latency us: mean %.1f  p50 %.1f  p99 %.1f  p99.9 %.1f  max %.1f@,\
-     trace %x@]"
-    r.offered r.completed r.shed r.expired r.lost r.retries r.hedges
-    r.hedge_wins r.cancelled r.lost_replies r.suspects r.recovers r.deads
-    r.migrations r.migration_aborts r.mean_us r.p50_us r.p99_us r.p999_us
-    r.max_us r.trace_hash

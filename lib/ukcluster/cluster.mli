@@ -16,24 +16,21 @@ val create :
   ?seed:int ->
   ?n_hosts:int ->
   ?classes:Host.cls array ->
-  ?instances:int ->
   ?image:Ukfleet.Image.t ->
-  ?net_latency_ns:float ->
-  ?net_gbps:float ->
   ?detector_params:Detector.params ->
   ?router_params:Router.params ->
-  ?mig_params:Migrate.params ->
   unit ->
   t
-(** Defaults: 4 hosts (every third ARM-class), 2 instances each,
-    httpd image, 50 us / 10 Gbps fabric. *)
+(** Defaults: seed 42, 4 hosts (every third ARM-class), httpd image,
+    default {!Detector.params} and {!Router.params}. Fixed: 2 instances
+    per host ({!Host.create}) and {!Netmodel.create}'s 50 us / 10 Gbps
+    fabric. *)
 
 val clock : t -> Uksim.Clock.t
 val engine : t -> Uksim.Engine.t
 val net : t -> Netmodel.t
 val router : t -> Router.t
 val detector : t -> Detector.t
-val n_hosts : t -> int
 val host : t -> int -> Host.t
 
 val front : t -> int
@@ -56,13 +53,14 @@ val kill_clone : t -> at_ns:float -> src:int -> dst:int -> unit
     source dead, so the shard eats timeouts for the whole detection
     window. The contrast class for {!migrate}. *)
 
-val migrations : t -> int
-val migration_aborts : t -> int
 val last_pause_ns : t -> float
 
 val settle_ns : t -> float
 (** When the measured window opens (all hosts booted, plus margin). *)
 
+(** A run's outcome. [offered] through [lost_replies] are the
+    {!Router.source} counts, [suspects], [recovers] and [deads] the
+    {!Detector.source} counts, at the end of the run. *)
 type report = {
   offered : int;
   completed : int;
@@ -93,4 +91,3 @@ val run : t -> Ukfleet.Workload.t -> report
     Single-shot: a cluster runs one workload. *)
 
 val trace_hash : t -> int
-val pp_report : Format.formatter -> report -> unit

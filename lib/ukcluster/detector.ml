@@ -1,20 +1,15 @@
 type status = Alive | Suspect | Dead
+type params = { interval_ns : float; suspect_phi : float }
 
-let status_name = function Alive -> "alive" | Suspect -> "suspect" | Dead -> "dead"
+(* The phi at which a host is buried, and the size of a ping or pong. *)
+let dead_phi = 8.0
+let ping_bytes = 64
 
-type params = {
-  interval_ns : float;
-  suspect_phi : float;
-  dead_phi : float;
-  ping_bytes : int;
-}
-
-let params ?(interval_ns = Uksim.Units.msec 5.0) ?(suspect_phi = 1.0)
-    ?(dead_phi = 8.0) ?(ping_bytes = 64) () =
+let params ?(interval_ns = Uksim.Units.msec 5.0) ?(suspect_phi = 1.0) () =
   if interval_ns <= 0.0 then invalid_arg "Detector.params: interval must be positive";
-  if dead_phi < suspect_phi then
-    invalid_arg "Detector.params: dead_phi below suspect_phi";
-  { interval_ns; suspect_phi; dead_phi; ping_bytes }
+  if suspect_phi > dead_phi then
+    invalid_arg "Detector.params: suspect_phi above the dead threshold";
+  { interval_ns; suspect_phi }
 
 type hstate = {
   host : int;
@@ -22,8 +17,6 @@ type hstate = {
   mutable mean_gap_ns : float; (* EWMA of pong inter-arrivals *)
   mutable phi : float; (* as of the last check *)
   mutable status : status;
-  mutable pings : int;
-  mutable pongs : int;
 }
 
 type t = {
@@ -58,13 +51,7 @@ let status t host =
   |> List.find (fun h -> h.host = host))
     .status
 
-let phi t host = (Array.to_list t.hs |> List.find (fun h -> h.host = host)).phi
-let suspects t = t.c_suspects
-let recovers t = t.c_recovers
-let deads t = t.c_deads
-
 let pong t hs ~now =
-  hs.pongs <- hs.pongs + 1;
   let gap = now -. hs.last_pong_ns in
   hs.last_pong_ns <- now;
   hs.mean_gap_ns <- (0.8 *. hs.mean_gap_ns) +. (0.2 *. gap);
@@ -84,12 +71,12 @@ let check t hs ~now =
       hs.status <- Suspect;
       t.c_suspects <- t.c_suspects + 1;
       t.on_suspect ~now_ns:now hs.host;
-      if hs.phi >= t.p.dead_phi then begin
+      if hs.phi >= dead_phi then begin
         hs.status <- Dead;
         t.c_deads <- t.c_deads + 1;
         t.on_dead ~now_ns:now hs.host
       end
-  | Suspect when hs.phi >= t.p.dead_phi ->
+  | Suspect when hs.phi >= dead_phi ->
       hs.status <- Dead;
       t.c_deads <- t.c_deads + 1;
       t.on_dead ~now_ns:now hs.host
@@ -102,8 +89,7 @@ let at_abs t ns f =
 
 let rec beat t hs ~now =
   check t hs ~now;
-  hs.pings <- hs.pings + 1;
-  (match Netmodel.transfer_ns t.net ~src:t.front ~dst:hs.host ~bytes:t.p.ping_bytes with
+  (match Netmodel.transfer_ns t.net ~src:t.front ~dst:hs.host ~bytes:ping_bytes with
   | None -> () (* ping lost on the forward path *)
   | Some d1 ->
       at_abs t (now +. d1) (fun () ->
@@ -111,7 +97,7 @@ let rec beat t hs ~now =
              ping arrives; the pong then races the reverse path. *)
           if t.probe hs.host then
             match
-              Netmodel.transfer_ns t.net ~src:hs.host ~dst:t.front ~bytes:t.p.ping_bytes
+              Netmodel.transfer_ns t.net ~src:hs.host ~dst:t.front ~bytes:ping_bytes
             with
             | None -> () (* pong lost: the asymmetric-partition signature *)
             | Some d2 -> at_abs t (now +. d1 +. d2) (fun () -> pong t hs ~now:(now +. d1 +. d2))));
@@ -121,6 +107,23 @@ let rec beat t hs ~now =
   at_abs t (now +. dt) (fun () -> if t.running () then beat t hs ~now:(now +. dt))
 
 let nop ~now_ns:_ _ = ()
+
+(* The counts live in the detector's fields: {!Uktrace.Registry.reset}
+   must never zero them, since a cluster report is read from them. *)
+let source t =
+  Uktrace.Source.make ~subsystem:"ukcluster" ~name:"detector" (fun () ->
+      ("suspects", Uktrace.Metric.Count t.c_suspects)
+      :: ("recovers", Uktrace.Metric.Count t.c_recovers)
+      :: ("deads", Uktrace.Metric.Count t.c_deads)
+      :: List.concat_map
+           (fun hs ->
+             [
+               (Printf.sprintf "phi_%d" hs.host, Uktrace.Metric.Level hs.phi);
+               ( Printf.sprintf "status_%d" hs.host,
+                 Uktrace.Metric.Level
+                   (match hs.status with Alive -> 0.0 | Suspect -> 1.0 | Dead -> 2.0) );
+             ])
+           (Array.to_list t.hs))
 
 let create ~clock ~engine ~rng ~net ~front ~hosts ~params:p ~probe ~running
     ?(on_suspect = nop) ?(on_recover = nop) ?(on_dead = nop) () =
@@ -148,8 +151,6 @@ let create ~clock ~engine ~rng ~net ~front ~hosts ~params:p ~probe ~running
                  mean_gap_ns = p.interval_ns;
                  phi = 0.0;
                  status = Alive;
-                 pings = 0;
-                 pongs = 0;
                })
              hosts);
       c_suspects = 0;
@@ -157,20 +158,7 @@ let create ~clock ~engine ~rng ~net ~front ~hosts ~params:p ~probe ~running
       c_deads = 0;
     }
   in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukcluster" ~name:"detector" (fun () ->
-         ("suspects", Uktrace.Metric.Count t.c_suspects)
-         :: ("recovers", Uktrace.Metric.Count t.c_recovers)
-         :: ("deads", Uktrace.Metric.Count t.c_deads)
-         :: List.concat_map
-              (fun hs ->
-                [
-                  (Printf.sprintf "phi_%d" hs.host, Uktrace.Metric.Level hs.phi);
-                  ( Printf.sprintf "status_%d" hs.host,
-                    Uktrace.Metric.Level
-                      (match hs.status with Alive -> 0.0 | Suspect -> 1.0 | Dead -> 2.0) );
-                ])
-              (Array.to_list t.hs)));
+  Uktrace.Registry.register (source t);
   t
 
 let start t =

@@ -8,34 +8,20 @@
     decades of improbability in the current pong silence, against an
     EWMA of the observed inter-pong gap. Crossing [suspect_phi] fires
     [on_suspect] (the router quarantines, keeping ring arcs); a later
-    pong fires [on_recover]; crossing [dead_phi] fires [on_dead] and is
+    pong fires [on_recover]; crossing phi 8.0 fires [on_dead] and is
     {e sticky} — a collected host must be re-admitted by the control
     plane, not by one late packet.
 
-    Publishes ["ukcluster.detector"] gauges: per-host phi and status
-    plus suspect/recover/dead counters. *)
+    Publishes its counts and per-host state as {!source}. *)
 
 type status = Alive | Suspect | Dead
+type params = private { interval_ns : float; suspect_phi : float }
 
-val status_name : status -> string
-
-type params = private {
-  interval_ns : float;
-  suspect_phi : float;
-  dead_phi : float;
-  ping_bytes : int;
-}
-
-val params :
-  ?interval_ns:float ->
-  ?suspect_phi:float ->
-  ?dead_phi:float ->
-  ?ping_bytes:int ->
-  unit ->
-  params
-(** Defaults: 5 ms interval, suspect at phi 1.0, dead at phi 8.0, 64 B
-    pings. [suspect_phi = 0.0] is the planted-bug configuration: every
-    host is suspected on its first silent instant. *)
+val params : ?interval_ns:float -> ?suspect_phi:float -> unit -> params
+(** Defaults: 5 ms interval, suspect at phi 1.0. Fixed: dead at phi 8.0,
+    64 B pings and pongs. A [suspect_phi] above 8.0 is rejected.
+    [suspect_phi = 0.0] is the planted-bug configuration: every host is
+    suspected on its first silent instant. *)
 
 type t
 
@@ -63,7 +49,9 @@ val start : t -> unit
     interval. *)
 
 val status : t -> int -> status
-val phi : t -> int -> float
-val suspects : t -> int
-val recovers : t -> int
-val deads : t -> int
+
+val source : t -> Uktrace.Source.t
+(** The detector's ["ukcluster.detector"] source, registered at
+    {!create}: the counts [suspects], [recovers] and [deads], then
+    [phi_<host>] and [status_<host>] (0 alive, 1 suspect, 2 dead) as
+    levels. {!Uktrace.Registry.reset} never zeroes the counts. *)

@@ -1,7 +1,5 @@
 type cls = X86 | Arm
 
-let cls_name = function X86 -> "x86" | Arm -> "arm"
-
 (* ARM-class edge silicon: same image, roughly double the per-request
    and boot cost of the x86 reference the paper calibrates against. *)
 let cls_factor = function X86 -> 1.0 | Arm -> 2.0
@@ -10,20 +8,16 @@ type state = Up | Frozen | Crashed
 
 type t = {
   id : int;
-  cls : cls;
   fleet : Ukfleet.Fleet.t;
   engine : Uksim.Engine.t;
-  instances : int;
   mutable state : state;
   mutable epoch : int; (* bumped on crash: replies from a dead life are dropped *)
-  mutable c_crashes : int;
-  mutable c_freezes : int;
-  mutable c_recoveries : int;
-  mutable c_submitted : int;
-  mutable c_stale_replies : int;
 }
 
-let create ~clock ~engine ~seed ~id ~cls ?(instances = 2) ~image () =
+(* Fixed instance slots per host. *)
+let instances = 2
+
+let create ~clock ~engine ~seed ~id ~cls ~image () =
   let fleet =
     Ukfleet.Fleet.create
       ~seed:(seed lxor ((id + 1) * 0x9E3779B9))
@@ -34,32 +28,17 @@ let create ~clock ~engine ~seed ~id ~cls ?(instances = 2) ~image () =
       ~image ()
   in
   Ukfleet.Fleet.start fleet;
-  {
-    id;
-    cls;
-    fleet;
-    engine;
-    instances;
-    state = Up;
-    epoch = 0;
-    c_crashes = 0;
-    c_freezes = 0;
-    c_recoveries = 0;
-    c_submitted = 0;
-    c_stale_replies = 0;
-  }
+  { id; fleet; engine; state = Up; epoch = 0 }
 
 let id t = t.id
-let cls t = t.cls
 let state t = t.state
 let fleet t = t.fleet
 let up t = t.state = Up
-let crashes t = t.c_crashes
 
 let capacity_rps t =
   if t.state = Crashed then 0.0
   else
-    float_of_int t.instances *. 1e9
+    float_of_int instances *. 1e9
     /. (Ukfleet.Fleet.costs t.fleet).Ukfleet.Fleet.service_ns
 
 let settle_ns t = Ukfleet.Fleet.settle_ns t.fleet
@@ -70,12 +49,10 @@ let settle_ns t = Ukfleet.Fleet.settle_ns t.fleet
 let submit t ~now_ns ~flow ~on_reply =
   if t.state <> Up then false
   else begin
-    t.c_submitted <- t.c_submitted + 1;
     let ep = t.epoch in
     Ukfleet.Fleet.submit ~flow
       ~on_reply:(fun ~ok ~latency_ns:_ ->
-        if t.epoch = ep && t.state <> Crashed then on_reply ~ok
-        else t.c_stale_replies <- t.c_stale_replies + 1)
+        if t.epoch = ep && t.state <> Crashed then on_reply ~ok)
       t.fleet ~now_ns;
     true
   end
@@ -85,7 +62,6 @@ let crash t ~now_ns =
   else begin
     t.state <- Crashed;
     t.epoch <- t.epoch + 1;
-    t.c_crashes <- t.c_crashes + 1;
     (* The fleet stalls: its pending completion events are held, and
        dropped by the epoch check when a later thaw releases them. *)
     Ukfleet.Fleet.freeze t.fleet ~now_ns;
@@ -96,7 +72,6 @@ let recover t ~now_ns =
   if t.state <> Crashed then false
   else begin
     t.state <- Up;
-    t.c_recoveries <- t.c_recoveries + 1;
     Ukfleet.Fleet.thaw t.fleet ~now_ns;
     true
   end
@@ -105,7 +80,6 @@ let freeze t ~now_ns ~dur_ns =
   if t.state <> Up || dur_ns <= 0.0 then false
   else begin
     t.state <- Frozen;
-    t.c_freezes <- t.c_freezes + 1;
     Ukfleet.Fleet.freeze t.fleet ~now_ns;
     Uksim.Engine.at t.engine
       (max (Uksim.Clock.cycles_of_ns (now_ns +. dur_ns)) 0)

@@ -15,10 +15,8 @@
       gray-failure case that makes routers hedge. *)
 
 type cls = X86 | Arm
-
-val cls_name : cls -> string
-val cls_factor : cls -> float
-(** The {!Ukfleet.Fleet} [cost_factor] for the class: 1.0 / 2.0. *)
+(** The class sets the fleet's [cost_factor]: 1.0 for [X86], 2.0 for
+    [Arm]. *)
 
 type state = Up | Frozen | Crashed
 
@@ -30,19 +28,16 @@ val create :
   seed:int ->
   id:int ->
   cls:cls ->
-  ?instances:int ->
   image:Ukfleet.Image.t ->
   unit ->
   t
-(** Builds and starts the host's fleet ([instances] fixed slots,
-    default 2) on the shared timeline. *)
+(** Builds and starts the host's fleet (2 fixed instance slots) on the
+    shared timeline. *)
 
 val id : t -> int
-val cls : t -> cls
 val state : t -> state
 val up : t -> bool
 val fleet : t -> Ukfleet.Fleet.t
-val crashes : t -> int
 
 val capacity_rps : t -> float
 (** Aggregate steady-state service rate (0 when crashed). *)

@@ -1,25 +1,9 @@
 type reason = Dst_down | Src_down | Partitioned
 
-let reason_name = function
-  | Dst_down -> "dst_down"
-  | Src_down -> "src_down"
-  | Partitioned -> "partitioned"
-
-type phase = Precopy of int | Stop_copy | Committed | Aborted of reason
-
-let phase_name = function
-  | Precopy n -> Printf.sprintf "precopy_%d" n
-  | Stop_copy -> "stop_copy"
-  | Committed -> "committed"
-  | Aborted r -> "aborted_" ^ reason_name r
-
-type params = { max_rounds : int; stop_copy_bytes : int }
-
-let params ?(max_rounds = 8) ?(stop_copy_bytes = 64 * 1024) () =
-  if max_rounds < 1 then invalid_arg "Migrate.params: max_rounds must be >= 1";
-  if stop_copy_bytes < 1 then
-    invalid_arg "Migrate.params: stop_copy_bytes must be >= 1";
-  { max_rounds; stop_copy_bytes }
+(* Pre-copy rounds before stop-and-copy is forced, and the dirty residue
+   small enough to copy with the guest paused. *)
+let max_rounds = 8
+let stop_copy_bytes = 64 * 1024
 
 type t = {
   clock : Uksim.Clock.t;
@@ -30,24 +14,11 @@ type t = {
   src_up : unit -> bool;
   dst_up : unit -> bool;
   dirty_bps : unit -> float;
-  p : params;
   on_drain : now_ns:float -> bool -> unit;
   on_commit : now_ns:float -> pause_ns:float -> unit;
   on_abort : now_ns:float -> reason -> unit;
-  mutable phase : phase;
-  mutable rounds : int;
-  mutable bytes_copied : int;
-  mutable pause_ns : float;
   mutable draining : bool;
 }
-
-let phase t = t.phase
-let rounds t = t.rounds
-let bytes_copied t = t.bytes_copied
-let pause_ns t = t.pause_ns
-
-let done_ t =
-  match t.phase with Committed | Aborted _ -> true | _ -> false
 
 let at_abs t ns f =
   Uksim.Engine.at t.engine
@@ -55,7 +26,6 @@ let at_abs t ns f =
     f
 
 let abort t ~now reason =
-  t.phase <- Aborted reason;
   if t.draining then begin
     t.draining <- false;
     t.on_drain ~now_ns:now false
@@ -81,7 +51,6 @@ let healthy t ~now reason_if_net =
   else true
 
 let stop_copy t ~now ~bytes =
-  t.phase <- Stop_copy;
   (* Front-door draining around the blackout: the router diverts the
      shard while the VM is paused, so requests queue elsewhere instead
      of dying against a stopped guest. *)
@@ -91,14 +60,11 @@ let stop_copy t ~now ~bytes =
   match copy_ns t ~bytes with
   | None -> abort t ~now Partitioned
   | Some dur ->
-      t.bytes_copied <- t.bytes_copied + bytes;
-      t.pause_ns <- dur;
       at_abs t (now +. dur) (fun () ->
           let now = now +. dur in
           (* The destination must still be alive and mutually reachable
              at handover, or the whole migration unwinds. *)
           if healthy t ~now Partitioned then begin
-            t.phase <- Committed;
             t.draining <- false;
             t.on_drain ~now_ns:now false;
             t.on_commit ~now_ns:now ~pause_ns:dur
@@ -109,9 +75,6 @@ let rec round t ~now ~bytes ~n =
     match copy_ns t ~bytes with
     | None -> abort t ~now Partitioned
     | Some dur ->
-        t.phase <- Precopy n;
-        t.rounds <- n + 1;
-        t.bytes_copied <- t.bytes_copied + bytes;
         at_abs t (now +. dur) (fun () ->
             let now = now +. dur in
             if healthy t ~now Partitioned then begin
@@ -120,16 +83,14 @@ let rec round t ~now ~bytes ~n =
               let dirtied =
                 int_of_float (t.dirty_bps () *. dur /. 1e9)
               in
-              if dirtied <= t.p.stop_copy_bytes || n + 1 >= t.p.max_rounds then
+              if dirtied <= stop_copy_bytes || n + 1 >= max_rounds then
                 stop_copy t ~now ~bytes:dirtied
               else round t ~now ~bytes:dirtied ~n:(n + 1)
             end)
   end
 
-let nop_drain ~now_ns:_ _ = ()
-
-let start ~clock ~engine ~net ~src ~dst ~src_up ~dst_up ~footprint_bytes
-    ~dirty_bps ~params:p ?(on_drain = nop_drain) ~on_commit ~on_abort ~at_ns () =
+let start ~clock ~engine ~net ~src ~dst ~src_up ~dst_up ~footprint_bytes ~dirty_bps
+    ~on_drain ~on_commit ~on_abort ~at_ns =
   if src = dst then invalid_arg "Migrate.start: src = dst";
   if footprint_bytes < 1 then invalid_arg "Migrate.start: empty footprint";
   let t =
@@ -142,17 +103,11 @@ let start ~clock ~engine ~net ~src ~dst ~src_up ~dst_up ~footprint_bytes
       src_up;
       dst_up;
       dirty_bps;
-      p;
       on_drain;
       on_commit;
       on_abort;
-      phase = Precopy 0;
-      rounds = 0;
-      bytes_copied = 0;
-      pause_ns = 0.0;
       draining = false;
     }
   in
   at_abs t at_ns (fun () ->
-      round t ~now:(Float.max at_ns (Uksim.Clock.ns clock)) ~bytes:footprint_bytes ~n:0);
-  t
+      round t ~now:(Float.max at_ns (Uksim.Clock.ns clock)) ~bytes:footprint_bytes ~n:0)

@@ -7,7 +7,7 @@
     wire time ({!Netmodel}) plus the source's memcpy
     ({!Uksim.Cost.memcpy}); the guest keeps serving, dirtying
     [dirty_bps] bytes per second of copy. When the residue fits in
-    [stop_copy_bytes] (or rounds run out) the shard drains at the front
+    64 KiB (or after 8 pre-copy rounds) the shard drains at the front
     door, pauses for the final copy, and commits — or aborts if the
     destination crashed or either direction of the link is cut at
     handover. On abort, draining is always undone first, so the request
@@ -15,19 +15,6 @@
     new destination. *)
 
 type reason = Dst_down | Src_down | Partitioned
-
-val reason_name : reason -> string
-
-type phase = Precopy of int | Stop_copy | Committed | Aborted of reason
-
-val phase_name : phase -> string
-
-type params = private { max_rounds : int; stop_copy_bytes : int }
-
-val params : ?max_rounds:int -> ?stop_copy_bytes:int -> unit -> params
-(** Defaults: 8 rounds max, 64 KiB stop-and-copy threshold. *)
-
-type t
 
 val start :
   clock:Uksim.Clock.t ->
@@ -39,21 +26,13 @@ val start :
   dst_up:(unit -> bool) ->
   footprint_bytes:int ->
   dirty_bps:(unit -> float) ->
-  params:params ->
-  ?on_drain:(now_ns:float -> bool -> unit) ->
+  on_drain:(now_ns:float -> bool -> unit) ->
   on_commit:(now_ns:float -> pause_ns:float -> unit) ->
   on_abort:(now_ns:float -> reason -> unit) ->
   at_ns:float ->
-  unit ->
-  t
+  unit
 (** Begins the first pre-copy round at [at_ns]. Exactly one of
     [on_commit] / [on_abort] eventually fires; [on_drain true] …
     [on_drain false] brackets the blackout (the [false] edge also fires
-    on any abort that began draining). *)
-
-val phase : t -> phase
-val done_ : t -> bool
-val rounds : t -> int
-val bytes_copied : t -> int
-val pause_ns : t -> float
-(** Stop-and-copy blackout length (0 until that phase runs). *)
+    on any abort that began draining). [pause_ns] is the stop-and-copy
+    blackout. *)

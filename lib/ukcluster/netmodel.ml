@@ -36,8 +36,6 @@ let create ?(latency_ns = 50_000.0) ?(gbps = 10.0) ~nodes () =
   done;
   t
 
-let nodes t = t.n
-
 let check t src dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Netmodel: node id out of range"

@@ -17,8 +17,6 @@ val create : ?latency_ns:float -> ?gbps:float -> nodes:int -> unit -> t
     Defaults: 50 us one-way latency, 10 Gbps per directed link;
     self-links are free. *)
 
-val nodes : t -> int
-
 val set_link : t -> src:int -> dst:int -> latency_ns:float -> gbps:float -> unit
 (** Override one directed link (e.g. a slow WAN hop to an edge host). *)
 

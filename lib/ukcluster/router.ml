@@ -1,52 +1,33 @@
 type params = {
   deadline_ns : float;
   attempt_timeout_ns : float;
-  max_retries : int;
-  retry_base_ns : float;
-  retry_factor : float;
-  retry_jitter : float;
   hedge : bool;
   hedge_quantile : float;
   hedge_min_ns : float;
-  admit_factor : float;
-  req_bytes : int;
-  resp_bytes : int;
-  vnodes : int;
 }
 
 let params ?(deadline_ns = Uksim.Units.msec 50.0)
-    ?(attempt_timeout_ns = Uksim.Units.msec 10.0) ?(max_retries = 2)
-    ?(retry_base_ns = Uksim.Units.msec 1.0) ?(retry_factor = 2.0)
-    ?(retry_jitter = 0.5) ?(hedge = false) ?(hedge_quantile = 97.0)
-    ?(hedge_min_ns = Uksim.Units.usec 500.0) ?(admit_factor = 2.0)
-    ?(req_bytes = 512) ?(resp_bytes = 4096) ?(vnodes = 64) () =
+    ?(attempt_timeout_ns = Uksim.Units.msec 10.0) ?(hedge = false)
+    ?(hedge_quantile = 97.0) ?(hedge_min_ns = Uksim.Units.usec 500.0) () =
   if deadline_ns <= 0.0 || attempt_timeout_ns <= 0.0 then
     invalid_arg "Router.params: deadline/timeout must be positive";
-  if max_retries < 0 then invalid_arg "Router.params: negative retry budget";
   if hedge_quantile <= 0.0 || hedge_quantile >= 100.0 then
     invalid_arg "Router.params: hedge_quantile out of (0,100)";
-  {
-    deadline_ns;
-    attempt_timeout_ns;
-    max_retries;
-    retry_base_ns;
-    retry_factor;
-    retry_jitter;
-    hedge;
-    hedge_quantile;
-    hedge_min_ns;
-    admit_factor;
-    req_bytes;
-    resp_bytes;
-    vnodes;
-  }
+  { deadline_ns; attempt_timeout_ns; hedge; hedge_quantile; hedge_min_ns }
+
+(* Retry budget and backoff (base, growth, seeded jitter fraction), the
+   admission window's headroom over believed capacity, bytes on the
+   wire per request and per reply, and ring points per slot. *)
+let max_retries = 2
+let retry_base_ns = Uksim.Units.msec 1.0
+let retry_factor = 2.0
+let retry_jitter = 0.5
+let admit_factor = 2.0
+let req_bytes = 512
+let resp_bytes = 4096
+let vnodes = 64
 
 type outcome = Completed | Shed | Expired
-
-let outcome_name = function
-  | Completed -> "completed"
-  | Shed -> "shed"
-  | Expired -> "expired"
 
 type req = {
   rid : int;
@@ -56,13 +37,12 @@ type req = {
   mutable done_ : bool;
   mutable attempts : int;
   mutable retries_used : int;
-  mutable inflight : int;
   mutable hedged : bool;
   mutable tried : int list; (* host ids already attempted *)
   on_done : outcome -> latency_ns:float -> unit;
 }
 
-type attempt = { mutable responded : bool; mutable timed_out : bool; is_hedge : bool }
+type attempt = { mutable responded : bool; is_hedge : bool }
 
 type t = {
   clock : Uksim.Clock.t;
@@ -94,7 +74,6 @@ type t = {
   mutable c_hedge_wins : int;
   mutable c_cancelled : int;
   mutable c_lost_replies : int;
-  mutable c_unroutable : int;
   mutable trace : int;
 }
 
@@ -187,7 +166,6 @@ let drain_slot t ~slot on =
   end
 
 let host_of_slot t slot = t.slot_host.(slot)
-let suspected t host = t.suspected.(host)
 let collected t host = t.collected.(host)
 
 (* --- admission ----------------------------------------------------------- *)
@@ -202,7 +180,7 @@ let max_outstanding t =
     if (not t.suspected.(h)) && not t.collected.(h) then
       cap := !cap +. t.capacity_rps ~host:h
   done;
-  max 8 (int_of_float (t.p.admit_factor *. !cap *. t.p.deadline_ns /. 1e9))
+  max 8 (int_of_float (admit_factor *. !cap *. t.p.deadline_ns /. 1e9))
 
 (* --- request lifecycle --------------------------------------------------- *)
 
@@ -258,15 +236,13 @@ let rec attempt t req ~now ~is_hedge =
     | None ->
         (* Nothing routable right now; a retry may find a recovered
            host, and the deadline timer is the backstop. *)
-        t.c_unroutable <- t.c_unroutable + 1;
         consider_retry t req ~now
     | Some slot ->
         let host = t.slot_host.(slot) in
         req.tried <- host :: req.tried;
-        req.inflight <- req.inflight + 1;
-        let att = { responded = false; timed_out = false; is_hedge } in
+        let att = { responded = false; is_hedge } in
         trace t 0xa77e (mix req.rid host) now;
-        (match Netmodel.transfer_ns t.net ~src:t.front ~dst:host ~bytes:t.p.req_bytes with
+        (match Netmodel.transfer_ns t.net ~src:t.front ~dst:host ~bytes:req_bytes with
         | None -> () (* the request vanished into the partition *)
         | Some d1 ->
             at_abs t (now +. d1) (fun () ->
@@ -278,7 +254,7 @@ let rec attempt t req ~now ~is_hedge =
                       let tr = Uksim.Clock.ns t.clock in
                       match
                         Netmodel.transfer_ns t.net ~src:host ~dst:t.front
-                          ~bytes:t.p.resp_bytes
+                          ~bytes:resp_bytes
                       with
                       | None -> t.c_lost_replies <- t.c_lost_replies + 1
                       | Some d2 ->
@@ -288,17 +264,12 @@ let rec attempt t req ~now ~is_hedge =
                 ignore accepted));
         let t_out = Float.min req.deadline_at (now +. t.p.attempt_timeout_ns) in
         at_abs t t_out (fun () ->
-            if (not att.responded) && not req.done_ then begin
-              att.timed_out <- true;
-              req.inflight <- req.inflight - 1;
-              consider_retry t req ~now:t_out
-            end)
+            if (not att.responded) && not req.done_ then consider_retry t req ~now:t_out)
   end
 
 and deliver t req att ~ok ~now =
   if not att.responded then begin
     att.responded <- true;
-    if not att.timed_out then req.inflight <- req.inflight - 1;
     if req.done_ then t.c_cancelled <- t.c_cancelled + 1
     else if ok then begin
       if att.is_hedge then t.c_hedge_wins <- t.c_hedge_wins + 1;
@@ -308,11 +279,11 @@ and deliver t req att ~ok ~now =
   end
 
 and consider_retry t req ~now =
-  if (not req.done_) && req.retries_used < t.p.max_retries then begin
+  if (not req.done_) && req.retries_used < max_retries then begin
     let backoff =
-      t.p.retry_base_ns
-      *. (t.p.retry_factor ** float_of_int req.retries_used)
-      *. (1.0 +. (t.p.retry_jitter *. Uksim.Rng.float t.rng 1.0))
+      retry_base_ns
+      *. (retry_factor ** float_of_int req.retries_used)
+      *. (1.0 +. (retry_jitter *. Uksim.Rng.float t.rng 1.0))
     in
     if now +. backoff < req.deadline_at then begin
       req.retries_used <- req.retries_used + 1;
@@ -342,7 +313,6 @@ let offer t ~now_ns ~flow ~on_done =
         done_ = false;
         attempts = 0;
         retries_used = 0;
-        inflight = 0;
         hedged = false;
         tried = [];
         on_done;
@@ -366,10 +336,28 @@ let offer t ~now_ns ~flow ~on_done =
 
 (* --- construction / readout ---------------------------------------------- *)
 
+(* The counts live in the router's fields, not in metric cells:
+   {!Uktrace.Registry.reset} must never zero them, since a report's
+   [lost] is computed from them. *)
+let source t =
+  Uktrace.Source.make ~subsystem:"ukcluster" ~name:"router" (fun () ->
+      [
+        ("offered", Uktrace.Metric.Count t.c_offered);
+        ("completed", Uktrace.Metric.Count t.c_completed);
+        ("shed", Uktrace.Metric.Count t.c_shed);
+        ("expired", Uktrace.Metric.Count t.c_expired);
+        ("retries", Uktrace.Metric.Count t.c_retries);
+        ("hedges", Uktrace.Metric.Count t.c_hedges);
+        ("hedge_wins", Uktrace.Metric.Count t.c_hedge_wins);
+        ("cancelled", Uktrace.Metric.Count t.c_cancelled);
+        ("lost_replies", Uktrace.Metric.Count t.c_lost_replies);
+        ("outstanding", Uktrace.Metric.Level (float_of_int t.outstanding));
+      ])
+
 let create ~clock ~engine ~seed ~net ~front ~n_hosts ~params:p ~submit
     ~capacity_rps () =
   if n_hosts < 1 then invalid_arg "Router.create: need at least one host";
-  let fd = Ukfleet.Frontdoor.create ~vnodes:p.vnodes Ukfleet.Frontdoor.Consistent_hash in
+  let fd = Ukfleet.Frontdoor.create ~vnodes Ukfleet.Frontdoor.Consistent_hash in
   for s = 0 to n_hosts - 1 do
     Ukfleet.Frontdoor.add fd s
   done;
@@ -404,36 +392,12 @@ let create ~clock ~engine ~seed ~net ~front ~n_hosts ~params:p ~submit
       c_hedge_wins = 0;
       c_cancelled = 0;
       c_lost_replies = 0;
-      c_unroutable = 0;
       trace = 0x2007e5 lxor seed;
     }
   in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukcluster" ~name:"router" (fun () ->
-         [
-           ("offered", Uktrace.Metric.Count t.c_offered);
-           ("completed", Uktrace.Metric.Count t.c_completed);
-           ("shed", Uktrace.Metric.Count t.c_shed);
-           ("expired", Uktrace.Metric.Count t.c_expired);
-           ("retries", Uktrace.Metric.Count t.c_retries);
-           ("hedges", Uktrace.Metric.Count t.c_hedges);
-           ("hedge_wins", Uktrace.Metric.Count t.c_hedge_wins);
-           ("cancelled", Uktrace.Metric.Count t.c_cancelled);
-           ("lost_replies", Uktrace.Metric.Count t.c_lost_replies);
-           ("outstanding", Uktrace.Metric.Level (float_of_int t.outstanding));
-         ]));
+  Uktrace.Registry.register (source t);
   t
 
 let outstanding t = t.outstanding
-let offered t = t.c_offered
-let completed t = t.c_completed
-let shed t = t.c_shed
-let expired t = t.c_expired
-let retries t = t.c_retries
-let hedges t = t.c_hedges
-let hedge_wins t = t.c_hedge_wins
-let cancelled t = t.c_cancelled
-let lost_replies t = t.c_lost_replies
-let unroutable t = t.c_unroutable
 let latency t = t.lat
 let trace_hash t = t.trace

@@ -18,43 +18,26 @@
 type params = private {
   deadline_ns : float;
   attempt_timeout_ns : float;
-  max_retries : int;
-  retry_base_ns : float;
-  retry_factor : float;
-  retry_jitter : float;
   hedge : bool;
   hedge_quantile : float;
   hedge_min_ns : float;
-  admit_factor : float;
-  req_bytes : int;
-  resp_bytes : int;
-  vnodes : int;
 }
 
 val params :
   ?deadline_ns:float ->
   ?attempt_timeout_ns:float ->
-  ?max_retries:int ->
-  ?retry_base_ns:float ->
-  ?retry_factor:float ->
-  ?retry_jitter:float ->
   ?hedge:bool ->
   ?hedge_quantile:float ->
   ?hedge_min_ns:float ->
-  ?admit_factor:float ->
-  ?req_bytes:int ->
-  ?resp_bytes:int ->
-  ?vnodes:int ->
   unit ->
   params
-(** Defaults: 50 ms deadline, 10 ms attempt timeout, 2 retries from a
-    1 ms base doubling with 0.5 jitter, hedging off (p97 trigger,
-    500 us floor when on), admit_factor 2.0, 512 B / 4 KiB on the wire,
-    64 vnodes per slot. *)
+(** Defaults: 50 ms deadline, 10 ms attempt timeout, hedging off (p97
+    trigger, 500 us floor when on). Fixed: 2 retries from a 1 ms base
+    doubling with 0.5 seeded jitter; an admission window of 2x the
+    believed capacity over one deadline; 512 B requests and 4 KiB
+    replies on the wire; 64 ring points per slot. *)
 
 type outcome = Completed | Shed | Expired
-
-val outcome_name : outcome -> string
 
 type t
 
@@ -96,21 +79,18 @@ val reassign : t -> slot:int -> host:int -> unit
 val drain_slot : t -> slot:int -> bool -> unit
 val host_of_slot : t -> int -> int
 val slots_of_host : t -> int -> int list
-val suspected : t -> int -> bool
 val collected : t -> int -> bool
 
 (** {2 Readout} *)
 
 val outstanding : t -> int
-val offered : t -> int
-val completed : t -> int
-val shed : t -> int
-val expired : t -> int
-val retries : t -> int
-val hedges : t -> int
-val hedge_wins : t -> int
-val cancelled : t -> int
-val lost_replies : t -> int
-val unroutable : t -> int
+
+val source : t -> Uktrace.Source.t
+(** The router's ["ukcluster.router"] source, registered at {!create}:
+    the counts [offered], [completed], [shed], [expired], [retries],
+    [hedges], [hedge_wins], [cancelled] and [lost_replies] (responses
+    eaten by partitions), then [outstanding] as a level.
+    {!Uktrace.Registry.reset} never zeroes the counts. *)
+
 val latency : t -> Uksim.Stats.t
 val trace_hash : t -> int

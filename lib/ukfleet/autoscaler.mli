@@ -2,8 +2,9 @@
 
     The controller is deliberately simple and fully deterministic — a
     pure function of its observations plus two pieces of state (cooldown
-    stamps and a consecutive-low-tick counter). The fleet feeds it the
-    {!Uktrace} gauge readings it publishes every control interval.
+    stamps and a consecutive-low-tick counter). Every control interval
+    the fleet feeds it its own readings, the ones {!Fleet.source}
+    publishes.
 
     Scale-out is demand-driven: keep roughly [target_queue] outstanding
     requests per ready instance, counting instances already warming so a

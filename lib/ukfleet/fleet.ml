@@ -12,8 +12,7 @@
 type boot_mode = Cold | Warm_pool of int | Snapshot
 type backend = Unikraft of Ukplat.Vmm.t | Baseline of Ukos.Profiles.t
 
-type substrate =
-  [ `Own | `Engine of Uksim.Clock.t * Uksim.Engine.t | `Smp of Uksmp.Smp.t ]
+type substrate = [ `Own | `Engine of Uksim.Clock.t * Uksim.Engine.t ]
 
 type costs = {
   cold_boot_ns : float;
@@ -62,30 +61,24 @@ type instance = {
   pending : req Queue.t;
   mutable inflight : int;
   mutable epoch : int;  (* bumped on crash: orphaned completion events no-op *)
-  mutable served : int;
   mutable crashes_in_row : int;
   mutable restarts_used : int;
   mutable fresh : bool;  (* respawned; first completion closes the backoff run *)
   mutable retired : bool;
 }
 
-type sub = Sub_one of Uksim.Clock.t * Uksim.Engine.t | Sub_smp of Uksmp.Smp.t
-
 type t = {
   rng : Uksim.Rng.t;
-  img : Image.t;
-  backend : backend;
   boot_mode : boot_mode;
   fd : Frontdoor.t;
   auto : Autoscaler.t option;
-  restart : Uksched.Supervisor.policy;
   slo_ns : float;
   shed_after_ns : float;
   bucket_ns : float;
-  lb_cap : int;
   initial : int;
   costs : costs;
-  sub : sub;
+  clock : Uksim.Clock.t;
+  engine : Uksim.Engine.t;
   external_sub : bool;  (* [`Engine]: caller drives; run is invalid *)
   instances : (int, instance) Hashtbl.t;
   mutable next_iid : int;
@@ -95,10 +88,10 @@ type t = {
   mutable ready_n : int;
   mutable warming_n : int;
   mutable pool : int;
-  mutable pool_warming : int;
   mutable template_eta : float option;
   lat : Uksim.Stats.t;  (* completion latencies, ns, whole run *)
   win : Uksim.Stats.t;  (* same, current control window *)
+  mutable window_p99_ns : float;  (* [win]'s p99 at the last control tick *)
   viol : (int, unit) Hashtbl.t;  (* violated SLO buckets *)
   mutable t_measure : float;
   mutable last_event : float;
@@ -123,46 +116,21 @@ type t = {
   mutable trace : int;
 }
 
-(* --- gauges every fleet publishes (the autoscaler's inputs) ------------- *)
-
-let metrics = lazy (Uktrace.Registry.group ~sticky:true ~subsystem:"ukfleet" "metrics")
-let gauge name = lazy (Uktrace.Registry.gauge (Lazy.force metrics) name)
-let g_up = gauge "instances_up"
-let g_warming = gauge "instances_warming"
-let g_lbq = gauge "lb_queue_depth"
-let g_queue = gauge "queue_depth"
-let g_p99 = gauge "window_p99_us"
-let c_shed_total = lazy (Uktrace.Registry.counter (Lazy.force metrics) "shed")
-
-let publish_gauges t =
-  Uktrace.Metric.Gauge.set (Lazy.force g_up) (float_of_int t.ready_n);
-  Uktrace.Metric.Gauge.set (Lazy.force g_warming) (float_of_int t.warming_n);
-  Uktrace.Metric.Gauge.set (Lazy.force g_lbq) (float_of_int (Queue.length t.lb_q));
-  Uktrace.Metric.Gauge.set (Lazy.force g_queue) (float_of_int t.outstanding)
+(* Supervisor policy for respawns and the front-door queue bound, while
+   no instance is ready. *)
+let restart = Uksched.Supervisor.default_policy
+let lb_queue_cap = 4096
 
 (* --- plumbing ------------------------------------------------------------ *)
 
-let control_pair t =
-  match t.sub with
-  | Sub_one (c, e) -> (c, e)
-  | Sub_smp s -> (Uksmp.Smp.clock_of s ~core:0, Uksmp.Smp.engine_of s ~core:0)
-
-let instance_pair t iid =
-  match t.sub with
-  | Sub_one (c, e) -> (c, e)
-  | Sub_smp s ->
-      let core = iid mod Uksmp.Smp.n_cores s in
-      (Uksmp.Smp.clock_of s ~core, Uksmp.Smp.engine_of s ~core)
-
-let at_abs (clock, engine) ns f =
-  Uksim.Engine.at engine
-    (max (Uksim.Clock.cycles_of_ns ns) (Uksim.Clock.cycles clock))
+let at_abs t ns f =
+  Uksim.Engine.at t.engine
+    (max (Uksim.Clock.cycles_of_ns ns) (Uksim.Clock.cycles t.clock))
     f
 
-let at_control t ns f = at_abs (control_pair t) ns f
-let control_engine t = snd (control_pair t)
-let control_clock t = fst (control_pair t)
-let now_ns t = Uksim.Clock.ns (fst (control_pair t))
+let control_engine t = t.engine
+let control_clock t = t.clock
+let now_ns t = Uksim.Clock.ns t.clock
 
 let settle_ns t =
   t.costs.cold_boot_ns +. t.costs.clone_ns +. t.costs.warm_activation_ns
@@ -213,34 +181,50 @@ let derive_costs ~image ~backend =
 
 (* --- construction -------------------------------------------------------- *)
 
+(* An observer reads what the autoscaler decides on: ready and warming
+   instances, outstanding requests and the last control window's p99. *)
+let source t =
+  Uktrace.Source.make ~subsystem:"ukfleet" ~name:"fleet" (fun () ->
+      [
+        ("offered", Uktrace.Metric.Count t.c_offered);
+        ("completed", Uktrace.Metric.Count t.c_completed);
+        ("shed", Uktrace.Metric.Count t.c_shed);
+        ("redispatched", Uktrace.Metric.Count t.c_redispatched);
+        ("cold_boots", Uktrace.Metric.Count t.c_cold_boots);
+        ("clones", Uktrace.Metric.Count t.c_clones);
+        ("warm_hits", Uktrace.Metric.Count t.c_warm_hits);
+        ("crashes", Uktrace.Metric.Count t.c_crashes);
+        ("restarts", Uktrace.Metric.Count t.c_restarts);
+        ("instances_up", Uktrace.Metric.Level (float_of_int t.ready_n));
+        ("instances_warming", Uktrace.Metric.Level (float_of_int t.warming_n));
+        ("lb_queue_depth", Uktrace.Metric.Level (float_of_int (Queue.length t.lb_q)));
+        ("queue_depth", Uktrace.Metric.Level (float_of_int t.outstanding));
+        ("window_p99_us", Uktrace.Metric.Level (t.window_p99_ns /. 1e3));
+      ])
+
 let create ?(seed = 1) ?(substrate = `Own) ?(backend = Unikraft Ukplat.Vmm.Firecracker)
     ?(boot_mode = Cold) ?(policy = Frontdoor.Least_loaded) ?autoscale
-    ?(restart = Uksched.Supervisor.default_policy) ?(slo_ns = Uksim.Units.msec 1.0)
-    ?(shed_after_ns = Uksim.Units.msec 4.0) ?(slo_bucket_ns = Uksim.Units.msec 5.0)
-    ?(lb_queue_cap = 4096) ?(initial = 1) ?(cost_factor = 1.0) ~image () =
+    ?(slo_ns = Uksim.Units.msec 1.0) ?(shed_after_ns = Uksim.Units.msec 4.0)
+    ?(slo_bucket_ns = Uksim.Units.msec 5.0) ?(initial = 1) ?(cost_factor = 1.0) ~image
+    () =
   if initial < 1 then invalid_arg "Fleet.create: initial must be >= 1";
   if cost_factor <= 0.0 then invalid_arg "Fleet.create: cost_factor must be positive";
-  let sub, external_sub =
+  let clock, engine, external_sub =
     match substrate with
     | `Own ->
         let clock = Uksim.Clock.create () in
-        (Sub_one (clock, Uksim.Engine.create clock), false)
-    | `Engine (c, e) -> (Sub_one (c, e), true)
-    | `Smp smp -> (Sub_smp smp, false)
+        (clock, Uksim.Engine.create clock, false)
+    | `Engine (c, e) -> (c, e, true)
   in
   let t =
     {
       rng = Uksim.Rng.create (seed lxor 0xF1EE7);
-      img = image;
-      backend;
       boot_mode;
       fd = Frontdoor.create policy;
       auto = Option.map Autoscaler.create autoscale;
-      restart;
       slo_ns;
       shed_after_ns;
       bucket_ns = slo_bucket_ns;
-      lb_cap = lb_queue_cap;
       initial;
       costs =
         (* A per-host cost multiplier (ARM-class vs. x86-class silicon):
@@ -252,7 +236,8 @@ let create ?(seed = 1) ?(substrate = `Own) ?(backend = Unikraft Ukplat.Vmm.Firec
            warm_activation_ns = c.warm_activation_ns *. cost_factor;
            service_ns = c.service_ns *. cost_factor;
          });
-      sub;
+      clock;
+      engine;
       external_sub;
       instances = Hashtbl.create 64;
       next_iid = 0;
@@ -262,10 +247,10 @@ let create ?(seed = 1) ?(substrate = `Own) ?(backend = Unikraft Ukplat.Vmm.Firec
       ready_n = 0;
       warming_n = 0;
       pool = 0;
-      pool_warming = 0;
       template_eta = None;
       lat = Uksim.Stats.create ();
       win = Uksim.Stats.create ();
+      window_p99_ns = 0.0;
       viol = Hashtbl.create 64;
       t_measure = 0.0;
       last_event = 0.0;
@@ -290,28 +275,10 @@ let create ?(seed = 1) ?(substrate = `Own) ?(backend = Unikraft Ukplat.Vmm.Firec
       trace = 0;
     }
   in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukfleet" ~name:"fleet" (fun () ->
-         [
-           ("offered", Uktrace.Metric.Count t.c_offered);
-           ("completed", Uktrace.Metric.Count t.c_completed);
-           ("shed", Uktrace.Metric.Count t.c_shed);
-           ("redispatched", Uktrace.Metric.Count t.c_redispatched);
-           ("cold_boots", Uktrace.Metric.Count t.c_cold_boots);
-           ("clones", Uktrace.Metric.Count t.c_clones);
-           ("warm_hits", Uktrace.Metric.Count t.c_warm_hits);
-           ("crashes", Uktrace.Metric.Count t.c_crashes);
-           ("restarts", Uktrace.Metric.Count t.c_restarts);
-           ("instances_up", Uktrace.Metric.Level (float_of_int t.ready_n));
-         ]));
+  Uktrace.Registry.register (source t);
   t
 
-let image t = t.img
 let costs t = t.costs
-let policy t = Frontdoor.policy t.fd
-let ready_count t = t.ready_n
-let warming_count t = t.warming_n
-let pool_spares t = t.pool
 let ready_ids t = Frontdoor.members t.fd
 let trace_hash t = t.trace
 
@@ -323,12 +290,10 @@ let reply req ~ok ~latency_ns =
 let shed t req ~now =
   req.done_ <- true;
   t.c_shed <- t.c_shed + 1;
-  Uktrace.Metric.Counter.incr (Lazy.force c_shed_total);
   t.outstanding <- t.outstanding - 1;
   t.last_event <- Float.max t.last_event now;
   mark_bucket t now;
   trace t 0x5ed req.rid now;
-  publish_gauges t;
   reply req ~ok:false ~latency_ns:(now -. req.arrival_ns)
 
 let complete t inst req ~fin =
@@ -337,7 +302,6 @@ let complete t inst req ~fin =
   | Some h when h == req -> ignore (Queue.pop inst.pending)
   | Some _ | None -> ());
   inst.inflight <- inst.inflight - 1;
-  inst.served <- inst.served + 1;
   if inst.fresh then begin
     inst.fresh <- false;
     inst.crashes_in_row <- 0
@@ -350,7 +314,6 @@ let complete t inst req ~fin =
   t.outstanding <- t.outstanding - 1;
   t.last_event <- Float.max t.last_event fin;
   trace t 0xd09e ((req.rid * 31) + inst.iid) fin;
-  publish_gauges t;
   reply req ~ok:true ~latency_ns:latency
 
 let dispatch t inst req ~now =
@@ -361,7 +324,7 @@ let dispatch t inst req ~now =
   Queue.push req inst.pending;
   trace t 0xd15 ((req.rid * 31) + inst.iid) now;
   let ep = inst.epoch in
-  at_abs (instance_pair t inst.iid) fin (fun () ->
+  at_abs t fin (fun () ->
       if (not req.done_) && inst.epoch = ep && inst.state = Ready then
         if t.frozen_at <> None then Queue.push (inst, req, ep) t.frozen_q
         else complete t inst req ~fin)
@@ -382,10 +345,7 @@ let route t req ~now =
   in
   match Frontdoor.pick t.fd ~flow:req.flow ~load with
   | None ->
-      if Queue.length t.lb_q < t.lb_cap then begin
-        Queue.push req t.lb_q;
-        publish_gauges t
-      end
+      if Queue.length t.lb_q < lb_queue_cap then Queue.push req t.lb_q
       else shed t req ~now
   | Some iid ->
       if best_wait t ~now > t.shed_after_ns then shed t req ~now
@@ -402,14 +362,12 @@ let drain_lb t ~now =
 
 let accepting t = t.replay_active || t.external_sub
 
-let refill_pool t ~now =
-  if accepting t then begin
-    t.pool_warming <- t.pool_warming + 1;
-    t.c_cold_boots <- t.c_cold_boots + 1;
-    at_control t (now +. t.costs.cold_boot_ns) (fun () ->
-        t.pool_warming <- t.pool_warming - 1;
-        t.pool <- t.pool + 1)
-  end
+(* A spare boots cold in the background and joins the pool when up. *)
+let boot_spare t ~now =
+  t.c_cold_boots <- t.c_cold_boots + 1;
+  at_abs t (now +. t.costs.cold_boot_ns) (fun () -> t.pool <- t.pool + 1)
+
+let refill_pool t ~now = if accepting t then boot_spare t ~now
 
 (* Pick the boot path for a new (or respawning) instance and charge its
    latency: the Cold/Warm_pool/Snapshot distinction the bench measures. *)
@@ -448,7 +406,6 @@ let make_ready t inst ~now =
     if t.ready_n > t.peak then t.peak <- t.ready_n;
     Frontdoor.add t.fd inst.iid;
     trace t 0xb007 inst.iid now;
-    publish_gauges t;
     drain_lb t ~now
   end
 
@@ -464,7 +421,6 @@ let scale_out t n ~now =
         pending = Queue.create ();
         inflight = 0;
         epoch = 0;
-        served = 0;
         crashes_in_row = 0;
         restarts_used = 0;
         fresh = false;
@@ -475,9 +431,8 @@ let scale_out t n ~now =
     t.warming_n <- t.warming_n + 1;
     let latency = spawn_latency t ~now in
     trace t 0x59a iid (now +. latency);
-    at_control t (now +. latency) (fun () -> make_ready t inst ~now:(now +. latency))
-  done;
-  publish_gauges t
+    at_abs t (now +. latency) (fun () -> make_ready t inst ~now:(now +. latency))
+  done
 
 let scale_in t ~now =
   (* Retire the youngest idle ready instance; hold if none is idle. *)
@@ -499,8 +454,7 @@ let scale_in t ~now =
       t.ready_n <- t.ready_n - 1;
       t.c_retired <- t.c_retired + 1;
       Frontdoor.remove t.fd inst.iid;
-      trace t 0x0ff inst.iid now;
-      publish_gauges t
+      trace t 0x0ff inst.iid now
 
 let kill t ~now_ns ~iid =
   match Hashtbl.find_opt t.instances iid with
@@ -527,10 +481,10 @@ let kill t ~now_ns ~iid =
         (List.rev orphans);
       (* Supervisor-style respawn: exponential backoff per consecutive
          crash, bounded by the restart budget. *)
-      if inst.restarts_used < t.restart.Uksched.Supervisor.max_restarts then begin
+      if inst.restarts_used < restart.Uksched.Supervisor.max_restarts then begin
         inst.restarts_used <- inst.restarts_used + 1;
         t.c_restarts <- t.c_restarts + 1;
-        let p = t.restart in
+        let p = restart in
         let backoff =
           Float.min p.Uksched.Supervisor.max_backoff_ns
             (p.Uksched.Supervisor.backoff_ns
@@ -542,9 +496,8 @@ let kill t ~now_ns ~iid =
         t.warming_n <- t.warming_n + 1;
         let latency = spawn_latency t ~now in
         let at = now +. backoff +. latency in
-        at_control t at (fun () -> make_ready t inst ~now:at)
+        at_abs t at (fun () -> make_ready t inst ~now:at)
       end;
-      publish_gauges t;
       true
   | Some _ | None -> false
 
@@ -553,8 +506,6 @@ let kill t ~now_ns ~iid =
 let set_draining t on =
   t.draining <- on;
   trace t 0xd4a1 (if on then 1 else 0) t.last_event
-
-let draining t = t.draining
 
 let freeze t ~now_ns =
   if t.frozen_at = None then begin
@@ -590,57 +541,41 @@ let thaw t ~now_ns =
 
 (* --- control loop -------------------------------------------------------- *)
 
-let rec tick t ~now =
+(* One control tick of an autoscaled fleet. The controller reads the
+   fleet's own readings, the ones [source] publishes. *)
+let rec tick t a ~now =
   t.tick_armed <- true;
-  let p99 = if Uksim.Stats.count t.win > 0 then Uksim.Stats.percentile t.win 99.0 else 0.0 in
-  Uktrace.Metric.Gauge.set (Lazy.force g_p99) (p99 /. 1e3);
+  t.window_p99_ns <-
+    (if Uksim.Stats.count t.win > 0 then Uksim.Stats.percentile t.win 99.0 else 0.0);
   Uksim.Stats.clear t.win;
-  publish_gauges t;
-  (match t.auto with
-  | None -> ()
-  | Some a ->
-      (* The controller consumes the published registry gauges — the same
-         numbers any external observer sees. *)
-      let ready = int_of_float (Uktrace.Metric.Gauge.get (Lazy.force g_up)) in
-      let warming = int_of_float (Uktrace.Metric.Gauge.get (Lazy.force g_warming)) in
-      let outstanding = int_of_float (Uktrace.Metric.Gauge.get (Lazy.force g_queue)) in
-      let p99_ns = Uktrace.Metric.Gauge.get (Lazy.force g_p99) *. 1e3 in
-      (match
-         Autoscaler.decide a ~now_ns:now ~ready ~warming ~outstanding ~p99_ns
-           ~slo_ns:t.slo_ns
-       with
-      | Autoscaler.Hold -> ()
-      | Autoscaler.Scale_out n ->
-          trace t 0x5ca1e n now;
-          scale_out t n ~now
-      | Autoscaler.Scale_in _ ->
-          trace t 0x5ca10 1 now;
-          scale_in t ~now));
-  match t.auto with
-  | Some a when t.replay_active || t.outstanding > 0 ->
-      let next = now +. (Autoscaler.params a).Autoscaler.interval_ns in
-      at_control t next (fun () -> tick t ~now:next)
-  | Some _ | None -> t.tick_armed <- false
+  (match
+     Autoscaler.decide a ~now_ns:now ~ready:t.ready_n ~warming:t.warming_n
+       ~outstanding:t.outstanding ~p99_ns:t.window_p99_ns ~slo_ns:t.slo_ns
+   with
+  | Autoscaler.Hold -> ()
+  | Autoscaler.Scale_out n ->
+      trace t 0x5ca1e n now;
+      scale_out t n ~now
+  | Autoscaler.Scale_in _ ->
+      trace t 0x5ca10 1 now;
+      scale_in t ~now);
+  if t.replay_active || t.outstanding > 0 then begin
+    let next = now +. (Autoscaler.params a).Autoscaler.interval_ns in
+    at_abs t next (fun () -> tick t a ~now:next)
+  end
+  else t.tick_armed <- false
 
 (* --- top-level ----------------------------------------------------------- *)
-
-let refill_pool_initial t ~now =
-  t.pool_warming <- t.pool_warming + 1;
-  t.c_cold_boots <- t.c_cold_boots + 1;
-  at_control t (now +. t.costs.cold_boot_ns) (fun () ->
-      t.pool_warming <- t.pool_warming - 1;
-      t.pool <- t.pool + 1)
 
 let start_at t ~now =
   if t.started then invalid_arg "Fleet.start: already started";
   t.started <- true;
   t.t_measure <- now;
   t.last_event <- now;
-  publish_gauges t;
   (match t.boot_mode with
   | Warm_pool target ->
       for _ = 1 to target do
-        refill_pool_initial t ~now
+        boot_spare t ~now
       done
   | Cold | Snapshot -> ());
   scale_out t t.initial ~now
@@ -663,7 +598,7 @@ let submit ?flow ?on_reply t ~now_ns:now =
      migration stop-and-copy window must never queue new work here. *)
   if t.draining then shed t req ~now else route t req ~now;
   (* Externally driven fleets re-arm the control loop on demand. *)
-  if t.auto <> None && not t.tick_armed then tick t ~now
+  match t.auto with Some a when not t.tick_armed -> tick t a ~now | Some _ | None -> ()
 
 let report t =
   let conv ns = ns /. 1e3 in
@@ -688,10 +623,7 @@ let report t =
     peak_instances = t.peak;
     final_ready = t.ready_n;
     elapsed_ns = Float.max 0.0 (t.last_event -. t.t_measure);
-    trace_hash =
-      (match t.sub with
-      | Sub_smp s -> mix t.trace (Uksmp.Smp.trace_hash s)
-      | Sub_one _ -> t.trace);
+    trace_hash = t.trace;
   }
 
 let run t (w : Workload.t) =
@@ -717,13 +649,11 @@ let run t (w : Workload.t) =
       route t req ~now:ta;
       let rate = Float.max 1e-3 (w.Workload.rate_rps (ta -. t_start)) in
       let dt = Uksim.Rng.exponential t.rng (1e9 /. rate) in
-      at_control t (ta +. dt) (fun () -> arrive (ta +. dt))
+      at_abs t (ta +. dt) (fun () -> arrive (ta +. dt))
     end
     else t.replay_active <- false
   in
-  at_control t t_start (fun () -> arrive t_start);
-  if t.auto <> None then at_control t t_start (fun () -> tick t ~now:t_start);
-  (match t.sub with
-  | Sub_one (_, e) -> Uksim.Engine.run e
-  | Sub_smp s -> Uksmp.Smp.run s);
+  at_abs t t_start (fun () -> arrive t_start);
+  Option.iter (fun a -> at_abs t t_start (fun () -> tick t a ~now:t_start)) t.auto;
+  Uksim.Engine.run t.engine;
   report t

@@ -22,12 +22,12 @@
       snapshot restore plus a memory copy of the footprint clones it —
       the fast path the paper's tiny images enable.
 
-    Crashed instances are respawned {!Uksched.Supervisor}-style (same
-    policy record: exponential backoff, restart budget), with their
-    queued requests re-dispatched through the front door so no response
-    is lost. An {!Autoscaler} drives scale-out/in from the
-    [ukfleet.metrics] {!Uktrace.Registry} gauges the fleet publishes
-    every control tick. Admission control sheds requests when the
+    Crashed instances are respawned {!Uksched.Supervisor}-style
+    ({!Uksched.Supervisor.default_policy}: exponential backoff, restart
+    budget), with their queued requests re-dispatched through the front
+    door so no response is lost. An {!Autoscaler} drives scale-out/in
+    every control tick from the fleet's own readings, the ones its
+    {!source} publishes. Admission control sheds requests when the
     best-case queueing delay exceeds the configured bound.
 
     Everything is deterministic: a fixed seed produces a byte-identical
@@ -48,10 +48,7 @@ type substrate =
   [ `Own  (** a private clock + engine (the default) *)
   | `Engine of Uksim.Clock.t * Uksim.Engine.t
     (** share a caller's timeline — e.g. to put a real
-        {!Uknetstack} TCP ingress ({!Ingress}) in front of the fleet *)
-  | `Smp of Uksmp.Smp.t
-    (** spread instance completions over an SMP domain's per-core
-        engines; ukcheck attaches to the domain as usual *) ]
+        {!Uknetstack} TCP ingress ({!Ingress}) in front of the fleet *) ]
 
 type costs = {
   cold_boot_ns : float;
@@ -94,11 +91,9 @@ val create :
   ?boot_mode:boot_mode ->
   ?policy:Frontdoor.policy ->
   ?autoscale:Autoscaler.params ->
-  ?restart:Uksched.Supervisor.policy ->
   ?slo_ns:float ->
   ?shed_after_ns:float ->
   ?slo_bucket_ns:float ->
-  ?lb_queue_cap:int ->
   ?initial:int ->
   ?cost_factor:float ->
   image:Image.t ->
@@ -106,16 +101,16 @@ val create :
   t
 (** Defaults: seed 1, [`Own] substrate, [Unikraft Firecracker] backend,
     [Cold] boots, [Least_loaded] policy, no autoscaler (fixed size),
-    {!Uksched.Supervisor.default_policy} restarts, 1 ms SLO, shedding
-    past 4 ms best-case wait, 5 ms SLO buckets, a 4096-deep front-door
-    queue, 1 initial instance. [cost_factor] (default 1.0) stretches
-    every calibrated cost — boot, clone, activation, per-request service
-    — by a host-class multiplier (e.g. an ARM-class edge host at 2x the
-    x86 reference; see the edge-computing heterogeneity motivation). *)
+    1 ms SLO, shedding past 4 ms best-case wait, 5 ms SLO buckets,
+    1 initial instance. Fixed: {!Uksched.Supervisor.default_policy}
+    restarts, and a 4096-deep front-door queue while no instance is
+    ready (past it, requests are shed). [cost_factor] (default 1.0)
+    stretches every calibrated cost — boot, clone, activation,
+    per-request service — by a host-class multiplier (e.g. an ARM-class
+    edge host at 2x the x86 reference; see the edge-computing
+    heterogeneity motivation). *)
 
-val image : t -> Image.t
 val costs : t -> costs
-val policy : t -> Frontdoor.policy
 val control_engine : t -> Uksim.Engine.t
 val control_clock : t -> Uksim.Clock.t
 val now_ns : t -> float
@@ -126,9 +121,6 @@ val settle_ns : t -> float
     [now_ns at start + settle_ns]. Lets experiments aim external events
     (e.g. a {!Ukfault}-driven kill) at workload-relative instants. *)
 
-val ready_count : t -> int
-val warming_count : t -> int
-val pool_spares : t -> int
 val ready_ids : t -> int list
 
 val run : t -> Workload.t -> report
@@ -164,8 +156,6 @@ val set_draining : t -> bool -> unit
     shed (an explicit response, never a drop); in-flight requests keep
     completing. *)
 
-val draining : t -> bool
-
 val freeze : t -> now_ns:float -> unit
 (** Host stall: completions due while frozen are held (not lost) and
     land at the thaw instant, with the stall counted in their latency.
@@ -182,8 +172,17 @@ val report : t -> report
 (** Accumulated stats so far — for externally driven fleets; {!run}
     returns the same thing. *)
 
+val source : t -> Uktrace.Source.t
+(** The fleet's ["ukfleet.fleet"] source, registered at {!create}: the
+    counts [offered], [completed], [shed], [redispatched],
+    [cold_boots], [clones], [warm_hits], [crashes] and [restarts], then
+    the levels [instances_up], [instances_warming], [lb_queue_depth],
+    [queue_depth] (outstanding requests, queued ones included) and
+    [window_p99_us] (the last control window's p99, 0 without an
+    autoscaler). The autoscaler decides on exactly these readings.
+    {!Uktrace.Registry.reset} leaves the source untouched. *)
+
 val trace_hash : t -> int
 (** Rolling hash over every fleet event (arrival, dispatch, completion,
     shed, boot, crash, scale decision) with its timestamp. Equal seeds
-    and configs must give equal hashes; in [`Smp] mode the domain's own
-    {!Uksmp.Smp.trace_hash} is folded in by {!report}. *)
+    and configs must give equal hashes. *)

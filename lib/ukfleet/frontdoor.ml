@@ -1,10 +1,5 @@
 type policy = Round_robin | Least_loaded | Consistent_hash
 
-let policy_name = function
-  | Round_robin -> "round-robin"
-  | Least_loaded -> "least-loaded"
-  | Consistent_hash -> "consistent-hash"
-
 type t = {
   pol : policy;
   vnodes : int;
@@ -22,7 +17,6 @@ let create ?(vnodes = 32) pol =
   if vnodes <= 0 then invalid_arg "Frontdoor.create: vnodes must be positive";
   { pol; vnodes; members = []; cursor = 0; ring = [||]; quarantined = Hashtbl.create 8 }
 
-let policy t = t.pol
 let members t = t.members
 let quarantined t m = Hashtbl.mem t.quarantined m
 let active t = List.filter (fun m -> not (quarantined t m)) t.members

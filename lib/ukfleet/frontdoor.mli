@@ -16,15 +16,10 @@
       that keeps per-flow affinity across scale-out. *)
 
 type policy = Round_robin | Least_loaded | Consistent_hash
-
-val policy_name : policy -> string
-
 type t
 
 val create : ?vnodes:int -> policy -> t
 (** [vnodes] (default 32) only matters for [Consistent_hash]. *)
-
-val policy : t -> policy
 
 val add : t -> int -> unit
 (** Add a member id (a backend that became ready). Idempotent. *)
@@ -43,13 +38,8 @@ val quarantine : t -> int -> unit
 val unquarantine : t -> int -> unit
 (** Readmit a quarantined member. Idempotent. *)
 
-val quarantined : t -> int -> bool
-
 val members : t -> int list
 (** Ascending ids, including quarantined members. *)
-
-val active : t -> int list
-(** {!members} minus quarantined — the pickable set. *)
 
 val pick : t -> flow:int -> load:(int -> float) -> int option
 (** Choose a member for a request of [flow]: [None] iff no members.

@@ -1,9 +1,8 @@
-type app = Httpd | Resp | Infer of int | Store
+type app = Httpd | Infer of int | Store
 
 type t = { name : string; app : app; mem_mb : int }
 
 let httpd = { name = "httpd"; app = Httpd; mem_mb = 8 }
-let resp = { name = "resp"; app = Resp; mem_mb = 10 }
 
 (* Model weights live in guest memory after the boot-time load, so the
    footprint (what a snapshot clone must copy) is base + model. *)
@@ -19,7 +18,7 @@ let store () = { name = "store"; app = Store; mem_mb = 12 }
 let profile_app t =
   match t.app with
   | Httpd -> "nginx"
-  | Resp | Store -> "redis"
+  | Store -> "redis"
   | Infer _ -> "inference"
 
 type calib = {
@@ -70,7 +69,7 @@ let store_keys = 256
 
 let prep img rig =
   match img.app with
-  | Httpd | Resp -> ()
+  | Httpd -> ()
   | Store ->
       (* Format + populate + commit happen host-side (registry image
          build); the boot-time cost the calibration should see is the
@@ -133,7 +132,6 @@ let inittab_of_rig img rig =
     ~name:
       (match img.app with
       | Httpd -> "app/httpd"
-      | Resp -> "app/resp"
       | Store -> "app/store"
       | Infer _ -> "app/infer")
     (fun () ->
@@ -144,9 +142,6 @@ let inittab_of_rig img rig =
           ignore
             (Ukapps.Httpd.create ~clock:rig.clock ~sched:rig.sched ~stack ~alloc
                (Ukapps.Httpd.In_memory [ ("/index.html", Ukapps.Httpd.default_page) ]))
-      | Resp ->
-          ignore
-            (Ukapps.Resp_store.create ~clock:rig.clock ~sched:rig.sched ~stack ~alloc ())
       | Store ->
           (* Mount runs inside the constructor: recovery (slot scan +
              journal replay) is charged to boot, exactly like a crashed
@@ -194,12 +189,11 @@ let measure_service img rig =
   S.start client;
   let server =
     ( A.Ipv4.of_string "10.99.0.1",
-      match img.app with Httpd -> 80 | Resp -> 6379 | Store -> 7000 | Infer _ -> 8000 )
+      match img.app with Httpd -> 80 | Store -> 7000 | Infer _ -> 8000 )
   in
   let proto =
     match img.app with
     | Httpd -> Ukapps.Httpd.client ()
-    | Resp -> Ukapps.Resp_store.client Ukapps.Resp_store.Set
     | Store ->
         (* The calibration mix is the benchmark default (half mutations,
            periodic COMMIT) so service_ns amortizes journal fsyncs the way

@@ -14,7 +14,6 @@
 
 type app =
   | Httpd
-  | Resp
   | Infer of int  (** model size, MiB *)
   | Store  (** crash-consistent merkle KV ({!Ukapps.Store}) *)
 
@@ -26,9 +25,6 @@ type t = {
 
 val httpd : t
 (** The nginx-like static server, 612 B page, 8 MB guest (Fig 11 scale). *)
-
-val resp : t
-(** The redis-like store, 10 MB guest. *)
 
 val store : unit -> t
 (** The crash-consistent content-addressed KV server ({!Ukapps.Store}),
@@ -60,5 +56,6 @@ val uncache : t -> unit
     building the next. *)
 
 val profile_app : t -> string
-(** The {!Ukos.Profiles} application key ("nginx" / "redis") used to
+(** The {!Ukos.Profiles} application key ("nginx", "redis" for the
+    store, "inference") used to
     derive baseline-OS request costs for this image. *)

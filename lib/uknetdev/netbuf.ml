@@ -182,10 +182,6 @@ let copy ?headroom t =
   b.length <- t.length;
   b
 
-(* Deprecated bytes-era names, kept as counted aliases for the test edges. *)
-let to_payload = copy_out
-let blit_payload = copy_in
-
 (* --- sharing and release -------------------------------------------------- *)
 
 let share t =

@@ -71,12 +71,6 @@ val copy : ?headroom:int -> t -> t
 (** Full duplicate onto a fresh heap cell (retransmit/corruption paths
     that must not alias shared storage). *)
 
-val to_payload : t -> bytes
-(** @deprecated alias of {!copy_out}, kept for bytes-era test edges. *)
-
-val blit_payload : t -> bytes -> unit
-(** @deprecated alias of {!copy_in}. *)
-
 (** {1 Ownership} *)
 
 val share : t -> t

@@ -85,17 +85,4 @@ let set_receiver ep f = ep.receiver <- f
 let attach_sink ep = ep.receiver <- None
 let attach_echo ep = ep.receiver <- Some (fun nb -> send ep nb)
 
-(* Deprecated bytes shims: kept for test edges; both charge the copy
-   counters (of_bytes / copy_out are counted materializations). *)
-let send_bytes ep frame = send ep (Netbuf.of_bytes frame)
-
-let set_receiver_bytes ep f =
-  set_receiver ep
-    (Option.map
-       (fun f nb ->
-         let payload = Netbuf.copy_out nb in
-         Netbuf.recycle nb;
-         f payload)
-       f)
-
 let source ep = Uktrace.Registry.source ep.group

@@ -32,14 +32,6 @@ val set_receiver : endpoint -> (Netbuf.t -> unit) option -> unit
 (** Who gets frames arriving at this endpoint (None = count, recycle and
     drop). The receiver takes ownership of each delivered buffer. *)
 
-val send_bytes : endpoint -> bytes -> unit
-(** @deprecated bytes-era shim for test edges: materializes a netbuf
-    (counted copy) and {!send}s it. *)
-
-val set_receiver_bytes : endpoint -> (bytes -> unit) option -> unit
-(** @deprecated bytes-era shim: copies each delivered frame out (counted)
-    and recycles the buffer before invoking the callback. *)
-
 val attach_sink : endpoint -> unit
 (** testpmd-style measurement peer: count frames/bytes, never reply. *)
 

@@ -429,9 +429,6 @@ let on_segment_nb c (h : Pkt.Tcp.t) nb =
     | Listen | Closed -> Nb.recycle nb
   end
 
-(* Bytes-era edge (tests, trace replay): materializes a buffer — counted. *)
-let on_segment c h payload = on_segment_nb c h (Nb.of_bytes payload)
-
 let on_timer c =
   let due =
     match c.timer_deadline with

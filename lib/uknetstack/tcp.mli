@@ -83,10 +83,6 @@ val on_segment_nb : conn -> Pkt.Tcp.t -> Uknetdev.Netbuf.t -> unit
     every path: handed to the rx sink, copied (counted) into the receive
     queue, or recycled. *)
 
-val on_segment : conn -> Pkt.Tcp.t -> bytes -> unit
-(** Bytes-era edge: wraps the payload in a fresh netbuf ({e counted} when
-    non-empty) and calls {!on_segment_nb}. *)
-
 val on_timer : conn -> unit
 (** Retransmission / TIME_WAIT timer callback. *)
 

@@ -18,6 +18,9 @@ echo "== tests =="
 python3 scripts/check_tests.py
 dune runtest
 
+echo "== control-plane options (every optional argument has a caller) =="
+python3 scripts/check_options.py lib/ukfleet lib/ukcluster
+
 echo "== fast-mode bench (every group, fixed seeds, gates) =="
 root=$(pwd)
 bench=$(mktemp -d)

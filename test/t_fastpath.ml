@@ -197,7 +197,7 @@ let deliver rig =
     let from_a = take_sent rig.neta and from_b = take_sent rig.netb in
     let feed conn (hdr, data) =
       rig.frames <- record hdr data :: rig.frames;
-      Tcp.on_segment conn hdr data
+      Tcp.on_segment_nb conn hdr (Nb.of_bytes data)
     in
     List.iter (feed rig.server) from_a;
     List.iter (feed rig.client) from_b;

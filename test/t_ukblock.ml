@@ -125,7 +125,7 @@ let test_wire_loss_counted () =
   let a, b = Wire.create_pair ~engine ~loss:0.5 ~seed:7 () in
   Wire.attach_sink b;
   for _ = 1 to 1000 do
-    Wire.send_bytes a (Bytes.make 64 'l')
+    Wire.send a (Uknetdev.Netbuf.of_bytes (Bytes.make 64 'l'))
   done;
   Uksim.Engine.run engine;
   let dropped = wire_count a "dropped" in
@@ -140,7 +140,7 @@ let test_wire_duplication () =
   let a, b = Wire.create_pair ~engine ~duplicate:0.3 ~seed:11 () in
   Wire.attach_sink b;
   for _ = 1 to 1000 do
-    Wire.send_bytes a (Bytes.make 64 'd')
+    Wire.send a (Uknetdev.Netbuf.of_bytes (Bytes.make 64 'd'))
   done;
   Uksim.Engine.run engine;
   Alcotest.(check bool)

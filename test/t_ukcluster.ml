@@ -2,9 +2,10 @@
    and crash/freeze lifecycle, phi-accrual detection (including the
    planted-bug control), the router's deadline/retry/hedge/admission
    machinery, live migration with abort-and-restart, the kill+clone
-   baseline, seeded replay, and a ukcheck exploration fixture over the
-   detector. The recurring invariant: offered = completed + shed +
-   expired — no request stream ever observes a lost response. *)
+   baseline, seeded replay, a partition drill over 16 seeds, and a
+   ukcheck exploration fixture over the detector. The recurring
+   invariant: offered = completed + shed + expired — no request stream
+   ever observes a lost response. *)
 
 module Net = Ukcluster.Netmodel
 module Host = Ukcluster.Host
@@ -89,6 +90,16 @@ let test_host_crash_drops_replies () =
 (* --- detector ------------------------------------------------------------- *)
 
 let fast_detector () = Detector.params ~interval_ns:(ms 1.0) ()
+
+let test_detector_params_guarded () =
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "suspect_phi above the dead threshold" (fun () ->
+      Detector.params ~suspect_phi:8.5 ());
+  rejects "non-positive interval" (fun () -> Detector.params ~interval_ns:0.0 ());
+  ignore (Detector.params ~suspect_phi:8.0 ())
 
 let test_detector_quiet_when_healthy () =
   let c = Cluster.create ~seed:11 ~n_hosts:2
@@ -324,7 +335,9 @@ let test_infer_image_served_across_hosts () =
 
 (* --- replay --------------------------------------------------------------- *)
 
-let drill seed =
+(* A kill-mid-migration partition drill: host 1's replies are cut for
+   20 ms, shard 0 migrates to host 3 meanwhile, then host 2 crashes. *)
+let drill_cluster seed =
   let c = Cluster.create ~seed ~n_hosts:4
       ~detector_params:(fast_detector ())
       ~router_params:(Router.params ~hedge:true ()) () in
@@ -337,9 +350,14 @@ let drill seed =
          (t0 +. ms 40.0, Fh.Crash 2);
        ]);
   Cluster.migrate c ~at_ns:(t0 +. ms 20.0) ~src:0 ~dst:3;
-  Cluster.run c
-    (Ukfleet.Workload.diurnal ~base_rps:1200.0 ~amplitude:0.6 ~period_ns:(ms 40.0)
-       ~duration_ns:(ms 80.0))
+  let r =
+    Cluster.run c
+      (Ukfleet.Workload.diurnal ~base_rps:1200.0 ~amplitude:0.6 ~period_ns:(ms 40.0)
+         ~duration_ns:(ms 80.0))
+  in
+  (c, r)
+
+let drill seed = snd (drill_cluster seed)
 
 let test_replay_determinism () =
   let a = drill 77 and b = drill 77 in
@@ -348,6 +366,41 @@ let test_replay_determinism () =
   let cdiff = drill 78 in
   Alcotest.(check bool) "different seed, different trace" true
     (cdiff.Cluster.trace_hash <> a.Cluster.trace_hash)
+
+let test_drill_zero_lost_over_seeds () =
+  for seed = 1 to 16 do
+    let c, r = drill_cluster seed in
+    let tag = Printf.sprintf "seed %d: " seed in
+    Alcotest.(check bool) (tag ^ "requests completed") true (r.Cluster.completed > 0);
+    Alcotest.(check int) (tag ^ "zero lost responses") 0 r.Cluster.lost;
+    Alcotest.(check int) (tag ^ "offered = completed + shed + expired") r.Cluster.offered
+      (r.Cluster.completed + r.Cluster.shed + r.Cluster.expired);
+    (* The counts outlive a registry reset: [lost] is computed from them. *)
+    Uktrace.Registry.reset ();
+    let routed = Uktrace.Source.count (Router.source (Cluster.router c)) in
+    let detected = Uktrace.Source.count (Detector.source (Cluster.detector c)) in
+    List.iter
+      (fun (name, got) -> Alcotest.(check int) (tag ^ name) (routed name) got)
+      [
+        ("offered", r.Cluster.offered);
+        ("completed", r.Cluster.completed);
+        ("shed", r.Cluster.shed);
+        ("expired", r.Cluster.expired);
+        ("retries", r.Cluster.retries);
+        ("hedges", r.Cluster.hedges);
+        ("hedge_wins", r.Cluster.hedge_wins);
+        ("cancelled", r.Cluster.cancelled);
+        ("lost_replies", r.Cluster.lost_replies);
+      ];
+    List.iter
+      (fun (name, got) -> Alcotest.(check int) (tag ^ name) (detected name) got)
+      [
+        ("suspects", r.Cluster.suspects);
+        ("recovers", r.Cluster.recovers);
+        ("deads", r.Cluster.deads);
+      ];
+    Uktrace.Registry.clear ()
+  done
 
 (* --- ukcheck: schedule exploration over the detector ----------------------- *)
 
@@ -373,7 +426,8 @@ let detector_fixture smp ~seed =
   fun () ->
     Ukcheck.Prop.all
       [
-        Ukcheck.Prop.require (Detector.deads d = 0)
+        Ukcheck.Prop.require
+          (Uktrace.Source.count (Detector.source d) "deads" = 0)
           "live reachable host declared dead";
         Ukcheck.Prop.require
           (Detector.status d 0 <> Detector.Dead && Detector.status d 1 <> Detector.Dead)
@@ -396,6 +450,8 @@ let suite =
     Alcotest.test_case "detector: crash -> suspect -> dead" `Quick
       test_detector_crash_to_dead;
     Alcotest.test_case "detector: planted bug control" `Quick test_detector_planted_bug;
+    Alcotest.test_case "detector: params reject bad input" `Quick
+      test_detector_params_guarded;
     Alcotest.test_case "detector: freeze -> suspect -> recover" `Quick
       test_freeze_suspect_recover;
     Alcotest.test_case "router: full partition expires, loses nothing" `Quick
@@ -416,6 +472,8 @@ let suite =
     Alcotest.test_case "kill+clone baseline works" `Quick test_kill_clone_baseline;
     Alcotest.test_case "seeded drill replays byte-identically" `Quick
       test_replay_determinism;
+    Alcotest.test_case "partition drill: zero lost over 16 seeds" `Quick
+      test_drill_zero_lost_over_seeds;
     Alcotest.test_case "inference image served across hosts" `Quick
       test_infer_image_served_across_hosts;
     Alcotest.test_case "ukcheck: no schedule buries the living" `Quick

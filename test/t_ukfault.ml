@@ -40,7 +40,7 @@ let drain engine db =
   let rec go acc =
     match db.Nd.rx_burst ~qid:0 ~max:64 with
     | [] -> List.rev acc
-    | pkts -> go (List.rev_append (List.map (fun nb -> Bytes.to_string (Nb.to_payload nb)) pkts) acc)
+    | pkts -> go (List.rev_append (List.map (fun nb -> Bytes.to_string (Nb.copy_out nb)) pkts) acc)
   in
   go []
 

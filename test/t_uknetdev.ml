@@ -18,7 +18,7 @@ let test_netbuf_push_pull () =
   Nb.push b 4;
   Alcotest.(check int) "pushed" 11 (Nb.len b);
   Nb.pull b 4;
-  Alcotest.(check string) "payload restored" "payload" (Bytes.to_string (Nb.to_payload b));
+  Alcotest.(check string) "payload restored" "payload" (Bytes.to_string (Nb.copy_out b));
   Alcotest.check_raises "over-pull" (Invalid_argument "Netbuf.pull: beyond payload") (fun () ->
       Nb.pull b 100)
 
@@ -35,7 +35,7 @@ let netbuf_roundtrip_prop =
       let b = Nb.of_bytes (Bytes.of_string payload) in
       Nb.push b n;
       Nb.pull b n;
-      Bytes.to_string (Nb.to_payload b) = payload)
+      Bytes.to_string (Nb.copy_out b) = payload)
 
 let test_pool () =
   let clock, _ = env () in
@@ -62,9 +62,13 @@ let test_wire_delivery () =
   let clock, engine = env () in
   let a, b = Wire.create_pair ~engine ~latency_ns:1000.0 () in
   let got = ref [] in
-  Wire.set_receiver_bytes b (Some (fun frame -> got := Bytes.to_string frame :: !got));
-  Wire.send_bytes a (Bytes.of_string "one");
-  Wire.send_bytes a (Bytes.of_string "two");
+  Wire.set_receiver b
+    (Some
+       (fun nb ->
+         got := Bytes.to_string (Nb.copy_out nb) :: !got;
+         Nb.recycle nb));
+  Wire.send a (Nb.of_bytes (Bytes.of_string "one"));
+  Wire.send a (Nb.of_bytes (Bytes.of_string "two"));
   Uksim.Engine.run engine;
   Alcotest.(check (list string)) "in order" [ "one"; "two" ] (List.rev !got);
   Alcotest.(check int) "tx counted" 2 (count (Wire.source a) "tx_frames");
@@ -77,7 +81,7 @@ let test_wire_serialization () =
   let a, b = Wire.create_pair ~engine ~latency_ns:0.0 ~bandwidth_gbps:10.0 () in
   Wire.attach_sink b;
   for _ = 1 to 1000 do
-    Wire.send_bytes a (Bytes.make 1250 'x')
+    Wire.send a (Nb.of_bytes (Bytes.make 1250 'x'))
   done;
   Uksim.Engine.run engine;
   let clock = Uksim.Engine.clock engine in
@@ -93,7 +97,7 @@ let test_wire_echo () =
   Wire.attach_echo b;
   let got = ref 0 in
   Wire.set_receiver a (Some (fun nb -> incr got; Nb.recycle nb));
-  Wire.send_bytes a (Bytes.of_string "ping");
+  Wire.send a (Nb.of_bytes (Bytes.of_string "ping"));
   Uksim.Engine.run engine;
   Alcotest.(check int) "reflected" 1 !got
 
@@ -127,13 +131,13 @@ let test_virtio_rx_polling () =
   let clock, engine, dev, peer = mk_virtio () in
   dev.Nd.configure_queue ~qid:0
     { Nd.rx_path = Nd.Zero_copy; mode = Nd.Polling; rx_handler = None };
-  Wire.send_bytes peer (Bytes.of_string "hello-guest");
+  Wire.send peer (Nb.of_bytes (Bytes.of_string "hello-guest"));
   Uksim.Engine.run engine;
   Uksim.Clock.advance clock 1;
   let pkts = dev.Nd.rx_burst ~qid:0 ~max:4 in
   Alcotest.(check int) "one packet" 1 (List.length pkts);
   (match pkts with
-  | [ nb ] -> Alcotest.(check string) "payload intact" "hello-guest" (Bytes.to_string (Nb.to_payload nb))
+  | [ nb ] -> Alcotest.(check string) "payload intact" "hello-guest" (Bytes.to_string (Nb.copy_out nb))
   | _ -> Alcotest.fail "expected one");
   Alcotest.(check int) "no irqs in polling mode" 0 (count dev.Nd.source "rx_irqs")
 
@@ -148,7 +152,7 @@ let test_virtio_rx_interrupt_storm_avoidance () =
     };
   (* Burst of frames before the guest drains: the line fires once. *)
   for i = 1 to 5 do
-    Wire.send_bytes peer (Bytes.make (64 + i) 'z')
+    Wire.send peer (Nb.of_bytes (Bytes.make (64 + i) 'z'))
   done;
   Uksim.Engine.run engine;
   Alcotest.(check int) "one interrupt for the burst" 1 !irq_calls;
@@ -156,13 +160,13 @@ let test_virtio_rx_interrupt_storm_avoidance () =
   let pkts = dev.Nd.rx_burst ~qid:0 ~max:16 in
   Alcotest.(check int) "burst drained" 5 (List.length pkts);
   (* Ring empty -> re-armed: next frame interrupts again. *)
-  Wire.send_bytes peer (Bytes.make 60 'w');
+  Wire.send peer (Nb.of_bytes (Bytes.make 60 'w'));
   Uksim.Engine.run engine;
   Alcotest.(check int) "re-armed" 2 !irq_calls
 
 let test_virtio_rx_drop_when_unconfigured () =
   let _, engine, dev, peer = mk_virtio () in
-  Wire.send_bytes peer (Bytes.make 64 'q');
+  Wire.send peer (Nb.of_bytes (Bytes.make 64 'q'));
   Uksim.Engine.run engine;
   Alcotest.(check int) "dropped" 1 (count dev.Nd.source "rx_dropped")
 

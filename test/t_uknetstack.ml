@@ -50,7 +50,7 @@ let test_eth_roundtrip () =
   | Ok h ->
       Alcotest.(check bool) "dst" true (A.Mac.equal h.P.Eth.dst hdr.P.Eth.dst);
       Alcotest.(check bool) "src" true (A.Mac.equal h.P.Eth.src hdr.P.Eth.src);
-      Alcotest.(check string) "payload" "data" (Bytes.to_string (Nb.to_payload nb))
+      Alcotest.(check string) "payload" "data" (Bytes.to_string (Nb.copy_out nb))
 
 let test_arp_roundtrip () =
   let nb = Nb.alloc ~size:64 () in
@@ -74,7 +74,7 @@ let ipv4_roundtrip payload_str =
   P.Ipv4.encode hdr nb;
   match P.Ipv4.decode nb with
   | Error e -> Error e
-  | Ok h -> Ok (h, Bytes.to_string (Nb.to_payload nb))
+  | Ok h -> Ok (h, Bytes.to_string (Nb.copy_out nb))
 
 let test_ipv4_roundtrip () =
   match ipv4_roundtrip "the-payload" with
@@ -103,16 +103,16 @@ let udp_tcp_roundtrip_prop =
     (fun payload ->
       let src = A.Ipv4.of_string "10.0.0.1" and dst = A.Ipv4.of_string "10.0.0.2" in
       let nb = Nb.alloc ~headroom:128 ~size:1400 () in
-      Nb.blit_payload nb (Bytes.of_string payload);
+      Nb.copy_in nb (Bytes.of_string payload);
       P.Udp.encode { P.Udp.src_port = 1234; dst_port = 80 } ~src ~dst nb;
       let udp_ok =
         match P.Udp.decode ~src ~dst nb with
         | Ok { P.Udp.src_port = 1234; dst_port = 80 } ->
-            Bytes.to_string (Nb.to_payload nb) = payload
+            Bytes.to_string (Nb.copy_out nb) = payload
         | Ok _ | Error _ -> false
       in
       let nb2 = Nb.alloc ~headroom:128 ~size:1400 () in
-      Nb.blit_payload nb2 (Bytes.of_string payload);
+      Nb.copy_in nb2 (Bytes.of_string payload);
       P.Tcp.encode
         { P.Tcp.src_port = 5; dst_port = 6; seq = 12345; ack = 999; syn = false;
           ack_flag = true; fin = false; rst = false; psh = true; window = 4096 }
@@ -121,7 +121,7 @@ let udp_tcp_roundtrip_prop =
         match P.Tcp.decode ~src ~dst nb2 with
         | Ok h ->
             h.P.Tcp.seq = 12345 && h.P.Tcp.ack = 999 && h.P.Tcp.psh
-            && Bytes.to_string (Nb.to_payload nb2) = payload
+            && Bytes.to_string (Nb.copy_out nb2) = payload
         | Error _ -> false
       in
       udp_ok && tcp_ok)
@@ -179,8 +179,8 @@ let take_sent net =
 let deliver_all neta netb conn_a conn_b =
   let rec pump () =
     let from_a = take_sent neta and from_b = take_sent netb in
-    List.iter (fun (_, hdr, payload) -> Tcp.on_segment conn_b hdr payload) from_a;
-    List.iter (fun (_, hdr, payload) -> Tcp.on_segment conn_a hdr payload) from_b;
+    List.iter (fun (_, hdr, payload) -> Tcp.on_segment_nb conn_b hdr (Nb.of_bytes payload)) from_a;
+    List.iter (fun (_, hdr, payload) -> Tcp.on_segment_nb conn_a hdr (Nb.of_bytes payload)) from_b;
     if neta.sent <> [] || netb.sent <> [] then pump ()
   in
   pump ()
@@ -469,10 +469,10 @@ let tcp_header_fields_prop =
           psh = flag_bits land 16 <> 0; window }
       in
       let nb = Nb.alloc ~headroom:64 ~size:800 () in
-      Nb.blit_payload nb (Bytes.of_string payload);
+      Nb.copy_in nb (Bytes.of_string payload);
       P.Tcp.encode hdr ~src ~dst nb;
       match P.Tcp.decode ~src ~dst nb with
-      | Ok got -> got = hdr && Bytes.to_string (Nb.to_payload nb) = payload
+      | Ok got -> got = hdr && Bytes.to_string (Nb.copy_out nb) = payload
       | Error _ -> false)
 
 let ipv4_header_fields_prop =
@@ -496,10 +496,10 @@ let ipv4_header_fields_prop =
           frag_offset = frag_blocks * 8 }
       in
       let nb = Nb.alloc ~headroom:64 ~size:800 () in
-      Nb.blit_payload nb (Bytes.of_string payload);
+      Nb.copy_in nb (Bytes.of_string payload);
       P.Ipv4.encode hdr nb;
       match P.Ipv4.decode nb with
-      | Ok got -> got = hdr && Bytes.to_string (Nb.to_payload nb) = payload
+      | Ok got -> got = hdr && Bytes.to_string (Nb.copy_out nb) = payload
       | Error _ -> false)
 
 (* Generalizes frag_random_order_prop from sampled shuffles to every
