@@ -241,7 +241,7 @@ let abl_security =
         let n = scaled 100_000 in
         let mpk_cost gated =
           let clock = Uksim.Clock.create () in
-          let shfs = Ukvfs.Shfs.create ~clock () in
+          let shfs = Ukvfs.Shfs.create ~clock in
           Ukvfs.Shfs.add shfs ~name:"obj.html" (Bytes.make 256 'o');
           let m = Ukmpk.Mpk.create ~clock in
           let key = Result.get_ok (Ukmpk.Mpk.alloc_key m ~name:"shfs" ()) in

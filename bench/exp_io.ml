@@ -144,8 +144,8 @@ let fig22 =
             (Ukapps.Webcache.Vfs_backed (Option.get env_v.Vm.vfs, "/"))
         in
         ok (Result.map_error (fun e -> e) (Ukapps.Webcache.populate wc_v ~n_files ()));
-        let s = Ukapps.Webcache.measure_open wc_s () in
-        let v = Ukapps.Webcache.measure_open wc_v () in
+        let s = Ukapps.Webcache.measure_open wc_s in
+        let v = Ukapps.Webcache.measure_open wc_v in
         (* Linux VM: open() through syscall + the kernel's heavier VFS. *)
         let linux_extra = 2300.0 in
         row "%-26s %12s %12s\n" "system" "hit (ns)" "miss (ns)";

@@ -84,7 +84,7 @@ let alloc_tests =
     mk "alloc/mimalloc" (fun () ->
         Ukalloc.Mimalloc.create ~clock:(Uksim.Clock.create ()) ~base:(mib 16) ~len:(mib 16));
     mk "alloc/tinyalloc" (fun () ->
-        Ukalloc.Tinyalloc.create ~clock:(Uksim.Clock.create ()) ~base:(mib 16) ~len:(mib 16) ());
+        Ukalloc.Tinyalloc.create ~clock:(Uksim.Clock.create ()) ~base:(mib 16) ~len:(mib 16));
   ]
 
 (* Support-library group: the data structures under the drivers. *)

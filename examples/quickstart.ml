@@ -40,7 +40,7 @@ let () =
 
   (* 4. Run the application. *)
   Vm.run_main env (fun e ->
-      let line = Ukapps.Hello.main ~clock:e.Vm.clock () in
+      let line = Ukapps.Hello.main ~clock:e.Vm.clock in
       Format.printf "guest says: %s@." line);
 
   (* Compare with other VMMs, Fig 10 style. *)

@@ -69,11 +69,11 @@ let storage_ladder () =
   let wc_vfs = Ukapps.Webcache.create ~clock (Ukapps.Webcache.Vfs_backed (vfs, "/")) in
   ok (Ukapps.Webcache.populate wc_vfs ~n_files:200 ());
   (* SHFS direct path. *)
-  let shfs = Ukvfs.Shfs.create ~clock () in
+  let shfs = Ukvfs.Shfs.create ~clock in
   let wc_shfs = Ukapps.Webcache.create ~clock (Ukapps.Webcache.Shfs_backed shfs) in
   ok (Ukapps.Webcache.populate wc_shfs ~n_files:200 ());
-  let v = Ukapps.Webcache.measure_open wc_vfs () in
-  let s = Ukapps.Webcache.measure_open wc_shfs () in
+  let v = Ukapps.Webcache.measure_open wc_vfs in
+  let s = Ukapps.Webcache.measure_open wc_shfs in
   (v, s)
 
 let () =

@@ -57,9 +57,6 @@ val make :
     Kconfig schema, so dependency violations (e.g. mimalloc with
     [sched = None_]) are reported. *)
 
-val to_kconfig : t -> (string * Ukconf.Kopt.value) list
-(** The option assignment this configuration denotes. *)
-
 val resolve : t -> (Ukconf.Config.t, string) result
 (** Validate against {!schema}. *)
 

@@ -34,7 +34,7 @@ let make_alloc (c : Config.t) ~clock =
       let len = floor_pow2 len in
       Ukalloc.Buddy.create ~clock ~base:len ~len
   | Config.Tlsf -> Ukalloc.Tlsf.create ~clock ~base:heap_base ~len
-  | Config.Tinyalloc -> Ukalloc.Tinyalloc.create ~clock ~base:heap_base ~len ()
+  | Config.Tinyalloc -> Ukalloc.Tinyalloc.create ~clock ~base:heap_base ~len
   | Config.Mimalloc -> Ukalloc.Mimalloc.create ~clock ~base:heap_base ~len
   | Config.Bootalloc -> Ukalloc.Bootalloc.create ~clock ~base:heap_base ~len
   | Config.Oscar -> Ukalloc.Oscar.create ~clock ~base:heap_base ~len
@@ -44,7 +44,7 @@ let paging_mode = function
   | Config.Dynamic_pt -> Ukmmu.Pagetable.Dynamic
   | Config.Protected32_pt -> Ukmmu.Pagetable.Protected32
 
-let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255.0") ?gateway
+let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255.0")
     ?(mac = 0x00163e001002) ?host_share ?(cmdline = "") (c : Config.t) =
   match Config.resolve c with
   | Error e -> Error e
@@ -62,7 +62,7 @@ let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255
           reg_p ~lib:"netdev" ~name:"netmask" ~doc:"interface netmask"
             (Uklibparam.Libparam.String netmask);
           reg_p ~lib:"netdev" ~name:"gw" ~doc:"default gateway"
-            (Uklibparam.Libparam.String (Option.value gateway ~default:""));
+            (Uklibparam.Libparam.String "");
           reg_p ~lib:"ukdebug" ~name:"loglevel" ~doc:"0=crit..4=debug"
             (Uklibparam.Libparam.Int 3);
           match Uklibparam.Libparam.parse params cmdline with
@@ -77,7 +77,7 @@ let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255
           let netmask = pstr "netdev" "netmask" netmask in
           let gateway =
             match Uklibparam.Libparam.get_string params ~lib:"netdev" ~name:"gw" with
-            | Some "" | None -> gateway
+            | Some "" | None -> None
             | Some g -> Some g
           in
           let clock = match clock with Some c -> c | None -> Uksim.Clock.create () in
@@ -197,7 +197,7 @@ let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255
                       vfs := Some v)
           | Config.Shfs_fs ->
               reg ~level:Ukboot.Boot.Level.fs ~name:"shfs" (fun () ->
-                  shfs := Some (Ukvfs.Shfs.create ~clock ())));
+                  shfs := Some (Ukvfs.Shfs.create ~clock)));
           if c.mpk then
             reg ~level:Ukboot.Boot.Level.early ~name:"ukmpk" (fun () ->
                 mpk_t := Some (Ukmpk.Mpk.create ~clock));

@@ -6,19 +6,14 @@ type violation =
 
 exception Asan of violation
 
-let violation_to_string = function
-  | Heap_buffer_overflow { addr; block } ->
-      Printf.sprintf "heap-buffer-overflow at %#x (block %#x)" addr block
-  | Use_after_free { addr; block } -> Printf.sprintf "use-after-free at %#x (block %#x)" addr block
-  | Double_free { addr } -> Printf.sprintf "double-free of %#x" addr
-  | Wild_access { addr } -> Printf.sprintf "wild access at %#x" addr
-
 let shadow_check_cost = 6 (* shadow byte load + compare per access *)
 let poison_base_cost = 28 (* quarantine bookkeeping per malloc/free *)
 
+let redzone = 32 (* bytes of padding on each side of an allocation *)
+
 (* Poisoning writes one shadow byte per 8 payload bytes plus the two
    redzones. *)
-let poison_cost ~redzone size = poison_base_cost + ((size / 8) + (redzone / 4)) / 4
+let poison_cost size = poison_base_cost + ((size / 8) + (redzone / 4)) / 4
 
 module Imap = Map.Make (Int)
 
@@ -27,7 +22,6 @@ type region = { payload : int; size : int; inner : int (* inner block start *) }
 type t = {
   clock : Uksim.Clock.t;
   inner_alloc : Alloc.t;
-  redzone : int;
   quarantine_cap : int;
   mutable live : region Imap.t; (* payload addr -> region *)
   mutable freed : region Imap.t; (* payload addr -> region, quarantined *)
@@ -40,10 +34,10 @@ let charge t c = Uksim.Clock.advance t.clock c
 
 (* Locate the region (live or quarantined) whose padded footprint covers
    [addr], distinguishing payload from redzone hits. *)
-let covering_with_redzone t map addr =
-  match Imap.find_last_opt (fun p -> p <= addr + t.redzone) map with
+let covering_with_redzone map addr =
+  match Imap.find_last_opt (fun p -> p <= addr + redzone) map with
   | Some (_, r) ->
-      if addr >= r.payload - t.redzone && addr < r.payload + r.size + t.redzone then
+      if addr >= r.payload - redzone && addr < r.payload + r.size + redzone then
         if addr >= r.payload && addr < r.payload + r.size then Some (`Payload r)
         else Some (`Redzone r)
       else None
@@ -52,11 +46,11 @@ let covering_with_redzone t map addr =
 let check_one t addr =
   t.checks <- t.checks + 1;
   charge t shadow_check_cost;
-  match covering_with_redzone t t.live addr with
+  match covering_with_redzone t.live addr with
   | Some (`Payload _) -> ()
   | Some (`Redzone r) -> raise (Asan (Heap_buffer_overflow { addr; block = r.payload }))
   | None -> (
-      match covering_with_redzone t t.freed addr with
+      match covering_with_redzone t.freed addr with
       | Some (`Payload r | `Redzone r) ->
           raise (Asan (Use_after_free { addr; block = r.payload }))
       | None -> raise (Asan (Wild_access { addr })))
@@ -85,13 +79,11 @@ let release_overflow t =
     | None -> ()
   done
 
-let wrap ~clock ?(redzone = 32) ?(quarantine = 64) inner_alloc =
-  if redzone < 8 then invalid_arg "Asan.wrap: redzone too small";
+let wrap ~clock ?(quarantine = 64) inner_alloc =
   let rec t =
     {
       clock;
       inner_alloc;
-      redzone;
       quarantine_cap = quarantine;
       live = Imap.empty;
       freed = Imap.empty;
@@ -123,17 +115,17 @@ let wrap ~clock ?(redzone = 32) ?(quarantine = 64) inner_alloc =
   and asan_malloc t size =
     if size <= 0 then None
     else
-      match t.inner_alloc.Alloc.malloc (size + (2 * t.redzone)) with
+      match t.inner_alloc.Alloc.malloc (size + (2 * redzone)) with
       | None -> None
       | Some inner ->
-          charge t (poison_cost ~redzone:t.redzone size);
-          let payload = inner + t.redzone in
+          charge t (poison_cost size);
+          let payload = inner + redzone in
           t.live <- Imap.add payload { payload; size; inner } t.live;
           Some payload
   and asan_free t payload =
     match Imap.find_opt payload t.live with
     | Some r ->
-        charge t (poison_cost ~redzone:t.redzone r.size);
+        charge t (poison_cost r.size);
         t.live <- Imap.remove payload t.live;
         t.freed <- Imap.add payload r t.freed;
         Queue.push payload t.quarantine;

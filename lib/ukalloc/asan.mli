@@ -19,12 +19,11 @@ type violation =
 
 exception Asan of violation
 
-val violation_to_string : violation -> string
-
 type t
 
-val wrap : clock:Uksim.Clock.t -> ?redzone:int -> ?quarantine:int -> Alloc.t -> t
-(** Defaults: 32-byte redzones, 64-entry quarantine. *)
+val wrap : clock:Uksim.Clock.t -> ?quarantine:int -> Alloc.t -> t
+(** Redzones are 32 bytes on each side; the quarantine defaults to 64
+    entries. *)
 
 val alloc : t -> Alloc.t
 (** The sanitized allocator (same API; [free] of a quarantined address
@@ -35,4 +34,3 @@ val check_write : t -> addr:int -> len:int -> unit
 (** Validate an access; raise {!Asan} on redzone / freed / wild hits. *)
 
 val checks_performed : t -> int
-val shadow_check_cost : int

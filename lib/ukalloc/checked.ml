@@ -85,4 +85,3 @@ let wrap inner =
 
 let alloc t = t.checked
 let live_count t = Imap.cardinal t.live
-let live_bytes t = Imap.fold (fun _ s acc -> acc + s) t.live 0

@@ -17,5 +17,3 @@ val alloc : t -> Alloc.t
 (** The checked view, same interface as the wrapped allocator. *)
 
 val live_count : t -> int
-val live_bytes : t -> int
-(** Payload bytes across live allocations, by the wrapper's own accounting. *)

@@ -14,7 +14,5 @@
     in Fig 14. *)
 
 val page_size : int
-val huge_threshold : int
-(** Requests above this bypass pages and are bump-allocated. *)
 
 val create : clock:Uksim.Clock.t -> base:int -> len:int -> Alloc.t

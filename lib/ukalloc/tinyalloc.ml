@@ -8,12 +8,15 @@ let base_cost = 10 (* the hot path really is tiny *)
 let compact_cost = 26 (* per merge *)
 let init_cost = 1500
 
+(* Block descriptor cap, as in the C original. The paper's port raises
+   the C default of 256 to run SQLite's 60k-insert workload. *)
+let max_blocks = 1 lsl 20
+
 type block = { mutable addr : int; mutable size : int }
 
 type state = {
   clock : Uksim.Clock.t;
   limit : int;
-  max_blocks : int;
   mutable top : int; (* bump pointer for fresh blocks *)
   mutable free : block list; (* address-ordered *)
   mutable used : (int, block) Hashtbl.t;
@@ -50,7 +53,7 @@ let do_malloc t ~align size =
         Some b.addr
     | None ->
         let addr = Alloc.round_up t.top (max align 16) in
-        if addr + want > t.limit || n_blocks t >= t.max_blocks then begin
+        if addr + want > t.limit || n_blocks t >= max_blocks then begin
           Alloc.Counts.failed t.counts;
           None
         end
@@ -94,14 +97,13 @@ let do_free t addr =
       Alloc.Counts.free t.counts b.size;
       insert_free t b
 
-let create ?(max_blocks = 1 lsl 20) ~clock ~base ~len () =
+let create ~clock ~base ~len =
   if len <= 0 then invalid_arg "Tinyalloc.create";
   Uksim.Clock.advance clock init_cost;
   let t =
     {
       clock;
       limit = base + len;
-      max_blocks;
       top = base;
       free = [];
       used = Hashtbl.create 128;

@@ -7,7 +7,7 @@
     very fast for small live sets and progressively slower under churn —
     the behaviour behind the paper's Fig 16 crossover at ~1000 queries. *)
 
-val create : ?max_blocks:int -> clock:Uksim.Clock.t -> base:int -> len:int -> unit -> Alloc.t
-(** [max_blocks] caps block descriptors as in the C original (default
-    2^20 — the paper's port raises the C default of 256 to run SQLite's
-    60k-insert workload). *)
+val create : clock:Uksim.Clock.t -> base:int -> len:int -> Alloc.t
+(** Block descriptors are capped at 2^20, as in the C original (the
+    paper's port raises the C default of 256 to run SQLite's 60k-insert
+    workload). *)

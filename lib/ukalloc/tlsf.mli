@@ -11,7 +11,5 @@
 val overhead : int
 (** Per-block header overhead in bytes. *)
 
-val min_payload : int
-
 val create : clock:Uksim.Clock.t -> base:int -> len:int -> Alloc.t
 (** Raises [Invalid_argument] if [len] is too small for one block. *)

@@ -20,7 +20,6 @@ type t = {
   order : int;
   mutable root : node;
   mutable count : int;
-  mutable nodes : int;
 }
 
 let cmp_cost = 14
@@ -36,7 +35,6 @@ let new_node t ~leaf =
   (match Ukalloc.Alloc.uk_malloc t.alloc node_alloc_size with
   | Some _ -> ()
   | None -> raise Exit);
-  t.nodes <- t.nodes + 1;
   let cap = t.order in
   {
     keys = Array.make cap "";
@@ -49,7 +47,7 @@ let new_node t ~leaf =
 let create ~clock ~alloc ?(order = 32) () =
   if order < 4 then invalid_arg "Btree.create: order must be >= 4";
   let placeholder = { keys = [||]; entries = [||]; children = [||]; nkeys = 0; leaf = true } in
-  let t = { clock; alloc; order; root = placeholder; count = 0; nodes = 0 } in
+  let t = { clock; alloc; order; root = placeholder; count = 0 } in
   let root =
     try new_node t ~leaf:true
     with Exit -> invalid_arg "Btree.create: allocator exhausted at creation"
@@ -200,10 +198,6 @@ let delete t key = delete_in t t.root key
 
 let length t = t.count
 
-let height t =
-  let rec go node acc = if node.leaf then acc else go node.children.(0) (acc + 1) in
-  go t.root 1
-
 let iter t ?min_key ?max_key f =
   let lower k = match min_key with Some m -> String.compare k m >= 0 | None -> true in
   let upper k = match max_key with Some m -> String.compare k m <= 0 | None -> true in
@@ -226,4 +220,3 @@ let fold t f acc =
   iter t (fun k v -> acc := f k v !acc);
   !acc
 
-let node_count t = t.nodes

@@ -23,10 +23,8 @@ val delete : t -> string -> bool
     of the paper's workloads is insert/lookup dominated). *)
 
 val length : t -> int
-val height : t -> int
 
 val iter : t -> ?min_key:string -> ?max_key:string -> (string -> bytes -> unit) -> unit
 (** In key order, inclusive bounds. *)
 
 val fold : t -> (string -> bytes -> 'a -> 'a) -> 'a -> 'a
-val node_count : t -> int

@@ -255,9 +255,9 @@ module Server = struct
     | Some l -> l := r :: !l
     | None -> Hashtbl.replace t.zone key (ref [ r ])
 
-  let add_a t ~name ?(ttl = 300) addr =
+  let add_a t ~name addr =
     add_record t ~name
-      { name = normalize name; rtype = A; ttl; rdata = Ipv4_addr (A.Ipv4.of_string addr) }
+      { name = normalize name; rtype = A; ttl = 300; rdata = Ipv4_addr (A.Ipv4.of_string addr) }
 
   let records_for t name rtype =
     match Hashtbl.find_opt t.zone (normalize name) with

@@ -63,8 +63,8 @@ module Server : sig
   val add_record : t -> name:string -> rr -> unit
   (** Names are case-insensitive. *)
 
-  val add_a : t -> name:string -> ?ttl:int -> string -> unit
-  (** [add_a t ~name "10.0.0.5"]. *)
+  val add_a : t -> name:string -> string -> unit
+  (** [add_a t ~name "10.0.0.5"], with a 300 s TTL. *)
 
   val queries_served : t -> int
   val nxdomain_count : t -> int

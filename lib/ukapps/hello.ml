@@ -1,5 +1,5 @@
 let work_cycles = 2400 (* printf formatting + serial console write *)
 
-let main ~clock ?(greeting = "Hello world!") () =
+let main ~clock =
   Uksim.Clock.advance clock work_cycles;
-  greeting
+  "Hello world!"

@@ -1,8 +1,6 @@
 (** The canonical helloworld unikernel payload (Figs 3, 8, 9, 10, 11). *)
 
-val main : clock:Uksim.Clock.t -> ?greeting:string -> unit -> string
-(** Formats and "prints" the greeting (charging the console-write cost);
-    returns the line written. *)
-
-val work_cycles : int
-(** main()'s total cost — what runs after boot in the boot-time figures. *)
+val main : clock:Uksim.Clock.t -> string
+(** Formats and "prints" "Hello world!", charging main()'s total cost
+    (printf formatting and the serial console write: what runs after
+    boot in the boot-time figures); returns the line written. *)

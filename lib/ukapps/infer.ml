@@ -232,7 +232,6 @@ let create_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~model () =
   mk_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~model ()
 
 let state_hash t = t.state
-let the_model t = t.model
 
 (* --- wire parsing --------------------------------------------------------- *)
 

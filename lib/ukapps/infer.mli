@@ -127,8 +127,6 @@ val state_hash : t -> int
 (** Order-independent fold over every (id, width, output digest) served —
     equal across transports given the same request set. *)
 
-val the_model : t -> model
-
 val request : rid:int -> width:int -> string
 (** Wire format of one request line. *)
 

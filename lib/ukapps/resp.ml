@@ -101,5 +101,4 @@ module Parser = struct
         Ok None
     | exception Bad e -> Error e
 
-  let buffered t = Buffer.length t.buf - t.pos
 end

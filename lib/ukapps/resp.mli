@@ -23,6 +23,4 @@ module Parser : sig
 
   val next : t -> (value option, string) result
   (** [Ok None] = need more input; [Error _] = protocol violation. *)
-
-  val buffered : t -> int
 end

@@ -359,8 +359,8 @@ let rscan () : Load.scanner =
     done;
     true
 
-let client ?(value_size = 3) workload =
-  let value = String.make value_size 'x' in
+let client workload =
+  let value = "xxx" in
   let command n =
     let key = Printf.sprintf "key:%06d" (n land 0xfff) in
     match workload with

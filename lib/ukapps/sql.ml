@@ -16,16 +16,6 @@ type stmt =
   | Begin
   | Commit
 
-let pp_literal ppf = function
-  | Lint i -> Fmt.int ppf i
-  | Ltext s -> Fmt.pf ppf "'%s'" s
-
-let literal_equal a b =
-  match (a, b) with
-  | Lint x, Lint y -> x = y
-  | Ltext x, Ltext y -> String.equal x y
-  | Lint _, Ltext _ | Ltext _, Lint _ -> false
-
 let compare_literal a b =
   match (a, b) with
   | Lint x, Lint y -> compare x y

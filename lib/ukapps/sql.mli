@@ -25,6 +25,4 @@ val parse : string -> (stmt, string) result
 (** One statement, optional trailing ';'. Keywords are case-insensitive;
     text literals are single-quoted with '' escaping. *)
 
-val pp_literal : Format.formatter -> literal -> unit
-val literal_equal : literal -> literal -> bool
 val compare_literal : literal -> literal -> int

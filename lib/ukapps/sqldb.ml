@@ -330,9 +330,3 @@ let exec t text =
   | Error e -> Error ("syntax error: " ^ e)
   | Ok stmt -> with_scratch t (fun () -> exec_stmt t text stmt)
 
-let statements t = t.stmts
-
-let table_rows t name =
-  match Hashtbl.find_opt t.tables name with
-  | Some tbl -> Some (Btree.length tbl.data)
-  | None -> None

@@ -27,5 +27,3 @@ val create :
     newlib-vs-musl and automatic-porting deltas. *)
 
 val exec : t -> string -> (result_set, string) result
-val statements : t -> int
-val table_rows : t -> string -> int option

@@ -36,7 +36,6 @@ let reply_len = 3 + 16 + 1 (* "OK <hash16>\n" *)
 type t = { clock : Uksim.Clock.t; core : int; store : St.t }
 
 let charge t c = Uksim.Clock.advance t.clock c
-let store t = t.store
 let state_hash t = St.content_hash t.store
 
 let reply_line status h = Printf.sprintf "%s %016x\n" status h

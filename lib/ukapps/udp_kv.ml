@@ -42,7 +42,7 @@ let answer st request =
 
 (* --- socket build (the LWIP row) ---------------------------------------- *)
 
-let serve_sockets ~sched ~stack ~store ?(port = 5000) ?(syscall_cost = 0) () =
+let serve_sockets ~sched ~stack ~store ?(port = 5000) () =
   let _ =
     Uksched.Sched.spawn sched ~name:"udpkv-socket" ~daemon:true (fun () ->
         let sock = S.Udp_socket.bind stack ~port in
@@ -50,9 +50,7 @@ let serve_sockets ~sched ~stack ~store ?(port = 5000) ?(syscall_cost = 0) () =
           match S.Udp_socket.recvfrom ~block:true sock with
           | None -> ()
           | Some (src, sport, data) ->
-              if syscall_cost > 0 then Uksim.Clock.advance store.clock syscall_cost;
               let reply = answer store (Bytes.to_string data) in
-              if syscall_cost > 0 then Uksim.Clock.advance store.clock syscall_cost;
               S.Udp_socket.sendto sock ~dst:(src, sport) (Bytes.of_string reply);
               loop ()
         in
@@ -127,8 +125,9 @@ module Client = struct
     if i land 7 = 0 then Printf.sprintf "S %s value-%d" (key_of i) i
     else Printf.sprintf "G %s" (key_of i)
 
-  let run_sockets ~clock ~sched ~stack ~server:(sip, sport) ?(requests = 20_000)
-      ?(inflight = 32) () =
+  let inflight = 32 (* requests outstanding in the socket client's window *)
+
+  let run_sockets ~clock ~sched ~stack ~server:(sip, sport) ?(requests = 20_000) () =
     let sock = S.Udp_socket.bind stack ~port:6000 in
     let replies = ref 0 in
     let t_start = ref 0.0 and t_end = ref 0.0 in

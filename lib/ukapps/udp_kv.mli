@@ -25,12 +25,10 @@ val serve_sockets :
   stack:Uknetstack.Stack.t ->
   store:store ->
   ?port:int ->
-  ?syscall_cost:int ->
   unit ->
   unit
-(** Spawns a daemon service thread; [syscall_cost] cycles are charged per
-    recvmsg/sendmsg pair (0 for Unikraft, where syscalls are function
-    calls). Port defaults to 5000. *)
+(** Spawns a daemon service thread. recvmsg/sendmsg are function calls
+    in Unikraft, so no syscall cost is charged. Port defaults to 5000. *)
 
 val serve_netdev :
   clock:Uksim.Clock.t ->
@@ -55,10 +53,10 @@ module Client : sig
     stack:Uknetstack.Stack.t ->
     server:Uknetstack.Addr.Ipv4.t * int ->
     ?requests:int ->
-    ?inflight:int ->
     unit ->
     result
-  (** Windowed request/response load over a UDP socket; drives [sched]. *)
+  (** Windowed request/response load over a UDP socket, 32 requests in
+      flight; drives [sched]. *)
 
   val run_netdev :
     clock:Uksim.Clock.t ->

@@ -7,8 +7,8 @@
     - {!Shfs_backed}: vfscore removed — names hash straight into SHFS.
 
     {!measure_open} reproduces the paper's measurement: the mean virtual
-    time of one open (+close) out of a loop of [iterations] requests, for
-    both present and absent files. *)
+    time of one open (+close) out of a loop of 1000 requests, for both
+    present and absent files. *)
 
 type backend =
   | Vfs_backed of Ukvfs.Vfs.t * string  (** vfs + directory prefix, e.g. "/" *)
@@ -28,8 +28,6 @@ val fetch : t -> string -> bytes option
 
 type open_latency = { hit_ns : float; miss_ns : float }
 
-val measure_open : t -> ?iterations:int -> unit -> open_latency
-(** Mean open() latency over [iterations] (default 1000) requests, for an
-    existing file and for a missing one (Fig 22's two cases). *)
-
-val requests_served : t -> int
+val measure_open : t -> open_latency
+(** Mean open() latency over 1000 requests, for an existing file and for
+    a missing one (Fig 22's two cases). *)

@@ -5,32 +5,31 @@ module B = Blockdev
 let guest_req_cost = 140
 let kick_cost = Uksim.Cost.vm_exit
 let irq_cost = Uksim.Cost.interrupt_delivery
+let sector_size = 512
 
-type backing = { store : bytes; sector_size : int; capacity : int }
+type backing = { store : bytes; capacity : int }
 
-let mk_backing ~sector_size ~capacity_sectors =
-  { store = Bytes.make (sector_size * capacity_sectors) '\000';
-    sector_size;
-    capacity = capacity_sectors }
+let mk_backing ~capacity_sectors =
+  { store = Bytes.make (sector_size * capacity_sectors) '\000'; capacity = capacity_sectors }
 
 let do_request backing (req : B.request) : (bytes, B.error) result =
   match req with
   | B.Read { lba; sectors } ->
       if lba < 0 || sectors <= 0 || lba + sectors > backing.capacity then Error B.Ebounds
-      else Ok (Bytes.sub backing.store (lba * backing.sector_size) (sectors * backing.sector_size))
+      else Ok (Bytes.sub backing.store (lba * sector_size) (sectors * sector_size))
   | B.Write { lba; data } ->
       let n = Bytes.length data in
       if
         lba < 0 || n = 0
-        || n mod backing.sector_size <> 0
-        || lba + (n / backing.sector_size) > backing.capacity
+        || n mod sector_size <> 0
+        || lba + (n / sector_size) > backing.capacity
       then Error B.Ebounds
       else begin
-        Bytes.blit data 0 backing.store (lba * backing.sector_size) n;
+        Bytes.blit data 0 backing.store (lba * sector_size) n;
         Ok Bytes.empty
       end
 
-let sectors_of ~sector_size = function
+let sectors_of = function
   | B.Read { sectors; _ } -> sectors
   | B.Write { data; _ } -> Bytes.length data / sector_size
 
@@ -58,7 +57,7 @@ let counters name =
 let complete_on backing c req =
   let result = do_request backing req in
   (if Result.is_ok result then
-     let n = sectors_of ~sector_size:backing.sector_size req in
+     let n = sectors_of req in
      match req with
      | B.Read _ ->
          C.incr c.reads;
@@ -68,9 +67,9 @@ let complete_on backing c req =
          C.add c.sectors_written n);
   result
 
-let create ~clock ~engine ?(sector_size = 512) ?(capacity_sectors = 131072) ?(queue_depth = 128)
+let create ~clock ~engine ?(capacity_sectors = 131072) ?(queue_depth = 128)
     ?(host_latency_ns = 20_000.0) () =
-  let backing = mk_backing ~sector_size ~capacity_sectors in
+  let backing = mk_backing ~capacity_sectors in
   let inflight = ref 0 in
   let done_q : B.completion Queue.t = Queue.create () in
   let handler = ref None in
@@ -99,7 +98,7 @@ let create ~clock ~engine ?(sector_size = 512) ?(capacity_sectors = 131072) ?(qu
         (* Host path: latency plus per-sector transfer time. *)
         let latency =
           Uksim.Clock.cycles_of_ns host_latency_ns
-          + Uksim.Cost.memcpy (sectors_of ~sector_size req * sector_size)
+          + Uksim.Cost.memcpy (sectors_of req * sector_size)
         in
         Uksim.Engine.after engine latency (fun () -> complete req)
       done;
@@ -161,12 +160,12 @@ let create ~clock ~engine ?(sector_size = 512) ?(capacity_sectors = 131072) ?(qu
     source = Uktrace.Registry.source counted.group;
   }
 
-let create_ramdisk ~clock ?(sector_size = 512) ?(capacity_sectors = 131072) () =
-  let backing = mk_backing ~sector_size ~capacity_sectors in
+let create_ramdisk ~clock ?(capacity_sectors = 131072) () =
+  let backing = mk_backing ~capacity_sectors in
   let done_q : B.completion Queue.t = Queue.create () in
   let counted = counters "ramdisk" in
   let run req =
-    Uksim.Clock.advance clock (40 + Uksim.Cost.memcpy (sectors_of ~sector_size req * sector_size));
+    Uksim.Clock.advance clock (40 + Uksim.Cost.memcpy (sectors_of req * sector_size));
     complete_on backing counted req
   in
   let submit reqs =

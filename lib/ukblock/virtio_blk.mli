@@ -13,19 +13,18 @@
 val create :
   clock:Uksim.Clock.t ->
   engine:Uksim.Engine.t ->
-  ?sector_size:int ->
   ?capacity_sectors:int ->
   ?queue_depth:int ->
   ?host_latency_ns:float ->
   unit ->
   Blockdev.t
-(** Defaults: 512-byte sectors, 131072 sectors (64 MiB), queue depth 128,
-    20 µs host path (virtio exit + host page-cache hit). *)
+(** Sectors are 512 bytes. Defaults: 131072 sectors (64 MiB), queue
+    depth 128, 20 µs host path (virtio exit + host page-cache hit). *)
 
 val create_ramdisk :
   clock:Uksim.Clock.t ->
-  ?sector_size:int ->
   ?capacity_sectors:int ->
   unit ->
   Blockdev.t
-(** Synchronous in-guest RAM disk (submit completes instantly). *)
+(** Synchronous in-guest RAM disk (submit completes instantly). Same
+    sector size (512 bytes) and default capacity as {!create}. *)

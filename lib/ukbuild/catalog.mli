@@ -9,11 +9,6 @@ val registry : unit -> Registry.t
 val platforms : string list
 (** "plat-kvm", "plat-xen", "plat-fc", "plat-solo5", "plat-linuxu". *)
 
-val allocator_libs : string list
-(** One micro-library per ukalloc backend. *)
-
-val scheduler_libs : string list
-
 val apps : string list
 (** "app-hello", "app-nginx", "app-redis", "app-sqlite", "app-webcache",
     "app-udpkv", "app-httpreply". *)

@@ -104,8 +104,6 @@ let link_check e { libc; compat_layer } =
   in
   match unresolved with [] -> Ok () | l -> Error l
 
-let image_mb e = function Musl -> e.musl_image_mb | Newlib -> e.newlib_image_mb
-
 type row = {
   name : string;
   musl_mb : float;

@@ -27,8 +27,6 @@ val entries : entry list
 val link_check : entry -> attempt -> (unit, string list) result
 (** [Error unresolved] lists the symbols the attempt cannot resolve. *)
 
-val image_mb : entry -> libc -> float
-
 type row = {
   name : string;
   musl_mb : float;

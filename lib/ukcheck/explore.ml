@@ -13,15 +13,15 @@ type config = {
   budget : int;
   seeds : int list;
   max_decisions : int;
-  walk_seed : int;
 }
 
-let config ?(cores = 2) ?(budget = 64) ?(seeds = [ 1 ]) ?(max_decisions = 256)
-    ?(walk_seed = 0xC0FFEE) () =
+let walk_seed = 0xC0FFEE (* seeds the random-walk phase, with the substrate seed *)
+
+let config ?(cores = 2) ?(budget = 64) ?(seeds = [ 1 ]) ?(max_decisions = 256) () =
   if cores <= 0 then invalid_arg "Explore.config: cores must be positive";
   if budget <= 0 then invalid_arg "Explore.config: budget must be positive";
   if max_decisions <= 0 then invalid_arg "Explore.config: max_decisions must be positive";
-  { cores; budget; seeds = (if seeds = [] then [ 1 ] else seeds); max_decisions; walk_seed }
+  { cores; budget; seeds = (if seeds = [] then [ 1 ] else seeds); max_decisions }
 
 type summary = { schedules : int; exhaustive : bool }
 
@@ -161,7 +161,7 @@ let run cfg fixture =
        random walks, cycling the randomization depth bound. *)
     if (not (Stack.is_empty stack)) && !failed = None then begin
       exhaustive := false;
-      let rng = Uksim.Rng.create (cfg.walk_seed lxor (seed * 0x9e3779b9)) in
+      let rng = Uksim.Rng.create (walk_seed lxor (seed * 0x9e3779b9)) in
       let depths = [| 4; 8; 16; 32; max_int |] in
       let walk = ref 0 in
       while !failed = None && budget_left () do

@@ -32,12 +32,12 @@ type config = {
   budget : int;  (** max schedules explored across all seeds (default 64) *)
   seeds : int list;  (** substrate seeds to cross with schedules (default [[1]]) *)
   max_decisions : int;  (** per-run decision cap — deeper points take the default (default 256) *)
-  walk_seed : int;  (** seed for the random-walk phase (default 0xC0FFEE) *)
 }
 
 val config :
-  ?cores:int -> ?budget:int -> ?seeds:int list -> ?max_decisions:int -> ?walk_seed:int ->
-  unit -> config
+  ?cores:int -> ?budget:int -> ?seeds:int list -> ?max_decisions:int -> unit -> config
+(** Once the schedule tree outgrows [budget], the random walks that
+    spend the rest are seeded from 0xC0FFEE and the substrate seed. *)
 
 type summary = {
   schedules : int;  (** schedules actually run *)

@@ -21,15 +21,10 @@
 
 type rung = Native | Rewritten | Compat | Linux
 
-val all_rungs : rung list
-(** In ladder order, cheapest boundary first. *)
-
 val rung_name : rung -> string
-val dispatch_of : rung -> Uksyscall.Shim.dispatch
 
 type app = Nginx | Redis
 
-val app_name : app -> string
 val trace_of : app -> Trace.t
 
 (** {1 Running} *)
@@ -54,4 +49,4 @@ type report = {
 val run : ?seed:int -> rung:rung -> app -> (report, string) result
 
 val ladder : ?seed:int -> app -> (report list, string) result
-(** {!run} once per rung, in {!all_rungs} order. *)
+(** {!run} once per rung, in ladder order (cheapest boundary first). *)

@@ -424,24 +424,24 @@ let register_handlers t =
   reg "uname" h_uname;
   reg "exit_group" h_exit_group;
   reg "exit" h_exit_group;
-  stub "getpid" (Process.pid t.proc);
-  stub "gettid" (Process.pid t.proc);
+  stub "getpid" Process.pid;
+  stub "gettid" Process.pid;
   stub "getppid" 0;
   stub "getuid" 0;
   stub "getgid" 0;
   stub "geteuid" 0;
   stub "getegid" 0;
   stub "arch_prctl" 0;
-  stub "set_tid_address" (Process.pid t.proc);
+  stub "set_tid_address" Process.pid;
   stub "rt_sigaction" 0;
   stub "rt_sigprocmask" 0;
   stub "ioctl" 0;
   stub "fcntl" 0;
   stub "madvise" 0
 
-let create ~clock ~mode ~vfs ?stack ?sched ?ram_bytes ?(pid = 1) () =
+let create ~clock ~mode ~vfs ?stack ?sched ?ram_bytes () =
   let shim = Shim.create ~clock ~mode in
-  let proc = Process.create ~clock ?ram_bytes ~pid () in
+  let proc = Process.create ~clock ?ram_bytes () in
   let t =
     {
       clock;

@@ -24,7 +24,6 @@ val create :
   ?stack:Uknetstack.Stack.t ->
   ?sched:Uksched.Sched.t ->
   ?ram_bytes:int ->
-  ?pid:int ->
   unit ->
   t
 (** Socket syscalls return [ENOTSUP] when no [stack] is given; [nanosleep]

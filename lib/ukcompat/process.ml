@@ -23,7 +23,6 @@ type t = {
   fds : (int, obj) Hashtbl.t;
   mutable next_fd : int;
   mutable cwd : string;
-  pid : int;
   heap_base : int;
   mutable break : int;
   mmap_base : int;
@@ -33,7 +32,7 @@ type t = {
 let heap_base_default = 0x1000_0000
 let mmap_base_default = 0x2000_0000
 
-let create ~clock ?(ram_bytes = 1 lsl 20) ?(pid = 1) () =
+let create ~clock ?(ram_bytes = 1 lsl 20) () =
   let pages = (ram_bytes + page_size - 1) / page_size in
   let ram_bytes = pages * page_size in
   let pt = Pt.create ~clock ~mode:Pt.Dynamic ~ram_bytes in
@@ -45,15 +44,13 @@ let create ~clock ?(ram_bytes = 1 lsl 20) ?(pid = 1) () =
     fds = Hashtbl.create 16;
     next_fd = 3;
     cwd = "/";
-    pid;
     heap_base = heap_base_default;
     break = heap_base_default;
     mmap_base = mmap_base_default;
     mmap_next = mmap_base_default;
   }
 
-let pagetable t = t.pt
-let pid t = t.pid
+let pid = 1 (* a unikernel runs one process *)
 let cwd t = t.cwd
 let set_cwd t d = t.cwd <- d
 
@@ -220,4 +217,3 @@ let close_fd t fd =
       Hashtbl.remove t.fds fd;
       Some obj
 
-let open_fd_count t = Hashtbl.length t.fds

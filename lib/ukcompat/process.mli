@@ -34,13 +34,14 @@ type obj =
 
 type t
 
-val create : clock:Uksim.Clock.t -> ?ram_bytes:int -> ?pid:int -> unit -> t
+val create : clock:Uksim.Clock.t -> ?ram_bytes:int -> unit -> t
 (** [ram_bytes] (default 1 MiB, rounded to pages) bounds the physical
     pages available to [mmap]/[brk]; building the page table charges the
     dynamic boot cost to [clock]. *)
 
-val pagetable : t -> Ukmmu.Pagetable.t
-val pid : t -> int
+val pid : int
+(** 1: a unikernel runs one process. *)
+
 val cwd : t -> string
 val set_cwd : t -> string -> unit
 
@@ -84,4 +85,3 @@ val set_obj : t -> int -> obj -> unit
 (** Replace the object behind a descriptor (bind/listen transitions). *)
 
 val close_fd : t -> int -> obj option
-val open_fd_count : t -> int

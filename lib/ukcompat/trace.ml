@@ -301,27 +301,25 @@ let check_expect i e result =
          | Ok v -> string_of_int v
          | Error e -> Errno.to_string e))
 
-let default_wait () = Uksched.Sched.sleep_ns 1000.0
-
-let default_max_retries = 200_000
+let max_retries = 200_000
 
 (* Issue one entry through the personality, retrying would-block results
-   after [wait] lets virtual time (and the network) make progress. *)
-let issue ~wait ~max_retries ~retries p sysno args blocking =
+   after a 1 µs sleep lets virtual time (and the network) make progress. *)
+let issue ~retries p sysno args blocking =
   let rec go budget =
     match Personality.call_sysno p sysno args with
     | Error Errno.Eagain when blocking ->
         if budget = 0 then Error `Stuck
         else begin
           incr retries;
-          wait ();
+          Uksched.Sched.sleep_ns 1000.0;
           go (budget - 1)
         end
     | r -> Ok r
   in
   go max_retries
 
-let run ?(wait = default_wait) ?(max_retries = default_max_retries) p t =
+let run p t =
   let shim = Personality.shim p in
   let calls0 = Shim.calls_made shim in
   match prepare p t with
@@ -335,7 +333,7 @@ let run ?(wait = default_wait) ?(max_retries = default_max_retries) p t =
         | [] -> Ok ()
         | e :: rest -> (
             let sysno = Option.get (Sysno.number e.name) in
-            match issue ~wait ~max_retries ~retries p sysno (resolve i results) e.blocking with
+            match issue ~retries p sysno (resolve i results) e.blocking with
             | Error `Stuck -> Error (Printf.sprintf "entry %d (%s): still EAGAIN after %d retries" i e.name max_retries)
             | Ok r -> (
                 results.(i) <- (match r with Ok v -> v | Error e -> Errno.to_code e);
@@ -375,7 +373,7 @@ let to_binary t =
   in
   Binary.assemble insns
 
-let run_binary ?(wait = default_wait) ?(max_retries = default_max_retries) p ~binary t =
+let run_binary p ~binary t =
   let shim = Personality.shim p in
   let calls0 = Shim.calls_made shim in
   match prepare p t with
@@ -400,7 +398,7 @@ let run_binary ?(wait = default_wait) ?(max_retries = default_max_retries) p ~bi
             Error Errno.Einval
           end
           else
-            match issue ~wait ~max_retries ~retries p sysno (resolve i results) e.blocking with
+            match issue ~retries p sysno (resolve i results) e.blocking with
             | Error `Stuck ->
                 failure := Some (Printf.sprintf "entry %d (%s): still EAGAIN after %d retries" i e.name max_retries);
                 Error Errno.Eagain

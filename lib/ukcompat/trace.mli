@@ -26,9 +26,9 @@
 
     [= ok] asserts a non-negative return, [= *] anything, [= <int>] an
     exact value, [= ENOENT] an errno; a trailing [!] marks the entry
-    blocking — replay retries [EAGAIN] after a wait callback (default
-    {!Uksched.Sched.sleep_ns}) so virtual time and the network stack make
-    progress.
+    blocking — replay retries [EAGAIN] up to 200000 times, each after a
+    1 µs {!Uksched.Sched.sleep_ns}, so virtual time and the network stack
+    make progress.
 
     Replay goes through a {!Personality} under any of the three call
     conventions of paper Table 1: {!run} dispatches directly (native
@@ -73,20 +73,17 @@ type outcome = {
   interp_cycles : int;  (** binary-interpreter cycles outside the boundary *)
 }
 
-val run :
-  ?wait:(unit -> unit) -> ?max_retries:int -> Personality.t -> t -> (outcome, string) result
+val run : Personality.t -> t -> (outcome, string) result
 (** Native-link replay: arguments are marshalled into an arena obtained
     with a real leading [mmap] syscall, then each entry dispatches
     through the personality's shim. Fails on an expectation mismatch or
-    an entry still [EAGAIN] after [max_retries]. *)
+    an entry still [EAGAIN] after its retries. *)
 
 val to_binary : t -> Uksyscall.Binary.t
 (** Compile: per entry a deterministic pad of ordinary instructions plus
     one [Syscall] site, terminated by [Ret]. *)
 
 val run_binary :
-  ?wait:(unit -> unit) ->
-  ?max_retries:int ->
   Personality.t ->
   binary:Uksyscall.Binary.t ->
   t ->

@@ -122,11 +122,6 @@ let get_choice t name =
 let assignments t =
   List.map (fun (o : Kopt.t) -> (o.name, get_value t o.name)) (Schema.options t.schema)
 
-let enabled_options t =
-  List.filter_map
-    (fun (o : Kopt.t) -> if o.ty = Kopt.Tbool && enabled t o.name then Some o.name else None)
-    (Schema.options t.schema)
-
 let to_dotconfig t =
   let buf = Buffer.create 256 in
   List.iter

@@ -10,7 +10,6 @@ type error =
       (** an explicit [n] assignment clashes with a [select] *)
   | Unmet_dependency of { option : string; depends : Expr.t }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val resolve : Schema.t -> (string * Kopt.value) list -> (t, error list) result
@@ -34,9 +33,6 @@ val get_choice : t -> string -> string
 
 val assignments : t -> (string * Kopt.value) list
 (** Final value of every declared option, declaration order. *)
-
-val enabled_options : t -> string list
-(** Names of all enabled boolean options. *)
 
 val to_dotconfig : t -> string
 (** Render like a .config file (CONFIG_X=y / # CONFIG_X is not set). *)

@@ -13,8 +13,6 @@
 
 type level = Crit | Error | Warn | Info | Debug
 
-val level_to_string : level -> string
-
 type t
 
 val create :

@@ -2,18 +2,18 @@ type plan = {
   at_ns : float;
   kill_fraction : float;
   min_kills : int;
-  stagger_ns : float;
   repeat_ns : float;
   rounds : int;
 }
 
-let plan ~at_ns ?(kill_fraction = 0.2) ?(min_kills = 1) ?(stagger_ns = 10_000.0)
-    ?(repeat_ns = 0.0) ?(rounds = 1) () =
+let stagger_ns = 10_000.0 (* between consecutive kills of one round *)
+
+let plan ~at_ns ?(kill_fraction = 0.2) ?(min_kills = 1) ?(repeat_ns = 0.0) ?(rounds = 1) () =
   if kill_fraction < 0.0 || kill_fraction > 1.0 then
     invalid_arg "Faultvm.plan: kill_fraction not in [0,1]";
   if min_kills < 0 then invalid_arg "Faultvm.plan: negative min_kills";
   if rounds < 1 then invalid_arg "Faultvm.plan: rounds must be >= 1";
-  { at_ns; kill_fraction; min_kills; stagger_ns; repeat_ns; rounds }
+  { at_ns; kill_fraction; min_kills; repeat_ns; rounds }
 
 module C = Uktrace.Metric.Counter
 
@@ -65,7 +65,7 @@ let rec round t ~start ~left =
       in
       List.iteri
         (fun i iid ->
-          let when_ = start +. (float_of_int i *. t.p.stagger_ns) in
+          let when_ = start +. (float_of_int i *. stagger_ns) in
           at_abs t when_ (fun () ->
               C.incr (if t.kill ~now_ns:when_ iid then t.killed else t.missed)))
         vs;

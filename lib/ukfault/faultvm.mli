@@ -15,7 +15,6 @@ type plan = {
   at_ns : float;  (** when the drill starts (absolute engine time) *)
   kill_fraction : float;  (** fraction of live targets to kill, in [0,1] *)
   min_kills : int;  (** kill at least this many (if enough targets) *)
-  stagger_ns : float;  (** delay between consecutive kills *)
   repeat_ns : float;  (** re-run the drill every period (0 = one-shot) *)
   rounds : int;  (** number of drill rounds when repeating *)
 }
@@ -24,13 +23,12 @@ val plan :
   at_ns:float ->
   ?kill_fraction:float ->
   ?min_kills:int ->
-  ?stagger_ns:float ->
   ?repeat_ns:float ->
   ?rounds:int ->
   unit ->
   plan
-(** Defaults: kill 20% of live targets, at least 1, 10 µs apart,
-    one-shot. *)
+(** Kills within a round are 10 µs apart. Defaults: kill 20% of live
+    targets, at least 1, one-shot. *)
 
 type t
 

@@ -130,5 +130,3 @@ let to_dot ?(name = "g") g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let fold_edges f g acc =
-  Smap.fold (fun a succ acc -> Smap.fold (fun b w acc -> f a b w acc) succ acc) g.adj acc

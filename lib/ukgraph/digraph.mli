@@ -14,7 +14,6 @@ val add_edge : ?weight:int -> t -> string -> string -> unit
 (** [add_edge g a b] adds (or reinforces, summing weights; default weight 1)
     an edge a -> b. Creates missing nodes. *)
 
-val mem_node : t -> string -> bool
 val mem_edge : t -> string -> string -> bool
 val weight : t -> string -> string -> int
 (** Edge weight, 0 if absent. *)
@@ -57,5 +56,3 @@ val subgraph : t -> (string -> bool) -> t
 
 val to_dot : ?name:string -> t -> string
 (** Graphviz rendering with edge-weight labels. *)
-
-val fold_edges : (string -> string -> int -> 'a -> 'a) -> t -> 'a -> 'a

@@ -18,7 +18,6 @@
 type mode = Static | Dynamic | Protected32
 
 val page_size : int
-val entries_per_table : int
 val levels : int
 
 type t

@@ -14,7 +14,6 @@ type t = {
   names : string option array; (* allocated keys *)
   pages : (int, key) Hashtbl.t; (* page number -> key *)
   pkru : rights array;
-  mutable total_crossings : int;
   mutable fault_count : int;
 }
 
@@ -27,7 +26,6 @@ let create ~clock =
       names = Array.make n_keys None;
       pages = Hashtbl.create 256;
       pkru = Array.make n_keys Read_write;
-      total_crossings = 0;
       fault_count = 0;
     }
   in
@@ -82,8 +80,6 @@ let set_rights t k r =
   Uksim.Clock.advance t.clock wrpkru_cost;
   t.pkru.(k) <- r
 
-let rights t k = t.pkru.(k)
-
 let check ~write t addr =
   Uksim.Clock.advance t.clock check_cost;
   let k = key_of_addr t addr in
@@ -120,7 +116,6 @@ module Gate = struct
     let saved_target = g.mpk.pkru.(g.target) in
     let saved_default = g.mpk.pkru.(default_key) in
     g.count <- g.count + 1;
-    g.mpk.total_crossings <- g.mpk.total_crossings + 1;
     (* Two WRPKRU writes in, two out — the measured gate cost of the
        MPK-isolation papers. *)
     set_rights g.mpk g.target Read_write;
@@ -140,5 +135,4 @@ module Gate = struct
   let crossings g = g.count
 end
 
-let crossings_total t = t.total_crossings
 let faults t = t.fault_count

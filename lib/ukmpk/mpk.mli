@@ -42,8 +42,6 @@ val set_rights : t -> key -> rights -> unit
 (** Update the current thread's PKRU entry for [key]. Charges the WRPKRU
     cost. *)
 
-val rights : t -> key -> rights
-
 val check_read : t -> int -> unit
 val check_write : t -> int -> unit
 (** Validate an access at the current PKRU; raise {!Protection_fault}
@@ -76,5 +74,4 @@ end
 val wrpkru_cost : int
 (** Cycles per PKRU update (~23 on Skylake-class hardware). *)
 
-val crossings_total : t -> int
 val faults : t -> int

@@ -301,6 +301,5 @@ module Pool = struct
     Stack.length p.free + Queue.length p.returns
 
   let pending_returns p = Queue.length p.returns
-  let capacity_of p = p.size
   let total p = p.total
 end

@@ -134,6 +134,5 @@ module Pool : sig
 
   val available : t -> int
   val pending_returns : t -> int
-  val capacity_of : t -> int
   val total : t -> int
 end

@@ -6,24 +6,15 @@
     source and destination endpoints gives the same value, so both
     directions of a connection share a queue. *)
 
-type tuple = { proto : int; src_ip : int; src_port : int; dst_ip : int; dst_port : int }
-
-val tuple_of_frame : bytes -> tuple option
-(** Parse an ethernet frame (IPv4, TCP or UDP only); [None] for anything
-    else — ARP, non-IP, fragments too short for ports. *)
-
 val queue_of_tuple :
   n_queues:int -> proto:int -> src_ip:int -> src_port:int -> dst_ip:int -> dst_port:int -> int
 (** Deterministic queue index in [0, n_queues). Exposed so clients can
     search for source ports that steer a flow to a chosen queue. *)
 
 val queue_of_frame : bytes -> n_queues:int -> int option
-(** [tuple_of_frame] composed with [queue_of_tuple]; [None] when the frame
-    has no 5-tuple (the driver then applies its default-queue policy). *)
-
-val tuple_of_netbuf : Netbuf.t -> tuple option
-(** Parse directly from a netbuf's payload window — no copy. *)
+(** {!queue_of_tuple} of an ethernet frame's 5-tuple (IPv4, TCP or UDP
+    only); [None] when the frame has no 5-tuple — ARP, non-IP, fragments
+    too short for ports (the driver then applies its default-queue
+    policy). *)
 
 val queue_of_netbuf : Netbuf.t -> n_queues:int -> int option
-
-val hash_tuple : proto:int -> src_ip:int -> src_port:int -> dst_ip:int -> dst_port:int -> int

@@ -14,14 +14,16 @@ type datagram = {
 type t = {
   clock : Uksim.Clock.t;
   timeout_ns : float;
-  max_datagrams : int;
   table : (int * int * int, datagram) Hashtbl.t; (* (src, id, proto) *)
   mutable n_completed : int;
   mutable n_expired : int;
 }
 
-let create ~clock ?(timeout_ns = 1e9) ?(max_datagrams = 64) () =
-  { clock; timeout_ns; max_datagrams; table = Hashtbl.create 16; n_completed = 0; n_expired = 0 }
+(* RFC 791's resource bound on datagrams in reassembly. *)
+let max_datagrams = 64
+
+let create ~clock ?(timeout_ns = 1e9) () =
+  { clock; timeout_ns; table = Hashtbl.create 16; n_completed = 0; n_expired = 0 }
 
 (* Insert a chunk, keeping the list offset-sorted; reject inconsistent
    overlaps (same offset, different length — a teardrop-style signal). *)
@@ -83,7 +85,7 @@ let insert t ~src ~id ~proto ~frag_offset ~more_frags payload =
     match Hashtbl.find_opt t.table key with
     | Some d -> d
     | None ->
-        if Hashtbl.length t.table >= t.max_datagrams then evict_oldest t;
+        if Hashtbl.length t.table >= max_datagrams then evict_oldest t;
         let d = { started_ns = Uksim.Clock.ns t.clock; chunks = []; total = None } in
         Hashtbl.replace t.table key d;
         d

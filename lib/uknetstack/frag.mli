@@ -8,9 +8,9 @@
 
 type t
 
-val create : clock:Uksim.Clock.t -> ?timeout_ns:float -> ?max_datagrams:int -> unit -> t
-(** Defaults: 1 s reassembly timeout, at most 64 datagrams in flight
-    (RFC 791's resource bound; the oldest is evicted beyond it). *)
+val create : clock:Uksim.Clock.t -> ?timeout_ns:float -> unit -> t
+(** The reassembly timeout defaults to 1 s. At most 64 datagrams are in
+    flight (RFC 791's resource bound; the oldest is evicted beyond it). *)
 
 type verdict =
   | Complete of bytes  (** fully reassembled payload *)

@@ -76,6 +76,7 @@ type t = {
 }
 
 let conf t = t.cfg
+let pool t = t.pool
 let source t = Uktrace.Registry.source t.group
 let charge t c = Uksim.Clock.advance t.clock c
 let drop t = C.incr t.rx_drop
@@ -452,13 +453,13 @@ let rx_path_of t = if t.rx_copy then Nd.Copy_into (rx_alloc_of t) else Nd.Zero_c
    0.49 ms nginx boot floor in Fig 14). *)
 let stack_init_cost = 1_250_000
 
-let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(pool_size = 512) ?(rx_batch = 64)
-    ?(rx_copy = false) ?(tx_coalesce = false) ?pool cfg =
+let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64) ?(rx_copy = false)
+    ?(tx_coalesce = false) ?pool cfg =
   Uksim.Clock.advance clock stack_init_cost;
   let pool =
     match pool with
     | Some p -> p
-    | None -> Nb.Pool.create ~clock ?alloc ~count:pool_size ~size:2048 ()
+    | None -> Nb.Pool.create ~clock ?alloc ~count:512 ~size:2048 ()
   in
   let group = Uktrace.Registry.group ~subsystem:"uknetstack" "stack" in
   let c = Uktrace.Registry.counter group in

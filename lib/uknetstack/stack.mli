@@ -35,7 +35,6 @@ val create :
   ?alloc:Ukalloc.Alloc.t ->
   dev:Uknetdev.Netdev.t ->
   ?qid:int ->
-  ?pool_size:int ->
   ?rx_batch:int ->
   ?rx_copy:bool ->
   ?tx_coalesce:bool ->
@@ -44,17 +43,20 @@ val create :
   t
 (** Configures queue [qid] of [dev] (default 0; polling mode — {!start}
     switches it to interrupt mode). In multi-queue RSS setups one stack
-    instance owns each queue, all sharing the device's MAC/IP. [pool_size]
-    netbufs are pre-allocated (default 512), backed by [alloc] when given —
-    the paper's "memory pools in the networking stack" — unless an external
-    [pool] is supplied (the shared-pool ablation passes one pool to every
-    stack). [rx_batch] bounds descriptors per {!poll} (default 64; 1 =
+    instance owns each queue, all sharing the device's MAC/IP. 512
+    netbufs are pre-allocated, backed by [alloc] when given — the paper's
+    "memory pools in the networking stack" — unless an external [pool] is
+    supplied (the shared-pool ablation passes one pool to every stack). [rx_batch] bounds descriptors per {!poll} (default 64; 1 =
     batching ablated). [rx_copy] reverts RX to the legacy copy-out-of-the-
     ring path. [tx_coalesce] defers frames transmitted inside a poll window
     into one burst (one doorbell). Bring-up charges lwIP-scale init
     cost. *)
 
 val conf : t -> conf
+
+val pool : t -> Uknetdev.Netbuf.Pool.t
+(** The stack's netbuf pool: its own, or the external one it was created
+    with. *)
 
 val source : t -> Uktrace.Source.t
 (** The stack's ["uknetstack.stack"] source: [rx_eth], [rx_arp],

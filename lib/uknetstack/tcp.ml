@@ -99,7 +99,6 @@ and io = {
 }
 
 let state c = c.st
-let local_addr c = c.local
 let remote_addr c = c.remote
 let set_recv_waiter c w = c.recv_waiter <- w
 let set_send_waiter c w = c.send_waiter <- w

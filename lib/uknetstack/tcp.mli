@@ -56,7 +56,6 @@ type io = {
 }
 
 val mss : int
-val default_window : int
 
 (** {1 Connection lifecycle} *)
 
@@ -72,7 +71,6 @@ val derive_passive : conn -> remote:Addr.Ipv4.t * int -> iss:int -> peer_seq:int
     at a listener: moves to SYN_RCVD and answers SYN+ACK. *)
 
 val state : conn -> state
-val local_addr : conn -> Addr.Ipv4.t * int
 val remote_addr : conn -> Addr.Ipv4.t * int
 
 (** {1 Input path} *)
@@ -104,8 +102,6 @@ val send_nb : conn -> Uknetdev.Netbuf.t -> int
     only a retransmission copies). Buffers over one MSS fall back to the
     counted byte path. Returns bytes accepted (0 — and the buffer is
     recycled — when the connection cannot send). *)
-
-val send_buffer_space : conn -> int
 
 val recv : conn -> max:int -> bytes option
 (** Dequeue up to [max] bytes of in-order data; [None] when the queue is

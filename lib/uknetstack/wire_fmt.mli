@@ -12,8 +12,5 @@ val checksum : ?initial:int -> bytes -> off:int -> len:int -> int
 (** RFC 1071 one's-complement sum, finalized (complemented, 16-bit).
     [initial] is an un-complemented partial sum (e.g. a pseudo-header). *)
 
-val partial_sum : ?initial:int -> bytes -> off:int -> len:int -> int
-(** Un-finalized running sum, for pseudo-header composition. *)
-
 val sum_words : int list -> int
 (** Partial sum over 16-bit words given as ints. *)

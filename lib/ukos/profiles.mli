@@ -29,16 +29,13 @@ type t = {
 
 val request_cost_factor : t -> app:string -> float option
 
-val linux_native : t
 val linux_vm : t
 val docker : t
 val osv : t
 val rump : t
 val hermitux : t
 val lupine : t
-val lupine_nokml : t
 val mirageos : t
-val alpine_fc : t
 
 val all : t list
 val find : string -> t option

@@ -61,17 +61,14 @@ let rec launch t =
              end))
 
 let supervise sched ~engine ?(policy = default_policy) ?(name = "supervised")
-    ?(daemon = true) ?jitter_seed ?on_crash body =
+    ?(daemon = true) ?on_crash body =
   if policy.jitter < 0.0 then invalid_arg "Supervisor.supervise: negative jitter";
   let rng =
     if policy.jitter = 0.0 then None
     else
-      (* Deterministic by construction: the seed defaults to a hash of
-         the supervisor's name, so equal runs jitter identically. *)
-      let seed =
-        match jitter_seed with Some s -> s | None -> Hashtbl.hash name lxor 0x1AB5
-      in
-      Some (Uksim.Rng.create seed)
+      (* Deterministic by construction: the seed is a hash of the
+         supervisor's name, so equal runs jitter identically. *)
+      Some (Uksim.Rng.create (Hashtbl.hash name lxor 0x1AB5))
   in
   let t =
     { sched; engine; policy; sname = name; daemon; on_crash; body; rng; st = Running;

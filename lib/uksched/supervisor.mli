@@ -23,8 +23,8 @@ type policy = {
   jitter : float;
       (** each restart delay is stretched by a uniform draw in
           [\[0, jitter\]] of itself (0 = pure exponential backoff, the
-          default). Seeded and deterministic: see [jitter_seed] on
-          {!supervise}. Jitter decorrelates supervisors that crashed
+          default). Seeded from a hash of the supervisor's name, so
+          equal configurations replay identically. Jitter decorrelates supervisors that crashed
           together so they do not restart in lockstep. *)
 }
 
@@ -42,15 +42,12 @@ val supervise :
   ?policy:policy ->
   ?name:string ->
   ?daemon:bool ->
-  ?jitter_seed:int ->
   ?on_crash:(exn -> unit) ->
   (unit -> unit) ->
   t
 (** Spawns immediately; [daemon] (default true) is passed to each
     (re)spawn so a crashed-and-waiting component does not deadlock the
-    scheduler. [jitter_seed] seeds the backoff-jitter RNG when the
-    policy's [jitter] is non-zero (default: a hash of [name], so equal
-    configurations replay identically). *)
+    scheduler. *)
 
 val state : t -> state
 val crashes : t -> int

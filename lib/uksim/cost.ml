@@ -15,7 +15,6 @@ let memcpy_per_byte = 1.0 /. 16.0
 let memcpy n = function_call + int_of_float (ceil (float_of_int n *. memcpy_per_byte))
 let checksum_per_byte = 1.0 /. 8.0
 let checksum n = function_call + int_of_float (ceil (float_of_int n *. checksum_per_byte))
-let cache_miss = 200
 let cache_hit = 4
 
 (* SMP-model costs (lib/uksmp). Order-of-magnitude figures for the same

@@ -33,20 +33,11 @@ val page_table_entry_write : int
 val tlb_miss : int
 (** One 4-level page walk. *)
 
-val memcpy_per_byte : float
-(** Bulk copy cost per byte (cached, ~16 B/cycle). *)
-
 val memcpy : int -> int
 (** [memcpy n] is the cycle cost of copying [n] bytes (includes fixed
     call overhead). *)
 
-val checksum_per_byte : float
-(** Internet checksum cost per byte. *)
-
 val checksum : int -> int
-
-val cache_miss : int
-(** Last-level cache miss / memory fetch. *)
 
 val cache_hit : int
 (** L1 hit. *)

@@ -38,14 +38,6 @@ let min t =
 let max t =
   if t.size = 0 then nan else fold Stdlib.max neg_infinity t
 
-let stddev t =
-  if t.size < 2 then 0.0
-  else begin
-    let m = mean t in
-    let ss = fold (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 t in
-    sqrt (ss /. float_of_int (t.size - 1))
-  end
-
 let ensure_sorted t =
   if not t.sorted then begin
     let sub = Array.sub t.data 0 t.size in
@@ -76,10 +68,6 @@ let summary t =
   else
     Printf.sprintf "n=%d, mean=%.2f, p50=%.2f, p99=%.2f, min=%.2f, max=%.2f"
       t.size (mean t) (median t) (percentile t 99.0) (min t) (max t)
-
-let mean_of = function
-  | [] -> nan
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
 let throughput_per_sec ~events ~elapsed_ns =
   if elapsed_ns <= 0.0 then 0.0 else float_of_int events /. (elapsed_ns /. 1e9)

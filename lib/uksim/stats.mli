@@ -15,7 +15,6 @@ val mean : t -> float
 
 val min : t -> float
 val max : t -> float
-val stddev : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [\[0,100\]], linear interpolation;
@@ -28,6 +27,5 @@ val summary : t -> string
 
 (** {1 One-shot helpers} *)
 
-val mean_of : float list -> float
 val throughput_per_sec : events:int -> elapsed_ns:float -> float
 (** Events per second of virtual time. *)

@@ -1,6 +1,5 @@
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
-let gib n = n * 1024 * 1024 * 1024
 
 let pp_bytes ppf n =
   let f = float_of_int n in

@@ -6,9 +6,6 @@ val kib : int -> int
 val mib : int -> int
 (** [mib n] is [n] mebibytes in bytes. *)
 
-val gib : int -> int
-(** [gib n] is [n] gibibytes in bytes. *)
-
 val pp_bytes : Format.formatter -> int -> unit
 (** Human-readable byte count ("1.4MB", "200KB", "40B"). *)
 

@@ -140,7 +140,6 @@ let charge t c = Uksim.Clock.advance t.clock c
 let sectors_of t len = (len + t.dev.B.sector_size - 1) / t.dev.B.sector_size
 let head t = t.head
 let content_hash t = t.root
-let tree_depth t = t.src.Tree.depth_seen
 
 (* --- frame codec -----------------------------------------------------------
    One frame per object: a fixed-width header line, then a textual body.
@@ -746,8 +745,6 @@ let get t k =
           | Tree.Blob v -> Some v
           | Tree.Node _ | Tree.Commit _ -> raise (Err Ukvfs.Fs.Eio)))
 
-let mem t k = match get t k with Ok (Some _) -> true | _ -> false
-
 let del t k =
   guard (fun () ->
       let r' = Tree.remove t.src t.root k in
@@ -854,7 +851,6 @@ let checkout t h =
       end)
 
 let commit_info t h = guard (fun () -> commit_of t h)
-let is_dirty t = guard (fun () -> dirty t)
 
 (* Drop every cached object whose home is on the medium — the
    cold-cache lever for recovery and hit-rate experiments. *)

@@ -205,19 +205,3 @@ let remove src h key =
     end
   in
   match go 0 h with Some h' -> h' | None -> h
-
-let depth src h =
-  let rec go d h =
-    if h = null then d
-    else match node_of src h with
-      | Leaf _ -> d + 1
-      | Branch (_, kids) -> List.fold_left (fun acc (_, ch) -> max acc (go (d + 1) ch)) (d + 1) kids
-  in
-  go 0 h
-
-(* Build a tree from scratch — recovery and merge both want "the
-   canonical trie for this exact key set" in one shot. *)
-let of_list src entries =
-  match List.sort (fun (a, _) (b, _) -> String.compare a b) entries with
-  | [] -> null
-  | sorted -> build src 0 sorted

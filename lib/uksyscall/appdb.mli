@@ -52,11 +52,7 @@ val most_wanted_missing : int -> int list
     ukcompat populating a shim with executable handlers, the same
     analyses can be recomputed against what is actually registered. *)
 
-val heatmap_against : supported:int list -> heat_cell list
-val most_wanted_missing_against : supported:int list -> int -> int list
-val coverage_against : supported:int list -> coverage list
-
 val heatmap_of_shim : Shim.t -> heat_cell list
-(** {!heatmap_against} the shim's live {!Shim.supported_set}. *)
+(** {!heatmap}, against the shim's live {!Shim.supported_set}. *)
 
 val coverage_of_shim : Shim.t -> coverage list

@@ -18,12 +18,11 @@ let max_sources = 4096
 
 type state = {
   mutable entries : entry list; (* newest first *)
-  mutable dropped : int;
   mutable gen : int; (* bumped by [clear] and [reset]: no diff spans either *)
   seen : (string, int) Hashtbl.t; (* base id -> #instances, for unique uids *)
 }
 
-let st = { entries = []; dropped = 0; gen = 0; seen = Hashtbl.create 64 }
+let st = { entries = []; gen = 0; seen = Hashtbl.create 64 }
 
 let unique_id base =
   match Hashtbl.find_opt st.seen base with
@@ -35,12 +34,9 @@ let unique_id base =
       Printf.sprintf "%s#%d" base (n + 1)
 
 let register ?(sticky = false) src =
-  if List.length st.entries >= max_sources then st.dropped <- st.dropped + 1
-  else
+  if List.length st.entries < max_sources then
     st.entries <-
       { src; uid = unique_id (Source.id src); sticky; gen = st.gen } :: st.entries
-
-let dropped_registrations () = st.dropped
 
 let clear () =
   st.entries <- List.filter (fun e -> e.sticky) st.entries;

@@ -10,7 +10,7 @@
 val register : ?sticky:bool -> Source.t -> unit
 (** Add a source. Duplicate ["subsystem.name"] ids get a ["#n"] suffix.
     [sticky] (default false) sources survive {!clear}. Registrations
-    beyond an internal cap are counted and dropped, not an error. *)
+    beyond an internal cap are dropped, not an error. *)
 
 val clear : unit -> unit
 (** Remove all non-sticky sources (per-trial setup). *)
@@ -22,8 +22,6 @@ val reset : unit -> unit
 
 val sources : unit -> Source.t list
 (** Registration order. *)
-
-val dropped_registrations : unit -> int
 
 (** {1 Metric groups}
 

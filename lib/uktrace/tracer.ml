@@ -181,9 +181,6 @@ let core_cycles t =
 
 let flame t = table_to_list t.flame
 
-let flame_folded t =
-  String.concat "\n" (List.map (fun (p, c) -> Printf.sprintf "%s %d" p c) (flame t))
-
 (* --- Chrome trace_event export ------------------------------------------- *)
 
 let us_of_cycles c = Uksim.Clock.ns_of_cycles c /. 1000.0

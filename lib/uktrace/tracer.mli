@@ -60,8 +60,6 @@ val attribute : t -> core:int -> cycles:int -> unit
 val attribution : t -> (string * int) list
 (** Category -> cycles, largest first. *)
 
-val core_cycles : t -> (int * int) list
-
 (** {1 Inspection & export} *)
 
 val events : t -> event list
@@ -74,9 +72,6 @@ val spans_closed : t -> int
 val flame : t -> (string * int) list
 (** Folded flamegraph: ["cat:name;cat:name"] root-first path -> self
     cycles (children's cycles excluded), largest first. *)
-
-val flame_folded : t -> string
-(** flamegraph.pl-style "path cycles" lines. *)
 
 val to_chrome_json : t -> string
 (** Chrome [trace_event] JSON (load in chrome://tracing or Perfetto);

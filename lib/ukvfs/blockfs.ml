@@ -103,12 +103,6 @@ let find t name =
 let exists t name = find t name <> None
 let names t = List.map (fun o -> o.name) t.objs
 
-let size_of t name =
-  match find t name with Some o -> Ok o.size | None -> Error Fs.Enoent
-
-let digest_of t name =
-  match find t name with Some o -> Ok o.digest | None -> Error Fs.Enoent
-
 (* 1 MiB publication chunks: few enough write_syncs that host-side
    population of a 512 MB object stays cheap. *)
 let pub_chunk = 1 lsl 20
@@ -177,7 +171,12 @@ let add t ~name content =
 
 type streamed = { bytes : int; digest : int; chunks : int }
 
-let stream t ~name ?(window = 32) ?(chunk_sectors = 512) ?(f = fun _ ~off:_ ~len:_ -> ()) () =
+(* Chunks kept in flight, and sectors per chunk (256 KiB at 512-byte
+   sectors). *)
+let window = 32
+let chunk_sectors = 512
+
+let stream t ~name ?(f = fun _ ~off:_ ~len:_ -> ()) () =
   match find t name with
   | None -> Error Fs.Enoent
   | Some o ->

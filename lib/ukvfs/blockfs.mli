@@ -59,22 +59,17 @@ val digest_of_stream :
 
 val exists : t -> string -> bool
 val names : t -> string list
-val size_of : t -> string -> (int, Fs.errno) result
-val digest_of : t -> string -> (int, Fs.errno) result
 
 type streamed = { bytes : int; digest : int; chunks : int }
 
 val stream :
   t ->
   name:string ->
-  ?window:int ->
-  ?chunk_sectors:int ->
   ?f:(bytes -> off:int -> len:int -> unit) ->
   unit ->
   (streamed, Fs.errno) result
-(** Stream an object through the device queue with [window] (default 32)
-    chunks of [chunk_sectors] (default 512, i.e. 256 KiB) in flight, and
-    verify its digest on the fly. [f buf ~off ~len] receives each
+(** Stream an object through the device queue with 32 chunks of 512
+    sectors (256 KiB) in flight, and verify its digest on the fly. [f buf ~off ~len] receives each
     completed chunk ([off] is the object offset — chunks may arrive out
     of order). Returns [Eio] on a digest mismatch against the manifest
     (bit rot, or a tampered content address). *)

@@ -39,7 +39,6 @@ let fold_pages acc buf ~pos ~off ~len =
   done;
   !d
 
-(* Full-content hashes for small objects (merkle nodes, commits, values):
+(* Full-content hash for small objects (merkle nodes, commits, values):
    every byte contributes, the length breaks extension ambiguity. *)
-let bytes_hash b = mix (fnv b 0 (Bytes.length b)) (Bytes.length b)
 let string_hash s = mix (fnv_string s) (String.length s)

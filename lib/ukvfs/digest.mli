@@ -2,7 +2,7 @@
 
     One digest scheme for both block-layer stores: {!Blockfs} names
     read-only objects by the page-sampling {!fold_pages} digest, and
-    [Ukstore] builds its merkle hashes from the same {!fnv}/{!mix}
+    [Ukstore] builds its merkle hashes from the same FNV-1a/{!mix}
     primitives with the same XOR-fold order-independence property. *)
 
 val page : int
@@ -11,11 +11,8 @@ val page : int
 val sample : int
 (** Bytes hashed per page probe (64). *)
 
-val fnv : bytes -> int -> int -> int
-(** [fnv buf off len] is FNV-1a over [buf[off..off+len)], masked to
-    [max_int]. *)
-
 val fnv_string : string -> int
+(** FNV-1a over the whole string, masked to [max_int]. *)
 
 val mix : int -> int -> int
 (** Avalanche mix of two words (splitmix-style finalizer); the
@@ -26,7 +23,5 @@ val fold_pages : int -> bytes -> pos:int -> off:int -> len:int -> int
     object bytes [off, off+len) held at [buf[pos..)] into [acc]. [off]
     must be page-aligned. Order-independent across chunks. *)
 
-val bytes_hash : bytes -> int
-(** Full-content hash for small objects (every byte contributes). *)
-
 val string_hash : string -> int
+(** Full-content hash for small objects (every byte contributes). *)

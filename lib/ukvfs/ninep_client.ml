@@ -13,9 +13,6 @@ module Transport = struct
   let host_dispatch_ns = 6200.0
   let per_byte = 0.06 (* cycles/byte beyond the plain memcpy: virtio chain walk *)
 
-  let boot_attach_cost_kvm_ns = 3.0e5
-  let boot_attach_cost_xen_ns = 2.7e6
-
   let virtio_9p ~clock ~server = { clock; server; count = 0; next_tag = 1 }
 
   let rpc t (tagged : Ninep.tagged) =

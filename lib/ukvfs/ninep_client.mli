@@ -15,13 +15,6 @@ module Transport : sig
 
   val rpc : t -> Ninep.tagged -> (Ninep.msg, string) result
   val rpcs_sent : t -> int
-
-  val boot_attach_cost_kvm_ns : float
-  (** The 0.3 ms the paper reports enabling the 9pfs device adds to KVM
-      guest boot. *)
-
-  val boot_attach_cost_xen_ns : float
-  (** 2.7 ms on Xen. *)
 end
 
 val create : transport:Transport.t -> (Fs.t, string) result

@@ -20,14 +20,12 @@ let djb2 s =
   String.iter (fun ch -> h := ((!h lsl 5) + !h + Char.code ch) land max_int) s;
   !h
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
+let buckets = 1024 (* a power of two: [bucket_of] masks the hash *)
 
-let create ~clock ?(buckets = 1024) () =
+let create ~clock =
   {
     clock;
-    table = Array.make (next_pow2 (max 1 buckets)) [];
+    table = Array.make buckets [];
     count = 0;
     open_handles = Hashtbl.create 32;
     next_handle = 1;

@@ -10,8 +10,8 @@
 
 type t
 
-val create : clock:Uksim.Clock.t -> ?buckets:int -> unit -> t
-(** [buckets] defaults to 1024 (rounded up to a power of two). *)
+val create : clock:Uksim.Clock.t -> t
+(** A 1024-bucket hash table. *)
 
 val add : t -> name:string -> bytes -> unit
 (** Insert or replace an object (populating the cache image). *)

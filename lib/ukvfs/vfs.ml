@@ -45,15 +45,6 @@ let mount t ~at fs =
     Ok ()
   end
 
-let umount t ~at =
-  let at = normalize at in
-  if List.exists (fun m -> m.prefix = at) t.mounts then begin
-    t.mounts <- List.filter (fun m -> m.prefix <> at) t.mounts;
-    Hashtbl.reset t.dentries;
-    Ok ()
-  end
-  else Error Fs.Enoent
-
 let prefix_matches ~prefix path =
   prefix = "/"
   || String.length path >= String.length prefix

@@ -13,8 +13,6 @@ val mount : t -> at:string -> Fs.t -> (unit, Fs.errno) result
 (** Mount points are absolute ("/", "/data"); longest prefix wins at
     resolution. [Eexist] for duplicates. *)
 
-val umount : t -> at:string -> (unit, Fs.errno) result
-
 type fd = int
 
 val open_file : t -> string -> ?create:bool -> unit -> (fd, Fs.errno) result

@@ -18,8 +18,8 @@ echo "== tests =="
 python3 scripts/check_tests.py
 dune runtest
 
-echo "== control-plane options (every optional argument has a caller) =="
-python3 scripts/check_options.py lib/ukfleet lib/ukcluster
+echo "== callers (every exported value and optional argument in lib has one) =="
+python3 scripts/check_callers.py lib/*
 
 echo "== fast-mode bench (every group, fixed seeds, gates) =="
 root=$(pwd)

@@ -1,0 +1,159 @@
+(* Hostile input is total: every decoder that reads bytes from outside
+   (the wire, a disk, a command line, a saved certificate) answers
+   arbitrary input with a value — Ok or Error, Some or None — and never
+   raises.
+
+   One harness drives them all. Each decoder gets random bytes, random
+   printable text, and truncations and single-byte flips of one valid
+   encoding; QCheck reports any exception as a failure with the input
+   that raised it. *)
+
+module Nb = Uknetdev.Netbuf
+module P = Uknetstack.Pkt
+module A = Uknetstack.Addr
+
+type decoder = {
+  name : string;
+  valid : string;  (** one well-formed input, the seed for truncations and flips *)
+  decode : string -> bool;  (** run the decoder: did it accept the input? *)
+}
+
+let accepts = function Ok _ -> true | Error _ -> false
+
+(* Random bytes, printable text, a prefix of [valid], or [valid] with one
+   byte xored. *)
+let hostile valid =
+  let open QCheck.Gen in
+  let n = String.length valid in
+  oneof
+    [
+      string_size ~gen:char (int_range 0 256);
+      string_size ~gen:printable (int_range 0 256);
+      map (fun k -> String.sub valid 0 k) (int_bound n);
+      map2
+        (fun pos x ->
+          let b = Bytes.of_string valid in
+          let pos = pos mod n in
+          Bytes.set b pos (Char.chr (Char.code valid.[pos] lxor x));
+          Bytes.to_string b)
+        (int_bound 4096) (int_range 1 255);
+    ]
+
+let total d =
+  QCheck.Test.make ~name:(d.name ^ " is total on hostile input") ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") (hostile d.valid))
+    (fun s ->
+      ignore (d.decode s);
+      true)
+
+(* --- valid encodings --------------------------------------------------------- *)
+
+let src = A.Ipv4.of_string "10.0.0.2"
+let dst = A.Ipv4.of_string "10.0.0.1"
+
+(* The bytes [encode] leaves in a netbuf that started as [payload]. *)
+let encoded ?(payload = "payload!") encode =
+  let nb = Nb.of_bytes ~headroom:128 (Bytes.of_string payload) in
+  encode nb;
+  let buf, off, len = Nb.view nb in
+  Bytes.sub_string buf off len
+
+let on_netbuf f s = accepts (f (Nb.of_bytes (Bytes.of_string s)))
+let on_bytes f s = accepts (f (Bytes.of_string s))
+
+let tcp_segment =
+  { P.Tcp.src_port = 20123; dst_port = 80; seq = 1000; ack = 2000; syn = false;
+    ack_flag = true; fin = false; rst = false; psh = true; window = 65535 }
+
+(* Parse everything the RESP parser was fed; accepted when it all framed
+   into values. Each value consumes input, so more values than bytes
+   means the parser stopped making progress. *)
+let resp_drain s =
+  let p = Ukapps.Resp.Parser.create () in
+  Ukapps.Resp.Parser.feed p (Bytes.of_string s);
+  let rec go values =
+    if values > String.length s then failwith "RESP parser made no progress"
+    else
+      match Ukapps.Resp.Parser.next p with
+      | Ok (Some _) -> go (values + 1)
+      | Ok None -> values > 0
+      | Error _ -> false
+  in
+  go 0
+
+let libparam_parse s =
+  let module L = Uklibparam.Libparam in
+  let t = L.create () in
+  L.register t ~lib:"netdev" ~name:"ip" (L.String "172.44.0.2");
+  L.register t ~lib:"ukdebug" ~name:"loglevel" (L.Int 3);
+  L.register t ~lib:"vfs" ~name:"cache" (L.Bool false);
+  accepts (L.parse t s)
+
+let decoders =
+  [
+    { name = "Pkt.Eth.decode";
+      valid =
+        encoded (P.Eth.encode
+                   { P.Eth.dst = A.Mac.of_int 0x1; src = A.Mac.of_int 0x2; proto = P.Eth.Ipv4 });
+      decode = on_netbuf P.Eth.decode };
+    { name = "Pkt.Arp.decode";
+      valid =
+        encoded ~payload:""
+          (P.Arp.encode
+             { P.Arp.op = P.Arp.Request; sha = A.Mac.of_int 0x2; spa = src;
+               tha = A.Mac.of_int 0; tpa = dst });
+      decode = on_netbuf P.Arp.decode };
+    { name = "Pkt.Ipv4.decode";
+      valid = encoded (P.Ipv4.encode (P.Ipv4.header ~src ~dst ~proto:P.Ipv4.Udp ~payload_len:8));
+      decode = on_netbuf P.Ipv4.decode };
+    { name = "Pkt.Icmp.decode";
+      valid = encoded (P.Icmp.encode { P.Icmp.echo_reply = false; ident = 7; seq = 1 });
+      decode = on_netbuf P.Icmp.decode };
+    { name = "Pkt.Udp.decode";
+      valid = encoded (P.Udp.encode { P.Udp.src_port = 6000; dst_port = 53 } ~src ~dst);
+      decode = on_netbuf (P.Udp.decode ~src ~dst) };
+    { name = "Pkt.Tcp.decode";
+      valid = encoded (P.Tcp.encode tcp_segment ~src ~dst);
+      decode = on_netbuf (P.Tcp.decode ~src ~dst) };
+    { name = "Ninep.decode";
+      valid =
+        Bytes.to_string
+          (Ukvfs.Ninep.encode
+             { Ukvfs.Ninep.tag = 3;
+               body = Ukvfs.Ninep.Twalk { fid = 1; newfid = 2; wnames = [ "etc"; "hosts" ] } });
+      decode = on_bytes Ukvfs.Ninep.decode };
+    { name = "Dns.decode";
+      valid = Bytes.to_string (Ukapps.Dns.encode (Ukapps.Dns.query "www.example.com" Ukapps.Dns.A));
+      decode = on_bytes Ukapps.Dns.decode };
+    { name = "Resp.Parser";
+      valid = Ukapps.Resp.encode_command [ "SET"; "key:000001"; "xxx" ];
+      decode = resp_drain };
+    { name = "Sql.parse";
+      valid = "SELECT COUNT(*) FROM t WHERE id >= 5";
+      decode = (fun s -> accepts (Ukapps.Sql.parse s)) };
+    { name = "Ukcompat.Trace.of_string";
+      valid = Ukcompat.Trace.to_string (Ukcompat.Driver.trace_of Ukcompat.Driver.Redis);
+      decode = (fun s -> accepts (Ukcompat.Trace.of_string s)) };
+    { name = "Libparam.parse";
+      valid = "netdev.ip=10.0.0.5 ukdebug.loglevel=4K vfs.cache=on -- app args";
+      decode = libparam_parse };
+    { name = "Schedule.of_string";
+      valid =
+        Ukcheck.Schedule.to_string
+          { Ukcheck.Schedule.seed = 1; cores = 2;
+            decisions =
+              [ { kind = "dispatch@0"; arity = 2; choice = 1 };
+                { kind = "steal_victim"; arity = 3; choice = 2 } ] };
+      decode = (fun s -> Ukcheck.Schedule.of_string s <> None) };
+  ]
+
+(* The seeds themselves must decode, or truncations and flips would only
+   ever probe the first error path. *)
+let test_valid_seeds_decode () =
+  List.iter
+    (fun d -> Alcotest.(check bool) (d.name ^ " accepts its valid seed") true (d.decode d.valid))
+    decoders
+
+let suite =
+  Alcotest.test_case "every valid seed decodes" `Quick test_valid_seeds_decode
+  :: List.map (fun d -> QCheck_alcotest.to_alcotest (total d)) decoders

@@ -942,6 +942,72 @@ let test_faultnet_counts_nothing () =
   Alcotest.(check int) "its sectors counted once" 10 (count "sectors_written");
   Uktrace.Registry.clear ()
 
+(* --- netbuf pools balance after every kind of cluster run --------------------- *)
+
+(* Every app over every transport, plus the shared-pool ablation, on 1, 2
+   and 4 cores: once the load completes, every distinct netbuf pool on
+   either side holds all its cells again. Zero-copy RX hands the server
+   the client's TX cells, so a server path that drops a buffer without
+   recycling it shows up as a client-pool leak. *)
+let pool_configs =
+  [
+    ("socket", None, Ukapps.Serve.Socket);
+    ("netbuf", Some Cl.fastpath_default, netbuf);
+    ("netbuf-nortc", Some Cl.fastpath_default, Ukapps.Serve.Netbuf { rtc = false });
+    ("shared-pool", Some { Cl.fastpath_default with Cl.shared_pool = true }, netbuf);
+  ]
+
+let pool_apps =
+  [
+    ( "httpd", 80,
+      (fun c ~transport -> ignore (Cl.add_httpd c ~transport httpd_content)),
+      fun () -> Ukapps.Httpd.client () );
+    ( "resp", 6379,
+      (fun c ~transport -> ignore (Cl.add_resp c ~transport ~populate:64 ())),
+      fun () -> Ukapps.Resp_store.client Ukapps.Resp_store.Set );
+    ( "store", 7000,
+      (fun c ~transport -> ignore (Cl.add_store c ~transport ~keys:16 ())),
+      fun () -> Ukapps.Store.client ~commit_every:8 () );
+  ]
+
+let test_pools_balance () =
+  let requests_per_core = 40 in
+  List.iter
+    (fun (app, port, add, client) ->
+      List.iter
+        (fun (config, fastpath, transport) ->
+          List.iter
+            (fun n ->
+              Uktrace.Registry.clear ();
+              let label = Printf.sprintf "%s/%s/%d cores" app config n in
+              let c = Cl.create ~seed:11 ?fastpath ~n () in
+              add c ~transport;
+              let r =
+                Cl.run_load c ~transport ~port ~connections_per_core:2 ~requests_per_core
+                  ~pipeline:4 (client ())
+              in
+              Alcotest.(check int) (label ^ ": all answered") (n * requests_per_core)
+                r.Ukapps.Load.requests;
+              Alcotest.(check int) (label ^ ": no errors") 0 r.Ukapps.Load.errors;
+              let stacks =
+                List.concat_map (fun i -> [ Cl.server_stack c i; Cl.client_stack c i ])
+                  (List.init n Fun.id)
+              in
+              let pools =
+                List.fold_left
+                  (fun acc s -> if List.memq (S.pool s) acc then acc else S.pool s :: acc)
+                  [] stacks
+              in
+              List.iter
+                (fun p ->
+                  Alcotest.(check int) (label ^ ": every cell back in its pool")
+                    (Nb.Pool.total p) (Nb.Pool.available p))
+                pools)
+            [ 1; 2; 4 ])
+        pool_configs)
+    pool_apps;
+  Uktrace.Registry.clear ()
+
 let suite =
   [
     Alcotest.test_case "netbuf window push/pull/view/reset" `Quick test_window_ops;
@@ -982,4 +1048,6 @@ let suite =
     Alcotest.test_case "each layer counts a packet once" `Quick test_cluster_counts_once;
     Alcotest.test_case "a fault-free wrapper counts nothing twice" `Quick
       test_faultnet_counts_nothing;
+    Alcotest.test_case "netbuf pools balance after every cluster run" `Quick
+      test_pools_balance;
   ]

@@ -10,7 +10,7 @@ let backends () =
   [
     ("buddy", Buddy.create ~clock ~base:(mib 16) ~len:(mib 16));
     ("tlsf", Tlsf.create ~clock ~base:(mib 16) ~len:(mib 16));
-    ("tinyalloc", Tinyalloc.create ~clock ~base:(mib 16) ~len:(mib 16) ());
+    ("tinyalloc", Tinyalloc.create ~clock ~base:(mib 16) ~len:(mib 16));
     ("mimalloc", Mimalloc.create ~clock ~base:(mib 16) ~len:(mib 16));
     ("bootalloc", Bootalloc.create ~clock ~base:(mib 16) ~len:(mib 16));
     ("oscar", Oscar.create ~clock ~base:(mib 16) ~len:(mib 16));
@@ -130,7 +130,7 @@ let test_tinyalloc_degrades () =
   (* tinyalloc's free-list walk grows with fragmentation (Fig 16's
      crossover behaviour). *)
   let clock = Uksim.Clock.create () in
-  let a = Tinyalloc.create ~clock ~base:(mib 16) ~len:(mib 64) () in
+  let a = Tinyalloc.create ~clock ~base:(mib 16) ~len:(mib 64) in
   let measure () =
     let s = Uksim.Clock.start clock in
     let addr = Option.get (Alloc.uk_malloc a 100000) in
@@ -258,7 +258,7 @@ let random_props =
   [
     ("buddy", mk (fun clock -> Buddy.create ~clock ~base:(mib 4) ~len:(mib 4)));
     ("tlsf", mk (fun clock -> Tlsf.create ~clock ~base:(mib 4) ~len:(mib 4)));
-    ("tinyalloc", mk (fun clock -> Tinyalloc.create ~clock ~base:(mib 4) ~len:(mib 4) ()));
+    ("tinyalloc", mk (fun clock -> Tinyalloc.create ~clock ~base:(mib 4) ~len:(mib 4)));
     ("mimalloc", mk (fun clock -> Mimalloc.create ~clock ~base:(mib 4) ~len:(mib 4)));
     ("oscar", mk (fun clock -> Oscar.create ~clock ~base:(mib 4) ~len:(mib 16)));
   ]

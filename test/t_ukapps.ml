@@ -330,7 +330,7 @@ let test_sqldb_insert_count_60k_shape () =
 
 let test_webcache_backends_agree () =
   let c = clock () in
-  let shfs = Ukvfs.Shfs.create ~clock:c () in
+  let shfs = Ukvfs.Shfs.create ~clock:c in
   let wc_s = Ukapps.Webcache.create ~clock:c (Ukapps.Webcache.Shfs_backed shfs) in
   (match Ukapps.Webcache.populate wc_s ~n_files:10 ~size:256 () with
   | Ok () -> ()
@@ -350,15 +350,15 @@ let test_webcache_backends_agree () =
 
 let test_webcache_specialization_wins () =
   let c = clock () in
-  let shfs = Ukvfs.Shfs.create ~clock:c () in
+  let shfs = Ukvfs.Shfs.create ~clock:c in
   let wc_s = Ukapps.Webcache.create ~clock:c (Ukapps.Webcache.Shfs_backed shfs) in
   ignore (Ukapps.Webcache.populate wc_s ~n_files:100 ());
   let vfs = Ukvfs.Vfs.create ~clock:c in
   ignore (Ukvfs.Vfs.mount vfs ~at:"/" (Ukvfs.Ramfs.create ~clock:c ()));
   let wc_v = Ukapps.Webcache.create ~clock:c (Ukapps.Webcache.Vfs_backed (vfs, "/")) in
   ignore (Ukapps.Webcache.populate wc_v ~n_files:100 ());
-  let s = Ukapps.Webcache.measure_open wc_s () in
-  let v = Ukapps.Webcache.measure_open wc_v () in
+  let s = Ukapps.Webcache.measure_open wc_s in
+  let v = Ukapps.Webcache.measure_open wc_v in
   Alcotest.(check bool)
     (Printf.sprintf "hit: shfs %.0fns vs vfs %.0fns" s.Ukapps.Webcache.hit_ns v.Ukapps.Webcache.hit_ns)
     true

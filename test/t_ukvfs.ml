@@ -277,7 +277,7 @@ let test_ninep_latency_scales_with_block () =
 
 let test_shfs_basics () =
   let c = clock () in
-  let s = Shfs.create ~clock:c () in
+  let s = Shfs.create ~clock:c in
   Shfs.add s ~name:"index.html" (Bytes.of_string "<html>hi</html>");
   Shfs.add s ~name:"logo.png" (Bytes.make 100 'i');
   Alcotest.(check int) "entries" 2 (Shfs.entries s);
@@ -294,7 +294,7 @@ let test_shfs_basics () =
   | _ -> Alcotest.fail "expected miss"
 
 let test_shfs_replace () =
-  let s = Shfs.create ~clock:(clock ()) () in
+  let s = Shfs.create ~clock:(clock ()) in
   Shfs.add s ~name:"x" (Bytes.of_string "v1");
   Shfs.add s ~name:"x" (Bytes.of_string "v2");
   Alcotest.(check int) "replace keeps one entry" 1 (Shfs.entries s);
@@ -306,7 +306,7 @@ let test_shfs_faster_than_vfs () =
   (* The Fig 22 claim: direct SHFS open is several times cheaper than a
      vfscore + ramfs open. *)
   let c = clock () in
-  let s = Shfs.create ~clock:c () in
+  let s = Shfs.create ~clock:c in
   Shfs.add s ~name:"f.html" (Bytes.make 128 'x');
   let v = Vfs.create ~clock:c in
   ignore (Vfs.mount v ~at:"/" (Ramfs.create ~clock:c ()));
@@ -333,7 +333,7 @@ let test_shfs_faster_than_vfs () =
     (vfs_cost > shfs_cost * 3)
 
 let test_shfs_as_fs () =
-  let s = Shfs.create ~clock:(clock ()) () in
+  let s = Shfs.create ~clock:(clock ()) in
   Shfs.add s ~name:"obj" (Bytes.of_string "via-vfs");
   let fs = Shfs.to_fs s in
   Alcotest.(check (result string reject)) "read through Fs.t" (Ok "via-vfs")

@@ -124,7 +124,7 @@ let test_vm_run_to_completion () =
   let cfg = ok (Cfg.make ~app:"app-hello" ~sched:Cfg.None_ ~libc:Cfg.Nolibc ()) in
   let env = ok (Vm.boot ~vmm:Vmm.Solo5 cfg) in
   let line = ref "" in
-  Vm.run_main env (fun e -> line := Ukapps.Hello.main ~clock:e.Vm.clock ());
+  Vm.run_main env (fun e -> line := Ukapps.Hello.main ~clock:e.Vm.clock);
   Alcotest.(check string) "main ran inline" "Hello world!" !line
 
 let test_end_to_end_nginx_wrk () =

@@ -9,6 +9,7 @@
 let () =
   Alcotest.run "ukraft"
     [
+      ("decode (hostile input, every decoder)", T_decode.suite);
       ("dns", T_dns.suite);
       ("fastpath (uknetdev+uknetstack+ukapps)", T_fastpath.suite);
       ("infer (ukapps+ukvfs+ukfleet)", T_infer.suite);
