@@ -62,12 +62,11 @@ let execute t = function
   | [ "ROOT" ] -> ok_reply (St.content_hash t.store)
   | _ -> er_reply
 
-(* Server-side seeding: [n] deterministic keys, committed durable — the
-   fleet image preps its disk with this before first boot. *)
-let populate t ?(value_len = 32) n =
+(* Server-side seeding: [n] deterministic keys, committed durable. *)
+let populate t n =
   for i = 0 to n - 1 do
     let k = Printf.sprintf "k%05d" i in
-    let v = String.init value_len (fun j -> Char.chr (97 + ((i + j) mod 26))) in
+    let v = String.init 32 (fun j -> Char.chr (97 + ((i + j) mod 26))) in
     match St.set t.store k v with
     | Ok () -> ()
     | Error e -> invalid_arg ("Store.populate: " ^ Ukvfs.Fs.errno_to_string e)

@@ -104,7 +104,6 @@ type t = {
   jcap : int; (* replay bound: log sectors past the live slot before a flip *)
   cache : (hash, Tree.obj) Hashtbl.t;
   locs : (hash, int * int) Hashtbl.t; (* object -> (byte address, frame bytes) *)
-  durable : (hash, unit) Hashtbl.t; (* its record is on the medium *)
   mutable head : hash; (* last durable commit, null before the first *)
   mutable root : hash; (* working tree (may be ahead of head) *)
   mutable epoch : int; (* of the live root slot *)
@@ -140,23 +139,112 @@ let charge t c = Uksim.Clock.advance t.clock c
 let sectors_of t len = (len + t.dev.B.sector_size - 1) / t.dev.B.sector_size
 let head t = t.head
 let content_hash t = t.root
+let log_head t = t.log_head
 
 (* --- frame codec -----------------------------------------------------------
    One frame per object: a fixed-width header line, then a textual body.
    Child refs carry (hash, byte address, len) so a cold mount can
    navigate the tree from disk; the structural hash ignores the
-   locations. Addresses, keys and commit messages are hex-encoded. *)
+   locations. Addresses, keys and commit messages are hex-encoded:
 
-let to_hex s =
-  let b = Buffer.create (String.length s * 2) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+     frame   "o <hash %016x> <kind b|n|c> <body len %08d> <own addr %08x>\n" body
+     blob    the value's bytes
+     leaf    "L <entries>\n", per entry "<hash> <addr %x> <len %d> <hex key>\n"
+     branch  "T <keys> <kids>\n", per kid "<nibble> <hash> <addr %x> <len %d>\n"
+     commit  "C <root> <addr %x> <len %d> <parents> <hex msg>\n",
+             per parent "<hash> <addr %x> <len %d>\n"
 
-let of_hex s =
-  if String.length s mod 2 <> 0 then raise (Err Ukvfs.Fs.Eio);
-  try String.init (String.length s / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (i * 2) 2)))
-  with _ -> raise (Err Ukvfs.Fs.Eio)
+   A record is written in place, field by field, by a cursor built for
+   this grammar: each number comes out as the digits Printf's %016x,
+   %08x, %x, %08d or %d would print, and each key or message byte as
+   two hex digits. *)
+
+let hex_digit = "0123456789abcdef"
+let imax (a : int) b = if a > b then a else b
+
+(* How many digits [v] needs: base 16 reads it as an unsigned 63-bit
+   word, as %x does; base 10 counts those of its magnitude (19 at
+   most). *)
+let hex_digits v =
+  let n = ref 1 and v = ref (v lsr 4) in
+  while !v <> 0 do
+    incr n;
+    v := !v lsr 4
+  done;
+  !n
+
+let dec_digits v =
+  let m = abs v (* min_int stays negative: 19 digits *) in
+  let rec go n p = if m < p || n = 19 then n else go (n + 1) (p * 10) in
+  if m < 0 then 19 else go 1 10
+
+(* A write position in [buf]. A sizing cursor moves exactly as a writing
+   one would but writes nothing, so one grammar both sizes a frame and
+   writes it. *)
+type cursor = { buf : bytes; mutable pos : int; sizing : bool }
+
+let measure put =
+  let c = { buf = Bytes.empty; pos = 0; sizing = true } in
+  put c;
+  c.pos
+
+(* The bounds check for a field of [n] bytes: the digit loops below
+   check once per field, then write unchecked. *)
+let room c n = if c.pos + n > Bytes.length c.buf then invalid_arg "Store: write past the buffer"
+
+let put_char c ch =
+  if not c.sizing then Bytes.set c.buf c.pos ch;
+  c.pos <- c.pos + 1
+
+let put_string c s =
+  if not c.sizing then Bytes.blit_string s 0 c.buf c.pos (String.length s);
+  c.pos <- c.pos + String.length s
+
+(* %0<width>x: [v] as an unsigned 63-bit word, zero-padded to [width]
+   digits, or longer if it needs more. No word needs more than 16. *)
+let put_hex c ~width v =
+  let n = if width >= 16 then width else imax width (hex_digits v) in
+  if not c.sizing then begin
+    room c n;
+    let v = ref v in
+    for i = c.pos + n - 1 downto c.pos do
+      Bytes.unsafe_set c.buf i (String.unsafe_get hex_digit (!v land 15));
+      v := !v lsr 4
+    done
+  end;
+  c.pos <- c.pos + n
+
+(* %0<width>d: the sign, if any, counts in [width]. *)
+let put_dec c ~width v =
+  if v < 0 then put_char c '-';
+  let d = dec_digits v in
+  let n = imax (if v < 0 then width - 1 else width) d in
+  if not c.sizing then begin
+    room c n;
+    Bytes.unsafe_fill c.buf c.pos (n - d) '0';
+    let v = ref v in
+    for i = c.pos + n - 1 downto c.pos + n - d do
+      Bytes.unsafe_set c.buf i (Char.unsafe_chr (48 + abs (!v mod 10)));
+      v := !v / 10
+    done
+  end;
+  c.pos <- c.pos + n
+
+let put_hash c h = put_hex c ~width:16 h
+let put_int c v = put_dec c ~width:1 v
+
+(* Two hex digits per byte of [s]. *)
+let put_hex_bytes c s =
+  let n = 2 * String.length s in
+  if not c.sizing then begin
+    room c n;
+    for i = 0 to String.length s - 1 do
+      let b = Char.code (String.unsafe_get s i) in
+      Bytes.unsafe_set c.buf (c.pos + (2 * i)) (String.unsafe_get hex_digit (b lsr 4));
+      Bytes.unsafe_set c.buf (c.pos + (2 * i) + 1) (String.unsafe_get hex_digit (b land 15))
+    done
+  end;
+  c.pos <- c.pos + n
 
 let loc_of t h =
   if h = null then (0, 0)
@@ -164,35 +252,29 @@ let loc_of t h =
     | Some l -> l
     | None -> raise (Err Ukvfs.Fs.Eio)
 
-let encode_body t (o : Tree.obj) =
-  let b = Buffer.create 128 in
-  (match o with
-  | Tree.Blob v -> Buffer.add_string b v
+(* A child ref, located by [loc]: "<hash> <addr %x> <len %d>". *)
+let put_ref c loc h =
+  let addr, len = loc h in
+  put_hash c h; put_char c ' '; put_hex c ~width:1 addr; put_char c ' '; put_int c len
+
+let put_body c loc (o : Tree.obj) =
+  match o with
+  | Tree.Blob v -> put_string c v
   | Tree.Node (Tree.Leaf entries) ->
-      Buffer.add_string b (Printf.sprintf "L %d\n" (List.length entries));
+      put_string c "L "; put_int c (List.length entries); put_char c '\n';
       List.iter
-        (fun (k, vh) ->
-          let addr, len = loc_of t vh in
-          Buffer.add_string b (Printf.sprintf "%016x %x %d %s\n" vh addr len (to_hex k)))
+        (fun (k, vh) -> put_ref c loc vh; put_char c ' '; put_hex_bytes c k; put_char c '\n')
         entries
   | Tree.Node (Tree.Branch (n, kids)) ->
-      Buffer.add_string b (Printf.sprintf "T %d %d\n" n (List.length kids));
+      put_string c "T "; put_int c n; put_char c ' '; put_int c (List.length kids);
+      put_char c '\n';
       List.iter
-        (fun (nb, ch) ->
-          let addr, len = loc_of t ch in
-          Buffer.add_string b (Printf.sprintf "%d %016x %x %d\n" nb ch addr len))
+        (fun (nb, ch) -> put_int c nb; put_char c ' '; put_ref c loc ch; put_char c '\n')
         kids
   | Tree.Commit { root; parents; msg } ->
-      let raddr, rlen = loc_of t root in
-      Buffer.add_string b
-        (Printf.sprintf "C %016x %x %d %d %s\n" root raddr rlen (List.length parents)
-           (to_hex msg));
-      List.iter
-        (fun p ->
-          let paddr, plen = loc_of t p in
-          Buffer.add_string b (Printf.sprintf "%016x %x %d\n" p paddr plen))
-        parents);
-  Buffer.contents b
+      put_string c "C "; put_ref c loc root; put_char c ' '; put_int c (List.length parents);
+      put_char c ' '; put_hex_bytes c msg; put_char c '\n';
+      List.iter (fun p -> put_ref c loc p; put_char c '\n') parents
 
 let kind_of = function
   | Tree.Blob _ -> 'b'
@@ -201,9 +283,37 @@ let kind_of = function
 
 (* [addr] is the frame's own home — embedded so replay and cold reads
    can check that a frame is the one they asked for. *)
-let encode_frame t h o ~addr =
-  let body = encode_body t o in
-  Printf.sprintf "o %016x %c %08d %08x\n%s" h (kind_of o) (String.length body) addr body
+let put_header c h o ~blen ~addr =
+  put_string c "o "; put_hash c h; put_char c ' '; put_char c (kind_of o); put_char c ' ';
+  put_dec c ~width:8 blen; put_char c ' '; put_hex c ~width:8 addr; put_char c '\n'
+
+(* A frame's body length and whole length. *)
+let frame_size loc h o ~addr =
+  let blen = measure (fun c -> put_body c loc o) in
+  (blen, measure (fun c -> put_header c h o ~blen ~addr) + blen)
+
+(* One frame on its own, as a record holds it. *)
+let encode_frame ~loc h o ~addr =
+  let blen, flen = frame_size loc h o ~addr in
+  let c = { buf = Bytes.create flen; pos = 0; sizing = false } in
+  put_header c h o ~blen ~addr;
+  put_body c loc o;
+  Bytes.unsafe_to_string c.buf
+
+(* A checksummed line at [at] of [buf]: the core [put] writes, then
+   " <FNV of the core, %016x>\n". Root slots and record headers and
+   trailers are such lines. *)
+let put_line buf ~at put =
+  let c = { buf; pos = at; sizing = false } in
+  put c;
+  let ck = D.fnv buf at (c.pos - at) in
+  put_char c ' '; put_hash c ck; put_char c '\n'
+
+let of_hex s =
+  if String.length s mod 2 <> 0 then raise (Err Ukvfs.Fs.Eio);
+  try String.init (String.length s / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub s (i * 2) 2)))
+  with _ -> raise (Err Ukvfs.Fs.Eio)
 
 let int_of_hex s = try int_of_string ("0x" ^ s) with _ -> raise (Err Ukvfs.Fs.Eio)
 let int_of_dec s = try int_of_string s with _ -> raise (Err Ukvfs.Fs.Eio)
@@ -217,10 +327,13 @@ let take_line s pos =
 
 let note_loc t h addr len = if h <> null && len > 0 then Hashtbl.replace t.locs h (addr, len)
 
-(* Decode one frame starting at [pos]; registers child locations as a
-   side effect and returns (hash, obj, own address, frame bytes, next
-   pos). *)
-let decode_frame t s pos =
+(* A frame's child refs name homes on the medium, so only a frame that
+   has been checked may add them. *)
+let note_refs t refs = List.iter (fun (h, addr, len) -> note_loc t h addr len) refs
+
+(* Decode one frame starting at [pos]: (hash, obj, own address, frame
+   bytes, child refs as (hash, address, len)). *)
+let read_frame s pos =
   if pos + frame_header > String.length s then raise (Err Ukvfs.Fs.Eio);
   let hdr = String.sub s pos frame_header in
   if String.length hdr <> frame_header || hdr.[0] <> 'o' || hdr.[frame_header - 1] <> '\n' then
@@ -231,6 +344,8 @@ let decode_frame t s pos =
   let addr = int_of_hex (String.sub hdr 30 8) in
   if blen < 0 || pos + frame_header + blen > String.length s then raise (Err Ukvfs.Fs.Eio);
   let body = String.sub s (pos + frame_header) blen in
+  let refs = ref [] in
+  let note h addr len = refs := (h, addr, len) :: !refs in
   let obj =
     match kind with
     | 'b' -> Tree.Blob body
@@ -247,7 +362,7 @@ let decode_frame t s pos =
               match String.split_on_char ' ' line with
               | [ vh; vaddr; vlen; hk ] ->
                   let vh = int_of_hex vh in
-                  note_loc t vh (int_of_hex vaddr) (int_of_dec vlen);
+                  note vh (int_of_hex vaddr) (int_of_dec vlen);
                   entries := (of_hex hk, vh) :: !entries
               | _ -> raise (Err Ukvfs.Fs.Eio)
             done;
@@ -262,7 +377,7 @@ let decode_frame t s pos =
               match String.split_on_char ' ' line with
               | [ nb; ch; caddr; clen ] ->
                   let ch = int_of_hex ch in
-                  note_loc t ch (int_of_hex caddr) (int_of_dec clen);
+                  note ch (int_of_hex caddr) (int_of_dec clen);
                   kids := (int_of_dec nb, ch) :: !kids
               | _ -> raise (Err Ukvfs.Fs.Eio)
             done;
@@ -273,7 +388,7 @@ let decode_frame t s pos =
         match String.split_on_char ' ' line with
         | [ "C"; root; raddr; rlen; np; hmsg ] ->
             let root = int_of_hex root in
-            note_loc t root (int_of_hex raddr) (int_of_dec rlen);
+            note root (int_of_hex raddr) (int_of_dec rlen);
             let np = int_of_dec np in
             let p = ref p in
             let parents = ref [] in
@@ -283,7 +398,7 @@ let decode_frame t s pos =
               match String.split_on_char ' ' line with
               | [ ph; paddr; plen ] ->
                   let ph = int_of_hex ph in
-                  note_loc t ph (int_of_hex paddr) (int_of_dec plen);
+                  note ph (int_of_hex paddr) (int_of_dec plen);
                   parents := ph :: !parents
               | _ -> raise (Err Ukvfs.Fs.Eio)
             done;
@@ -291,7 +406,10 @@ let decode_frame t s pos =
         | _ -> raise (Err Ukvfs.Fs.Eio))
     | _ -> raise (Err Ukvfs.Fs.Eio)
   in
-  (h, obj, addr, frame_header + blen, pos + frame_header + blen)
+  (h, obj, addr, frame_header + blen, List.rev !refs)
+
+(* [read_frame], or None when the bytes at [pos] are not a frame. *)
+let decode_frame s pos = try Some (read_frame s pos) with Err _ -> None
 
 (* --- root slots ------------------------------------------------------------ *)
 
@@ -302,14 +420,11 @@ let jc_magic = "ukjc1"
 (* The slot for [epoch]: the head, the last sequence number and the log
    position replay starts from. *)
 let slot_sector t ~epoch ~pos =
-  let haddr, hlen = if t.head = null then (0, 0) else loc_of t t.head in
-  let core =
-    Printf.sprintf "%s %d %d %016x %x %d %d %d" slot_magic epoch t.jcap t.head haddr hlen
-      (t.next_seq - 1) pos
-  in
-  let line = Printf.sprintf "%s %016x\n" core (D.fnv_string core) in
   let sec = Bytes.make t.dev.B.sector_size '\000' in
-  Bytes.blit_string line 0 sec 0 (String.length line);
+  put_line sec ~at:0 (fun c ->
+      put_string c slot_magic; put_char c ' '; put_int c epoch; put_char c ' ';
+      put_int c t.jcap; put_char c ' '; put_ref c (loc_of t) t.head;
+      put_char c ' '; put_int c (t.next_seq - 1); put_char c ' '; put_int c pos);
   sec
 
 (* Parse a slot sector; None when invalid (unformatted, torn, stale
@@ -371,7 +486,6 @@ let publish t r =
   fsync t;
   t.log_head <- r.lba + r.rsec;
   t.next_seq <- r.seq + 1;
-  List.iter (fun h -> Hashtbl.replace t.durable h ()) r.objs;
   t.head <- r.ch;
   C.incr t.m.commits;
   C.incr t.m.journal_records;
@@ -449,15 +563,16 @@ let load_obj t h =
           | Ok raw ->
               let s = Bytes.sub_string raw off len in
               charge t (Uksim.Cost.memcpy len + Uksim.Cost.checksum len);
-              let h', obj, addr', _, _ = decode_frame t s 0 in
               (* Structural-hash verification: a frame that does not hash
                  to its own address, or sits elsewhere than it says, is a
                  torn or misdirected read. *)
-              if h' <> h || addr' <> addr || Tree.hash_of_obj obj <> h then
-                raise (Err Ukvfs.Fs.Eio);
-              Hashtbl.replace t.cache h obj;
-              Hashtbl.replace t.durable h ();
-              obj))
+              match decode_frame s 0 with
+              | Some (h', obj, addr', _, refs)
+                when h' = h && addr' = addr && Tree.hash_of_obj obj = h ->
+                  note_refs t refs;
+                  Hashtbl.replace t.cache h obj;
+                  obj
+              | Some _ | None -> raise (Err Ukvfs.Fs.Eio)))
 
 let put_obj t o =
   let h = Tree.hash_of_obj o in
@@ -474,7 +589,7 @@ let default_journal_sectors = 256
 let mk ~clock dev ~jcap =
   let t =
     { clock; dev; jcap; cache = Hashtbl.create 256; locs = Hashtbl.create 256;
-      durable = Hashtbl.create 256; head = null; root = null; epoch = 0; next_seq = 1;
+      head = null; root = null; epoch = 0; next_seq = 1;
       log_head = 2; slot_pos = 2; m = Lazy.force metrics;
       src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 };
       flight = None; flip = None; joined = []; settled = []; committer = None }
@@ -509,14 +624,17 @@ let dirty t =
   if t.head = null then t.root <> null
   else (commit_of t t.head).Tree.root <> t.root
 
-(* Post-order walk of the not-yet-durable objects reachable from [root]:
-   children precede parents, so location assignment can run in list
-   order. *)
+(* Post-order walk of the objects reachable from [root] that have no
+   home yet: children precede parents, so location assignment can run in
+   list order. A record is built only while none is in flight, so every
+   object in [locs] then has its home on the medium, and the walk stops
+   there: after a mount too, where most homes are known from child refs
+   alone. *)
 let collect_new t root =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
   let rec walk h =
-    if h <> null && (not (Hashtbl.mem seen h)) && not (Hashtbl.mem t.durable h) then begin
+    if h <> null && (not (Hashtbl.mem seen h)) && not (Hashtbl.mem t.locs h) then begin
       Hashtbl.replace seen h ();
       (match load_obj t h with
       | Tree.Blob _ -> ()
@@ -534,33 +652,36 @@ let collect_new t root =
 (* Encode the record that commits the working root with [parents] at the
    log head: each new object's home is its frame's byte address inside
    the payload, assigned in post-order so every child ref resolves. The
-   homes are taken back if the record does not fit the device, and by
-   [unassign] if its write fails. *)
+   frames are sized and their homes assigned first, so the record is
+   written once, in place, into a buffer of its own size. The homes are
+   taken back if the record does not fit the device, and by [unassign]
+   if its write fails. *)
 let build_record t ~parents ~msg =
   let ss = t.dev.B.sector_size in
   let cobj = Tree.Commit { root = t.root; parents; msg } in
   let ch = put_obj t cobj in
   let objs = collect_new t ch in
   let lba = t.log_head in
+  let loc = loc_of t in
   let assigned = ref [] in
   let rollback () = List.iter (fun h -> Hashtbl.remove t.locs h) !assigned in
-  let addr = ref ((lba + 1) * ss) in
-  let frames =
+  (* (hash, object, home, body length) per frame, last first, and the
+     payload length. *)
+  let frames, plen =
     try
-      List.map
-        (fun h ->
-          let frame = encode_frame t h (Hashtbl.find t.cache h) ~addr:!addr in
-          Hashtbl.replace t.locs h (!addr, String.length frame);
+      List.fold_left
+        (fun (frames, plen) h ->
+          let o = Hashtbl.find t.cache h in
+          let addr = ((lba + 1) * ss) + plen in
+          let blen, flen = frame_size loc h o ~addr in
+          Hashtbl.replace t.locs h (addr, flen);
           assigned := h :: !assigned;
-          addr := !addr + String.length frame;
-          frame)
-        objs
+          ((h, o, addr, blen) :: frames, plen + flen))
+        ([], 0) objs
     with e ->
       rollback ();
       raise e
   in
-  let payload = String.concat "" frames in
-  let plen = String.length payload in
   let psec = max 1 (sectors_of t plen) in
   let rsec = 2 + psec in
   if lba + rsec > t.dev.B.capacity_sectors then begin
@@ -568,15 +689,19 @@ let build_record t ~parents ~msg =
     raise (Err Ukvfs.Fs.Enospc)
   end;
   let seq = t.next_seq in
-  let hcore = Printf.sprintf "%s %d %d %016x" jr_magic seq psec ch in
-  let hline = Printf.sprintf "%s %016x\n" hcore (D.fnv_string hcore) in
-  let pck = D.string_hash payload in
-  let tcore = Printf.sprintf "%s %d %d %016x" jc_magic seq plen pck in
-  let tline = Printf.sprintf "%s %016x\n" tcore (D.fnv_string tcore) in
   let data = Bytes.make (rsec * ss) '\000' in
-  Bytes.blit_string hline 0 data 0 (String.length hline);
-  Bytes.blit_string payload 0 data ss plen;
-  Bytes.blit_string tline 0 data ((1 + psec) * ss) (String.length tline);
+  let c = { buf = data; pos = ss; sizing = false } in
+  List.iter
+    (fun (h, o, addr, blen) ->
+      put_header c h o ~blen ~addr;
+      put_body c loc o)
+    (List.rev frames);
+  put_line data ~at:0 (fun c ->
+      put_string c jr_magic; put_char c ' '; put_int c seq; put_char c ' '; put_int c psec;
+      put_char c ' '; put_hash c ch);
+  put_line data ~at:((1 + psec) * ss) (fun c ->
+      put_string c jc_magic; put_char c ' '; put_int c seq; put_char c ' '; put_int c plen;
+      put_char c ' '; put_hash c (D.bytes_hash data ~pos:ss ~len:plen));
   charge t (Uksim.Cost.memcpy (rsec * ss) + Uksim.Cost.checksum plen);
   { ch; objs; lba; data; rsec; seq }
 
@@ -666,24 +791,27 @@ let replay_record t ~lba ~expect_seq =
                 charge t (Uksim.Cost.checksum plen);
                 if D.string_hash payload <> pck then None
                 else begin
-                  (* Checksums hold: decode and apply every frame. *)
+                  (* Checksums hold: decode and check every frame, then
+                     apply the record: its child refs, then its homes. *)
                   try
                     let base = (lba + 1) * ss in
                     let pos = ref 0 in
-                    let applied = ref [] in
+                    let frames = ref [] in
                     while !pos < plen do
-                      let h, obj, addr, flen, pos' = decode_frame t payload !pos in
-                      if addr <> base + !pos || Tree.hash_of_obj obj <> h then
-                        raise (Err Ukvfs.Fs.Eio);
-                      applied := (h, obj, addr, flen) :: !applied;
-                      pos := pos'
+                      match decode_frame payload !pos with
+                      | Some ((h, obj, addr, flen, _) as frame)
+                        when addr = base + !pos && Tree.hash_of_obj obj = h ->
+                          frames := frame :: !frames;
+                          pos := !pos + flen
+                      | Some _ | None -> raise (Err Ukvfs.Fs.Eio)
                     done;
+                    let frames = List.rev !frames in
+                    List.iter (fun (_, _, _, _, refs) -> note_refs t refs) frames;
                     List.iter
-                      (fun (h, obj, addr, flen) ->
+                      (fun (h, obj, addr, flen, _) ->
                         Hashtbl.replace t.cache h obj;
-                        Hashtbl.replace t.locs h (addr, flen);
-                        Hashtbl.replace t.durable h ())
-                      (List.rev !applied);
+                        Hashtbl.replace t.locs h (addr, flen))
+                      frames;
                     t.head <- chash;
                     C.incr t.m.replayed_records;
                     Some (lba + 2 + psec)
@@ -853,11 +981,11 @@ let checkout t h =
 let commit_info t h = guard (fun () -> commit_of t h)
 
 (* Drop every cached object whose home is on the medium — the
-   cold-cache lever for recovery and hit-rate experiments. *)
+   cold-cache lever for recovery and hit-rate experiments. Once nothing
+   is in flight, those are the objects with a home. *)
 let drop_caches t =
-  Hashtbl.filter_map_inplace
-    (fun h o -> if Hashtbl.mem t.durable h && Hashtbl.mem t.locs h then None else Some o)
-    t.cache
+  await_io t;
+  Hashtbl.filter_map_inplace (fun h o -> if Hashtbl.mem t.locs h then None else Some o) t.cache
 
 (* --- merge ------------------------------------------------------------------ *)
 

@@ -41,4 +41,5 @@ let fold_pages acc buf ~pos ~off ~len =
 
 (* Full-content hash for small objects (merkle nodes, commits, values):
    every byte contributes, the length breaks extension ambiguity. *)
+let bytes_hash buf ~pos ~len = mix (fnv buf pos len) len
 let string_hash s = mix (fnv_string s) (String.length s)

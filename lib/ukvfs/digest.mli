@@ -11,6 +11,9 @@ val page : int
 val sample : int
 (** Bytes hashed per page probe (64). *)
 
+val fnv : bytes -> int -> int -> int
+(** [fnv buf off len] is {!fnv_string} of [buf[off, off+len)]. *)
+
 val fnv_string : string -> int
 (** FNV-1a over the whole string, masked to [max_int]. *)
 
@@ -25,3 +28,6 @@ val fold_pages : int -> bytes -> pos:int -> off:int -> len:int -> int
 
 val string_hash : string -> int
 (** Full-content hash for small objects (every byte contributes). *)
+
+val bytes_hash : bytes -> pos:int -> len:int -> int
+(** [bytes_hash buf ~pos ~len] is {!string_hash} of [buf[pos, pos+len)]. *)

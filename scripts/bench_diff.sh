@@ -8,7 +8,9 @@
 # lines (d hunks) and moved lines (c hunks: a baseline line that now
 # reads differently; the extra lines of an uneven c hunk count as added
 # or removed). Any non-zero count is drift: the lines are listed and the
-# script exits 1.
+# script exits 1. Beside the counts, each group prints its experiments'
+# summed wall-clock "seconds", baseline -> now: host time is shown, never
+# gated, since it varies from run to run and machine to machine.
 #
 # Usage: scripts/bench_diff.sh [DIR]. With DIR, diff the BENCH files of a
 # fast-mode run already made there instead of running the bench.
@@ -35,6 +37,11 @@ fi
 
 echo "== bench diff (fast mode vs bench/baseline) =="
 
+# The summed "seconds" of a BENCH file, to two decimals.
+seconds() {
+  awk -F'"seconds": ' 'NF > 1 { s += $2 } END { printf "%.2f", s }' "$1"
+}
+
 drift=0
 for cur in "$out"/BENCH_*.json; do
   f=$(basename "$cur")
@@ -58,7 +65,7 @@ for base in bench/baseline/BENCH_*.json; do
   # One pass over the hunks: tally the three kinds and label each line.
   # A c hunk pairs its first min(old, new) lines as moved; the rest of
   # the longer side is removed (baseline) or added (now).
-  report=$(awk '
+  report=$(awk -v secs="$(seconds "$base") -> $(seconds "$out/$f")" '
     function flush(   i, m) {
       m = (kind == "c") ? ((old < new) ? old : new) : 0
       moved += m; removed += old - m; added += new - m
@@ -71,7 +78,8 @@ for base in bench/baseline/BENCH_*.json; do
     /^>/ { n[++new] = substr($0, 3) }
     END {
       flush()
-      printf "%d added, %d removed, %d moved lines%s\n", added, removed, moved, lines
+      printf "%d added, %d removed, %d moved lines; seconds %s%s\n",
+        added, removed, moved, secs, lines
     }' "$tmp/diff.txt")
   echo "$group: $report"
   if [ -s "$tmp/diff.txt" ]; then drift=1; fi

@@ -89,6 +89,31 @@ let libparam_parse s =
   L.register t ~lib:"vfs" ~name:"cache" (L.Bool false);
   accepts (L.parse t s)
 
+(* The store's on-disk lines and frames, as its writer leaves them: a
+   leaf frame and a commit frame, and the first line of a root slot, a
+   record header and a record trailer read back from a ramdisk. *)
+module St = Ukstore.Store
+module Tr = Ukstore.Tree
+
+let frame o =
+  St.encode_frame ~loc:(fun h -> (h land 0xffff, 90)) (Tr.hash_of_obj o) o ~addr:0x1200
+
+let first_line sec =
+  let s = Bytes.to_string sec in
+  String.sub s 0 (String.index s '\n' + 1)
+
+let slot_line, header_line, trailer_line =
+  let clock = Uksim.Clock.create () in
+  let dev = Ukblock.Virtio_blk.create_ramdisk ~clock ~capacity_sectors:64 () in
+  let read lba = Result.get_ok (dev.Ukblock.Blockdev.read_sync ~lba ~sectors:1) in
+  let t = Result.get_ok (St.format ~clock ~journal_sectors:8 dev) in
+  ignore (St.set t "k" "v");
+  ignore (St.commit t ());
+  (* One record of one payload sector: lba 2, 3 and 4. *)
+  (first_line (read 0), first_line (read 2), first_line (read 4))
+
+let on_sector f s = f (Bytes.of_string s) <> None
+
 let decoders =
   [
     { name = "Pkt.Eth.decode";
@@ -145,6 +170,21 @@ let decoders =
               [ { kind = "dispatch@0"; arity = 2; choice = 1 };
                 { kind = "steal_victim"; arity = 3; choice = 2 } ] };
       decode = (fun s -> Ukcheck.Schedule.of_string s <> None) };
+    { name = "Store.decode_frame (leaf)";
+      valid = frame (Tr.Node (Tr.Leaf [ ("key\x00one", 0x1234); ("\xffk2", 0x5678) ]));
+      decode = (fun s -> St.decode_frame s 0 <> None) };
+    { name = "Store.decode_frame (commit)";
+      valid = frame (Tr.Commit { root = 0xabc; parents = [ 0xdef; 0x123 ]; msg = "m\nsg" });
+      decode = (fun s -> St.decode_frame s 0 <> None) };
+    { name = "Store.parse_slot";
+      valid = slot_line;
+      decode = on_sector St.parse_slot };
+    { name = "Store.parse_jheader";
+      valid = header_line;
+      decode = on_sector St.parse_jheader };
+    { name = "Store.parse_jtrailer";
+      valid = trailer_line;
+      decode = on_sector St.parse_jtrailer };
   ]
 
 (* The seeds themselves must decode, or truncations and flips would only

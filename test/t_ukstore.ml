@@ -31,6 +31,43 @@ let counting name =
   let at = count () in
   fun () -> count () - at
 
+let read_sectors (dev : B.t) ~lba ~sectors =
+  match dev.B.read_sync ~lba ~sectors with
+  | Ok b -> b
+  | Error _ -> Alcotest.failf "read at lba %d failed" lba
+
+(* The records in the log below sector [upto], as (lba, payload sectors). *)
+let log_records (dev : B.t) ~upto =
+  let rec go lba acc =
+    if lba >= upto then List.rev acc
+    else
+      match St.parse_jheader (read_sectors dev ~lba ~sectors:1) with
+      | Some (_, psec, _) -> go (lba + 2 + psec) ((lba, psec) :: acc)
+      | None -> Alcotest.failf "no record header at lba %d" lba
+  in
+  go 2 []
+
+(* The payload of the record at [lba]. *)
+let record_payload (dev : B.t) (lba, psec) =
+  match St.parse_jtrailer (read_sectors dev ~lba:(lba + 1 + psec) ~sectors:1) with
+  | Some (_, plen, _) -> Bytes.sub_string (read_sectors dev ~lba:(lba + 1) ~sectors:psec) 0 plen
+  | None -> Alcotest.failf "no record trailer at lba %d" (lba + 1 + psec)
+
+(* The frames of the record at [lba], in payload order. *)
+let record_frames dev record =
+  let payload = record_payload dev record in
+  let rec go pos acc =
+    if pos >= String.length payload then List.rev acc
+    else
+      match St.decode_frame payload pos with
+      | Some ((_, _, _, flen, _) as frame) -> go (pos + flen) (frame :: acc)
+      | None -> Alcotest.failf "no frame at payload offset %d" pos
+  in
+  go 0 []
+
+(* Every frame in the log below sector [upto]. *)
+let log_frames dev ~upto = List.concat_map (record_frames dev) (log_records dev ~upto)
+
 (* --- basic KV + commit/checkout ------------------------------------------- *)
 
 let test_basic_kv () =
@@ -107,6 +144,38 @@ let test_remount_after_checkpoint () =
   Alcotest.(check (option string)) "cold read" (Some "val-49") (ok (St.get t' "key-07"));
   Alcotest.(check int) "cold reads miss the cache" 0 (hits ()) |> ignore;
   Alcotest.(check bool) "misses counted" true (misses () > 0)
+
+(* After a mount, the unchanged subtrees already have homes on the
+   medium: a commit journals only the path its change created, without
+   reading the rest of the tree back to write it again. It writes the
+   record the same commit writes on a store that was never remounted. *)
+let test_commit_after_mount_journals_only_new () =
+  let image () =
+    let c, dev, t = fresh () in
+    for i = 1 to 200 do
+      set t (Printf.sprintf "key-%03d" i) (Printf.sprintf "val-%d" i)
+    done;
+    ignore (commit t);
+    ok (St.checkpoint t);
+    (c, dev, t)
+  in
+  let one_key_commit (dev : B.t) t =
+    set t "key-001" "changed";
+    let reads () = Uktrace.Source.count dev.B.source "reads" in
+    let bytes = counting "journal_bytes" and at = reads () in
+    ignore (commit t);
+    (bytes (), reads () - at)
+  in
+  let _, live_dev, t = image () in
+  let live = one_key_commit live_dev t in
+  let c, dev, _ = image () in
+  let mounted = one_key_commit dev (ok (St.open_ ~clock:c dev)) in
+  Alcotest.(check (pair int int)) "journal bytes and device reads as on the live store" live
+    mounted;
+  let all (dev : B.t) = read_sectors dev ~lba:0 ~sectors:dev.B.capacity_sectors in
+  Alcotest.(check bool) "the same bytes on the medium" true (Bytes.equal (all live_dev) (all dev));
+  Alcotest.(check (option string)) "the commit survives a remount" (Some "changed")
+    (ok (St.get (ok (St.open_ ~clock:c dev)) "key-001"))
 
 let test_content_hash_matches_across_stores () =
   let _, _, t1 = fresh () in
@@ -411,16 +480,11 @@ let test_checkpoint_is_one_slot_write () =
           (ok (St.get t' (Printf.sprintf "key-%d" i)))
       done;
       let ss = dev.B.sector_size in
-      Hashtbl.iter
-        (fun _ (addr, len) -> if addr / ss <> (addr + len - 1) / ss then incr straddling)
-        t'.St.locs)
+      List.iter
+        (fun (_, _, addr, len, _) -> if addr / ss <> (addr + len - 1) / ss then incr straddling)
+        (log_frames dev ~upto:(St.log_head t')))
     [ 1; 5; 16 ];
   Alcotest.(check bool) "some cold frames straddle sectors" true (!straddling > 0)
-
-let read_sectors (dev : B.t) ~lba ~sectors =
-  match dev.B.read_sync ~lba ~sectors with
-  | Ok b -> b
-  | Error _ -> Alcotest.failf "read at lba %d failed" lba
 
 let write_sectors (dev : B.t) ~lba b =
   match dev.B.write_sync ~lba b with
@@ -901,15 +965,23 @@ let test_group_crash_property () =
 (* A device whose completions the test releases by hand: a write
    persists at submit (a crash budget counts sectors in submit order),
    but the store sees it complete only once [release] lets it through,
-   so a record and a slot write can be outstanding together. *)
+   so a record and a slot write can be outstanding together. The third
+   result counts the writes the store has submitted and not yet seen
+   complete. *)
 let held (dev : B.t) =
-  let allowed = ref 0 in
+  let allowed = ref 0 and outstanding = ref 0 in
+  let submit reqs =
+    let n = dev.B.submit reqs in
+    outstanding := !outstanding + n;
+    n
+  in
   let poll_completions ~max =
     let cs = dev.B.poll_completions ~max:(min max !allowed) in
     allowed := !allowed - List.length cs;
+    outstanding := !outstanding - List.length cs;
     cs
   in
-  ({ dev with B.poll_completions }, fun n -> allowed := n)
+  ({ dev with B.submit; poll_completions }, (fun n -> allowed := n), fun () -> !outstanding)
 
 (* Record A completes and its publish starts flip A; group B, joined
    while A was in flight, goes out before flip A completes. The device
@@ -920,7 +992,7 @@ let flip_crash_case arm =
   let c = clock () in
   let inner = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
   let fb = Fb.wrap ~clock:c ~rng:(Uksim.Rng.create 7) ~plan:(Fb.plan ()) inner in
-  let dev, release = held (Fb.dev fb) in
+  let dev, release, outstanding = held (Fb.dev fb) in
   let t = ok (St.format ~clock:c ~journal_sectors:3 dev) in
   release max_int;
   set t "base" "b";
@@ -939,7 +1011,7 @@ let flip_crash_case arm =
   let b = join [ "b1"; "b2"; "b3" ] in
   release 1;
   ignore (St.reap t);
-  let both = t.St.flip <> None && t.St.flight <> None in
+  let both = outstanding () = 2 (* a record and a flip *) in
   release 1;
   ignore (St.reap t);
   let flip_a = flips () > 0 in
@@ -1008,6 +1080,167 @@ let test_served_flips_beside_records () =
       (ok (St.get t' (Printf.sprintf "c%d-9" i)))
   done
 
+(* --- the frame writer against Printf ---------------------------------------------- *)
+
+(* The on-disk grammar as Printf writes it: the store's encoder before
+   its cursor writer, kept as the reference the writer must match byte
+   for byte. [loc] locates child refs. *)
+module Ref = struct
+  let hex s =
+    let b = Buffer.create (String.length s * 2) in
+    String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+    Buffer.contents b
+
+  let body ~loc (o : Tr.obj) =
+    let b = Buffer.create 128 in
+    (match o with
+    | Tr.Blob v -> Buffer.add_string b v
+    | Tr.Node (Tr.Leaf entries) ->
+        Buffer.add_string b (Printf.sprintf "L %d\n" (List.length entries));
+        List.iter
+          (fun (k, vh) ->
+            let addr, len = loc vh in
+            Buffer.add_string b (Printf.sprintf "%016x %x %d %s\n" vh addr len (hex k)))
+          entries
+    | Tr.Node (Tr.Branch (n, kids)) ->
+        Buffer.add_string b (Printf.sprintf "T %d %d\n" n (List.length kids));
+        List.iter
+          (fun (nb, ch) ->
+            let addr, len = loc ch in
+            Buffer.add_string b (Printf.sprintf "%d %016x %x %d\n" nb ch addr len))
+          kids
+    | Tr.Commit { root; parents; msg } ->
+        let raddr, rlen = loc root in
+        Buffer.add_string b
+          (Printf.sprintf "C %016x %x %d %d %s\n" root raddr rlen (List.length parents) (hex msg));
+        List.iter
+          (fun p ->
+            let paddr, plen = loc p in
+            Buffer.add_string b (Printf.sprintf "%016x %x %d\n" p paddr plen))
+          parents);
+    Buffer.contents b
+
+  let kind = function Tr.Blob _ -> 'b' | Tr.Node _ -> 'n' | Tr.Commit _ -> 'c'
+
+  let frame ~loc h o ~addr =
+    let body = body ~loc o in
+    Printf.sprintf "o %016x %c %08d %08x\n%s" h (kind o) (String.length body) addr body
+
+  let line core = Printf.sprintf "%s %016x\n" core (Ukvfs.Digest.fnv_string core)
+
+  (* [line] at the start of a zeroed sector. *)
+  let sector ss line = line ^ String.make (ss - String.length line) '\000'
+
+  (* A record: header sector, payload sectors, trailer sector. *)
+  let record ss ~seq ~ch payload =
+    let plen = String.length payload in
+    let psec = max 1 ((plen + ss - 1) / ss) in
+    sector ss (line (Printf.sprintf "%s %d %d %016x" St.jr_magic seq psec ch))
+    ^ payload
+    ^ String.make ((psec * ss) - plen) '\000'
+    ^ sector ss
+        (line
+           (Printf.sprintf "%s %d %d %016x" St.jc_magic seq plen
+              (Ukvfs.Digest.string_hash payload)))
+
+  let slot ss (epoch, jcap, head, haddr, hlen, aseq, pos) =
+    sector ss
+      (line
+         (Printf.sprintf "%s %d %d %016x %x %d %d %d" St.slot_magic epoch jcap head haddr hlen aseq
+            pos))
+end
+
+(* Hashes, addresses and lengths with their edge values: hashes 0 and
+   max_int, addresses 0 and max_addr, lengths 0. *)
+let hash_gen = QCheck.Gen.(oneof [ oneofl [ 0; max_int ]; map abs int ])
+let addr_gen = QCheck.Gen.(oneof [ oneofl [ 0; St.max_addr ]; int_bound St.max_addr ])
+let len_gen = QCheck.Gen.(oneof [ return 0; small_nat; int_bound 99_999_999 ])
+
+(* An object, and its child refs as (hash, address, length). *)
+let obj_gen =
+  let open QCheck.Gen in
+  let child = triple hash_gen addr_gen len_gen in
+  let upto n = string_size ~gen:char (int_bound n) in
+  oneof
+    [
+      map (fun v -> (Tr.Blob v, [])) (upto 300);
+      map
+        (fun es ->
+          (Tr.Node (Tr.Leaf (List.map (fun (k, (h, _, _)) -> (k, h)) es)), List.map snd es))
+        (list_size (int_bound 8) (pair (upto 24) child));
+      map2
+        (fun n ks ->
+          (Tr.Node (Tr.Branch (n, List.map (fun (nb, (h, _, _)) -> (nb, h)) ks)), List.map snd ks))
+        (oneof [ small_nat; int ])
+        (list_size (int_bound 16) (pair (int_bound 15) child));
+      map3
+        (fun ((root, _, _) as r) ps msg ->
+          (Tr.Commit { root; parents = List.map (fun (h, _, _) -> h) ps; msg }, r :: ps))
+        child (list_size (int_bound 2) child) (upto 40);
+    ]
+
+let frame_case_gen = QCheck.Gen.triple obj_gen hash_gen addr_gen
+
+(* Where [refs] locates child [c]: at its first ref, since a child named
+   twice is written with one location. *)
+let located refs c =
+  match List.find_opt (fun (h, _, _) -> h = c) refs with Some (_, a, l) -> (a, l) | None -> (0, 0)
+
+let prop_frame_writer_matches_printf =
+  QCheck.Test.make ~name:"frame writer matches the Printf encoder" ~count:1000
+    (QCheck.make
+       ~print:(fun ((o, refs), h, addr) ->
+         Printf.sprintf "h=%x addr=%x %S" h addr (Ref.frame ~loc:(located refs) h o ~addr))
+       frame_case_gen)
+    (fun ((o, refs), h, addr) ->
+      let loc = located refs in
+      let frame = St.encode_frame ~loc h o ~addr in
+      let refs = List.map (fun (c, _, _) -> let a, l = loc c in (c, a, l)) refs in
+      frame = Ref.frame ~loc h o ~addr
+      && St.decode_frame frame 0 = Some (h, o, addr, String.length frame, refs))
+
+(* Every record a store writes, and its root slot, is the reference
+   assembly of its frames: keys, values and messages of arbitrary bytes,
+   several commits, and a checkpoint. Child refs are located from the
+   frames themselves, not from what the writer recorded. *)
+let prop_records_match_printf =
+  let upto n = QCheck.Gen.(string_size ~gen:char (int_range 0 n)) in
+  QCheck.Test.make ~name:"records and root slots match the Printf assembly" ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 4)
+           (pair (list_size (int_range 1 30) (pair (upto 12) (upto 600))) (upto 40))))
+    (fun commits ->
+      let _, dev, t = fresh () in
+      List.iter
+        (fun (kvs, msg) ->
+          List.iter (fun (k, v) -> set t k v) kvs;
+          ignore (St.commit t ~msg ()))
+        commits;
+      ok (St.checkpoint t);
+      let ss = dev.B.sector_size in
+      let records = log_records dev ~upto:(St.log_head t) in
+      let homes = Hashtbl.create 64 in
+      List.iter
+        (fun (h, _, addr, flen, _) -> Hashtbl.replace homes h (addr, flen))
+        (log_frames dev ~upto:(St.log_head t));
+      let loc h = if h = St.null then (0, 0) else Hashtbl.find homes h in
+      List.for_all
+        (fun ((lba, psec) as record) ->
+          let seq, _, ch = Option.get (St.parse_jheader (read_sectors dev ~lba ~sectors:1)) in
+          let frame (h, o, addr, _, _) = Ref.frame ~loc h o ~addr in
+          let payload = String.concat "" (List.map frame (record_frames dev record)) in
+          Bytes.to_string (read_sectors dev ~lba ~sectors:(2 + psec))
+          = Ref.record ss ~seq ~ch payload)
+        records
+      && List.for_all
+           (fun lba ->
+             let sec = read_sectors dev ~lba ~sectors:1 in
+             match St.parse_slot sec with
+             | Some fields -> Bytes.to_string sec = Ref.slot ss fields
+             | None -> false)
+           [ 0; 1 ])
+
 (* --- hostile bytes ------------------------------------------------------------------ *)
 
 (* A committed image with both kinds of record: some folded by a
@@ -1021,7 +1254,7 @@ let hostile_image =
        if i mod 3 = 0 then ignore (commit ~msg:(Printf.sprintf "c%d" i) t);
        if i = 6 then ok (St.checkpoint t)
      done;
-     let used = t.St.log_head in
+     let used = St.log_head t in
      (read_sectors dev ~lba:0 ~sectors:used, used))
 
 (* Random byte overwrites of that image: slots, headers, payloads and
@@ -1080,18 +1313,16 @@ let test_space () =
    (~195k sectors), it still round-trips, and [format] refuses a device
    whose last byte address would not fit. *)
 let test_frame_address_width () =
-  let c, dev, t = fresh () in
+  let c, dev, _ = fresh () in
   let o = Tr.Blob "v" in
   let h = Tr.hash_of_obj o in
   List.iter
     (fun addr ->
-      let frame = St.encode_frame t h o ~addr in
+      let frame = St.encode_frame ~loc:(fun _ -> (0, 0)) h o ~addr in
       Alcotest.(check int) (Printf.sprintf "%d: fixed-width header" addr) (St.frame_header + 1)
         (String.length frame);
-      let h', o', addr', flen, _ = St.decode_frame t frame 0 in
-      Alcotest.(check bool) (Printf.sprintf "%d: same object" addr) true (h' = h && o' = o);
-      Alcotest.(check int) (Printf.sprintf "%d: own address" addr) addr addr';
-      Alcotest.(check int) (Printf.sprintf "%d: frame length" addr) (String.length frame) flen)
+      Alcotest.(check bool) (Printf.sprintf "%d: same object, address and length" addr) true
+        (St.decode_frame frame 0 = Some (h, o, addr, String.length frame, [])))
     [ 99_999_999; 100_000_000; St.max_addr ];
   let sized n = { dev with B.capacity_sectors = n } in
   let last = (St.max_addr + 1) / dev.B.sector_size in
@@ -1186,6 +1417,8 @@ let suite =
     ("clean commit is no-op", `Quick, test_empty_commit_noop);
     ("remount replays journal", `Quick, test_remount_replays_journal);
     ("remount after checkpoint", `Quick, test_remount_after_checkpoint);
+    ("commit after a mount journals only new objects", `Quick,
+     test_commit_after_mount_journals_only_new);
     ("content hash across stores", `Quick, test_content_hash_matches_across_stores);
     QCheck_alcotest.to_alcotest prop_commit_checkout_roundtrip;
     QCheck_alcotest.to_alcotest prop_structural_hash_order_independent;
@@ -1211,6 +1444,8 @@ let suite =
     ("group commit loses no acked COMMIT at any crash point", `Quick, test_group_crash_property);
     ("crash matrix with a flip in flight", `Quick, test_flip_crash_matrix);
     ("served store with flips beside records", `Quick, test_served_flips_beside_records);
+    QCheck_alcotest.to_alcotest prop_frame_writer_matches_printf;
+    QCheck_alcotest.to_alcotest prop_records_match_printf;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mount_total;
     ("500 commits fit a 16k-sector device", `Quick, test_space);
     ("frame address width", `Quick, test_frame_address_width);
