@@ -337,7 +337,7 @@ let abl_wheel =
     run =
       (fun () ->
         let n = scaled 200_000 in
-        let wheel_ops =
+        let wheel_ops, wheel_fired =
           let w = Uktime.Wheel.create ~now:0 () in
           let t0 = Unix.gettimeofday () in
           for i = 1 to n do
@@ -345,23 +345,31 @@ let abl_wheel =
             (* 90% of TCP retransmit timers are cancelled by the ACK. *)
             if i mod 10 <> 0 then ignore (Uktime.Wheel.cancel w timer)
           done;
-          ignore (Uktime.Wheel.advance w ~now:(n * 800));
-          Unix.gettimeofday () -. t0
+          let fired = Uktime.Wheel.advance w ~now:(n * 800) in
+          (Unix.gettimeofday () -. t0, fired)
         in
-        let heap_ops =
+        let heap_ops, heap_fired =
           let h = Uksim.Heapq.create () in
           let t0 = Unix.gettimeofday () in
           for i = 1 to n do
-            (* Heaps cannot cancel in O(1): the dead entry stays queued
-               and is skipped at pop (the standard workaround). *)
-            Heapq_cancel.push h (i * 777) (i mod 10 = 0)
+            (* The heap marks a cancelled entry and drops it at pop, or
+               in a rebuild once marked entries outnumber live ones. *)
+            let timer = Uksim.Heapq.push h (i * 777) () in
+            if i mod 10 <> 0 then Uksim.Heapq.cancel h timer
           done;
-          ignore (Heapq_cancel.drain h);
-          Unix.gettimeofday () -. t0
+          let rec drain fired =
+            match Uksim.Heapq.pop h with Some _ -> drain (fired + 1) | None -> fired
+          in
+          let fired = drain 0 in
+          (Unix.gettimeofday () -. t0, fired)
         in
-        row "wheel: %7.1f ms real for %d arm/cancel + advance\n" (wheel_ops *. 1e3) n;
-        row "heap:  %7.1f ms real for the same workload\n" (heap_ops *. 1e3);
-        row "=> both engines drain correctly; the wheel cancels in O(1) and never\n   pays log n per arm (structural, independent of constants)\n");
+        row "wheel: %7.1f ms real for %d arm/cancel + advance (%d fired)\n" (wheel_ops *. 1e3) n
+          wheel_fired;
+        row "heap:  %7.1f ms real for the same workload (%d fired)\n" (heap_ops *. 1e3) heap_fired;
+        row
+          "=> both fire the same timers and both cancel in O(1), the heap amortized.\n\
+          \   A heap arm is O(log n) in general but O(1) here, where deadlines come\n\
+          \   in order (as a fixed RTO makes them); the wheel arms in O(1) in any order\n");
   }
 
 (* The fast-path ablation matrix (the PR's headline experiment): an

@@ -191,9 +191,11 @@ module Icmp = struct
     end
 end
 
+(* The pseudo-header's six 16-bit words, summed unfolded: [W.checksum]
+   folds its [initial] with the rest. *)
 let pseudo_sum ~src ~dst ~proto ~len =
   let s = Addr.Ipv4.to_int src and d = Addr.Ipv4.to_int dst in
-  W.sum_words [ s lsr 16; s land 0xffff; d lsr 16; d land 0xffff; proto; len ]
+  (s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff) + proto + len
 
 module Udp = struct
   type t = { src_port : int; dst_port : int }

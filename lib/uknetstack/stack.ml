@@ -237,7 +237,10 @@ let tcp_io t : Tcp.io =
               output_ip t ~proto:Pkt.Ipv4.Tcp ~dst:rip nb);
           set_timer =
             (fun conn ~delay_cycles ->
-              Uksim.Engine.after t.engine delay_cycles (fun () -> Tcp.on_timer conn));
+              let timer =
+                Uksim.Engine.arm t.engine delay_cycles (fun () -> Tcp.on_timer conn)
+              in
+              fun () -> Uksim.Engine.cancel t.engine timer);
           wake =
             (fun tid -> match t.sched with Some s -> Uksched.Sched.wake s tid | None -> ());
           retransmitted =

@@ -77,6 +77,7 @@ type conn = {
   mutable rx_sink : (Nb.t -> unit) option; (* fast path: in-order data handler *)
   (* timers / loss recovery *)
   mutable timer_deadline : int option;
+  mutable cancel_timer : unit -> unit; (* unschedules the pending timer event *)
   mutable backoff : int;
   mutable attempts : int; (* consecutive RTOs without progress *)
   mutable dupacks : int;
@@ -92,7 +93,7 @@ and io = {
   now_cycles : unit -> int;
   charge : int -> unit;
   tx_segment : conn -> Pkt.Tcp.t -> tx_payload -> unit;
-  set_timer : conn -> delay_cycles:int -> unit;
+  set_timer : conn -> delay_cycles:int -> unit -> unit;
   wake : Uksched.Sched.tid -> unit;
   retransmitted : fast:bool -> unit;
   notify_accept : conn -> unit;
@@ -146,12 +147,20 @@ let tx c ?(syn = false) ?(ack_flag = true) ?(fin = false) ?(rst = false) ?(psh =
 
 let send_ack c = tx c ~seq:c.snd_nxt (Tx_bytes Bytes.empty)
 
-let arm_timer c delay =
-  let deadline = c.io.now_cycles () + delay in
-  c.timer_deadline <- Some deadline;
-  c.io.set_timer c ~delay_cycles:delay
+let no_timer () = ()
 
-let disarm_timer c = c.timer_deadline <- None
+(* A connection keeps at most one timer event scheduled: re-arming
+   cancels the previous one, so an ACK-paced flow does not leave one
+   stale event per ACK queued until its deadline. *)
+let arm_timer c delay =
+  c.cancel_timer ();
+  c.timer_deadline <- Some (c.io.now_cycles () + delay);
+  c.cancel_timer <- c.io.set_timer c ~delay_cycles:delay
+
+let disarm_timer c =
+  c.timer_deadline <- None;
+  c.cancel_timer ();
+  c.cancel_timer <- no_timer
 
 let make io ~local ~remote ~st =
   {
@@ -174,6 +183,7 @@ let make io ~local ~remote ~st =
     fin_received = false;
     rx_sink = None;
     timer_deadline = None;
+    cancel_timer = no_timer;
     backoff = 1;
     attempts = 0;
     dupacks = 0;

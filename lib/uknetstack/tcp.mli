@@ -45,9 +45,11 @@ type io = {
   tx_segment : conn -> Pkt.Tcp.t -> tx_payload -> unit;
       (** hand a fully-specified segment (header template + payload) to the
           IP layer; ports are already filled in *)
-  set_timer : conn -> delay_cycles:int -> unit;
-      (** arm (or re-arm) the connection's retransmission timer; the stack
-          must call {!on_timer} when it fires *)
+  set_timer : conn -> delay_cycles:int -> unit -> unit;
+      (** schedule the connection's retransmission timer and return what
+          cancels it; the stack must call {!on_timer} when it fires. A
+          connection cancels its previous timer before it sets a new one
+          and when it disarms, so at most one is ever pending. *)
   wake : Uksched.Sched.tid -> unit;
   retransmitted : fast:bool -> unit;
       (** a segment went out again: on a retransmission timeout, or on

@@ -9,8 +9,8 @@ val set_u16 : bytes -> int -> int -> unit
 val set_u32 : bytes -> int -> int -> unit
 
 val checksum : ?initial:int -> bytes -> off:int -> len:int -> int
-(** RFC 1071 one's-complement sum, finalized (complemented, 16-bit).
-    [initial] is an un-complemented partial sum (e.g. a pseudo-header). *)
-
-val sum_words : int list -> int
-(** Partial sum over 16-bit words given as ints. *)
+(** RFC 1071 one's-complement sum of the [len] bytes at [off], finalized
+    (complemented, 16-bit). [initial] is a non-negative un-complemented
+    partial sum (e.g. a pseudo-header's words, folded or not). Raises
+    [Invalid_argument] unless [0 <= off], [0 <= len] and
+    [off + len <= Bytes.length b]. *)

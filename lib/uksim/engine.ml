@@ -8,13 +8,21 @@ let create clock = { clock; queue = Heapq.create (); observer = None }
 let clock t = t.clock
 let set_observer t f = t.observer <- f
 
+type timer = (unit -> unit) Heapq.entry
+
 let at t cycle f =
   if cycle < Clock.cycles t.clock then invalid_arg "Engine.at: event in the past";
-  Heapq.push t.queue cycle f
+  ignore (Heapq.push t.queue cycle f)
 
 let after t d f =
   if d < 0 then invalid_arg "Engine.after: negative delay";
   at t (Clock.cycles t.clock + d) f
+
+let arm t d f =
+  if d < 0 then invalid_arg "Engine.arm: negative delay";
+  Heapq.push t.queue (Clock.cycles t.clock + d) f
+
+let cancel t timer = Heapq.cancel t.queue timer
 
 let after_ns t d = after t (Clock.cycles_of_ns d)
 let pending t = Heapq.length t.queue

@@ -20,8 +20,22 @@ val after : t -> int -> (unit -> unit) -> unit
 
 val after_ns : t -> float -> (unit -> unit) -> unit
 
+type timer
+(** An event scheduled with {!arm}, which {!cancel} can take back. *)
+
+val arm : t -> int -> (unit -> unit) -> timer
+(** [arm t d f] schedules [f] [d] cycles from now, like {!after}, and
+    returns a handle that cancels it. Negative [d] raises
+    [Invalid_argument]. *)
+
+val cancel : t -> timer -> unit
+(** [cancel t timer] unschedules the event: it never runs and never
+    advances the clock. Cancelling an event that already ran, or was
+    already cancelled, does nothing. Amortized O(1). *)
+
 val pending : t -> int
-(** Number of scheduled, not-yet-run events. *)
+(** Number of scheduled events that have neither run nor been
+    cancelled. *)
 
 val next_at : t -> int option
 (** Absolute cycle of the earliest queued event, if any. Lets a

@@ -2,9 +2,9 @@
 
     Kernel network stacks arm and cancel enormous numbers of short timers
     (TCP retransmission, delayed ACK); a hashed hierarchical wheel gives
-    O(1) insert/cancel where a heap pays O(log n). Four levels of 256
-    slots at increasing granularity, cascading on overflow — the classic
-    Varghese-Lauck design used by Linux and lwIP.
+    O(1) insert and cancel, where a heap pays O(log n) per insert. Four
+    levels of 256 slots at increasing granularity, cascading on overflow —
+    the classic Varghese-Lauck design used by Linux and lwIP.
 
     Time is the simulation's cycle counter; {!advance} fires due timers in
     order of their slots (within one slot, insertion order). *)

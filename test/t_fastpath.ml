@@ -151,7 +151,7 @@ let fake_io net : Tcp.io =
               b
         in
         net.sent <- (hdr, data) :: net.sent);
-    set_timer = (fun _ ~delay_cycles:_ -> ());
+    set_timer = (fun _ ~delay_cycles:_ -> ignore);
     wake = (fun _ -> ());
     retransmitted = (fun ~fast:_ -> ());
     notify_accept = (fun _ -> ());

@@ -40,6 +40,74 @@ let test_checksum_odd_length () =
   let c = W.checksum b ~off:0 ~len:3 in
   Alcotest.(check bool) "16-bit" true (c >= 0 && c <= 0xffff)
 
+(* RFC 1071 byte by byte: big-endian 16-bit words, an odd last byte
+   padded with a zero low byte, carries folded, complemented. The
+   reference the word-wise [W.checksum] must match. *)
+let ref_checksum ~initial b ~off ~len =
+  let s = ref initial in
+  for i = 0 to len - 1 do
+    let v = Char.code (Bytes.get b (off + i)) in
+    s := !s + if i land 1 = 0 then v lsl 8 else v
+  done;
+  let rec fold s = if s > 0xffff then fold ((s land 0xffff) + (s lsr 16)) else s in
+  lnot (fold !s) land 0xffff
+
+(* A buffer as runs of 0x00, of 0xff and of arbitrary bytes, and an
+   [initial] that is 0, 0xffff, any 16-bit value, or a TCP/UDP
+   pseudo-header's unfolded word sum as [Pkt] computes it. Every [off] is
+   checked, each with every [len] up to 24 (all 0-7-byte tails past the
+   64-bit words, odd and even) and with the whole rest of the buffer. *)
+let checksum_matches_reference_prop =
+  let run =
+    QCheck.Gen.(
+      pair (int_bound 2) (int_range 1 64) >>= fun (kind, n) ->
+      match kind with
+      | 0 -> return (String.make n '\x00')
+      | 1 -> return (String.make n '\xff')
+      | _ -> string_size ~gen:char (return n))
+  in
+  let pseudo =
+    QCheck.Gen.(
+      map
+        (fun (s, d, udp, len) ->
+          (s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff)
+          + (if udp then 17 else 6) + len)
+        (quad (int_bound 0xffff_ffff) (int_bound 0xffff_ffff) bool (int_bound 0xffff)))
+  in
+  let initial = QCheck.Gen.(oneof [ return 0; return 0xffff; int_bound 0xffff; pseudo ]) in
+  QCheck.Test.make ~name:"checksum equals the byte-wise RFC 1071 reference" ~count:150
+    QCheck.(
+      make
+        ~print:(fun (b, i) -> Printf.sprintf "initial=%d buf=%S" i b)
+        Gen.(pair (map (String.concat "") (list_size (int_bound 6) run)) initial))
+    (fun (str, initial) ->
+      let b = Bytes.of_string str in
+      let n = Bytes.length b in
+      let ok = ref true in
+      for off = 0 to n do
+        let check len =
+          if W.checksum ~initial b ~off ~len <> ref_checksum ~initial b ~off ~len then
+            ok := false
+        in
+        for len = 0 to min 24 (n - off) do
+          check len
+        done;
+        check (n - off)
+      done;
+      !ok)
+
+let test_checksum_range () =
+  let b = Bytes.make 16 'x' in
+  let bad name ~off ~len =
+    Alcotest.check_raises name (Invalid_argument "Wire_fmt.checksum") (fun () ->
+        ignore (W.checksum b ~off ~len))
+  in
+  bad "negative off" ~off:(-1) ~len:4;
+  bad "negative len" ~off:0 ~len:(-1);
+  bad "past the end" ~off:9 ~len:8;
+  bad "past the end from 0" ~off:0 ~len:17;
+  Alcotest.(check int) "empty range at the end" 0xffff (W.checksum b ~off:16 ~len:0)
+
 let test_eth_roundtrip () =
   let nb = Nb.of_bytes (Bytes.of_string "data") in
   let hdr = { P.Eth.dst = A.Mac.of_int 0x112233445566; src = A.Mac.of_int 0x665544332211;
@@ -131,7 +199,7 @@ let udp_tcp_roundtrip_prop =
 type fake_net = {
   clock : Uksim.Clock.t;
   mutable sent : (Tcp.conn * P.Tcp.t * bytes) list; (* reversed *)
-  mutable timers : (Tcp.conn * int) list;
+  mutable timers : (Tcp.conn * int) list; (* set and not yet cancelled *)
   mutable drop_next : int; (* drop this many upcoming segments *)
   mutable rexmits : int;
   mutable fast_rexmits : int;
@@ -157,7 +225,9 @@ let fake_io net : Tcp.io =
         else net.sent <- (conn, hdr, data) :: net.sent);
     set_timer =
       (fun conn ~delay_cycles ->
-        net.timers <- (conn, Uksim.Clock.cycles net.clock + delay_cycles) :: net.timers);
+        let timer = (conn, Uksim.Clock.cycles net.clock + delay_cycles) in
+        net.timers <- timer :: net.timers;
+        fun () -> net.timers <- List.filter (fun t -> t != timer) net.timers);
     wake = (fun _ -> ());
     retransmitted =
       (fun ~fast ->
@@ -214,7 +284,8 @@ let test_tcp_data_transfer () =
   Alcotest.(check int) "all queued" 9 n;
   deliver_all neta netb client server;
   Alcotest.(check (option string)) "received in order" (Some "hello tcp")
-    (Option.map Bytes.to_string (Tcp.recv server ~max:100))
+    (Option.map Bytes.to_string (Tcp.recv server ~max:100));
+  Alcotest.(check int) "the ACK cancelled the retransmit timer" 0 (List.length neta.timers)
 
 let test_tcp_large_transfer_segments () =
   let neta, netb, client, server = handshake () in
@@ -244,7 +315,23 @@ let test_tcp_retransmission () =
   deliver_all neta netb client server;
   Alcotest.(check (option string)) "recovered" (Some "lost-once")
     (Option.map Bytes.to_string (Tcp.recv server ~max:100));
-  Alcotest.(check int) "one retransmit counted" 1 neta.rexmits
+  Alcotest.(check int) "one retransmit counted" 1 neta.rexmits;
+  Alcotest.(check int) "no timer left set" 0 (List.length neta.timers)
+
+(* An ACK that leaves data in flight re-arms the retransmit timer; the
+   re-arm cancels the timer it replaces, so only one is ever set. *)
+let test_tcp_rearm_cancels () =
+  let neta, netb, client, server = handshake () in
+  ignore (Tcp.send client (Bytes.make (3 * Tcp.mss) 'r'));
+  let segs = take_sent neta in
+  Alcotest.(check int) "three segments in flight" 3 (List.length segs);
+  List.iter
+    (fun (_, hdr, payload) ->
+      Tcp.on_segment_nb server hdr (Nb.of_bytes payload);
+      List.iter (fun (_, h, p) -> Tcp.on_segment_nb client h (Nb.of_bytes p)) (take_sent netb);
+      Alcotest.(check bool) "at most one timer set" true (List.length neta.timers <= 1))
+    segs;
+  Alcotest.(check int) "all acknowledged: no timer set" 0 (List.length neta.timers)
 
 let test_tcp_fast_retransmit () =
   let neta, netb, client, server = handshake () in
@@ -553,7 +640,7 @@ let two_stacks () =
   let s2 = mk db "10.0.0.2" 0x2 in
   S.start s1;
   S.start s2;
-  (clock, sched, s1, s2)
+  (engine, sched, s1, s2)
 
 let test_stack_udp_echo () =
   let _, sched, s1, s2 = two_stacks () in
@@ -609,6 +696,44 @@ let test_stack_tcp_end_to_end () =
   Uksched.Sched.run sched;
   Alcotest.(check (list string)) "three echoes" [ "re:m1"; "re:m2"; "re:m3" ] (List.rev !got)
 
+(* Each request and each reply arms a retransmit timer that the peer's
+   ACK disarms. Disarming cancels the pending engine event, so however
+   many request/reply rounds one connection runs, the engine holds a
+   bounded number of pending events instead of one stale 200 ms timer
+   per ACK. *)
+let test_stack_timer_events_bounded () =
+  let engine, sched, s1, s2 = two_stacks () in
+  let rounds = 300 in
+  let pending = Array.make rounds 0 in
+  ignore
+    (Uksched.Sched.spawn sched ~name:"server" (fun () ->
+         let l = S.Tcp_socket.listen s1 ~port:80 () in
+         match S.Tcp_socket.accept ~block:true l with
+         | None -> ()
+         | Some flow ->
+             let rec serve () =
+               match S.Tcp_socket.recv ~block:true s1 flow ~max:4096 with
+               | None -> ()
+               | Some req ->
+                   ignore (S.Tcp_socket.send ~block:true s1 flow req);
+                   serve ()
+             in
+             serve ()));
+  ignore
+    (Uksched.Sched.spawn sched ~name:"client" (fun () ->
+         let flow = S.Tcp_socket.connect s2 ~dst:(A.Ipv4.of_string "10.0.0.1", 80) () in
+         for i = 0 to rounds - 1 do
+           ignore (S.Tcp_socket.send ~block:true s2 flow (Bytes.of_string "ping"));
+           ignore (S.Tcp_socket.recv ~block:true s2 flow ~max:4096);
+           pending.(i) <- Uksim.Engine.pending engine
+         done;
+         S.Tcp_socket.close s2 flow));
+  Uksched.Sched.run sched;
+  let most = Array.fold_left max 0 pending in
+  if most > 8 then
+    Alcotest.failf "pending events grew with the rounds: %d after round 1, %d after round %d"
+      pending.(0) pending.(rounds - 1) rounds
+
 let test_stack_arp_populated () =
   let _, sched, s1, s2 = two_stacks () in
   ignore
@@ -637,6 +762,8 @@ let suite =
     Alcotest.test_case "ipv4 addresses" `Quick test_ipv4_addr;
     Alcotest.test_case "rfc1071 checksum" `Quick test_checksum_rfc1071;
     Alcotest.test_case "checksum odd length" `Quick test_checksum_odd_length;
+    QCheck_alcotest.to_alcotest checksum_matches_reference_prop;
+    Alcotest.test_case "checksum range checks" `Quick test_checksum_range;
     Alcotest.test_case "ethernet roundtrip" `Quick test_eth_roundtrip;
     Alcotest.test_case "arp roundtrip" `Quick test_arp_roundtrip;
     Alcotest.test_case "ipv4 roundtrip" `Quick test_ipv4_roundtrip;
@@ -646,6 +773,7 @@ let suite =
     Alcotest.test_case "tcp data transfer" `Quick test_tcp_data_transfer;
     Alcotest.test_case "tcp segmentation (10KB)" `Quick test_tcp_large_transfer_segments;
     Alcotest.test_case "tcp RTO retransmission" `Quick test_tcp_retransmission;
+    Alcotest.test_case "tcp re-arm cancels the replaced timer" `Quick test_tcp_rearm_cancels;
     Alcotest.test_case "tcp fast retransmit" `Quick test_tcp_fast_retransmit;
     Alcotest.test_case "tcp close sequence" `Quick test_tcp_close_sequence;
     Alcotest.test_case "tcp reset" `Quick test_tcp_rst;
@@ -663,6 +791,8 @@ let suite =
       test_frag_reassembly_under_explored_orders;
     Alcotest.test_case "stack: udp echo" `Quick test_stack_udp_echo;
     Alcotest.test_case "stack: tcp end to end" `Quick test_stack_tcp_end_to_end;
+    Alcotest.test_case "stack: one pending timer event per connection" `Quick
+      test_stack_timer_events_bounded;
     Alcotest.test_case "stack: arp" `Quick test_stack_arp_populated;
     Alcotest.test_case "stack: udp port management" `Quick test_stack_port_management;
   ]

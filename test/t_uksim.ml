@@ -61,7 +61,9 @@ let test_rng_errors () =
 
 let test_heapq_order () =
   let h = Heapq.create () in
-  List.iter (fun (k, v) -> Heapq.push h k v) [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ];
+  List.iter
+    (fun (k, v) -> ignore (Heapq.push h k v))
+    [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ];
   let out = ref [] in
   let rec drain () =
     match Heapq.pop h with
@@ -75,7 +77,7 @@ let test_heapq_order () =
 
 let test_heapq_fifo_ties () =
   let h = Heapq.create () in
-  List.iter (fun v -> Heapq.push h 1 v) [ "first"; "second"; "third" ];
+  List.iter (fun v -> ignore (Heapq.push h 1 v)) [ "first"; "second"; "third" ];
   let take () = match Heapq.pop h with Some (_, v) -> v | None -> "" in
   let a = take () in
   let b = take () in
@@ -83,17 +85,44 @@ let test_heapq_fifo_ties () =
   Alcotest.(check (list string)) "FIFO among equal keys" [ "first"; "second"; "third" ]
     [ a; b; c ]
 
+(* Random push/cancel/pop interleavings against a model: the live
+   entries as a list of (key, insertion number), sorted. Every pop must
+   return the model's head, and [length] must equal the model's size
+   after every operation, across the rebuilds that many cancels force.
+   Op 0 pushes [arg] as the key, op 1 cancels the [arg]-th entry pushed
+   so far (popped and already-cancelled ones included), op 2 pops. *)
 let heapq_sorts_prop =
-  QCheck.Test.make ~name:"heapq pops in nondecreasing key order" ~count:200
-    QCheck.(list (int_bound 1000))
-    (fun keys ->
+  QCheck.Test.make ~name:"heapq pops in nondecreasing key order" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 400) (pair (int_bound 2) (int_bound 40)))
+    (fun ops ->
       let h = Heapq.create () in
-      List.iter (fun k -> Heapq.push h k k) keys;
-      let rec drain acc =
-        match Heapq.pop h with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
+      let pushed = ref [||] and model = ref [] in
+      let step (op, arg) =
+        (match op with
+        | 0 ->
+            let n = Array.length !pushed in
+            pushed := Array.append !pushed [| Heapq.push h arg n |];
+            model := List.merge compare !model [ (arg, n) ]
+        | 1 when Array.length !pushed > 0 ->
+            let n = arg mod Array.length !pushed in
+            Heapq.cancel h !pushed.(n);
+            model := List.filter (fun (_, m) -> m <> n) !model
+        | _ -> (
+            match (Heapq.pop h, !model) with
+            | None, [] -> ()
+            | Some (k, n), (k', n') :: rest when k = k' && n = n' -> model := rest
+            | _ -> QCheck.Test.fail_report "pop disagrees with the model"));
+        Heapq.length h = List.length !model
       in
-      let popped = drain [] in
-      popped = List.sort compare keys)
+      let rec drain () =
+        match (Heapq.pop h, !model) with
+        | None, [] -> true
+        | Some (k, n), (k', n') :: rest when k = k' && n = n' ->
+            model := rest;
+            drain ()
+        | _ -> false
+      in
+      List.for_all step ops && drain ())
 
 let test_engine_ordering () =
   let c = Clock.create () in
@@ -156,6 +185,45 @@ let test_engine_after_edges () =
   Engine.at e 10 (fun () -> ());
   Alcotest.(check int) "boundary event accepted" 1 (Engine.pending e)
 
+let test_engine_cancel () =
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let log = ref [] in
+  let a = Engine.arm e 50 (fun () -> log := "a" :: !log) in
+  let b = Engine.arm e 100 (fun () -> log := "b" :: !log) in
+  Engine.after e 30 (fun () -> log := "c" :: !log);
+  Engine.cancel e b;
+  Alcotest.(check int) "pending counts live events only" 2 (Engine.pending e);
+  Engine.cancel e b;
+  Alcotest.(check int) "cancelling twice does nothing" 2 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "cancelled event never ran" [ "c"; "a" ] (List.rev !log);
+  Alcotest.(check int) "cancelled event did not advance the clock" 50 (Clock.cycles c);
+  Engine.cancel e a;
+  Alcotest.(check int) "cancelling a fired event does nothing" 0 (Engine.pending e);
+  ignore (Engine.arm e 10 (fun () -> log := "d" :: !log));
+  Alcotest.(check int) "later events still counted" 1 (Engine.pending e);
+  Alcotest.(check (option int)) "next_at sees the live event" (Some 60) (Engine.next_at e);
+  Engine.run e;
+  Alcotest.(check (list string)) "later event ran" [ "c"; "a"; "d" ] (List.rev !log)
+
+let test_engine_cancel_head () =
+  (* The earliest event cancelled: [next_at] and [run ~until] skip it. *)
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let fired = ref 0 in
+  let first = Engine.arm e 100 (fun () -> incr fired) in
+  ignore (Engine.arm e 300 (fun () -> incr fired));
+  Engine.cancel e first;
+  Alcotest.(check (option int)) "next_at skips the cancelled head" (Some 300) (Engine.next_at e);
+  Engine.run ~until:200 e;
+  Alcotest.(check int) "nothing fired before the limit" 0 !fired;
+  Alcotest.(check int) "clock at the limit" 200 (Clock.cycles c);
+  Alcotest.check_raises "negative delay rejected" (Invalid_argument "Engine.arm: negative delay")
+    (fun () -> ignore (Engine.arm e (-1) (fun () -> ())));
+  Engine.run e;
+  Alcotest.(check int) "live event fired" 1 !fired
+
 let test_stats_percentiles () =
   let s = Stats.create () in
   for i = 1 to 100 do
@@ -205,6 +273,8 @@ let suite =
     Alcotest.test_case "engine cascade" `Quick test_engine_cascade;
     Alcotest.test_case "engine rejects past" `Quick test_engine_past;
     Alcotest.test_case "engine after: negative/zero edges" `Quick test_engine_after_edges;
+    Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
+    Alcotest.test_case "engine cancel of the earliest event" `Quick test_engine_cancel_head;
     Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "stats throughput" `Quick test_stats_throughput;
