@@ -48,6 +48,9 @@ let show name (r : Cluster.report) =
 let run_drill () =
   Bench.trial ();
   row "partition drill: diurnal load, 60s asymmetric partition, kill mid-migration\n";
+  (* The hosts calibrate their httpd image inside this window, whichever
+     groups ran (and calibrated it) before. *)
+  Ukfleet.Image.uncache Ukfleet.Image.httpd;
   let c =
     Cluster.create ~seed ~n_hosts:4
       ~router_params:(Router.params ~hedge:true ())

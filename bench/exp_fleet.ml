@@ -60,6 +60,9 @@ let show name (r : Fleet.report) =
 let run_calib () =
   Bench.trial ();
   row "calibrated costs (httpd image, firecracker)\n";
+  (* Measure the calibration here, even when an earlier group (chaos)
+     already calibrated the image. *)
+  Ukfleet.Image.uncache image;
   let f = Fleet.create ~image () in
   let c = Fleet.costs f in
   row "  cold boot  %8.3f ms   (vmm create + full guest boot)\n" (c.Fleet.cold_boot_ns /. 1e6);

@@ -15,6 +15,13 @@
    emitted results plus per-phase uktrace metrics snapshots. *)
 
 let () =
+  (* Sticky sources register on first use, and a metrics window lists
+     sources in registration order. Registered here, in the order a full
+     run first uses them, each sits at the same place in every window
+     whichever experiments --only selects. *)
+  List.iter
+    (fun source -> ignore (source ()))
+    [ Ukboot.Boot.source; Ukapps.Infer.source; Ukstore.Store.source ];
   Exp_build.register ();
   Exp_boot.register ();
   Exp_perf.register ();

@@ -9,7 +9,7 @@ type content =
 type t = {
   clock : Uksim.Clock.t;
   alloc : Ukalloc.Alloc.t;
-  content : content;
+  page : string -> (int * string) option; (* a path's body length and 200 reply *)
   core : int; (* tracepoint lane; the owning core under SMP *)
   group : Uktrace.Registry.group;
   requests : C.t;
@@ -36,43 +36,51 @@ let default_page =
 
 let charge t c = Uksim.Clock.advance t.clock c
 
-let lookup t path =
-  match t.content with
-  | In_memory pages -> (
-      match List.assoc_opt path pages with
-      | Some body -> Some body
-      | None -> None)
-  | Via_vfs vfs -> (
-      match Ukvfs.Vfs.open_file vfs path () with
-      | Error _ -> None
-      | Ok fd -> (
-          let result =
-            match Ukvfs.Vfs.stat vfs path with
-            | Ok { Ukvfs.Fs.size; _ } -> (
-                match Ukvfs.Vfs.pread vfs fd ~off:0 ~len:size with
-                | Ok data -> Some (Bytes.to_string data)
-                | Error _ -> None)
-            | Error _ -> None
-          in
-          ignore (Ukvfs.Vfs.close vfs fd);
-          result))
-  | Via_shfs shfs -> (
-      let name = match Ukvfs.Fs.split_path path with [ n ] -> n | _ -> path in
-      match Ukvfs.Shfs.open_direct shfs name with
-      | Error _ -> None
-      | Ok h ->
-          let size = Ukvfs.Shfs.size_direct shfs h in
-          let result =
-            match Ukvfs.Shfs.read_direct shfs h ~off:0 ~len:size with
-            | Ok data -> Some (Bytes.to_string data)
-            | Error _ -> None
-          in
-          Ukvfs.Shfs.close_direct shfs h;
-          result)
-
 let response ~status ~body =
-  Printf.sprintf "HTTP/1.1 %s\r\nServer: ukraft\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n%s"
-    status (String.length body) body
+  String.concat ""
+    [ "HTTP/1.1 "; status; "\r\nServer: ukraft\r\nContent-Length: ";
+      string_of_int (String.length body); "\r\nConnection: keep-alive\r\n\r\n"; body ]
+
+let ok body = (String.length body, response ~status:"200 OK" ~body)
+
+let read_vfs vfs path =
+  match Ukvfs.Vfs.open_file vfs path () with
+  | Error _ -> None
+  | Ok fd ->
+      let result =
+        match Ukvfs.Vfs.stat vfs path with
+        | Ok { Ukvfs.Fs.size; _ } -> (
+            match Ukvfs.Vfs.pread vfs fd ~off:0 ~len:size with
+            | Ok data -> Some (Bytes.to_string data)
+            | Error _ -> None)
+        | Error _ -> None
+      in
+      ignore (Ukvfs.Vfs.close vfs fd);
+      result
+
+let read_shfs shfs path =
+  let name = match Ukvfs.Fs.split_path path with [ n ] -> n | _ -> path in
+  match Ukvfs.Shfs.open_direct shfs name with
+  | Error _ -> None
+  | Ok h ->
+      let size = Ukvfs.Shfs.size_direct shfs h in
+      let result =
+        match Ukvfs.Shfs.read_direct shfs h ~off:0 ~len:size with
+        | Ok data -> Some (Bytes.to_string data)
+        | Error _ -> None
+      in
+      Ukvfs.Shfs.close_direct shfs h;
+      result
+
+(* [content]'s page lookup. An in-memory page's reply is rendered once,
+   here, in page order, so the first of a path listed twice still wins;
+   VFS and SHFS content is read and rendered per request. *)
+let lookup = function
+  | In_memory pages ->
+      let replies = List.map (fun (path, body) -> (path, ok body)) pages in
+      fun path -> List.assoc_opt path replies
+  | Via_vfs vfs -> fun path -> Option.map ok (read_vfs vfs path)
+  | Via_shfs shfs -> fun path -> Option.map ok (read_shfs shfs path)
 
 (* Specialized request handling: the request line is parsed in place in
    the driver's ring buffer (no per-request pool, no header
@@ -81,24 +89,35 @@ let response ~status ~body =
 let fast_parse_cost = 150
 let fast_respond_cost = 110
 
-(* Find "\r\n\r\n" in [buf] within [from, limit); the index after it. *)
+(* Find "\r\n\r\n" in [buf] within [from, limit); the index after it.
+   The scan reads the last byte of each window first: a '\n' there ends
+   a match or shifts the window by 2 (the pattern's other '\n' is at
+   offset 1), a '\r' (offset 0 or 2) shifts it by 1, and any other byte
+   shifts it past that byte. *)
 let find_reqend buf from limit =
   let rec go i =
     if i + 3 >= limit then None
-    else if
-      Bytes.get buf i = '\r'
-      && Bytes.get buf (i + 1) = '\n'
-      && Bytes.get buf (i + 2) = '\r'
-      && Bytes.get buf (i + 3) = '\n'
-    then Some (i + 4)
-    else go (i + 1)
+    else
+      match Bytes.get buf (i + 3) with
+      | '\n' ->
+          if Bytes.get buf (i + 2) = '\r' && Bytes.get buf (i + 1) = '\n' && Bytes.get buf i = '\r'
+          then Some (i + 4)
+          else go (i + 2)
+      | '\r' -> go (i + 1)
+      | _ -> go (i + 4)
   in
   go from
 
 (* Parse "GET <path> <version>" in place; the path is the only substring
    materialized (it is the lookup key, not payload). *)
 let parse_get buf rs limit =
-  if limit - rs > 4 && Bytes.sub_string buf rs 4 = "GET " then
+  if
+    limit - rs > 4
+    && Bytes.get buf rs = 'G'
+    && Bytes.get buf (rs + 1) = 'E'
+    && Bytes.get buf (rs + 2) = 'T'
+    && Bytes.get buf (rs + 3) = ' '
+  then
     match Bytes.index_from_opt buf (rs + 4) ' ' with
     | Some sp when sp < limit -> Some (Bytes.sub_string buf (rs + 4) (sp - rs - 4))
     | Some _ | None -> None
@@ -128,10 +147,10 @@ let handle t ~fast sink path =
             response ~status:"503 Service Unavailable" ~body:"overloaded"
         | None, _ -> response ~status:"400 Bad Request" ~body:"bad request"
         | Some path, _ -> (
-            match lookup t path with
-            | Some body ->
-                if not fast then charge t (Uksim.Cost.memcpy (String.length body));
-                response ~status:"200 OK" ~body
+            match t.page path with
+            | Some (body_len, reply) ->
+                if not fast then charge t (Uksim.Cost.memcpy body_len);
+                reply
             | None ->
                 C.incr t.errors_404;
                 response ~status:"404 Not Found" ~body:"not found")
@@ -152,7 +171,10 @@ let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) conten
   let errors_404 = Uktrace.Registry.counter group "errors_404" in
   let errors_503 = Uktrace.Registry.counter group "errors_503" in
   let bytes_sent = Uktrace.Registry.counter group "bytes_sent" in
-  let t = { clock; alloc; content; core; group; requests; errors_404; errors_503; bytes_sent } in
+  let t =
+    { clock; alloc; page = lookup content; core; group; requests; errors_404; errors_503;
+      bytes_sent }
+  in
   let fast = transport <> Serve.Socket in
   Serve.start transport ~name:"httpd" ~clock ~sched ~stack ~port ~frame
     ~handle:(handle t ~fast);

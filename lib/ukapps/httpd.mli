@@ -37,13 +37,22 @@ val serve : transport:Serve.transport -> make
     503) and pays the generic parse and respond costs. On
     {!Serve.Netbuf} (Fig 14's netbuf port) the request line is parsed in
     place, there is no pool, and the budget shrinks to a scan plus a
-    template write. *)
+    template write.
+
+    An [In_memory] page's 200 reply is rendered once, when the server is
+    created, and written as is for every GET of it on either transport;
+    VFS and SHFS content is rendered per request. *)
 
 val create : make
 (** [serve ~transport:Socket]. *)
 
 val create_fast : make
 (** [serve ~transport:(Netbuf {rtc = true})]. *)
+
+val frame : bytes -> int -> int -> string option Serve.frame
+(** The framer both transports run: a request ends at the blank line
+    after its headers. It carries [Some path] when its request line reads
+    [GET <path> <version>], [None] (answered 400) otherwise. *)
 
 val source : t -> Uktrace.Source.t
 (** The worker's ["ukapps.httpd"] source: [requests], [errors_404],

@@ -51,13 +51,11 @@ let () =
    timings show up in snapshots alongside every other subsystem. *)
 let boots = ref 0
 let last_report : report option ref = ref None
-let source_registered = ref false
 
-let register_source () =
-  if not !source_registered then begin
-    source_registered := true;
-    Uktrace.Registry.register ~sticky:true
-      (Uktrace.Source.make ~subsystem:"ukboot" ~name:"boot"
+let source =
+  lazy
+    (let s =
+       Uktrace.Source.make ~subsystem:"ukboot" ~name:"boot"
          ~reset:(fun () ->
            boots := 0;
            last_report := None)
@@ -72,11 +70,15 @@ let register_source () =
                       (fun p ->
                         ( Printf.sprintf "phase.%d.%s_ns" p.level p.phase,
                           Uktrace.Metric.Level p.duration_ns ))
-                      r.phases))
-  end
+                      r.phases)
+     in
+     Uktrace.Registry.register ~sticky:true s;
+     s)
+
+let source () = Lazy.force source
 
 let run ~clock ?main tab =
-  register_source ();
+  ignore (source ());
   let t0 = Uksim.Clock.ns clock in
   let phases =
     List.map

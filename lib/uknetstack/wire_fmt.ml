@@ -25,6 +25,25 @@ let partial_sum ?(initial = 0) b ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Wire_fmt.checksum";
   let stop = off + len in
   let s = ref 0 and i = ref off in
+  (* Four words a step, each load written out: a helper taking the
+     [int64] would box it on every call. *)
+  while !i + 32 <= stop do
+    let w0 = Bytes.get_int64_le b !i
+    and w1 = Bytes.get_int64_le b (!i + 8)
+    and w2 = Bytes.get_int64_le b (!i + 16)
+    and w3 = Bytes.get_int64_le b (!i + 24) in
+    s :=
+      !s
+      + (Int64.to_int w0 land 0xffff_ffff)
+      + Int64.to_int (Int64.shift_right_logical w0 32)
+      + (Int64.to_int w1 land 0xffff_ffff)
+      + Int64.to_int (Int64.shift_right_logical w1 32)
+      + (Int64.to_int w2 land 0xffff_ffff)
+      + Int64.to_int (Int64.shift_right_logical w2 32)
+      + (Int64.to_int w3 land 0xffff_ffff)
+      + Int64.to_int (Int64.shift_right_logical w3 32);
+    i := !i + 32
+  done;
   while !i + 8 <= stop do
     let w = Bytes.get_int64_le b !i in
     s := !s + (Int64.to_int w land 0xffff_ffff) + Int64.to_int (Int64.shift_right_logical w 32);

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI entry point: build, run the full test suite, run every bench group
 # once in fast mode (UKRAFT_FAST shrinks the workloads; runs are seeded
-# and deterministic, so any numeric drift is a real regression) and diff
-# that run against bench/baseline.
+# and deterministic, so any numeric drift is a real regression), check
+# that each group run alone with --only writes the same BENCH file, and
+# diff the full run against bench/baseline.
 #
 # Every pass/fail gate is declared next to its measurement with
 # Bench.gate or Bench.replay and lands in the "gates" object of its
@@ -35,6 +36,30 @@ if ! (cd "$bench" && UKRAFT_FAST=1 "$root/_build/default/bench/main.exe" >run.lo
   exit 1
 fi
 tail -1 "$bench/run.log"
+
+echo "== --only reproduces the full run (every group alone, fast mode) =="
+# A window lists its sources in registration order, and an image's
+# calibration is cached process-wide, so a group run alone could write
+# its BENCH file differently from the full run. Outside "seconds" lines
+# each must match the full run's.
+for base in bench/baseline/BENCH_*.json; do
+  f=$(basename "$base")
+  group=${f#BENCH_}
+  group=${group%.json}
+  mkdir "$bench/only-$group"
+  if ! (cd "$bench/only-$group" && UKRAFT_FAST=1 "$root/_build/default/bench/main.exe" --only "$group" >run.log 2>&1); then
+    tail -20 "$bench/only-$group/run.log"
+    echo "FAIL: --only $group exited non-zero"
+    exit 1
+  fi
+  grep -v '"seconds":' "$bench/$f" >"$bench/full.txt"
+  grep -v '"seconds":' "$bench/only-$group/$f" >"$bench/only.txt"
+  if ! diff "$bench/full.txt" "$bench/only.txt"; then
+    echo "FAIL: --only $group wrote $f differently from the full run"
+    exit 1
+  fi
+done
+echo "every group alone matches the full run"
 
 echo "== observability smoke (tracing on, fast workloads) =="
 mkdir "$bench/trace"

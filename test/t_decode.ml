@@ -114,6 +114,16 @@ let slot_line, header_line, trailer_line =
 
 let on_sector f s = f (Bytes.of_string s) <> None
 
+(* A framer accepts when it frames a request; a frame that ends outside
+   the bytes it was given is a failure, like an exception. *)
+let framed frame s =
+  let n = String.length s in
+  match frame (Bytes.of_string s) 0 n with
+  | Ukapps.Serve.Frame (_, next) ->
+      if next <= 0 || next > n then failwith "frame ends outside its input";
+      true
+  | Ukapps.Serve.Partial | Ukapps.Serve.Bad _ -> false
+
 let decoders =
   [
     { name = "Pkt.Eth.decode";
@@ -170,6 +180,12 @@ let decoders =
               [ { kind = "dispatch@0"; arity = 2; choice = 1 };
                 { kind = "steal_victim"; arity = 3; choice = 2 } ] };
       decode = (fun s -> Ukcheck.Schedule.of_string s <> None) };
+    { name = "Httpd.frame";
+      valid = "GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n";
+      decode = framed Ukapps.Httpd.frame };
+    { name = "Serve.line";
+      valid = "SET key:000001 xxx\n";
+      decode = framed Ukapps.Serve.line };
     { name = "Store.decode_frame (leaf)";
       valid = frame (Tr.Node (Tr.Leaf [ ("key\x00one", 0x1234); ("\xffk2", 0x5678) ]));
       decode = (fun s -> St.decode_frame s 0 <> None) };
@@ -194,6 +210,57 @@ let test_valid_seeds_decode () =
     (fun d -> Alcotest.(check bool) (d.name ^ " accepts its valid seed") true (d.decode d.valid))
     decoders
 
+(* httpd's framer as it was before its skip-scan, a byte at a time: the
+   first "\r\n\r\n" in [pos, limit), then the path of a "GET <path> "
+   request line. *)
+let bytewise_http_frame buf pos limit =
+  let rec find i =
+    if i + 4 > limit then None
+    else if Bytes.sub_string buf i 4 = "\r\n\r\n" then Some (i + 4)
+    else find (i + 1)
+  in
+  match find pos with
+  | None -> Ukapps.Serve.Partial
+  | Some next ->
+      let eol = Bytes.index_from buf pos '\r' in
+      let path =
+        if eol - pos > 4 && Bytes.sub_string buf pos 4 = "GET " then
+          match Bytes.index_from_opt buf (pos + 4) ' ' with
+          | Some sp when sp < eol -> Some (Bytes.sub_string buf (pos + 4) (sp - pos - 4))
+          | Some _ | None -> None
+        else None
+      in
+      Ukapps.Serve.Frame (path, next)
+
+(* Requests framed inside a larger buffer, as in a ring netbuf: 1-8
+   bytes before [pos], 0-300 bytes framed (in half the cases of 5 or
+   more, the first 5 are "GET /"), 1-8 bytes after [limit], all over the
+   bytes a request line and its blank line are made of, CR and LF the
+   likeliest. *)
+let http_frame_matches_bytewise_prop =
+  let open QCheck.Gen in
+  let text n =
+    string_size (return n)
+      ~gen:(frequencyl
+              [ (3, '\r'); (3, '\n'); (1, 'G'); (1, 'E'); (1, 'T'); (2, ' '); (1, '/'); (1, 'x') ])
+  in
+  let input =
+    map
+      (fun (before, (get, body), after) ->
+        let n = String.length body in
+        let body = if get && n >= 5 then "GET /" ^ String.sub body 5 (n - 5) else body in
+        (before ^ body ^ after, String.length before, String.length before + String.length body))
+      (triple (int_range 1 8 >>= text)
+         (pair bool (int_range 0 300 >>= text))
+         (int_range 1 8 >>= text))
+  in
+  QCheck.Test.make ~name:"Httpd.frame equals the byte-at-a-time framer" ~count:2000
+    (QCheck.make ~print:(fun (s, pos, limit) -> Printf.sprintf "pos=%d limit=%d %S" pos limit s) input)
+    (fun (s, pos, limit) ->
+      let buf = Bytes.of_string s in
+      Ukapps.Httpd.frame buf pos limit = bytewise_http_frame buf pos limit)
+
 let suite =
   Alcotest.test_case "every valid seed decodes" `Quick test_valid_seeds_decode
+  :: QCheck_alcotest.to_alcotest http_frame_matches_bytewise_prop
   :: List.map (fun d -> QCheck_alcotest.to_alcotest (total d)) decoders

@@ -728,6 +728,47 @@ let test_http_bad_length_ends_connection () =
       Alcotest.(check int) (tname ^ ": one error") 1 r.Ukapps.Load.errors)
     transports
 
+(* The reply renderer httpd used before it prebuilt its pages: every
+   reply it writes must match this byte for byte. *)
+let printf_response ~status ~body =
+  Printf.sprintf "HTTP/1.1 %s\r\nServer: ukraft\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n%s"
+    status (String.length body) body
+
+(* In-memory pages around the 612-byte page and one 1460-byte segment,
+   a path listed twice (the first body is served), a missing path and a
+   malformed request line, on the socket and run-to-completion netbuf
+   paths. *)
+let test_httpd_replies_byte_identical () =
+  let body n = String.init n (fun i -> Char.chr (33 + (i * 7 mod 94))) in
+  let sized = List.map (fun n -> (Printf.sprintf "/b%d" n, body n)) [ 0; 1; 612; 1460; 1461; 3000 ] in
+  let pages = sized @ [ ("/dup", "first body"); ("/dup", "the second, longer body") ] in
+  let get path = Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" path in
+  let stream =
+    String.concat "" (List.map (fun (path, _) -> get path) sized)
+    ^ get "/dup" ^ get "/missing" ^ "BAD\r\n\r\n"
+  in
+  let expect =
+    String.concat ""
+      (List.map (fun (_, body) -> printf_response ~status:"200 OK" ~body) sized
+      @ [ printf_response ~status:"200 OK" ~body:"first body";
+          printf_response ~status:"404 Not Found" ~body:"not found";
+          printf_response ~status:"400 Bad Request" ~body:"bad request" ])
+  in
+  List.iter
+    (fun (tname, transport) ->
+      let start ~clock ~engine:_ ~sched ~stack =
+        ignore
+          (Ukapps.Httpd.serve ~transport ~clock ~sched ~stack ~alloc:(alloc clock)
+             (Ukapps.Httpd.In_memory pages))
+      in
+      let got, _ =
+        seam_exchange (seam_rig start) ~port:80
+          ~complete:(fun s -> String.length s >= String.length expect)
+          [ stream ]
+      in
+      Alcotest.(check string) (tname ^ ": every reply byte") expect got)
+    [ ("socket", Ukapps.Serve.Socket); ("netbuf", netbuf) ]
+
 (* Request order through a deferred reply, on every transport: the
    COMMIT is answered with the commit its record made durable, and the
    GET and ROOT pipelined behind it come after it. *)
@@ -1045,6 +1086,8 @@ let suite =
       test_close_mid_load;
     Alcotest.test_case "unusable Content-Length ends the connection" `Quick
       test_http_bad_length_ends_connection;
+    Alcotest.test_case "httpd replies are byte-identical to the Printf renderer" `Quick
+      test_httpd_replies_byte_identical;
     Alcotest.test_case "each layer counts a packet once" `Quick test_cluster_counts_once;
     Alcotest.test_case "a fault-free wrapper counts nothing twice" `Quick
       test_faultnet_counts_nothing;

@@ -52,11 +52,14 @@ let ref_checksum ~initial b ~off ~len =
   let rec fold s = if s > 0xffff then fold ((s land 0xffff) + (s lsr 16)) else s in
   lnot (fold !s) land 0xffff
 
-(* A buffer as runs of 0x00, of 0xff and of arbitrary bytes, and an
-   [initial] that is 0, 0xffff, any 16-bit value, or a TCP/UDP
-   pseudo-header's unfolded word sum as [Pkt] computes it. Every [off] is
-   checked, each with every [len] up to 24 (all 0-7-byte tails past the
-   64-bit words, odd and even) and with the whole rest of the buffer. *)
+(* A buffer as runs of 0x00, of 0xff and of arbitrary bytes, padded with
+   arbitrary bytes to at least 107, and an [initial] that is 0, 0xffff,
+   any 16-bit value, or a TCP/UDP pseudo-header's unfolded word sum as
+   [Pkt] computes it. Every [off] is checked, each with every [len] up to
+   24 and with the whole rest of the buffer; [off] 0 to 7 also with every
+   [len] up to 100. That covers zero to three 32-byte blocks, each
+   followed by every tail of 8-byte words, a 16-bit word and an odd
+   byte. *)
 let checksum_matches_reference_prop =
   let run =
     QCheck.Gen.(
@@ -65,6 +68,17 @@ let checksum_matches_reference_prop =
       | 0 -> return (String.make n '\x00')
       | 1 -> return (String.make n '\xff')
       | _ -> string_size ~gen:char (return n))
+  in
+  let min_len = 7 + 100 in
+  let buffer =
+    QCheck.Gen.(
+      map2
+        (fun runs pad ->
+          let s = String.concat "" runs in
+          let n = String.length s in
+          if n >= min_len then s else s ^ String.sub pad 0 (min_len - n))
+        (list_size (int_bound 6) run)
+        (string_size ~gen:char (return min_len)))
   in
   let pseudo =
     QCheck.Gen.(
@@ -79,7 +93,7 @@ let checksum_matches_reference_prop =
     QCheck.(
       make
         ~print:(fun (b, i) -> Printf.sprintf "initial=%d buf=%S" i b)
-        Gen.(pair (map (String.concat "") (list_size (int_bound 6) run)) initial))
+        Gen.(pair buffer initial))
     (fun (str, initial) ->
       let b = Bytes.of_string str in
       let n = Bytes.length b in
@@ -89,7 +103,7 @@ let checksum_matches_reference_prop =
           if W.checksum ~initial b ~off ~len <> ref_checksum ~initial b ~off ~len then
             ok := false
         in
-        for len = 0 to min 24 (n - off) do
+        for len = 0 to min (if off < 8 then 100 else 24) (n - off) do
           check len
         done;
         check (n - off)
