@@ -327,51 +327,6 @@ let abl_bincompat =
           (float_of_int plain.Bin.cycles /. float_of_int rewritten.Bin.cycles));
   }
 
-(* Timer engines: hierarchical wheel vs binary heap under TCP-like timer
-   churn (arm + cancel dominate; few timers ever fire). *)
-let abl_wheel =
-  {
-    Bench.id = "abl-wheel";
-    group = "ablation";
-    descr = "ablation: timing wheel vs heap for TCP-style timers";
-    run =
-      (fun () ->
-        let n = scaled 200_000 in
-        let wheel_ops, wheel_fired =
-          let w = Uktime.Wheel.create ~now:0 () in
-          let t0 = Unix.gettimeofday () in
-          for i = 1 to n do
-            let timer = Uktime.Wheel.arm w ~deadline:(i * 777) (fun () -> ()) in
-            (* 90% of TCP retransmit timers are cancelled by the ACK. *)
-            if i mod 10 <> 0 then ignore (Uktime.Wheel.cancel w timer)
-          done;
-          let fired = Uktime.Wheel.advance w ~now:(n * 800) in
-          (Unix.gettimeofday () -. t0, fired)
-        in
-        let heap_ops, heap_fired =
-          let h = Uksim.Heapq.create () in
-          let t0 = Unix.gettimeofday () in
-          for i = 1 to n do
-            (* The heap marks a cancelled entry and drops it at pop, or
-               in a rebuild once marked entries outnumber live ones. *)
-            let timer = Uksim.Heapq.push h (i * 777) () in
-            if i mod 10 <> 0 then Uksim.Heapq.cancel h timer
-          done;
-          let rec drain fired =
-            match Uksim.Heapq.pop h with Some _ -> drain (fired + 1) | None -> fired
-          in
-          let fired = drain 0 in
-          (Unix.gettimeofday () -. t0, fired)
-        in
-        row "wheel: %7.1f ms real for %d arm/cancel + advance (%d fired)\n" (wheel_ops *. 1e3) n
-          wheel_fired;
-        row "heap:  %7.1f ms real for the same workload (%d fired)\n" (heap_ops *. 1e3) heap_fired;
-        row
-          "=> both fire the same timers and both cancel in O(1), the heap amortized.\n\
-          \   A heap arm is O(log n) in general but O(1) here, where deadlines come\n\
-          \   in order (as a fixed RTO makes them); the wheel arms in O(1) in any order\n");
-  }
-
 (* The fast-path ablation matrix (the PR's headline experiment): an
    8-core httpd + RESP cluster on the legacy socket/copy datapath vs the
    zero-copy batched run-to-completion netbuf datapath, then each
@@ -522,4 +477,4 @@ let abl_fastpath =
 
 let register () = List.iter Bench.register_exp
   [ abl_batch; abl_netmode; abl_twoalloc; abl_dispatch; abl_block; abl_security;
-    abl_bincompat; abl_wheel; abl_fastpath ]
+    abl_bincompat; abl_fastpath ]

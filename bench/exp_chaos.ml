@@ -148,7 +148,7 @@ let run_supervision () =
   let target = Common.scaled 400 in
   (* Watchdog with a 10 ms budget; the worker pets it every 1 ms of work,
      so in steady state it never bites even across crash/restart gaps. *)
-  let wd = Ukos.Watchdog.create ~clock ~engine ~timeout_ns:10.0e6 ~name:"worker-wd" () in
+  let wd = Ukos.Watchdog.create ~clock ~engine ~timeout_ns:10.0e6 () in
   let policy =
     { Uksched.Supervisor.max_restarts = 1000; backoff_ns = 0.2e6; backoff_factor = 2.0;
       max_backoff_ns = 2.0e6; jitter = 0.0 }

@@ -89,9 +89,6 @@ let alloc_tests =
 
 (* Support-library group: the data structures under the drivers. *)
 let support_tests =
-  let ring = Ukring.Ring.create ~capacity:256 () in
-  let wheel_clock = ref 0 in
-  let wheel = Uktime.Wheel.create ~now:0 () in
   let dns_msg =
     Ukapps.Dns.encode
       { Ukapps.Dns.id = 1; query = false; rcode = Ukapps.Dns.No_error;
@@ -103,15 +100,6 @@ let support_tests =
         authority = [] }
   in
   [
-    Test.make ~name:"support/ring-enq-deq"
-      (Staged.stage (fun () ->
-           ignore (Ukring.Ring.enqueue ring 42);
-           ignore (Ukring.Ring.dequeue ring)));
-    Test.make ~name:"support/wheel-arm-cancel"
-      (Staged.stage (fun () ->
-           wheel_clock := !wheel_clock + 257;
-           let t = Uktime.Wheel.arm wheel ~deadline:(!wheel_clock + 100_000) (fun () -> ()) in
-           ignore (Uktime.Wheel.cancel wheel t)));
     Test.make ~name:"support/dns-decode"
       (Staged.stage (fun () -> ignore (Ukapps.Dns.decode dns_msg)));
   ]

@@ -20,7 +20,9 @@ type env = {
   report : Ukboot.Boot.report;
 }
 
-let heap_base = 1 lsl 26 (* 64 MiB: clear of image + boot stacks *)
+(* Base simulated address of the guest heap: 64 MiB, clear of image and
+   boot stacks. *)
+let heap_base = 1 lsl 26
 
 (* Largest power of two <= n (buddy wants a power-of-two region). *)
 let floor_pow2 n =

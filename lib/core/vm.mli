@@ -53,6 +53,3 @@ val run_main : env -> (env -> unit) -> unit
 (** Execute the application entry point: spawned on the scheduler when one
     is configured (then the scheduler runs to quiescence), called inline
     otherwise. *)
-
-val heap_base : int
-(** Base simulated address of the guest heap. *)

@@ -6,9 +6,6 @@
     does), which is why it is the slowest allocator to boot in Fig 14 while
     performing competitively at run time. *)
 
-val min_order : int
-(** Smallest block order (2^min_order bytes). *)
-
 val create : clock:Uksim.Clock.t -> base:int -> len:int -> Alloc.t
-(** [len] must be a power of two and at least [2^min_order]; [base] must be
+(** [len] must be a power of two and at least 32 (the smallest block); [base] must be
     aligned to [len]. Raises [Invalid_argument] otherwise. *)

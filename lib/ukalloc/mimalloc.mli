@@ -13,6 +13,4 @@
     initialization here, which is why it boots slower than tlsf/tinyalloc
     in Fig 14. *)
 
-val page_size : int
-
 val create : clock:Uksim.Clock.t -> base:int -> len:int -> Alloc.t

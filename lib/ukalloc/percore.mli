@@ -39,7 +39,6 @@ val view : t -> core:int -> Alloc.t
     and the arena's {!source}: its counts cover the whole arena, not one
     core. *)
 
-val n_cores : t -> int
 val lock : t -> Uklock.Lock.Spin.t
 (** The backend spinlock — its {!Uklock.Lock.Spin.source} quantifies
     refill contention. *)

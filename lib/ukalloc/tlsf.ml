@@ -8,7 +8,7 @@ let sl_count = 1 lsl sl_count_log2 (* 16 *)
 let fl_shift = 8 (* sizes below 2^8 map linearly into fl = 0 *)
 let small_block = 1 lsl fl_shift
 let fl_count = 40
-let overhead = 16
+let overhead = 16 (* per-block header bytes *)
 let min_payload = 16
 let min_block = overhead + min_payload
 

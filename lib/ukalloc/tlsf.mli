@@ -8,8 +8,5 @@
     one of the fastest allocators to boot in the paper's Fig 14 while
     keeping deterministic run-time behaviour. *)
 
-val overhead : int
-(** Per-block header overhead in bytes. *)
-
 val create : clock:Uksim.Clock.t -> base:int -> len:int -> Alloc.t
 (** Raises [Invalid_argument] if [len] is too small for one block. *)

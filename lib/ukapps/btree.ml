@@ -174,7 +174,6 @@ let rec find_node t node key =
   end
 
 let find t key = match find_node t t.root key with Some e -> Some e.value | None -> None
-let mem t key = find_node t t.root key <> None
 
 let rec delete_in t node key =
   let i = search_keys t node key in
@@ -214,9 +213,3 @@ let iter t ?min_key ?max_key f =
     end
   in
   go t.root
-
-let fold t f acc =
-  let acc = ref acc in
-  iter t (fun k v -> acc := f k v !acc);
-  !acc
-

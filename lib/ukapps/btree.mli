@@ -15,7 +15,6 @@ val insert : t -> key:string -> value:bytes -> (unit, [ `Oom ]) result
 (** Replaces existing bindings. *)
 
 val find : t -> string -> bytes option
-val mem : t -> string -> bool
 
 val delete : t -> string -> bool
 (** [true] if the key existed. Uses logical deletion with in-node
@@ -26,5 +25,3 @@ val length : t -> int
 
 val iter : t -> ?min_key:string -> ?max_key:string -> (string -> bytes -> unit) -> unit
 (** In key order, inclusive bounds. *)
-
-val fold : t -> (string -> bytes -> 'a -> 'a) -> 'a -> 'a

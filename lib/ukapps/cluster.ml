@@ -38,13 +38,10 @@ let fastpath_default =
 type t = {
   smp : Uksmp.Smp.t;
   n : int;
-  mode : alloc_mode;
   server_stacks : S.t array;
   client_stacks : S.t array;
   allocs : Ukalloc.Alloc.t array; (* server-side per-core views *)
   alloc_spin : Uklock.Lock.Spin.t;
-  arena : Ukalloc.Percore.t option;
-  backend : Ukalloc.Alloc.t;
 }
 
 let server_ip = A.Ipv4.of_string "10.0.0.1"
@@ -79,19 +76,15 @@ let create ?(seed = 1) ?(alloc_mode = Arena) ?fastpath ~n () =
     Ukalloc.Tlsf.create ~clock:(Uksim.Clock.create ()) ~base:(1 lsl 26) ~len:(1 lsl 26)
   in
   let server_clocks = Array.init n (fun i -> Uksmp.Smp.clock_of smp ~core:i) in
-  let allocs, alloc_spin, arena =
+  let allocs, alloc_spin =
     match alloc_mode with
     | Arena ->
         let arena = Ukalloc.Percore.create ~clocks:server_clocks ~backend () in
-        ( Array.init n (fun i -> Ukalloc.Percore.view arena ~core:i),
-          Ukalloc.Percore.lock arena,
-          Some arena )
-    | Shared_lock ->
-        let views, spin = Ukalloc.Percore.shared_lock_views ~clocks:server_clocks ~backend () in
-        (views, spin, None)
+        (Array.init n (fun i -> Ukalloc.Percore.view arena ~core:i), Ukalloc.Percore.lock arena)
+    | Shared_lock -> Ukalloc.Percore.shared_lock_views ~clocks:server_clocks ~backend ()
   in
   (* Shared-pool ablation: one netbuf pool serves every server stack, and
-     each take/give pays a spinlock acquire against the caller's core
+     each take pays a spinlock acquire against the caller's core
      clock — the serialization the per-core pools exist to avoid. The
      pool's own clock is a dummy; costs are charged via [on_op]. *)
   let shared_pool =
@@ -132,17 +125,13 @@ let create ?(seed = 1) ?(alloc_mode = Arena) ?fastpath ~n () =
     Array.init n (fun j ->
         mk_stack ~core:(n + j) ~dev:dev_b ~qid:j ~ip:client_ip ~mac:0xB ~server:false)
   in
-  { smp; n; mode = alloc_mode; server_stacks; client_stacks; allocs; alloc_spin; arena;
-    backend }
+  { smp; n; server_stacks; client_stacks; allocs; alloc_spin }
 
 let smp t = t.smp
-let n t = t.n
-let mode t = t.mode
 let server_stack t i = t.server_stacks.(i)
 let client_stack t j = t.client_stacks.(j)
 let alloc_view t i = t.allocs.(i)
 let alloc_spin t = t.alloc_spin
-let arena t = t.arena
 let trace_hash t = Uksmp.Smp.trace_hash t.smp
 let elapsed_ns t = Uksmp.Smp.elapsed_ns t.smp
 

@@ -38,17 +38,12 @@ val create : ?seed:int -> ?alloc_mode:alloc_mode -> ?fastpath:fastpath -> n:int 
     knobs to every stack on both sides. *)
 
 val smp : t -> Uksmp.Smp.t
-val n : t -> int
-val mode : t -> alloc_mode
 val server_stack : t -> int -> Uknetstack.Stack.t
 val client_stack : t -> int -> Uknetstack.Stack.t
 val alloc_view : t -> int -> Ukalloc.Alloc.t
 val alloc_spin : t -> Uklock.Lock.Spin.t
 (** The allocator's backend lock (arena refill lock, or the global lock in
     [Shared_lock] mode) — its source quantifies allocator contention. *)
-
-val arena : t -> Ukalloc.Percore.t option
-(** The arena, in [Arena] mode. *)
 
 val trace_hash : t -> int
 val elapsed_ns : t -> float

@@ -271,7 +271,6 @@ let serve ~transport ~clock ~engine ~sched ~stack ~alloc ?(port = 8000) ?core ?m
   t
 
 let create = serve ~transport:Serve.Socket
-let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 let client ?(width = 16) () =
   Load.fixed ~name:"infer" ~reply_len (fun ~conn ~first:_ j ->

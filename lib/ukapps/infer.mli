@@ -27,8 +27,7 @@
       be checked for state-hash equivalence.
 
     The server is one {!Serve} framer plus handler, so it runs on either
-    transport; {!create} and {!create_fast} pick the socket path and the
-    netbuf run-to-completion path. *)
+    transport: {!serve} takes it, and {!create} is the socket path. *)
 
 (** {1 Weights} *)
 
@@ -105,9 +104,6 @@ val serve : transport:Serve.transport -> make
 
 val create : make
 (** [serve ~transport:Socket]. *)
-
-val create_fast : make
-(** [serve ~transport:(Netbuf {rtc = true})]. *)
 
 val submit : t -> rid:int -> width:int -> reply:(string -> unit) -> unit
 (** Enqueue one request directly (bypassing the network) — the unit-test

@@ -14,12 +14,9 @@ type t = {
   stack : S.t;
   flow : S.Tcp_socket.flow;
   mutable cur : Nb.t option;
-  mutable written : int;
 }
 
-let writer ~clock ~stack ~flow = { clock; stack; flow; cur = None; written = 0 }
-
-let written t = t.written
+let writer ~clock ~stack ~flow = { clock; stack; flow; cur = None }
 
 let flush t =
   match t.cur with
@@ -42,7 +39,6 @@ let add t s =
   let n = String.length s in
   if n > 0 then begin
     Uksim.Clock.advance t.clock (Uksim.Cost.memcpy n);
-    t.written <- t.written + n;
     let pos = ref 0 in
     while !pos < n do
       let nb = match t.cur with Some nb -> nb | None -> fresh t in

@@ -17,6 +17,3 @@ val writer :
 
 val add : t -> string -> unit
 val flush : t -> unit
-
-val written : t -> int
-(** Total bytes accepted by {!add} over the writer's lifetime. *)

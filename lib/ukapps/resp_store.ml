@@ -314,7 +314,6 @@ let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?sha
   t
 
 let create = serve ~transport:Serve.Socket
-let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 let source t = Uktrace.Registry.source t.group
 let dbsize t = Hashtbl.length t.table

@@ -45,9 +45,6 @@ val serve : transport:Serve.transport -> make
 val create : make
 (** [serve ~transport:Socket]. *)
 
-val create_fast : make
-(** [serve ~transport:(Netbuf {rtc = true})]. *)
-
 val source : t -> Uktrace.Source.t
 (** The worker's ["ukapps.resp"] source: [commands], [hits] and
     [misses]. *)

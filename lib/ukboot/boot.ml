@@ -100,10 +100,3 @@ let run ~clock ?main tab =
   last_report := Some { guest_boot_ns; phases };
   (match main with Some f -> f () | None -> ());
   { guest_boot_ns; phases }
-
-let pp_report ppf r =
-  Fmt.pf ppf "guest boot: %a@," Uksim.Units.pp_ns r.guest_boot_ns;
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "  [%d] %-24s %a@," p.level p.phase Uksim.Units.pp_ns p.duration_ns)
-    r.phases

@@ -58,5 +58,3 @@ val source : unit -> Uktrace.Source.t
 (** The sticky ["ukboot.boot"] source, registered on first use (the
     first {!run} or call): [boots], and the most recent boot's
     [guest_boot_ns] and per-phase [phase.<level>.<phase>_ns]. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -134,12 +134,12 @@ let table2 () =
 
 module Survey = struct
   type record = {
-    quarter : string;
+    quarter : string; (* "2019Q1" .. "2020Q2" *)
     library : string;
-    lib_hours : float;
-    deps_hours : float;
-    os_hours : float;
-    build_hours : float;
+    lib_hours : float; (* porting the library/application itself *)
+    deps_hours : float; (* porting its dependencies *)
+    os_hours : float; (* implementing missing OS primitives *)
+    build_hours : float; (* extending the build system *)
   }
 
   (* Developer-survey dataset (Fig 6): as the common code base matured from

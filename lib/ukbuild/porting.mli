@@ -44,17 +44,6 @@ val table2 : unit -> row list
 (** {1 Fig 6: developer survey} *)
 
 module Survey : sig
-  type record = {
-    quarter : string;  (** "2019Q1" .. "2020Q2" *)
-    library : string;
-    lib_hours : float;  (** porting the library/application itself *)
-    deps_hours : float;  (** porting its dependencies *)
-    os_hours : float;  (** implementing missing OS primitives *)
-    build_hours : float;  (** extending the build system *)
-  }
-
-  val records : record list
-
   val by_quarter : unit -> (string * (float * float * float * float)) list
   (** Quarter -> mean (lib, deps, os, build) hours; chronological. *)
 end

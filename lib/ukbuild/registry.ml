@@ -15,8 +15,6 @@ let find_exn t name =
   | Some m -> m
   | None -> raise Not_found
 
-let mem t name = Hashtbl.mem t name
-let all t = Hashtbl.fold (fun _ m acc -> m :: acc) t [] |> List.sort compare
 
 let closure t roots =
   let module S = Set.Make (String) in

@@ -7,10 +7,7 @@ val add : t -> Microlib.t -> unit
 (** Raises [Invalid_argument] on duplicates. *)
 
 val add_all : t -> Microlib.t list -> unit
-val find : t -> string -> Microlib.t option
 val find_exn : t -> string -> Microlib.t
-val mem : t -> string -> bool
-val all : t -> Microlib.t list
 
 val closure : t -> string list -> (string list, string) result
 (** Transitive dependency closure of the given roots (roots included),

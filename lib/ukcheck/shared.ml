@@ -15,4 +15,3 @@ let update ?site c f =
   write ?site c (f v)
 
 let peek c = c.v
-let name c = c.sname

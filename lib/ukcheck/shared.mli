@@ -26,5 +26,3 @@ val update : ?site:string -> 'a t -> ('a -> 'a) -> unit
 
 val peek : 'a t -> 'a
 (** Unchecked read, for assertions outside the monitored workload. *)
-
-val name : 'a t -> string

@@ -89,5 +89,3 @@ val run : t -> Ukfleet.Workload.t -> report
 (** Replay [wl] as an open Poisson arrival stream through the router
     (starting after {!settle_ns}), drive the engine dry, and report.
     Single-shot: a cluster runs one workload. *)
-
-val trace_hash : t -> int

@@ -14,14 +14,11 @@ type t = {
   sched : Uksched.Sched.t option;
   hist : Metric.Histogram.t;  (* dispatch + handler cycles per call *)
   cycles_by_name : (string, int ref) Hashtbl.t;
-  mutable exited : int option;
 }
 
 let clock t = t.clock
 let shim t = t.shim
 let proc t = t.proc
-let vfs t = t.vfs
-let exited t = t.exited
 
 (* vfscore errnos crossing the syscall boundary. *)
 let errno_of_fs : Ukvfs.Fs.errno -> Errno.t = function
@@ -381,9 +378,8 @@ let h_uname t args =
   let* () = Process.write_mem t.proc ~addr:(arg args 0) b in
   Ok 0
 
-let h_exit_group t args =
-  t.exited <- Some (arg args 0);
-  Ok 0
+(* The status is dropped: nothing outlives the traced process to read it. *)
+let h_exit_group _ _ = Ok 0
 
 (* --- assembly ----------------------------------------------------------- *)
 
@@ -452,7 +448,6 @@ let create ~clock ~mode ~vfs ?stack ?sched ?ram_bytes () =
       sched;
       hist = Metric.Histogram.create ();
       cycles_by_name = Hashtbl.create 32;
-      exited = None;
     }
   in
   register_handlers t;

@@ -34,10 +34,6 @@ val create :
 val clock : t -> Uksim.Clock.t
 val shim : t -> Uksyscall.Shim.t
 val proc : t -> Process.t
-val vfs : t -> Ukvfs.Vfs.t
-
-val exited : t -> int option
-(** Set once the process has issued [exit]/[exit_group]. *)
 
 val call : t -> string -> int array -> (int, Uksyscall.Fs_errno.t) result
 (** [call t name args]: dispatch by syscall name through the shim

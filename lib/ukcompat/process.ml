@@ -190,7 +190,6 @@ let brk t addr =
     else t.break (* ENOMEM: Linux leaves the break unchanged *)
   end
 
-let break t = t.break
 let heap_base t = t.heap_base
 
 let mem_digest t =

@@ -70,7 +70,6 @@ val brk : t -> int -> int
     0) queries it; growing maps pages and returns the new break; on
     exhaustion the break is unchanged and the old value returns. *)
 
-val break : t -> int
 val heap_base : t -> int
 
 val mem_digest : t -> string

@@ -21,14 +21,6 @@ let name t = t.tname
 let entries t = t.entries
 let length t = List.length t.entries
 
-let make ~name entries =
-  List.iteri
-    (fun i e ->
-      if Sysno.number e.name = None then
-        invalid_arg (Printf.sprintf "Trace.make: entry %d: unknown syscall %s" i e.name))
-    entries;
-  { tname = name; entries }
-
 (* --- text format -------------------------------------------------------- *)
 
 let string_of_arg = function
@@ -319,39 +311,53 @@ let issue ~retries p sysno args blocking =
   in
   go max_retries
 
-let run p t =
+(* Prepare [t]'s arguments and return its replay step and outcome
+   builder. [step i e sysno] issues entry [i] as [sysno] and records its
+   result; it returns the result the caller sees, and whether the entry
+   replayed as the trace expects. *)
+let replay p t =
   let shim = Personality.shim p in
   let calls0 = Shim.calls_made shim in
   match prepare p t with
   | Error e -> Error e
-  | Ok resolve -> (
-      let n = List.length t.entries in
-      let results = Array.make n 0 in
+  | Ok resolve ->
+      let results = Array.make (List.length t.entries) 0 in
       let retries = ref 0 in
       let enosys0 = Shim.enosys_count shim in
-      let rec go i = function
-        | [] -> Ok ()
-        | e :: rest -> (
-            let sysno = Option.get (Sysno.number e.name) in
-            match issue ~retries p sysno (resolve i results) e.blocking with
-            | Error `Stuck -> Error (Printf.sprintf "entry %d (%s): still EAGAIN after %d retries" i e.name max_retries)
-            | Ok r -> (
-                results.(i) <- (match r with Ok v -> v | Error e -> Errno.to_code e);
-                match check_expect i e r with Ok () -> go (i + 1) rest | Error m -> Error m))
+      let step i e sysno =
+        match issue ~retries p sysno (resolve i results) e.blocking with
+        | Error `Stuck ->
+            ( Error Errno.Eagain,
+              Error (Printf.sprintf "entry %d (%s): still EAGAIN after %d retries" i e.name max_retries) )
+        | Ok res ->
+            results.(i) <- (match res with Ok v -> v | Error e -> Errno.to_code e);
+            (res, check_expect i e res)
       in
-      match go 0 t.entries with
-      | Error e -> Error e
-      | Ok () ->
-          let calls = Shim.calls_made shim - calls0 in
-          Ok
-            {
-              results;
-              calls;
-              retries = !retries;
-              enosys = Shim.enosys_count shim - enosys0;
-              boundary_cycles = calls * Shim.dispatch_cost (Shim.mode shim);
-              interp_cycles = 0;
-            })
+      let outcome ~interp_cycles =
+        let calls = Shim.calls_made shim - calls0 in
+        {
+          results;
+          calls;
+          retries = !retries;
+          enosys = Shim.enosys_count shim - enosys0;
+          boundary_cycles = calls * Shim.dispatch_cost (Shim.mode shim);
+          interp_cycles;
+        }
+      in
+      Ok (step, outcome)
+
+let run p t =
+  match replay p t with
+  | Error e -> Error e
+  | Ok (step, outcome) ->
+      let rec go i = function
+        | [] -> Ok (outcome ~interp_cycles:0)
+        | e :: rest -> (
+            match snd (step i e (Option.get (Sysno.number e.name))) with
+            | Ok () -> go (i + 1) rest
+            | Error m -> Error m)
+      in
+      go 0 t.entries
 
 (* --- binary compilation ------------------------------------------------- *)
 
@@ -374,16 +380,11 @@ let to_binary t =
   Binary.assemble insns
 
 let run_binary p ~binary t =
-  let shim = Personality.shim p in
-  let calls0 = Shim.calls_made shim in
-  match prepare p t with
+  match replay p t with
   | Error e -> Error e
-  | Ok resolve ->
+  | Ok (step, outcome) -> (
       let entries = Array.of_list t.entries in
       let n = Array.length entries in
-      let results = Array.make n 0 in
-      let retries = ref 0 in
-      let enosys0 = Shim.enosys_count shim in
       let site = ref 0 in
       let failure = ref None in
       let dispatch ~trap:_ ~sysno =
@@ -392,36 +393,21 @@ let run_binary p ~binary t =
         if i >= n || !failure <> None then Error Errno.Einval
         else begin
           let e = entries.(i) in
-          let expected = Option.get (Sysno.number e.name) in
-          if sysno <> expected then begin
+          if sysno <> Option.get (Sysno.number e.name) then begin
             failure := Some (Printf.sprintf "site %d: binary has sysno %d, trace has %s" i sysno e.name);
             Error Errno.Einval
           end
-          else
-            match issue ~retries p sysno (resolve i results) e.blocking with
-            | Error `Stuck ->
-                failure := Some (Printf.sprintf "entry %d (%s): still EAGAIN after %d retries" i e.name max_retries);
-                Error Errno.Eagain
-            | Ok r ->
-                results.(i) <- (match r with Ok v -> v | Error e -> Errno.to_code e);
-                (match check_expect i e r with Ok () -> () | Error m -> failure := Some m);
-                r
+          else begin
+            let res, check = step i e sysno in
+            (match check with Ok () -> () | Error m -> failure := Some m);
+            res
+          end
         end
       in
       let stats = Binary.execute_with ~clock:(Personality.clock p) ~dispatch binary in
-      (match !failure with
+      match !failure with
       | Some m -> Error m
       | None ->
           if !site <> n then
             Error (Printf.sprintf "binary executed %d syscall sites, trace has %d" !site n)
-          else
-            let calls = Shim.calls_made shim - calls0 in
-            Ok
-              {
-                results;
-                calls;
-                retries = !retries;
-                enosys = Shim.enosys_count shim - enosys0;
-                boundary_cycles = calls * Shim.dispatch_cost (Shim.mode shim);
-                interp_cycles = stats.Binary.instructions - stats.Binary.syscalls;
-              })
+          else Ok (outcome ~interp_cycles:(stats.Binary.instructions - stats.Binary.syscalls)))

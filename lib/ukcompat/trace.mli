@@ -51,9 +51,6 @@ type entry = { name : string; args : arg list; expect : expect; blocking : bool 
 
 type t
 
-val make : name:string -> entry list -> t
-(** Raises [Invalid_argument] on unknown syscall names. *)
-
 val name : t -> string
 val entries : t -> entry list
 val length : t -> int

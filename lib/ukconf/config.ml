@@ -87,8 +87,6 @@ let resolve schema assigns =
   | [] -> Ok { schema; values }
   | es -> Error es
 
-let schema t = t.schema
-let enabled t name = bool_value t.values name
 
 let get_value t name =
   match Hashtbl.find_opt t.values name with
@@ -107,18 +105,13 @@ let get_int t name =
   | Kopt.Bool _ | Kopt.String _ | Kopt.Choice _ ->
       invalid_arg (Printf.sprintf "Config.get_int: %s is not an int" name)
 
-let get_string t name =
-  match get_value t name with
-  | Kopt.String s -> s
-  | Kopt.Bool _ | Kopt.Int _ | Kopt.Choice _ ->
-      invalid_arg (Printf.sprintf "Config.get_string: %s is not a string" name)
-
 let get_choice t name =
   match get_value t name with
   | Kopt.Choice c -> c
   | Kopt.Bool _ | Kopt.Int _ | Kopt.String _ ->
       invalid_arg (Printf.sprintf "Config.get_choice: %s is not a choice" name)
 
+(* Final value of every declared option, declaration order. *)
 let assignments t =
   List.map (fun (o : Kopt.t) -> (o.name, get_value t o.name)) (Schema.options t.schema)
 

@@ -21,18 +21,10 @@ val resolve : Schema.t -> (string * Kopt.value) list -> (t, error list) result
     [depends] satisfied (options whose dependencies fail fall back to
     disabled when defaulted, error when explicit). *)
 
-val schema : t -> Schema.t
-val enabled : t -> string -> bool
-(** [enabled t name] for boolean options; [false] if unknown. *)
-
 val get_bool : t -> string -> bool
 val get_int : t -> string -> int
-val get_string : t -> string -> string
 val get_choice : t -> string -> string
 (** Getters raise [Invalid_argument] on unknown names or type mismatch. *)
-
-val assignments : t -> (string * Kopt.value) list
-(** Final value of every declared option, declaration order. *)
 
 val to_dotconfig : t -> string
 (** Render like a .config file (CONFIG_X=y / # CONFIG_X is not set). *)

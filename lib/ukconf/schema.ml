@@ -13,8 +13,6 @@ let add t (o : Kopt.t) =
 
 let add_all t = List.iter (add t)
 let find t name = Hashtbl.find_opt t.table name
-let find_exn t name = match find t name with Some o -> o | None -> raise Not_found
-let mem t name = Hashtbl.mem t.table name
 let options t = List.rev_map (fun n -> Hashtbl.find t.table n) t.order
 
 let menu_tree t =

@@ -9,10 +9,6 @@ val add : t -> Kopt.t -> unit
 
 val add_all : t -> Kopt.t list -> unit
 val find : t -> string -> Kopt.t option
-val find_exn : t -> string -> Kopt.t
-(** Raises [Not_found]. *)
-
-val mem : t -> string -> bool
 val options : t -> Kopt.t list
 (** In declaration order. *)
 

@@ -36,12 +36,9 @@ val total_weight : t -> int
 val out_degree : t -> string -> int
 val in_degree : t -> string -> int
 
-val reachable : t -> string list -> (string -> bool)
-(** [reachable g roots] is the membership predicate of the set of nodes
-    reachable from [roots] (roots included when present in the graph). *)
-
 val reachable_set : t -> string list -> string list
-(** Sorted list form of {!reachable}. *)
+(** [reachable_set g roots] is the sorted list of nodes reachable from
+    [roots] (roots included when present in the graph). *)
 
 val topo_sort : t -> (string list, string list) result
 (** [Ok order] with dependencies-first order, or [Error cycle] exhibiting a

@@ -92,10 +92,6 @@ let parse t cmdline =
   in
   go tokens
 
-let assignments t =
-  Hashtbl.fold (fun (lib, name) p acc -> (lib, name, p.current) :: acc) t.params []
-  |> List.sort compare
-
 let usage t =
   let buf = Buffer.create 128 in
   List.iter

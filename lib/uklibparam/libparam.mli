@@ -7,8 +7,6 @@
 
 type value = Int of int | Bool of bool | String of string
 
-val pp_value : Format.formatter -> value -> unit
-
 type t
 
 val create : unit -> t
@@ -17,20 +15,16 @@ val register : t -> lib:string -> name:string -> ?doc:string -> value -> unit
 (** Declare a parameter with its default. Raises [Invalid_argument] on
     duplicates. *)
 
-val get : t -> lib:string -> name:string -> value option
-(** Current value (default until {!parse} assigns it). *)
-
 val get_int : t -> lib:string -> name:string -> int option
 val get_bool : t -> lib:string -> name:string -> bool option
 val get_string : t -> lib:string -> name:string -> string option
+(** Current value (default until {!parse} assigns it); [None] for an
+    unknown parameter or one of another type. *)
 
 val parse : t -> string -> (string list, string) result
 (** Apply a command line; returns the application argv remainder.
     Errors on unknown parameters, missing '=', or type mismatches
     (booleans accept on/off/true/false/1/0). *)
-
-val assignments : t -> (string * string * value) list
-(** (lib, name, current value), sorted. *)
 
 val usage : t -> string
 (** Help text listing every registered parameter. *)

@@ -192,7 +192,6 @@ module Spin = struct
     { sname = name; suid = Hook.fresh_uid (); free_at = 0; group; acquisitions; contended;
       wait_cycles; held_cycles }
 
-  let name t = t.sname
   let source t = Uktrace.Registry.source t.group
 
   let acquire t clock ~hold =

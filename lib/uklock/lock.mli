@@ -86,8 +86,6 @@ module Spin : sig
   (** The lock's ["uklock.<name>"] source: [acquisitions], [contended]
       (acquisitions that found the lock held), [wait_cycles] (spent
       spinning) and [held_cycles]. Its [reset] zeroes them. *)
-
-  val name : t -> string
 end
 
 module Condvar : sig

@@ -99,9 +99,6 @@ let create ~clock ~mode:pmode ~ram_bytes =
   | Protected32 -> ());
   t
 
-let mode t = t.pmode
-let ram_bytes t = t.ram
-
 let check_aligned what addr =
   if addr land (page_size - 1) <> 0 then
     invalid_arg (Printf.sprintf "Pagetable.%s: %#x not page-aligned" what addr)

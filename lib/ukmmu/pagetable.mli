@@ -18,7 +18,6 @@
 type mode = Static | Dynamic | Protected32
 
 val page_size : int
-val levels : int
 
 type t
 
@@ -26,9 +25,6 @@ val create : clock:Uksim.Clock.t -> mode:mode -> ram_bytes:int -> t
 (** Builds the boot-time mapping for [ram_bytes] of identity-mapped RAM,
     charging the strategy's boot cost to [clock]. [ram_bytes] is rounded up
     to a whole page. For [Protected32], [ram_bytes] must be <= 4 GiB. *)
-
-val mode : t -> mode
-val ram_bytes : t -> int
 
 val map_page : t -> vaddr:int -> paddr:int -> unit
 (** Map one 4 KiB page. Only valid in [Dynamic] mode (the static structure

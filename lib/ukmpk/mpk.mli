@@ -42,15 +42,10 @@ val set_rights : t -> key -> rights -> unit
 (** Update the current thread's PKRU entry for [key]. Charges the WRPKRU
     cost. *)
 
-val check_read : t -> int -> unit
-val check_write : t -> int -> unit
-(** Validate an access at the current PKRU; raise {!Protection_fault}
-    otherwise. Charges the (cheap) check cost. *)
-
 val load : t -> int -> unit
-(** [check_read] + memory-access cost. *)
-
 val store : t -> int -> unit
+(** Validate the access at the current PKRU, raising {!Protection_fault}
+    if the key denies it, then charge the memory access. *)
 
 (** {1 Call gates} *)
 

@@ -20,7 +20,6 @@
 type cell = {
   buf : bytes;
   hroom : int;
-  cid : int; (* unique cell id *)
   mutable refs : int; (* live descriptors onto this storage *)
   mutable gen : int; (* bumped each time the cell returns to a pool *)
   mutable pooled : bool; (* currently sitting in a pool free list *)
@@ -32,7 +31,7 @@ and t = {
   born : int; (* cell generation at descriptor creation *)
   mutable off : int;
   mutable length : int;
-  mutable dead : bool; (* this descriptor was given/recycled *)
+  mutable dead : bool; (* this descriptor was recycled *)
 }
 
 and pool = {
@@ -41,16 +40,14 @@ and pool = {
   size : int;
   headroom : int;
   free : cell Stack.t;
-  owned : (int, int) Hashtbl.t; (* cell id -> backing addr (or 0) *)
   returns : cell Queue.t; (* deferred frees from other cores *)
   on_op : (Uksim.Clock.t -> unit) option; (* e.g. shared-pool lock model *)
-  elastic : bool;
   mutable total : int;
 }
 
 (* --- copy accounting ------------------------------------------------------ *)
 
-(* Debug-mode lifetime guards (double-give / use-after-give); off by
+(* Debug-mode lifetime guards (recycling twice, use after recycle); off by
    default so the hot path pays nothing. *)
 let debug = ref false
 let set_debug b = debug := b
@@ -76,17 +73,10 @@ let counted counter n =
 
 (* --- descriptors ---------------------------------------------------------- *)
 
-let next_cid = ref 0
-
-let fresh_cid () =
-  incr next_cid;
-  !next_cid
-
 let mk_cell ~headroom ~size =
   {
     buf = Bytes.create (headroom + size);
     hroom = headroom;
-    cid = fresh_cid ();
     refs = 0;
     gen = 0;
     pooled = false;
@@ -108,9 +98,7 @@ let alloc ?(headroom = 64) ~size () =
 let data t = t.cell.buf
 let offset t = t.off
 let len t = t.length
-let headroom t = t.off
 let capacity t = Bytes.length t.cell.buf - t.cell.hroom
-let generation t = t.cell.gen
 let live t = (not t.dead) && t.born = t.cell.gen
 
 let set_len t n =
@@ -209,8 +197,8 @@ let recycle t =
       | None -> () (* heap cell: the GC owns it *)
       | Some p ->
           (* Deferred return: recycling may happen on any core; pushing the
-             cell id costs the recycler nothing, and the pool's owner pays
-             the give cost when it drains the list on its next take — the
+             cell costs the recycler nothing, and the pool's owner pays the
+             return cost when it drains the list on its next take — the
              remote-free list of a real per-core magazine. *)
           Queue.push c p.returns
   end
@@ -221,25 +209,24 @@ module Pool = struct
   type t = pool
 
   let take_cost = 18
-  let give_cost = 14
+  let return_cost = 14
 
-  let backing p =
-    match p.alloc with
-    | None -> 0
+  (* With [alloc], each cell is backed by a real allocation, so the
+     backend counts the pool's memory. *)
+  let add_cell p =
+    (match p.alloc with
+    | None -> ()
     | Some a -> (
         match Ukalloc.Alloc.uk_malloc a (p.size + p.headroom) with
-        | Some addr -> addr
-        | None -> invalid_arg "Netbuf.Pool.create: allocator exhausted")
-
-  let add_cell p =
+        | Some _ -> ()
+        | None -> invalid_arg "Netbuf.Pool.create: allocator exhausted"));
     let c = mk_cell ~headroom:p.headroom ~size:p.size in
     c.home <- Some p;
     c.pooled <- true;
-    Hashtbl.replace p.owned c.cid (backing p);
     Stack.push c p.free;
     p.total <- p.total + 1
 
-  let create ~clock ?alloc ?on_op ?(headroom = 64) ?(elastic = false) ~count ~size () =
+  let create ~clock ?alloc ?on_op ?(headroom = 64) ~count ~size () =
     if count <= 0 || size <= 0 then invalid_arg "Netbuf.Pool.create";
     let p =
       {
@@ -248,10 +235,8 @@ module Pool = struct
         size;
         headroom;
         free = Stack.create ();
-        owned = Hashtbl.create count;
         returns = Queue.create ();
         on_op;
-        elastic;
         total = 0;
       }
     in
@@ -268,34 +253,14 @@ module Pool = struct
        magazine owner reclaiming its remote frees would. *)
     while not (Queue.is_empty p.returns) do
       let c = Queue.pop p.returns in
-      Uksim.Clock.advance clock give_cost;
+      Uksim.Clock.advance clock return_cost;
       pool_return p c
     done;
     match Stack.pop_opt p.free with
     | Some c ->
         c.pooled <- false;
         Some (descr c)
-    | None ->
-        if p.elastic then begin
-          Uksim.Clock.advance clock Uksim.Cost.alloc_backend_op;
-          add_cell p;
-          let c = Stack.pop p.free in
-          c.pooled <- false;
-          Some (descr c)
-        end
-        else None
-
-  let give ?clock p b =
-    let clock = match clock with Some c -> c | None -> p.clock in
-    (match p.on_op with Some f -> f clock | None -> ());
-    Uksim.Clock.advance clock give_cost;
-    if not (Hashtbl.mem p.owned b.cell.cid) then
-      invalid_arg "Netbuf.Pool.give: buffer does not belong to this pool";
-    if b.dead || b.cell.pooled then invalid_arg "Netbuf.Pool: double give";
-    if b.cell.refs > 1 then invalid_arg "Netbuf.Pool.give: buffer still shared";
-    b.dead <- true;
-    b.cell.refs <- 0;
-    pool_return p b.cell
+    | None -> None
 
   let available p =
     Stack.length p.free + Queue.length p.returns

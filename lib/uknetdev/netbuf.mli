@@ -34,7 +34,6 @@ val data : t -> bytes
 
 val offset : t -> int
 val len : t -> int
-val headroom : t -> int
 val capacity : t -> int
 
 val set_len : t -> int -> unit
@@ -85,14 +84,12 @@ val recycle : t -> unit
     to the GC. Safe from any core. *)
 
 val live : t -> bool
-(** False once the descriptor was recycled/given or its storage was
-    reissued (generation mismatch). *)
-
-val generation : t -> int
+(** False once the descriptor was recycled or its storage was reissued
+    (generation mismatch). *)
 
 val set_debug : bool -> unit
-(** Enable lifetime guards: using a descriptor after give/recycle, or
-    double-giving, raises [Invalid_argument] instead of silently
+(** Enable lifetime guards: using a descriptor after {!recycle}, or
+    recycling it twice, raises [Invalid_argument] instead of silently
     corrupting. Off by default (hot path pays nothing). *)
 
 (** {1 Copy accounting} *)
@@ -111,26 +108,19 @@ module Pool : sig
     ?alloc:Ukalloc.Alloc.t ->
     ?on_op:(Uksim.Clock.t -> unit) ->
     ?headroom:int ->
-    ?elastic:bool ->
     count:int ->
     size:int ->
     unit ->
     t
   (** Pre-allocate [count] cells of [size] payload bytes. [alloc] backs
       each cell with a real allocation from that ukalloc backend (the
-      per-core magazine integration). [on_op] runs before every take/give
-      with the charging clock — the shared-pool ablation passes a spinlock
-      acquire/release here. [elastic] pools grow by one backend-charged
-      cell instead of returning [None] when empty. *)
+      per-core magazine integration). [on_op] runs before every take with
+      the charging clock — the shared-pool ablation passes a spinlock
+      acquire/release here. Cells come back only through {!recycle}. *)
 
   val take : ?clock:Uksim.Clock.t -> t -> netbuf option
-  (** O(1); [None] when exhausted (unless elastic). Charges [clock]
-      (default: the pool's own) and drains the remote-free list first. *)
-
-  val give : ?clock:Uksim.Clock.t -> t -> netbuf -> unit
-  (** Immediate owner-context return. Raises [Invalid_argument] for
-      foreign buffers, double gives, or still-shared buffers; the general
-      release path is {!recycle}. *)
+  (** O(1); [None] when exhausted. Charges [clock] (default: the pool's
+      own) and drains the remote-free list first. *)
 
   val available : t -> int
   val pending_returns : t -> int

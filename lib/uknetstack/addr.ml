@@ -22,8 +22,6 @@ module Mac = struct
   let to_string t =
     Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x" ((t lsr 40) land 0xff) ((t lsr 32) land 0xff)
       ((t lsr 24) land 0xff) ((t lsr 16) land 0xff) ((t lsr 8) land 0xff) (t land 0xff)
-
-  let pp ppf t = Fmt.string ppf (to_string t)
 end
 
 module Ipv4 = struct
@@ -33,12 +31,6 @@ module Ipv4 = struct
   let of_int i = i land mask
   let to_int t = t
   let equal = Int.equal
-  let compare = Int.compare
-
-  let make a b c d =
-    let in_range x = x >= 0 && x <= 255 in
-    if not (in_range a && in_range b && in_range c && in_range d) then invalid_arg "Ipv4.make";
-    (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
   let of_string s =
     match String.split_on_char '.' s with
@@ -47,7 +39,7 @@ module Ipv4 = struct
         with
         | Some a, Some b, Some c, Some d
           when a >= 0 && a < 256 && b >= 0 && b < 256 && c >= 0 && c < 256 && d >= 0 && d < 256 ->
-            make a b c d
+            (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
         | _, _, _, _ -> invalid_arg ("Ipv4.of_string: " ^ s))
     | _ -> invalid_arg ("Ipv4.of_string: " ^ s)
 
@@ -55,7 +47,6 @@ module Ipv4 = struct
     Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xff) ((t lsr 16) land 0xff)
       ((t lsr 8) land 0xff) (t land 0xff)
 
-  let pp ppf t = Fmt.string ppf (to_string t)
   let any = 0
   let broadcast = mask
   let same_subnet a b ~netmask = a land netmask = b land netmask

@@ -12,7 +12,6 @@ module Mac : sig
   (** "aa:bb:cc:dd:ee:ff"; raises [Invalid_argument] on bad syntax. *)
 
   val to_string : t -> string
-  val pp : Format.formatter -> t -> unit
   val equal : t -> t -> bool
 end
 
@@ -22,14 +21,11 @@ module Ipv4 : sig
 
   val of_int : int -> t
   val to_int : t -> int
-  val make : int -> int -> int -> int -> t
   val of_string : string -> t
   (** "10.0.0.1"; raises [Invalid_argument] on bad syntax. *)
 
   val to_string : t -> string
-  val pp : Format.formatter -> t -> unit
   val equal : t -> t -> bool
-  val compare : t -> t -> int
   val any : t
   val broadcast : t
 

@@ -10,7 +10,6 @@ module Eth : sig
 
   type t = { dst : Addr.Mac.t; src : Addr.Mac.t; proto : proto }
 
-  val size : int
   val encode : t -> Uknetdev.Netbuf.t -> unit
   val decode : Uknetdev.Netbuf.t -> (t, string) result
 end
@@ -26,7 +25,6 @@ module Arp : sig
     tpa : Addr.Ipv4.t;
   }
 
-  val size : int
   val encode : t -> Uknetdev.Netbuf.t -> unit
   val decode : Uknetdev.Netbuf.t -> (t, string) result
 end
@@ -67,7 +65,6 @@ end
 module Icmp : sig
   type t = { echo_reply : bool; ident : int; seq : int }
 
-  val size : int
   val encode : t -> Uknetdev.Netbuf.t -> unit
   val decode : Uknetdev.Netbuf.t -> (t, string) result
 end
@@ -97,9 +94,7 @@ module Tcp : sig
     psh : bool;
     window : int;
   }
-
-  val size : int
-  (** 20 (we carry MSS implicitly; no options on the wire). *)
+  (** Encoded as a 20-byte header: MSS is implicit, no options on the wire. *)
 
   val encode : t -> src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Uknetdev.Netbuf.t -> unit
   val decode : src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Uknetdev.Netbuf.t -> (t, string) result

@@ -434,6 +434,8 @@ let process_frame t nb =
           drop t;
           Nb.recycle nb)
 
+(* Drain and process pending receive packets and due timers; returns the
+   number of packets handled. *)
 let poll t =
   Frag.expire t.frag;
   let pkts = t.dev.Nd.rx_burst ~qid:t.qid ~max:t.rx_batch in
@@ -595,8 +597,6 @@ module Udp_socket = struct
           sock.uwaiter <- None;
           if sock.uclosed then None else recvfrom ~block s
         end
-
-  let pending { sock; _ } = Queue.length sock.urxq
 
   let close { stack; sock } =
     sock.uclosed <- true;

@@ -64,10 +64,6 @@ val source : t -> Uktrace.Source.t
     checksum failures), [tx_pkts], [arp_requests], [tcp_retransmits] and
     [tcp_fast_retransmits], each counted as it happens. *)
 
-val poll : t -> int
-(** Drain and process pending receive packets and due timers; returns the
-    number of packets handled. *)
-
 val start : t -> unit
 (** Spawn the interrupt-driven input service thread (requires a
     scheduler). *)
@@ -90,7 +86,6 @@ module Udp_socket : sig
   (** [block:true] (default false) parks the thread until a datagram
       arrives (requires a scheduler). *)
 
-  val pending : t -> int
   val close : t -> unit
 end
 

@@ -31,14 +31,10 @@ val request_cost_factor : t -> app:string -> float option
 
 val linux_vm : t
 val docker : t
-val osv : t
-val rump : t
-val hermitux : t
-val lupine : t
-val mirageos : t
 
 val all : t list
 val find : string -> t option
+(** The other profiles are reached by name, e.g. [find "osv"]. *)
 
 val firecracker_penalty : float
 (** Multiplicative throughput penalty for Firecracker vs QEMU/KVM

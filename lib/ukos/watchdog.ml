@@ -2,7 +2,6 @@ type t = {
   clock : Uksim.Clock.t;
   engine : Uksim.Engine.t;
   timeout : int; (* cycles *)
-  wname : string;
   on_bite : (t -> unit) option;
   mutable last_pet : int;
   mutable bites : int;
@@ -27,10 +26,10 @@ and check t =
     else arm t deadline
   end
 
-let create ~clock ~engine ~timeout_ns ?(name = "watchdog") ?on_bite () =
+let create ~clock ~engine ~timeout_ns ?on_bite () =
   if timeout_ns <= 0.0 then invalid_arg "Watchdog.create: timeout must be positive";
   let t =
-    { clock; engine; timeout = Uksim.Clock.cycles_of_ns timeout_ns; wname = name; on_bite;
+    { clock; engine; timeout = Uksim.Clock.cycles_of_ns timeout_ns; on_bite;
       last_pet = Uksim.Clock.cycles clock; bites = 0; armed = true }
   in
   arm t (t.last_pet + t.timeout);
@@ -39,5 +38,3 @@ let create ~clock ~engine ~timeout_ns ?(name = "watchdog") ?on_bite () =
 let pet t = t.last_pet <- Uksim.Clock.cycles t.clock
 let stop t = t.armed <- false
 let bites t = t.bites
-let name t = t.wname
-let running t = t.armed

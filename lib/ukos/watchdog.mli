@@ -17,7 +17,6 @@ val create :
   clock:Uksim.Clock.t ->
   engine:Uksim.Engine.t ->
   timeout_ns:float ->
-  ?name:string ->
   ?on_bite:(t -> unit) ->
   unit ->
   t
@@ -30,5 +29,3 @@ val stop : t -> unit
 (** Disarm; pending expiry events become no-ops. *)
 
 val bites : t -> int
-val name : t -> string
-val running : t -> bool

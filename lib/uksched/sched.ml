@@ -82,12 +82,7 @@ let create_preemptive ~slice_cycles ~clock ~engine =
 
 let create_null ~clock ~engine = make Null ~clock ~engine ()
 
-let kind t = t.skind
 let clock t = t.clock
-let engine t = t.engine
-
-let name t =
-  match t.skind with Cooperative -> "coop" | Preemptive -> "preempt" | Null -> "null"
 
 let create_group () = { members = []; g_next = ref 1; remote_wake = None; observer = None }
 

@@ -5,8 +5,10 @@
 
     - {!create_cooperative}: run-to-yield threads (the paper's default for
       Redis-style single-threaded servers);
-    - {!create_preemptive}: round-robin with a virtual-time timeslice;
-      preemption points are the OS API entry points (see {!checkpoint});
+    - {!create_preemptive}: round-robin with a virtual-time timeslice; a
+      thread is preempted only at {!checkpoint}, and no library calls it,
+      so an image configured with [Preempt] never preempts and behaves
+      like the cooperative scheduler;
     - {!create_null}: no scheduler at all — [spawn] runs the function to
       completion immediately (run-to-completion unikernels, §3.3).
 
@@ -17,17 +19,11 @@
 type t
 type tid = int
 
-type kind = Cooperative | Preemptive | Null
-
 val create_cooperative : clock:Uksim.Clock.t -> engine:Uksim.Engine.t -> t
 val create_preemptive : slice_cycles:int -> clock:Uksim.Clock.t -> engine:Uksim.Engine.t -> t
 val create_null : clock:Uksim.Clock.t -> engine:Uksim.Engine.t -> t
 
-val kind : t -> kind
-val name : t -> string
-
 val clock : t -> Uksim.Clock.t
-val engine : t -> Uksim.Engine.t
 
 val spawn : t -> ?name:string -> ?daemon:bool -> ?pinned:bool -> (unit -> unit) -> tid
 (** Create a thread. Under the null scheduler the body runs to completion
@@ -76,8 +72,9 @@ val wake : t -> tid -> unit
 
 val checkpoint : t -> unit
 (** Preemption point: under the preemptive scheduler, yields if the current
-    thread has exceeded its timeslice. OS APIs call this on entry. No-op
-    for other schedulers or outside threads. *)
+    thread has exceeded its timeslice. No-op for other schedulers or
+    outside threads. Only the scheduler's own tests call it: no OS API
+    entry point does. *)
 
 val alive : t -> int
 (** Threads not yet exited. *)

@@ -29,8 +29,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let exponential t mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in

@@ -24,8 +24,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential with the given mean. *)
 

@@ -63,11 +63,5 @@ let percentile t p =
 
 let median t = percentile t 50.0
 
-let summary t =
-  if t.size = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d, mean=%.2f, p50=%.2f, p99=%.2f, min=%.2f, max=%.2f"
-      t.size (mean t) (median t) (percentile t 99.0) (min t) (max t)
-
 let throughput_per_sec ~events ~elapsed_ns =
   if elapsed_ns <= 0.0 then 0.0 else float_of_int events /. (elapsed_ns /. 1e9)

@@ -22,9 +22,6 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
-val summary : t -> string
-(** "n=…, mean=…, p50=…, p99=…, min=…, max=…" *)
-
 (** {1 One-shot helpers} *)
 
 val throughput_per_sec : events:int -> elapsed_ns:float -> float

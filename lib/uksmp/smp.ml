@@ -141,15 +141,6 @@ let charge t cycles =
   | Some i -> Uksim.Clock.advance t.cores.(i).clock cycles
   | None -> invalid_arg "Smp.charge: no core is running"
 
-let ipi t ~src ~dst f =
-  let s = t.cores.(src) and d = t.cores.(dst) in
-  let at =
-    max (Uksim.Clock.cycles d.clock) (Uksim.Clock.cycles s.clock + Uksim.Cost.ipi)
-  in
-  d.c_ipis <- d.c_ipis + 1;
-  (match t.wake_observer with Some obs -> obs ~src ~dst | None -> ());
-  Uksim.Engine.at d.engine at f
-
 let mix = Uksim.Rng.mix
 
 let trace_hash t = t.trace

@@ -46,11 +46,6 @@ val charge : t -> int -> unit
     migratable (unpinned) tasks account their work wherever they run.
     Raises [Invalid_argument] outside {!run}. *)
 
-val ipi : t -> src:int -> dst:int -> (unit -> unit) -> unit
-(** Explicitly run a closure on another core: it fires on [dst]'s engine
-    no earlier than [dst]'s present and [src]'s present plus
-    {!Uksim.Cost.ipi}. *)
-
 val current_core : t -> int option
 (** The core being stepped right now, if any. *)
 

@@ -427,34 +427,41 @@ let slot_sector t ~epoch ~pos =
       put_char c ' '; put_int c (t.next_seq - 1); put_char c ' '; put_int c pos);
   sec
 
+(* The fields of the checksummed line [put_line] wrote at the start of
+   [raw]: None unless the core (everything before the line's last space)
+   hashes to the trailing %016x FNV and its first field is [magic]. *)
+let line_fields ~magic raw =
+  match Bytes.index_opt raw '\n' with
+  | None -> None
+  | Some nl -> (
+      let line = Bytes.sub_string raw 0 nl in
+      match String.rindex_opt line ' ' with
+      | None -> None
+      | Some sp -> (
+          let core = String.sub line 0 sp in
+          match int_of_string_opt ("0x" ^ String.sub line (sp + 1) (nl - sp - 1)) with
+          | Some ck when ck = D.fnv_string core -> (
+              match String.split_on_char ' ' core with
+              | m :: fields when m = magic -> Some fields
+              | _ -> None)
+          | _ -> None))
+
 (* Parse a slot sector; None when invalid (unformatted, torn, stale
    magic). *)
 let parse_slot raw =
-  let s = Bytes.to_string raw in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some nl -> (
-      let line = String.sub s 0 nl in
-      match String.rindex_opt line ' ' with
-      | None -> None
-      | Some sp ->
-          let core = String.sub line 0 sp in
-          let ck = String.sub line (sp + 1) (String.length line - sp - 1) in
-          if (try int_of_string ("0x" ^ ck) <> D.fnv_string core with _ -> true) then None
-          else
-            (match String.split_on_char ' ' core with
-            | [ m; epoch; jcap; head; haddr; hlen; aseq; pos ] when m = slot_magic -> (
-                try
-                  Some
-                    ( int_of_string epoch,
-                      int_of_string jcap,
-                      int_of_string ("0x" ^ head),
-                      int_of_string ("0x" ^ haddr),
-                      int_of_string hlen,
-                      int_of_string aseq,
-                      int_of_string pos )
-                with _ -> None)
-            | _ -> None))
+  match line_fields ~magic:slot_magic raw with
+  | Some [ epoch; jcap; head; haddr; hlen; aseq; pos ] -> (
+      try
+        Some
+          ( int_of_string epoch,
+            int_of_string jcap,
+            int_of_string ("0x" ^ head),
+            int_of_string ("0x" ^ haddr),
+            int_of_string hlen,
+            int_of_string aseq,
+            int_of_string pos )
+      with _ -> None)
+  | _ -> None
 
 (* --- the requests in flight -------------------------------------------------- *)
 
@@ -740,34 +747,19 @@ let read_sectors t ~lba ~sectors =
 
 (* Parse a record header sector: (seq, payload sectors, commit hash). *)
 let parse_jheader raw =
-  let s = Bytes.to_string raw in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some nl -> (
-      let line = String.sub s 0 nl in
-      match String.split_on_char ' ' line with
-      | [ m; seq; psec; ch; ck ] when m = jr_magic -> (
-          try
-            let core = Printf.sprintf "%s %s %s %s" m seq psec ch in
-            if int_of_string ("0x" ^ ck) <> D.fnv_string core then None
-            else Some (int_of_string seq, int_of_string psec, int_of_string ("0x" ^ ch))
-          with _ -> None)
-      | _ -> None)
+  match line_fields ~magic:jr_magic raw with
+  | Some [ seq; psec; ch ] -> (
+      try Some (int_of_string seq, int_of_string psec, int_of_string ("0x" ^ ch))
+      with _ -> None)
+  | _ -> None
 
+(* Parse a record trailer sector: (seq, payload bytes, payload hash). *)
 let parse_jtrailer raw =
-  let s = Bytes.to_string raw in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some nl -> (
-      let line = String.sub s 0 nl in
-      match String.split_on_char ' ' line with
-      | [ m; seq; plen; pck; ck ] when m = jc_magic -> (
-          try
-            let core = Printf.sprintf "%s %s %s %s" m seq plen pck in
-            if int_of_string ("0x" ^ ck) <> D.fnv_string core then None
-            else Some (int_of_string seq, int_of_string plen, int_of_string ("0x" ^ pck))
-          with _ -> None)
-      | _ -> None)
+  match line_fields ~magic:jc_magic raw with
+  | Some [ seq; plen; pck ] -> (
+      try Some (int_of_string seq, int_of_string plen, int_of_string ("0x" ^ pck))
+      with _ -> None)
+  | _ -> None
 
 (* Replay the record at [lba]; returns the lba past it, or None when the
    chain breaks (torn, stale, out-of-sequence, a frame not at its own

@@ -41,7 +41,6 @@ let sysno_of_stub target = if target >= shim_stub_base then Some (target land 0x
 type t = { words : int array; is_rewritten : bool }
 
 let assemble insns = { words = Array.of_list (List.map encode insns); is_rewritten = false }
-let length t = Array.length t.words
 
 let syscall_sites t =
   let acc = ref [] in

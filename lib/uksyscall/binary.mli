@@ -29,7 +29,6 @@ type t
 (** A loaded binary (instruction words + patch table). *)
 
 val assemble : insn list -> t
-val length : t -> int
 val syscall_sites : t -> int list
 (** Instruction indices holding [Syscall]s (or rewritten calls). *)
 

@@ -38,11 +38,10 @@ module Histogram = struct
   type t = {
     counts : int array;
     mutable total : int;
-    mutable sum : int;
     mutable vmax : int;
   }
 
-  let create () = { counts = Array.make n_buckets 0; total = 0; sum = 0; vmax = min_int }
+  let create () = { counts = Array.make n_buckets 0; total = 0; vmax = min_int }
 
   let bucket_of v =
     if v <= 0 then 0
@@ -59,11 +58,9 @@ module Histogram = struct
     let b = bucket_of v in
     t.counts.(b) <- t.counts.(b) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum + v;
     if v > t.vmax then t.vmax <- v
 
   let count t = t.total
-  let sum t = t.sum
   let max t = if t.total = 0 then 0 else t.vmax
   let bucket_count t i = t.counts.(i)
 
@@ -74,7 +71,6 @@ module Histogram = struct
   let reset t =
     Array.fill t.counts 0 n_buckets 0;
     t.total <- 0;
-    t.sum <- 0;
     t.vmax <- min_int
 
   let value t = Buckets (Array.copy t.counts)

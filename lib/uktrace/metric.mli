@@ -50,7 +50,6 @@ module Histogram : sig
   (** [(lo, hi)] inclusive value range of a bucket. *)
 
   val count : t -> int
-  val sum : t -> int
   val max : t -> int
   (** Largest observation; [0] when empty. *)
 

@@ -59,35 +59,6 @@ let create ~clock dev =
   write_sb t;
   t
 
-let attach ~clock dev =
-  match dev.B.read_sync ~lba:0 ~sectors:sb_sectors with
-  | Error _ -> Error Fs.Eio
-  | Ok raw -> (
-      let text = Bytes.to_string raw in
-      let lines = String.split_on_char '\n' text in
-      match lines with
-      | m :: rest when m = magic ->
-          let objs =
-            List.filter_map
-              (fun line ->
-                match String.split_on_char ' ' (String.trim line) with
-                | [ name; lba; size; dg ] ->
-                    Some
-                      { name; lba = int_of_string lba; size = int_of_string size;
-                        digest = int_of_string ("0x" ^ dg) }
-                | _ -> None)
-              rest
-          in
-          let next_lba =
-            List.fold_left
-              (fun acc o -> max acc (o.lba + ((o.size + dev.B.sector_size - 1) / dev.B.sector_size)))
-              sb_sectors objs
-          in
-          Ok
-            { clock; dev; objs; next_lba; open_handles = Hashtbl.create 8;
-              next_handle = 1 }
-      | _ -> Error Fs.Einval)
-
 (* --- publication (host-side population) ---------------------------------- *)
 
 let find t name =
@@ -157,15 +128,6 @@ let add_stream t ~name ~size ~fill =
       end
     end
   end
-
-let add t ~name content =
-  let size = Bytes.length content in
-  match
-    add_stream t ~name ~size ~fill:(fun ~off buf ~pos ~len ->
-        Bytes.blit content off buf pos len)
-  with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
 
 (* --- the specialized streaming read path --------------------------------- *)
 

@@ -33,14 +33,6 @@ val create : clock:Uksim.Clock.t -> Ukblock.Blockdev.t -> t
 (** Format the device with an empty manifest (host-side population
     entry point). *)
 
-val attach : clock:Uksim.Clock.t -> Ukblock.Blockdev.t -> (t, Fs.errno) result
-(** Read and parse the superblock of an already-populated device
-    ([Einval] if it is not a Blockfs). *)
-
-val add : t -> name:string -> bytes -> (unit, Fs.errno) result
-(** Publish a small object ([Eexist] on duplicates, [Enospc] when the
-    data area is full). *)
-
 val add_stream :
   t ->
   name:string ->
@@ -49,16 +41,14 @@ val add_stream :
   (int, Fs.errno) result
 (** Publish a large object without materializing it: [fill ~off buf ~pos
     ~len] must write the object's bytes [off, off+len) into
-    [buf[pos..pos+len)]. Returns the object's digest. *)
+    [buf[pos..pos+len)]. Returns the object's digest; [Eexist] on a
+    duplicate name, [Enospc] when the data area is full. *)
 
 val digest_of_stream :
   size:int -> fill:(off:int -> bytes -> pos:int -> len:int -> unit) -> int
 (** Pure host-side digest of a generated stream — what {!add_stream}
     would return, without a device. Lets a publisher derive an object's
     content-address name before writing it. *)
-
-val exists : t -> string -> bool
-val names : t -> string list
 
 type streamed = { bytes : int; digest : int; chunks : int }
 

@@ -13,7 +13,6 @@ module Transport : sig
       exit), host 9p processing latency, response copy and completion
       interrupt — all charged to [clock] since the caller blocks. *)
 
-  val rpc : t -> Ninep.tagged -> (Ninep.msg, string) result
   val rpcs_sent : t -> int
 end
 

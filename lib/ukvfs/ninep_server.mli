@@ -11,7 +11,6 @@ val handle : t -> bytes -> bytes
 (** Process one T-message, return the R-message. Malformed input or
     protocol errors yield [Rerror]. *)
 
-val msize : int
 val iounit : int
 (** Maximum payload per read/write RPC — larger I/O takes multiple round
     trips (visible in Fig 20's block-size scaling). *)

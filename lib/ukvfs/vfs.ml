@@ -145,10 +145,6 @@ let mkdir t path =
   Hashtbl.remove t.dentries path;
   on_path t path (fun fs rel -> fs.Fs.mkdir rel)
 
-let unlink t path =
-  Hashtbl.remove t.dentries path;
-  on_path t path (fun fs rel -> fs.Fs.unlink rel)
-
 let readdir t path = on_path t path (fun fs rel -> fs.Fs.readdir rel)
 let open_fds t = Hashtbl.length t.fds
 let dentry_hits t = t.hits

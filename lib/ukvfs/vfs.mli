@@ -27,7 +27,6 @@ val close : t -> fd -> (unit, Fs.errno) result
 val fsync : t -> fd -> (unit, Fs.errno) result
 val stat : t -> string -> (Fs.stat, Fs.errno) result
 val mkdir : t -> string -> (unit, Fs.errno) result
-val unlink : t -> string -> (unit, Fs.errno) result
 val readdir : t -> string -> (string list, Fs.errno) result
 
 val open_fds : t -> int

@@ -5,15 +5,30 @@ Usage: scripts/check_callers.py DIR...
 
 For every `val` (or `external`) in DIR's .mli files, search each .ml
 file under lib, bench, benchmark, bin, examples and test, except the
-module's own .ml, for the value's name; for every `?label:` in those
-signatures, search the same files for `~label` or `?label`. A value or
-option that no such file mentions has no caller outside its module:
-print it and exit 1.
+module's own .ml, for a use of that value. A value `v` of module `M`
+(or of `M.Sub`, for a val declared inside `module Sub : sig`) is used
+by a file that names it
 
-The search is by name, not by call site. A name that also appears
-elsewhere (another module's value or field of the same name, a label,
-a wrapper forwarding it) counts as a caller, so an unused value or
-option can be missed, but one that has a caller is never flagged.
+  - as `M.v` (or `M.Sub.v`): inside M's library as it stands, anywhere
+    else through the library's wrapper, with any prefix
+    (`Ukvfs.Blockfs.v`), so a same-named module of another library
+    (`Ukapps.Store`, `Ukstore.Store`) keeps nothing alive;
+  - as `X.v`, where the file binds `module X = ...M` (or `...M.Sub`),
+    or opens a module whose .ml binds it (bench's `open Common` brings
+    `Cfg = Unikraft.Config`);
+  - as a bare `v`, where the file opens `M` (or `M.Sub`) with `open`,
+    `open!`, `include`, `let open` or `M.( ... )`; a file that opens
+    `M` may also write `Sub.v`.
+
+A file's aliases and opens hold for the whole file, so a file that
+names a module, or opens one, anywhere counts everywhere; an unused
+value can still be missed, but one that has a caller is never flagged.
+For every `?label:` in those signatures, search the same files for
+`~label` or `?label` by name. A value or option with no such use has no
+caller outside its module: print it and exit 1. On success print how
+many interfaces, values and options were examined; a run that examined
+no value exits 1.
+
 Comments are ignored; string and character literals are kept, so a
 `(*` inside one opens no comment.
 """
@@ -25,8 +40,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEARCH = ["lib", "bench", "benchmark", "bin", "examples", "test"]
 IDENT = "[a-z_][A-Za-z0-9_']*"
+MPATH = r"[A-Z][A-Za-z0-9_']*(?:\.[A-Z][A-Za-z0-9_']*)*"
 CHAR = re.compile(r"'(?:[^\\'\n]|\\(?:[\\\"'ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3}))'")
 QUOTED = re.compile(r"\{([a-z_]*)\|")
+ALIAS = re.compile(r"\bmodule\s+([A-Z][A-Za-z0-9_']*)\s*=\s*(" + MPATH + ")")
+OPEN = re.compile(r"\b(?:open!?|include)\s+(" + MPATH + r")|(?<![A-Za-z0-9_'.])(" + MPATH + r")\.[(\[{]")
+QUALIFIED = re.compile(r"(?<![A-Za-z0-9_'.])(" + MPATH + r")\.(" + IDENT + ")")
+BARE = re.compile(r"(?<![A-Za-z0-9_'.])" + IDENT)
 
 
 def literal_end(src: str, i: int):
@@ -75,18 +95,82 @@ def strip_comments(src: str) -> str:
 
 
 def signatures(mli: Path):
-    """(value name, optional labels) for every val in [mli]."""
-    val, labels = None, []
+    """(submodule path, value name, optional labels) for every val in [mli].
+
+    The submodule path is () for a top-level val and ("Sub",) for one
+    declared inside `module Sub : sig ... end`."""
+    subs, val, labels = [], None, []
     for line in strip_comments(mli.read_text()).splitlines():
         m = re.match(r"\s*(?:val|external)\s+(" + IDENT + ")", line)
         if m or re.match(r"\s*(?:type|module|exception|include|open|end)\b", line):
             if val is not None:
-                yield val, labels
+                yield tuple(subs), val, labels
             val, labels = (m.group(1) if m else None), []
+        sub = re.match(r"\s*module\s+([A-Z][A-Za-z0-9_']*)\s*:\s*sig\b", line)
+        if sub:
+            subs.append(sub.group(1))
+        elif re.match(r"\s*end\b", line) and subs:
+            subs.pop()
         if val is not None:
             labels += re.findall(r"\?(" + IDENT + r")\s*:", line)
     if val is not None:
-        yield val, labels
+        yield tuple(subs), val, labels
+
+
+def resolve(path: str, aliases):
+    """Every module path [path] may denote, its head read through [aliases]."""
+    head, *rest = path.split(".")
+    return {t + tuple(rest) for t in aliases.get(head, ())} | {(head, *rest)}
+
+
+def aliases_of(src: str):
+    """The `module X = P` bindings of [src]: X -> the paths P may denote."""
+    aliases = {}
+    for m in ALIAS.finditer(src):
+        aliases.setdefault(m.group(1), set()).update(resolve(m.group(2), aliases))
+    return aliases
+
+
+class Uses:
+    """What one .ml file names: each qualified value under every module
+    path it may denote, the modules it opens, and its bare identifiers.
+    [library] is the wrapper of the library the file belongs to, if any;
+    [bound] maps a module name to the aliases its .ml binds, which a file
+    that opens that module can use too."""
+
+    def __init__(self, src: str, library, bound):
+        aliases = aliases_of(src)
+        named = [m.group(1) or m.group(2) for m in OPEN.finditer(src)]
+        for o in {o for n in named for o in resolve(n, aliases)}:
+            for x, targets in bound.get(o[-1], {}).items():
+                aliases.setdefault(x, set()).update(targets)
+        opens = {o for n in named for o in resolve(n, aliases)}
+        # `open Ukalloc` then `open Alloc` opens Ukalloc.Alloc.
+        self.opens = opens | {a + b for a in opens for b in opens}
+        self.qualified = {}
+        for m in QUALIFIED.finditer(src):
+            self.qualified.setdefault(m.group(2), set()).update(resolve(m.group(1), aliases))
+        self.bare = set(BARE.findall(src))
+        self.library = library
+
+    def names(self, library, module, val: str) -> bool:
+        """Does this file name [val] of [module] (a path: the module, then
+        its submodules) of [library]? Outside [library] the path must
+        start at the library's wrapper, so a same-named module of another
+        library keeps nothing alive."""
+        full = (library, *module) if library else module
+        short = module if library == self.library else None
+        denotes = lambda p: p[len(p) - len(full):] == full or p == short
+        if val in self.bare and any(denotes(o) for o in self.opens):
+            return True
+        return any(denotes(p) or any(denotes(o + p) for o in self.opens) for p in self.qualified.get(val, ()))
+
+
+def wrapper(d: Path):
+    """The module wrapping the dune library in [d] (None outside one)."""
+    dune = d / "dune"
+    m = re.search(r"\(library\s+\(name\s+(\w+)\)", dune.read_text()) if dune.is_file() else None
+    return m.group(1).capitalize() if m else None
 
 
 def mentioned(name: str, sigil: str, sources) -> bool:
@@ -105,21 +189,36 @@ def main(argv) -> int:
         for p in (ROOT / d).rglob("*.ml")
         if "_build" not in p.parts
     }
-    unused = []
+    bound = {}
+    for p, src in sources.items():
+        for x, targets in aliases_of(src).items():
+            bound.setdefault(p.stem.capitalize(), {}).setdefault(x, set()).update(targets)
+    uses = {p: Uses(src, wrapper(p.parent), bound) for p, src in sources.items()}
+    unused, interfaces, values, options = [], 0, 0, 0
     for d in argv:
         for mli in sorted(Path(d).resolve().glob("*.mli")):
             own = mli.with_suffix(".ml")
+            library = wrapper(mli.parent)
             module = mli.stem.capitalize()
-            others = [src for p, src in sources.items() if p != own]
-            where = f"{mli.relative_to(ROOT)}: {module}"
-            for val, labels in signatures(mli):
-                if not mentioned(val, r"(?<![A-Za-z0-9_'])", others):
-                    unused.append(f"{where}.{val}")
+            others = [p for p in sources if p != own]
+            interfaces += 1
+            for subs, val, labels in signatures(mli):
+                name = ".".join((module, *subs, val))
+                where = f"{mli.relative_to(ROOT)}: {name}"
+                values += 1
+                options += len(labels)
+                if not any(uses[p].names(library, (module, *subs), val) for p in others):
+                    unused.append(where)
                 for label in labels:
-                    if not mentioned(label, "[~?]", others):
-                        unused.append(f"{where}.{val} ?{label}")
+                    if not mentioned(label, "[~?]", [sources[p] for p in others]):
+                        unused.append(f"{where} ?{label}")
     for line in unused:
         print(line)
+    if values == 0:
+        print(f"FAIL: no val examined in {' '.join(argv)}")
+        return 1
+    if not unused:
+        print(f"ok: {interfaces} interfaces, {values} values and {options} options examined, each has a caller")
     return 1 if unused else 0
 
 

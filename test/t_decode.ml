@@ -6,7 +6,8 @@
    One harness drives them all. Each decoder gets random bytes, random
    printable text, and truncations and single-byte flips of one valid
    encoding; QCheck reports any exception as a failure with the input
-   that raised it. *)
+   that raised it. IPv4 reassembly reads fragment sequences rather than
+   one buffer, so it gets its own two properties at the end. *)
 
 module Nb = Uknetdev.Netbuf
 module P = Uknetstack.Pkt
@@ -260,7 +261,82 @@ let http_frame_matches_bytewise_prop =
       let buf = Bytes.of_string s in
       Ukapps.Httpd.frame buf pos limit = bytewise_http_frame buf pos limit)
 
+(* --- IPv4 reassembly --------------------------------------------------------- *)
+
+module Frag = Uknetstack.Frag
+
+let frag_sources = [| src; dst |]
+
+let print_frag (s, id, proto, off, len, mf) =
+  Printf.sprintf "(src %d, id %d, proto %d, off %d, %d B, MF %b)" s id proto off len mf
+
+(* One fragment from 2 sources x ids 0-3 x {TCP, UDP}: offset 8k for k
+   in 0-8191 (half of them in 0-15, where datagrams can complete), a
+   0-1480 B payload, random MF. *)
+let hostile_fragment =
+  let open QCheck.Gen in
+  map
+    (fun (((s, id), (tcp, k)), (len, mf)) -> (s, id, (if tcp then 6 else 17), 8 * k, len, mf))
+    (pair
+       (pair (pair (int_bound 1) (int_bound 3))
+          (pair bool (frequency [ (1, int_bound 8191); (1, int_bound 15) ])))
+       (pair (int_bound 1480) bool))
+
+let frag_total_prop =
+  QCheck.Test.make ~name:"Frag.insert is total on hostile fragments, at most 64 pending"
+    ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_frag)
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 0 200) hostile_fragment))
+    (fun frags ->
+      let t = Frag.create ~clock:(Uksim.Clock.create ()) () in
+      List.for_all
+        (fun (s, id, proto, off, len, mf) ->
+          ignore
+            (Frag.insert t ~src:frag_sources.(s) ~id ~proto ~frag_offset:off ~more_frags:mf
+               (Bytes.make len 'x'));
+          Frag.pending_datagrams t <= 64)
+        frags)
+
+(* A 0-4000 B payload cut at random 8-byte-aligned offsets into
+   (offset, length, MF) fragments, some sent twice, in random order. *)
+let split_payload =
+  let open QCheck.Gen in
+  string_size ~gen:char (int_range 0 4000) >>= fun payload ->
+  let n = String.length payload in
+  list_size (int_range 0 12) (int_range 1 (max 1 ((n - 1) / 8))) >>= fun ks ->
+  let cuts = List.sort_uniq compare (List.filter (fun c -> c < n) (List.map (( * ) 8) ks)) in
+  let rec pieces = function
+    | a :: (b :: _ as rest) -> (a, b - a, rest <> [ n ]) :: pieces rest
+    | [ _ ] | [] -> []
+  in
+  let frags = pieces ((0 :: cuts) @ [ n ]) in
+  list_size (int_range 0 4) (oneofl frags) >>= fun dups ->
+  shuffle_l (frags @ dups) >|= fun order -> (payload, order)
+
+let frag_roundtrip_prop =
+  QCheck.Test.make ~name:"Frag reassembles shuffled, duplicated fragments exactly" ~count:500
+    (QCheck.make
+       ~print:(fun (payload, order) ->
+         Printf.sprintf "%d B payload, fragments %s" (String.length payload)
+           (QCheck.Print.list (fun (off, len, mf) -> Printf.sprintf "(%d, %d, %b)" off len mf) order))
+       split_payload)
+    (fun (payload, order) ->
+      let t = Frag.create ~clock:(Uksim.Clock.create ()) () in
+      let rec first_complete = function
+        | [] -> false
+        | (off, len, mf) :: rest -> (
+            match
+              Frag.insert t ~src ~id:7 ~proto:17 ~frag_offset:off ~more_frags:mf
+                (Bytes.of_string (String.sub payload off len))
+            with
+            | Frag.Complete b -> Bytes.to_string b = payload
+            | Frag.Pending -> first_complete rest
+            | Frag.Rejected _ -> false)
+      in
+      first_complete order)
+
 let suite =
   Alcotest.test_case "every valid seed decodes" `Quick test_valid_seeds_decode
   :: QCheck_alcotest.to_alcotest http_frame_matches_bytewise_prop
   :: List.map (fun d -> QCheck_alcotest.to_alcotest (total d)) decoders
+  @ List.map QCheck_alcotest.to_alcotest [ frag_total_prop; frag_roundtrip_prop ]

@@ -44,19 +44,54 @@ let test_pool () =
   let a = Option.get (Nb.Pool.take p) in
   let b = Option.get (Nb.Pool.take p) in
   Alcotest.(check bool) "exhausted" true (Nb.Pool.take p = None);
-  Nb.Pool.give p a;
-  Nb.Pool.give p b;
-  Alcotest.(check int) "restored" 2 (Nb.Pool.available p);
-  let foreign = Nb.alloc ~size:64 () in
-  Alcotest.check_raises "foreign buffer rejected"
-    (Invalid_argument "Netbuf.Pool.give: buffer does not belong to this pool") (fun () ->
-      Nb.Pool.give p foreign)
+  Nb.recycle a;
+  Nb.recycle b;
+  Alcotest.(check int) "restored" 2 (Nb.Pool.available p)
 
 let test_pool_backed_by_allocator () =
   let clock, _ = env () in
   let alloc = Ukalloc.Tlsf.create ~clock ~base:(1 lsl 20) ~len:(1 lsl 20) in
   let _ = Nb.Pool.create ~clock ~alloc ~count:16 ~size:1500 () in
   Alcotest.(check int) "backing allocations made" 16 (count alloc.Ukalloc.Alloc.source "allocs")
+
+let test_recycle_goes_home () =
+  (* [recycle] is the only way back: a cell returns to the pool it was
+     taken from, whichever core drops it. *)
+  let clock, _ = env () in
+  let p1 = Nb.Pool.create ~clock ~count:1 ~size:64 () in
+  let p2 = Nb.Pool.create ~clock ~count:1 ~size:64 () in
+  let a = Option.get (Nb.Pool.take p1) in
+  let b = Option.get (Nb.Pool.take p2) in
+  Nb.recycle a;
+  Alcotest.(check int) "home pool has the return" 1 (Nb.Pool.pending_returns p1);
+  Alcotest.(check int) "other pool untouched" 0 (Nb.Pool.pending_returns p2);
+  Alcotest.(check bool) "other pool still exhausted" true (Nb.Pool.take p2 = None);
+  Alcotest.(check bool) "home pool serves again" true (Nb.Pool.take p1 <> None);
+  Nb.recycle b;
+  Alcotest.(check int) "each pool keeps its own cells" 1 (Nb.Pool.total p2)
+
+let test_take_charges_the_taker () =
+  (* The taker pays for the take and for draining the remote frees, on
+     the clock it passes; the pool's own clock is only the default. *)
+  let pool_clock, _ = env () in
+  let taker = Uksim.Clock.create () in
+  let p = Nb.Pool.create ~clock:pool_clock ~count:3 ~size:64 () in
+  let bufs = List.init 3 (fun _ -> Option.get (Nb.Pool.take p)) in
+  let take_cost = Uksim.Clock.cycles pool_clock / 3 in
+  (* One return drained by a default-clock take prices a return. *)
+  Nb.recycle (List.hd bufs);
+  let t0 = Uksim.Clock.cycles pool_clock in
+  let a = Option.get (Nb.Pool.take p) in
+  let return_cost = Uksim.Clock.cycles pool_clock - t0 - take_cost in
+  Alcotest.(check bool) "a return costs cycles" true (return_cost > 0);
+  let t1 = Uksim.Clock.cycles pool_clock in
+  List.iter Nb.recycle (a :: List.tl (List.tl bufs));
+  Alcotest.(check int) "recycling is free" t1 (Uksim.Clock.cycles pool_clock);
+  ignore (Nb.Pool.take ~clock:taker p);
+  Alcotest.(check int) "pool clock not charged" t1 (Uksim.Clock.cycles pool_clock);
+  Alcotest.(check int) "taker paid a take and two returns" (take_cost + (2 * return_cost))
+    (Uksim.Clock.cycles taker);
+  Alcotest.(check int) "returns drained" 0 (Nb.Pool.pending_returns p)
 
 let test_wire_delivery () =
   let clock, engine = env () in
@@ -197,6 +232,177 @@ let test_guest_costs_differ () =
   Alcotest.(check bool) "host path: dpdk backend much faster" true
     (Vn.host_pkt_cost Vn.Vhost_user * 5 < Vn.host_pkt_cost Vn.Vhost_net)
 
+let payloads = List.map (fun nb -> Bytes.to_string (Nb.copy_out nb))
+
+let test_virtio_tx_ring_drains_fifo () =
+  (* The TX queue is a bounded FIFO: the host drains it in order onto the
+     wire, and draining gives the guest its room back. *)
+  let clock, engine = env () in
+  let a, b = Wire.create_pair ~engine () in
+  let got = ref [] in
+  Wire.set_receiver b
+    (Some
+       (fun nb ->
+         got := Bytes.to_string (Nb.copy_out nb) :: !got;
+         Nb.recycle nb));
+  let dev = Vn.create ~clock ~engine ~backend:Vn.Vhost_net ~wire:a ~ring_size:4 () in
+  let frames = Array.init 6 (fun i -> Nb.of_bytes (Bytes.of_string (string_of_int i))) in
+  Alcotest.(check int) "ring takes four" 4 (dev.Nd.tx_burst ~qid:0 frames);
+  Alcotest.(check int) "no room left" 0 (dev.Nd.tx_room ~qid:0);
+  Uksim.Engine.run engine;
+  Alcotest.(check int) "drained ring has room again" 4 (dev.Nd.tx_room ~qid:0);
+  Alcotest.(check int) "the rejected two go next" 2 (dev.Nd.tx_burst ~qid:0 (Array.sub frames 4 2));
+  Uksim.Engine.run engine;
+  Alcotest.(check (list string)) "wire order is send order"
+    [ "0"; "1"; "2"; "3"; "4"; "5" ] (List.rev !got)
+
+(* --- Rxq: the device-side RX ring every driver runs ------------------------ *)
+
+let polling path = { Nd.rx_path = path; mode = Nd.Polling; rx_handler = None }
+
+let mk_rxq ?(ring_size = 4) ?(pkt_cost = 0) ?(rx_path = Nd.Zero_copy) () =
+  let clock, engine = env () in
+  let c = Nd.counters "rxq-test" in
+  let q = Nd.Rxq.create c ~clock ~engine ~ring_size ~pkt_cost in
+  Nd.Rxq.configure q (polling rx_path);
+  (clock, engine, Nd.source c, q)
+
+let frame s = Nb.of_bytes (Bytes.of_string s)
+
+let test_rxq_fifo () =
+  let _, _, src, q = mk_rxq () in
+  List.iter (fun s -> Nd.Rxq.deliver q (frame s)) [ "a"; "bb"; "ccc" ];
+  Alcotest.(check int) "queued" 3 (Nd.Rxq.pending q);
+  Alcotest.(check (list string)) "arrival order" [ "a"; "bb"; "ccc" ]
+    (payloads (Nd.Rxq.burst q ~max:8));
+  Alcotest.(check int) "empty" 0 (Nd.Rxq.pending q);
+  Alcotest.(check (list string)) "empty burst" [] (payloads (Nd.Rxq.burst q ~max:8));
+  Alcotest.(check int) "rx_pkts" 3 (count src "rx_pkts");
+  Alcotest.(check int) "rx_bytes" 6 (count src "rx_bytes")
+
+let test_rxq_full_drops () =
+  let clock, _, src, q = mk_rxq ~ring_size:2 () in
+  let p = Nb.Pool.create ~clock ~count:3 ~size:64 () in
+  let bufs = List.init 3 (fun _ -> Option.get (Nb.Pool.take p)) in
+  List.iter (Nd.Rxq.deliver q) bufs;
+  Alcotest.(check int) "ring holds its size" 2 (Nd.Rxq.pending q);
+  Alcotest.(check int) "overflow counted" 1 (count src "rx_dropped");
+  Alcotest.(check bool) "dropped frame recycled" false (Nb.live (List.nth bufs 2));
+  Alcotest.(check int) "its cell went home" 1 (Nb.Pool.pending_returns p);
+  (match Nd.Rxq.burst q ~max:1 with
+  | [ nb ] -> Alcotest.(check bool) "oldest first" true (nb == List.hd bufs)
+  | l -> Alcotest.failf "expected one frame, got %d" (List.length l));
+  Nd.Rxq.deliver q (frame "again");
+  Alcotest.(check int) "room again" 2 (Nd.Rxq.pending q);
+  Alcotest.(check int) "no new drop" 1 (count src "rx_dropped")
+
+let test_rxq_burst_max () =
+  let _, _, src, q = mk_rxq ~ring_size:8 () in
+  for i = 0 to 7 do
+    Nd.Rxq.deliver q (frame (string_of_int i))
+  done;
+  Alcotest.(check (list string)) "first three" [ "0"; "1"; "2" ] (payloads (Nd.Rxq.burst q ~max:3));
+  Alcotest.(check (list string)) "max 0 takes nothing" [] (payloads (Nd.Rxq.burst q ~max:0));
+  Alcotest.(check int) "remaining" 5 (Nd.Rxq.pending q);
+  Alcotest.(check int) "only dequeued frames counted" 3 (count src "rx_pkts")
+
+let test_rxq_laps () =
+  (* A small ring filled and drained for many laps keeps order and loses
+     nothing. *)
+  let _, _, src, q = mk_rxq ~ring_size:4 () in
+  let wrong = ref 0 in
+  for _ = 1 to 2_500 do
+    let sent = List.init 4 (fun _ -> Nb.alloc ~size:8 ()) in
+    List.iter (Nd.Rxq.deliver q) sent;
+    if not (List.for_all2 ( == ) sent (Nd.Rxq.burst q ~max:4)) then incr wrong
+  done;
+  Alcotest.(check int) "every lap in order" 0 !wrong;
+  Alcotest.(check int) "all received" 10_000 (count src "rx_pkts");
+  Alcotest.(check int) "none dropped" 0 (count src "rx_dropped")
+
+let test_rxq_copy_path () =
+  (* Copy_into hands out the consumer's buffer and recycles the ring's;
+     a failing allocation callback drops the frame. *)
+  let budget = ref 1 in
+  let rx_alloc () =
+    if !budget = 0 then None
+    else begin
+      decr budget;
+      Some (Nb.alloc ~size:64 ())
+    end
+  in
+  let clock, _, src, q = mk_rxq ~rx_path:(Nd.Copy_into rx_alloc) () in
+  let p = Nb.Pool.create ~clock ~count:2 ~size:64 () in
+  let ring_bufs =
+    List.map
+      (fun s ->
+        let nb = Option.get (Nb.Pool.take p) in
+        Nb.copy_in nb (Bytes.of_string s);
+        nb)
+      [ "x"; "y" ]
+  in
+  List.iter (Nd.Rxq.deliver q) ring_bufs;
+  let got = Nd.Rxq.burst q ~max:4 in
+  Alcotest.(check (list string)) "copied frame only" [ "x" ] (payloads got);
+  Alcotest.(check bool) "consumer's buffer, not the ring's" false
+    (List.memq (List.hd got) ring_bufs);
+  Alcotest.(check int) "both ring buffers recycled" 2 (Nb.Pool.pending_returns p);
+  Alcotest.(check int) "allocation failure dropped" 1 (count src "rx_dropped");
+  Alcotest.(check int) "one received" 1 (count src "rx_pkts")
+
+let test_rxq_observes_device_progress () =
+  (* [pending] and [burst] first run the device side up to the consumer's
+     present, so a frame the engine delivers in the past is seen. *)
+  let clock, engine, _, q = mk_rxq () in
+  Uksim.Engine.at engine 100 (fun () -> Nd.Rxq.deliver q (frame "late"));
+  Alcotest.(check int) "not arrived at cycle 0" 0 (Nd.Rxq.pending q);
+  Uksim.Clock.advance clock 150;
+  Alcotest.(check int) "arrived by cycle 150" 1 (Nd.Rxq.pending q);
+  Alcotest.(check (list string)) "and received" [ "late" ] (payloads (Nd.Rxq.burst q ~max:4));
+  Alcotest.(check int) "the consumer's clock did not move back" 150 (Uksim.Clock.cycles clock)
+
+let test_rxq_charges_per_packet () =
+  let clock, _, _, q = mk_rxq ~pkt_cost:88 () in
+  for _ = 1 to 3 do
+    Nd.Rxq.deliver q (frame "p")
+  done;
+  ignore (Nd.Rxq.burst q ~max:2);
+  Alcotest.(check int) "two dequeued, two charged" 176 (Uksim.Clock.cycles clock);
+  ignore (Nd.Rxq.burst q ~max:2);
+  Alcotest.(check int) "the third" 264 (Uksim.Clock.cycles clock);
+  ignore (Nd.Rxq.burst q ~max:2);
+  Alcotest.(check int) "an empty burst is free" 264 (Uksim.Clock.cycles clock)
+
+let rxq_counters = lazy (Nd.counters "rxq-model")
+
+let rxq_model_prop =
+  QCheck.Test.make ~name:"rxq behaves as a bounded FIFO queue" ~count:200
+    QCheck.(list (int_range (-4) 4))
+    (fun ops ->
+      (* op >= 0 delivers a fresh frame; op < 0 bursts up to -op frames.
+         The model is a Queue bounded by the ring size. *)
+      let clock, engine = env () in
+      let q = Nd.Rxq.create (Lazy.force rxq_counters) ~clock ~engine ~ring_size:8 ~pkt_cost:0 in
+      Nd.Rxq.configure q (polling Nd.Zero_copy);
+      let model = Queue.create () in
+      List.for_all
+        (fun op ->
+          if op >= 0 then begin
+            let nb = Nb.alloc ~size:8 () in
+            Nd.Rxq.deliver q nb;
+            if Queue.length model < 8 then begin
+              Queue.push nb model;
+              Nb.live nb
+            end
+            else not (Nb.live nb)
+          end
+          else
+            let got = Nd.Rxq.burst q ~max:(-op) in
+            let want = List.init (min (-op) (Queue.length model)) (fun _ -> Queue.pop model) in
+            List.length got = List.length want && List.for_all2 ( == ) got want)
+        ops
+      && Nd.Rxq.pending q = Queue.length model)
+
 let suite =
   [
     Alcotest.test_case "netbuf push/pull" `Quick test_netbuf_push_pull;
@@ -204,6 +410,8 @@ let suite =
     QCheck_alcotest.to_alcotest netbuf_roundtrip_prop;
     Alcotest.test_case "netbuf pool" `Quick test_pool;
     Alcotest.test_case "pool backed by ukalloc" `Quick test_pool_backed_by_allocator;
+    Alcotest.test_case "recycle returns a cell to its home pool" `Quick test_recycle_goes_home;
+    Alcotest.test_case "pool take charges the taker's clock" `Quick test_take_charges_the_taker;
     Alcotest.test_case "wire delivery" `Quick test_wire_delivery;
     Alcotest.test_case "wire line-rate serialization" `Quick test_wire_serialization;
     Alcotest.test_case "wire echo" `Quick test_wire_echo;
@@ -214,6 +422,15 @@ let suite =
       test_virtio_rx_interrupt_storm_avoidance;
     Alcotest.test_case "rx drop when unconfigured" `Quick test_virtio_rx_drop_when_unconfigured;
     Alcotest.test_case "tx ring capacity" `Quick test_virtio_ring_capacity;
+    Alcotest.test_case "tx ring drains in FIFO order" `Quick test_virtio_tx_ring_drains_fifo;
+    Alcotest.test_case "rxq fifo order" `Quick test_rxq_fifo;
+    Alcotest.test_case "rxq full ring drops and recycles" `Quick test_rxq_full_drops;
+    Alcotest.test_case "rxq burst honours max" `Quick test_rxq_burst_max;
+    Alcotest.test_case "rxq 10k frames in 4-slot laps" `Quick test_rxq_laps;
+    Alcotest.test_case "rxq copy path" `Quick test_rxq_copy_path;
+    Alcotest.test_case "rxq observes device progress" `Quick test_rxq_observes_device_progress;
+    Alcotest.test_case "rxq charges per dequeued packet" `Quick test_rxq_charges_per_packet;
+    QCheck_alcotest.to_alcotest rxq_model_prop;
     Alcotest.test_case "loopback pair" `Quick test_loopback_pair;
     Alcotest.test_case "backend cost model" `Quick test_guest_costs_differ;
   ]

@@ -550,7 +550,7 @@ let frag_random_order_prop =
       | Some p -> Bytes.equal p payload
       | None -> false)
 
-(* The TCP/IPv4 wire format carries no options (Pkt.Tcp.size = 20), so
+(* The TCP/IPv4 wire format carries no options (20-byte headers), so
    "arbitrary header" coverage means arbitrary field values: every legal
    combination of ports, sequence numbers, flags, fragment fields and
    payload must survive encode → checksum → decode bit-exactly. *)

@@ -224,6 +224,155 @@ let test_engine_cancel_head () =
   Engine.run e;
   Alcotest.(check int) "live event fired" 1 !fired
 
+(* The engine's heap is the system's one timer queue: every timeout is an
+   event on it, and TCP arms its retransmit timer with [arm] and cancels
+   it whenever the deadline moves. The tests below pin the timer
+   semantics those callers rely on. *)
+
+let test_engine_not_early () =
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let hit = ref false in
+  ignore (Engine.arm e 1_000_000 (fun () -> hit := true));
+  Engine.run ~until:999_999 e;
+  Alcotest.(check bool) "not fired a cycle early" false !hit;
+  Alcotest.(check int) "still pending" 1 (Engine.pending e);
+  Engine.run ~until:1_100_000 e;
+  Alcotest.(check bool) "fired at its deadline" true !hit;
+  Alcotest.(check int) "clock at the limit" 1_100_000 (Clock.cycles c)
+
+let test_engine_rearm_periodic () =
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let at = ref [] in
+  let rec tick () =
+    at := Clock.cycles c :: !at;
+    if List.length !at < 5 then ignore (Engine.arm e 10_000 tick)
+  in
+  ignore (Engine.arm e 10_000 tick);
+  Engine.run ~until:100_000 e;
+  Alcotest.(check (list int)) "five periods, exactly spaced"
+    [ 10_000; 20_000; 30_000; 40_000; 50_000 ] (List.rev !at);
+  Alcotest.(check int) "nothing left armed" 0 (Engine.pending e)
+
+let test_engine_rearm_cancels_previous () =
+  (* A retransmit timer as TCP runs it: each send pushes the deadline out
+     by cancelling the armed timer and arming a fresh one. Only the last
+     one fires. *)
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let fired = ref [] in
+  let rto = ref None in
+  let rearm d =
+    Option.iter (Engine.cancel e) !rto;
+    rto := Some (Engine.arm e d (fun () -> fired := Clock.cycles c :: !fired))
+  in
+  rearm 1_000;
+  Engine.after e 400 (fun () -> rearm 1_000);
+  Engine.after e 900 (fun () -> rearm 1_000);
+  Engine.run e;
+  Alcotest.(check (list int)) "only the last deadline fired" [ 1_900 ] !fired;
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e)
+
+let test_engine_cancel_same_cycle () =
+  (* Events at one cycle run in arming order, and one of them may cancel
+     a later one of the same cycle. *)
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let log = ref [] in
+  let victim = ref None in
+  ignore
+    (Engine.arm e 100 (fun () ->
+         log := "first" :: !log;
+         Option.iter (Engine.cancel e) !victim));
+  victim := Some (Engine.arm e 100 (fun () -> log := "victim" :: !log));
+  ignore (Engine.arm e 100 (fun () -> log := "third" :: !log));
+  Engine.run e;
+  Alcotest.(check (list string)) "victim never ran" [ "first"; "third" ] (List.rev !log);
+  Alcotest.(check int) "clock at the shared cycle" 100 (Clock.cycles c)
+
+let test_engine_all_cancelled () =
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let timers = List.map (fun d -> Engine.arm e d (fun () -> Alcotest.fail "ran")) [ 10; 20; 30 ] in
+  List.iter (Engine.cancel e) timers;
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  Alcotest.(check (option int)) "no next event" None (Engine.next_at e);
+  Alcotest.(check bool) "step finds nothing" false (Engine.step e);
+  Engine.run e;
+  Alcotest.(check int) "cancelled events never advance the clock" 0 (Clock.cycles c);
+  Engine.run ~until:500 e;
+  Alcotest.(check int) "run ~until still reaches its limit" 500 (Clock.cycles c)
+
+let engine_timer_model_prop =
+  QCheck.Test.make ~name:"engine fires exactly the live timers a sorted model fires" ~count:200
+    QCheck.(pair (list (pair (int_bound 2_000) bool)) (int_bound 2_500))
+    (fun (timers, horizon) ->
+      (* Each (delay, cancelled) is armed at cycle 0, in list order. *)
+      let c = Clock.create () in
+      let e = Engine.create c in
+      let fired = ref [] in
+      let handles =
+        List.mapi
+          (fun i (d, _) -> Engine.arm e d (fun () -> fired := (i, Clock.cycles c) :: !fired))
+          timers
+      in
+      List.iter2 (fun h (_, cancelled) -> if cancelled then Engine.cancel e h) handles timers;
+      Engine.run ~until:horizon e;
+      let live =
+        List.concat
+          (List.mapi (fun i (d, cancelled) -> if cancelled then [] else [ (i, d) ]) timers)
+      in
+      (* Deadline order; ties in arming order (a stable sort keeps it). *)
+      let model =
+        List.stable_sort
+          (fun (_, a) (_, b) -> compare a b)
+          (List.filter (fun (_, d) -> d <= horizon) live)
+      in
+      List.rev !fired = model
+      && Engine.pending e = List.length live - List.length model
+      && Clock.cycles c = horizon)
+
+let test_engine_many_timers () =
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let fired = ref 0 in
+  let timers = Array.init 50_000 (fun i -> Engine.arm e ((i + 1) * 100) (fun () -> incr fired)) in
+  Array.iteri (fun i t -> if i mod 2 = 0 then Engine.cancel e t) timers;
+  Alcotest.(check int) "half pending" 25_000 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check int) "the uncancelled half fired" 25_000 !fired;
+  Alcotest.(check int) "clock at the last live deadline" 5_000_000 (Clock.cycles c)
+
+let test_engine_observer () =
+  (* The observer sees the cycles each closure consumed, not the idle
+     advance to the event's timestamp. *)
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let seen = ref [] in
+  Engine.set_observer e (Some (fun cycles -> seen := cycles :: !seen));
+  Engine.after e 100 (fun () -> Clock.advance c 30);
+  Engine.after e 200 (fun () -> ());
+  Engine.run e;
+  Alcotest.(check (list int)) "per-event cycles" [ 30; 0 ] (List.rev !seen);
+  Engine.set_observer e None;
+  Engine.after e 50 (fun () -> Clock.advance c 7);
+  Engine.run e;
+  Alcotest.(check int) "detached observer sees nothing" 2 (List.length !seen);
+  Alcotest.(check int) "clock" 257 (Clock.cycles c)
+
+let test_engine_run_for_ns () =
+  let c = Clock.create () in
+  let e = Engine.create c in
+  let fired = ref [] in
+  Engine.after_ns e 500.0 (fun () -> fired := 500 :: !fired);
+  Engine.after_ns e 1_500.0 (fun () -> fired := 1_500 :: !fired);
+  Engine.run_for_ns e 1_000.0;
+  Alcotest.(check (list int)) "only the event inside the window" [ 500 ] !fired;
+  Alcotest.(check int) "clock at the window's end" (Clock.cycles_of_ns 1_000.0) (Clock.cycles c);
+  Engine.run_for_ns e 1_000.0;
+  Alcotest.(check (list int)) "next window" [ 1_500; 500 ] !fired
+
 let test_stats_percentiles () =
   let s = Stats.create () in
   for i = 1 to 100 do
@@ -275,6 +424,16 @@ let suite =
     Alcotest.test_case "engine after: negative/zero edges" `Quick test_engine_after_edges;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine cancel of the earliest event" `Quick test_engine_cancel_head;
+    Alcotest.test_case "engine arm never fires early" `Quick test_engine_not_early;
+    Alcotest.test_case "engine re-arm from the callback" `Quick test_engine_rearm_periodic;
+    Alcotest.test_case "engine re-arm cancels the previous timer" `Quick
+      test_engine_rearm_cancels_previous;
+    Alcotest.test_case "engine cancel from a same-cycle event" `Quick test_engine_cancel_same_cycle;
+    Alcotest.test_case "engine with every event cancelled" `Quick test_engine_all_cancelled;
+    QCheck_alcotest.to_alcotest engine_timer_model_prop;
+    Alcotest.test_case "engine 50k timers, half cancelled" `Quick test_engine_many_timers;
+    Alcotest.test_case "engine observer sees per-event cycles" `Quick test_engine_observer;
+    Alcotest.test_case "engine run_for_ns windows" `Quick test_engine_run_for_ns;
     Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "stats throughput" `Quick test_stats_throughput;

@@ -33,7 +33,6 @@ let () =
       ("uknetstack", T_uknetstack.suite);
       ("ukos", T_ukos.suite);
       ("ukplat", T_ukplat.suite);
-      ("ukring", T_ukring.suite);
       ("uksched", T_uksched.suite);
       ("uksec (mpk/asan/binary)", T_uksec.suite);
       ("uksim", T_uksim.suite);
@@ -41,7 +40,6 @@ let () =
       ("ukstore", T_ukstore.suite);
       ("uksyscall", T_uksyscall.suite);
       ("uktcp-loss", T_uktcp_loss.suite);
-      ("uktime", T_uktime.suite);
       ("uktrace", T_uktrace.suite);
       ("ukvfs", T_ukvfs.suite);
       ("unikraft", T_unikraft.suite);
