@@ -246,7 +246,7 @@ let abl_security =
           let m = Ukmpk.Mpk.create ~clock in
           let key = Result.get_ok (Ukmpk.Mpk.alloc_key m ~name:"shfs" ()) in
           Ukmpk.Mpk.bind_range m key ~base:0x100000 ~len:65536;
-          let gate = Ukmpk.Mpk.Gate.create m ~name:"shfs-gate" ~target_key:key in
+          let gate = Ukmpk.Mpk.Gate.create m ~target_key:key in
           let one () =
             match Ukvfs.Shfs.open_direct shfs "obj.html" with
             | Ok h ->

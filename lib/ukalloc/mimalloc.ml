@@ -12,7 +12,6 @@ let init_cost = 1_300_000 (* pthread + heap bring-up, ~0.36 ms *)
 
 type page = {
   block_size : int;
-  page_addr : int;
   mutable free : int list;
   mutable local_free : int list;
   mutable used : int;
@@ -20,7 +19,6 @@ type page = {
 
 type state = {
   clock : Uksim.Clock.t;
-  base : int;
   limit : int;
   mutable bump : int; (* segment carve pointer, page-aligned *)
   avail : (int, page list) Hashtbl.t; (* class size -> pages with space *)
@@ -57,7 +55,7 @@ let carve_page t cls =
     let capacity = (page_size - start) / cls in
     charge t (page_init_base + (capacity * page_init_per_block));
     let blocks = List.init capacity (fun i -> addr + start + (i * cls)) in
-    let p = { block_size = cls; page_addr = addr; free = blocks; local_free = []; used = 0 } in
+    let p = { block_size = cls; free = blocks; local_free = []; used = 0 } in
     Hashtbl.replace t.page_of (page_index addr) p;
     t.n_pages <- t.n_pages + 1;
     Some p
@@ -159,7 +157,6 @@ let create ~clock ~base ~len =
   let t =
     {
       clock;
-      base;
       limit = base + len;
       bump = base;
       avail = Hashtbl.create 32;

@@ -12,14 +12,14 @@ let init_cost = 1500
    the C default of 256 to run SQLite's 60k-insert workload. *)
 let max_blocks = 1 lsl 20
 
-type block = { mutable addr : int; mutable size : int }
+type block = { addr : int; mutable size : int }
 
 type state = {
   clock : Uksim.Clock.t;
   limit : int;
   mutable top : int; (* bump pointer for fresh blocks *)
   mutable free : block list; (* address-ordered *)
-  mutable used : (int, block) Hashtbl.t;
+  used : (int, block) Hashtbl.t;
   counts : Alloc.Counts.t;
 }
 

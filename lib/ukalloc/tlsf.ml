@@ -20,7 +20,7 @@ let merge_cost = 22
 let init_cost = 2200
 
 type block = {
-  mutable addr : int;
+  addr : int;
   mutable size : int; (* whole block, header included *)
   mutable free : bool;
   mutable prev_phys : block option;

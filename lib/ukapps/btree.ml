@@ -1,14 +1,14 @@
 (* Classic B-tree with preemptive splitting on the way down. Leaves hold
-   (key, value-address, value) entries; interior nodes hold separator keys
-   and children. The value bytes are kept in the OCaml heap for
-   inspection, while their storage cost lives in the ukalloc backend via
-   the recorded address. *)
+   keys beside (value-address, value) entries; interior nodes hold
+   separator keys and children. The value bytes are kept in the OCaml
+   heap for inspection, while their storage cost lives in the ukalloc
+   backend via the recorded address. *)
 
-type entry = { mutable ekey : string; mutable addr : int; mutable value : bytes }
+type entry = { mutable addr : int; mutable value : bytes }
 
 type node = {
-  mutable keys : string array; (* separators (interior) or entry keys (leaf) *)
-  mutable entries : entry array; (* leaves only *)
+  keys : string array; (* separators (interior) or entry keys (leaf) *)
+  entries : entry array; (* leaves only *)
   mutable children : node array; (* interior only; length = keys + 1 *)
   mutable nkeys : int;
   leaf : bool;
@@ -27,7 +27,7 @@ let node_alloc_size = 512
 
 let charge t c = Uksim.Clock.advance t.clock c
 
-let dummy_entry = { ekey = ""; addr = 0; value = Bytes.empty }
+let dummy_entry = { addr = 0; value = Bytes.empty }
 
 let new_node t ~leaf =
   (* Node storage comes from the allocator; failure is surfaced as Oom by
@@ -132,7 +132,7 @@ let rec insert_nonfull t node key value =
           Array.blit node.keys i node.keys (i + 1) (node.nkeys - i);
           Array.blit node.entries i node.entries (i + 1) (node.nkeys - i);
           node.keys.(i) <- key;
-          node.entries.(i) <- { ekey = key; addr; value };
+          node.entries.(i) <- { addr; value };
           node.nkeys <- node.nkeys + 1;
           t.count <- t.count + 1;
           Ok ()

@@ -1,5 +1,8 @@
 (** RESP2 — the Redis serialization protocol (wire format used by the
-    Redis-like server and redis-benchmark-like client of Figs 12 and 18). *)
+    Redis-like server and redis-benchmark-like client of Figs 12 and 18).
+    Only encoding lives here: the server frames commands in place with
+    {!Resp_store.frame}, and the client counts replies without decoding
+    them. *)
 
 type value =
   | Simple of string  (** +OK\r\n *)
@@ -13,14 +16,3 @@ val encode : value -> string
 
 val encode_command : string list -> string
 (** A client command as an array of bulk strings. *)
-
-module Parser : sig
-  type t
-  (** Incremental parser over a byte stream (TCP gives no framing). *)
-
-  val create : unit -> t
-  val feed : t -> bytes -> unit
-
-  val next : t -> (value option, string) result
-  (** [Ok None] = need more input; [Error _] = protocol violation. *)
-end

@@ -214,36 +214,38 @@ let execute_fast t args =
 let frame buf pos limit =
   let exception Incomplete in
   let exception Bad in
-  let line p =
-    let rec go i =
-      if i + 1 >= limit then raise Incomplete
-      else if Bytes.get buf i = '\r' && Bytes.get buf (i + 1) = '\n' then i
-      else go (i + 1)
+  (* A count is 1-18 ASCII decimal digits up to its "\r\n", read in
+     place: no sign, base prefix or underscore passes, and no count can
+     overflow. Returns the count and the offset of its "\r\n". *)
+  let count p =
+    let rec go i v =
+      if i >= limit then raise Incomplete
+      else
+        match Bytes.get buf i with
+        | '0' .. '9' as c when i - p < 18 -> go (i + 1) ((v * 10) + Char.code c - 48)
+        | '\r' when i > p ->
+            if i + 1 >= limit then raise Incomplete
+            else if Bytes.get buf (i + 1) = '\n' then (v, i)
+            else raise Bad
+        | _ -> raise Bad
     in
-    go p
-  in
-  let int_at p e =
-    match int_of_string_opt (Bytes.sub_string buf p (e - p)) with
-    | Some v -> v
-    | None -> raise Bad
+    go p 0
   in
   try
     if pos >= limit then Serve.Partial
     else if Bytes.get buf pos <> '*' then raise Bad
     else begin
-      let e = line pos in
-      let n = int_at (pos + 1) e in
-      if n < 0 || n > 64 then raise Bad;
+      let n, e = count (pos + 1) in
+      if n > 64 then raise Bad;
       let p = ref (e + 2) in
       let args = ref [] in
       for _ = 1 to n do
         if !p >= limit then raise Incomplete;
         if Bytes.get buf !p <> '$' then raise Bad;
-        let e = line !p in
-        let len = int_at (!p + 1) e in
-        if len < 0 then raise Bad;
+        let len, e = count (!p + 1) in
         let s = e + 2 in
-        if s + len + 2 > limit then raise Incomplete;
+        (* [s + len] could overflow; [limit - s] cannot. *)
+        if len > limit - s - 2 then raise Incomplete;
         if not (Bytes.get buf (s + len) = '\r' && Bytes.get buf (s + len + 1) = '\n') then
           raise Bad;
         args := Bytes.sub_string buf s len :: !args;

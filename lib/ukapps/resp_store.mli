@@ -45,6 +45,12 @@ val serve : transport:Serve.transport -> make
 val create : make
 (** [serve ~transport:Socket]. *)
 
+val frame : bytes -> int -> int -> string list Serve.frame
+(** The framer both transports run: one command, an array of bulk
+    strings ([*N\r\n] then [N] times [$len\r\narg\r\n]), framed in
+    place. [N] is at most 64, and each count is 1-18 ASCII decimal
+    digits; anything else is [Bad]. *)
+
 val source : t -> Uktrace.Source.t
 (** The worker's ["ukapps.resp"] source: [commands], [hits] and
     [misses]. *)

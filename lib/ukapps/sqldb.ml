@@ -19,7 +19,7 @@ type t = {
   mutable jfd : Ukvfs.Vfs.fd option;
   mutable joff : int;
   mutable in_txn : bool;
-  mutable txn_buffer : Buffer.t;
+  txn_buffer : Buffer.t;
   mutable stmts : int;
 }
 

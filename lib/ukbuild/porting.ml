@@ -135,42 +135,42 @@ let table2 () =
 module Survey = struct
   type record = {
     quarter : string; (* "2019Q1" .. "2020Q2" *)
-    library : string;
     lib_hours : float; (* porting the library/application itself *)
     deps_hours : float; (* porting its dependencies *)
     os_hours : float; (* implementing missing OS primitives *)
     build_hours : float; (* extending the build system *)
   }
 
-  (* Developer-survey dataset (Fig 6): as the common code base matured from
-     2019Q1 to 2020Q2, dependency and OS-primitive work collapsed while
-     per-library effort stayed roughly flat. *)
+  (* Developer-survey dataset (Fig 6), one row per ported library (named
+     in its comment): as the common code base matured from 2019Q1 to
+     2020Q2, dependency and OS-primitive work collapsed while per-library
+     effort stayed roughly flat. *)
   let records =
     [
-      { quarter = "2019Q1"; library = "newlib"; lib_hours = 40.; deps_hours = 60.; os_hours = 80.; build_hours = 30. };
-      { quarter = "2019Q1"; library = "lwip"; lib_hours = 60.; deps_hours = 35.; os_hours = 70.; build_hours = 24. };
-      { quarter = "2019Q1"; library = "python3"; lib_hours = 75.; deps_hours = 80.; os_hours = 45.; build_hours = 18. };
-      { quarter = "2019Q1"; library = "zlib"; lib_hours = 8.; deps_hours = 16.; os_hours = 24.; build_hours = 10. };
-      { quarter = "2019Q2"; library = "openssl"; lib_hours = 35.; deps_hours = 30.; os_hours = 28.; build_hours = 12. };
-      { quarter = "2019Q2"; library = "sqlite"; lib_hours = 24.; deps_hours = 18.; os_hours = 22.; build_hours = 8. };
-      { quarter = "2019Q2"; library = "micropython"; lib_hours = 30.; deps_hours = 22.; os_hours = 18.; build_hours = 6. };
-      { quarter = "2019Q2"; library = "pcre"; lib_hours = 8.; deps_hours = 10.; os_hours = 8.; build_hours = 4. };
-      { quarter = "2019Q3"; library = "nginx"; lib_hours = 30.; deps_hours = 12.; os_hours = 14.; build_hours = 5. };
-      { quarter = "2019Q3"; library = "redis"; lib_hours = 32.; deps_hours = 14.; os_hours = 12.; build_hours = 4. };
-      { quarter = "2019Q3"; library = "memcached"; lib_hours = 20.; deps_hours = 10.; os_hours = 8.; build_hours = 4. };
-      { quarter = "2019Q3"; library = "duktape"; lib_hours = 10.; deps_hours = 4.; os_hours = 6.; build_hours = 2. };
-      { quarter = "2019Q4"; library = "ruby"; lib_hours = 36.; deps_hours = 10.; os_hours = 8.; build_hours = 3. };
-      { quarter = "2019Q4"; library = "lighttpd"; lib_hours = 14.; deps_hours = 6.; os_hours = 5.; build_hours = 2. };
-      { quarter = "2019Q4"; library = "libunwind"; lib_hours = 6.; deps_hours = 3.; os_hours = 4.; build_hours = 2. };
-      { quarter = "2019Q4"; library = "farmhash"; lib_hours = 4.; deps_hours = 2.; os_hours = 2.; build_hours = 1. };
-      { quarter = "2020Q1"; library = "tflite"; lib_hours = 22.; deps_hours = 6.; os_hours = 4.; build_hours = 2. };
-      { quarter = "2020Q1"; library = "wamr"; lib_hours = 12.; deps_hours = 3.; os_hours = 3.; build_hours = 1. };
-      { quarter = "2020Q1"; library = "c-ares"; lib_hours = 6.; deps_hours = 2.; os_hours = 2.; build_hours = 1. };
-      { quarter = "2020Q1"; library = "bzip2"; lib_hours = 3.; deps_hours = 1.; os_hours = 1.; build_hours = 1. };
-      { quarter = "2020Q2"; library = "open62541"; lib_hours = 10.; deps_hours = 2.; os_hours = 2.; build_hours = 1. };
-      { quarter = "2020Q2"; library = "zydis"; lib_hours = 5.; deps_hours = 1.; os_hours = 1.; build_hours = 0.5 };
-      { quarter = "2020Q2"; library = "axtls"; lib_hours = 6.; deps_hours = 2.; os_hours = 1.; build_hours = 0.5 };
-      { quarter = "2020Q2"; library = "fft2d"; lib_hours = 3.; deps_hours = 1.; os_hours = 0.5; build_hours = 0.5 };
+      { quarter = "2019Q1"; lib_hours = 40.; deps_hours = 60.; os_hours = 80.; build_hours = 30. }; (* newlib *)
+      { quarter = "2019Q1"; lib_hours = 60.; deps_hours = 35.; os_hours = 70.; build_hours = 24. }; (* lwip *)
+      { quarter = "2019Q1"; lib_hours = 75.; deps_hours = 80.; os_hours = 45.; build_hours = 18. }; (* python3 *)
+      { quarter = "2019Q1"; lib_hours = 8.; deps_hours = 16.; os_hours = 24.; build_hours = 10. }; (* zlib *)
+      { quarter = "2019Q2"; lib_hours = 35.; deps_hours = 30.; os_hours = 28.; build_hours = 12. }; (* openssl *)
+      { quarter = "2019Q2"; lib_hours = 24.; deps_hours = 18.; os_hours = 22.; build_hours = 8. }; (* sqlite *)
+      { quarter = "2019Q2"; lib_hours = 30.; deps_hours = 22.; os_hours = 18.; build_hours = 6. }; (* micropython *)
+      { quarter = "2019Q2"; lib_hours = 8.; deps_hours = 10.; os_hours = 8.; build_hours = 4. }; (* pcre *)
+      { quarter = "2019Q3"; lib_hours = 30.; deps_hours = 12.; os_hours = 14.; build_hours = 5. }; (* nginx *)
+      { quarter = "2019Q3"; lib_hours = 32.; deps_hours = 14.; os_hours = 12.; build_hours = 4. }; (* redis *)
+      { quarter = "2019Q3"; lib_hours = 20.; deps_hours = 10.; os_hours = 8.; build_hours = 4. }; (* memcached *)
+      { quarter = "2019Q3"; lib_hours = 10.; deps_hours = 4.; os_hours = 6.; build_hours = 2. }; (* duktape *)
+      { quarter = "2019Q4"; lib_hours = 36.; deps_hours = 10.; os_hours = 8.; build_hours = 3. }; (* ruby *)
+      { quarter = "2019Q4"; lib_hours = 14.; deps_hours = 6.; os_hours = 5.; build_hours = 2. }; (* lighttpd *)
+      { quarter = "2019Q4"; lib_hours = 6.; deps_hours = 3.; os_hours = 4.; build_hours = 2. }; (* libunwind *)
+      { quarter = "2019Q4"; lib_hours = 4.; deps_hours = 2.; os_hours = 2.; build_hours = 1. }; (* farmhash *)
+      { quarter = "2020Q1"; lib_hours = 22.; deps_hours = 6.; os_hours = 4.; build_hours = 2. }; (* tflite *)
+      { quarter = "2020Q1"; lib_hours = 12.; deps_hours = 3.; os_hours = 3.; build_hours = 1. }; (* wamr *)
+      { quarter = "2020Q1"; lib_hours = 6.; deps_hours = 2.; os_hours = 2.; build_hours = 1. }; (* c-ares *)
+      { quarter = "2020Q1"; lib_hours = 3.; deps_hours = 1.; os_hours = 1.; build_hours = 1. }; (* bzip2 *)
+      { quarter = "2020Q2"; lib_hours = 10.; deps_hours = 2.; os_hours = 2.; build_hours = 1. }; (* open62541 *)
+      { quarter = "2020Q2"; lib_hours = 5.; deps_hours = 1.; os_hours = 1.; build_hours = 0.5 }; (* zydis *)
+      { quarter = "2020Q2"; lib_hours = 6.; deps_hours = 2.; os_hours = 1.; build_hours = 0.5 }; (* axtls *)
+      { quarter = "2020Q2"; lib_hours = 3.; deps_hours = 1.; os_hours = 0.5; build_hours = 0.5 }; (* fft2d *)
     ]
 
   let quarters = [ "2019Q1"; "2019Q2"; "2019Q3"; "2019Q4"; "2020Q1"; "2020Q2" ]

@@ -32,7 +32,6 @@ type access = {
 type iaccess = {
   acc : access;
   i_locks : int list;  (* lock uids held *)
-  i_vc : vc;  (* snapshot of the accessor's clock *)
   i_epoch : int;  (* accessor's own component at the access *)
 }
 
@@ -238,7 +237,6 @@ let record (h : cell_handle) ~write ~site =
                        a_locks = List.map snd held;
                      };
                    i_locks = uids;
-                   i_vc = Hashtbl.copy (vc_of d tid);
                    i_epoch = vc_get (vc_of d tid) tid;
                  }
                in
@@ -258,7 +256,6 @@ let record (h : cell_handle) ~write ~site =
                 a_locks = List.map snd held;
               };
             i_locks = uids;
-            i_vc = Hashtbl.copy v;
             i_epoch = vc_get v tid;
           }
         in

@@ -16,7 +16,6 @@ type obj =
   | Flow of Uknetstack.Stack.Tcp_socket.flow
 
 type t = {
-  clock : Uksim.Clock.t;
   pt : Pt.t;
   ram : Bytes.t;
   mutable free_pages : int list;  (* physical page numbers *)
@@ -25,7 +24,6 @@ type t = {
   mutable cwd : string;
   heap_base : int;
   mutable break : int;
-  mmap_base : int;
   mutable mmap_next : int;
 }
 
@@ -37,7 +35,6 @@ let create ~clock ?(ram_bytes = 1 lsl 20) () =
   let ram_bytes = pages * page_size in
   let pt = Pt.create ~clock ~mode:Pt.Dynamic ~ram_bytes in
   {
-    clock;
     pt;
     ram = Bytes.make ram_bytes '\000';
     free_pages = List.init pages (fun i -> i);
@@ -46,7 +43,6 @@ let create ~clock ?(ram_bytes = 1 lsl 20) () =
     cwd = "/";
     heap_base = heap_base_default;
     break = heap_base_default;
-    mmap_base = mmap_base_default;
     mmap_next = mmap_base_default;
   }
 

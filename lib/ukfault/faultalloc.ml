@@ -1,7 +1,6 @@
 module A = Ukalloc.Alloc
 
 type t = {
-  inner : A.t;
   mutable rng : Uksim.Rng.t option;
   fail_nth : int;
   fail_every : int;
@@ -36,7 +35,7 @@ let gate t k = if should_fail t then None else k ()
 let wrap ?rng ?(fail_nth = 0) ?(fail_every = 0) ?(fail_rate = 0.0) inner =
   if fail_rate > 0.0 && rng = None then invalid_arg "Faultalloc.wrap: fail_rate needs an rng";
   let t =
-    { inner; rng; fail_nth; fail_every; fail_rate; attempts = 0; injected = 0;
+    { rng; fail_nth; fail_every; fail_rate; attempts = 0; injected = 0;
       pressure = false; on_pressure = None; shimmed = None }
   in
   let shimmed =

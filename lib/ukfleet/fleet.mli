@@ -47,8 +47,8 @@ type backend =
 type substrate =
   [ `Own  (** a private clock + engine (the default) *)
   | `Engine of Uksim.Clock.t * Uksim.Engine.t
-    (** share a caller's timeline — e.g. to put a real
-        {!Uknetstack} TCP ingress ({!Ingress}) in front of the fleet *) ]
+    (** share a caller's timeline — e.g. a cluster host's, which
+        submits the requests its links deliver *) ]
 
 type costs = {
   cold_boot_ns : float;
@@ -113,12 +113,11 @@ val create :
 val costs : t -> costs
 val control_engine : t -> Uksim.Engine.t
 val control_clock : t -> Uksim.Clock.t
-val now_ns : t -> float
 
 val settle_ns : t -> float
 (** The offset {!run} adds before the first arrival (covers the slowest
     initial bring-up path) — workload time 0 in engine time is
-    [now_ns at start + settle_ns]. Lets experiments aim external events
+    [start time + settle_ns]. Lets experiments aim external events
     (e.g. a {!Ukfault}-driven kill) at workload-relative instants. *)
 
 val ready_ids : t -> int list
@@ -131,8 +130,8 @@ val run : t -> Workload.t -> report
 val start : t -> unit
 (** Bring up the initial fleet without a workload — for externally
     driven fleets ([`Engine] substrate): requests then arrive via
-    {!submit} (e.g. from an {!Ingress}) and the caller drives the shared
-    engine/scheduler. *)
+    {!submit} (e.g. from [Ukcluster.Host]) and the caller drives the
+    shared engine/scheduler. *)
 
 val submit :
   ?flow:int -> ?on_reply:(ok:bool -> latency_ns:float -> unit) -> t -> now_ns:float -> unit

@@ -6,7 +6,7 @@ let levels = 4
 let tlb_entries = 64
 let enable_paging_cost = 5400 (* load CR3, set CR0.PG, serialize: ~1.5us *)
 
-type node = { level : int; slots : (int, node) Hashtbl.t; mutable pages : (int, int) Hashtbl.t }
+type node = { level : int; slots : (int, node) Hashtbl.t; pages : (int, int) Hashtbl.t }
 (* Levels 4..2 use [slots] (pointers to lower tables); level 1 uses [pages]
    (PTE index -> physical frame address). *)
 

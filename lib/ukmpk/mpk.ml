@@ -108,9 +108,9 @@ let store t addr =
 module Gate = struct
   type mpk = t
 
-  type t = { mpk : mpk; gname : string; target : key; mutable count : int }
+  type t = { mpk : mpk; target : key; mutable count : int }
 
-  let create mpk ~name ~target_key = { mpk; gname = name; target = target_key; count = 0 }
+  let create mpk ~target_key = { mpk; target = target_key; count = 0 }
 
   let enter g f =
     let saved_target = g.mpk.pkru.(g.target) in

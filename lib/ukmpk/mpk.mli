@@ -53,7 +53,7 @@ module Gate : sig
   type mpk := t
   type t
 
-  val create : mpk -> name:string -> target_key:key -> t
+  val create : mpk -> target_key:key -> t
   (** A gate into the compartment [target_key]. *)
 
   val enter : t -> (unit -> 'a) -> 'a

@@ -3,9 +3,10 @@
     cable), plus synthetic peers (a DPDK-testpmd-like sink, an echo).
 
     The wire moves {!Netbuf.t} descriptors by ownership handoff: [send]
-    consumes the buffer, delivery hands it to the peer's receiver (which
-    must eventually {!Netbuf.recycle} it), and lost frames are recycled by
-    the wire itself. Duplication shares storage instead of copying. *)
+    consumes the buffer, and delivery hands it to the peer's receiver
+    (which must eventually {!Netbuf.recycle} it). The wire never loses,
+    duplicates or corrupts a frame; [Ukfault.Faultnet] wrapped around a
+    device does. *)
 
 type endpoint
 
@@ -13,17 +14,11 @@ val create_pair :
   engine:Uksim.Engine.t ->
   ?latency_ns:float ->
   ?bandwidth_gbps:float ->
-  ?loss:float ->
-  ?duplicate:float ->
-  ?seed:int ->
   unit ->
   endpoint * endpoint
 (** Bidirectional link; default 5 µs latency, 10 Gb/s. Frames sent faster
-    than the line rate are serialized (delivery times push out). [loss]
-    and [duplicate] are per-frame probabilities (default 0.0 — the paper's
-    direct cable) applied deterministically from [seed]; lost frames are
-    counted in the sender's [dropped]. Registers one {!source} per
-    endpoint, the first endpoint's first. *)
+    than the line rate are serialized (delivery times push out).
+    Registers one {!source} per endpoint, the first endpoint's first. *)
 
 val send : endpoint -> Netbuf.t -> unit
 (** Transmit a frame towards the peer endpoint, consuming the buffer. *)
@@ -41,5 +36,4 @@ val attach_echo : endpoint -> unit
 
 val source : endpoint -> Uktrace.Source.t
 (** The endpoint's ["uknetdev.wire"] source: [rx_frames] and [rx_bytes]
-    delivered to it, [tx_frames] sent from it, and [dropped] (frames it
-    sent that the fault model discarded). *)
+    delivered to it, and [tx_frames] sent from it. *)

@@ -81,20 +81,22 @@ let evict_oldest t =
 
 let insert t ~src ~id ~proto ~frag_offset ~more_frags payload =
   let key = (Addr.Ipv4.to_int src, id, proto) in
-  let d =
-    match Hashtbl.find_opt t.table key with
-    | Some d -> d
-    | None ->
-        if Hashtbl.length t.table >= max_datagrams then evict_oldest t;
-        let d = { started_ns = Uksim.Clock.ns t.clock; chunks = []; total = None } in
-        Hashtbl.replace t.table key d;
-        d
-  in
+  (* The size check comes before the table entry, so a fragment rejected
+     for its size never evicts another datagram. *)
   if frag_offset + Bytes.length payload > max_datagram then begin
     Hashtbl.remove t.table key;
     Rejected "datagram exceeds 64KB"
   end
   else begin
+    let d =
+      match Hashtbl.find_opt t.table key with
+      | Some d -> d
+      | None ->
+          if Hashtbl.length t.table >= max_datagrams then evict_oldest t;
+          let d = { started_ns = Uksim.Clock.ns t.clock; chunks = []; total = None } in
+          Hashtbl.replace t.table key d;
+          d
+    in
     (if not more_frags then
        match d.total with
        | Some existing when existing <> frag_offset + Bytes.length payload ->

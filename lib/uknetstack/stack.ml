@@ -26,7 +26,6 @@ type udp_sock = {
 }
 
 type listener = {
-  lport : int;
   lconn : Tcp.conn;
   backlog : int;
   acceptq : Tcp.conn Queue.t;
@@ -617,9 +616,7 @@ module Tcp_socket = struct
     if port <= 0 || port > 0xffff then invalid_arg "Tcp_socket.listen: bad port";
     if Hashtbl.mem stack.listeners port then invalid_arg "Tcp_socket.listen: port in use";
     let lconn = Tcp.create_listen (tcp_io stack) ~local:(stack.cfg.ip, port) in
-    let l =
-      { lport = port; lconn; backlog; acceptq = Queue.create (); lwaiter = None; lfast = None }
-    in
+    let l = { lconn; backlog; acceptq = Queue.create (); lwaiter = None; lfast = None } in
     Hashtbl.replace stack.listeners port l;
     l
 

@@ -57,7 +57,7 @@ type tx_payload = Tx_bytes of bytes | Tx_netbuf of Nb.t
 type conn = {
   io : io;
   local : Addr.Ipv4.t * int;
-  mutable remote : Addr.Ipv4.t * int;
+  remote : Addr.Ipv4.t * int;
   mutable st : state;
   (* send side *)
   mutable snd_una : int;
@@ -286,7 +286,11 @@ let derive_passive listener ~remote ~iss ~peer_seq =
 
 (* --- ACK processing -------------------------------------------------- *)
 
-let handle_ack c (h : Pkt.Tcp.t) =
+(* [bare]: the segment carries no data, has SYN and FIN clear and leaves
+   the advertised window as it was, so an ACK of [snd_una] is a
+   duplicate in RFC 5681 §2's sense. A data segment that repeats the ACK
+   (the peer pipelining its own sends) counts for nothing. *)
+let handle_ack c (h : Pkt.Tcp.t) ~bare =
   if not h.ack_flag then ()
   else if seq_lt c.snd_una h.ack && seq_le h.ack c.snd_nxt then begin
     c.snd_una <- h.ack;
@@ -321,7 +325,7 @@ let handle_ack c (h : Pkt.Tcp.t) =
             ())
     | Some _ | None -> ()
   end
-  else if h.ack = c.snd_una && c.inflight <> [] then begin
+  else if bare && h.ack = c.snd_una && c.inflight <> [] then begin
     c.dupacks <- c.dupacks + 1;
     if c.dupacks = 3 then begin
       (* Fast retransmit of the oldest outstanding segment. *)
@@ -403,6 +407,7 @@ let on_segment_nb c (h : Pkt.Tcp.t) nb =
     wake_opt c c.connect_waiter
   end
   else begin
+    let bare = plen = 0 && (not h.syn) && (not h.fin) && h.window = c.snd_wnd in
     c.snd_wnd <- h.window;
     match c.st with
     | Syn_sent ->
@@ -428,7 +433,7 @@ let on_segment_nb c (h : Pkt.Tcp.t) nb =
         end
         else Nb.recycle nb
     | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack | Time_wait ->
-        handle_ack c h;
+        handle_ack c h ~bare;
         (match c.st with
         | Established | Fin_wait_1 | Fin_wait_2 -> handle_data_nb c h nb
         | Listen | Syn_sent | Syn_rcvd | Close_wait | Closing | Last_ack | Time_wait | Closed ->

@@ -5,7 +5,8 @@
     wakeups). Implements the standard state diagram (LISTEN through
     TIME_WAIT), cumulative ACKs, receiver flow control, go-back-N
     retransmission with exponential backoff, and fast retransmit on three
-    duplicate ACKs. Out-of-order segments are dropped and recovered by
+    duplicate ACKs (RFC 5681 §2: no data, SYN and FIN clear, the window
+    unchanged). Out-of-order segments are dropped and recovered by
     retransmission (lwIP-without-SACK behaviour); congestion control is
     omitted — the paper's evaluation runs on an uncongested direct link.
 

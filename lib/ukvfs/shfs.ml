@@ -2,7 +2,7 @@ type entry = { name : string; content : bytes }
 
 type t = {
   clock : Uksim.Clock.t;
-  mutable table : entry list array; (* short chains by construction *)
+  table : entry list array; (* short chains by construction *)
   mutable count : int;
   open_handles : (int, entry) Hashtbl.t;
   mutable next_handle : int;

@@ -1,9 +1,11 @@
 #!/bin/sh
-# CI entry point: build, run the full test suite, run every bench group
-# once in fast mode (UKRAFT_FAST shrinks the workloads; runs are seeded
-# and deterministic, so any numeric drift is a real regression), check
-# that each group run alone with --only writes the same BENCH file, and
-# diff the full run against bench/baseline.
+# CI entry point: build, run the full test suite, check that every
+# exported value has a caller and every declared library a user, run
+# every bench group once in fast mode (UKRAFT_FAST shrinks the
+# workloads; runs are seeded and deterministic, so any numeric drift is
+# a real regression), check that each group run alone with --only
+# writes the same BENCH file, and diff the full run against
+# bench/baseline.
 #
 # Every pass/fail gate is declared next to its measurement with
 # Bench.gate or Bench.replay and lands in the "gates" object of its
@@ -25,6 +27,14 @@ awk -v a="$start" -v b="$(date +%s.%N)" 'BEGIN { printf "tests: %.1f s wall cloc
 
 echo "== callers (every exported value and optional argument in lib has one) =="
 python3 scripts/check_callers.py lib/*
+
+echo "== library edges (every declared library is used) =="
+# dune-project sets implicit_transitive_deps false, so the build above
+# already rejects a module that uses a library its stanza does not
+# declare; @unused-libs lists every declared library that no module of
+# the stanza uses, and exits 1 if there is one.
+dune build @unused-libs
+echo "every (libraries ...) entry is used"
 
 echo "== fast-mode bench (every group, fixed seeds, gates) =="
 root=$(pwd)

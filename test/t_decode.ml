@@ -66,22 +66,6 @@ let tcp_segment =
   { P.Tcp.src_port = 20123; dst_port = 80; seq = 1000; ack = 2000; syn = false;
     ack_flag = true; fin = false; rst = false; psh = true; window = 65535 }
 
-(* Parse everything the RESP parser was fed; accepted when it all framed
-   into values. Each value consumes input, so more values than bytes
-   means the parser stopped making progress. *)
-let resp_drain s =
-  let p = Ukapps.Resp.Parser.create () in
-  Ukapps.Resp.Parser.feed p (Bytes.of_string s);
-  let rec go values =
-    if values > String.length s then failwith "RESP parser made no progress"
-    else
-      match Ukapps.Resp.Parser.next p with
-      | Ok (Some _) -> go (values + 1)
-      | Ok None -> values > 0
-      | Error _ -> false
-  in
-  go 0
-
 let libparam_parse s =
   let module L = Uklibparam.Libparam in
   let t = L.create () in
@@ -161,9 +145,9 @@ let decoders =
     { name = "Dns.decode";
       valid = Bytes.to_string (Ukapps.Dns.encode (Ukapps.Dns.query "www.example.com" Ukapps.Dns.A));
       decode = on_bytes Ukapps.Dns.decode };
-    { name = "Resp.Parser";
+    { name = "Resp_store.frame";
       valid = Ukapps.Resp.encode_command [ "SET"; "key:000001"; "xxx" ];
-      decode = resp_drain };
+      decode = framed Ukapps.Resp_store.frame };
     { name = "Sql.parse";
       valid = "SELECT COUNT(*) FROM t WHERE id >= 5";
       decode = (fun s -> accepts (Ukapps.Sql.parse s)) };
@@ -261,6 +245,33 @@ let http_frame_matches_bytewise_prop =
       let buf = Bytes.of_string s in
       Ukapps.Httpd.frame buf pos limit = bytewise_http_frame buf pos limit)
 
+(* --- RESP counts ------------------------------------------------------------- *)
+
+let resp_frame s = Ukapps.Resp_store.frame (Bytes.of_string s) 0 (String.length s)
+let is_bad = function Ukapps.Serve.Bad _ -> true | Ukapps.Serve.Frame _ | Ukapps.Serve.Partial -> false
+
+(* A RESP count is 1-18 decimal digits. A bulk length near max_int once
+   overflowed the framer's bounds check and read a negative index, and
+   [int_of_string] let "0x2", "+2" and "2_0" through as counts. Each
+   count below is tried as the argument count and as a bulk length. *)
+let test_resp_counts () =
+  let counts =
+    List.init 65 (fun k -> string_of_int (max_int - k))
+    @ [ string_of_int min_int; "0x3fffffffffffffff"; "0x2"; "+2"; "-1"; "0_1"; "";
+        String.make 19 '9' ]
+  in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun s -> Alcotest.(check bool) (Printf.sprintf "%S is Bad" s) true (is_bad (resp_frame s)))
+        [ Printf.sprintf "*%s\r\n$1\r\nk\r\n" c; Printf.sprintf "*1\r\n$%s\r\nab\r\n" c ])
+    counts;
+  Alcotest.(check bool) "an 18-digit length waits for its bytes" true
+    (resp_frame "*1\r\n$999999999999999999\r\nab\r\n" = Ukapps.Serve.Partial);
+  Alcotest.(check bool) "a well-formed command frames" true
+    (resp_frame "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
+    = Ukapps.Serve.Frame ([ "GET"; "k" ], 20))
+
 (* --- IPv4 reassembly --------------------------------------------------------- *)
 
 module Frag = Uknetstack.Frag
@@ -295,6 +306,52 @@ let frag_total_prop =
             (Frag.insert t ~src:frag_sources.(s) ~id ~proto ~frag_offset:off ~more_frags:mf
                (Bytes.make len 'x'));
           Frag.pending_datagrams t <= 64)
+        frags)
+
+(* Fragments of UDP datagrams 0-99 from one source: mostly small
+   offsets (80% with MF set), and one in ten oversized, ending past
+   65,535 B. *)
+let crowding_fragment =
+  let open QCheck.Gen in
+  pair (int_bound 99)
+    (frequency
+       [
+         (9, map2 (fun k mf -> (8 * k, 8, mf)) (int_bound 15) (frequencyl [ (4, true); (1, false) ]));
+         (1, map2 (fun k len -> (65528 - (8 * k), len, true)) (int_bound 8) (int_range 100 1480));
+       ])
+
+(* A model of the pending datagrams, oldest first: the clock ticks
+   before every fragment, so the datagram the table evicts to start a
+   65th is the first one started. A Rejected fragment takes only its own
+   datagram out, and counts no eviction. *)
+let frag_rejected_prop =
+  QCheck.Test.make ~name:"a Rejected Frag.insert removes no pending datagram but its own"
+    ~count:200
+    (QCheck.make
+       ~print:(QCheck.Print.list (fun (id, (off, len, mf)) ->
+                   print_frag (0, id, 17, off, len, mf)))
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 100 400) crowding_fragment))
+    (fun frags ->
+      let clock = Uksim.Clock.create () in
+      let t = Frag.create ~clock () in
+      let pending = ref [] in
+      List.for_all
+        (fun (id, (off, len, mf)) ->
+          Uksim.Clock.advance clock 1;
+          let expired = Frag.expired t in
+          let before = !pending in
+          let started = List.mem id before in
+          let room = if started || List.length before < 64 then before else List.tl before in
+          let verdict =
+            Frag.insert t ~src ~id ~proto:17 ~frag_offset:off ~more_frags:mf (Bytes.make len 'x')
+          in
+          (pending :=
+             match verdict with
+             | Frag.Rejected _ -> List.filter (( <> ) id) before
+             | Frag.Complete _ -> List.filter (( <> ) id) room
+             | Frag.Pending -> if started then before else room @ [ id ]);
+          (match verdict with Frag.Rejected _ -> Frag.expired t = expired | _ -> true)
+          && Frag.pending_datagrams t = List.length !pending)
         frags)
 
 (* A 0-4000 B payload cut at random 8-byte-aligned offsets into
@@ -338,5 +395,8 @@ let frag_roundtrip_prop =
 let suite =
   Alcotest.test_case "every valid seed decodes" `Quick test_valid_seeds_decode
   :: QCheck_alcotest.to_alcotest http_frame_matches_bytewise_prop
+  :: Alcotest.test_case "RESP counts near max_int and in non-decimal forms are Bad" `Quick
+       test_resp_counts
   :: List.map (fun d -> QCheck_alcotest.to_alcotest (total d)) decoders
-  @ List.map QCheck_alcotest.to_alcotest [ frag_total_prop; frag_roundtrip_prop ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ frag_total_prop; frag_rejected_prop; frag_roundtrip_prop ]

@@ -21,56 +21,6 @@ let test_resp_encode () =
   Alcotest.(check string) "command" "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
     (Resp.encode_command [ "GET"; "k" ])
 
-let test_resp_incremental_parse () =
-  let p = Resp.Parser.create () in
-  let whole = Resp.encode_command [ "SET"; "key"; "value" ] in
-  let half = String.length whole / 2 in
-  Resp.Parser.feed p (Bytes.of_string (String.sub whole 0 half));
-  (match Resp.Parser.next p with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "incomplete must yield None");
-  Resp.Parser.feed p (Bytes.of_string (String.sub whole half (String.length whole - half)));
-  match Resp.Parser.next p with
-  | Ok (Some (Resp.Array [ Resp.Bulk "SET"; Resp.Bulk "key"; Resp.Bulk "value" ])) -> ()
-  | _ -> Alcotest.fail "parse after completion"
-
-let test_resp_pipeline_parse () =
-  let p = Resp.Parser.create () in
-  let three = Resp.encode_command [ "PING" ] ^ Resp.encode (Resp.Integer 7) ^ Resp.encode Resp.Null in
-  Resp.Parser.feed p (Bytes.of_string three);
-  let take () = match Resp.Parser.next p with Ok (Some v) -> v | _ -> Alcotest.fail "value" in
-  (match take () with Resp.Array _ -> () | _ -> Alcotest.fail "first");
-  (match take () with Resp.Integer 7 -> () | _ -> Alcotest.fail "second");
-  (match take () with Resp.Null -> () | _ -> Alcotest.fail "third");
-  match Resp.Parser.next p with Ok None -> () | _ -> Alcotest.fail "drained"
-
-let test_resp_protocol_error () =
-  let p = Resp.Parser.create () in
-  Resp.Parser.feed p (Bytes.of_string "!bogus\r\n");
-  match Resp.Parser.next p with Error _ -> () | Ok _ -> Alcotest.fail "bad type byte accepted"
-
-let resp_roundtrip_prop =
-  let value_gen =
-    QCheck.Gen.(
-      sized @@ fix (fun self n ->
-          let base =
-            oneof
-              [
-                map (fun s -> Resp.Simple s) (string_size ~gen:(char_range 'a' 'z') (return 5));
-                map (fun s -> Resp.Bulk s) (string_size (int_bound 30));
-                map (fun i -> Resp.Integer i) int;
-                return Resp.Null;
-              ]
-          in
-          if n = 0 then base
-          else oneof [ base; map (fun l -> Resp.Array l) (list_size (int_bound 4) (self (n / 2))) ]))
-  in
-  QCheck.Test.make ~name:"resp values roundtrip through the parser" ~count:200
-    (QCheck.make value_gen) (fun v ->
-      let p = Resp.Parser.create () in
-      Resp.Parser.feed p (Bytes.of_string (Resp.encode v));
-      match Resp.Parser.next p with Ok (Some got) -> got = v | _ -> false)
-
 (* --- Resp_store semantics (direct execution) -------------------------------- *)
 
 let mk_store () =
@@ -382,10 +332,6 @@ let test_httpd_default_page () =
 let suite =
   [
     Alcotest.test_case "resp encoding" `Quick test_resp_encode;
-    Alcotest.test_case "resp incremental parse" `Quick test_resp_incremental_parse;
-    Alcotest.test_case "resp pipeline parse" `Quick test_resp_pipeline_parse;
-    Alcotest.test_case "resp protocol errors" `Quick test_resp_protocol_error;
-    QCheck_alcotest.to_alcotest resp_roundtrip_prop;
     Alcotest.test_case "store set/get/del" `Quick test_store_set_get;
     Alcotest.test_case "store incr" `Quick test_store_incr;
     Alcotest.test_case "store lists and admin" `Quick test_store_lists_and_admin;

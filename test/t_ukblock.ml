@@ -1,9 +1,10 @@
-(* Tests for the ukblock API and its devices, plus the lossy-wire fault
-   model and TCP recovery over it. *)
+(* Tests for the ukblock API and its devices, plus TCP recovery over a
+   lossy virtio-net link. *)
 
 module B = Ukblock.Blockdev
 module V = Ukblock.Virtio_blk
 module Wire = Uknetdev.Wire
+module Fn = Ukfault.Faultnet
 module S = Uknetstack.Stack
 module A = Uknetstack.Addr
 
@@ -116,60 +117,36 @@ let test_batch_amortizes_kick () =
   in
   Alcotest.(check bool) "batched submit cheaper" true (cost 1 32 < cost 32 1)
 
-(* --- lossy wire + TCP recovery ------------------------------------------ *)
+(* --- TCP recovery over lossy virtio-net ---------------------------------- *)
 
-let wire_count ep name = Uktrace.Source.count (Wire.source ep) name
-
-let test_wire_loss_counted () =
-  let _, engine = env () in
-  let a, b = Wire.create_pair ~engine ~loss:0.5 ~seed:7 () in
-  Wire.attach_sink b;
-  for _ = 1 to 1000 do
-    Wire.send a (Uknetdev.Netbuf.of_bytes (Bytes.make 64 'l'))
-  done;
-  Uksim.Engine.run engine;
-  let dropped = wire_count a "dropped" in
-  Alcotest.(check int) "conservation" 1000 (dropped + wire_count b "rx_frames");
-  Alcotest.(check bool)
-    (Printf.sprintf "about half dropped (%d)" dropped)
-    true
-    (dropped > 350 && dropped < 650)
-
-let test_wire_duplication () =
-  let _, engine = env () in
-  let a, b = Wire.create_pair ~engine ~duplicate:0.3 ~seed:11 () in
-  Wire.attach_sink b;
-  for _ = 1 to 1000 do
-    Wire.send a (Uknetdev.Netbuf.of_bytes (Bytes.make 64 'd'))
-  done;
-  Uksim.Engine.run engine;
-  Alcotest.(check bool)
-    (Printf.sprintf "duplicates delivered (%d)" (wire_count b "rx_frames"))
-    true
-    (wire_count b "rx_frames" > 1200)
-
-let test_tcp_over_lossy_virtio () =
-  (* End-to-end: a TCP transfer across a 2%-loss, 1%-duplication link
-     completes intact via retransmission. *)
+(* A TCP transfer of [payload] between two stacks on virtio-net devices
+   joined by a wire, each device wrapped in a Faultnet injector with
+   [plan] (seeded from [seed]), so both directions lose and duplicate
+   frames. The source sends [chunk]-byte pieces, then closes; the sink
+   reads up to [recv_max] bytes at a time. Returns what the sink read and
+   the two injectors. A transfer that stalls for good returns what
+   arrived. *)
+let tcp_over_lossy_virtio ~seed ~chunk ~recv_max plan payload =
   let clock, engine = env () in
   let sched = Uksched.Sched.create_cooperative ~clock ~engine in
-  let wa, wb = Wire.create_pair ~engine ~loss:0.02 ~duplicate:0.01 ~seed:3 () in
-  let mk wire ip mac =
+  let wa, wb = Wire.create_pair ~engine () in
+  let rng = Uksim.Rng.create seed in
+  let mk wire rng ip mac =
     let dev =
       Uknetdev.Virtio_net.create ~clock ~engine ~backend:Uknetdev.Virtio_net.Vhost_net ~wire ()
     in
+    let fn = Fn.wrap ~clock ~engine ~rng ~plan dev in
     let s =
-      S.create ~clock ~engine ~sched ~dev
+      S.create ~clock ~engine ~sched ~dev:(Fn.dev fn)
         { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
           netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
     in
     S.start s;
-    s
+    (s, fn)
   in
-  let server = mk wa "10.1.0.1" 0x1 in
-  let client = mk wb "10.1.0.2" 0x2 in
-  let payload = Bytes.init 40_000 (fun i -> Char.chr (i land 0xff)) in
-  let received = Buffer.create 40_000 in
+  let server, fa = mk wa rng "10.1.0.1" 0x1 in
+  let client, fb = mk wb (Uksim.Rng.split rng) "10.1.0.2" 0x2 in
+  let received = Buffer.create (Bytes.length payload) in
   ignore
     (Uksched.Sched.spawn sched ~name:"sink" (fun () ->
          let l = S.Tcp_socket.listen server ~port:9 () in
@@ -177,7 +154,7 @@ let test_tcp_over_lossy_virtio () =
          | None -> ()
          | Some flow ->
              let rec drain () =
-               match S.Tcp_socket.recv ~block:true server flow ~max:8192 with
+               match S.Tcp_socket.recv ~block:true server flow ~max:recv_max with
                | None -> ()
                | Some b ->
                    Buffer.add_bytes received b;
@@ -189,72 +166,40 @@ let test_tcp_over_lossy_virtio () =
          let flow = S.Tcp_socket.connect client ~dst:(A.Ipv4.of_string "10.1.0.1", 9) () in
          let sent = ref 0 in
          while !sent < Bytes.length payload do
-           let chunk = Bytes.sub payload !sent (min 8192 (Bytes.length payload - !sent)) in
-           sent := !sent + S.Tcp_socket.send ~block:true client flow chunk
+           let piece = Bytes.sub payload !sent (min chunk (Bytes.length payload - !sent)) in
+           sent := !sent + S.Tcp_socket.send ~block:true client flow piece
          done;
          S.Tcp_socket.close client flow));
-  Uksched.Sched.run sched;
-  Alcotest.(check int) "every byte arrived" (Bytes.length payload) (Buffer.length received);
-  Alcotest.(check bytes) "in order and uncorrupted" payload (Buffer.to_bytes received);
-  Alcotest.(check bool) "the link really dropped frames" true
-    (wire_count wa "dropped" + wire_count wb "dropped" > 0)
+  (match Uksched.Sched.run sched with
+  | () -> ()
+  | exception Uksched.Sched.Deadlock _ -> ()
+  | exception Failure _ -> ());
+  (Buffer.to_bytes received, fa, fb)
+
+let test_tcp_over_lossy_virtio () =
+  (* End-to-end: a TCP transfer across a 2%-loss, 1%-duplication link
+     completes intact via retransmission. *)
+  let payload = Bytes.init 40_000 (fun i -> Char.chr (i land 0xff)) in
+  let received, fa, fb =
+    tcp_over_lossy_virtio ~seed:3 ~chunk:8192 ~recv_max:8192
+      (Fn.plan ~drop:0.02 ~duplicate:0.01 ()) payload
+  in
+  Alcotest.(check int) "every byte arrived" (Bytes.length payload) (Bytes.length received);
+  Alcotest.(check bytes) "in order and uncorrupted" payload received;
+  let dropped fn = Uktrace.Source.count (Fn.source fn) "dropped" in
+  Alcotest.(check bool) "the link really dropped frames" true (dropped fa + dropped fb > 0)
 
 let tcp_lossy_prop =
   QCheck.Test.make ~name:"TCP delivers intact streams across random lossy links" ~count:8
     QCheck.(pair (int_range 1 1000) (int_range 0 60))
     (fun (seed, loss_permille) ->
-      let clock = Uksim.Clock.create () in
-      let engine = Uksim.Engine.create clock in
-      let sched = Uksched.Sched.create_cooperative ~clock ~engine in
-      let loss = float_of_int loss_permille /. 1000.0 in
-      let wa, wb = Wire.create_pair ~engine ~loss ~duplicate:0.01 ~seed () in
-      let mk wire ip mac =
-        let dev =
-          Uknetdev.Virtio_net.create ~clock ~engine ~backend:Uknetdev.Virtio_net.Vhost_net
-            ~wire ()
-        in
-        let s =
-          S.create ~clock ~engine ~sched ~dev
-            { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-              netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-        in
-        S.start s;
-        s
-      in
-      let server = mk wa "10.2.0.1" 0x1 in
-      let client = mk wb "10.2.0.2" 0x2 in
+      let drop = float_of_int loss_permille /. 1000.0 in
       let payload = Bytes.init 8000 (fun i -> Char.chr ((i * 7) land 0xff)) in
-      let received = Buffer.create 8000 in
-      ignore
-        (Uksched.Sched.spawn sched ~name:"sink" (fun () ->
-             let l = S.Tcp_socket.listen server ~port:5 () in
-             match S.Tcp_socket.accept ~block:true l with
-             | None -> ()
-             | Some flow ->
-                 let rec drain () =
-                   match S.Tcp_socket.recv ~block:true server flow ~max:4096 with
-                   | None -> ()
-                   | Some b ->
-                       Buffer.add_bytes received b;
-                       drain ()
-                 in
-                 drain ()));
-      ignore
-        (Uksched.Sched.spawn sched ~name:"source" (fun () ->
-             let flow = S.Tcp_socket.connect client ~dst:(A.Ipv4.of_string "10.2.0.1", 5) () in
-             let sent = ref 0 in
-             while !sent < Bytes.length payload do
-               let chunk =
-                 Bytes.sub payload !sent (min 2048 (Bytes.length payload - !sent))
-               in
-               sent := !sent + S.Tcp_socket.send ~block:true client flow chunk
-             done;
-             S.Tcp_socket.close client flow));
-      (match Uksched.Sched.run sched with
-      | () -> ()
-      | exception Uksched.Sched.Deadlock _ -> ()
-      | exception Failure _ -> ());
-      Bytes.equal payload (Buffer.to_bytes received))
+      let received, _, _ =
+        tcp_over_lossy_virtio ~seed ~chunk:2048 ~recv_max:4096
+          (Fn.plan ~drop ~duplicate:0.01 ()) payload
+      in
+      Bytes.equal payload received)
 
 (* Each device registers a uktrace source at create; that source must
    not keep the device (and its backing sectors) reachable. *)
@@ -281,8 +226,6 @@ let suite =
     Alcotest.test_case "batched submit amortizes kicks" `Quick test_batch_amortizes_kick;
     Alcotest.test_case "registry source does not pin the device" `Quick
       test_source_does_not_pin_device;
-    Alcotest.test_case "wire loss injection" `Quick test_wire_loss_counted;
-    Alcotest.test_case "wire duplication" `Quick test_wire_duplication;
     Alcotest.test_case "TCP recovers over lossy virtio link" `Quick test_tcp_over_lossy_virtio;
     QCheck_alcotest.to_alcotest tcp_lossy_prop;
   ]

@@ -52,6 +52,25 @@ let test_faultnet_passthrough () =
   Alcotest.(check int) "forwarded" 10 (count (Fn.source fn) "forwarded");
   Alcotest.(check int) "no drops" 0 (count (Fn.source fn) "dropped")
 
+(* Random drop at 50%: every frame is either delivered or counted as
+   dropped, and the drops land near the rate. Ten bursts of 100 stay
+   inside the receiver's 512-slot ring. *)
+let test_faultnet_random_drop () =
+  let _, engine, fn, db = fault_link ~seed:7 (Fn.plan ~drop:0.5 ()) in
+  let delivered = ref 0 in
+  for _ = 1 to 10 do
+    tx_frames fn 100;
+    delivered := !delivered + List.length (drain engine db)
+  done;
+  let dropped = count (Fn.source fn) "dropped" in
+  Alcotest.(check int) "conservation" 1000 (dropped + !delivered);
+  Alcotest.(check int) "every delivered frame forwarded" !delivered
+    (count (Fn.source fn) "forwarded");
+  Alcotest.(check bool)
+    (Printf.sprintf "about half dropped (%d)" dropped)
+    true
+    (dropped > 350 && dropped < 650)
+
 let test_faultnet_drop_every () =
   let _, engine, fn, db = fault_link (Fn.plan ~drop_every:2 ()) in
   tx_frames fn 10;
@@ -387,6 +406,8 @@ let test_supervisor_voluntary_exit_not_a_crash () =
 let suite =
   [
     Alcotest.test_case "faultnet: clean passthrough" `Quick test_faultnet_passthrough;
+    Alcotest.test_case "faultnet: random drop conserves frames at its rate" `Quick
+      test_faultnet_random_drop;
     Alcotest.test_case "faultnet: drop every Nth" `Quick test_faultnet_drop_every;
     Alcotest.test_case "faultnet: duplication" `Quick test_faultnet_duplicate;
     Alcotest.test_case "faultnet: single-bit corruption" `Quick test_faultnet_corrupt;

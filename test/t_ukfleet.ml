@@ -1,8 +1,8 @@
 (* Tests for ukfleet: workload shapes, front-door policies, autoscaler
    hysteresis, seeded VM killing, calibrated costs, fleet lifecycle
    (cold / warm-pool / snapshot-clone), crash recovery with zero lost
-   responses over many seeds, per-fleet readings with two fleets alive,
-   and the real-TCP ingress path. *)
+   responses over many seeds, and per-fleet readings with two fleets
+   alive. *)
 
 module Fleet = Ukfleet.Fleet
 module Workload = Ukfleet.Workload
@@ -429,65 +429,6 @@ let test_each_fleet_reads_its_own () =
   own_readings ();
   shared_engine_keeps_trace ()
 
-(* --- real-TCP ingress ----------------------------------------------------- *)
-
-let test_ingress_over_tcp () =
-  let clock = Uksim.Clock.create () in
-  let engine = Uksim.Engine.create clock in
-  let sched = Uksched.Sched.create_cooperative ~clock ~engine in
-  let sdev, cdev = Uknetdev.Loopback.create_pair ~clock ~engine () in
-  let module S = Uknetstack.Stack in
-  let module A = Uknetstack.Addr in
-  let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
-  in
-  let server = mk sdev "10.0.7.1" 0xA in
-  let client = mk cdev "10.0.7.2" 0xB in
-  let fleet = Fleet.create ~substrate:(`Engine (clock, engine)) ~image () in
-  Fleet.start fleet;
-  let ingress = Ukfleet.Ingress.serve ~sched ~stack:server ~port:7070 ~fleet () in
-  let n = 20 in
-  let got = ref [] in
-  ignore
-    (Uksched.Sched.spawn sched ~name:"client" (fun () ->
-         let flow = S.Tcp_socket.connect client ~dst:(A.Ipv4.of_string "10.0.7.1", 7070) () in
-         for i = 1 to n do
-           let line = Printf.sprintf "REQ %d\n" i in
-           ignore (S.Tcp_socket.send ~block:true client flow (Bytes.of_string line))
-         done;
-         let buf = Buffer.create 256 in
-         let lines () =
-           List.filter (fun l -> String.trim l <> "")
-             (String.split_on_char '\n' (Buffer.contents buf))
-         in
-         let rec read_until () =
-           if List.length (lines ()) < n then
-             match S.Tcp_socket.recv ~block:true client flow ~max:2048 with
-             | Some data when Bytes.length data > 0 ->
-                 Buffer.add_bytes buf data;
-                 read_until ()
-             | Some _ -> read_until ()
-             | None -> ()
-         in
-         read_until ();
-         got := lines ();
-         S.Tcp_socket.close client flow));
-  Uksched.Sched.run sched;
-  Alcotest.(check int) "every request line answered" n (List.length !got);
-  Alcotest.(check bool) "responses are OK lines" true
-    (List.for_all (fun l -> String.length l >= 2 && String.sub l 0 2 = "OK") !got);
-  Alcotest.(check int) "ingress counted requests" n (Ukfleet.Ingress.requests ingress);
-  Alcotest.(check int) "ingress counted responses" n (Ukfleet.Ingress.responses ingress);
-  let r = Fleet.report fleet in
-  Alcotest.(check int) "fleet completed them" n r.Fleet.completed;
-  Ukfleet.Ingress.stop ingress
-
 let suite =
   [
     Alcotest.test_case "workload shapes" `Quick test_workload_shapes;
@@ -525,5 +466,4 @@ let suite =
       test_draining_sheds_new_arrivals;
     Alcotest.test_case "each fleet reads its own numbers" `Quick
       test_each_fleet_reads_its_own;
-    Alcotest.test_case "ingress over real TCP" `Quick test_ingress_over_tcp;
   ]

@@ -371,6 +371,34 @@ let test_tcp_fast_retransmit () =
   Alcotest.(check int) "stream fully recovered" (1460 + 100 + 10 + 10)
     (Tcp.recv_available server)
 
+(* A pipelined request/reply exchange: the client sends eight requests
+   back to back, so each carries the same ACK, and the server answers
+   each one as it arrives, so its replies are in flight when the later
+   requests land. Those requests repeat the server's [snd_una] but carry
+   data, and RFC 5681 §2 does not count them as duplicate ACKs. *)
+let test_tcp_pipelined_data_is_not_dupack () =
+  let neta, netb, client, server = handshake () in
+  let requests = List.init 8 (Printf.sprintf "req-%d") in
+  List.iter (fun r -> ignore (Tcp.send client (Bytes.of_string r))) requests;
+  let segs = take_sent neta in
+  Alcotest.(check int) "one segment per request" 8 (List.length segs);
+  Alcotest.(check int) "every request repeats one ACK" 1
+    (List.length (List.sort_uniq compare (List.map (fun (_, h, _) -> h.P.Tcp.ack) segs)));
+  List.iter
+    (fun (_, hdr, payload) ->
+      Tcp.on_segment_nb server hdr (Nb.of_bytes payload);
+      match Tcp.recv server ~max:100 with
+      | Some r -> ignore (Tcp.send server (Bytes.cat (Bytes.of_string "ok:") r))
+      | None -> Alcotest.fail "request not delivered")
+    segs;
+  Alcotest.(check int) "no fast retransmit" 0 netb.fast_rexmits;
+  deliver_all neta netb client server;
+  Alcotest.(check (option string)) "every reply once, in order"
+    (Some (String.concat "" (List.map (( ^ ) "ok:") requests)))
+    (Option.map Bytes.to_string (Tcp.recv client ~max:1000));
+  Alcotest.(check int) "still none after the replies are acknowledged" 0
+    (netb.fast_rexmits + netb.rexmits)
+
 let test_tcp_close_sequence () =
   let neta, netb, client, server = handshake () in
   Tcp.close client;
@@ -789,6 +817,8 @@ let suite =
     Alcotest.test_case "tcp RTO retransmission" `Quick test_tcp_retransmission;
     Alcotest.test_case "tcp re-arm cancels the replaced timer" `Quick test_tcp_rearm_cancels;
     Alcotest.test_case "tcp fast retransmit" `Quick test_tcp_fast_retransmit;
+    Alcotest.test_case "tcp pipelined data segments are not duplicate ACKs" `Quick
+      test_tcp_pipelined_data_is_not_dupack;
     Alcotest.test_case "tcp close sequence" `Quick test_tcp_close_sequence;
     Alcotest.test_case "tcp reset" `Quick test_tcp_rst;
     Alcotest.test_case "tcp flow control" `Quick test_tcp_flow_control;

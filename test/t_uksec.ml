@@ -58,7 +58,7 @@ let test_mpk_gate () =
   let m = Mpk.create ~clock:c in
   let key = Result.get_ok (Mpk.alloc_key m ~name:"fscomp" ()) in
   Mpk.bind_range m key ~base:0x20000 ~len:4096;
-  let gate = Mpk.Gate.create m ~name:"fs-entry" ~target_key:key in
+  let gate = Mpk.Gate.create m ~target_key:key in
   (* Inside the gate the compartment is writable; outside it is sealed. *)
   Mpk.Gate.enter gate (fun () -> Mpk.store m 0x20040);
   (match Mpk.store m 0x20040 with
