@@ -245,33 +245,6 @@ let http_frame_matches_bytewise_prop =
       let buf = Bytes.of_string s in
       Ukapps.Httpd.frame buf pos limit = bytewise_http_frame buf pos limit)
 
-(* --- RESP counts ------------------------------------------------------------- *)
-
-let resp_frame s = Ukapps.Resp_store.frame (Bytes.of_string s) 0 (String.length s)
-let is_bad = function Ukapps.Serve.Bad _ -> true | Ukapps.Serve.Frame _ | Ukapps.Serve.Partial -> false
-
-(* A RESP count is 1-18 decimal digits. A bulk length near max_int once
-   overflowed the framer's bounds check and read a negative index, and
-   [int_of_string] let "0x2", "+2" and "2_0" through as counts. Each
-   count below is tried as the argument count and as a bulk length. *)
-let test_resp_counts () =
-  let counts =
-    List.init 65 (fun k -> string_of_int (max_int - k))
-    @ [ string_of_int min_int; "0x3fffffffffffffff"; "0x2"; "+2"; "-1"; "0_1"; "";
-        String.make 19 '9' ]
-  in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun s -> Alcotest.(check bool) (Printf.sprintf "%S is Bad" s) true (is_bad (resp_frame s)))
-        [ Printf.sprintf "*%s\r\n$1\r\nk\r\n" c; Printf.sprintf "*1\r\n$%s\r\nab\r\n" c ])
-    counts;
-  Alcotest.(check bool) "an 18-digit length waits for its bytes" true
-    (resp_frame "*1\r\n$999999999999999999\r\nab\r\n" = Ukapps.Serve.Partial);
-  Alcotest.(check bool) "a well-formed command frames" true
-    (resp_frame "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
-    = Ukapps.Serve.Frame ([ "GET"; "k" ], 20))
-
 (* --- IPv4 reassembly --------------------------------------------------------- *)
 
 module Frag = Uknetstack.Frag
@@ -395,8 +368,6 @@ let frag_roundtrip_prop =
 let suite =
   Alcotest.test_case "every valid seed decodes" `Quick test_valid_seeds_decode
   :: QCheck_alcotest.to_alcotest http_frame_matches_bytewise_prop
-  :: Alcotest.test_case "RESP counts near max_int and in non-decimal forms are Bad" `Quick
-       test_resp_counts
   :: List.map (fun d -> QCheck_alcotest.to_alcotest (total d)) decoders
   @ List.map QCheck_alcotest.to_alcotest
       [ frag_total_prop; frag_rejected_prop; frag_roundtrip_prop ]

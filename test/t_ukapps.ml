@@ -21,6 +21,85 @@ let test_resp_encode () =
   Alcotest.(check string) "command" "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
     (Resp.encode_command [ "GET"; "k" ])
 
+(* The server parses commands with [Resp_store.frame], in place: a
+   command cut short waits for its bytes, pipelined commands frame one
+   after another, and anything but an array of bulk strings is an
+   error. *)
+
+let frame_at s pos = Ukapps.Resp_store.frame (Bytes.of_string s) pos (String.length s)
+
+let test_resp_incremental_parse () =
+  let whole = Resp.encode_command [ "SET"; "key"; "value" ] in
+  let n = String.length whole in
+  for cut = 0 to n - 1 do
+    match frame_at (String.sub whole 0 cut) 0 with
+    | Ukapps.Serve.Partial -> ()
+    | _ -> Alcotest.failf "a command cut at byte %d of %d must wait for the rest" cut n
+  done;
+  match frame_at whole 0 with
+  | Ukapps.Serve.Frame ([ "SET"; "key"; "value" ], next) ->
+      Alcotest.(check int) "frame ends at the command's end" n next
+  | _ -> Alcotest.fail "parse after completion"
+
+let test_resp_pipeline_parse () =
+  let cmds = [ [ "PING" ]; [ "INCR"; "n" ]; [ "SET"; "k"; "" ] ] in
+  let buf = Bytes.of_string (String.concat "" (List.map Resp.encode_command cmds)) in
+  let limit = Bytes.length buf in
+  let pos =
+    List.fold_left
+      (fun pos cmd ->
+        match Ukapps.Resp_store.frame buf pos limit with
+        | Ukapps.Serve.Frame (args, next) ->
+            Alcotest.(check (list string)) "arguments" cmd args;
+            Alcotest.(check int) "frame ends where the next command starts"
+              (pos + String.length (Resp.encode_command cmd))
+              next;
+            next
+        | _ -> Alcotest.fail "pipelined command not framed")
+      0 cmds
+  in
+  Alcotest.(check int) "every byte consumed" limit pos;
+  match Ukapps.Resp_store.frame buf pos limit with
+  | Ukapps.Serve.Partial -> ()
+  | _ -> Alcotest.fail "drained"
+
+(* A count is 1-18 decimal digits. A bulk length near max_int once
+   overflowed the framer's bounds check and read a negative index, and
+   [int_of_string] let "0x2", "+2" and "0_1" through as counts. Each
+   count below is tried as the argument count and as a bulk length. *)
+let test_resp_protocol_error () =
+  let counts =
+    List.init 65 (fun k -> string_of_int (max_int - k))
+    @ [ string_of_int min_int; "0x3fffffffffffffff"; "0x2"; "+2"; "-1"; "0_1"; "";
+        String.make 19 '9' ]
+  in
+  List.iter
+    (fun s ->
+      match frame_at s 0 with
+      | Ukapps.Serve.Bad reply ->
+          Alcotest.(check string) (Printf.sprintf "reply to %S" s) "-ERR Protocol error\r\n" reply
+      | _ -> Alcotest.failf "%S accepted" s)
+    ([ "!bogus\r\n"; "+OK\r\n"; ":7\r\n"; "*1\r\n:7\r\n"; "*1\r\n$-1\r\n"; "*1\n$1\r\nk\r\n";
+       "*1\r\n$1\r\nkX\r\n"; "*65\r\n" ]
+    @ List.concat_map
+        (fun c -> [ Printf.sprintf "*%s\r\n$1\r\nk\r\n" c; Printf.sprintf "*1\r\n$%s\r\nab\r\n" c ])
+        counts)
+
+(* Any command of 1-64 arguments, placed inside a larger buffer as in a
+   ring netbuf, frames back to exactly its arguments and ends where its
+   encoding ends. *)
+let resp_roundtrip_prop =
+  QCheck.Test.make ~name:"resp values roundtrip through the parser" ~count:200
+    QCheck.(
+      triple
+        (string_of_size Gen.(int_bound 8))
+        (list_of_size Gen.(int_range 1 64) (string_of_size Gen.(int_bound 30)))
+        (string_of_size Gen.(int_bound 8)))
+    (fun (before, args, after) ->
+      let cmd = Resp.encode_command args in
+      let pos = String.length before in
+      frame_at (before ^ cmd ^ after) pos = Ukapps.Serve.Frame (args, pos + String.length cmd))
+
 (* --- Resp_store semantics (direct execution) -------------------------------- *)
 
 let mk_store () =
@@ -332,6 +411,10 @@ let test_httpd_default_page () =
 let suite =
   [
     Alcotest.test_case "resp encoding" `Quick test_resp_encode;
+    Alcotest.test_case "resp incremental parse" `Quick test_resp_incremental_parse;
+    Alcotest.test_case "resp pipeline parse" `Quick test_resp_pipeline_parse;
+    Alcotest.test_case "resp protocol errors" `Quick test_resp_protocol_error;
+    QCheck_alcotest.to_alcotest resp_roundtrip_prop;
     Alcotest.test_case "store set/get/del" `Quick test_store_set_get;
     Alcotest.test_case "store incr" `Quick test_store_incr;
     Alcotest.test_case "store lists and admin" `Quick test_store_lists_and_admin;
