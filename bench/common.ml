@@ -90,7 +90,6 @@ let serve_vm ?(alloc = Cfg.Mimalloc) ?(net = Cfg.Vhost_net) ~app () =
         gateway = None;
       }
   in
-  Uknetstack.Stack.start client_stack;
   { clock; engine; sched; env; client_stack; server_ip = A.Ipv4.of_string "172.44.0.2" }
 
 let kreq v = v /. 1000.0

@@ -41,13 +41,9 @@ let chaotic_link ?(seed = chaos_seed) plan =
   let server_fault = Fn.wrap ~clock ~engine ~rng:(Uksim.Rng.split rng) ~plan da in
   let client_fault = Fn.wrap ~clock ~engine ~rng:(Uksim.Rng.split rng) ~plan db in
   let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let server_stack = mk (Fn.dev server_fault) "10.0.0.1" 0x1 in
   let client_stack = mk (Fn.dev client_fault) "10.0.0.2" 0x2 in

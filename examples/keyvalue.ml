@@ -27,7 +27,6 @@ let run_with ~alloc workload =
       { Uknetstack.Stack.mac = A.Mac.of_int 0x2; ip = A.Ipv4.of_string "172.44.0.3";
         netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
-  Uknetstack.Stack.start cstack;
   let r =
     Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:cstack
       ~server:(A.Ipv4.of_string "172.44.0.2", 6379) ~connections:30 ~pipeline:16

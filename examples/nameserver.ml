@@ -45,7 +45,6 @@ let () =
       { S.mac = A.Mac.of_int 0x2; ip = A.Ipv4.of_string "172.44.0.3";
         netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
-  S.start cstack;
 
   let resolve name qtype =
     match Dns.Client.lookup ~clock ~stack:cstack ~server:(A.Ipv4.of_string "172.44.0.2") ~qtype name with

@@ -31,7 +31,6 @@ let kv_via_sockets () =
       { Uknetstack.Stack.mac = A.Mac.of_int 0x2; ip = A.Ipv4.of_string "172.44.0.3";
         netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
-  Uknetstack.Stack.start cstack;
   let r =
     Ukapps.Udp_kv.Client.run_sockets ~clock ~sched ~stack:cstack
       ~server:(A.Ipv4.of_string "172.44.0.2", 5000) ~requests:10_000 ()

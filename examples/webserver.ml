@@ -53,7 +53,6 @@ let () =
       { Uknetstack.Stack.mac = A.Mac.of_int 0x2; ip = A.Ipv4.of_string "172.44.0.3";
         netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
-  Uknetstack.Stack.start cstack;
 
   (* Load test: 30 connections fetching the 612-byte page. *)
   let r =

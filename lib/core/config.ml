@@ -2,7 +2,7 @@ module K = Ukconf.Kopt
 module E = Ukconf.Expr
 
 type alloc_backend = Buddy | Tlsf | Tinyalloc | Mimalloc | Bootalloc | Oscar
-type sched_kind = Coop | Preempt | None_
+type sched_kind = Coop | None_
 type fs_kind = No_fs | Ramfs | Ninep | Shfs_fs
 type paging = Static_pt | Dynamic_pt | Protected32_pt
 type libc = Nolibc | Musl | Newlib
@@ -34,8 +34,8 @@ let alloc_backend_name = function
 
 let alloc_lib b = "alloc-" ^ alloc_backend_name b
 
-let sched_name = function Coop -> "coop" | Preempt -> "preempt" | None_ -> "none"
-let sched_lib = function Coop -> Some "sched-coop" | Preempt -> Some "sched-preempt" | None_ -> None
+let sched_name = function Coop -> "coop" | None_ -> "none"
+let sched_lib = function Coop -> Some "sched-coop" | None_ -> None
 let net_name = function No_net -> "none" | Vhost_net -> "vhost-net" | Vhost_user -> "vhost-user"
 let fs_name = function No_fs -> "none" | Ramfs -> "ramfs" | Ninep -> "9pfs" | Shfs_fs -> "shfs"
 
@@ -58,7 +58,7 @@ let schema () =
         ~menu:menu_core;
       K.bool "HAVE_SCHED" ~doc:"threading support" ~menu:menu_lib;
       K.choice "SCHED" ~doc:"scheduler implementation" ~default:"coop"
-        ~alternatives:[ "coop"; "preempt"; "none" ] ~menu:menu_lib;
+        ~alternatives:[ "coop"; "none" ] ~menu:menu_lib;
       K.bool "HAVE_ALLOC" ~doc:"dynamic memory" ~default:true ~menu:menu_lib;
       K.choice "ALLOC" ~doc:"allocator backend" ~default:"tlsf"
         ~alternatives:[ "buddy"; "tlsf"; "tinyalloc"; "mimalloc"; "bootalloc"; "oscar" ]
@@ -92,6 +92,9 @@ let to_kconfig t =
   [
     ("PLAT", K.Choice t.platform);
     ("APP", K.Choice t.app);
+    (* Explicit, so a library that selects it (mimalloc's worker thread,
+       lwip's input thread) in an image without a scheduler is a select
+       conflict the resolver reports, never a silent flip. *)
     ("HAVE_SCHED", K.Bool (t.sched <> None_));
     ("SCHED", K.Choice (sched_name t.sched));
     ("HAVE_ALLOC", K.Bool true);
@@ -131,14 +134,9 @@ let make ~app ?(platform = "plat-kvm") ?(alloc = Tlsf) ?(sched = Coop) ?(net = N
       { app; platform; alloc; sched; net; fs; paging; libc;
         mem_bytes = mem_mb * 1024 * 1024; dce; lto; asan; mpk }
     in
-    (* mimalloc's worker thread needs a scheduler (select would flip
-       HAVE_SCHED silently; surface it instead). *)
-    if alloc = Mimalloc && sched = None_ then
-      Error "mimalloc requires a scheduler (pthread dependency)"
-    else
-      match resolve t with
-      | Ok _ -> Ok t
-      | Error e -> Error e
+    match resolve t with
+    | Ok _ -> Ok t
+    | Error e -> Error e
   end
 
 let pp ppf t =

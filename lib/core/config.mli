@@ -14,7 +14,7 @@ val schema : unit -> Ukconf.Schema.t
     selects threading for its worker; 9pfs selects vfscore). *)
 
 type alloc_backend = Buddy | Tlsf | Tinyalloc | Mimalloc | Bootalloc | Oscar
-type sched_kind = Coop | Preempt | None_
+type sched_kind = Coop | None_
 type fs_kind = No_fs | Ramfs | Ninep | Shfs_fs
 type paging = Static_pt | Dynamic_pt | Protected32_pt
 type libc = Nolibc | Musl | Newlib
@@ -54,8 +54,8 @@ val make :
   (t, string) result
 (** Defaults: plat-kvm, tlsf, coop, no net, no fs, static page table,
     musl, 32 MB, DCE+LTO on, sanitizer and MPK off. Validates through the
-    Kconfig schema, so dependency violations (e.g. mimalloc with
-    [sched = None_]) are reported. *)
+    Kconfig schema, so dependency violations (e.g. mimalloc or a network
+    stack with [sched = None_]) are reported. *)
 
 val resolve : t -> (Ukconf.Config.t, string) result
 (** Validate against {!schema}. *)

@@ -138,13 +138,7 @@ let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255
           | Config.None_ -> ()
           | Config.Coop ->
               reg ~level:Ukboot.Boot.Level.sched ~name:"uksched/coop" (fun () ->
-                  sched := Some (Uksched.Sched.create_cooperative ~clock ~engine))
-          | Config.Preempt ->
-              reg ~level:Ukboot.Boot.Level.sched ~name:"uksched/preempt" (fun () ->
-                  sched :=
-                    Some
-                      (Uksched.Sched.create_preemptive
-                         ~slice_cycles:(Uksim.Clock.cycles_of_ns 1.0e7) ~clock ~engine)));
+                  sched := Some (Uksched.Sched.create_cooperative ~clock ~engine)));
           (match c.net with
           | Config.No_net -> ()
           | Config.Vhost_net | Config.Vhost_user ->
@@ -157,19 +151,20 @@ let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255
                   let w = Option.get wire in
                   let d = Uknetdev.Virtio_net.create ~clock ~engine ~backend ~wire:w () in
                   dev := Some d);
+              (* [Config.resolve] has rejected lwip without a scheduler
+                 (LWIP selects HAVE_SCHED), and the scheduler comes up
+                 at an earlier level. *)
               reg ~level:Ukboot.Boot.Level.bus ~name:"lwip" (fun () ->
-                  let d = Option.get !dev in
-                  let s =
-                    Uknetstack.Stack.create ~clock ~engine ?sched:!sched ?alloc:!alloc ~dev:d
-                      {
-                        Uknetstack.Stack.mac = Uknetstack.Addr.Mac.of_int mac;
-                        ip = Uknetstack.Addr.Ipv4.of_string ip;
-                        netmask = Uknetstack.Addr.Ipv4.of_string netmask;
-                        gateway = Option.map Uknetstack.Addr.Ipv4.of_string gateway;
-                      }
-                  in
-                  (match !sched with Some _ -> Uknetstack.Stack.start s | None -> ());
-                  stack := Some s));
+                  stack :=
+                    Some
+                      (Uknetstack.Stack.create ~clock ~engine ~sched:(Option.get !sched)
+                         ?alloc:!alloc ~dev:(Option.get !dev)
+                         {
+                           Uknetstack.Stack.mac = Uknetstack.Addr.Mac.of_int mac;
+                           ip = Uknetstack.Addr.Ipv4.of_string ip;
+                           netmask = Uknetstack.Addr.Ipv4.of_string netmask;
+                           gateway = Option.map Uknetstack.Addr.Ipv4.of_string gateway;
+                         })));
           (match c.fs with
           | Config.No_fs -> ()
           | Config.Ramfs ->

@@ -105,17 +105,13 @@ let create ?(seed = 1) ?(alloc_mode = Arena) ?fastpath ~n () =
     let clock = Uksmp.Smp.clock_of smp ~core in
     let engine = Uksmp.Smp.engine_of smp ~core in
     let sched = Uksmp.Smp.sched_of smp ~core in
-    let s =
-      match fastpath with
-      | None -> S.create ~clock ~engine ~sched ~dev ~qid cfg
-      | Some fp ->
-          S.create ~clock ~engine ~sched ~dev ~qid ~rx_batch:fp.rx_batch
-            ~rx_copy:fp.rx_copy ~tx_coalesce:fp.tx_coalesce
-            ?pool:(if server then shared_pool else None)
-            cfg
-    in
-    S.start s;
-    s
+    match fastpath with
+    | None -> S.create ~clock ~engine ~sched ~dev ~qid cfg
+    | Some fp ->
+        S.create ~clock ~engine ~sched ~dev ~qid ~rx_batch:fp.rx_batch
+          ~rx_copy:fp.rx_copy ~tx_coalesce:fp.tx_coalesce
+          ?pool:(if server then shared_pool else None)
+          cfg
   in
   let server_stacks =
     Array.init n (fun i ->

@@ -4,7 +4,6 @@ module C = Uktrace.Metric.Counter
 type content =
   | In_memory of (string * string) list
   | Via_vfs of Ukvfs.Vfs.t
-  | Via_shfs of Ukvfs.Shfs.t
 
 type t = {
   clock : Uksim.Clock.t;
@@ -58,29 +57,14 @@ let read_vfs vfs path =
       ignore (Ukvfs.Vfs.close vfs fd);
       result
 
-let read_shfs shfs path =
-  let name = match Ukvfs.Fs.split_path path with [ n ] -> n | _ -> path in
-  match Ukvfs.Shfs.open_direct shfs name with
-  | Error _ -> None
-  | Ok h ->
-      let size = Ukvfs.Shfs.size_direct shfs h in
-      let result =
-        match Ukvfs.Shfs.read_direct shfs h ~off:0 ~len:size with
-        | Ok data -> Some (Bytes.to_string data)
-        | Error _ -> None
-      in
-      Ukvfs.Shfs.close_direct shfs h;
-      result
-
 (* [content]'s page lookup. An in-memory page's reply is rendered once,
    here, in page order, so the first of a path listed twice still wins;
-   VFS and SHFS content is read and rendered per request. *)
+   VFS content is read and rendered per request. *)
 let lookup = function
   | In_memory pages ->
       let replies = List.map (fun (path, body) -> (path, ok body)) pages in
       fun path -> List.assoc_opt path replies
   | Via_vfs vfs -> fun path -> Option.map ok (read_vfs vfs path)
-  | Via_shfs shfs -> fun path -> Option.map ok (read_shfs shfs path)
 
 (* Specialized request handling: the request line is parsed in place in
    the driver's ring buffer (no per-request pool, no header

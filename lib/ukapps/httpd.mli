@@ -2,13 +2,12 @@
 
     Single worker, keep-alive connections, per-request buffers from the
     configured ukalloc backend (so Fig 15's allocator choice matters).
-    Content can come from memory, through vfscore, or straight from SHFS
-    (the Fig 22 specialization axis when combined with {!Webcache}). *)
+    Content comes from memory or through vfscore; Fig 22's SHFS path is
+    {!Webcache}. *)
 
 type content =
   | In_memory of (string * string) list  (** path -> body *)
   | Via_vfs of Ukvfs.Vfs.t  (** open/read/close through vfscore *)
-  | Via_shfs of Ukvfs.Shfs.t  (** direct hash-filesystem lookups *)
 
 type t
 
@@ -41,7 +40,7 @@ val serve : transport:Serve.transport -> make
 
     An [In_memory] page's 200 reply is rendered once, when the server is
     created, and written as is for every GET of it on either transport;
-    VFS and SHFS content is rendered per request. *)
+    VFS content is rendered per request. *)
 
 val create : make
 (** [serve ~transport:Socket]. *)

@@ -97,12 +97,27 @@ let line buf pos limit =
   in
   go pos
 
-(* Per-connection state: the reply sink, and the accumulator holding the
-   unframed tail (the socket path's receive buffer; the netbuf path's
-   counted-copy stash). *)
-type conn = { sink : sink; acc : Buffer.t; mutable closed : bool }
+(* The most a connection may hold of a request its framer cannot frame
+   yet. Past it the connection's replies so far are flushed and it is
+   closed, as Redis closes a client past its query-buffer limit. *)
+let max_unframed = 65536
 
-let conn sink = { sink; acc = Buffer.create 512; closed = false }
+(* Per-connection state: the reply sink, and the stash holding the
+   unframed tail of the received stream, [stash[0, stashed)]. *)
+type conn = { sink : sink; mutable stash : bytes; mutable stashed : int; mutable closed : bool }
+
+let conn sink = { sink; stash = Bytes.empty; stashed = 0; closed = false }
+
+(* Append [b[off, off+len)] to the stash. *)
+let append c b off len =
+  let need = c.stashed + len in
+  if need > Bytes.length c.stash then begin
+    let grown = Bytes.create (max need (max 512 (2 * Bytes.length c.stash))) in
+    Bytes.blit c.stash 0 grown 0 c.stashed;
+    c.stash <- grown
+  end;
+  Bytes.blit b off c.stash c.stashed len;
+  c.stashed <- need
 
 (* Frame and handle every complete request in [buf[off, off+len)]: the
    bytes consumed, or [None] after a framing error (its reply written). *)
@@ -120,16 +135,36 @@ let scan ~frame ~handle sink buf off len =
   in
   go off
 
-let drain ~frame ~handle c =
-  let s = Buffer.contents c.acc in
-  match scan ~frame ~handle c.sink (Bytes.unsafe_of_string s) 0 (String.length s) with
-  | None -> false
-  | Some consumed ->
-      if consumed > 0 then begin
-        Buffer.clear c.acc;
-        Buffer.add_substring c.acc s consumed (String.length s - consumed)
-      end;
-      true
+(* One received chunk, [buf[off, off+len)], on either transport: framed
+   in place while nothing is stashed, else appended to the stash and the
+   stash framed. [keep pos] stashes the chunk from [pos] on; [release ()]
+   runs once the chunk itself is no longer needed. [false] when the
+   connection must close: after a framing error (its reply written), or
+   when more than [max_unframed] bytes stay unframed. *)
+let receive ~frame ~handle c ~keep ~release buf off len =
+  let framed =
+    if c.stashed = 0 then begin
+      let r = scan ~frame ~handle c.sink buf off len in
+      (match r with
+      | Some consumed when consumed < len -> keep (off + consumed)
+      | Some _ | None -> ());
+      release ();
+      r <> None
+    end
+    else begin
+      keep off;
+      release ();
+      match scan ~frame ~handle c.sink c.stash 0 c.stashed with
+      | None -> false
+      | Some consumed ->
+          if consumed > 0 then begin
+            c.stashed <- c.stashed - consumed;
+            Bytes.blit c.stash consumed c.stash 0 c.stashed
+          end;
+          true
+    end
+  in
+  framed && c.stashed <= max_unframed
 
 (* The connection thread: a blocking receive that also wakes when a
    non-blocking flush left bytes for it to send. *)
@@ -155,36 +190,27 @@ let socket_conn ~stack ~frame ~handle c flow =
         end;
         serve ()
     | Some data ->
-        Buffer.add_bytes c.acc data;
-        let ok = drain ~frame ~handle c in
+        let len = Bytes.length data in
+        let keep pos = append c data pos (len - pos) in
+        let ok = receive ~frame ~handle c ~keep ~release:ignore data 0 len in
         send c.sink;
         if ok then serve () else S.Tcp_socket.close stack flow
   in
   serve ()
 
-(* One received netbuf: framed in place while no request straddles a
-   segment; otherwise through the stash until the pipeline realigns. *)
+(* One received netbuf, framed in the driver's ring buffer while no
+   request straddles a segment. What is stashed leaves the netbuf by a
+   counted copy. *)
 let netbuf_data ~stack ~frame ~handle c flow nb =
   if c.closed then Nb.recycle nb
   else begin
-    let ok =
-      if Buffer.length c.acc = 0 then begin
-        let buf, off, len = Nb.view nb in
-        let r = scan ~frame ~handle c.sink buf off len in
-        (match r with
-        | Some consumed when consumed < len ->
-            Nb.pull nb consumed;
-            Buffer.add_bytes c.acc (Nb.copy_out nb)
-        | Some _ | None -> ());
-        Nb.recycle nb;
-        r <> None
-      end
-      else begin
-        Buffer.add_bytes c.acc (Nb.copy_out nb);
-        Nb.recycle nb;
-        drain ~frame ~handle c
-      end
+    let buf, off, len = Nb.view nb in
+    let keep pos =
+      Nb.pull nb (pos - off);
+      let b = Nb.copy_out nb in
+      append c b 0 (Bytes.length b)
     in
+    let ok = receive ~frame ~handle c ~keep ~release:(fun () -> Nb.recycle nb) buf off len in
     flush c.sink;
     if not ok then begin
       c.closed <- true;

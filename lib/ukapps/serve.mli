@@ -10,22 +10,29 @@
       work (allocations, cost constants) by looking at the transport it
       was built for.
     - A {b transport} owns everything else: listening, accepting,
-      receiving, accumulating a request that straddles segments, the
-      optional worker hop, and the reply flush. *)
+      receiving, stashing a request that straddles segments, the
+      optional worker hop, and the reply flush.
+
+    Both transports receive the same way: a received chunk is framed in
+    place while nothing is stashed; a request it leaves unfinished is
+    stashed, and later chunks are appended to the stash and framed
+    there. A connection holds at most 64 KiB of a request its framer
+    cannot frame yet: past that the replies already written are flushed
+    and the connection is closed, as Redis closes a client past its
+    query-buffer limit. *)
 
 type transport =
   | Socket
       (** The priced socket/copy path: an accept thread, one pinned thread
-          per connection, blocking [recv] into an accumulator, replies
-          sent with one {!Uknetstack.Stack.Tcp_socket.send}. *)
+          per connection, blocking [recv] of copied chunks, replies sent
+          with one {!Uknetstack.Stack.Tcp_socket.send}. *)
   | Netbuf of { rtc : bool }
       (** The zero-copy path: fast accept, a per-connection
           {!Uknetstack.Tcp.set_rx_sink}, in-place framing of ring netbufs
-          and {!Nbio} replies. A request that straddles a segment falls
-          back to a counted-copy stash until the pipeline realigns.
-          [rtc = true] runs handlers to completion inside packet
-          processing; [rtc = false] ablates that by hopping each received
-          chunk through one pinned worker thread. *)
+          and {!Nbio} replies. What is stashed leaves the netbuf by a
+          counted copy. [rtc = true] runs handlers to completion inside
+          packet processing; [rtc = false] ablates that by hopping each
+          received chunk through one pinned worker thread. *)
 
 type sink
 (** A connection's outgoing channel: replies on a server, requests on a

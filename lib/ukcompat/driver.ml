@@ -177,8 +177,6 @@ let run ?(seed = 42) ~rung app =
   in
   let server_stack = mk da "10.0.0.1" 0x1 in
   let client_stack = mk db "10.0.0.2" 0x2 in
-  S.start server_stack;
-  S.start client_stack;
   let vfs = Vfs.create ~clock in
   (match Vfs.mount vfs ~at:"/" (Ukvfs.Ramfs.create ~clock ()) with
   | Ok () -> ()

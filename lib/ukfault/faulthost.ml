@@ -2,9 +2,7 @@ type event =
   | Crash of int
   | Recover of int
   | Freeze of int * float
-  | Flap of int * int * float * float
   | Block of int * int
-  | Unblock of int * int
   | Partition of int list * int list
   | Partition_asym of int list * int list
   | Heal of int list * int list
@@ -38,24 +36,12 @@ let at_abs t ns f =
    owner only ever implements one primitive: block src->dst. *)
 let pairs a b = List.concat_map (fun x -> List.map (fun y -> (x, y)) b) a
 
-let rec apply t ~now_ns ev =
+let apply t ~now_ns ev =
   match ev with
   | Crash h -> count t (t.ops.crash ~now_ns h)
   | Recover h -> count t (t.ops.recover ~now_ns h)
   | Freeze (h, dur) -> count t (t.ops.freeze ~now_ns h ~dur_ns:dur)
-  | Flap (h, cycles, down_ns, up_ns) ->
-      if cycles > 0 then begin
-        count t (t.ops.crash ~now_ns h);
-        at_abs t (now_ns +. down_ns) (fun () ->
-            let now_ns = now_ns +. down_ns in
-            count t (t.ops.recover ~now_ns h);
-            if cycles > 1 then
-              at_abs t (now_ns +. up_ns) (fun () ->
-                  apply t ~now_ns:(now_ns +. up_ns)
-                    (Flap (h, cycles - 1, down_ns, up_ns))))
-      end
   | Block (src, dst) -> count t (t.ops.block ~now_ns ~src ~dst)
-  | Unblock (src, dst) -> count t (t.ops.unblock ~now_ns ~src ~dst)
   | Partition (a, b) ->
       List.iter (fun (src, dst) -> count t (t.ops.block ~now_ns ~src ~dst))
         (pairs a b @ pairs b a)

@@ -13,17 +13,13 @@
 
     Everything runs on the owner's virtual clock from an explicit
     timeline, so a drill replays byte-identically; randomness (victim
-    choice, flap phase) stays with the caller, e.g. via
-    {!Faultvm.victims}. *)
+    choice) stays with the caller, e.g. via {!Faultvm.victims}. *)
 
 type event =
   | Crash of int  (** host dies: loses in-flight work, stops responding *)
   | Recover of int  (** crashed host reboots *)
   | Freeze of int * float  (** [(host, dur_ns)]: stalls, then resumes — no state lost *)
-  | Flap of int * int * float * float
-      (** [(host, cycles, down_ns, up_ns)]: crash/recover cycles *)
   | Block of int * int  (** cut the directed link [src -> dst] *)
-  | Unblock of int * int
   | Partition of int list * int list  (** cut all links between the groups, both ways *)
   | Partition_asym of int list * int list
       (** cut [a -> b] only: b still reaches a — the asymmetric case *)

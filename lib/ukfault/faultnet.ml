@@ -29,6 +29,7 @@ type t = {
   group : Uktrace.Registry.group;
   forwarded : C.t;
   dropped : C.t;
+  refused : C.t;
   duplicated : C.t;
   corrupted : C.t;
   reordered : C.t;
@@ -51,6 +52,17 @@ let flip_bit t nb aux =
     Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor (1 lsl (bit mod 8))));
     C.incr t.corrupted
   end
+
+(* Hand [pkts] to the wrapped device. The injector owns what it offers,
+   so a frame the device refuses (no ring room) is recycled here: the
+   caller was told it was taken. *)
+let forward t ~qid pkts =
+  let accepted = t.inner.Uknetdev.Netdev.tx_burst ~qid pkts in
+  for i = accepted to Array.length pkts - 1 do
+    C.incr t.refused;
+    Uknetdev.Netbuf.recycle pkts.(i)
+  done;
+  accepted
 
 (* The fate of one frame: [None] = consumed by the injector (dropped or
    held back for delayed redelivery), [Some nb] = forward now. Exactly
@@ -96,12 +108,12 @@ let judge t ~qid nb =
       (match dup with
       | Some d ->
           C.incr t.duplicated;
-          ignore (t.inner.Uknetdev.Netdev.tx_burst ~qid [| d |])
+          ignore (forward t ~qid [| d |])
       | None -> ());
       if u_reorder < t.p.reorder then begin
         C.incr t.reordered;
         Uksim.Engine.after_ns t.engine t.p.reorder_delay_ns (fun () ->
-            ignore (t.inner.Uknetdev.Netdev.tx_burst ~qid [| nb |]));
+            ignore (forward t ~qid [| nb |]));
         None
       end
       else Some nb
@@ -113,11 +125,7 @@ let tx_burst t ~qid pkts =
   let survivors =
     Array.to_list pkts |> List.filter_map (fun nb -> judge t ~qid nb) |> Array.of_list
   in
-  if Array.length survivors > 0 then begin
-    let accepted = t.inner.Uknetdev.Netdev.tx_burst ~qid survivors in
-    C.add t.forwarded accepted;
-    C.add t.dropped (Array.length survivors - accepted)
-  end;
+  if Array.length survivors > 0 then C.add t.forwarded (forward t ~qid survivors);
   offered
 
 let wrap ~clock ~engine ~rng ~plan:p inner =
@@ -125,13 +133,14 @@ let wrap ~clock ~engine ~rng ~plan:p inner =
   let c = Uktrace.Registry.counter group in
   let forwarded = c "forwarded" in
   let dropped = c "dropped" in
+  let refused = c "refused" in
   let duplicated = c "duplicated" in
   let corrupted = c "corrupted" in
   let reordered = c "reordered" in
   let flap_dropped = c "flap_dropped" in
   let t =
     { clock; engine; rng; p; inner; passed = 0; wrapped = None; group; forwarded; dropped;
-      duplicated; corrupted; reordered; flap_dropped }
+      refused; duplicated; corrupted; reordered; flap_dropped }
   in
   let dev =
     { inner with

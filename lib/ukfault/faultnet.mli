@@ -55,7 +55,10 @@ val wrap :
   t
 (** Faults are injected on the transmit path (between the stack and the
     inner device); wrap both endpoints of a link to damage both
-    directions. Receive-side calls pass straight through. *)
+    directions. Receive-side calls pass straight through. The wrapped
+    [tx_burst] consumes every frame it is offered: it returns the count
+    offered, and recycles each frame the inner device refuses for want
+    of ring room (counted as [refused]), as it does a dropped one. *)
 
 val dev : t -> Uknetdev.Netdev.t
 (** The wrapped device to hand to the consumer (e.g.
@@ -64,8 +67,9 @@ val dev : t -> Uknetdev.Netdev.t
 val source : t -> Uktrace.Source.t
 (** The injector's ["ukfault.net"] source: [forwarded] (frames passed
     through unharmed), [dropped] (random and systematic drops),
-    [duplicated], [corrupted], [reordered] and [flap_dropped] (frames
-    lost to a link-down window). *)
+    [refused] (frames, duplicates and delayed redeliveries the inner
+    device had no ring room for), [duplicated], [corrupted], [reordered]
+    and [flap_dropped] (frames lost to a link-down window). *)
 
 val link_up : t -> bool
 (** Whether the current instant falls outside a flap-down window. *)

@@ -122,12 +122,10 @@ let inittab_of_rig img rig =
       alloc := Some (Ukalloc.Tlsf.create ~clock:rig.clock ~base:bytes ~len:bytes));
   Ukboot.Boot.Inittab.register tab ~level:Ukboot.Boot.Level.bus ~name:"uknetstack"
     (fun () ->
-      let s =
-        S.create ~clock:rig.clock ~engine:rig.engine ~sched:rig.sched ~dev:rig.server_dev
-          (stack_conf "10.99.0.1" 0xF1EE7)
-      in
-      S.start s;
-      rig.server_stack <- Some s);
+      rig.server_stack <-
+        Some
+          (S.create ~clock:rig.clock ~engine:rig.engine ~sched:rig.sched ~dev:rig.server_dev
+             (stack_conf "10.99.0.1" 0xF1EE7)));
   Ukboot.Boot.Inittab.register tab ~level:Ukboot.Boot.Level.late
     ~name:
       (match img.app with
@@ -186,7 +184,6 @@ let measure_service img rig =
     S.create ~clock:rig.clock ~engine:rig.engine ~sched:rig.sched ~dev:rig.client_dev
       (stack_conf "10.99.0.2" 0xC11E7)
   in
-  S.start client;
   let server =
     ( A.Ipv4.of_string "10.99.0.1",
       match img.app with Httpd -> 80 | Store -> 7000 | Infer _ -> 8000 )

@@ -39,13 +39,12 @@ type listener = {
 type t = {
   clock : Uksim.Clock.t;
   engine : Uksim.Engine.t;
-  sched : Uksched.Sched.t option;
+  sched : Uksched.Sched.t;
   dev : Nd.t;
   qid : int; (* the device queue this stack owns (multi-queue RSS setups) *)
   cfg : conf;
   pool : Nb.Pool.t;
   rx_batch : int;
-  rx_copy : bool; (* legacy RX: copy each frame out of the ring *)
   tx_coalesce : bool;
   txq : Nb.t Queue.t; (* frames deferred to the poll-window flush *)
   mutable coalescing : bool; (* inside a poll window right now *)
@@ -70,7 +69,6 @@ type t = {
   arp_requests : C.t;
   tcp_retransmits : C.t;
   tcp_fast_retransmits : C.t;
-  mutable service_tid : Uksched.Sched.tid option;
   mutable tcp_io : Tcp.io option;
 }
 
@@ -240,8 +238,7 @@ let tcp_io t : Tcp.io =
                 Uksim.Engine.arm t.engine delay_cycles (fun () -> Tcp.on_timer conn)
               in
               fun () -> Uksim.Engine.cancel t.engine timer);
-          wake =
-            (fun tid -> match t.sched with Some s -> Uksched.Sched.wake s tid | None -> ());
+          wake = (fun tid -> Uksched.Sched.wake t.sched tid);
           retransmitted =
             (fun ~fast -> C.incr (if fast then t.tcp_fast_retransmits else t.tcp_retransmits));
           notify_accept =
@@ -253,9 +250,7 @@ let tcp_io t : Tcp.io =
                   | None ->
                       if Queue.length l.acceptq < l.backlog then begin
                         Queue.push conn l.acceptq;
-                        match (t.sched, l.lwaiter) with
-                        | Some s, Some tid -> Uksched.Sched.wake s tid
-                        | (Some _ | None), _ -> ()
+                        Option.iter (Uksched.Sched.wake t.sched) l.lwaiter
                       end
                       else Tcp.abort conn)
               | Some None | None -> ());
@@ -317,9 +312,7 @@ let handle_udp t (ip : Pkt.Ipv4.t) nb =
           C.incr t.rx_udp;
           (* Socket API: materialize into the receive queue (counted). *)
           Queue.push (ip.src, u.src_port, Nb.copy_out nb) sock.urxq;
-          (match (t.sched, sock.uwaiter) with
-          | Some s, Some tid -> Uksched.Sched.wake s tid
-          | (Some _ | None), _ -> ())));
+          Option.iter (Uksched.Sched.wake t.sched) sock.uwaiter));
   Nb.recycle nb
 
 let handle_tcp t (ip : Pkt.Ipv4.t) nb =
@@ -449,15 +442,11 @@ let poll t =
           flush_tx t));
   List.length pkts
 
-let rx_alloc_of t () = Nb.Pool.take ~clock:t.clock t.pool
-
-let rx_path_of t = if t.rx_copy then Nd.Copy_into (rx_alloc_of t) else Nd.Zero_copy
-
 (* lwIP bring-up: memory pools, pcb tables, timers (~0.35 ms, part of the
    0.49 ms nginx boot floor in Fig 14). *)
 let stack_init_cost = 1_250_000
 
-let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64) ?(rx_copy = false)
+let create ~clock ~engine ~sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64) ?(rx_copy = false)
     ?(tx_coalesce = false) ?pool cfg =
   Uksim.Clock.advance clock stack_init_cost;
   let pool =
@@ -487,7 +476,6 @@ let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64) ?(rx_co
       cfg;
       pool;
       rx_batch = max 1 rx_batch;
-      rx_copy;
       tx_coalesce;
       txq = Queue.create ();
       coalescing = false;
@@ -512,45 +500,26 @@ let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64) ?(rx_co
       arp_requests;
       tcp_retransmits;
       tcp_fast_retransmits;
-      service_tid = None;
       tcp_io = None;
     }
   in
-  dev.Nd.configure_queue ~qid
-    { Nd.rx_path = rx_path_of t; mode = Nd.Polling; rx_handler = None };
-  t
-
-let start t =
-  match t.sched with
-  | None -> invalid_arg "Stack.start: no scheduler available"
-  | Some sched ->
-      if t.service_tid = None then begin
-        let tid =
-          (* Pinned: the stack charges its home clock, so work stealing
-             must not migrate it to another core. *)
-          Uksched.Sched.spawn sched ~name:"netstack-input" ~daemon:true ~pinned:true (fun () ->
-              let rec loop () =
-                let n = poll t in
-                if n > 0 then begin
-                  Uksched.Sched.yield ();
-                  loop ()
-                end
-                else begin
-                  Uksched.Sched.block ();
-                  loop ()
-                end
-              in
-              loop ())
+  (* The input service thread. Pinned: the stack charges its home clock,
+     so work stealing must not migrate it to another core. *)
+  let tid =
+    Uksched.Sched.spawn sched ~name:"netstack-input" ~daemon:true ~pinned:true (fun () ->
+        let rec loop () =
+          if poll t > 0 then Uksched.Sched.yield () else Uksched.Sched.block ();
+          loop ()
         in
-        t.service_tid <- Some tid;
-        (* Interrupt mode: the device wakes the service thread. *)
-        t.dev.Nd.configure_queue ~qid:t.qid
-          {
-            Nd.rx_path = rx_path_of t;
-            mode = Nd.Interrupt_driven;
-            rx_handler = Some (fun () -> Uksched.Sched.wake sched tid);
-          }
-      end
+        loop ())
+  in
+  (* Interrupt mode: the device wakes the service thread. *)
+  dev.Nd.configure_queue ~qid
+    { Nd.rx_path =
+        (if rx_copy then Nd.Copy_into (fun () -> Nb.Pool.take ~clock pool) else Nd.Zero_copy);
+      mode = Nd.Interrupt_driven;
+      rx_handler = Some (fun () -> Uksched.Sched.wake sched tid) };
+  t
 
 (* --- UDP sockets -------------------------------------------------------- *)
 
@@ -588,9 +557,6 @@ module Udp_socket = struct
     | None ->
         if not block then None
         else begin
-          (match stack.sched with
-          | None -> invalid_arg "Udp_socket.recvfrom: blocking needs a scheduler"
-          | Some _ -> ());
           sock.uwaiter <- Some (Uksched.Sched.self ());
           Uksched.Sched.block ();
           sock.uwaiter <- None;
@@ -600,9 +566,7 @@ module Udp_socket = struct
   let close { stack; sock } =
     sock.uclosed <- true;
     Hashtbl.remove stack.udp_socks sock.uport;
-    match (stack.sched, sock.uwaiter) with
-    | Some sch, Some tid -> Uksched.Sched.wake sch tid
-    | (Some _ | None), _ -> ()
+    Option.iter (Uksched.Sched.wake stack.sched) sock.uwaiter
 end
 
 (* --- TCP sockets ---------------------------------------------------------- *)
@@ -662,37 +626,20 @@ module Tcp_socket = struct
     let key = conn_key ~lport ~rip:dip ~rport:dport in
     Hashtbl.replace stack.conns key conn;
     stack.conn_of <- (conn, None) :: stack.conn_of;
-    (match stack.sched with
-    | Some _ ->
-        let rec wait () =
-          match Tcp.state conn with
-          | Tcp.Established -> ()
-          | Tcp.Closed -> failwith "Tcp_socket.connect: connection refused"
-          | Tcp.Syn_sent | Tcp.Syn_rcvd ->
-              Tcp.set_connect_waiter conn (Some (Uksched.Sched.self ()));
-              Uksched.Sched.block ();
-              Tcp.set_connect_waiter conn None;
-              wait ()
-          | Tcp.Listen | Tcp.Fin_wait_1 | Tcp.Fin_wait_2 | Tcp.Close_wait | Tcp.Closing
-          | Tcp.Last_ack | Tcp.Time_wait ->
-              failwith "Tcp_socket.connect: unexpected state"
-        in
-        wait ()
-    | None ->
-        (* No scheduler: spin on the poll loop in virtual time. *)
-        let deadline = Uksim.Clock.cycles stack.clock + Uksim.Clock.cycles_of_ns 5e9 in
-        let rec spin () =
-          match Tcp.state conn with
-          | Tcp.Established -> ()
-          | Tcp.Closed -> failwith "Tcp_socket.connect: connection refused"
-          | _ ->
-              if Uksim.Clock.cycles stack.clock > deadline then
-                failwith "Tcp_socket.connect: timeout";
-              Uksim.Clock.advance stack.clock 2000;
-              ignore (poll stack);
-              spin ()
-        in
-        spin ());
+    let rec wait () =
+      match Tcp.state conn with
+      | Tcp.Established -> ()
+      | Tcp.Closed -> failwith "Tcp_socket.connect: connection refused"
+      | Tcp.Syn_sent | Tcp.Syn_rcvd ->
+          Tcp.set_connect_waiter conn (Some (Uksched.Sched.self ()));
+          Uksched.Sched.block ();
+          Tcp.set_connect_waiter conn None;
+          wait ()
+      | Tcp.Listen | Tcp.Fin_wait_1 | Tcp.Fin_wait_2 | Tcp.Close_wait | Tcp.Closing
+      | Tcp.Last_ack | Tcp.Time_wait ->
+          failwith "Tcp_socket.connect: unexpected state"
+    in
+    wait ();
     conn
 
   let rec send ?(block = false) stack flow data =

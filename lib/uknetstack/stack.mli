@@ -3,10 +3,9 @@
     One instance binds one {!Uknetdev.Netdev.t} queue, owns (or shares) a
     netbuf pool (the paper's "memory pools in Unikraft's networking
     stack"), answers ARP and ICMP echo, and offers UDP and TCP sockets.
-    Packet processing happens in {!poll} — either called directly from a
-    run-to-completion application loop, or by the service thread {!start}
-    spawns when a scheduler is available (woken by the device's rx
-    interrupt).
+    A stack always runs under a scheduler (lwip selects [HAVE_SCHED]):
+    packets are processed by the input service thread {!create} spawns,
+    woken by the device's rx interrupt.
 
     The datapath currency is {!Uknetdev.Netbuf.t}: by default RX hands the
     driver ring's descriptors straight to the stack ([Zero_copy]), headers
@@ -31,7 +30,7 @@ type t
 val create :
   clock:Uksim.Clock.t ->
   engine:Uksim.Engine.t ->
-  ?sched:Uksched.Sched.t ->
+  sched:Uksched.Sched.t ->
   ?alloc:Ukalloc.Alloc.t ->
   dev:Uknetdev.Netdev.t ->
   ?qid:int ->
@@ -41,16 +40,18 @@ val create :
   ?pool:Uknetdev.Netbuf.Pool.t ->
   conf ->
   t
-(** Configures queue [qid] of [dev] (default 0; polling mode — {!start}
-    switches it to interrupt mode). In multi-queue RSS setups one stack
-    instance owns each queue, all sharing the device's MAC/IP. 512
-    netbufs are pre-allocated, backed by [alloc] when given — the paper's
-    "memory pools in the networking stack" — unless an external [pool] is
-    supplied (the shared-pool ablation passes one pool to every stack). [rx_batch] bounds descriptors per {!poll} (default 64; 1 =
-    batching ablated). [rx_copy] reverts RX to the legacy copy-out-of-the-
-    ring path. [tx_coalesce] defers frames transmitted inside a poll window
-    into one burst (one doorbell). Bring-up charges lwIP-scale init
-    cost. *)
+(** Configures queue [qid] of [dev] (default 0) in interrupt mode and
+    spawns the stack's input service thread on [sched], a pinned daemon
+    that processes packets whenever the device raises its rx interrupt.
+    In multi-queue RSS setups one stack instance owns each queue, all
+    sharing the device's MAC/IP. 512 netbufs are pre-allocated, backed by
+    [alloc] when given — the paper's "memory pools in the networking
+    stack" — unless an external [pool] is supplied (the shared-pool
+    ablation passes one pool to every stack). [rx_batch] bounds
+    descriptors per poll (default 64; 1 = batching ablated). [rx_copy]
+    reverts RX to the legacy copy-out-of-the-ring path. [tx_coalesce]
+    defers frames transmitted inside a poll window into one burst (one
+    doorbell). Bring-up charges lwIP-scale init cost. *)
 
 val conf : t -> conf
 
@@ -63,10 +64,6 @@ val source : t -> Uktrace.Source.t
     [rx_icmp], [rx_udp], [rx_tcp], [rx_drop] (undecodable, no socket,
     checksum failures), [tx_pkts], [arp_requests], [tcp_retransmits] and
     [tcp_fast_retransmits], each counted as it happens. *)
-
-val start : t -> unit
-(** Spawn the interrupt-driven input service thread (requires a
-    scheduler). *)
 
 val alloc_buf : t -> Uknetdev.Netbuf.t
 (** Take a TX buffer from the stack's pool (heap fallback when exhausted).
@@ -84,7 +81,7 @@ module Udp_socket : sig
   val sendto : t -> dst:Addr.Ipv4.t * int -> bytes -> unit
   val recvfrom : ?block:bool -> t -> (Addr.Ipv4.t * int * bytes) option
   (** [block:true] (default false) parks the thread until a datagram
-      arrives (requires a scheduler). *)
+      arrives. *)
 
   val close : t -> unit
 end
@@ -106,8 +103,8 @@ module Tcp_socket : sig
       {!accept}. *)
 
   val connect : stack -> ?lport:int -> dst:Addr.Ipv4.t * int -> unit -> flow
-  (** Blocks (scheduler) or spins (no scheduler) until established; raises
-      [Failure] if the connection is refused/aborted. [lport] forces the
+  (** Blocks the calling thread until established; raises [Failure] if
+      the connection is refused/aborted. [lport] forces the
       source port (so clients can steer the flow's RSS hash to a chosen
       queue); raises [Invalid_argument] if it is out of range or already
       used for this destination. Default: a fresh ephemeral port. *)

@@ -1,5 +1,4 @@
 type tid = int
-type kind = Cooperative | Preemptive | Null
 
 exception Deadlock of string list
 exception Thread_exit
@@ -30,16 +29,12 @@ type thread = {
 }
 
 type t = {
-  skind : kind;
   clock : Uksim.Clock.t;
   engine : Uksim.Engine.t;
-  slice : int; (* cycles; max_int when not preemptive *)
   ready : thread Queue.t;
   threads : (tid, thread) Hashtbl.t;
   mutable next_tid : int;
   mutable current : thread option;
-  mutable dispatch_at : int;
-  mutable switches : int;
   mutable grp : group option;
   mutable dispatch_chooser : (int -> int) option;
 }
@@ -58,29 +53,17 @@ and group = {
 
 and group_event = Spawned of tid | Woken of tid | Exited of tid
 
-let make skind ?(slice = max_int) ~clock ~engine () =
+let create_cooperative ~clock ~engine =
   {
-    skind;
     clock;
     engine;
-    slice;
     ready = Queue.create ();
     threads = Hashtbl.create 16;
     next_tid = 1;
     current = None;
-    dispatch_at = 0;
-    switches = 0;
     grp = None;
     dispatch_chooser = None;
   }
-
-let create_cooperative ~clock ~engine = make Cooperative ~clock ~engine ()
-
-let create_preemptive ~slice_cycles ~clock ~engine =
-  if slice_cycles <= 0 then invalid_arg "Sched.create_preemptive: slice must be positive";
-  make Preemptive ~slice:slice_cycles ~clock ~engine ()
-
-let create_null ~clock ~engine = make Null ~clock ~engine ()
 
 let clock t = t.clock
 
@@ -128,33 +111,6 @@ let handler th =
         | _ -> None);
   }
 
-(* The null "scheduler": run the body to completion inline. Yields are
-   no-ops, sleeps advance the clock synchronously, blocking is a
-   programming error in a run-to-completion unikernel. *)
-let null_handler t th =
-  {
-    Effect.Deep.retc = (fun () -> ());
-    exnc = (function Thread_exit -> () | e -> raise e);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k ())
-        | Block ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                ignore k;
-                raise (Deadlock [ th.tname ]))
-        | Sleep c ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                Uksim.Engine.run ~until:(Uksim.Clock.cycles t.clock + c) t.engine;
-                Effect.Deep.continue k ())
-        | Self ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k th.tid)
-        | _ -> None);
-  }
-
 let spawn t ?name:(tname = "thread") ?(daemon = false) ?(pinned = false) f =
   let tid =
     match t.grp with
@@ -170,16 +126,7 @@ let spawn t ?name:(tname = "thread") ?(daemon = false) ?(pinned = false) f =
   let th = { tid; tname; daemon; pinned; state = Sready; cont = None; body = Some f } in
   Hashtbl.replace t.threads tid th;
   notify t (Spawned tid);
-  (match t.skind with
-  | Null ->
-      th.state <- Srunning;
-      let saved = t.current in
-      t.current <- Some th;
-      Effect.Deep.match_with f () (null_handler t th);
-      th.state <- Sexited;
-      t.current <- saved;
-      notify t (Exited tid)
-  | Cooperative | Preemptive -> Queue.push th t.ready);
+  Queue.push th t.ready;
   tid
 
 let wake_local t tid =
@@ -207,11 +154,9 @@ let wake t tid =
   else ignore (wake_local t tid)
 
 let dispatch t th =
-  t.switches <- t.switches + 1;
   Uksim.Clock.advance t.clock Uksim.Cost.context_switch;
   th.state <- Srunning;
   t.current <- Some th;
-  t.dispatch_at <- Uksim.Clock.cycles t.clock;
   let out =
     match th.body with
     | Some f ->
@@ -332,16 +277,8 @@ let rec run t =
       if blocked <> [] then
         if Uksim.Engine.step t.engine then run t else raise (Deadlock blocked)
 
-let checkpoint t =
-  match (t.skind, t.current) with
-  | Preemptive, Some _ ->
-      if Uksim.Clock.cycles t.clock - t.dispatch_at >= t.slice then yield ()
-  | (Preemptive | Cooperative | Null), _ -> ()
-
 let alive t =
   Hashtbl.fold (fun _ th acc -> if th.state = Sexited then acc else acc + 1) t.threads 0
-
-let context_switches t = t.switches
 
 let thread_name t tid =
   match Hashtbl.find_opt t.threads tid with Some th -> Some th.tname | None -> None

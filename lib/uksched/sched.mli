@@ -1,16 +1,10 @@
 (** The uksched API (paper §3.3).
 
-    Scheduling in Unikraft is available but optional. This module provides
-    the scheduler interface plus three implementations:
-
-    - {!create_cooperative}: run-to-yield threads (the paper's default for
-      Redis-style single-threaded servers);
-    - {!create_preemptive}: round-robin with a virtual-time timeslice; a
-      thread is preempted only at {!checkpoint}, and no library calls it,
-      so an image configured with [Preempt] never preempts and behaves
-      like the cooperative scheduler;
-    - {!create_null}: no scheduler at all — [spawn] runs the function to
-      completion immediately (run-to-completion unikernels, §3.3).
+    Scheduling in Unikraft is available but optional. This module is the
+    one scheduler an image can configure: run-to-yield cooperative
+    threads (the paper's default for Redis-style single-threaded
+    servers). An image with no scheduler runs its entry point to
+    completion without one ([Vm.run_main]).
 
     Threads are OCaml effect-based fibers; the scheduler trampolines them so
     arbitrarily many context switches use constant stack. All switches
@@ -20,17 +14,14 @@ type t
 type tid = int
 
 val create_cooperative : clock:Uksim.Clock.t -> engine:Uksim.Engine.t -> t
-val create_preemptive : slice_cycles:int -> clock:Uksim.Clock.t -> engine:Uksim.Engine.t -> t
-val create_null : clock:Uksim.Clock.t -> engine:Uksim.Engine.t -> t
 
 val clock : t -> Uksim.Clock.t
 
 val spawn : t -> ?name:string -> ?daemon:bool -> ?pinned:bool -> (unit -> unit) -> tid
-(** Create a thread. Under the null scheduler the body runs to completion
-    before [spawn] returns. Otherwise it becomes runnable and will run on
-    {!run}. May also be called from inside a running thread. [daemon]
-    threads (default false) do not keep {!run} alive: when only daemons
-    remain blocked, [run] returns instead of raising [Deadlock]. [pinned]
+(** Create a thread. It becomes runnable and will run on {!run}. May
+    also be called from inside a running thread. [daemon] threads
+    (default false) do not keep {!run} alive: when only daemons remain
+    blocked, [run] returns instead of raising [Deadlock]. [pinned]
     threads (default false) are never migrated by {!steal} — pin anything
     whose costs are charged to a specific core's clock (per-core service
     loops, accept loops, load generators). *)
@@ -52,7 +43,7 @@ exception Thread_exit
 
 val yield : unit -> unit
 (** Give up the CPU; the thread stays runnable. Performs an effect — only
-    valid inside a thread of a running scheduler (no-op under null). *)
+    valid inside a thread of a running scheduler. *)
 
 val self : unit -> tid
 
@@ -70,16 +61,9 @@ val exit_thread : unit -> 'a
 val wake : t -> tid -> unit
 (** Make a blocked thread runnable; no-op if it is not blocked. *)
 
-val checkpoint : t -> unit
-(** Preemption point: under the preemptive scheduler, yields if the current
-    thread has exceeded its timeslice. No-op for other schedulers or
-    outside threads. Only the scheduler's own tests call it: no OS API
-    entry point does. *)
-
 val alive : t -> int
 (** Threads not yet exited. *)
 
-val context_switches : t -> int
 val thread_name : t -> tid -> string option
 
 (** {1 SMP coordination (consumed by [lib/uksmp])}

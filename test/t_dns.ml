@@ -137,13 +137,9 @@ let mk_server () =
   let sched = Uksched.Sched.create_cooperative ~clock ~engine in
   let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
   let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let sstack = mk da "10.0.0.1" 0x1 in
   let cstack = mk db "10.0.0.2" 0x2 in

@@ -370,13 +370,9 @@ let nbio_run ~use_nbio chunks =
   let sched = Uksched.Sched.create_cooperative ~clock ~engine in
   let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
   let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let s1 = mk da "10.7.0.1" 0x71 in
   let s2 = mk db "10.7.0.2" 0x72 in
@@ -498,13 +494,9 @@ let seam_rig start =
   let sched = Uksched.Sched.create_cooperative ~clock ~engine in
   let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
   let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let server = mk da "10.8.0.1" 0x81 in
   let client = mk db "10.8.0.2" 0x82 in
@@ -674,6 +666,160 @@ let test_resp_framing_error_closes () =
       Alcotest.(check string) (tname ^ ": one error, nothing after it")
         "+PONG\r\n-ERR Protocol error\r\n" got;
       Alcotest.(check bool) (tname ^ ": connection closed") true closed)
+    transports
+
+(* A client that opens a request and never finishes it: a RESP bulk of
+   10^17 bytes, an HTTP request with no blank line, a store line with no
+   newline, then 8 KiB sends of filler. The server holds at most 64 KiB
+   of the request, then closes the connection, well before the client
+   has sent 256 KiB, on both transports. A well-behaved connection to
+   the same server meanwhile is answered in full, and once the rig has
+   drained, both stacks' netbuf pools hold all their cells again. *)
+let test_unframed_request_bounded () =
+  let limit = 256 * 1024 in
+  let filler = Bytes.make 8192 'x' in
+  List.iter
+    (fun (tname, transport) ->
+      List.iter
+        (fun (app, opener) ->
+          let label = Printf.sprintf "%s over %s" app tname in
+          let _, start, port, stream, complete =
+            List.find (fun (a, _, _, _, _) -> a = app) seam_apps
+          in
+          let server = ref None in
+          let ((_, sched, stack) as rig) =
+            seam_rig (fun ~clock ~engine ~sched ~stack ->
+                server := Some stack;
+                start transport ~clock ~engine ~sched ~stack)
+          in
+          let sent = ref 0 and closed = ref false in
+          ignore
+            (Uksched.Sched.spawn sched ~name:"unframed-client" (fun () ->
+                 let flow = S.Tcp_socket.connect stack ~dst:(A.Ipv4.of_string "10.8.0.1", port) () in
+                 let open_ () = S.Tcp_socket.state flow = Tcp.Established in
+                 (* Hand all of [b] to TCP, waiting while the send buffer
+                    is full, unless the server closes first. *)
+                 let rec push b off =
+                   if off < Bytes.length b && open_ () then begin
+                     let n = S.Tcp_socket.send stack flow (Bytes.sub b off (Bytes.length b - off)) in
+                     sent := !sent + n;
+                     if n = 0 then Uksched.Sched.sleep_ns 50_000.0;
+                     push b (off + n)
+                   end
+                 in
+                 push (Bytes.of_string opener) 0;
+                 while open_ () && !sent < limit do
+                   push filler 0
+                 done;
+                 closed := not (open_ ());
+                 S.Tcp_socket.close stack flow));
+          let got, _ = seam_exchange rig ~port ~complete [ stream ] in
+          while Uksched.Sched.step sched do () done;
+          Alcotest.(check bool) (label ^ ": the well-behaved connection is answered") true
+            (complete got);
+          if not !closed then
+            Alcotest.failf "%s: %d bytes sent and the connection is still open" label !sent;
+          Alcotest.(check bool) (label ^ ": closed before 256 KiB") true (!sent < limit);
+          List.iter
+            (fun (side, s) ->
+              let p = S.pool s in
+              Alcotest.(check int) (Printf.sprintf "%s: %s pool balances" label side)
+                (Nb.Pool.total p) (Nb.Pool.available p))
+            [ ("server", Option.get !server); ("client", stack) ])
+        [ ("resp", "*1\r\n$100000000000000000\r\n");
+          ("httpd", "GET /a HTTP/1.1\r\nX-Pad: ");
+          ("store", "SET a ") ])
+    [ ("socket", Ukapps.Serve.Socket); ("netbuf", netbuf) ]
+
+(* The bound's edge: a connection may hold exactly 64 KiB of a request
+   its framer cannot frame yet. Each app is sent a request of 64 KiB and
+   one byte, its last byte 1 ms after the rest, so the server holds the
+   other 64 KiB unframed; behind it comes a request that reads back what
+   the first one wrote. On every transport both are answered, with the
+   value intact, and once the rig has drained both pools balance. *)
+let test_request_at_bound_answered () =
+  let bound = 65536 in
+  (* [mk n] is a request carrying [n] filler bytes: the one that is
+     [bound + 1] bytes long, and its filler. *)
+  let sized mk =
+    let n = bound + 1 - (String.length (mk 10_000) - 10_000) in
+    let r = mk n in
+    assert (String.length r = bound + 1);
+    (r, String.make n 'v')
+  in
+  let app name = List.find (fun (a, _, _, _, _) -> a = name) seam_apps in
+  let resp = Ukapps.Resp.encode_command in
+  let set, v = sized (fun n -> resp [ "SET"; "k"; String.make n 'v' ]) in
+  let get, _ = sized (fun n -> Printf.sprintf "GET /a HTTP/1.1\r\nX-Pad: %s\r\n\r\n" (String.make n 'v')) in
+  let line, lv = sized (fun n -> Printf.sprintf "SET a %s\n" (String.make n 'v')) in
+  let http_end = "GET /end HTTP/1.1\r\n\r\n" in
+  (* httpd ignores X-Pad: the reply is the one to the bare request. *)
+  let http_reply, _ =
+    let _, start, _, _, _ = app "httpd" in
+    seam_exchange (seam_rig (start Ukapps.Serve.Socket)) ~port:80 ~complete:(ends_with "END-OF-TEST")
+      [ "GET /a HTTP/1.1\r\n\r\n" ^ http_end ]
+  in
+  (* SET names the root of a store holding just [a]; GET, the digest of
+     its value. *)
+  let store_reply =
+    let clock = Uksim.Clock.create () in
+    let dev = Ukblock.Virtio_blk.create_ramdisk ~clock ~capacity_sectors:4096 () in
+    match Ukstore.Store.format ~clock ~journal_sectors:64 dev with
+    | Error _ -> Alcotest.fail "format"
+    | Ok st ->
+        if Ukstore.Store.set st "a" lv <> Ok () then Alcotest.fail "set";
+        Printf.sprintf "OK %016x\nOK %016x\n" (Ukstore.Store.content_hash st)
+          (Ukvfs.Digest.string_hash lv)
+  in
+  let cases =
+    [ ("resp", set, resp [ "GET"; "k" ], Printf.sprintf "+OK\r\n$%d\r\n%s\r\n" (String.length v) v);
+      ("httpd", get, http_end, http_reply);
+      ("store", line, "GET a\n", store_reply) ]
+  in
+  List.iter
+    (fun (tname, transport) ->
+      List.iter
+        (fun (name, request, follow, reply) ->
+          let label = Printf.sprintf "%s over %s" name tname in
+          let _, start, port, _, _ = app name in
+          let server = ref None in
+          let _, sched, stack =
+            seam_rig (fun ~clock ~engine ~sched ~stack ->
+                server := Some stack;
+                start transport ~clock ~engine ~sched ~stack)
+          in
+          let got = Buffer.create 256 and closed = ref false in
+          ignore
+            (Uksched.Sched.spawn sched ~name:"bound-client" (fun () ->
+                 let flow = S.Tcp_socket.connect stack ~dst:(A.Ipv4.of_string "10.8.0.1", port) () in
+                 let send s = ignore (S.Tcp_socket.send ~block:true stack flow (Bytes.of_string s)) in
+                 send (String.sub request 0 bound);
+                 Uksched.Sched.sleep_ns 1e6;
+                 send (String.sub request bound 1 ^ follow);
+                 let rec read () =
+                   if Buffer.length got < String.length reply then
+                     match S.Tcp_socket.recv ~block:true stack flow ~max:65536 with
+                     | None -> closed := true
+                     | Some b ->
+                         Buffer.add_bytes got b;
+                         read ()
+                 in
+                 read ();
+                 S.Tcp_socket.close stack flow));
+          Uksched.Sched.run sched;
+          while Uksched.Sched.step sched do () done;
+          Alcotest.(check bool) (label ^ ": still open") false !closed;
+          if Buffer.contents got <> reply then
+            Alcotest.failf "%s: %d reply bytes, not the %d expected" label (Buffer.length got)
+              (String.length reply);
+          List.iter
+            (fun (side, s) ->
+              let p = S.pool s in
+              Alcotest.(check int) (Printf.sprintf "%s: %s pool balances" label side)
+                (Nb.Pool.total p) (Nb.Pool.available p))
+            [ ("server", Option.get !server); ("client", stack) ];
+          Uktrace.Registry.clear ())
+        cases)
     transports
 
 (* A server that hangs up mid-load ends that connection the same way on
@@ -930,13 +1076,9 @@ let faultnet_run ~wrap transport =
         dev (wrap ~clock ~engine ~rng:(Uksim.Rng.create 3) ~plan:(plan ()) da))
   in
   let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let server = mk da "10.9.0.1" 0x91 in
   let client = mk db "10.9.0.2" 0x92 in
@@ -976,6 +1118,115 @@ let test_faultnet_counts_nothing () =
   Alcotest.(check int) "each write_sync counted once" 5 (count "writes");
   Alcotest.(check int) "its sectors counted once" 10 (count "sectors_written");
   Uktrace.Registry.clear ()
+
+(* --- both transports over a hostile link ------------------------------------ *)
+
+module Fn = Ukfault.Faultnet
+
+(* httpd or RESP on [transport], loaded by Load's client on the same
+   transport across two virtio-net devices on a wire. Each device has
+   a 4-slot ring, so it refuses frames, and is wrapped in a Faultnet
+   that drops, duplicates, corrupts and reorders frames, each at a rate
+   drawn from 0-5% by [seed]. The load must finish without raising.
+   Every request is answered exactly once, or its connection closes and
+   it counts as an error: the OK replies the client scanned plus the
+   errors equal the requests it sent. A corrupted frame is caught by a
+   checksum (the stacks drop frames). Once the rig has drained, both
+   stacks' netbuf pools hold all their cells again. Returns the frames
+   the devices refused. *)
+let hostile_link_run ~transport ~seed (app, port, start, (proto : Ukapps.Load.proto)) =
+  let label = Printf.sprintf "%s, seed %d" app seed in
+  let clock = Uksim.Clock.create () in
+  let engine = Uksim.Engine.create clock in
+  let sched = Uksched.Sched.create_cooperative ~clock ~engine in
+  let rng = Uksim.Rng.create seed in
+  let rate () = Uksim.Rng.float rng 0.05 in
+  let plan = Fn.plan ~drop:(rate ()) ~duplicate:(rate ()) ~corrupt:(rate ()) ~reorder:(rate ()) () in
+  let wa, wb = Uknetdev.Wire.create_pair ~engine () in
+  let mk wire ip mac =
+    let dev =
+      Uknetdev.Virtio_net.create ~clock ~engine ~backend:Uknetdev.Virtio_net.Vhost_net ~wire
+        ~ring_size:4 ()
+    in
+    let fn = Fn.wrap ~clock ~engine ~rng:(Uksim.Rng.split rng) ~plan dev in
+    ( S.create ~clock ~engine ~sched ~dev:(Fn.dev fn)
+        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None },
+      fn )
+  in
+  let server, fa = mk wa "10.7.0.1" 0x71 in
+  let client, fb = mk wb "10.7.0.2" 0x72 in
+  start transport ~clock ~sched ~stack:server;
+  let sent = ref 0 and ok_replies = ref 0 in
+  let counted =
+    { proto with
+      Ukapps.Load.requests =
+        (fun ~conn ~first ->
+          let next = proto.Ukapps.Load.requests ~conn ~first in
+          fun j ->
+            incr sent;
+            next j);
+      scanner =
+        (fun () ->
+          let scan = proto.Ukapps.Load.scanner () in
+          fun buf off len ~on_reply ->
+            scan buf off len ~on_reply:(fun r ->
+                if r = `Ok then incr ok_replies;
+                on_reply r)) }
+  in
+  let r =
+    try
+      let r =
+        Ukapps.Load.run ~transport ~clock ~sched ~stack:client
+          ~server:(A.Ipv4.of_string "10.7.0.1", port) ~connections:4 ~requests:200 ~pipeline:4
+          counted
+      in
+      while Uksched.Sched.step sched do () done;
+      r
+    with e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  in
+  let count = Uktrace.Source.count in
+  let faults name = count (Fn.source fa) name + count (Fn.source fb) name in
+  Alcotest.(check bool) (label ^ ": replies flowed") true (!ok_replies > 0);
+  Alcotest.(check int) (label ^ ": each sent request answered once or an error") !sent
+    (!ok_replies + r.Ukapps.Load.errors);
+  if faults "corrupted" > 0 then
+    Alcotest.(check bool) (label ^ ": a checksum caught the corruption") true
+      (count (S.source server) "rx_drop" + count (S.source client) "rx_drop" > 0);
+  List.iter
+    (fun (side, s) ->
+      let p = S.pool s in
+      Alcotest.(check int) (Printf.sprintf "%s: %s pool balances" label side)
+        (Nb.Pool.total p) (Nb.Pool.available p))
+    [ ("server", server); ("client", client) ];
+  let refused = faults "refused" in
+  Uktrace.Registry.clear ();
+  refused
+
+(* Both apps, seeds 1-3; across them all the rings refused frames. *)
+let hostile_link transport =
+  let apps =
+    [ ( "httpd", 80,
+        (fun transport ~clock ~sched ~stack ->
+          ignore (Ukapps.Httpd.serve ~transport ~clock ~sched ~stack ~alloc:(alloc clock)
+                    httpd_content)),
+        Ukapps.Httpd.client () );
+      ( "resp", 6379,
+        (fun transport ~clock ~sched ~stack ->
+          ignore (Ukapps.Resp_store.serve ~transport ~clock ~sched ~stack
+                    ~alloc:(alloc clock) ())),
+        Ukapps.Resp_store.client Ukapps.Resp_store.Set ) ]
+  in
+  let refused =
+    List.fold_left
+      (fun acc seed ->
+        List.fold_left (fun acc app -> acc + hostile_link_run ~transport ~seed app) acc apps)
+      0 [ 1; 2; 3 ]
+  in
+  Alcotest.(check bool) "the rings refused frames" true (refused > 0)
+
+let test_fast_path_over_hostile_link () = hostile_link netbuf
+let test_socket_path_over_hostile_link () = hostile_link Ukapps.Serve.Socket
 
 (* --- netbuf pools balance after every kind of cluster run --------------------- *)
 
@@ -1078,6 +1329,10 @@ let suite =
       test_resp_framing_error_closes;
     Alcotest.test_case "a server closing mid-load ends the connection" `Quick
       test_close_mid_load;
+    Alcotest.test_case "a request that never frames is cut off at 64 KiB" `Quick
+      test_unframed_request_bounded;
+    Alcotest.test_case "a request holding exactly 64 KiB unframed is answered" `Quick
+      test_request_at_bound_answered;
     Alcotest.test_case "unusable Content-Length ends the connection" `Quick
       test_http_bad_length_ends_connection;
     Alcotest.test_case "httpd replies are byte-identical to the Printf renderer" `Quick
@@ -1087,4 +1342,8 @@ let suite =
       test_faultnet_counts_nothing;
     Alcotest.test_case "netbuf pools balance after every cluster run" `Quick
       test_pools_balance;
+    Alcotest.test_case "the fast path survives a hostile link" `Quick
+      test_fast_path_over_hostile_link;
+    Alcotest.test_case "the socket path survives a hostile link" `Quick
+      test_socket_path_over_hostile_link;
   ]

@@ -125,34 +125,22 @@ let test_batch_amortizes_kick () =
    frames. The source sends [chunk]-byte pieces, then closes; the sink
    reads up to [recv_max] bytes at a time into the returned buffer.
    [Uksched.Sched.run] on the returned scheduler makes the transfer. The
-   returned function counts the frames the injectors dropped, or fewer:
-   Faultnet's [dropped] also counts frames a device had no ring room for,
-   so every frame a device refused is taken off it. *)
+   returned function counts the frames the injectors dropped. *)
 let lossy_virtio_transfer ~seed ~chunk ~recv_max plan payload =
   let clock, engine = env () in
   let sched = Uksched.Sched.create_cooperative ~clock ~engine in
   let wa, wb = Wire.create_pair ~engine () in
   let rng = Uksim.Rng.create seed in
-  let refused = ref 0 in
   let mk wire rng ip mac =
     let dev =
       Uknetdev.Virtio_net.create ~clock ~engine ~backend:Uknetdev.Virtio_net.Vhost_net ~wire ()
     in
-    let counted =
-      { dev with
-        Uknetdev.Netdev.tx_burst =
-          (fun ~qid pkts ->
-            let n = dev.Uknetdev.Netdev.tx_burst ~qid pkts in
-            refused := !refused + Array.length pkts - n;
-            n) }
-    in
-    let fn = Fn.wrap ~clock ~engine ~rng ~plan counted in
+    let fn = Fn.wrap ~clock ~engine ~rng ~plan dev in
     let s =
       S.create ~clock ~engine ~sched ~dev:(Fn.dev fn)
         { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
           netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
     in
-    S.start s;
     (s, fn)
   in
   let server, fa = mk wa rng "10.1.0.1" 0x1 in
@@ -182,7 +170,7 @@ let lossy_virtio_transfer ~seed ~chunk ~recv_max plan payload =
          done;
          S.Tcp_socket.close client flow));
   let dropped fn = Uktrace.Source.count (Fn.source fn) "dropped" in
-  (sched, received, fun () -> dropped fa + dropped fb - !refused)
+  (sched, received, fun () -> dropped fa + dropped fb)
 
 let test_tcp_over_lossy_virtio () =
   (* End-to-end: a TCP transfer across a 2%-loss, 1%-duplication link

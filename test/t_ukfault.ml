@@ -148,6 +148,57 @@ let test_faultnet_deterministic () =
   let st3, _ = run_random_schedule 8 in
   Alcotest.(check bool) "different seed, different schedule" true (st1 <> st3)
 
+(* Offer [n] pool cells in one burst, through a Faultnet running
+   [plan], to a virtio-net device with a 4-slot ring, and run the engine.
+   The wrapped [tx_burst] takes every frame it is offered, so a frame
+   the device refuses for want of ring room is the injector's to
+   recycle: every cell must be back in the pool. Returns the injector's
+   source. *)
+let refusal_run plan n =
+  let clock, engine = sim () in
+  let wire, _peer = Uknetdev.Wire.create_pair ~engine () in
+  let dev =
+    Uknetdev.Virtio_net.create ~clock ~engine ~backend:Uknetdev.Virtio_net.Vhost_net ~wire
+      ~ring_size:4 ()
+  in
+  let fn = Fn.wrap ~clock ~engine ~rng:(Uksim.Rng.create 1) ~plan dev in
+  let pool = Nb.Pool.create ~clock ~count:n ~size:128 () in
+  let frames =
+    Array.init n (fun _ ->
+        let nb = Option.get (Nb.Pool.take pool) in
+        Nb.set_len nb 64;
+        nb)
+  in
+  Alcotest.(check int) "every offered frame taken" n ((Fn.dev fn).Nd.tx_burst ~qid:0 frames);
+  Uksim.Engine.run engine;
+  Alcotest.(check int) "every cell back in the pool" n (Nb.Pool.available pool);
+  Fn.source fn
+
+(* With no fault planned, eight frames: four go out and four are
+   refused (not dropped: no fault was injected). *)
+let test_faultnet_refused_frames_recycled () =
+  let src = refusal_run (Fn.plan ()) 8 in
+  Alcotest.(check int) "forwarded" 4 (count src "forwarded");
+  Alcotest.(check int) "dropped" 0 (count src "dropped");
+  Alcotest.(check int) "refused" 4 (count src "refused")
+
+(* The injector's two other ways into the device refuse the same way: a
+   duplicate, forwarded ahead of its original, and a delayed redelivery,
+   which the engine hands over later. With every frame duplicated, six
+   frames bring six duplicates: the first four fill the ring, so the
+   last two duplicates and all six originals are refused. With every
+   frame delayed, eight redeliveries meet the ring at once and the last
+   four are refused. *)
+let test_faultnet_refused_copies_recycled () =
+  let src = refusal_run (Fn.plan ~duplicate:1.0 ()) 6 in
+  Alcotest.(check int) "duplicated" 6 (count src "duplicated");
+  Alcotest.(check int) "nothing forwarded" 0 (count src "forwarded");
+  Alcotest.(check int) "two duplicates and six originals refused" 8 (count src "refused");
+  let src = refusal_run (Fn.plan ~reorder:1.0 ()) 8 in
+  Alcotest.(check int) "reordered" 8 (count src "reordered");
+  Alcotest.(check int) "dropped" 0 (count src "dropped");
+  Alcotest.(check int) "four redeliveries refused" 4 (count src "refused")
+
 (* --- block device ---------------------------------------------------------- *)
 
 let fault_disk ?(seed = 42) plan =
@@ -414,6 +465,10 @@ let suite =
     Alcotest.test_case "faultnet: reorder via delayed redelivery" `Quick test_faultnet_reorder;
     Alcotest.test_case "faultnet: link flap window" `Quick test_faultnet_flap;
     Alcotest.test_case "faultnet: seeded determinism" `Quick test_faultnet_deterministic;
+    Alcotest.test_case "faultnet: frames the device refuses are recycled" `Quick
+      test_faultnet_refused_frames_recycled;
+    Alcotest.test_case "faultnet: refused duplicates and redeliveries are recycled" `Quick
+      test_faultnet_refused_copies_recycled;
     Alcotest.test_case "faultblk: io error injection" `Quick test_faultblk_io_error;
     Alcotest.test_case "faultblk: torn write" `Quick test_faultblk_torn_write;
     Alcotest.test_case "faultblk: latency spike" `Quick test_faultblk_latency_spike;

@@ -514,13 +514,9 @@ let test_udp_fragmentation_end_to_end () =
   let sched = Uksched.Sched.create_cooperative ~clock ~engine in
   let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
   let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let s1 = mk da "10.0.0.1" 0x1 in
   let s2 = mk db "10.0.0.2" 0x2 in
@@ -680,8 +676,6 @@ let two_stacks () =
   in
   let s1 = mk da "10.0.0.1" 0x1 in
   let s2 = mk db "10.0.0.2" 0x2 in
-  S.start s1;
-  S.start s2;
   (engine, sched, s1, s2)
 
 let test_stack_udp_echo () =

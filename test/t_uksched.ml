@@ -1,5 +1,5 @@
-(* Tests for the scheduler: cooperative, preemptive, null; blocking,
-   sleeping, deadlock detection, daemon threads. *)
+(* Tests for the cooperative scheduler: interleaving, blocking, sleeping,
+   deadlock detection, daemon threads. *)
 
 open Uksched
 
@@ -81,67 +81,6 @@ let test_daemon_not_deadlock () =
   ignore (Sched.spawn s ~name:"main" (fun () -> ()));
   Sched.run s (* must return, not raise *)
 
-let test_preemption () =
-  let clock, engine = env () in
-  let s = Sched.create_preemptive ~slice_cycles:100 ~clock ~engine in
-  let log = ref [] in
-  let worker tag () =
-    for _ = 1 to 3 do
-      Uksim.Clock.advance clock 120;
-      Sched.checkpoint s;
-      log := tag :: !log
-    done
-  in
-  ignore (Sched.spawn s ~name:"x" (worker "x"));
-  ignore (Sched.spawn s ~name:"y" (worker "y"));
-  Sched.run s;
-  (* With a 100-cycle slice and 120-cycle work items, every checkpoint
-     preempts: strict alternation. *)
-  Alcotest.(check (list string)) "alternation" [ "x"; "y"; "x"; "y"; "x"; "y" ]
-    (List.rev !log)
-
-let test_coop_checkpoint_noop () =
-  let clock, engine = env () in
-  let s = Sched.create_cooperative ~clock ~engine in
-  let log = ref [] in
-  let worker tag () =
-    for _ = 1 to 2 do
-      Uksim.Clock.advance clock 1000;
-      Sched.checkpoint s;
-      log := tag :: !log
-    done
-  in
-  ignore (Sched.spawn s (worker "x"));
-  ignore (Sched.spawn s (worker "y"));
-  Sched.run s;
-  Alcotest.(check (list string)) "no preemption under coop" [ "x"; "x"; "y"; "y" ]
-    (List.rev !log)
-
-let test_null_runs_inline () =
-  let clock, engine = env () in
-  let s = Sched.create_null ~clock ~engine in
-  let ran = ref false in
-  ignore
-    (Sched.spawn s (fun () ->
-         Sched.yield () (* no-op *);
-         ran := true));
-  Alcotest.(check bool) "body ran during spawn" true !ran;
-  Alcotest.(check int) "no context switches" 0 (Sched.context_switches s)
-
-let test_null_sleep_advances_clock () =
-  let clock, engine = env () in
-  let s = Sched.create_null ~clock ~engine in
-  ignore (Sched.spawn s (fun () -> Sched.sleep_ns 1000.0));
-  Alcotest.(check bool) "clock advanced" true (Uksim.Clock.ns clock >= 1000.0)
-
-let test_null_block_fails () =
-  let clock, engine = env () in
-  let s = Sched.create_null ~clock ~engine in
-  match Sched.spawn s ~name:"bad" (fun () -> Sched.block ()) with
-  | _ -> Alcotest.fail "blocking under null scheduler must fail"
-  | exception Sched.Deadlock [ "bad" ] -> ()
-  | exception _ -> Alcotest.fail "wrong exception"
-
 let test_exit_thread () =
   let clock, engine = env () in
   let s = Sched.create_cooperative ~clock ~engine in
@@ -199,11 +138,6 @@ let suite =
     Alcotest.test_case "block and wake" `Quick test_block_wake;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "daemons don't deadlock" `Quick test_daemon_not_deadlock;
-    Alcotest.test_case "preemptive timeslice" `Quick test_preemption;
-    Alcotest.test_case "checkpoint no-op under coop" `Quick test_coop_checkpoint_noop;
-    Alcotest.test_case "null scheduler inline" `Quick test_null_runs_inline;
-    Alcotest.test_case "null sleep advances clock" `Quick test_null_sleep_advances_clock;
-    Alcotest.test_case "null block errors" `Quick test_null_block_fails;
     Alcotest.test_case "exit_thread" `Quick test_exit_thread;
     Alcotest.test_case "self and names" `Quick test_self_and_names;
     Alcotest.test_case "spawn from thread" `Quick test_spawn_from_thread;

@@ -617,13 +617,9 @@ let serve_store ~clock ~engine st (clients : (rpc -> unit) list) =
   let sched = Uksched.Sched.create_cooperative ~clock ~engine in
   let da, db = Uknetdev.Loopback.create_pair ~clock ~engine () in
   let stack dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let server = stack da "10.9.0.1" 0x91 and client = stack db "10.9.0.2" 0x92 in
   ignore (Ukapps.Store.create ~clock ~sched ~stack:server ~store:st ());

@@ -20,13 +20,9 @@ let faulty_pair plan =
   let rng = Uksim.Rng.create 1 in
   let fn = Fn.wrap ~clock ~engine ~rng ~plan da in
   let mk dev ip mac =
-    let s =
-      S.create ~clock ~engine ~sched ~dev
-        { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
-          netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
-    in
-    S.start s;
-    s
+    S.create ~clock ~engine ~sched ~dev
+      { S.mac = A.Mac.of_int mac; ip = A.Ipv4.of_string ip;
+        netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let client = mk (Fn.dev fn) "10.0.0.1" 0x1 in
   let server = mk db "10.0.0.2" 0x2 in

@@ -24,11 +24,27 @@ let test_config_validation () =
   (match Cfg.make ~app:"app-hello" ~platform:"plat-nope" () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown platform accepted");
-  match Cfg.make ~app:"app-redis" ~alloc:Cfg.Mimalloc ~sched:Cfg.None_ () with
-  | Error msg ->
-      Alcotest.(check bool) "mentions scheduler" true
-        (String.length msg > 0 && String.lowercase_ascii msg <> "")
-  | Ok _ -> Alcotest.fail "mimalloc without scheduler accepted (pthread dep)"
+  (* The resolver alone decides that an image needs a scheduler: mimalloc
+     (its worker thread) and lwip (its input thread) select HAVE_SCHED,
+     which an image without one sets false. A record built by hand, past
+     [make], is rejected the same way, so every booted stack has a
+     scheduler to run under. *)
+  let rejects what selector = function
+    | Error msg ->
+        Alcotest.(check bool) (what ^ ": the select conflict is named") true
+          (Astring_contains.contains msg "HAVE_SCHED" && Astring_contains.contains msg selector)
+    | Ok _ -> Alcotest.failf "%s without a scheduler accepted" what
+  in
+  rejects "mimalloc" "ALLOC_MIMALLOC"
+    (Cfg.make ~app:"app-redis" ~alloc:Cfg.Mimalloc ~sched:Cfg.None_ ());
+  rejects "a network stack" "LWIP"
+    (Cfg.make ~app:"app-nginx" ~net:Cfg.Vhost_net ~sched:Cfg.None_ ());
+  let c = ok (Cfg.make ~app:"app-nginx" ~net:Cfg.Vhost_net ()) in
+  rejects "a hand-built network record" "LWIP"
+    (Result.map (fun _ -> c) (Cfg.resolve { c with Cfg.sched = Cfg.None_ }));
+  rejects "a hand-built mimalloc record" "ALLOC_MIMALLOC"
+    (Result.map (fun _ -> c)
+       (Cfg.resolve { c with Cfg.net = Cfg.No_net; alloc = Cfg.Mimalloc; sched = Cfg.None_ }))
 
 let test_config_kconfig_rendering () =
   let c = ok (Cfg.make ~app:"app-nginx" ~net:Cfg.Vhost_net ()) in
@@ -146,7 +162,6 @@ let test_end_to_end_nginx_wrk () =
       { Uknetstack.Stack.mac = A.Mac.of_int 0xc11e47; ip = A.Ipv4.of_string "172.44.0.3";
         netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
-  Uknetstack.Stack.start cstack;
   let r =
     Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:cstack
       ~server:(A.Ipv4.of_string "172.44.0.2", 80) ~connections:8 ~requests:400
@@ -174,7 +189,6 @@ let test_end_to_end_redis_bench () =
       { Uknetstack.Stack.mac = A.Mac.of_int 0xbe7c4; ip = A.Ipv4.of_string "172.44.0.3";
         netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
-  Uknetstack.Stack.start cstack;
   let r =
     Ukapps.Load.run ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:cstack
       ~server:(A.Ipv4.of_string "172.44.0.2", 6379) ~connections:6 ~pipeline:8 ~requests:600
