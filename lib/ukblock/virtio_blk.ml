@@ -7,16 +7,43 @@ let kick_cost = Uksim.Cost.vm_exit
 let irq_cost = Uksim.Cost.interrupt_delivery
 let sector_size = 512
 
-type backing = { store : bytes; capacity : int }
+(* The medium is sparse: it is cut into chunks of [chunk_sectors]
+   sectors, and a chunk is allocated on its first write, so a device
+   holds what has been written to it, not its capacity. A sector never
+   written reads as zeros. *)
+let chunk_sectors = 64
+let chunk_bytes = chunk_sectors * sector_size
+
+type backing = { chunks : bytes array; capacity : int }
 
 let mk_backing ~capacity_sectors =
-  { store = Bytes.make (sector_size * capacity_sectors) '\000'; capacity = capacity_sectors }
+  { chunks = Array.make ((capacity_sectors + chunk_sectors - 1) / chunk_sectors) Bytes.empty;
+    capacity = capacity_sectors }
+
+(* [f chunk offset pos len] for each chunk piece of the [n] medium bytes
+   from byte [off]: [len] bytes at [offset] of chunk [chunk] are bytes
+   [pos, pos + len) of the range. *)
+let pieces ~off ~n f =
+  let pos = ref 0 in
+  while !pos < n do
+    let a = off + !pos in
+    let co = a mod chunk_bytes in
+    let len = min (chunk_bytes - co) (n - !pos) in
+    f (a / chunk_bytes) co !pos len;
+    pos := !pos + len
+  done
 
 let do_request backing (req : B.request) : (bytes, B.error) result =
   match req with
   | B.Read { lba; sectors } ->
       if lba < 0 || sectors <= 0 || lba + sectors > backing.capacity then Error B.Ebounds
-      else Ok (Bytes.sub backing.store (lba * sector_size) (sectors * sector_size))
+      else begin
+        let out = Bytes.make (sectors * sector_size) '\000' in
+        pieces ~off:(lba * sector_size) ~n:(Bytes.length out) (fun ci co pos len ->
+            let chunk = backing.chunks.(ci) in
+            if Bytes.length chunk > 0 then Bytes.blit chunk co out pos len);
+        Ok out
+      end
   | B.Write { lba; data } ->
       let n = Bytes.length data in
       if
@@ -25,7 +52,10 @@ let do_request backing (req : B.request) : (bytes, B.error) result =
         || lba + (n / sector_size) > backing.capacity
       then Error B.Ebounds
       else begin
-        Bytes.blit data 0 backing.store (lba * sector_size) n;
+        pieces ~off:(lba * sector_size) ~n (fun ci co pos len ->
+            if Bytes.length backing.chunks.(ci) = 0 then
+              backing.chunks.(ci) <- Bytes.make chunk_bytes '\000';
+            Bytes.blit data pos backing.chunks.(ci) co len);
         Ok Bytes.empty
       end
 

@@ -43,31 +43,40 @@ let link_up t =
 
 let copy_frame nb = Uknetdev.Netbuf.copy nb
 
+(* Flip one bit of a non-empty frame; true when it did. *)
 let flip_bit t nb aux =
   let data = Uknetdev.Netbuf.data nb in
   let len = Uknetdev.Netbuf.len nb in
-  if len > 0 then begin
+  if len = 0 then false
+  else begin
     let bit = aux mod (len * 8) in
     let i = Uknetdev.Netbuf.offset nb + (bit / 8) in
     Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor (1 lsl (bit mod 8))));
-    C.incr t.corrupted
+    C.incr t.corrupted;
+    true
   end
 
-(* Hand [pkts] to the wrapped device. The injector owns what it offers,
-   so a frame the device refuses (no ring room) is recycled here: the
-   caller was told it was taken. *)
-let forward t ~qid pkts =
-  let accepted = t.inner.Uknetdev.Netdev.tx_burst ~qid pkts in
-  for i = accepted to Array.length pkts - 1 do
-    C.incr t.refused;
-    Uknetdev.Netbuf.recycle pkts.(i)
-  done;
-  accepted
+(* Hand [frames], each with whether a bit of it was flipped, to the
+   wrapped device. Each unharmed frame the device accepts counts as
+   forwarded; a corrupted one counts as corrupted only. The injector
+   owns what it offers, so a frame the device refuses (no ring room) is
+   recycled here: the caller was told it was taken. *)
+let forward t ~qid frames =
+  let accepted = t.inner.Uknetdev.Netdev.tx_burst ~qid (Array.map fst frames) in
+  Array.iteri
+    (fun i (nb, harmed) ->
+      if i >= accepted then begin
+        C.incr t.refused;
+        Uknetdev.Netbuf.recycle nb
+      end
+      else if not harmed then C.incr t.forwarded)
+    frames
 
 (* The fate of one frame: [None] = consumed by the injector (dropped or
-   held back for delayed redelivery), [Some nb] = forward now. Exactly
-   five Rng draws per frame, whatever happens, so the random stream stays
-   aligned across plans that differ only in rates. *)
+   held back for delayed redelivery), [Some (nb, harmed)] = forward now,
+   [harmed] when a bit was flipped. Exactly five Rng draws per frame,
+   whatever happens, so the random stream stays aligned across plans
+   that differ only in rates. *)
 let judge t ~qid nb =
   let u_drop = Uksim.Rng.float t.rng 1.0 in
   let u_dup = Uksim.Rng.float t.rng 1.0 in
@@ -93,30 +102,29 @@ let judge t ~qid nb =
     end
     else begin
       let dup = if u_dup < t.p.duplicate then Some (copy_frame nb) else None in
-      let nb =
+      let nb, harmed =
         if u_corrupt < t.p.corrupt then begin
           (* Copy-on-write: the sender may retain a descriptor onto this
              storage (the zero-copy retransmit source) — corrupt a private
              duplicate, never the shared cell. *)
           let c = copy_frame nb in
           Uknetdev.Netbuf.recycle nb;
-          flip_bit t c aux;
-          c
+          (c, flip_bit t c aux)
         end
-        else nb
+        else (nb, false)
       in
       (match dup with
       | Some d ->
           C.incr t.duplicated;
-          ignore (forward t ~qid [| d |])
+          forward t ~qid [| (d, false) |]
       | None -> ());
       if u_reorder < t.p.reorder then begin
         C.incr t.reordered;
         Uksim.Engine.after_ns t.engine t.p.reorder_delay_ns (fun () ->
-            ignore (forward t ~qid [| nb |]));
+            forward t ~qid [| (nb, harmed) |]);
         None
       end
-      else Some nb
+      else Some (nb, harmed)
     end
   end
 
@@ -125,7 +133,7 @@ let tx_burst t ~qid pkts =
   let survivors =
     Array.to_list pkts |> List.filter_map (fun nb -> judge t ~qid nb) |> Array.of_list
   in
-  if Array.length survivors > 0 then C.add t.forwarded (forward t ~qid survivors);
+  if Array.length survivors > 0 then forward t ~qid survivors;
   offered
 
 let wrap ~clock ~engine ~rng ~plan:p inner =

@@ -65,11 +65,16 @@ val dev : t -> Uknetdev.Netdev.t
     {!Uknetstack.Stack.create}). *)
 
 val source : t -> Uktrace.Source.t
-(** The injector's ["ukfault.net"] source: [forwarded] (frames passed
-    through unharmed), [dropped] (random and systematic drops),
+(** The injector's ["ukfault.net"] source: [forwarded] (unharmed frames
+    the inner device accepted, whether on time, as a duplicate or as a
+    delayed redelivery), [dropped] (random and systematic drops),
     [refused] (frames, duplicates and delayed redeliveries the inner
-    device had no ring room for), [duplicated], [corrupted], [reordered]
-    and [flap_dropped] (frames lost to a link-down window). *)
+    device had no ring room for), [duplicated], [corrupted] (frames with
+    a bit flipped, counted there and not under [forwarded]), [reordered]
+    and [flap_dropped] (frames lost to a link-down window). With ring
+    room for every frame, once the delayed redeliveries have fired,
+    [forwarded + corrupted + dropped + flap_dropped] is the frames
+    offered plus [duplicated]. *)
 
 val link_up : t -> bool
 (** Whether the current instant falls outside a flap-down window. *)

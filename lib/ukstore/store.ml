@@ -98,12 +98,22 @@ let source () = Uktrace.Registry.source (Lazy.force metrics).group
 
 (* --- store state ----------------------------------------------------------- *)
 
+(* Tables keyed by object hash. A structural hash is already a mixed
+   word, so it indexes a table as it is. *)
+module Htbl = Hashtbl.Make (struct
+  type t = hash
+
+  let equal = Int.equal
+  let hash h = h
+end)
+
 type t = {
   clock : Uksim.Clock.t;
   dev : B.t;
   jcap : int; (* replay bound: log sectors past the live slot before a flip *)
-  cache : (hash, Tree.obj) Hashtbl.t;
-  locs : (hash, int * int) Hashtbl.t; (* object -> (byte address, frame bytes) *)
+  mutable cache : Tree.obj Htbl.t; (* the live trees' objects; see [sweep] *)
+  mutable sweep_at : int; (* the cache size at which the next sweep runs *)
+  locs : (int * int) Htbl.t; (* object -> (byte address, frame bytes) *)
   mutable head : hash; (* last durable commit, null before the first *)
   mutable root : hash; (* working tree (may be ahead of head) *)
   mutable epoch : int; (* of the live root slot *)
@@ -248,7 +258,7 @@ let put_hex_bytes c s =
 
 let loc_of t h =
   if h = null then (0, 0)
-  else match Hashtbl.find_opt t.locs h with
+  else match Htbl.find_opt t.locs h with
     | Some l -> l
     | None -> raise (Err Ukvfs.Fs.Eio)
 
@@ -325,7 +335,7 @@ let take_line s pos =
   | None -> raise (Err Ukvfs.Fs.Eio)
   | Some nl -> (String.sub s pos (nl - pos), nl + 1)
 
-let note_loc t h addr len = if h <> null && len > 0 then Hashtbl.replace t.locs h (addr, len)
+let note_loc t h addr len = if h <> null && len > 0 then Htbl.replace t.locs h (addr, len)
 
 (* A frame's child refs name homes on the medium, so only a frame that
    has been checked may add them. *)
@@ -502,7 +512,7 @@ let publish t r =
   r.ch
 
 (* A record that never reached the medium gives its homes back. *)
-let unassign t r = List.iter (fun h -> Hashtbl.remove t.locs h) r.objs
+let unassign t r = List.iter (fun h -> Htbl.remove t.locs h) r.objs
 
 let settle t (c : B.completion) =
   match (t.flight, t.flip) with
@@ -551,14 +561,14 @@ let rec await_io t =
 (* --- object resolution ----------------------------------------------------- *)
 
 let load_obj t h =
-  match Hashtbl.find_opt t.cache h with
+  match Htbl.find_opt t.cache h with
   | Some o ->
       C.incr t.m.cache_hits;
       charge t node_cost;
       o
   | None -> (
       C.incr t.m.cache_misses;
-      match Hashtbl.find_opt t.locs h with
+      match Htbl.find_opt t.locs h with
       | None -> raise (Err Ukvfs.Fs.Eio)
       | Some (addr, len) -> (
           if addr < 0 then raise (Err Ukvfs.Fs.Eio);
@@ -577,17 +587,60 @@ let load_obj t h =
               | Some (h', obj, addr', _, refs)
                 when h' = h && addr' = addr && Tree.hash_of_obj obj = h ->
                   note_refs t refs;
-                  Hashtbl.replace t.cache h obj;
+                  Htbl.replace t.cache h obj;
                   obj
               | Some _ | None -> raise (Err Ukvfs.Fs.Eio)))
 
 let put_obj t o =
   let h = Tree.hash_of_obj o in
   charge t node_cost;
-  if not (Hashtbl.mem t.cache h) then Hashtbl.replace t.cache h o;
+  if not (Htbl.mem t.cache h) then Htbl.replace t.cache h o;
   h
 
 let mk_src t = { Tree.get = (fun h -> load_obj t h); put = (fun o -> put_obj t o); depth_seen = 0 }
+
+(* --- the cache sweep ------------------------------------------------------- *)
+
+(* The fewest cached objects a sweep runs at. *)
+let sweep_floor = 1024
+
+let cached t = Htbl.length t.cache
+let sweep_point t = t.sweep_at
+
+(* The cache keeps what the live trees reach: the working root, the head
+   commit and the commit of the record in flight, each with its tree.
+   Commit parents are not followed, so history read back, and superseded
+   paths that never got a home, go at the next sweep; a later read of
+   history costs a device read from its home. The sweep runs once the
+   cache has doubled since the last one (and holds [sweep_floor]
+   objects), so it costs O(1) per object amortized, and it charges no
+   virtual time, as the cache's own bookkeeping charges none.
+
+   It runs only between operations: at the end of [set] and [del], and
+   after [commit] and [reap]. Never inside [publish]: a cache miss
+   partway through [Tree.set] reaches [publish] through [await_io] while
+   the SET's new blob is not yet referenced. *)
+let collect t =
+  let kept = Htbl.create (Htbl.length t.cache / 2) in
+  let rec keep h =
+    if h <> null && not (Htbl.mem kept h) then
+      match Htbl.find_opt t.cache h with
+      | None -> ()
+      | Some o -> (
+          Htbl.add kept h o;
+          match o with
+          | Tree.Blob _ -> ()
+          | Tree.Node (Tree.Leaf entries) -> List.iter (fun (_, vh) -> keep vh) entries
+          | Tree.Node (Tree.Branch (_, kids)) -> List.iter (fun (_, ch) -> keep ch) kids
+          | Tree.Commit { root; _ } -> keep root)
+  in
+  keep t.root;
+  keep t.head;
+  Option.iter (fun (_, r, _) -> keep r.ch) t.flight;
+  t.cache <- kept;
+  t.sweep_at <- max sweep_floor (2 * Htbl.length kept)
+
+let sweep t = if Htbl.length t.cache >= t.sweep_at then collect t
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -595,7 +648,8 @@ let default_journal_sectors = 256
 
 let mk ~clock dev ~jcap =
   let t =
-    { clock; dev; jcap; cache = Hashtbl.create 256; locs = Hashtbl.create 256;
+    { clock; dev; jcap; cache = Htbl.create 256; sweep_at = sweep_floor;
+      locs = Htbl.create 256;
       head = null; root = null; epoch = 0; next_seq = 1;
       log_head = 2; slot_pos = 2; m = Lazy.force metrics;
       src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 };
@@ -638,11 +692,11 @@ let dirty t =
    there: after a mount too, where most homes are known from child refs
    alone. *)
 let collect_new t root =
-  let seen = Hashtbl.create 64 in
+  let seen = Htbl.create 64 in
   let acc = ref [] in
   let rec walk h =
-    if h <> null && (not (Hashtbl.mem seen h)) && not (Hashtbl.mem t.locs h) then begin
-      Hashtbl.replace seen h ();
+    if h <> null && (not (Htbl.mem seen h)) && not (Htbl.mem t.locs h) then begin
+      Htbl.replace seen h ();
       (match load_obj t h with
       | Tree.Blob _ -> ()
       | Tree.Node (Tree.Leaf entries) -> List.iter (fun (_, vh) -> walk vh) entries
@@ -671,17 +725,17 @@ let build_record t ~parents ~msg =
   let lba = t.log_head in
   let loc = loc_of t in
   let assigned = ref [] in
-  let rollback () = List.iter (fun h -> Hashtbl.remove t.locs h) !assigned in
+  let rollback () = List.iter (fun h -> Htbl.remove t.locs h) !assigned in
   (* (hash, object, home, body length) per frame, last first, and the
      payload length. *)
   let frames, plen =
     try
       List.fold_left
         (fun (frames, plen) h ->
-          let o = Hashtbl.find t.cache h in
+          let o = Htbl.find t.cache h in
           let addr = ((lba + 1) * ss) + plen in
           let blen, flen = frame_size loc h o ~addr in
-          Hashtbl.replace t.locs h (addr, flen);
+          Htbl.replace t.locs h (addr, flen);
           assigned := h :: !assigned;
           ((h, o, addr, blen) :: frames, plen + flen))
         ([], 0) objs
@@ -801,8 +855,8 @@ let replay_record t ~lba ~expect_seq =
                     List.iter (fun (_, _, _, _, refs) -> note_refs t refs) frames;
                     List.iter
                       (fun (h, obj, addr, flen, _) ->
-                        Hashtbl.replace t.cache h obj;
-                        Hashtbl.replace t.locs h (addr, flen))
+                        Htbl.replace t.cache h obj;
+                        Htbl.replace t.locs h (addr, flen))
                       frames;
                     t.head <- chash;
                     C.incr t.m.replayed_records;
@@ -854,7 +908,8 @@ let set t k v =
   guard (fun () ->
       charge t (Uksim.Cost.checksum (String.length v));
       let vh = put_obj t (Tree.Blob v) in
-      t.root <- Tree.set t.src t.root k vh)
+      t.root <- Tree.set t.src t.root k vh;
+      sweep t)
 
 let get t k =
   guard (fun () ->
@@ -870,6 +925,7 @@ let del t k =
       let r' = Tree.remove t.src t.root k in
       let changed = r' <> t.root in
       t.root <- r';
+      sweep t;
       changed)
 
 let to_list t =
@@ -886,8 +942,12 @@ let head_parents t = if t.head = null then [] else [ t.head ]
 let commit t ?(msg = "") () =
   guard (fun () ->
       await_io t;
-      if t.head <> null && not (dirty t) then t.head
-      else commit_with t ~parents:(head_parents t) ~msg)
+      let h =
+        if t.head <> null && not (dirty t) then t.head
+        else commit_with t ~parents:(head_parents t) ~msg
+      in
+      sweep t;
+      h)
 
 (* --- group commit -----------------------------------------------------------
 
@@ -949,6 +1009,7 @@ let reap t =
     end
   in
   go ();
+  sweep t;
   !progress
 
 (* [wake] runs the committer (the thread that calls [reap]): from
@@ -973,11 +1034,13 @@ let checkout t h =
 let commit_info t h = guard (fun () -> commit_of t h)
 
 (* Drop every cached object whose home is on the medium — the
-   cold-cache lever for recovery and hit-rate experiments. Once nothing
-   is in flight, those are the objects with a home. *)
+   cold-cache lever for recovery and hit-rate experiments — and what no
+   live tree reaches. Once nothing is in flight, the objects with a home
+   are those in [locs]. *)
 let drop_caches t =
   await_io t;
-  Hashtbl.filter_map_inplace (fun h o -> if Hashtbl.mem t.locs h then None else Some o) t.cache
+  Htbl.filter_map_inplace (fun h o -> if Htbl.mem t.locs h then None else Some o) t.cache;
+  collect t
 
 (* --- merge ------------------------------------------------------------------ *)
 

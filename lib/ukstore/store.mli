@@ -7,7 +7,15 @@
     is the object's home, addressed by its device byte address), and a
     trailer sector. When {!commit} returns [Ok], the commit survives any
     crash; a mount replays records from the live root slot's log
-    position while the chain stays intact. *)
+    position while the chain stays intact.
+
+    The object cache holds the live trees: what the working root, the
+    head commit and the record in flight reach, commit parents not
+    followed. A sweep drops the rest once the cache has doubled since the
+    last one (and holds at least 1,024 objects); it runs at the end of
+    {!set} and {!del} and after {!commit} and {!reap}, and charges no
+    virtual time. History is read back from its home on the medium when
+    asked for, one device read per object. *)
 
 type hash = Tree.hash
 type errno = Ukvfs.Fs.errno
@@ -41,8 +49,16 @@ val checkpoint : t -> (unit, errno) result
     replays nothing written before this call. *)
 
 val drop_caches : t -> unit
-(** Drop every cached object whose home is on the medium, after waiting
-    out the writes in flight. *)
+(** After waiting out the writes in flight, drop every cached object
+    whose home is on the medium, and what no live tree reaches: what is
+    left is the working tree's objects not yet committed. Like a sweep,
+    it sets the next sweep point at twice what it kept. *)
+
+val cached : t -> int
+(** The objects in the cache. *)
+
+val sweep_point : t -> int
+(** The cache size at which the next sweep runs. *)
 
 (** {1 The working tree} *)
 

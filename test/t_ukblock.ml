@@ -25,18 +25,53 @@ let test_ramdisk_rw () =
   | Ok got -> Alcotest.(check char) "second sector" 'a' (Bytes.get got 0)
   | Error _ -> Alcotest.fail "partial read"
 
+(* Both devices over the same sparse medium: virtio-blk (completions on
+   the engine, waited out by the sync calls) and the ramdisk. *)
+let media =
+  [
+    ("virtio-blk", fun ~capacity_sectors ->
+        let clock, engine = env () in
+        V.create ~clock ~engine ~capacity_sectors ());
+    ("ramdisk", fun ~capacity_sectors ->
+        let clock, _ = env () in
+        V.create_ramdisk ~clock ~capacity_sectors ());
+  ]
+
+let write_ok (d : B.t) ~lba data =
+  match d.B.write_sync ~lba data with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write at lba %d: %s" lba (B.error_to_string e)
+
+let read_ok (d : B.t) ~lba ~sectors =
+  match d.B.read_sync ~lba ~sectors with
+  | Ok b -> b
+  | Error e -> Alcotest.failf "read at lba %d: %s" lba (B.error_to_string e)
+
+(* [sectors] sectors of bytes that differ from sector to sector and from
+   one [tag] to another. *)
+let pattern ~tag sectors =
+  Bytes.init (sectors * 512) (fun i -> Char.chr ((i + (i / 512 * 7) + (tag * 31)) land 255))
+
+(* Out-of-range requests on both devices, a written medium included. *)
 let test_bounds () =
-  let clock, _ = env () in
-  let d = V.create_ramdisk ~clock ~capacity_sectors:8 () in
-  (match d.B.read_sync ~lba:7 ~sectors:2 with
-  | Error B.Ebounds -> ()
-  | _ -> Alcotest.fail "read past end");
-  (match d.B.write_sync ~lba:0 (Bytes.make 100 'x') with
-  | Error B.Ebounds -> ()
-  | _ -> Alcotest.fail "unaligned write accepted");
-  match d.B.read_sync ~lba:(-1) ~sectors:1 with
-  | Error B.Ebounds -> ()
-  | _ -> Alcotest.fail "negative lba"
+  List.iter
+    (fun (name, mk) ->
+      let d = mk ~capacity_sectors:1000 in
+      write_ok d ~lba:999 (pattern ~tag:0 1);
+      let bounds what = function
+        | Error B.Ebounds -> ()
+        | Ok _ -> Alcotest.failf "%s: %s accepted" name what
+        | Error e -> Alcotest.failf "%s: %s: %s" name what (B.error_to_string e)
+      in
+      bounds "a read past the end" (d.B.read_sync ~lba:999 ~sectors:2);
+      bounds "a read at the end" (d.B.read_sync ~lba:1000 ~sectors:1);
+      bounds "a read of no sectors" (d.B.read_sync ~lba:0 ~sectors:0);
+      bounds "a negative lba" (d.B.read_sync ~lba:(-1) ~sectors:1);
+      bounds "a write past the end" (d.B.write_sync ~lba:999 (pattern ~tag:0 2));
+      bounds "an empty write" (d.B.write_sync ~lba:0 Bytes.empty);
+      bounds "an unaligned write" (d.B.write_sync ~lba:0 (Bytes.make 100 'x'));
+      bounds "a write at a negative lba" (d.B.write_sync ~lba:(-64) (pattern ~tag:0 64)))
+    media
 
 let test_virtio_blk_async () =
   let clock, engine = env () in
@@ -116,6 +151,66 @@ let test_batch_amortizes_kick () =
     Uksim.Clock.elapsed_cycles clock s
   in
   Alcotest.(check bool) "batched submit cheaper" true (cost 1 32 < cost 32 1)
+
+(* --- the sparse medium ---------------------------------------------------- *)
+
+let test_unwritten_reads_zero () =
+  List.iter
+    (fun (name, mk) ->
+      let d = mk ~capacity_sectors:4096 in
+      Alcotest.(check bytes) (name ^ ": a fresh device reads zeros") (Bytes.make (4096 * 512) '\000')
+        (read_ok d ~lba:0 ~sectors:4096);
+      write_ok d ~lba:1000 (pattern ~tag:1 1);
+      Alcotest.(check bytes) (name ^ ": the sector before a write") (Bytes.make 512 '\000')
+        (read_ok d ~lba:999 ~sectors:1);
+      Alcotest.(check bytes) (name ^ ": the sector after it") (Bytes.make 512 '\000')
+        (read_ok d ~lba:1001 ~sectors:1);
+      Alcotest.(check bytes) (name ^ ": the far end") (Bytes.make 512 '\000')
+        (read_ok d ~lba:4095 ~sectors:1))
+    media
+
+(* Writes that straddle, end on, fill or overlap the medium's 64-sector
+   chunks, and reads that span written and never-written ones, against
+   a flat model of the medium. *)
+let test_straddling_round_trip () =
+  List.iter
+    (fun (name, mk) ->
+      let cap = 512 in
+      let d = mk ~capacity_sectors:cap in
+      let model = Bytes.make (cap * 512) '\000' in
+      let write ~lba ~sectors tag =
+        let data = pattern ~tag sectors in
+        write_ok d ~lba data;
+        Bytes.blit data 0 model (lba * 512) (Bytes.length data)
+      in
+      write ~lba:63 ~sectors:2 1;
+      write ~lba:127 ~sectors:1 2;
+      write ~lba:190 ~sectors:70 3;
+      write ~lba:256 ~sectors:64 4;
+      write ~lba:300 ~sectors:8 5 (* over part of the last write *);
+      write ~lba:(cap - 1) ~sectors:1 6;
+      List.iter
+        (fun (lba, sectors) ->
+          Alcotest.(check bytes)
+            (Printf.sprintf "%s: %d sectors from lba %d" name sectors lba)
+            (Bytes.sub model (lba * 512) (sectors * 512))
+            (read_ok d ~lba ~sectors))
+        [ (0, cap); (62, 4); (64, 1); (100, 100); (127, 2); (255, 66); (319, 2); (400, cap - 400) ])
+    media
+
+(* A device allocates what is written to it, not its capacity: creating
+   a 64 MiB one allocates well under 1 MiB. *)
+let test_sparse_create_is_small () =
+  List.iter
+    (fun (name, mk) ->
+      let before = Gc.allocated_bytes () in
+      let d = Sys.opaque_identity (mk ~capacity_sectors:131072) in
+      let spent = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f bytes allocated at create" name spent)
+        true (spent < 1048576.0);
+      ignore (Sys.opaque_identity d))
+    media
 
 (* --- TCP recovery over lossy virtio-net ---------------------------------- *)
 
@@ -225,6 +320,11 @@ let suite =
     Alcotest.test_case "queue depth" `Quick test_virtio_blk_queue_depth;
     Alcotest.test_case "host latency charged" `Quick test_virtio_blk_latency_charged;
     Alcotest.test_case "batched submit amortizes kicks" `Quick test_batch_amortizes_kick;
+    Alcotest.test_case "unwritten sectors read as zeros" `Quick test_unwritten_reads_zero;
+    Alcotest.test_case "writes across chunk boundaries round-trip" `Quick
+      test_straddling_round_trip;
+    Alcotest.test_case "creating a 64 MiB device allocates under 1 MiB" `Quick
+      test_sparse_create_is_small;
     Alcotest.test_case "registry source does not pin the device" `Quick
       test_source_does_not_pin_device;
     Alcotest.test_case "TCP recovers over lossy virtio link" `Quick test_tcp_over_lossy_virtio;

@@ -185,19 +185,62 @@ let test_faultnet_refused_frames_recycled () =
 (* The injector's two other ways into the device refuse the same way: a
    duplicate, forwarded ahead of its original, and a delayed redelivery,
    which the engine hands over later. With every frame duplicated, six
-   frames bring six duplicates: the first four fill the ring, so the
-   last two duplicates and all six originals are refused. With every
-   frame delayed, eight redeliveries meet the ring at once and the last
-   four are refused. *)
+   frames bring six duplicates: the first four fill the ring (and are
+   the only frames forwarded), so the last two duplicates and all six
+   originals are refused. With every frame delayed, eight redeliveries
+   meet the ring at once: four are forwarded and four refused. *)
 let test_faultnet_refused_copies_recycled () =
   let src = refusal_run (Fn.plan ~duplicate:1.0 ()) 6 in
   Alcotest.(check int) "duplicated" 6 (count src "duplicated");
-  Alcotest.(check int) "nothing forwarded" 0 (count src "forwarded");
+  Alcotest.(check int) "four duplicates forwarded" 4 (count src "forwarded");
   Alcotest.(check int) "two duplicates and six originals refused" 8 (count src "refused");
   let src = refusal_run (Fn.plan ~reorder:1.0 ()) 8 in
   Alcotest.(check int) "reordered" 8 (count src "reordered");
   Alcotest.(check int) "dropped" 0 (count src "dropped");
+  Alcotest.(check int) "four redeliveries forwarded" 4 (count src "forwarded");
   Alcotest.(check int) "four redeliveries refused" 4 (count src "refused")
+
+(* With ring room for every frame, each frame offered, and each
+   duplicate, ends in exactly one of forwarded, corrupted, dropped and
+   flap_dropped once the delayed redeliveries have fired; the peer
+   receives what was forwarded or corrupted. Each fault alone at rate
+   1.0 (the link always down, for a flap), then all of them mixed; [run]
+   returns a plan's (forwarded, corrupted). *)
+let test_faultnet_counts_conserve () =
+  let run plan =
+    let clock, engine, fn, db = fault_link ~seed:3 plan in
+    let delivered = ref 0 in
+    for _ = 1 to 10 do
+      tx_frames fn 20;
+      Uksim.Clock.advance_ns clock 300_000.0;
+      delivered := !delivered + List.length (drain engine db)
+    done;
+    let c = count (Fn.source fn) in
+    Alcotest.(check int) "nothing refused" 0 (c "refused");
+    Alcotest.(check int) "every frame and duplicate counted once" (200 + c "duplicated")
+      (c "forwarded" + c "corrupted" + c "dropped" + c "flap_dropped");
+    Alcotest.(check int) "the peer got what was forwarded or corrupted" !delivered
+      (c "forwarded" + c "corrupted");
+    (c "forwarded", c "corrupted")
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "clean" (200, 0) (run (Fn.plan ()));
+  Alcotest.check pair "drop" (0, 0) (run (Fn.plan ~drop:1.0 ()));
+  Alcotest.check pair "drop every 4th" (150, 0) (run (Fn.plan ~drop_every:4 ()));
+  Alcotest.check pair "duplicate: the copies are forwarded too" (400, 0)
+    (run (Fn.plan ~duplicate:1.0 ()));
+  Alcotest.check pair "corrupt: counted as corrupted only" (0, 200) (run (Fn.plan ~corrupt:1.0 ()));
+  Alcotest.check pair "reorder: late frames are forwarded" (200, 0) (run (Fn.plan ~reorder:1.0 ()));
+  Alcotest.check pair "flap" (0, 0) (run (Fn.plan ~flap_period_ns:1.0e6 ~flap_down_ns:1.0e6 ()));
+  let forwarded, corrupted =
+    run
+      (Fn.plan ~drop:0.2 ~drop_every:7 ~duplicate:0.3 ~corrupt:0.2 ~reorder:0.3
+         ~flap_period_ns:1.0e6 ~flap_down_ns:0.25e6 ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "mixed: %d forwarded, %d corrupted" forwarded corrupted)
+    true
+    (forwarded > 0 && corrupted > 0)
 
 (* --- block device ---------------------------------------------------------- *)
 
@@ -467,6 +510,8 @@ let suite =
     Alcotest.test_case "faultnet: seeded determinism" `Quick test_faultnet_deterministic;
     Alcotest.test_case "faultnet: frames the device refuses are recycled" `Quick
       test_faultnet_refused_frames_recycled;
+    Alcotest.test_case "faultnet: counts conserve frames under every fault" `Quick
+      test_faultnet_counts_conserve;
     Alcotest.test_case "faultnet: refused duplicates and redeliveries are recycled" `Quick
       test_faultnet_refused_copies_recycled;
     Alcotest.test_case "faultblk: io error injection" `Quick test_faultblk_io_error;

@@ -1076,6 +1076,282 @@ let test_served_flips_beside_records () =
       (ok (St.get t' (Printf.sprintf "c%d-9" i)))
   done
 
+(* --- the cache holds the live trees ------------------------------------------------ *)
+
+(* A store on a 65,536-sector virtio-blk device. *)
+let big_virtio_store ?journal_sectors () =
+  let c = clock () in
+  let engine = Uksim.Engine.create c in
+  let dev = Ukblock.Virtio_blk.create ~clock:c ~engine ~capacity_sectors:65536 () in
+  (c, dev, ok (St.format ~clock:c ?journal_sectors dev))
+
+(* An early commit of 512 keys, then 80 group commits of 24 SETs and 2
+   DELs each over those keys and 128 new ones, the cache sweeping many
+   times on the way. Returns the store, the early commit and its
+   bindings, the live bindings, and the sweeps seen (the cache shrank). *)
+let long_history () =
+  let c, _, t = big_virtio_store () in
+  let live = Hashtbl.create 1024 in
+  let sweeps = ref 0 and last = ref (St.cached t) in
+  let note () =
+    if St.cached t < !last then incr sweeps;
+    last := St.cached t
+  in
+  let put k v =
+    set t k v;
+    Hashtbl.replace live k v;
+    note ()
+  in
+  for i = 0 to 511 do
+    put (Printf.sprintf "key%04d" i) (Printf.sprintf "v0.%d" i)
+  done;
+  let early = commit ~msg:"early" t in
+  note ();
+  let early_kvs = ok (St.to_list t) in
+  let rng = Uksim.Rng.create 0x5eeb in
+  for g = 1 to 80 do
+    for j = 1 to 24 do
+      put (Printf.sprintf "key%04d" (Uksim.Rng.int rng 640)) (Printf.sprintf "v%d.%d" g j)
+    done;
+    for _ = 1 to 2 do
+      let k = Printf.sprintf "key%04d" (Uksim.Rng.int rng 640) in
+      ignore (del t k);
+      Hashtbl.remove live k;
+      note ()
+    done;
+    let k, got = waiter () in
+    St.commit_group t k;
+    ignore (St.reap t);
+    Uksim.Clock.advance_ns c 30_000.0;
+    ignore (St.reap t);
+    note ();
+    match !got with Some (Ok _) -> () | _ -> Alcotest.failf "group %d not acked" g
+  done;
+  let live = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) live []) in
+  (t, early, early_kvs, live, !sweeps)
+
+(* History is read back from its homes: the early commit's trees left the
+   cache, and a checkout of it reads its exact bindings off the medium. *)
+let test_history_read_from_medium () =
+  let t, early, early_kvs, _, sweeps = long_history () in
+  Alcotest.(check bool) (Printf.sprintf "the cache swept (%d times)" sweeps) true (sweeps >= 3);
+  let misses = counting "cache_misses" in
+  ok (St.checkout t early);
+  Alcotest.(check (list (pair string string))) "the early bindings" early_kvs (ok (St.to_list t));
+  Alcotest.(check bool) "read from the medium" true (misses () > 0);
+  Alcotest.(check string) "its message" "early" (ok (St.commit_info t early)).Tr.msg
+
+(* The sweeps keep every live object: after the same history, GETs of
+   every live key are all cache hits, and the cache stays under a sweep
+   point that follows the key count, not the history. *)
+let test_live_keys_stay_cached () =
+  let t, _, _, live, _ = long_history () in
+  let misses = counting "cache_misses" in
+  List.iter (fun (k, v) -> Alcotest.(check (option string)) k (Some v) (get t k)) live;
+  Alcotest.(check int) "no GET missed" 0 (misses ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%d objects cached, next sweep at %d" (St.cached t) (St.sweep_point t))
+    true
+    (St.cached t < St.sweep_point t && St.sweep_point t <= max 1024 (4 * List.length live))
+
+(* The store against a model over random interleavings of SETs, DELs,
+   GETs, bursts of SETs, group and synchronous commits, reaps with and
+   without device progress, cache drops and remounts, on a 200-key
+   base: every GET reads the model, and after a final remount every
+   acknowledged commit is the head or its ancestor and checks out to the
+   bindings it was built from. *)
+type mop =
+  | MSet of int
+  | MDel of int
+  | MGet of int
+  | MBurst of int
+  | MJoin
+  | MSync
+  | MReap of bool
+  | MDrop
+  | MRemount
+
+let mop_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun k -> MSet k) (int_bound 95)); (2, map (fun k -> MDel k) (int_bound 95));
+        (4, map (fun k -> MGet k) (int_bound 95)); (2, map (fun n -> MBurst n) (int_range 50 250));
+        (3, return MJoin); (1, return MSync); (3, map (fun b -> MReap b) bool);
+        (1, return MDrop); (1, return MRemount) ])
+
+let mops_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | MSet k -> Printf.sprintf "S%d" k
+             | MDel k -> Printf.sprintf "D%d" k
+             | MGet k -> Printf.sprintf "G%d" k
+             | MBurst n -> Printf.sprintf "B%d" n
+             | MJoin -> "J"
+             | MSync -> "C"
+             | MReap b -> if b then "R+" else "R"
+             | MDrop -> "X"
+             | MRemount -> "M")
+           ops))
+    QCheck.Gen.(list_size (int_range 20 80) mop_gen)
+
+(* Cases in which the cache swept. *)
+let swept_cases = ref 0
+
+let prop_store_matches_model =
+  QCheck.Test.make ~name:"the store reads its model and keeps every acked commit" ~count:40
+    mops_arb (fun ops ->
+      let c, dev, t0 = big_virtio_store ~journal_sectors:16 () in
+      let t = ref t0 in
+      let model = Hashtbl.create 256 in
+      (* The bindings of every working root seen, by content hash. *)
+      let roots = Hashtbl.create 64 in
+      let bindings () = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []) in
+      let note_root () = Hashtbl.replace roots (St.content_hash !t) (bindings ()) in
+      let acked = ref [] in
+      let ack = function Ok h -> acked := h :: !acked | Error _ -> () in
+      let swept = ref false and last = ref 0 in
+      let note_cache () =
+        if St.cached !t < !last then swept := true;
+        last := St.cached !t
+      in
+      let key k = Printf.sprintf "m%02d" k in
+      let put k v =
+        set !t k v;
+        Hashtbl.replace model k v;
+        note_cache ()
+      in
+      for i = 0 to 199 do
+        put (Printf.sprintf "base%03d" i) (Printf.sprintf "b%d" i)
+      done;
+      note_root ();
+      ignore (commit !t);
+      let drain () =
+        Uksim.Clock.advance_ns c 30_000.0;
+        dev.B.flush ()
+      in
+      let reads_model = ref true in
+      List.iteri
+        (fun i op ->
+          match op with
+          | MSet k ->
+              put (key k) (Printf.sprintf "v%d" i);
+              note_root ()
+          | MDel k ->
+              ignore (del !t (key k));
+              Hashtbl.remove model (key k);
+              note_cache ();
+              note_root ()
+          | MGet k -> if get !t (key k) <> Hashtbl.find_opt model (key k) then reads_model := false
+          | MBurst n ->
+              for j = 1 to n do
+                put (key (((i * 7) + (j * 13)) mod 96)) (Printf.sprintf "v%d.%d" i j)
+              done;
+              note_root ()
+          | MJoin -> St.commit_group !t ack
+          | MSync -> acked := commit !t :: !acked
+          | MReap progress ->
+              if progress then Uksim.Clock.advance_ns c 30_000.0;
+              ignore (St.reap !t);
+              note_cache ()
+          | MDrop ->
+              St.drop_caches !t;
+              last := St.cached !t
+          | MRemount ->
+              drain ();
+              t := ok (St.open_ ~clock:c dev);
+              last := St.cached !t;
+              Hashtbl.reset model;
+              (match Hashtbl.find_opt roots (St.content_hash !t) with
+              | Some kvs -> List.iter (fun (k, v) -> Hashtbl.replace model k v) kvs
+              | None -> reads_model := false))
+        ops;
+      for _ = 1 to 3 do
+        Uksim.Clock.advance_ns c 30_000.0;
+        ignore (St.reap !t)
+      done;
+      if !swept then incr swept_cases;
+      drain ();
+      let t' = ok (St.open_ ~clock:c dev) in
+      let head = St.head t' in
+      let durable h =
+        (h = head || St.is_ancestor t' ~anc:h ~desc:head)
+        &&
+        match St.commit_info t' h with
+        | Error _ -> false
+        | Ok { Tr.root; _ } -> (
+            match (Hashtbl.find_opt roots root, St.checkout t' h) with
+            | Some kvs, Ok () -> St.to_list t' = Ok kvs
+            | _ -> false)
+      in
+      !reads_model && List.for_all durable !acked)
+
+let test_store_matches_model () =
+  swept_cases := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0x5ee9 |]) prop_store_matches_model;
+  Alcotest.(check bool)
+    (Printf.sprintf "the cache swept in most cases (%d of 40)" !swept_cases)
+    true
+    (!swept_cases > 20)
+
+(* A SET on a cold path while a record is in flight misses, waits the
+   record out and publishes it while the SET's new blob is not yet in
+   any tree. With the cache one object short of the sweep point, that
+   blob brings it to the point: a sweep in the publish would drop the
+   blob. The sweep waits for the end of the SET, so the value stays
+   readable and commits durably. *)
+let test_cold_set_beside_flight_at_sweep_point () =
+  let c, dev, t = big_virtio_store () in
+  let keys = List.init 2000 (Printf.sprintf "key%04d") in
+  List.iter (fun k -> set t k ("v-" ^ k)) keys;
+  ignore (commit t);
+  St.drop_caches t;
+  (* The trie takes a key's digest nibbles low first: no key read below
+     has a low nibble of 15, so the root's child 15 stays cold. *)
+  let low_nibble k = Ukvfs.Digest.string_hash k land 15 in
+  let warm = List.filter (fun k -> low_nibble k <> 15) keys in
+  let cold = List.find (fun k -> low_nibble k = 15) keys in
+  set t (List.hd warm) "dirty";
+  (* Reads fill the cache to two objects short of the sweep point, the
+     head commit (which the COMMIT reads) among them; one that overshoots
+     is undone by dropping the cache and replaying the reads kept, which
+     load the same objects again. *)
+  let target = St.sweep_point t - 2 in
+  let kept = ref [] in
+  let replay () =
+    ignore (ok (St.commit_info t (St.head t)));
+    List.iter (fun k -> ignore (get t k)) (List.rev !kept)
+  in
+  replay ();
+  List.iter
+    (fun k ->
+      if St.cached t < target then begin
+        ignore (get t k);
+        if St.cached t <= target then kept := k :: !kept
+        else begin
+          St.drop_caches t;
+          replay ()
+        end
+      end)
+    (List.tl warm);
+  Alcotest.(check int) "two short of the sweep point" target (St.cached t);
+  let k, got = waiter () in
+  St.commit_group t k;
+  Alcotest.(check bool) "a record in flight" true (St.reap t && !got = None);
+  Alcotest.(check int) "one short, with the commit object" (St.sweep_point t - 1) (St.cached t);
+  let head0 = St.head t and misses = counting "cache_misses" in
+  set t cold "fresh";
+  Alcotest.(check bool) "the SET missed" true (misses () > 0);
+  Alcotest.(check bool) "and waited the record out" true (St.head t <> head0);
+  Alcotest.(check (option string)) "readable" (Some "fresh") (get t cold);
+  ignore (St.reap t);
+  (match !got with Some (Ok _) -> () | _ -> Alcotest.fail "COMMIT not acked");
+  ignore (commit t);
+  let t' = ok (St.open_ ~clock:c dev) in
+  Alcotest.(check (option string)) "durable" (Some "fresh") (ok (St.get t' cold))
+
 (* --- the frame writer against Printf ---------------------------------------------- *)
 
 (* The on-disk grammar as Printf writes it: the store's encoder before
@@ -1440,6 +1716,12 @@ let suite =
     ("group commit loses no acked COMMIT at any crash point", `Quick, test_group_crash_property);
     ("crash matrix with a flip in flight", `Quick, test_flip_crash_matrix);
     ("served store with flips beside records", `Quick, test_served_flips_beside_records);
+    ("history is read back from the medium", `Quick, test_history_read_from_medium);
+    ("GETs of live keys stay cache hits", `Quick, test_live_keys_stay_cached);
+    ("the store reads its model and keeps every acked commit", `Quick,
+     test_store_matches_model);
+    ("a cold SET beside a record at the sweep point", `Quick,
+     test_cold_set_beside_flight_at_sweep_point);
     QCheck_alcotest.to_alcotest prop_frame_writer_matches_printf;
     QCheck_alcotest.to_alcotest prop_records_match_printf;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mount_total;
