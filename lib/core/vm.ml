@@ -46,8 +46,11 @@ let paging_mode = function
   | Config.Dynamic_pt -> Ukmmu.Pagetable.Dynamic
   | Config.Protected32_pt -> Ukmmu.Pagetable.Protected32
 
-let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255.0")
-    ?(mac = 0x00163e001002) ?host_share ?(cmdline = "") (c : Config.t) =
+(* The interface netmask unless the command line sets [netdev.netmask]. *)
+let default_netmask = "255.255.255.0"
+
+let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(mac = 0x00163e001002) ?host_share
+    ?(cmdline = "") (c : Config.t) =
   match Config.resolve c with
   | Error e -> Error e
   | Ok _ -> (
@@ -62,7 +65,7 @@ let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255
           reg_p ~lib:"netdev" ~name:"ip" ~doc:"interface address"
             (Uklibparam.Libparam.String ip);
           reg_p ~lib:"netdev" ~name:"netmask" ~doc:"interface netmask"
-            (Uklibparam.Libparam.String netmask);
+            (Uklibparam.Libparam.String default_netmask);
           reg_p ~lib:"netdev" ~name:"gw" ~doc:"default gateway"
             (Uklibparam.Libparam.String "");
           reg_p ~lib:"ukdebug" ~name:"loglevel" ~doc:"0=crit..4=debug"
@@ -76,7 +79,7 @@ let boot ~vmm ?clock ?engine ?wire ?(ip = "172.44.0.2") ?(netmask = "255.255.255
             | Some s -> s
           in
           let ip = pstr "netdev" "ip" ip in
-          let netmask = pstr "netdev" "netmask" netmask in
+          let netmask = pstr "netdev" "netmask" default_netmask in
           let gateway =
             match Uklibparam.Libparam.get_string params ~lib:"netdev" ~name:"gw" with
             | Some "" | None -> None

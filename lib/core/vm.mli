@@ -35,7 +35,6 @@ val boot :
   ?engine:Uksim.Engine.t ->
   ?wire:Uknetdev.Wire.endpoint ->
   ?ip:string ->
-  ?netmask:string ->
   ?mac:int ->
   ?host_share:Ukvfs.Fs.t ->
   ?cmdline:string ->
@@ -46,8 +45,9 @@ val boot :
     configured; [host_share] backs the 9p server when the root filesystem
     is 9pfs (default: an empty host-side ramfs). Default addressing:
     172.44.0.2/24 with no gateway — overridable from [cmdline] via
-    uklibparam ("netdev.ip=10.0.0.5 netdev.gw=10.0.0.1 ukdebug.loglevel=4
-    -- app args"); [netdev.gw] is the only way to set a gateway. *)
+    uklibparam ("netdev.ip=10.0.0.5 netdev.netmask=255.255.0.0
+    netdev.gw=10.0.0.1 ukdebug.loglevel=4 -- app args"). The netmask and
+    the gateway are set only there. *)
 
 val run_main : env -> (env -> unit) -> unit
 (** Execute the application entry point: spawned on the scheduler when one

@@ -22,9 +22,8 @@ module Nb = Uknetdev.Netbuf
 type alloc_mode = Arena | Shared_lock
 
 (* Datapath ingredient knobs — each independently ablatable (the fast-path
-   ablation matrix). [None] fastpath in {!create} keeps the stacks on
-   their historical defaults, byte-for-byte compatible with pre-fast-path
-   schedules. *)
+   ablation matrix). {!create} without one builds every stack with
+   [fastpath_default] minus TX coalescing. *)
 type fastpath = {
   rx_batch : int;  (** descriptors per poll; 1 = per-packet processing *)
   rx_copy : bool;  (** true = legacy copy-into-fresh-buffer RX path *)
@@ -83,19 +82,20 @@ let create ?(seed = 1) ?(alloc_mode = Arena) ?fastpath ~n () =
         (Array.init n (fun i -> Ukalloc.Percore.view arena ~core:i), Ukalloc.Percore.lock arena)
     | Shared_lock -> Ukalloc.Percore.shared_lock_views ~clocks:server_clocks ~backend ()
   in
+  let fp = Option.value fastpath ~default:{ fastpath_default with tx_coalesce = false } in
   (* Shared-pool ablation: one netbuf pool serves every server stack, and
      each take pays a spinlock acquire against the caller's core
      clock — the serialization the per-core pools exist to avoid. The
      pool's own clock is a dummy; costs are charged via [on_op]. *)
   let shared_pool =
-    match fastpath with
-    | Some fp when fp.shared_pool ->
-        let psp = Uklock.Lock.Spin.create ~name:"nbpool" () in
-        Some
-          (Nb.Pool.create ~clock:(Uksim.Clock.create ())
-             ~on_op:(fun clock -> Uklock.Lock.Spin.acquire psp clock ~hold:30)
-             ~count:(n * 512) ~size:2048 ())
-    | _ -> None
+    if fp.shared_pool then begin
+      let psp = Uklock.Lock.Spin.create ~name:"nbpool" () in
+      Some
+        (Nb.Pool.create ~clock:(Uksim.Clock.create ())
+           ~on_op:(fun clock -> Uklock.Lock.Spin.acquire psp clock ~hold:30)
+           ~count:(n * 512) ~size:2048 ())
+    end
+    else None
   in
   let mk_stack ~core ~dev ~qid ~ip ~mac ~server =
     let cfg =
@@ -105,13 +105,10 @@ let create ?(seed = 1) ?(alloc_mode = Arena) ?fastpath ~n () =
     let clock = Uksmp.Smp.clock_of smp ~core in
     let engine = Uksmp.Smp.engine_of smp ~core in
     let sched = Uksmp.Smp.sched_of smp ~core in
-    match fastpath with
-    | None -> S.create ~clock ~engine ~sched ~dev ~qid cfg
-    | Some fp ->
-        S.create ~clock ~engine ~sched ~dev ~qid ~rx_batch:fp.rx_batch
-          ~rx_copy:fp.rx_copy ~tx_coalesce:fp.tx_coalesce
-          ?pool:(if server then shared_pool else None)
-          cfg
+    S.create ~clock ~engine ~sched ~dev ~qid ~rx_batch:fp.rx_batch ~rx_copy:fp.rx_copy
+      ~tx_coalesce:fp.tx_coalesce
+      ?pool:(if server then shared_pool else None)
+      cfg
   in
   let server_stacks =
     Array.init n (fun i ->

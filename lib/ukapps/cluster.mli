@@ -32,10 +32,9 @@ val fastpath_default : fastpath
 
 val create : ?seed:int -> ?alloc_mode:alloc_mode -> ?fastpath:fastpath -> n:int -> unit -> t
 (** [2 * n] cores, stacks brought up and started (per-core bring-up runs
-    in parallel virtual time). Default [alloc_mode] is [Arena]. Omitting
-    [fastpath] keeps the stacks on their historical defaults (identical
-    schedules to pre-fast-path runs); passing one applies the ingredient
-    knobs to every stack on both sides. *)
+    in parallel virtual time). Default [alloc_mode] is [Arena]. The
+    [fastpath] knobs apply to every stack on both sides; the default is
+    {!fastpath_default} without TX coalescing. *)
 
 val smp : t -> Uksmp.Smp.t
 val server_stack : t -> int -> Uknetstack.Stack.t

@@ -228,8 +228,8 @@ let mk_bare ~clock ~engine ?(max_batch = 8) ?(max_wait_ns = Uksim.Units.usec 20.
     alloc;
   }
 
-let create_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~model () =
-  mk_bare ~clock ~engine ?max_batch ?max_wait_ns ?core ~model ()
+let create_bare ~clock ~engine ?max_batch ?max_wait_ns ~model () =
+  mk_bare ~clock ~engine ?max_batch ?max_wait_ns ~model ()
 
 let state_hash t = t.state
 

@@ -73,7 +73,6 @@ val create_bare :
   engine:Uksim.Engine.t ->
   ?max_batch:int ->
   ?max_wait_ns:float ->
-  ?core:int ->
   model:model ->
   unit ->
   t

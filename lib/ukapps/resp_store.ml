@@ -1,5 +1,4 @@
 module S = Uknetstack.Stack
-module St = Ukstore.Store
 module C = Uktrace.Metric.Counter
 
 type entry = { addr : int; value : string }
@@ -10,36 +9,11 @@ type t = {
   table : (string, entry) Hashtbl.t;
   lists : (string, string list ref) Hashtbl.t;
   core : int; (* tracepoint lane; the owning core under SMP *)
-  persist : St.t option;
-      (* write-through merkle backing: the string keyspace (SET/DEL/INCR/
-         FLUSHALL) mirrors into the crash-consistent store; list keys stay
-         memory-only (Redis-without-AOF semantics for them) *)
   group : Uktrace.Registry.group;
   commands : C.t;
   hits : C.t;
   misses : C.t;
 }
-
-let persist_set t k v =
-  match t.persist with None -> () | Some st -> ignore (St.set st k v : (unit, _) result)
-
-let persist_del t k =
-  match t.persist with None -> () | Some st -> ignore (St.del st k : (bool, _) result)
-
-(* Durability barrier: flush the mirrored keyspace as one commit. *)
-let persist_commit t =
-  match t.persist with
-  | None -> None
-  | Some st -> ( match St.commit st () with Ok h -> Some h | Error _ -> None)
-
-(* Order-independent digest of the live string keyspace — two servers
-   hold the same logical state iff the hashes agree, however the
-   commands interleaved. *)
-let state_hash t =
-  Hashtbl.fold
-    (fun k e acc ->
-      acc lxor Ukvfs.Digest.mix (Ukvfs.Digest.string_hash k) (Ukvfs.Digest.string_hash e.value))
-    t.table 0
 
 (* Command-processing work besides allocation and hashing: dispatch
    table, argument parsing, reply formatting, dict bookkeeping — Redis
@@ -90,7 +64,6 @@ let put t key value =
   | Some e ->
       (match Hashtbl.find_opt t.table key with Some old -> drop_entry t old | None -> ());
       Hashtbl.replace t.table key e;
-      persist_set t key value;
       Some ()
 
 let set t key value =
@@ -108,7 +81,6 @@ let del t keys =
          | Some e ->
              drop_entry t e;
              Hashtbl.remove t.table key;
-             persist_del t key;
              acc + 1
          | None -> acc)
        0 keys)
@@ -175,11 +147,7 @@ and execute_untraced t args =
           | _, _ -> Resp.Error "ERR value is not an integer or out of range")
       | "DBSIZE", [] -> Resp.Integer (Hashtbl.length t.table)
       | "FLUSHALL", [] ->
-          Hashtbl.iter
-            (fun key e ->
-              drop_entry t e;
-              persist_del t key)
-            t.table;
+          Hashtbl.iter (fun _ e -> drop_entry t e) t.table;
           Hashtbl.reset t.table;
           Hashtbl.reset t.lists;
           Resp.Simple "OK"
@@ -266,51 +234,27 @@ let handle t ~fast sink args =
   in
   Serve.write sink (Resp.encode reply)
 
-let mk ~clock ~alloc ~core ?share_with ?persist () =
+let mk ~clock ~alloc ~core ?share_with () =
   (* [share_with]: SMP workers serve one logical database — every worker
      reuses the first worker's key space (per-worker command counters stay
-     separate). The merkle backing is likewise shared. *)
+     separate). *)
   let table, lists =
     match share_with with
     | Some peer -> (peer.table, peer.lists)
     | None -> (Hashtbl.create 4096, Hashtbl.create 64)
   in
-  let persist =
-    match (persist, share_with) with
-    | (Some _ as p), _ -> p
-    | None, Some peer -> peer.persist
-    | None, None -> None
-  in
   let group = Uktrace.Registry.group ~subsystem:"ukapps" "resp" in
   let commands = Uktrace.Registry.counter group "commands" in
   let hits = Uktrace.Registry.counter group "hits" in
   let misses = Uktrace.Registry.counter group "misses" in
-  let t = { clock; alloc; table; lists; core; persist; group; commands; hits; misses } in
-  (* Restart-and-replay: hydrate the keyspace from the store's last
-     durable commit (a fresh table only — share_with peers already share
-     the hydrated one). *)
-  (match (t.persist, share_with) with
-  | Some st, None when St.head st <> 0 -> (
-      match St.to_list st with
-      | Ok kvs ->
-          List.iter
-            (fun (k, v) ->
-              match store_bytes t v with
-              | Some e -> Hashtbl.replace table k e
-              | None -> invalid_arg "Resp_store: OOM hydrating from store")
-            kvs
-      | Error e ->
-          invalid_arg ("Resp_store: persist replay: " ^ Ukvfs.Fs.errno_to_string e))
-  | _ -> ());
-  t
+  { clock; alloc; table; lists; core; group; commands; hits; misses }
 
 type make =
   clock:Uksim.Clock.t -> sched:Uksched.Sched.t -> stack:S.t -> alloc:Ukalloc.Alloc.t ->
-  ?port:int -> ?core:int -> ?share_with:t -> ?persist:St.t -> unit -> t
+  ?port:int -> ?core:int -> ?share_with:t -> unit -> t
 
-let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with
-    ?persist () =
-  let t = mk ~clock ~alloc ~core ?share_with ?persist () in
+let serve ~transport ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with () =
+  let t = mk ~clock ~alloc ~core ?share_with () in
   Serve.start transport ~name:"redis" ~clock ~sched ~stack ~port ~frame
     ~handle:(handle t ~fast:(transport <> Serve.Socket));
   t

@@ -17,7 +17,6 @@ type make =
   ?port:int ->
   ?core:int ->
   ?share_with:t ->
-  ?persist:Ukstore.Store.t ->
   unit ->
   t
 
@@ -34,13 +33,7 @@ val serve : transport:Serve.transport -> make
     (robj allocations per argument, the generic cost envelope). On
     {!Serve.Netbuf} the hot commands (PING/GET/SET/DEL/INCR) take a
     specialized dispatch without robj churn; everything else falls back
-    to the generic engine.
-
-    [persist] mirrors the string keyspace (SET/DEL/INCR/FLUSHALL) into a
-    crash-consistent {!Ukstore.Store}: on creation the keyspace is
-    hydrated from the store's last durable commit, and mutations
-    write through (durable once {!persist_commit} — or a server-side
-    auto-commit policy — runs). List keys stay memory-only. *)
+    to the generic engine. *)
 
 val create : make
 (** [serve ~transport:Socket]. *)
@@ -56,16 +49,6 @@ val source : t -> Uktrace.Source.t
     [misses]. *)
 
 val dbsize : t -> int
-
-val persist_commit : t -> int option
-(** Flush the mirrored keyspace to the backing store as one commit;
-    [None] when no [persist] store is attached (or the commit failed).
-    The returned commit hash is durable. *)
-
-val state_hash : t -> int
-(** Order-independent digest of the live string keyspace: two servers
-    hold the same logical state iff the hashes agree, regardless of
-    command interleaving. *)
 
 val execute : t -> string list -> Resp.value
 (** Run one command directly (bypassing the network) — used by unit

@@ -104,7 +104,6 @@ let serve ~transport ~clock ~sched ~stack ?(port = 7000) ?(core = 0) ~store () =
       | cmd -> Serve.write sink (execute t cmd));
   t
 
-let create = serve ~transport:Serve.Socket
 let create_fast = serve ~transport:(Serve.Netbuf { rtc = true })
 
 (* --- load generation -------------------------------------------------------- *)

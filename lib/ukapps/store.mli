@@ -33,17 +33,6 @@ val serve :
     the store's committer thread. [core] (default 0) labels the
     committer's tracepoints. *)
 
-val create :
-  clock:Uksim.Clock.t ->
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  ?port:int ->
-  ?core:int ->
-  store:Ukstore.Store.t ->
-  unit ->
-  t
-(** {!serve} on the socket path. *)
-
 val create_fast :
   clock:Uksim.Clock.t ->
   sched:Uksched.Sched.t ->

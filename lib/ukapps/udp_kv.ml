@@ -40,9 +40,12 @@ let answer st request =
       "OK"
   | _ -> "ERR"
 
+(* The UDP port both builds serve. *)
+let port = 5000
+
 (* --- socket build (the LWIP row) ---------------------------------------- *)
 
-let serve_sockets ~sched ~stack ~store ?(port = 5000) () =
+let serve_sockets ~sched ~stack ~store () =
   let _ =
     Uksched.Sched.spawn sched ~name:"udpkv-socket" ~daemon:true (fun () ->
         let sock = S.Udp_socket.bind stack ~port in
@@ -65,7 +68,7 @@ let serve_sockets ~sched ~stack ~store ?(port = 5000) () =
 let spec_parse_cost = 95
 let spec_reply_cost = 80
 
-let serve_netdev ~clock ~sched ~dev ~store ~mac ~ip ?(port = 5000) () =
+let serve_netdev ~clock ~sched ~dev ~store ~mac ~ip () =
   (* The paper's mixed mode (§3.1): poll under load, arm the queue
      interrupt and park only when the ring runs dry. *)
   let tid =
@@ -126,6 +129,7 @@ module Client = struct
     else Printf.sprintf "G %s" (key_of i)
 
   let inflight = 32 (* requests outstanding in the socket client's window *)
+  let batch = 32 (* request frames per raw-packet TX burst *)
 
   let run_sockets ~clock ~sched ~stack ~server:(sip, sport) ?(requests = 20_000) () =
     let sock = S.Udp_socket.bind stack ~port:6000 in
@@ -161,7 +165,7 @@ module Client = struct
     }
 
   let run_netdev ~clock ~sched ~dev ~mac ~ip ~server_mac ~server:(sip, sport)
-      ?(requests = 50_000) ?(batch = 32) () =
+      ?(requests = 50_000) () =
     dev.Nd.configure_queue ~qid:0
       { Nd.rx_path = Nd.Zero_copy; mode = Nd.Polling; rx_handler = None };
     let replies = ref 0 in

@@ -24,11 +24,10 @@ val serve_sockets :
   sched:Uksched.Sched.t ->
   stack:Uknetstack.Stack.t ->
   store:store ->
-  ?port:int ->
   unit ->
   unit
-(** Spawns a daemon service thread. recvmsg/sendmsg are function calls
-    in Unikraft, so no syscall cost is charged. Port defaults to 5000. *)
+(** Spawns a daemon service thread on UDP port 5000. recvmsg/sendmsg are
+    function calls in Unikraft, so no syscall cost is charged. *)
 
 val serve_netdev :
   clock:Uksim.Clock.t ->
@@ -37,12 +36,12 @@ val serve_netdev :
   store:store ->
   mac:Uknetstack.Addr.Mac.t ->
   ip:Uknetstack.Addr.Ipv4.t ->
-  ?port:int ->
   unit ->
   unit
-(** The specialized build: configures queue 0 in polling mode and spawns a
-    daemon thread that busy-polls, swaps ethernet/IP/UDP headers in place
-    and transmits replies in bursts. *)
+(** The specialized build, on UDP port 5000: a daemon thread polls
+    queue 0 while frames arrive and parks on its interrupt when the ring
+    runs dry, swaps ethernet/IP/UDP headers in place and transmits
+    replies in bursts. *)
 
 module Client : sig
   type result = { requests : int; replies : int; elapsed_ns : float; rate_per_sec : float }
@@ -67,9 +66,8 @@ module Client : sig
     server_mac:Uknetstack.Addr.Mac.t ->
     server:Uknetstack.Addr.Ipv4.t * int ->
     ?requests:int ->
-    ?batch:int ->
     unit ->
     result
   (** Raw-packet generator (the DPDK-testpmd-class peer): crafts UDP
-      request frames directly on its own device. *)
+      request frames directly on its own device, 32 per TX burst. *)
 end

@@ -12,16 +12,17 @@ type config = {
   cores : int;
   budget : int;
   seeds : int list;
-  max_decisions : int;
 }
 
 let walk_seed = 0xC0FFEE (* seeds the random-walk phase, with the substrate seed *)
 
-let config ?(cores = 2) ?(budget = 64) ?(seeds = [ 1 ]) ?(max_decisions = 256) () =
+(* Per-run decision cap: deeper choice points take the default. *)
+let max_decisions = 256
+
+let config ?(cores = 2) ?(budget = 64) ?(seeds = [ 1 ]) () =
   if cores <= 0 then invalid_arg "Explore.config: cores must be positive";
   if budget <= 0 then invalid_arg "Explore.config: budget must be positive";
-  if max_decisions <= 0 then invalid_arg "Explore.config: max_decisions must be positive";
-  { cores; budget; seeds = (if seeds = [] then [ 1 ] else seeds); max_decisions }
+  { cores; budget; seeds = (if seeds = [] then [ 1 ] else seeds) }
 
 type summary = { schedules : int; exhaustive : bool }
 
@@ -87,7 +88,7 @@ let run_one ~cores ~seed ~forced ~tail ~max_decisions (fixture : fixture) : repl
 
 let replay fixture (cert : Schedule.cert) =
   run_one ~cores:cert.cores ~seed:cert.seed ~forced:cert.decisions ~tail:Defaults
-    ~max_decisions:(max 256 (List.length cert.decisions)) fixture
+    ~max_decisions:(max max_decisions (List.length cert.decisions)) fixture
 
 (* Shrink a failing decision list: (1) revert each non-default decision to
    the default, last to first, keeping reversions that still fail; (2)
@@ -142,7 +143,7 @@ let run cfg fixture =
       let prefix = Stack.pop stack in
       let out =
         run_one ~cores:cfg.cores ~seed ~forced:prefix ~tail:Defaults
-          ~max_decisions:cfg.max_decisions fixture
+          ~max_decisions fixture
       in
       record out;
       if out.outcome = Ok () then begin
@@ -169,7 +170,7 @@ let run cfg fixture =
         incr walk;
         record
           (run_one ~cores:cfg.cores ~seed ~forced:[] ~tail:(Walk (rng, depth))
-             ~max_decisions:cfg.max_decisions fixture)
+             ~max_decisions fixture)
       done
     end
   in
@@ -186,7 +187,7 @@ let run cfg fixture =
   | None -> Passed { schedules = !total_runs; exhaustive = !exhaustive }
   | Some (seed, log, _msg, found_after) ->
       let minimal, shrink_runs =
-        shrink ~cores:cfg.cores ~seed ~max_decisions:cfg.max_decisions fixture log
+        shrink ~cores:cfg.cores ~seed ~max_decisions fixture log
       in
       let cert = { Schedule.seed; cores = cfg.cores; decisions = minimal } in
       (* The authoritative message and hash come from replaying the

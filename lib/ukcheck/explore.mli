@@ -31,13 +31,13 @@ type config = {
   cores : int;  (** cores per substrate (default 2) *)
   budget : int;  (** max schedules explored across all seeds (default 64) *)
   seeds : int list;  (** substrate seeds to cross with schedules (default [[1]]) *)
-  max_decisions : int;  (** per-run decision cap — deeper points take the default (default 256) *)
 }
 
-val config :
-  ?cores:int -> ?budget:int -> ?seeds:int list -> ?max_decisions:int -> unit -> config
+val config : ?cores:int -> ?budget:int -> ?seeds:int list -> unit -> config
 (** Once the schedule tree outgrows [budget], the random walks that
-    spend the rest are seeded from 0xC0FFEE and the substrate seed. *)
+    spend the rest are seeded from 0xC0FFEE and the substrate seed. A
+    run forces at most 256 decisions; deeper choice points take the
+    default. *)
 
 type summary = {
   schedules : int;  (** schedules actually run *)

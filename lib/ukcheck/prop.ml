@@ -5,11 +5,10 @@ let rec all = function
   | Ok () :: rest -> all rest
   | (Error _ as e) :: _ -> e
 
-let run ?cores ?schedules ?seeds ?max_decisions fixture =
-  Explore.run (Explore.config ?cores ?budget:schedules ?seeds ?max_decisions ()) fixture
+let run ?cores ?schedules fixture = Explore.run (Explore.config ?cores ?budget:schedules ()) fixture
 
-let check ?cores ?schedules ?seeds ?max_decisions ~name fixture =
-  match run ?cores ?schedules ?seeds ?max_decisions fixture with
+let check ?cores ?schedules ?seeds ~name fixture =
+  match Explore.run (Explore.config ?cores ?budget:schedules ?seeds ()) fixture with
   | Explore.Passed _ -> ()
   | Explore.Failed f ->
       failwith

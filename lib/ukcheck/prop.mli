@@ -20,23 +20,12 @@ val require : bool -> string -> (unit, string) result
 val all : (unit, string) result list -> (unit, string) result
 (** First [Error], else [Ok ()]. *)
 
-val run :
-  ?cores:int ->
-  ?schedules:int ->
-  ?seeds:int list ->
-  ?max_decisions:int ->
-  Explore.fixture ->
-  Explore.result
-(** Explore and return the raw result ([schedules] is the budget,
-    default 64). *)
+val run : ?cores:int -> ?schedules:int -> Explore.fixture -> Explore.result
+(** Explore with substrate seed 1 and return the raw result
+    ([schedules] is the budget, default 64). *)
 
 val check :
-  ?cores:int ->
-  ?schedules:int ->
-  ?seeds:int list ->
-  ?max_decisions:int ->
-  name:string ->
-  Explore.fixture ->
-  unit
-(** Like {!run} but raises [Failure] on violation, formatting the
-    message, the schedule counts and the replay certificate. *)
+  ?cores:int -> ?schedules:int -> ?seeds:int list -> name:string -> Explore.fixture -> unit
+(** Explore each schedule under each of [seeds] (default [[1]]) and
+    raise [Failure] on violation, formatting the message, the schedule
+    counts and the replay certificate. *)

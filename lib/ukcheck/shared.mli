@@ -14,13 +14,12 @@ val cell : ?name:string -> 'a -> 'a t
 (** [cell v] declares shared state with initial value [v]. [name]
     (default ["cell"]) labels race reports. *)
 
-val read : ?site:string -> 'a t -> 'a
-(** Read the value, recording the access ([site] defaults to the cell
-    name). *)
+val read : 'a t -> 'a
+(** Read the value, recording the access under the cell's name. *)
 
-val write : ?site:string -> 'a t -> 'a -> unit
+val write : 'a t -> 'a -> unit
 
-val update : ?site:string -> 'a t -> ('a -> 'a) -> unit
+val update : 'a t -> ('a -> 'a) -> unit
 (** Read-modify-write: records a read then a write — exactly the pattern
     an unlocked increment races on. *)
 

@@ -151,7 +151,9 @@ let inittab_of_rig img rig =
             | Error e ->
                 invalid_arg ("Image: store mount: " ^ Ukvfs.Fs.errno_to_string e)
           in
-          ignore (Ukapps.Store.create ~clock:rig.clock ~sched:rig.sched ~stack ~store ())
+          ignore
+            (Ukapps.Store.serve ~transport:Ukapps.Serve.Socket ~clock:rig.clock ~sched:rig.sched
+               ~stack ~store ())
       | Infer _ ->
           (* The weight load runs inside the constructor, so a cold boot's
              breakdown charges the full stream — the dominant term for

@@ -21,12 +21,12 @@ val create :
   backend:backend ->
   wire:Wire.endpoint ->
   ?ring_size:int ->
-  ?n_queues:int ->
   unit ->
   Netdev.t
-(** The device transmits onto (and receives from) [wire]. [ring_size]
-    defaults to 256 descriptors per queue, [n_queues] to 1. Frames arriving
-    for an unconfigured queue, a full ring, or a failing [rx_alloc] are
+(** A single-queue device (queue 0; multi-queue RSS is {!Loopback}'s)
+    that transmits onto (and receives from) [wire]. [ring_size] defaults
+    to 256 descriptors per ring. Frames arriving while the queue is
+    unconfigured or its ring is full, or when [rx_alloc] fails, are
     dropped (counted in [rx_dropped]). Registers the device's
     ["uknetdev.virtio-net/vhost-net"] or ["uknetdev.virtio-net/vhost-user"]
     source. *)

@@ -17,7 +17,6 @@ type t = {
   engine : Uksim.Engine.t;
   policy : policy;
   sname : string;
-  daemon : bool;
   on_crash : (exn -> unit) option;
   body : unit -> unit;
   rng : Uksim.Rng.t option;  (* jitter draws; None when jitter = 0 *)
@@ -39,7 +38,7 @@ let jittered t delay =
 let rec launch t =
   t.st <- Running;
   ignore
-    (Sched.spawn t.sched ~name:t.sname ~daemon:t.daemon (fun () ->
+    (Sched.spawn t.sched ~name:t.sname ~daemon:true (fun () ->
          match t.body () with
          | () -> t.st <- Completed
          | exception Sched.Thread_exit ->
@@ -60,8 +59,7 @@ let rec launch t =
                Uksim.Engine.after_ns t.engine delay (fun () -> launch t)
              end))
 
-let supervise sched ~engine ?(policy = default_policy) ?(name = "supervised")
-    ?(daemon = true) ?on_crash body =
+let supervise sched ~engine ?(policy = default_policy) ?(name = "supervised") ?on_crash body =
   if policy.jitter < 0.0 then invalid_arg "Supervisor.supervise: negative jitter";
   let rng =
     if policy.jitter = 0.0 then None
@@ -71,7 +69,7 @@ let supervise sched ~engine ?(policy = default_policy) ?(name = "supervised")
       Some (Uksim.Rng.create (Hashtbl.hash name lxor 0x1AB5))
   in
   let t =
-    { sched; engine; policy; sname = name; daemon; on_crash; body; rng; st = Running;
+    { sched; engine; policy; sname = name; on_crash; body; rng; st = Running;
       crashes = 0; restarts = 0; backoff = policy.backoff_ns; last_error = None }
   in
   launch t;

@@ -41,13 +41,11 @@ val supervise :
   engine:Uksim.Engine.t ->
   ?policy:policy ->
   ?name:string ->
-  ?daemon:bool ->
   ?on_crash:(exn -> unit) ->
   (unit -> unit) ->
   t
-(** Spawns immediately; [daemon] (default true) is passed to each
-    (re)spawn so a crashed-and-waiting component does not deadlock the
-    scheduler. *)
+(** Spawns immediately. Each (re)spawn is a daemon thread, so a
+    crashed-and-waiting component does not deadlock the scheduler. *)
 
 val state : t -> state
 val crashes : t -> int

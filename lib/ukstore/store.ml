@@ -31,7 +31,12 @@
    sequence number contiguous, payload checksum valid, every frame at
    its own address. The first torn or stale record ends replay —
    everything before it is exactly the set of commits whose [commit]
-   call returned [Ok]. *)
+   call returned [Ok].
+
+   History is a chain: a commit's one parent is the head it was made on.
+   Nothing here walks it. A write reads the working tree, the head and
+   the record in flight; [checkout] and [commit_info] read one commit
+   per call. *)
 
 module B = Ukblock.Blockdev
 module D = Ukvfs.Digest
@@ -68,8 +73,6 @@ type metrics = {
   cache_hits : C.t;
   cache_misses : C.t;
   checkpoints : C.t;
-  merges : C.t;
-  conflicts : C.t;
   replays : C.t;
   replayed_records : C.t;
   tree_depth : Uktrace.Metric.Gauge.t;
@@ -86,13 +89,11 @@ let metrics =
      let cache_hits = c "cache_hits" in
      let cache_misses = c "cache_misses" in
      let checkpoints = c "checkpoints" in
-     let merges = c "merges" in
-     let conflicts = c "conflicts" in
      let replays = c "replays" in
      let replayed_records = c "replayed_records" in
      let tree_depth = Uktrace.Registry.gauge group "tree_depth" in
      { group; commits; journal_records; journal_bytes; fsync_barriers; cache_hits;
-       cache_misses; checkpoints; merges; conflicts; replays; replayed_records; tree_depth })
+       cache_misses; checkpoints; replays; replayed_records; tree_depth })
 
 let source () = Uktrace.Registry.source (Lazy.force metrics).group
 
@@ -710,15 +711,16 @@ let collect_new t root =
   walk root;
   List.rev !acc
 
-(* Encode the record that commits the working root with [parents] at the
-   log head: each new object's home is its frame's byte address inside
-   the payload, assigned in post-order so every child ref resolves. The
-   frames are sized and their homes assigned first, so the record is
-   written once, in place, into a buffer of its own size. The homes are
-   taken back if the record does not fit the device, and by [unassign]
-   if its write fails. *)
-let build_record t ~parents ~msg =
+(* Encode, at the log head, the record that commits the working root with
+   the head as its parent: each new object's home is its frame's byte
+   address inside the payload, assigned in post-order so every child ref
+   resolves. The frames are sized and their homes assigned first, so the
+   record is written once, in place, into a buffer of its own size. The
+   homes are taken back if the record does not fit the device, and by
+   [unassign] if its write fails. *)
+let build_record t ~msg =
   let ss = t.dev.B.sector_size in
+  let parents = if t.head = null then [] else [ t.head ] in
   let cobj = Tree.Commit { root = t.root; parents; msg } in
   let ch = put_obj t cobj in
   let objs = collect_new t ch in
@@ -768,8 +770,8 @@ let build_record t ~parents ~msg =
 
 (* The synchronous commit: write the record, publish it, and wait out
    the flip the publish may have started. *)
-let commit_with t ~parents ~msg =
-  let r = build_record t ~parents ~msg in
+let commit_with t ~msg =
+  let r = build_record t ~msg in
   match t.dev.B.write_sync ~lba:r.lba r.data with
   | Ok () ->
       let h = publish t r in
@@ -937,14 +939,12 @@ let to_list t =
           | Tree.Node _ | Tree.Commit _ -> raise (Err Ukvfs.Fs.Eio))
         (Tree.to_list t.src t.root))
 
-let head_parents t = if t.head = null then [] else [ t.head ]
-
 let commit t ?(msg = "") () =
   guard (fun () ->
       await_io t;
       let h =
         if t.head <> null && not (dirty t) then t.head
-        else commit_with t ~parents:(head_parents t) ~msg
+        else commit_with t ~msg
       in
       sweep t;
       h)
@@ -970,7 +970,7 @@ let start_group t =
   match
     guard (fun () ->
         if t.head <> null && not (dirty t) then None
-        else Some (build_record t ~parents:(head_parents t) ~msg:""))
+        else Some (build_record t ~msg:""))
   with
   | Ok None -> settle (Ok t.head)
   | Error e -> settle (Error e)
@@ -1041,115 +1041,3 @@ let drop_caches t =
   await_io t;
   Htbl.filter_map_inplace (fun h o -> if Htbl.mem t.locs h then None else Some o) t.cache;
   collect t
-
-(* --- merge ------------------------------------------------------------------ *)
-
-let ancestors t h =
-  let seen = Hashtbl.create 32 in
-  let q = Queue.create () in
-  if h <> null then Queue.push h q;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    if not (Hashtbl.mem seen x) then begin
-      Hashtbl.replace seen x ();
-      List.iter (fun p -> if p <> null then Queue.push p q) (commit_of t x).Tree.parents
-    end
-  done;
-  seen
-
-let is_ancestor t ~anc ~desc = anc <> null && Hashtbl.mem (ancestors t desc) anc
-
-(* Lowest common ancestor: BFS from [b], first commit that is also an
-   ancestor of [a]. Deterministic (queue order follows parent lists). *)
-let lca t a b =
-  if a = null || b = null then None
-  else begin
-    let of_a = ancestors t a in
-    let seen = Hashtbl.create 32 in
-    let q = Queue.create () in
-    Queue.push b q;
-    let found = ref None in
-    while !found = None && not (Queue.is_empty q) do
-      let x = Queue.pop q in
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.replace seen x ();
-        if Hashtbl.mem of_a x then found := Some x
-        else List.iter (fun p -> if p <> null then Queue.push p q) (commit_of t x).Tree.parents
-      end
-    done;
-    !found
-  end
-
-let map_of t root =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (k, vh) -> Hashtbl.replace tbl k vh) (Tree.to_list t.src root);
-  tbl
-
-(* Three-way merge of [other] into the current head. Deterministic and
-   symmetric: conflicting updates resolve to the greater blob hash,
-   modify beats delete, and the merge commit's hash is independent of
-   which side initiated (parent hashes XOR-fold). Returns the merge
-   commit and the number of conflicts resolved by policy. *)
-let merge t other ?(msg = "merge") () =
-  guard (fun () ->
-      await_io t;
-      if dirty t then raise (Err Ukvfs.Fs.Einval);
-      let ours = t.head in
-      if other = ours || is_ancestor t ~anc:other ~desc:ours then (ours, 0)
-      else if ours = null || is_ancestor t ~anc:ours ~desc:other then begin
-        let c = commit_of t other in
-        t.head <- other;
-        t.root <- c.Tree.root;
-        (other, 0)
-      end
-      else begin
-        let base = lca t ours other in
-        let bmap =
-          match base with
-          | None -> Hashtbl.create 1
-          | Some b -> map_of t (commit_of t b).Tree.root
-        in
-        let omap = map_of t (commit_of t ours).Tree.root in
-        let tmap = map_of t (commit_of t other).Tree.root in
-        let root0 = t.root in
-        let keys = Hashtbl.create 64 in
-        Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) bmap;
-        Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) omap;
-        Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tmap;
-        let sorted = List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) keys []) in
-        let conflicts = ref 0 in
-        List.iter
-          (fun k ->
-            let b = Hashtbl.find_opt bmap k in
-            let o = Hashtbl.find_opt omap k in
-            let th = Hashtbl.find_opt tmap k in
-            let r =
-              if o = th then o
-              else if th = b then o (* theirs untouched: keep ours *)
-              else if o = b then th (* ours untouched: take theirs *)
-              else begin
-                incr conflicts;
-                match (o, th) with
-                | Some a, Some c -> Some (max a c) (* greater hash wins *)
-                | Some a, None -> Some a (* modify beats delete *)
-                | None, Some c -> Some c
-                | None, None -> None
-              end
-            in
-            if r <> o then
-              match r with
-              | Some vh -> t.root <- Tree.set t.src t.root k vh
-              | None -> t.root <- Tree.remove t.src t.root k)
-          sorted;
-        let ch =
-          (* A failed merge leaves the store as it found it (clean), so
-             it can be retried. *)
-          try commit_with t ~parents:[ ours; other ] ~msg
-          with e ->
-            t.root <- root0;
-            raise e
-        in
-        C.incr t.m.merges;
-        C.add t.m.conflicts !conflicts;
-        (ch, !conflicts)
-      end)

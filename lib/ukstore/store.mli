@@ -27,9 +27,8 @@ val null : hash
 val source : unit -> Uktrace.Source.t
 (** The process-wide ["ukstore.store"] counters (commits, journal
     records and bytes, fsync barriers, cache hits and misses,
-    checkpoints, merges, conflicts, replays, replayed records) and the
-    [tree_depth] gauge. Sticky: read their difference around an
-    operation. *)
+    checkpoints, replays, replayed records) and the [tree_depth] gauge.
+    Sticky: read their difference around an operation. *)
 
 (** {1 Mounting} *)
 
@@ -81,18 +80,16 @@ val head : t -> hash
 
 val commit : t -> ?msg:string -> unit -> (hash, errno) result
 (** Write one record holding every object reachable from the new commit
-    that has no home on the medium yet, and fsync. A clean working tree
-    returns the head. *)
+    that has no home on the medium yet, and fsync. The new commit's one
+    parent is the head (it has none before the first commit). A clean
+    working tree returns the head. *)
 
 val checkout : t -> hash -> (unit, errno) result
-val commit_info : t -> hash -> (Tree.commit, errno) result
-val is_ancestor : t -> anc:hash -> desc:hash -> bool
+(** Make a commit the head and its tree the working tree: the next
+    commit's parent is that commit. *)
 
-val merge : t -> hash -> ?msg:string -> unit -> (hash * int, errno) result
-(** Three-way merge of a commit into a clean head: the merge commit and
-    the number of conflicts resolved by policy (the greater blob hash
-    wins, modify beats delete). Symmetric: both sides reach the same
-    commit hash. *)
+val commit_info : t -> hash -> (Tree.commit, errno) result
+(** One commit object: its root, its parents and its message. *)
 
 (** {1 Group commit} *)
 

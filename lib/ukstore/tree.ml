@@ -4,8 +4,8 @@
    [leaf_max], branches collapse back when they shrink to it), and every
    hash is an order-independent XOR fold, so two stores that applied the
    same updates in different orders agree on the root hash bit-for-bit.
-   That property is what makes merge and replication checks a single
-   integer comparison.
+   That property is what makes comparing two stores' contents (same-seed
+   replays, replicas) a single integer comparison.
 
    Objects are addressed by structural hash, not by serialization: the
    codec (in {!Store}) may embed disk locations alongside child refs
@@ -52,7 +52,7 @@ let nibble kh d = (kh lsr (4 * d)) land 15
 (* --- structural hashing --------------------------------------------------
    Domain-separating tags keep blob/node/commit hashes from colliding
    across kinds; every multi-element combine is an XOR fold, so entry
-   order (and merge-parent order) never matters. *)
+   order (and a commit's parent order) never matters. *)
 
 let blob_tag = 0xb10b
 let commit_tag = 0xc011

@@ -218,4 +218,4 @@ let source t =
           (fun (core, c) -> (Printf.sprintf "core%d.cycles" core, Metric.Count c))
           (core_cycles t))
 
-let register_source ?(sticky = true) t = Registry.register ~sticky (source t)
+let register_source t = Registry.register ~sticky:true (source t)

@@ -77,6 +77,6 @@ val to_chrome_json : t -> string
 (** Chrome [trace_event] JSON (load in chrome://tracing or Perfetto);
     spans as B/E pairs, instants as "i", tid = core. *)
 
-val register_source : ?sticky:bool -> t -> unit
+val register_source : t -> unit
 (** Register the tracer's own counters (events, drops, spans, sampler
-    attribution) as a registry source; sticky by default. *)
+    attribution) as a sticky registry source. *)

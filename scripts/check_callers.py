@@ -23,11 +23,14 @@ by a file that names it
 A file's aliases and opens hold for the whole file, so a file that
 names a module, or opens one, anywhere counts everywhere; an unused
 value can still be missed, but one that has a caller is never flagged.
-For every `?label:` in those signatures, search the same files for
-`~label` or `?label` by name. A value or option with no such use has no
-caller outside its module: print it and exit 1. On success print how
-many interfaces, values and options were examined; a run that examined
-no value exits 1.
+For every `?label:` in a val's signature, search the files that name
+that val, as above, for `~label` or `?label`, so an option nobody
+passes is not kept alive by a same-named label of another function.
+Labels declared in a `type` (such as `Httpd.make`, the type
+`Httpd.serve` returns) belong to no val and are outside the check. A
+value or option with no such use has no caller outside its module:
+print it and exit 1. On success print how many interfaces, values and
+options were examined; a run that examined no value exits 1.
 
 Comments are ignored; string and character literals are kept, so a
 `(*` inside one opens no comment.
@@ -207,10 +210,11 @@ def main(argv) -> int:
                 where = f"{mli.relative_to(ROOT)}: {name}"
                 values += 1
                 options += len(labels)
-                if not any(uses[p].names(library, (module, *subs), val) for p in others):
+                callers = [p for p in others if uses[p].names(library, (module, *subs), val)]
+                if not callers:
                     unused.append(where)
                 for label in labels:
-                    if not mentioned(label, "[~?]", [sources[p] for p in others]):
+                    if not mentioned(label, "[~?]", [sources[p] for p in callers]):
                         unused.append(f"{where} ?{label}")
     for line in unused:
         print(line)

@@ -484,6 +484,25 @@ let test_fast_resp_copy_free () =
   Alcotest.(check int) "the whole run made zero counted copies" 0
     (Nb.total_copies () - copies0)
 
+(* Omitting [?fastpath] builds every stack as [fastpath_default] without
+   TX coalescing does: RESP over sockets gets the same load result and
+   the same schedule either way. *)
+let test_omitted_fastpath () =
+  let run fastpath =
+    let c = Cl.create ~seed:5 ?fastpath ~n:2 () in
+    ignore (Cl.add_resp c ~transport:Ukapps.Serve.Socket ~populate:64 ());
+    let r =
+      Cl.run_load c ~transport:Ukapps.Serve.Socket ~port:6379 ~connections_per_core:2
+        ~requests_per_core:100 (Ukapps.Resp_store.client Ukapps.Resp_store.Set)
+    in
+    (r, Cl.trace_hash c)
+  in
+  let r0, h0 = run None in
+  let r1, h1 = run (Some { Cl.fastpath_default with Cl.tx_coalesce = false }) in
+  Alcotest.(check int) "all answered" 200 r0.Ukapps.Load.requests;
+  Alcotest.(check bool) "same load result" true (r0 = r1);
+  Alcotest.(check int) "same trace hash" h0 h1
+
 (* --- one server, every transport --------------------------------------------- *)
 
 (* A one-core rig: a server stack and a client stack joined by a loopback
@@ -1315,6 +1334,8 @@ let suite =
     QCheck_alcotest.to_alcotest netbuf_bounds_prop;
     Alcotest.test_case "fast cluster replays byte-identically" `Quick
       test_fast_cluster_replay;
+    Alcotest.test_case "an omitted fastpath is the default without TX coalescing" `Quick
+      test_omitted_fastpath;
     Alcotest.test_case "fast RESP run is copy-free end to end" `Quick
       test_fast_resp_copy_free;
     Alcotest.test_case "every app replies identically over every transport" `Quick

@@ -497,6 +497,28 @@ let test_supervisor_voluntary_exit_not_a_crash () =
   Alcotest.(check bool) "completed" true
     (Uksched.Supervisor.state sup = Uksched.Supervisor.Completed)
 
+(* Every (re)spawn is a daemon thread: a component blocked for good, or
+   one waiting out its backoff after a crash, leaves [Sched.run] free to
+   return instead of raising [Deadlock]. *)
+let test_supervisor_components_are_daemons () =
+  let _, engine, sched = sched_sim () in
+  let stuck = Uksched.Supervisor.supervise sched ~engine ~name:"stuck" Uksched.Sched.block in
+  Uksched.Sched.run sched;
+  Alcotest.(check bool) "the blocked component is still running" true
+    (Uksched.Supervisor.state stuck = Uksched.Supervisor.Running);
+  let policy = { Uksched.Supervisor.default_policy with backoff_ns = 1.0e9 } in
+  let runs = ref 0 in
+  let crashy =
+    Uksched.Supervisor.supervise sched ~engine ~policy ~name:"crashy" (fun () ->
+        incr runs;
+        failwith "boom")
+  in
+  Uksched.Sched.run sched;
+  Alcotest.(check bool) "the crashed component waits to restart" true
+    (Uksched.Supervisor.state crashy = Uksched.Supervisor.Restarting);
+  Alcotest.(check int) "one crash so far" 1 (Uksched.Supervisor.crashes crashy);
+  Alcotest.(check int) "one run so far" 1 !runs
+
 let suite =
   [
     Alcotest.test_case "faultnet: clean passthrough" `Quick test_faultnet_passthrough;
@@ -533,4 +555,6 @@ let suite =
       test_supervisor_jitter_breaks_lockstep;
     Alcotest.test_case "supervisor: voluntary exit" `Quick
       test_supervisor_voluntary_exit_not_a_crash;
+    Alcotest.test_case "supervisor: components are daemons" `Quick
+      test_supervisor_components_are_daemons;
   ]

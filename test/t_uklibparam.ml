@@ -67,17 +67,40 @@ let test_vm_cmdline_overrides () =
   in
   match
     Unikraft.Vm.boot ~vmm:Ukplat.Vmm.Qemu ~clock ~engine ~wire:wa
-      ~cmdline:"netdev.ip=10.7.7.7 ukdebug.loglevel=0 -- -c /etc/nginx.conf" cfg
+      ~cmdline:
+        "netdev.ip=10.7.7.7 netdev.netmask=255.255.0.0 ukdebug.loglevel=0 -- -c /etc/nginx.conf"
+      cfg
   with
   | Error e -> Alcotest.fail e
   | Ok env ->
-      let stack = Option.get env.Unikraft.Vm.stack in
+      let conf = Uknetstack.Stack.conf (Option.get env.Unikraft.Vm.stack) in
       Alcotest.(check string) "interface reconfigured" "10.7.7.7"
-        (Uknetstack.Addr.Ipv4.to_string (Uknetstack.Stack.conf stack).Uknetstack.Stack.ip);
+        (Uknetstack.Addr.Ipv4.to_string conf.Uknetstack.Stack.ip);
+      Alcotest.(check string) "netmask reconfigured" "255.255.0.0"
+        (Uknetstack.Addr.Ipv4.to_string conf.Uknetstack.Stack.netmask);
       Alcotest.(check (list string)) "argv passed through" [ "-c"; "/etc/nginx.conf" ]
         env.Unikraft.Vm.argv;
       Alcotest.(check bool) "loglevel applied" true
         (Ukdebug.Debug.threshold env.Unikraft.Vm.debug = Ukdebug.Debug.Crit)
+
+(* With no command line the interface takes the default addressing:
+   172.44.0.2/24 with no gateway. *)
+let test_vm_default_addressing () =
+  let clock = Uksim.Clock.create () in
+  let engine = Uksim.Engine.create clock in
+  let wa, _ = Uknetdev.Wire.create_pair ~engine () in
+  let cfg =
+    Result.get_ok (Unikraft.Config.make ~app:"app-nginx" ~net:Unikraft.Config.Vhost_net ())
+  in
+  match Unikraft.Vm.boot ~vmm:Ukplat.Vmm.Qemu ~clock ~engine ~wire:wa cfg with
+  | Error e -> Alcotest.fail e
+  | Ok env ->
+      let conf = Uknetstack.Stack.conf (Option.get env.Unikraft.Vm.stack) in
+      Alcotest.(check string) "default address" "172.44.0.2"
+        (Uknetstack.Addr.Ipv4.to_string conf.Uknetstack.Stack.ip);
+      Alcotest.(check string) "default netmask" "255.255.255.0"
+        (Uknetstack.Addr.Ipv4.to_string conf.Uknetstack.Stack.netmask);
+      Alcotest.(check bool) "no gateway" true (conf.Uknetstack.Stack.gateway = None)
 
 let test_vm_bad_cmdline () =
   let cfg = Result.get_ok (Unikraft.Config.make ~app:"app-hello" ()) in
@@ -94,5 +117,6 @@ let suite =
     Alcotest.test_case "duplicate registration" `Quick test_duplicate_registration;
     Alcotest.test_case "usage text" `Quick test_usage_lists_params;
     Alcotest.test_case "vm: cmdline overrides" `Quick test_vm_cmdline_overrides;
+    Alcotest.test_case "vm: default addressing" `Quick test_vm_default_addressing;
     Alcotest.test_case "vm: bad cmdline rejected" `Quick test_vm_bad_cmdline;
   ]

@@ -205,6 +205,47 @@ let test_virtio_rx_drop_when_unconfigured () =
   Uksim.Engine.run engine;
   Alcotest.(check int) "dropped" 1 (count dev.Nd.source "rx_dropped")
 
+(* virtio-net is single-queue: queue 0 is its only queue, any other id is
+   refused, and frames of flows that RSS would spread over four queues
+   all land on queue 0 in arrival order (multi-queue RSS is Loopback's). *)
+let test_virtio_single_queue () =
+  let clock, engine, dev, peer = mk_virtio () in
+  Alcotest.(check int) "one queue" 1 dev.Nd.max_queues;
+  let cfg = { Nd.rx_path = Nd.Zero_copy; mode = Nd.Polling; rx_handler = None } in
+  let bad = Invalid_argument "Virtio_net: bad queue id" in
+  Alcotest.check_raises "configure queue 1" bad (fun () -> dev.Nd.configure_queue ~qid:1 cfg);
+  Alcotest.check_raises "tx on queue 1" bad (fun () -> ignore (dev.Nd.tx_burst ~qid:1 [||]));
+  Alcotest.check_raises "rx on queue 1" bad (fun () -> ignore (dev.Nd.rx_burst ~qid:1 ~max:1));
+  Alcotest.check_raises "rx pending of queue 1" bad (fun () -> ignore (dev.Nd.rx_pending ~qid:1));
+  Alcotest.check_raises "tx room of queue -1" bad (fun () -> ignore (dev.Nd.tx_room ~qid:(-1)));
+  dev.Nd.configure_queue ~qid:0 cfg;
+  (* TCP from 10.0.0.2:[sport] to 10.0.0.1:80. *)
+  let frame sport =
+    let b = Bytes.make 60 '\000' in
+    Bytes.set_uint16_be b 12 0x0800;
+    Bytes.set b 14 '\x45';
+    Bytes.set b 23 '\x06';
+    Bytes.set_int32_be b 26 0x0a000002l;
+    Bytes.set_int32_be b 30 0x0a000001l;
+    Bytes.set_uint16_be b 34 sport;
+    Bytes.set_uint16_be b 36 80;
+    b
+  in
+  let ports = List.init 8 (fun i -> 20000 + i) in
+  let rss_queues =
+    List.sort_uniq compare
+      (List.filter_map (fun p -> Uknetdev.Rss.queue_of_frame (frame p) ~n_queues:4) ports)
+  in
+  Alcotest.(check bool) "RSS would spread the flows" true (List.length rss_queues > 1);
+  List.iter (fun p -> Wire.send peer (Nb.of_bytes (frame p))) ports;
+  Uksim.Engine.run engine;
+  Uksim.Clock.advance clock 1;
+  Alcotest.(check int) "all pending on queue 0" 8 (dev.Nd.rx_pending ~qid:0);
+  let got = dev.Nd.rx_burst ~qid:0 ~max:16 in
+  Alcotest.(check (list int)) "every flow, in arrival order" ports
+    (List.map (fun nb -> Bytes.get_uint16_be (Nb.copy_out nb) 34) got);
+  Alcotest.(check int) "nothing dropped" 0 (count dev.Nd.source "rx_dropped")
+
 let test_virtio_ring_capacity () =
   let clock, engine = env () in
   let a, _b = Wire.create_pair ~engine () in
@@ -421,6 +462,7 @@ let suite =
     Alcotest.test_case "interrupt storm avoidance (§3.1)" `Quick
       test_virtio_rx_interrupt_storm_avoidance;
     Alcotest.test_case "rx drop when unconfigured" `Quick test_virtio_rx_drop_when_unconfigured;
+    Alcotest.test_case "virtio-net is single-queue" `Quick test_virtio_single_queue;
     Alcotest.test_case "tx ring capacity" `Quick test_virtio_ring_capacity;
     Alcotest.test_case "tx ring drains in FIFO order" `Quick test_virtio_tx_ring_drains_fifo;
     Alcotest.test_case "rxq fifo order" `Quick test_rxq_fifo;

@@ -1,7 +1,8 @@
 (* Tests for ukstore: the canonical merkle trie, journal durability,
    crash recovery (the matrix: a crash at every sector boundary of a
    commit's journal record must recover to exactly the last durable
-   commit), three-way merge, and the Resp integration's persistence. *)
+   commit), group commit, the object cache, and the store served by
+   [Ukapps.Store]. *)
 
 module St = Ukstore.Store
 module Tr = Ukstore.Tree
@@ -23,6 +24,12 @@ let set t k v = ok (St.set t k v)
 let get t k = ok (St.get t k)
 let del t k = ok (St.del t k)
 let commit ?msg t = ok (St.commit t ?msg ())
+
+(* Whether [anc] is [desc] or an ancestor of it, walked down the parents
+   [St.commit_info] reads back, one commit per call. *)
+let rec reaches t ~anc desc =
+  desc = anc
+  || desc <> St.null && List.exists (reaches t ~anc) (ok (St.commit_info t desc)).Tr.parents
 
 (* How far sample [name] of the process-wide ukstore source moves from
    now on. *)
@@ -98,6 +105,32 @@ let test_commit_checkout () =
   let info = ok (St.commit_info t c2) in
   Alcotest.(check (list int)) "parent chain" [ c1 ] info.Tr.parents;
   Alcotest.(check string) "message" "second" info.Tr.msg
+
+(* A commit after a checkout descends from the commit checked out, not
+   from the head it replaced: history can fork, but each commit has one
+   parent, and a remount follows the new head's chain. *)
+let test_commit_after_checkout_forks () =
+  let c, dev, t = fresh () in
+  set t "a" "1";
+  let c1 = commit t in
+  set t "b" "2";
+  let c2 = commit t in
+  ok (St.checkout t c1);
+  set t "c" "3";
+  let c3 = commit ~msg:"fork" t in
+  Alcotest.(check int) "the fork is the head" c3 (St.head t);
+  Alcotest.(check (list int)) "its one parent is the commit checked out" [ c1 ]
+    (ok (St.commit_info t c3)).Tr.parents;
+  Alcotest.(check (option string)) "the other branch's key is absent" None (get t "b");
+  let t' = ok (St.open_ ~clock:c dev) in
+  Alcotest.(check int) "the remount finds the fork" c3 (St.head t');
+  Alcotest.(check (list (pair string string))) "with its bindings" [ ("a", "1"); ("c", "3") ]
+    (ok (St.to_list t'));
+  Alcotest.(check bool) "the fork descends from c1" true (reaches t' ~anc:c1 c3);
+  Alcotest.(check bool) "not from the other branch" false (reaches t' ~anc:c2 c3);
+  ok (St.checkout t' c2);
+  Alcotest.(check (list (pair string string))) "the other branch checks out"
+    [ ("a", "1"); ("b", "2") ] (ok (St.to_list t'))
 
 let test_empty_commit_noop () =
   let _, _, t = fresh () in
@@ -246,94 +279,6 @@ let prop_delete_restores_hash =
       let mid = St.content_hash t in
       ignore (del t k);
       St.content_hash t = before && mid <> before)
-
-let prop_merge_conflict_free =
-  QCheck.Test.make ~name:"merge of disjoint edits is commutative and conflict-free" ~count:40
-    QCheck.(pair kv_list_gen kv_list_gen)
-    (fun (left, right) ->
-      (* Prefix the keys so the two edit sets are disjoint by construction. *)
-      let left = List.map (fun (k, v) -> ("l:" ^ k, v)) left in
-      let right = List.map (fun (k, v) -> ("r:" ^ k, v)) right in
-      let run first second =
-        let _, _, t = fresh () in
-        set t "base" "b";
-        let b = commit t in
-        List.iter (fun (k, v) -> set t k v) first;
-        let cf = commit t in
-        ok (St.checkout t b);
-        List.iter (fun (k, v) -> set t k v) second;
-        ignore (commit t);
-        let h, conflicts = ok (St.merge t cf ()) in
-        (h, conflicts, St.content_hash t)
-      in
-      let h1, n1, r1 = run left right in
-      let h2, n2, r2 = run right left in
-      n1 = 0 && n2 = 0 && h1 = h2 && r1 = r2)
-
-let prop_merge_idempotent =
-  QCheck.Test.make ~name:"re-merging an ancestor is the identity" ~count:40 kv_list_gen
-    (fun kvs ->
-      let _, _, t = fresh () in
-      set t "seed" "s";
-      let c1 = commit t in
-      List.iter (fun (k, v) -> set t k v) kvs;
-      let c2 = commit t in
-      let h, conflicts = ok (St.merge t c1 ()) in
-      h = c2 && conflicts = 0 && St.head t = c2)
-
-let test_merge_conflict_policy () =
-  let _, _, t = fresh () in
-  set t "k" "base";
-  set t "stable" "s";
-  let b = commit t in
-  set t "k" "ours";
-  let co = commit t in
-  ok (St.checkout t b);
-  set t "k" "theirs";
-  ignore (commit t);
-  let _, conflicts = ok (St.merge t co ()) in
-  Alcotest.(check int) "one conflict" 1 conflicts;
-  (* Winner is decided by blob hash, not by which side merged. *)
-  let winner = match get t "k" with Some v -> v | None -> Alcotest.fail "k vanished" in
-  Alcotest.(check bool) "winner is one of the contenders" true
-    (winner = "ours" || winner = "theirs");
-  Alcotest.(check (option string)) "untouched key survives" (Some "s") (get t "stable");
-  (* Mirror image: same winner. *)
-  let _, _, t2 = fresh () in
-  set t2 "k" "base";
-  set t2 "stable" "s";
-  let b2 = commit t2 in
-  set t2 "k" "theirs";
-  let ct = commit t2 in
-  ok (St.checkout t2 b2);
-  set t2 "k" "ours";
-  ignore (commit t2);
-  let _, c2 = ok (St.merge t2 ct ()) in
-  Alcotest.(check int) "mirror conflict" 1 c2;
-  Alcotest.(check (option string)) "same winner either way" (Some winner) (get t2 "k")
-
-(* Merges keep landing on a tiny replay bound: whenever a merge record
-   takes the log past it, merge flips the root slot, as commit does. *)
-let test_merge_on_full_ring () =
-  let _, _, t = fresh ~journal_sectors:12 () in
-  let checkpoints = counting "checkpoints" in
-  set t "base" "b";
-  ignore (commit t);
-  for i = 1 to 20 do
-    let ours = St.head t in
-    set t (Printf.sprintf "side-%02d" i) (String.make 100 's');
-    let side = commit t in
-    ok (St.checkout t ours);
-    set t (Printf.sprintf "main-%02d" i) (String.make 100 'm');
-    ignore (commit t);
-    let _, conflicts = ok (St.merge t side ()) in
-    Alcotest.(check int) (Printf.sprintf "merge %d: disjoint edits" i) 0 conflicts
-  done;
-  Alcotest.(check bool) "merges flipped the root slot" true (checkpoints () > 0);
-  Alcotest.(check (option string)) "first side edit merged" (Some (String.make 100 's'))
-    (get t "side-01");
-  Alcotest.(check (option string)) "last main edit kept" (Some (String.make 100 'm'))
-    (get t "main-20")
 
 (* --- crash matrix -----------------------------------------------------------
 
@@ -622,7 +567,8 @@ let serve_store ~clock ~engine st (clients : (rpc -> unit) list) =
         netmask = A.Ipv4.of_string "255.255.255.0"; gateway = None }
   in
   let server = stack da "10.9.0.1" 0x91 and client = stack db "10.9.0.2" 0x92 in
-  ignore (Ukapps.Store.create ~clock ~sched ~stack:server ~store:st ());
+  ignore
+    (Ukapps.Store.serve ~transport:Ukapps.Serve.Socket ~clock ~sched ~stack:server ~store:st ());
   List.iter
     (fun body ->
       ignore
@@ -840,7 +786,7 @@ let group_crash_case arm =
     match rs with
     | Ok h :: _ ->
         Alcotest.(check bool) (Printf.sprintf "arm=%d: head at or past the ack" arm) true
-          (St.head t' = h || St.is_ancestor t' ~anc:h ~desc:(St.head t'));
+          (reaches t' ~anc:h (St.head t'));
         List.iter
           (fun k ->
             Alcotest.(check (option string)) (Printf.sprintf "arm=%d: %s survives" arm k)
@@ -1020,7 +966,7 @@ let flip_crash_case arm =
     match rs with
     | Ok h :: _ ->
         Alcotest.(check bool) (Printf.sprintf "arm=%d: head at or past the ack" arm) true
-          (St.head t' = h || St.is_ancestor t' ~anc:h ~desc:(St.head t'));
+          (reaches t' ~anc:h (St.head t'));
         List.iter
           (fun k ->
             Alcotest.(check (option string)) (Printf.sprintf "arm=%d: %s survives" arm k)
@@ -1154,10 +1100,40 @@ let test_live_keys_stay_cached () =
     true
     (St.cached t < St.sweep_point t && St.sweep_point t <= max 1024 (4 * List.length live))
 
+(* A write reads the working tree and the head, never the history behind
+   them: after 1,000 keys and [n] commits of 10 SETs each, with the cache
+   dropped, one SET and its commit take the same cache misses, and the
+   same virtual time within 0.1%, for n = 10 and n = 300. *)
+let test_write_cost_flat_in_history () =
+  let cost n =
+    let c, _, t = big_virtio_store () in
+    for i = 0 to 999 do
+      set t (Printf.sprintf "key%04d" i) "v0"
+    done;
+    ignore (commit t);
+    for g = 1 to n do
+      for j = 0 to 9 do
+        set t (Printf.sprintf "key%04d" (((g * 37) + (j * 101)) mod 1000)) (Printf.sprintf "v%d" g)
+      done;
+      ignore (commit t)
+    done;
+    St.drop_caches t;
+    let misses = counting "cache_misses" and at = Uksim.Clock.cycles c in
+    set t "key0500" "last";
+    ignore (commit t);
+    (misses (), Uksim.Clock.cycles c - at)
+  in
+  let m10, c10 = cost 10 and m300, c300 = cost 300 in
+  Alcotest.(check bool) (Printf.sprintf "the write read the medium (%d misses)" m10) true (m10 > 0);
+  Alcotest.(check int) "misses after 300 commits as after 10" m10 m300;
+  Alcotest.(check bool) (Printf.sprintf "%d cycles after 10 commits, %d after 300" c10 c300) true
+    (abs (c300 - c10) * 1000 <= c10)
+
 (* The store against a model over random interleavings of SETs, DELs,
    GETs, bursts of SETs, group and synchronous commits, reaps with and
    without device progress, cache drops and remounts, on a 200-key
    base: every GET reads the model, and after a final remount every
+   commit from the head down has at most one parent, and every
    acknowledged commit is the head or its ancestor and checks out to the
    bindings it was built from. *)
 type mop =
@@ -1277,7 +1253,7 @@ let prop_store_matches_model =
       let t' = ok (St.open_ ~clock:c dev) in
       let head = St.head t' in
       let durable h =
-        (h = head || St.is_ancestor t' ~anc:h ~desc:head)
+        reaches t' ~anc:h head
         &&
         match St.commit_info t' h with
         | Error _ -> false
@@ -1286,7 +1262,15 @@ let prop_store_matches_model =
             | Some kvs, Ok () -> St.to_list t' = Ok kvs
             | _ -> false)
       in
-      !reads_model && List.for_all durable !acked)
+      let rec single_parents h =
+        h = St.null
+        ||
+        match St.commit_info t' h with
+        | Ok { Tr.parents = []; _ } -> true
+        | Ok { Tr.parents = [ p ]; _ } -> single_parents p
+        | Ok _ | Error _ -> false
+      in
+      !reads_model && single_parents head && List.for_all durable !acked)
 
 let test_store_matches_model () =
   swept_cases := 0;
@@ -1603,73 +1587,6 @@ let test_frame_address_width () =
   Alcotest.(check bool) "one sector more is Einval" true
     (St.format ~clock:c (sized (last + 1)) = Error Ukvfs.Fs.Einval)
 
-(* --- RESP persistence -------------------------------------------------------- *)
-
-let mk_resp ?persist () =
-  let c = clock () in
-  let engine = Uksim.Engine.create c in
-  let sched = Uksched.Sched.create_cooperative ~clock:c ~engine in
-  let da, _ = Uknetdev.Loopback.create_pair ~clock:c ~engine () in
-  let stack =
-    Uknetstack.Stack.create ~clock:c ~engine ~sched ~dev:da
-      {
-        Uknetstack.Stack.mac = Uknetstack.Addr.Mac.of_int 1;
-        ip = Uknetstack.Addr.Ipv4.of_string "10.0.0.1";
-        netmask = Uknetstack.Addr.Ipv4.of_string "255.255.255.0";
-        gateway = None;
-      }
-  in
-  let alloc = Ukalloc.Tlsf.create ~clock:c ~base:(1 lsl 24) ~len:(1 lsl 24) in
-  Ukapps.Resp_store.create ~clock:c ~sched ~stack ~alloc ?persist ()
-
-let resp_exec s args =
-  match Ukapps.Resp_store.execute s args with
-  | Ukapps.Resp.Error e -> Alcotest.failf "resp error: %s" e
-  | v -> v
-
-let test_resp_persist_restart_replay () =
-  let c = clock () in
-  let dev = Ukblock.Virtio_blk.create_ramdisk ~clock:c ~capacity_sectors:16384 () in
-  let st = ok (St.format ~clock:c dev) in
-  let s = mk_resp ~persist:st () in
-  ignore (resp_exec s [ "SET"; "user:1"; "ada" ]);
-  ignore (resp_exec s [ "SET"; "user:2"; "grace" ]);
-  ignore (resp_exec s [ "INCR"; "visits" ]);
-  ignore (resp_exec s [ "INCR"; "visits" ]);
-  ignore (resp_exec s [ "SET"; "tmp"; "gone" ]);
-  ignore (resp_exec s [ "DEL"; "tmp" ]);
-  let pre_hash = Ukapps.Resp_store.state_hash s in
-  let commit_h =
-    match Ukapps.Resp_store.persist_commit s with
-    | Some h -> h
-    | None -> Alcotest.fail "persist_commit returned None"
-  in
-  (* Acked-but-uncommitted writes must NOT survive the restart. *)
-  ignore (resp_exec s [ "SET"; "user:3"; "lost" ]);
-  (* "Restart": remount the device and hydrate a fresh server from it. *)
-  let st' = ok (St.open_ ~clock:c dev) in
-  Alcotest.(check int) "store recovered the commit" commit_h (St.head st');
-  let s' = mk_resp ~persist:st' () in
-  Alcotest.(check int) "RESP state hash matches pre-crash commit" pre_hash
-    (Ukapps.Resp_store.state_hash s');
-  Alcotest.(check bool) "replayed value" true
-    (Ukapps.Resp_store.execute s' [ "GET"; "user:2" ] = Ukapps.Resp.Bulk "grace");
-  Alcotest.(check bool) "INCR state replayed" true
-    (Ukapps.Resp_store.execute s' [ "GET"; "visits" ] = Ukapps.Resp.Bulk "2");
-  Alcotest.(check bool) "deleted key stayed deleted" true
-    (Ukapps.Resp_store.execute s' [ "GET"; "tmp" ] = Ukapps.Resp.Null);
-  Alcotest.(check bool) "uncommitted write lost" true
-    (Ukapps.Resp_store.execute s' [ "GET"; "user:3" ] = Ukapps.Resp.Null);
-  (* And the hydrated server keeps persisting: next epoch works too. *)
-  ignore (resp_exec s' [ "SET"; "user:4"; "edsger" ]);
-  (match Ukapps.Resp_store.persist_commit s' with
-  | Some _ -> ()
-  | None -> Alcotest.fail "second epoch commit failed");
-  let st'' = ok (St.open_ ~clock:c dev) in
-  let s'' = mk_resp ~persist:st'' () in
-  Alcotest.(check bool) "second epoch replayed" true
-    (Ukapps.Resp_store.execute s'' [ "GET"; "user:4" ] = Ukapps.Resp.Bulk "edsger")
-
 let test_trace_source_registered () =
   let _, _, t = fresh () in
   set t "k" "v";
@@ -1686,6 +1603,7 @@ let suite =
   [
     ("basic kv", `Quick, test_basic_kv);
     ("commit/checkout", `Quick, test_commit_checkout);
+    ("a commit after a checkout forks from it", `Quick, test_commit_after_checkout_forks);
     ("clean commit is no-op", `Quick, test_empty_commit_noop);
     ("remount replays journal", `Quick, test_remount_replays_journal);
     ("remount after checkpoint", `Quick, test_remount_after_checkpoint);
@@ -1695,10 +1613,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_commit_checkout_roundtrip;
     QCheck_alcotest.to_alcotest prop_structural_hash_order_independent;
     QCheck_alcotest.to_alcotest prop_delete_restores_hash;
-    QCheck_alcotest.to_alcotest prop_merge_conflict_free;
-    QCheck_alcotest.to_alcotest prop_merge_idempotent;
-    ("merge conflict policy", `Quick, test_merge_conflict_policy);
-    ("merge on a full journal ring", `Quick, test_merge_on_full_ring);
     ("crash matrix", `Quick, test_crash_matrix);
     ("crash on first commit", `Quick, test_crash_on_first_commit);
     ("crash during checkpoint", `Quick, test_crash_during_checkpoint);
@@ -1718,6 +1632,7 @@ let suite =
     ("served store with flips beside records", `Quick, test_served_flips_beside_records);
     ("history is read back from the medium", `Quick, test_history_read_from_medium);
     ("GETs of live keys stay cache hits", `Quick, test_live_keys_stay_cached);
+    ("a write's cost does not grow with the history", `Quick, test_write_cost_flat_in_history);
     ("the store reads its model and keeps every acked commit", `Quick,
      test_store_matches_model);
     ("a cold SET beside a record at the sweep point", `Quick,
@@ -1727,6 +1642,5 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mount_total;
     ("500 commits fit a 16k-sector device", `Quick, test_space);
     ("frame address width", `Quick, test_frame_address_width);
-    ("RESP persist restart+replay", `Quick, test_resp_persist_restart_replay);
     ("trace source", `Quick, test_trace_source_registered);
   ]
