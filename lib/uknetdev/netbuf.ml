@@ -23,7 +23,7 @@ type cell = {
   mutable refs : int; (* live descriptors onto this storage *)
   mutable gen : int; (* bumped each time the cell returns to a pool *)
   mutable pooled : bool; (* currently sitting in a pool free list *)
-  mutable home : pool option; (* owning pool; None for heap cells *)
+  home : pool option; (* owning pool; None for heap cells *)
 }
 
 and t = {
@@ -36,13 +36,13 @@ and t = {
 
 and pool = {
   clock : Uksim.Clock.t;
-  alloc : Ukalloc.Alloc.t option;
   size : int;
   headroom : int;
   free : cell Stack.t;
   returns : cell Queue.t; (* deferred frees from other cores *)
   on_op : (Uksim.Clock.t -> unit) option; (* e.g. shared-pool lock model *)
-  mutable total : int;
+  total : int;
+  mutable unmade : int; (* cells paid for at create whose bytes are not made yet *)
 }
 
 (* --- copy accounting ------------------------------------------------------ *)
@@ -73,14 +73,14 @@ let counted counter n =
 
 (* --- descriptors ---------------------------------------------------------- *)
 
-let mk_cell ~headroom ~size =
+let mk_cell ?home ~headroom ~size () =
   {
     buf = Bytes.create (headroom + size);
     hroom = headroom;
     refs = 0;
     gen = 0;
     pooled = false;
-    home = None;
+    home;
   }
 
 let descr cell =
@@ -93,7 +93,7 @@ let check t =
 
 let alloc ?(headroom = 64) ~size () =
   if size < 0 || headroom < 0 then invalid_arg "Netbuf.alloc";
-  descr (mk_cell ~headroom ~size)
+  descr (mk_cell ~headroom ~size ())
 
 let data t = t.cell.buf
 let offset t = t.off
@@ -211,39 +211,30 @@ module Pool = struct
   let take_cost = 18
   let return_cost = 14
 
-  (* With [alloc], each cell is backed by a real allocation, so the
-     backend counts the pool's memory. *)
-  let add_cell p =
-    (match p.alloc with
-    | None -> ()
-    | Some a -> (
-        match Ukalloc.Alloc.uk_malloc a (p.size + p.headroom) with
-        | Some _ -> ()
-        | None -> invalid_arg "Netbuf.Pool.create: allocator exhausted"));
-    let c = mk_cell ~headroom:p.headroom ~size:p.size in
-    c.home <- Some p;
-    c.pooled <- true;
-    Stack.push c p.free;
-    p.total <- p.total + 1
-
+  (* With [alloc], each cell is backed by a real allocation made at
+     create, so the backend counts the pool's memory from the start. The
+     cell's host bytes are made on its first take: a pool holds the cells
+     its traffic has needed at once, not its [count]. *)
   let create ~clock ?alloc ?on_op ?(headroom = 64) ~count ~size () =
     if count <= 0 || size <= 0 then invalid_arg "Netbuf.Pool.create";
-    let p =
-      {
-        clock;
-        alloc;
-        size;
-        headroom;
-        free = Stack.create ();
-        returns = Queue.create ();
-        on_op;
-        total = 0;
-      }
-    in
-    for _ = 1 to count do
-      add_cell p
-    done;
-    p
+    Option.iter
+      (fun a ->
+        for _ = 1 to count do
+          match Ukalloc.Alloc.uk_malloc a (size + headroom) with
+          | Some _ -> ()
+          | None -> invalid_arg "Netbuf.Pool.create: allocator exhausted"
+        done)
+      alloc;
+    {
+      clock;
+      size;
+      headroom;
+      free = Stack.create ();
+      returns = Queue.create ();
+      on_op;
+      total = count;
+      unmade = count;
+    }
 
   let take ?clock p =
     let clock = match clock with Some c -> c | None -> p.clock in
@@ -260,10 +251,12 @@ module Pool = struct
     | Some c ->
         c.pooled <- false;
         Some (descr c)
+    | None when p.unmade > 0 ->
+        p.unmade <- p.unmade - 1;
+        Some (descr (mk_cell ~home:p ~headroom:p.headroom ~size:p.size ()))
     | None -> None
 
-  let available p =
-    Stack.length p.free + Queue.length p.returns
+  let available p = Stack.length p.free + Queue.length p.returns + p.unmade
 
   let pending_returns p = Queue.length p.returns
   let total p = p.total

@@ -112,17 +112,25 @@ module Pool : sig
     size:int ->
     unit ->
     t
-  (** Pre-allocate [count] cells of [size] payload bytes. [alloc] backs
-      each cell with a real allocation from that ukalloc backend (the
-      per-core magazine integration). [on_op] runs before every take with
-      the charging clock — the shared-pool ablation passes a spinlock
-      acquire/release here. Cells come back only through {!recycle}. *)
+  (** A pool of [count] cells of [size] payload bytes. A cell's storage
+      is made by the first {!take} that finds the remote-free list
+      drained and the free stack empty, so the pool holds as many cells
+      as were ever out at once. [alloc] backs each of the [count] cells
+      with a real allocation from that ukalloc backend, all made here
+      (the per-core magazine integration). [on_op] runs before every take
+      with the charging clock — the shared-pool ablation passes a
+      spinlock acquire/release here. Cells come back only through
+      {!recycle}. *)
 
   val take : ?clock:Uksim.Clock.t -> t -> netbuf option
-  (** O(1); [None] when exhausted. Charges [clock] (default: the pool's
-      own) and drains the remote-free list first. *)
+  (** O(1); [None] when all [count] cells are out. Charges [clock]
+      (default: the pool's own) and drains the remote-free list first;
+      the most recently returned cell is reused first. *)
 
   val available : t -> int
+  (** Cells not out: on the free stack, on the remote-free list, or not
+      made yet. *)
+
   val pending_returns : t -> int
   val total : t -> int
 end

@@ -44,10 +44,11 @@ val create :
     spawns the stack's input service thread on [sched], a pinned daemon
     that processes packets whenever the device raises its rx interrupt.
     In multi-queue RSS setups one stack instance owns each queue, all
-    sharing the device's MAC/IP. 512 netbufs are pre-allocated, backed by
-    [alloc] when given — the paper's "memory pools in the networking
-    stack" — unless an external [pool] is supplied (the shared-pool
-    ablation passes one pool to every stack). [rx_batch] bounds
+    sharing the device's MAC/IP. A pool of 512 netbufs is created, each
+    backed by [alloc] from the start when given — the paper's "memory
+    pools in the networking stack" — unless an external [pool] is
+    supplied (the shared-pool ablation passes one pool to every stack);
+    a netbuf's host storage is made on its first take. [rx_batch] bounds
     descriptors per poll (default 64; 1 = batching ablated). [rx_copy]
     reverts RX to the legacy copy-out-of-the-ring path. [tx_coalesce]
     defers frames transmitted inside a poll window into one burst (one

@@ -10,15 +10,19 @@
 
 type cstats = { steps : int; steals : int; stolen_from : int; ipis : int }
 
+module C = Uktrace.Metric.Counter
+
+(* The counters are cells of the "uksmp.cores" metric group, so the
+   registered source holds them and never the domain. *)
 type core = {
   id : int;
   clock : Uksim.Clock.t;
   engine : Uksim.Engine.t;
   sched : Uksched.Sched.t;
-  mutable c_steps : int;
-  mutable c_steals : int;
-  mutable c_stolen_from : int;
-  mutable c_ipis : int;
+  c_steps : C.t;
+  c_steals : C.t;
+  c_stolen_from : C.t;
+  c_ipis : C.t;
 }
 
 type decision = { kind : string; arity : int; choice : int }
@@ -67,7 +71,12 @@ let decide t ~kind ~arity =
 
 let stats t ~core =
   let c = t.cores.(core) in
-  { steps = c.c_steps; steals = c.c_steals; stolen_from = c.c_stolen_from; ipis = c.c_ipis }
+  {
+    steps = C.get c.c_steps;
+    steals = C.get c.c_steals;
+    stolen_from = C.get c.c_stolen_from;
+    ipis = C.get c.c_ipis;
+  }
 
 let core_of_sched t s =
   let found = ref None in
@@ -77,12 +86,18 @@ let core_of_sched t s =
 let create ?(seed = 1) ~cores () =
   if cores <= 0 then invalid_arg "Smp.create: cores must be positive";
   let group = Uksched.Sched.create_group () in
+  let g = Uktrace.Registry.group ~subsystem:"uksmp" "cores" in
+  let counter id what = Uktrace.Registry.counter g (Printf.sprintf "core%d.%s" id what) in
   let mk id =
     let clock = Uksim.Clock.create () in
     let engine = Uksim.Engine.create clock in
     let sched = Uksched.Sched.create_cooperative ~clock ~engine in
     Uksched.Sched.join_group group sched;
-    { id; clock; engine; sched; c_steps = 0; c_steals = 0; c_stolen_from = 0; c_ipis = 0 }
+    let c_steps = counter id "steps" in
+    let c_steals = counter id "steals" in
+    let c_stolen_from = counter id "stolen_from" in
+    let c_ipis = counter id "ipis" in
+    { id; clock; engine; sched; c_steps; c_steals; c_stolen_from; c_ipis }
   in
   let t =
     {
@@ -97,26 +112,6 @@ let create ?(seed = 1) ~cores () =
       wake_observer = None;
     }
   in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"uksmp" ~name:"cores"
-       ~reset:(fun () ->
-         Array.iter
-           (fun c ->
-             c.c_steps <- 0;
-             c.c_steals <- 0;
-             c.c_stolen_from <- 0;
-             c.c_ipis <- 0)
-           t.cores)
-       (fun () ->
-         Array.to_list t.cores
-         |> List.concat_map (fun c ->
-                [
-                  (Printf.sprintf "core%d.steps" c.id, Uktrace.Metric.Count c.c_steps);
-                  (Printf.sprintf "core%d.steals" c.id, Uktrace.Metric.Count c.c_steals);
-                  (Printf.sprintf "core%d.stolen_from" c.id,
-                   Uktrace.Metric.Count c.c_stolen_from);
-                  (Printf.sprintf "core%d.ipis" c.id, Uktrace.Metric.Count c.c_ipis);
-                ])));
   (* A wake that crosses cores is an IPI: the destination pays delivery. *)
   Uksched.Sched.set_remote_wake group
     (Some
@@ -124,7 +119,7 @@ let create ?(seed = 1) ~cores () =
          match core_of_sched t dst with
          | Some c -> (
              Uksim.Clock.advance c.clock Uksim.Cost.ipi;
-             c.c_ipis <- c.c_ipis + 1;
+             C.incr c.c_ipis;
              match t.wake_observer with
              | Some f ->
                  let s = match core_of_sched t src with Some sc -> sc.id | None -> -1 in
@@ -176,8 +171,8 @@ let try_steal t thief =
             and tc = Uksim.Clock.cycles thief.clock in
             if vc > tc then Uksim.Clock.advance thief.clock (vc - tc);
             Uksim.Clock.advance thief.clock Uksim.Cost.cache_migration;
-            thief.c_steals <- thief.c_steals + 1;
-            victim.c_stolen_from <- victim.c_stolen_from + 1;
+            C.incr thief.c_steals;
+            C.incr victim.c_stolen_from;
             t.trace <- mix (mix t.trace (0x57ea1 + thief.id)) victim.id;
             true
           end
@@ -224,7 +219,7 @@ let run t =
         let progressed = Uksched.Sched.step c.sched in
         t.running <- None;
         if progressed then begin
-          c.c_steps <- c.c_steps + 1;
+          C.incr c.c_steps;
           t.trace <- mix (mix t.trace c.id) (Uksim.Clock.cycles c.clock);
           match t.step_observer with
           | Some obs -> obs ~core:c.id ~cycles:(Uksim.Clock.cycles c.clock - c0)

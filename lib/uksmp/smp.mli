@@ -96,9 +96,9 @@ type cstats = {
 }
 
 val stats : t -> core:int -> cstats
-(** Per-core counters are also published to the {!Uktrace.Registry} as a
-    ["uksmp.cores"] source at {!create}; this accessor remains for direct
-    inspection. *)
+(** Reads the per-core counter cells that {!create} registers as the
+    ["uksmp.cores"] metric group. The group holds only those cells, so a
+    registered source does not keep a dropped domain alive. *)
 
 val set_step_observer : t -> (core:int -> cycles:int -> unit) option -> unit
 (** [set_step_observer t (Some f)] calls [f ~core ~cycles] after every

@@ -24,7 +24,7 @@ type frame = {
 
 type t = {
   capacity : int;
-  buf : event option array;
+  mutable buf : event option array; (* empty until the first event *)
   mutable head : int; (* index of the oldest event *)
   mutable len : int;
   mutable dropped : int;
@@ -42,7 +42,7 @@ let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Tracer.create: capacity must be positive";
   {
     capacity;
-    buf = Array.make capacity None;
+    buf = [||];
     head = 0;
     len = 0;
     dropped = 0;
@@ -59,7 +59,7 @@ let create ?(capacity = 65536) () =
 let enabled t = t.enabled
 
 let reset t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (Array.length t.buf) None;
   t.head <- 0;
   t.len <- 0;
   t.dropped <- 0;
@@ -75,7 +75,10 @@ let set_enabled t on =
   if t.enabled && not on then Hashtbl.reset t.stacks (* abandon open spans *);
   t.enabled <- on
 
+(* The ring is made on the first event, so a tracer that never records
+   (the process-wide one, unless a run turns tracing on) costs no ring. *)
 let push t e =
+  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
   t.recorded <- t.recorded + 1;
   if t.len < t.capacity then begin
     t.buf.((t.head + t.len) mod t.capacity) <- Some e;

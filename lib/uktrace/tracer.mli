@@ -22,7 +22,8 @@ type event = { ph : phase; ts : int (* cycles *); core : int; cat : string; name
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Ring capacity in events (default 65536). *)
+(** Ring capacity in events (default 65536). The ring is made at the
+    first recorded event, so a tracer that records nothing holds none. *)
 
 val default : t
 (** The process-wide tracer instrumentation points use. Disabled until

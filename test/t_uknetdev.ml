@@ -49,10 +49,37 @@ let test_pool () =
   Alcotest.(check int) "restored" 2 (Nb.Pool.available p)
 
 let test_pool_backed_by_allocator () =
+  (* An allocator-backed pool pays its backend for every cell at create,
+     exactly as [count] allocations of a cell's size would, and its takes
+     charge the backend nothing more. *)
+  let backend () =
+    let clock = Uksim.Clock.create () in
+    (clock, Ukalloc.Tlsf.create ~clock ~base:(1 lsl 20) ~len:(1 lsl 20))
+  in
+  let charged (clock, a) =
+    ( Uktrace.Source.level a.Ukalloc.Alloc.source "bytes_in_use",
+      Uksim.Clock.cycles clock,
+      count a.Ukalloc.Alloc.source "allocs" )
+  in
+  let reference = backend () in
+  for _ = 1 to 16 do
+    ignore (Ukalloc.Alloc.uk_malloc (snd reference) (1500 + 64))
+  done;
+  let backing = backend () in
   let clock, _ = env () in
-  let alloc = Ukalloc.Tlsf.create ~clock ~base:(1 lsl 20) ~len:(1 lsl 20) in
-  let _ = Nb.Pool.create ~clock ~alloc ~count:16 ~size:1500 () in
-  Alcotest.(check int) "backing allocations made" 16 (count alloc.Ukalloc.Alloc.source "allocs")
+  let p = Nb.Pool.create ~clock ~alloc:(snd backing) ~count:16 ~size:1500 () in
+  let at_create = charged backing in
+  let bytes, _, allocs = at_create in
+  Alcotest.(check bool) "the backend holds the cells" true (bytes > 0.0);
+  Alcotest.(check int) "backing allocations made" 16 allocs;
+  Alcotest.(check (triple (float 0.0) int int)) "charged as 16 allocations of a cell"
+    (charged reference) at_create;
+  let bufs = List.init 16 (fun _ -> Option.get (Nb.Pool.take p)) in
+  Alcotest.(check bool) "exhausted at count" true (Nb.Pool.take p = None);
+  List.iter Nb.recycle bufs;
+  ignore (Nb.Pool.take p);
+  Alcotest.(check (triple (float 0.0) int int)) "takes charge the backend nothing" at_create
+    (charged backing)
 
 let test_recycle_goes_home () =
   (* [recycle] is the only way back: a cell returns to the pool it was
@@ -92,6 +119,124 @@ let test_take_charges_the_taker () =
   Alcotest.(check int) "taker paid a take and two returns" (take_cost + (2 * return_cost))
     (Uksim.Clock.cycles taker);
   Alcotest.(check int) "returns drained" 0 (Nb.Pool.pending_returns p)
+
+let test_pool_create_makes_no_cells () =
+  (* A pool holds the cells its traffic has needed at once: creating
+     one of 512 2 KiB cells makes none of their storage. *)
+  let clock, _ = env () in
+  let a0 = Gc.allocated_bytes () in
+  let p = Nb.Pool.create ~clock ~count:512 ~size:2048 () in
+  let made = Gc.allocated_bytes () -. a0 in
+  Alcotest.(check bool) (Printf.sprintf "create allocates under 64 KiB (%.0f B)" made) true
+    (made < 65536.0);
+  Alcotest.(check (pair int int)) "all 512 cells counted" (512, 512)
+    (Nb.Pool.total p, Nb.Pool.available p)
+
+(* A model of one pool: every take (on the pool's own clock or on
+   another core's), recycle and share is mirrored on a free stack of cell
+   storages, a remote-free queue and a count of cells not handed out yet.
+   A recycle is the same call on every core: the cell always goes through
+   its home pool's remote-free list, and the next taker pays for it. *)
+type pool_op = Take of bool (* on another core's clock *) | Recycle of int | Share of int
+
+let pool_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun remote -> Take remote) bool);
+        (3, map (fun i -> Recycle i) (int_bound 15));
+        (1, map (fun i -> Share i) (int_bound 15));
+      ])
+
+let pool_op_print = function
+  | Take remote -> if remote then "Take remote" else "Take"
+  | Recycle i -> Printf.sprintf "Recycle %d" i
+  | Share i -> Printf.sprintf "Share %d" i
+
+(* The cycles [f] charges [clock], with its result. *)
+let priced clock f =
+  let c0 = Uksim.Clock.cycles clock in
+  let v = f () in
+  (v, Uksim.Clock.cycles clock - c0)
+
+let pool_model_prop =
+  QCheck.Test.make ~name:"pool matches its model over take/recycle/share" ~count:300
+    QCheck.(
+      pair (int_range 1 6)
+        (make ~print:(Print.list pool_op_print) Gen.(list_size (int_bound 60) pool_op_gen)))
+    (fun (n, ops) ->
+      (* The pool's take and return prices, read off a probe pool. *)
+      let probe_clock = Uksim.Clock.create () in
+      let probe = Nb.Pool.create ~clock:probe_clock ~count:1 ~size:64 () in
+      let b, take_cost = priced probe_clock (fun () -> Option.get (Nb.Pool.take probe)) in
+      Nb.recycle b;
+      let _, take_and_return = priced probe_clock (fun () -> Nb.Pool.take probe) in
+      let return_cost = take_and_return - take_cost in
+      let own = Uksim.Clock.create () and other = Uksim.Clock.create () in
+      let p = Nb.Pool.create ~clock:own ~count:n ~size:64 () in
+      (* The model: live descriptors with their cell's storage, each
+         storage's descriptor count, the free stack (top first), the
+         remote-free queue, the cells not handed out yet, and every
+         storage handed out so far. *)
+      let out = ref [] and refs = ref [] in
+      let free = ref [] and pending = Queue.create () and unmade = ref n and seen = ref [] in
+      let refs_of st = List.assq st !refs in
+      let set_refs st r = refs := (st, r) :: List.remove_assq st !refs in
+      let consistent () =
+        Nb.Pool.total p = n
+        && Nb.Pool.available p = List.length !free + Queue.length pending + !unmade
+        && Nb.Pool.pending_returns p = Queue.length pending
+      in
+      let hand_out d st =
+        out := (d, st) :: !out;
+        set_refs st 1
+      in
+      let step = function
+        | Take remote ->
+            let clock, idle = if remote then (other, own) else (own, other) in
+            let idle0 = Uksim.Clock.cycles idle in
+            let drained = Queue.length pending in
+            let all_out = List.length !free + drained + !unmade = 0 in
+            Queue.iter (fun st -> free := st :: !free) pending;
+            Queue.clear pending;
+            let got, cost = priced clock (fun () -> Nb.Pool.take ~clock p) in
+            cost = take_cost + (drained * return_cost)
+            && Uksim.Clock.cycles idle = idle0
+            && begin
+                 match (got, !free) with
+                 | None, _ -> all_out
+                 | Some d, st :: rest ->
+                     (* LIFO: the last cell returned is the first reused. *)
+                     free := rest;
+                     hand_out d st;
+                     Nb.data d == st
+                 | Some d, [] ->
+                     let st = Nb.data d in
+                     let fresh = not (List.memq st !seen) in
+                     decr unmade;
+                     seen := st :: !seen;
+                     hand_out d st;
+                     (not all_out) && fresh
+               end
+        | Recycle _ | Share _ when !out = [] -> true
+        | Recycle i ->
+            (* The cell goes onto the remote-free list once its last
+               descriptor is gone; recycling charges no clock. *)
+            let d, st = List.nth !out (i mod List.length !out) in
+            let (), own_cost = priced own (fun () -> Nb.recycle d) in
+            out := List.filter (fun (d', _) -> d' != d) !out;
+            let r = refs_of st - 1 in
+            set_refs st r;
+            if r = 0 then Queue.push st pending;
+            own_cost = 0
+        | Share i ->
+            let d, st = List.nth !out (i mod List.length !out) in
+            let d' = Nb.share d in
+            out := (d', st) :: !out;
+            set_refs st (refs_of st + 1);
+            Nb.data d' == st
+      in
+      consistent () && List.for_all (fun op -> step op && consistent ()) ops)
 
 let test_wire_delivery () =
   let clock, engine = env () in
@@ -453,6 +598,8 @@ let suite =
     Alcotest.test_case "pool backed by ukalloc" `Quick test_pool_backed_by_allocator;
     Alcotest.test_case "recycle returns a cell to its home pool" `Quick test_recycle_goes_home;
     Alcotest.test_case "pool take charges the taker's clock" `Quick test_take_charges_the_taker;
+    Alcotest.test_case "pool create makes no cell storage" `Quick test_pool_create_makes_no_cells;
+    QCheck_alcotest.to_alcotest pool_model_prop;
     Alcotest.test_case "wire delivery" `Quick test_wire_delivery;
     Alcotest.test_case "wire line-rate serialization" `Quick test_wire_serialization;
     Alcotest.test_case "wire echo" `Quick test_wire_echo;

@@ -44,6 +44,28 @@ let test_cross_core_wake_is_ipi () =
   Alcotest.(check bool) "woken" true !woken;
   Alcotest.(check bool) "ipi counted" true ((Smp.stats smp ~core:1).Smp.ipis >= 1)
 
+(* A registered "uksmp.cores" source holds only its counter cells: a
+   domain nothing else references is collected before [Registry.clear],
+   and its source still reads what it counted. *)
+let[@inline never] run_and_drop weak =
+  let smp = Smp.create ~cores:2 () in
+  ignore (Smp.spawn_on smp ~core:0 ~pinned:true (fun () -> Smp.charge smp 1000));
+  Smp.run smp;
+  Weak.set weak 0 (Some smp)
+
+let test_registered_source_keeps_no_domain () =
+  Uktrace.Registry.clear ();
+  let weak = Weak.create 1 in
+  run_and_drop weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped domain collected" false (Weak.check weak 0);
+  let src =
+    List.find (fun s -> Uktrace.Source.id s = "uksmp.cores") (Uktrace.Registry.sources ())
+  in
+  Alcotest.(check int) "its source still reads core 0's step" 1
+    (Uktrace.Source.count src "core0.steps");
+  Uktrace.Registry.clear ()
+
 (* --- work stealing ------------------------------------------------------- *)
 
 let steal_makespan ~cores ~tasks ~cost =
@@ -339,6 +361,8 @@ let suite =
   [
     Alcotest.test_case "smp: spawn on every core" `Quick test_spawn_everywhere;
     Alcotest.test_case "smp: cross-core wake charges IPI" `Quick test_cross_core_wake_is_ipi;
+    Alcotest.test_case "smp: a registered source keeps no dropped domain" `Quick
+      test_registered_source_keeps_no_domain;
     Alcotest.test_case "smp: work stealing liveness + speedup" `Quick test_steal_liveness;
     Alcotest.test_case "smp: pinned threads never stolen" `Quick test_pinned_never_stolen;
     Alcotest.test_case "smp: trace determinism across runs" `Quick test_trace_determinism;

@@ -243,6 +243,41 @@ let test_ring_overflow_drops_oldest () =
   Alcotest.(check (list (pair string int))) "fold exact under overflow" [ ("a:s", 50) ]
     (Tracer.flame t2)
 
+(* Host bytes [f] allocates, as the GC counts them. *)
+let allocated f =
+  let a0 = Gc.allocated_bytes () in
+  let v = f () in
+  (v, Gc.allocated_bytes () -. a0)
+
+let test_ring_made_on_first_event () =
+  (* A tracer that records nothing holds no ring: the process-wide one
+     is created in every process, traced or not. *)
+  let t, created = allocated (fun () -> Tracer.create ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates under 4 KiB (%.0f B)" created)
+    true (created < 4096.0);
+  let (), reset = allocated (fun () -> Tracer.reset t) in
+  Alcotest.(check bool) (Printf.sprintf "reset makes no ring (%.0f B)" reset) true (reset < 4096.0);
+  Alcotest.(check int) "nothing recorded" 0 (Tracer.recorded t);
+  Alcotest.(check int) "no events" 0 (List.length (Tracer.events t));
+  Tracer.set_enabled t true;
+  let (), first = allocated (fun () -> Tracer.instant t ~cat:"x" ~ts:1 "first") in
+  Alcotest.(check bool)
+    (Printf.sprintf "the first event makes the 65,536-slot ring (%.0f B)" first)
+    true
+    (first >= float_of_int (65536 * (Sys.word_size / 8)));
+  let (), second = allocated (fun () -> Tracer.instant t ~cat:"x" ~ts:2 "second") in
+  Alcotest.(check bool)
+    (Printf.sprintf "later events reuse it (%.0f B)" second)
+    true (second < 4096.0);
+  Alcotest.(check (list string)) "both kept, oldest first" [ "first"; "second" ]
+    (List.map (fun (e : Tracer.event) -> e.Tracer.name) (Tracer.events t));
+  Tracer.reset t;
+  Alcotest.(check int) "reset empties the ring" 0 (List.length (Tracer.events t));
+  Tracer.instant t ~cat:"x" ~ts:3 "third";
+  Alcotest.(check (list string)) "and it records again" [ "third" ]
+    (List.map (fun (e : Tracer.event) -> e.Tracer.name) (Tracer.events t))
+
 let test_span_disabled_is_passthrough () =
   let t = Tracer.create () in
   let clock = Uksim.Clock.create () in
@@ -336,6 +371,8 @@ let suite =
       test_span_nesting_flame;
     Alcotest.test_case "tracer: ring overflow drops oldest" `Quick
       test_ring_overflow_drops_oldest;
+    Alcotest.test_case "tracer: the ring is made on the first event" `Quick
+      test_ring_made_on_first_event;
     Alcotest.test_case "tracer: disabled is passthrough" `Quick test_span_disabled_is_passthrough;
     Alcotest.test_case "tracer: trace_hash invariant under tracing (4-core smp)" `Quick
       test_tracing_preserves_trace_hash;
