@@ -3,7 +3,7 @@
    section in its BENCH_<group>.json.
 
    Experiment files call [register] (or [register_exp] on a record) at
-   startup; [main] owns --list / --only / --micro, runs the selection,
+   startup; [main] owns --list / --only, runs the selection,
    and writes one BENCH_<group>.json per group touched. Inside a run,
    experiments use [emit] to add result fields to their JSON object,
    [gate] and [replay] to declare pass/fail checks next to the
@@ -230,7 +230,7 @@ let print_experiments oc =
     (fun e -> Printf.fprintf oc "%-12s %-10s %s\n" e.id e.group e.descr)
     (all ())
 
-let main ?micro () =
+let main () =
   let args = Array.to_list Sys.argv in
   let has flag = List.mem flag args in
   let value flag =
@@ -277,7 +277,6 @@ let main ?micro () =
     List.iter
       (fun g -> write_group_file g (List.filter (fun r -> r.rgroup = g) results))
       groups;
-    if has "--micro" then (match micro with Some f -> f () | None -> ());
     let failures =
       List.concat_map
         (fun r ->

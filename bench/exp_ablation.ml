@@ -365,7 +365,7 @@ let abl_fastpath =
         let nortc = Ukapps.Serve.Netbuf { rtc = false } in
         let httpd_case name ~fp ~transport () =
           Bench.trial ();
-          let c = Cl.create ~seed:42 ~fastpath:fp ~n () in
+          let c = Cl.create ~fastpath:fp ~n () in
           let copies0 = Nb.total_copies () in
           let r =
             Bench.phase ("httpd_" ^ name) (fun () ->
@@ -383,7 +383,7 @@ let abl_fastpath =
         in
         let resp_case name ~fp ~transport () =
           Bench.trial ();
-          let c = Cl.create ~seed:42 ~fastpath:fp ~n () in
+          let c = Cl.create ~fastpath:fp ~n () in
           let copies0 = Nb.total_copies () in
           let r =
             Bench.phase ("resp_" ^ name) (fun () ->

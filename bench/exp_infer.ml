@@ -40,7 +40,7 @@ let run_batch_sweep () =
     List.map
       (fun max_batch ->
         Bench.trial ();
-        let c = Cluster.create ~seed ~n:1 () in
+        let c = Cluster.create ~n:1 () in
         ignore (Cluster.add_infer c ~transport:netbuf ~size_mb:16 ~max_batch ());
         let r =
           Cluster.run_load c ~transport:netbuf ~port:8000 ~connections_per_core:16

@@ -4,8 +4,8 @@
    the multicore substrate buys: httpd and RESP throughput at 1/2/4/8
    server cores (weak scaling — fixed per-core load, so ideal scaling is
    rate proportional to cores with flat elapsed), a per-core-arena vs.
-   shared-lock allocator ablation at 4 cores, and a same-seed 8-core
-   replay with the tracer on. Gates: 4-core httpd speedup >= 2 and the
+   shared-lock allocator ablation at 4 cores, and an 8-core replay with
+   the tracer on. Gates: 4-core httpd speedup >= 2 and the
    traced replay (smp_replay). *)
 
 open Common
@@ -18,9 +18,9 @@ let page = String.make 612 'x' (* the paper's static page size *)
 let httpd_requests_per_core () = scaled 4000
 let resp_requests_per_core () = scaled 8000
 
-let run_httpd ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n () =
+let run_httpd ?(alloc_mode = Cluster.Arena) ~n () =
   Bench.trial ();
-  let c = Cluster.create ~seed ~alloc_mode ~n () in
+  let c = Cluster.create ~alloc_mode ~n () in
   ignore
     (Cluster.add_httpd c ~transport:Ukapps.Serve.Socket
        (Ukapps.Httpd.In_memory [ ("/index.html", page) ]));
@@ -30,9 +30,9 @@ let run_httpd ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n () =
   in
   (c, r)
 
-let run_resp ?(alloc_mode = Cluster.Arena) ?(seed = 1) ~n workload =
+let run_resp ?(alloc_mode = Cluster.Arena) ~n workload =
   Bench.trial ();
-  let c = Cluster.create ~seed ~alloc_mode ~n () in
+  let c = Cluster.create ~alloc_mode ~n () in
   (* 4096 keys covers the RESP client's whole key space, so GETs are all
      hits. *)
   ignore (Cluster.add_resp c ~transport:Ukapps.Serve.Socket ~populate:4096 ());
@@ -123,12 +123,12 @@ let smp =
         in
         row "arena/shared: %.2fx\n" (arena_rate /. shared_rate);
 
-        (* --- replay: same seed, 8 cores, rerun with the tracer live --- *)
+        (* --- replay: 8 cores, rerun with the tracer live --- *)
         let fp () =
-          let c, r = run_httpd ~seed:7 ~n:8 () in
+          let c, r = run_httpd ~n:8 () in
           httpd_fingerprint c r
         in
-        row "\nseeded replay (8 cores, seed 7)\n";
+        row "\nreplay (8 cores)\n";
         Bench.phase "determinism" (fun () -> Bench.replay "smp" ~first:(fp ()) fp);
 
         Bench.emit "httpd_rate_per_sec"

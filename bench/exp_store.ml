@@ -56,7 +56,7 @@ let mix_requests () = Bench.scaled 4000
 
 let store_mix write_frac =
   Bench.trial ();
-  let c = Cluster.create ~seed ~n:1 () in
+  let c = Cluster.create ~n:1 () in
   ignore (Cluster.add_store c ~transport:netbuf ~keys:256 ());
   let r =
     Cluster.run_load c ~transport:netbuf ~port:7000 ~connections_per_core:8 ~pipeline:8
@@ -66,7 +66,7 @@ let store_mix write_frac =
 
 let resp_baseline workload =
   Bench.trial ();
-  let c = Cluster.create ~seed ~n:1 () in
+  let c = Cluster.create ~n:1 () in
   ignore (Cluster.add_resp c ~transport:netbuf ~populate:256 ());
   let r =
     Cluster.run_load c ~transport:netbuf ~port:6379 ~connections_per_core:8 ~pipeline:8
@@ -278,7 +278,7 @@ let run_replay () =
   row "\nseeded replay: same mix, same seed => identical store roots + trace\n";
   let go () =
     Bench.trial ();
-    let c = Cluster.create ~seed:23 ~n:2 () in
+    let c = Cluster.create ~n:2 () in
     let srvs = Cluster.add_store c ~transport:netbuf ~keys:64 () in
     let r =
       Cluster.run_load c ~transport:netbuf ~port:7000 ~connections_per_core:4

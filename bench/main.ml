@@ -6,7 +6,6 @@
      dune exec bench/main.exe -- --only fig12 # one experiment
      dune exec bench/main.exe -- --only perf  # one group
      dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- --micro      # bechamel micro-benchmarks
      UKRAFT_FAST=1  dune exec bench/main.exe  # reduced request counts
      UKRAFT_TRACE=1 dune exec bench/main.exe  # + Chrome TRACE_<id>.json
 
@@ -34,4 +33,4 @@ let () =
   Exp_infer.register ();
   Exp_store.register ();
   Exp_compat.register ();
-  Bench.main ~micro:Micro.run ()
+  Bench.main ()

@@ -46,9 +46,9 @@ type t = {
 let server_ip = A.Ipv4.of_string "10.0.0.1"
 let client_ip = A.Ipv4.of_string "10.0.0.2"
 
-let create ?(seed = 1) ?(alloc_mode = Arena) ?fastpath ~n () =
+let create ?seed:_ ?(alloc_mode = Arena) ?fastpath ~n () =
   if n <= 0 then invalid_arg "Cluster.create: n must be positive";
-  let smp = Uksmp.Smp.create ~seed ~cores:(2 * n) () in
+  let smp = Uksmp.Smp.create ~cores:(2 * n) () in
   (* Feed the uktrace profiling sampler: per-step cycle deltas attribute
      to whatever span is open on the stepped core. A no-op (and
      behaviour-preserving) when the default tracer is disabled. *)

@@ -8,7 +8,7 @@
     core (SO_REUSEPORT-style sharding); load runners pick client source
     ports whose RSS hash steers each flow to the matching queue index, so
     core [j] drives server core [j] and flows never cross cores. Runs are
-    deterministic: same seed, same core count — same {!trace_hash}. *)
+    deterministic: same workload, same core count — same {!trace_hash}. *)
 
 type t
 
@@ -34,7 +34,8 @@ val create : ?seed:int -> ?alloc_mode:alloc_mode -> ?fastpath:fastpath -> n:int 
 (** [2 * n] cores, stacks brought up and started (per-core bring-up runs
     in parallel virtual time). Default [alloc_mode] is [Arena]. The
     [fastpath] knobs apply to every stack on both sides; the default is
-    {!fastpath_default} without TX coalescing. *)
+    {!fastpath_default} without TX coalescing. [seed] is ignored; it
+    stays only because [benchmark/rig.ml] passes it. *)
 
 val smp : t -> Uksmp.Smp.t
 val server_stack : t -> int -> Uknetstack.Stack.t

@@ -144,9 +144,8 @@ let spawn ~transport ~clock ~sched ~stack ~server ~connections ~requests ?(pipel
     agg.t_end <- Float.max agg.t_end (Uksim.Clock.ns clock)
   in
   for ci = 0 to connections - 1 do
-    (* Pinned: the client charges its home core's clock and stack. *)
     ignore
-      (Uksched.Sched.spawn sched ~name:(Printf.sprintf "%s-load-%d" proto.name ci) ~pinned:true
+      (Uksched.Sched.spawn sched ~name:(Printf.sprintf "%s-load-%d" proto.name ci)
          (client_thread ci))
   done
 

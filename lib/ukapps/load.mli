@@ -76,7 +76,7 @@ val spawn :
   agg:agg ->
   proto ->
   unit
-(** Spawn [connections] pinned client threads sharing [requests],
+(** Spawn [connections] client threads on [sched] sharing [requests],
     without driving the scheduler; [pipeline] defaults to 1, and
     [port_for ci] forces connection [ci]'s source port (RSS steering).
     On {!Serve.Socket} a batch leaves with one blocking send and every

@@ -220,11 +220,7 @@ let netbuf_data ~stack ~frame ~handle c flow nb =
 
 let start transport ~name ~clock ~sched ~stack ~port ~frame ~handle =
   let l = S.Tcp_socket.listen stack ~port () in
-  (* Pinned: server threads charge this instance's clock and stack, so
-     work stealing must not migrate them to another core. *)
-  let spawn suffix f =
-    Uksched.Sched.spawn sched ~name:(name ^ suffix) ~daemon:true ~pinned:true f
-  in
+  let spawn suffix f = Uksched.Sched.spawn sched ~name:(name ^ suffix) ~daemon:true f in
   match transport with
   | Socket ->
       ignore
@@ -243,7 +239,7 @@ let start transport ~name ~clock ~sched ~stack ~port ~frame ~handle =
         if rtc then fun job -> job ()
         else begin
           (* Ablation: instead of running to completion inside packet
-             processing, hop through a pinned worker thread — the classic
+             processing, hop through a worker thread — the classic
              softirq-to-server handoff the fast path removes. *)
           let q : (unit -> unit) Queue.t = Queue.create () in
           let wtid =

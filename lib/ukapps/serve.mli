@@ -23,7 +23,7 @@
 
 type transport =
   | Socket
-      (** The priced socket/copy path: an accept thread, one pinned thread
+      (** The priced socket/copy path: an accept thread, one thread
           per connection, blocking [recv] of copied chunks, replies sent
           with one {!Uknetstack.Stack.Tcp_socket.send}. *)
   | Netbuf of { rtc : bool }
@@ -32,7 +32,7 @@ type transport =
           and {!Nbio} replies. What is stashed leaves the netbuf by a
           counted copy. [rtc = true] runs handlers to completion inside
           packet processing; [rtc = false] ablates that by hopping each
-          received chunk through one pinned worker thread. *)
+          received chunk through one worker thread. *)
 
 type sink
 (** A connection's outgoing channel: replies on a server, requests on a
@@ -86,7 +86,7 @@ val start :
   unit
 (** Listen on [port] (synchronously, so the port is open before any other
     core's virtual time reaches a connect) and serve every connection.
-    Threads are pinned to [sched]'s core and named after [name]
+    Threads run on [sched]'s core and are named after [name]
     ([name-accept], [name-conn], [name-fast-worker]). *)
 
 val line : bytes -> int -> int -> string frame

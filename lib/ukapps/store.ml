@@ -22,7 +22,7 @@
 
    COMMITs are group commits: the handler only joins the next group and
    holds the COMMIT's place in the reply stream, so the core keeps
-   serving while the journal record is written. A pinned committer
+   serving while the journal record is written. A committer
    thread per store, woken by the block device's completion interrupt,
    publishes each record and answers its COMMITs. *)
 
@@ -84,7 +84,7 @@ let serve ~transport ~clock ~sched ~stack ?(port = 7000) ?(core = 0) ~store () =
      completes, it runs in thread context, so its replies enter TCP the
      way every other reply does, never from the completion interrupt. *)
   let committer =
-    Uksched.Sched.spawn sched ~name:"store-committer" ~daemon:true ~pinned:true (fun () ->
+    Uksched.Sched.spawn sched ~name:"store-committer" ~daemon:true (fun () ->
         let rec loop () =
           Uktrace.Tracer.span Uktrace.Tracer.default clock ~core:t.core ~cat:"ukapps"
             "store_commit" (fun () -> ignore (St.reap store));

@@ -14,7 +14,7 @@ type config = {
   seeds : int list;
 }
 
-let walk_seed = 0xC0FFEE (* seeds the random-walk phase, with the substrate seed *)
+let walk_seed = 0xC0FFEE (* seeds the random-walk phase, with the explored seed *)
 
 (* Per-run decision cap: deeper choice points take the default. *)
 let max_decisions = 256
@@ -50,7 +50,7 @@ type tail = Defaults | Walk of Uksim.Rng.t * int
    Deadlocks and exceptions from the workload or the invariant check are
    violations like any other — that is half the point of the tool. *)
 let run_one ~cores ~seed ~forced ~tail ~max_decisions (fixture : fixture) : replay_out =
-  let smp = Smp.create ~seed ~cores () in
+  let smp = Smp.create ~cores () in
   let forced = Array.of_list forced in
   let idx = ref 0 in
   Smp.set_decider smp

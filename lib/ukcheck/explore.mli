@@ -3,9 +3,9 @@
     A {e fixture} builds a closed SMP workload on a fresh substrate and
     returns the invariant to check after the run. The explorer runs the
     fixture under a controlled scheduler many times, varying the choice
-    points the substrate exposes (steal-victim selection, step-order
-    tie-breaks, per-core dispatch order — see {!Uksmp.Smp.set_decider})
-    and, via the [seeds] list, the substrate/fault-injection seeds:
+    points the substrate exposes (step-order tie-breaks, per-core
+    dispatch order — see {!Uksmp.Smp.set_decider}) and, via the [seeds]
+    list, the seed each fixture run is given (e.g. for fault injection):
 
     - {b bounded exhaustive enumeration} walks the decision tree
       depth-first while it fits in the schedule budget — small state
@@ -22,20 +22,21 @@
     replays byte-identically (same [trace_hash]). *)
 
 type fixture = Uksmp.Smp.t -> seed:int -> (unit -> (unit, string) result)
-(** [fixture smp ~seed] spawns the workload on [smp] (already created
-    with [~seed]) and returns the post-run invariant check. The check
-    runs after {!Uksmp.Smp.run} completes; raising is treated like
-    returning [Error]. *)
+(** [fixture smp ~seed] spawns the workload on [smp] (a fresh substrate)
+    and returns the post-run invariant check; [seed] is the explored
+    seed, for the fixture's own randomness. The check runs after
+    {!Uksmp.Smp.run} completes; raising is treated like returning
+    [Error]. *)
 
 type config = {
   cores : int;  (** cores per substrate (default 2) *)
   budget : int;  (** max schedules explored across all seeds (default 64) *)
-  seeds : int list;  (** substrate seeds to cross with schedules (default [[1]]) *)
+  seeds : int list;  (** fixture seeds to cross with schedules (default [[1]]) *)
 }
 
 val config : ?cores:int -> ?budget:int -> ?seeds:int list -> unit -> config
 (** Once the schedule tree outgrows [budget], the random walks that
-    spend the rest are seeded from 0xC0FFEE and the substrate seed. A
+    spend the rest are seeded from 0xC0FFEE and the explored seed. A
     run forces at most 256 decisions; deeper choice points take the
     default. *)
 

@@ -6,7 +6,7 @@
         (fun smp ~seed:_ ->
           let n = ref 0 in
           for _ = 1 to 2 do
-            ignore (Uksmp.Smp.spawn_on smp ~core:0 (fun () -> incr n))
+            ignore (Uksched.Sched.spawn (Uksmp.Smp.sched_of smp ~core:0) (fun () -> incr n))
           done;
           fun () -> Ukcheck.Prop.require (!n = 2) "lost an increment")
     ]}
@@ -21,7 +21,7 @@ val all : (unit, string) result list -> (unit, string) result
 (** First [Error], else [Ok ()]. *)
 
 val run : ?cores:int -> ?schedules:int -> Explore.fixture -> Explore.result
-(** Explore with substrate seed 1 and return the raw result
+(** Explore with seed 1 and return the raw result
     ([schedules] is the budget, default 64). *)
 
 val check :

@@ -2,8 +2,8 @@
 
     A certificate is [(seed, cores, decisions)] — everything {!Explore}
     needs to reproduce a schedule byte-identically on the {!Uksmp.Smp}
-    substrate: the substrate seed and core count fix the workload, and
-    the decision list pins every choice point (steal victims, step-order
+    substrate: the fixture's seed and the core count fix the workload,
+    and the decision list pins every choice point (step-order
     tie-breaks, per-core dispatch picks) the coordinator hit. Decisions
     beyond the list take the default branch (choice 0), so a certificate
     only has to name the interesting prefix. *)
@@ -17,7 +17,7 @@ val strip_defaults : decision list -> decision list
 
 val to_string : cert -> string
 (** Compact one-line form, e.g.
-    ["seed=1;cores=2;dispatch@0:2/1;steal_victim:3/2"] — each decision as
+    ["seed=1;cores=2;dispatch@0:2/1;step_core:3/2"] — each decision as
     [kind:arity/choice]. *)
 
 val of_string : string -> cert option

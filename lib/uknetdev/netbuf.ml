@@ -47,11 +47,6 @@ and pool = {
 
 (* --- copy accounting ------------------------------------------------------ *)
 
-(* Debug-mode lifetime guards (recycling twice, use after recycle); off by
-   default so the hot path pays nothing. *)
-let debug = ref false
-let set_debug b = debug := b
-
 module C = Uktrace.Metric.Counter
 
 (* Sticky: survives Registry.clear so bench trial boundaries keep the
@@ -87,9 +82,10 @@ let descr cell =
   cell.refs <- cell.refs + 1;
   { cell; born = cell.gen; off = cell.hroom; length = 0; dead = false }
 
-let check t =
-  if !debug && (t.dead || t.born <> t.cell.gen) then
-    invalid_arg "Netbuf: use after give"
+(* Lifetime guard: a descriptor used after [recycle], or whose storage was
+   reissued since it was made, raises instead of reading another owner's
+   bytes. *)
+let check t = if t.dead || t.born <> t.cell.gen then invalid_arg "Netbuf: use after give"
 
 let alloc ?(headroom = 64) ~size () =
   if size < 0 || headroom < 0 then invalid_arg "Netbuf.alloc";
@@ -184,9 +180,7 @@ let pool_return p cell =
   Stack.push cell p.free
 
 let recycle t =
-  if t.dead then begin
-    if !debug then invalid_arg "Netbuf: double give"
-  end
+  if t.dead then invalid_arg "Netbuf: double give"
   else begin
     t.dead <- true;
     let c = t.cell in

@@ -85,12 +85,10 @@ val recycle : t -> unit
 
 val live : t -> bool
 (** False once the descriptor was recycled or its storage was reissued
-    (generation mismatch). *)
-
-val set_debug : bool -> unit
-(** Enable lifetime guards: using a descriptor after {!recycle}, or
-    recycling it twice, raises [Invalid_argument] instead of silently
-    corrupting. Off by default (hot path pays nothing). *)
+    (generation mismatch). The window operations, {!view}, the copies and
+    {!share} raise [Invalid_argument "Netbuf: use after give"] on such a
+    descriptor, and a second {!recycle} of it raises [Invalid_argument
+    "Netbuf: double give"]. *)
 
 (** {1 Copy accounting} *)
 

@@ -53,7 +53,6 @@ type t = {
   udp_socks : (int, udp_sock) Hashtbl.t;
   listeners : (int, listener) Hashtbl.t;
   conns : (int * int * int, Tcp.conn) Hashtbl.t; (* local port, remote ip, remote port *)
-  mutable conn_of : (Tcp.conn * listener option) list; (* reverse: for accept routing *)
   frag : Frag.t;
   mutable ip_id : int;
   mutable iss : int;
@@ -241,10 +240,12 @@ let tcp_io t : Tcp.io =
           wake = (fun tid -> Uksched.Sched.wake t.sched tid);
           retransmitted =
             (fun ~fast -> C.incr (if fast then t.tcp_fast_retransmits else t.tcp_retransmits));
+          (* Only a passive connection is accepted, and it shares its
+             listener's local port. *)
           notify_accept =
             (fun conn ->
-              match List.assq_opt conn t.conn_of with
-              | Some (Some l) -> (
+              match Hashtbl.find_opt t.listeners (snd (Tcp.local_addr conn)) with
+              | Some l -> (
                   match l.lfast with
                   | Some f -> f conn
                   | None ->
@@ -253,7 +254,7 @@ let tcp_io t : Tcp.io =
                         Option.iter (Uksched.Sched.wake t.sched) l.lwaiter
                       end
                       else Tcp.abort conn)
-              | Some None | None -> ());
+              | None -> ());
         }
       in
       t.tcp_io <- Some io;
@@ -328,10 +329,7 @@ let handle_tcp t (ip : Pkt.Ipv4.t) nb =
       match Hashtbl.find_opt t.conns key with
       | Some conn ->
           Tcp.on_segment_nb conn h nb;
-          if Tcp.state conn = Tcp.Closed then begin
-            Hashtbl.remove t.conns key;
-            t.conn_of <- List.filter (fun (c, _) -> c != conn) t.conn_of
-          end
+          if Tcp.state conn = Tcp.Closed then Hashtbl.remove t.conns key
       | None -> (
           match Hashtbl.find_opt t.listeners h.dst_port with
           | Some l when h.syn && not h.ack_flag ->
@@ -340,7 +338,6 @@ let handle_tcp t (ip : Pkt.Ipv4.t) nb =
                   ~peer_seq:h.seq
               in
               Hashtbl.replace t.conns key conn;
-              t.conn_of <- (conn, Some l) :: t.conn_of;
               Nb.recycle nb
           | Some _ | None ->
               (* No socket: RST unless it is itself an RST. *)
@@ -484,7 +481,6 @@ let create ~clock ~engine ~sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64) ?(rx_co
       udp_socks = Hashtbl.create 16;
       listeners = Hashtbl.create 8;
       conns = Hashtbl.create 64;
-      conn_of = [];
       frag = Frag.create ~clock ();
       ip_id = 0;
       iss = 0x1000;
@@ -503,10 +499,8 @@ let create ~clock ~engine ~sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64) ?(rx_co
       tcp_io = None;
     }
   in
-  (* The input service thread. Pinned: the stack charges its home clock,
-     so work stealing must not migrate it to another core. *)
   let tid =
-    Uksched.Sched.spawn sched ~name:"netstack-input" ~daemon:true ~pinned:true (fun () ->
+    Uksched.Sched.spawn sched ~name:"netstack-input" ~daemon:true (fun () ->
         let rec loop () =
           if poll t > 0 then Uksched.Sched.yield () else Uksched.Sched.block ();
           loop ()
@@ -625,7 +619,6 @@ module Tcp_socket = struct
     in
     let key = conn_key ~lport ~rip:dip ~rport:dport in
     Hashtbl.replace stack.conns key conn;
-    stack.conn_of <- (conn, None) :: stack.conn_of;
     let rec wait () =
       match Tcp.state conn with
       | Tcp.Established -> ()

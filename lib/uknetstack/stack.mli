@@ -41,8 +41,8 @@ val create :
   conf ->
   t
 (** Configures queue [qid] of [dev] (default 0) in interrupt mode and
-    spawns the stack's input service thread on [sched], a pinned daemon
-    that processes packets whenever the device raises its rx interrupt.
+    spawns the stack's input service thread on [sched], a daemon that
+    processes packets whenever the device raises its rx interrupt.
     In multi-queue RSS setups one stack instance owns each queue, all
     sharing the device's MAC/IP. A pool of 512 netbufs is created, each
     backed by [alloc] from the start when given — the paper's "memory

@@ -74,6 +74,7 @@ val derive_passive : conn -> remote:Addr.Ipv4.t * int -> iss:int -> peer_seq:int
     at a listener: moves to SYN_RCVD and answers SYN+ACK. *)
 
 val state : conn -> state
+val local_addr : conn -> Addr.Ipv4.t * int
 val remote_addr : conn -> Addr.Ipv4.t * int
 
 (** {1 Input path} *)

@@ -22,7 +22,6 @@ type thread = {
   tid : tid;
   tname : string;
   daemon : bool;
-  pinned : bool; (* never migrated by Sched.steal *)
   mutable state : tstate;
   mutable cont : (unit, outcome) Effect.Deep.continuation option;
   mutable body : (unit -> unit) option; (* not yet started *)
@@ -40,10 +39,9 @@ type t = {
 }
 
 (* A group ties several per-core schedulers into one SMP domain: tids are
-   unique across members, and wakes addressed to a member that no longer
-   owns the thread (it migrated) are routed to the owner. The optional
-   remote-wake hook lets uksmp charge an IPI when that routing crosses
-   cores. *)
+   unique across members, and wakes addressed to a member that does not
+   own the thread are routed to the owner. The optional remote-wake hook
+   lets uksmp charge an IPI when that routing crosses cores. *)
 and group = {
   mutable members : t list; (* registration order *)
   g_next : int ref;
@@ -111,7 +109,7 @@ let handler th =
         | _ -> None);
   }
 
-let spawn t ?name:(tname = "thread") ?(daemon = false) ?(pinned = false) f =
+let spawn t ?name:(tname = "thread") ?(daemon = false) ?pinned:_ f =
   let tid =
     match t.grp with
     | Some g ->
@@ -123,7 +121,7 @@ let spawn t ?name:(tname = "thread") ?(daemon = false) ?(pinned = false) f =
         t.next_tid <- v + 1;
         v
   in
-  let th = { tid; tname; daemon; pinned; state = Sready; cont = None; body = Some f } in
+  let th = { tid; tname; daemon; state = Sready; cont = None; body = Some f } in
   Hashtbl.replace t.threads tid th;
   notify t (Spawned tid);
   Queue.push th t.ready;
@@ -138,9 +136,9 @@ let wake_local t tid =
       true
   | Some _ | None -> false
 
-(* Wakes route through the group when the thread is not (or no longer)
-   local — either it migrated via [steal], or the waker holds a stale
-   scheduler reference (a stack or lock created on another core). *)
+(* Wakes route through the group when the thread is not local: the waker
+   holds another core's scheduler (a stack or lock created on another
+   core, or a thread waking a peer on another core). *)
 let wake t tid =
   if not (Hashtbl.mem t.threads tid) then
     match t.grp with
@@ -245,25 +243,6 @@ let step t =
           if th.state = Sready then dispatch t th;
           true
       | None -> Uksim.Engine.step t.engine)
-
-let steal ~from_ t =
-  if from_ == t then false
-  else begin
-    let n = Queue.length from_.ready in
-    let stolen = ref None in
-    for _ = 1 to n do
-      let th = Queue.pop from_.ready in
-      if Option.is_none !stolen && th.state = Sready && not th.pinned then stolen := Some th
-      else Queue.push th from_.ready
-    done;
-    match !stolen with
-    | None -> false
-    | Some th ->
-        Hashtbl.remove from_.threads th.tid;
-        Hashtbl.replace t.threads th.tid th;
-        Queue.push th t.ready;
-        true
-  end
 
 let rec run t =
   match Queue.take_opt t.ready with

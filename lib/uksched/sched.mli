@@ -21,10 +21,10 @@ val spawn : t -> ?name:string -> ?daemon:bool -> ?pinned:bool -> (unit -> unit) 
 (** Create a thread. It becomes runnable and will run on {!run}. May
     also be called from inside a running thread. [daemon] threads
     (default false) do not keep {!run} alive: when only daemons remain
-    blocked, [run] returns instead of raising [Deadlock]. [pinned]
-    threads (default false) are never migrated by {!steal} — pin anything
-    whose costs are charged to a specific core's clock (per-core service
-    loops, accept loops, load generators). *)
+    blocked, [run] returns instead of raising [Deadlock]. A thread runs
+    on the scheduler that spawned it until it exits. [pinned] is
+    ignored: no thread ever migrates. It stays only because
+    [benchmark/rig.ml] passes it. *)
 
 val run : t -> unit
 (** Trampoline until no thread is runnable and no engine event can make one
@@ -79,10 +79,9 @@ type group
 val create_group : unit -> group
 
 val join_group : group -> t -> unit
-(** Joining makes tids unique across members and reroutes {!wake} calls
-    that name a thread which migrated (or was addressed via a stale
-    scheduler reference) to its current owner. Raises [Invalid_argument]
-    if the scheduler is already in a group. *)
+(** Joining makes tids unique across members and routes a {!wake} made
+    through one member for a thread of another to that thread's owner.
+    Raises [Invalid_argument] if the scheduler is already in a group. *)
 
 val set_remote_wake : group -> (src:t -> dst:t -> unit) option -> unit
 (** Hook invoked when a wake is routed from one member to another and
@@ -118,12 +117,6 @@ val step : t -> bool
 
 val runnable : t -> int
 (** Number of genuinely ready threads in the run queue. *)
-
-val steal : from_:t -> t -> bool
-(** [steal ~from_ t] migrates the oldest ready, unpinned thread of
-    [from_] into [t]'s run queue (with its identity and continuation).
-    Requires both schedulers to be in the same group so later wakes find
-    the thread. [false] if nothing was stealable. *)
 
 val stuck : t -> string list
 (** Names of blocked non-daemon threads (the {!Deadlock} payload). *)

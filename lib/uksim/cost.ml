@@ -19,11 +19,9 @@ let cache_hit = 4
 
 (* SMP-model costs (lib/uksmp). Order-of-magnitude figures for the same
    hardware class as Table 1: an IPI is send + remote vector entry; a
-   task that changes cores eats a burst of LLC misses re-warming its
-   working set; a shared-allocator critical section is a few hundred
-   cycles of list surgery under the lock. *)
+   shared-allocator critical section is a few hundred cycles of list
+   surgery under the lock. *)
 let ipi = 1400
-let cache_migration = 2400
 let alloc_backend_op = 400
 let arena_refill_per_obj = 60
 let arena_fast_path = 24

@@ -48,10 +48,6 @@ val ipi : int
 (** Cross-core inter-processor interrupt: send, remote vector entry and
     acknowledge. Charged to the receiving core. *)
 
-val cache_migration : int
-(** Cold-cache penalty when a stolen task starts on a different core
-    (working-set re-warm, modelled as a burst of LLC misses). *)
-
 val alloc_backend_op : int
 (** One alloc/free critical section on a shared (lock-protected)
     allocator backend. *)

@@ -6,9 +6,10 @@
    discrete-event simulation with one local clock per core, all counting
    cycles since boot on a shared absolute axis. The core whose next
    possible action is earliest always runs next (ties to the lowest id),
-   so a run is a deterministic function of the seed and core count. *)
+   so a run is a deterministic function of the workload and core count.
+   A thread never leaves the core it was spawned on. *)
 
-type cstats = { steps : int; steals : int; stolen_from : int; ipis : int }
+type cstats = { steps : int; ipis : int }
 
 module C = Uktrace.Metric.Counter
 
@@ -20,8 +21,6 @@ type core = {
   engine : Uksim.Engine.t;
   sched : Uksched.Sched.t;
   c_steps : C.t;
-  c_steals : C.t;
-  c_stolen_from : C.t;
   c_ipis : C.t;
 }
 
@@ -29,7 +28,6 @@ type decision = { kind : string; arity : int; choice : int }
 
 type t = {
   cores : core array;
-  rng : Uksim.Rng.t;
   group : Uksched.Sched.group;
   mutable running : int option;
   mutable trace : int;
@@ -71,19 +69,14 @@ let decide t ~kind ~arity =
 
 let stats t ~core =
   let c = t.cores.(core) in
-  {
-    steps = C.get c.c_steps;
-    steals = C.get c.c_steals;
-    stolen_from = C.get c.c_stolen_from;
-    ipis = C.get c.c_ipis;
-  }
+  { steps = C.get c.c_steps; ipis = C.get c.c_ipis }
 
 let core_of_sched t s =
   let found = ref None in
   Array.iter (fun c -> if c.sched == s then found := Some c) t.cores;
   !found
 
-let create ?(seed = 1) ~cores () =
+let create ~cores () =
   if cores <= 0 then invalid_arg "Smp.create: cores must be positive";
   let group = Uksched.Sched.create_group () in
   let g = Uktrace.Registry.group ~subsystem:"uksmp" "cores" in
@@ -94,15 +87,12 @@ let create ?(seed = 1) ~cores () =
     let sched = Uksched.Sched.create_cooperative ~clock ~engine in
     Uksched.Sched.join_group group sched;
     let c_steps = counter id "steps" in
-    let c_steals = counter id "steals" in
-    let c_stolen_from = counter id "stolen_from" in
     let c_ipis = counter id "ipis" in
-    { id; clock; engine; sched; c_steps; c_steals; c_stolen_from; c_ipis }
+    { id; clock; engine; sched; c_steps; c_ipis }
   in
   let t =
     {
       cores = Array.init cores mk;
-      rng = Uksim.Rng.create (seed lxor 0x534d50 (* "SMP" *));
       group;
       running = None;
       trace = 0;
@@ -128,55 +118,10 @@ let create ?(seed = 1) ~cores () =
          | None -> ()));
   t
 
-let spawn_on t ~core ?name ?(pinned = false) f =
-  Uksched.Sched.spawn t.cores.(core).sched ?name ~pinned f
-
-let charge t cycles =
-  match t.running with
-  | Some i -> Uksim.Clock.advance t.cores.(i).clock cycles
-  | None -> invalid_arg "Smp.charge: no core is running"
-
-let mix = Uksim.Rng.mix
-
 let trace_hash t = t.trace
 
 let elapsed_ns t =
   Array.fold_left (fun acc c -> Stdlib.max acc (Uksim.Clock.ns c.clock)) 0.0 t.cores
-
-(* When a core has nothing at all to do, it tries to poach the oldest
-   ready unpinned thread from a random victim that has work to spare.
-   The thief's clock jumps to the victim's present (it cannot run state
-   it has not yet seen) plus the cache-refill penalty of migration. *)
-let try_steal t thief =
-  let candidates =
-    Array.of_list
-      (List.filter
-         (fun c -> c.id <> thief.id && Uksched.Sched.runnable c.sched >= 2)
-         (Array.to_list t.cores))
-  in
-  Array.length candidates > 0
-  && begin
-       (* Victim selection is a schedule decision point: the default draws
-          from the seeded RNG; with a decider installed (ukcheck) the
-          choice is external and logged for replay. *)
-       let victim =
-         match t.decider with
-         | None -> Uksim.Rng.choose t.rng candidates
-         | Some _ ->
-             candidates.(decide t ~kind:"steal_victim" ~arity:(Array.length candidates))
-       in
-       Uksched.Sched.steal ~from_:victim.sched thief.sched
-       && begin
-            let vc = Uksim.Clock.cycles victim.clock
-            and tc = Uksim.Clock.cycles thief.clock in
-            if vc > tc then Uksim.Clock.advance thief.clock (vc - tc);
-            Uksim.Clock.advance thief.clock Uksim.Cost.cache_migration;
-            C.incr thief.c_steals;
-            C.incr victim.c_stolen_from;
-            t.trace <- mix (mix t.trace (0x57ea1 + thief.id)) victim.id;
-            true
-          end
-     end
 
 (* Earliest time [c] could act: now if it has a ready thread, else its
    next event (no earlier than its local present), else never. *)
@@ -189,10 +134,6 @@ let next_action c =
 
 let run t =
   let rec loop () =
-    (* Fully idle cores attempt one steal each, in id order. *)
-    Array.iter
-      (fun c -> if next_action c = None then ignore (try_steal t c))
-      t.cores;
     let best = ref None in
     Array.iter
       (fun c ->
@@ -220,7 +161,7 @@ let run t =
         t.running <- None;
         if progressed then begin
           C.incr c.c_steps;
-          t.trace <- mix (mix t.trace c.id) (Uksim.Clock.cycles c.clock);
+          t.trace <- Uksim.Rng.mix (Uksim.Rng.mix t.trace c.id) (Uksim.Clock.cycles c.clock);
           match t.step_observer with
           | Some obs -> obs ~core:c.id ~cycles:(Uksim.Clock.cycles c.clock - c0)
           | None -> ()

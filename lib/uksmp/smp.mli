@@ -7,44 +7,31 @@
     directly. {!run} interleaves single-steps across cores in virtual-time
     order (the core whose next possible action is earliest runs next, ties
     to the lowest id): conservative parallel discrete-event simulation,
-    fully deterministic for a given seed and core count at any host
+    fully deterministic for a given workload and core count at any host
     machine — verified by {!trace_hash} replay checks.
 
-    Cross-core interactions and their calibrated costs:
-    - a wake that crosses cores (a thread migrated, or a stack on core A
-      wakes a thread on core B) charges {!Uksim.Cost.ipi} to the
-      destination core;
-    - a fully idle core steals the oldest ready {e unpinned} thread from a
-      random victim with work to spare; the thief's clock jumps to the
-      victim's present plus {!Uksim.Cost.cache_migration}. Threads whose
-      closures charge a specific core's clock must be spawned
-      [~pinned:true]; work-stealing is for core-agnostic tasks that charge
-      through {!charge}. *)
+    A thread runs on the core it was spawned on until it exits, so its
+    closure may charge that core's clock directly. The one cross-core
+    interaction the coordinator prices is a wake: a wake made through
+    core A's scheduler for a thread that lives on core B is routed to B
+    and charges {!Uksim.Cost.ipi} to B's clock. *)
 
 type t
 
-val create : ?seed:int -> cores:int -> unit -> t
-(** [cores] fresh cores, schedulers joined into one {!Uksched.Sched.group}.
-    [seed] (default 1) drives steal-victim selection only. *)
+val create : cores:int -> unit -> t
+(** [cores] fresh cores, schedulers joined into one {!Uksched.Sched.group}. *)
 
 val n_cores : t -> int
 val sched_of : t -> core:int -> Uksched.Sched.t
+(** A thread spawned on the core's scheduler runs on that core. *)
+
 val clock_of : t -> core:int -> Uksim.Clock.t
 val engine_of : t -> core:int -> Uksim.Engine.t
 
-val spawn_on : t -> core:int -> ?name:string -> ?pinned:bool -> (unit -> unit) -> Uksched.Sched.tid
-(** Spawn a thread on a core's scheduler. [pinned] (default false) excludes
-    it from work stealing. *)
-
 val run : t -> unit
-(** Drive all cores until no thread is runnable, no event is pending, and
-    no steal can help. Raises {!Uksched.Sched.Deadlock} if blocked
-    non-daemon threads remain anywhere. *)
-
-val charge : t -> int -> unit
-(** Charge cycles to the clock of the core currently being stepped — how
-    migratable (unpinned) tasks account their work wherever they run.
-    Raises [Invalid_argument] outside {!run}. *)
+(** Drive all cores until no thread is ready and no event is pending
+    on any core. Raises {!Uksched.Sched.Deadlock} if blocked non-daemon
+    threads remain anywhere. *)
 
 val current_core : t -> int option
 (** The core being stepped right now, if any. *)
@@ -57,13 +44,13 @@ val group : t -> Uksched.Sched.group
 
     The coordinator's nondeterminism-as-configuration: the places where a
     run could legally go more than one way. With no decider installed the
-    substrate behaves exactly as documented above (seeded RNG steal
-    victims, lowest-id tie-breaks) — installing one replaces those
-    policies with external choices and logs every choice made, which is
-    what lets ukcheck enumerate schedules and replay failing ones. *)
+    substrate behaves exactly as documented above (lowest-id tie-breaks)
+    — installing one replaces that policy with external choices and logs
+    every choice made, which is what lets ukcheck enumerate schedules and
+    replay failing ones. *)
 
 type decision = {
-  kind : string;  (** "steal_victim", "step_core", or an external kind *)
+  kind : string;  (** "step_core", or an external kind *)
   arity : int;  (** number of alternatives (>= 2; forced choices are not logged) *)
   choice : int;  (** the branch taken, in [0, arity) — 0 is the default *)
 }
@@ -90,8 +77,6 @@ val set_wake_observer : t -> (src:int -> dst:int -> unit) option -> unit
 
 type cstats = {
   steps : int;  (** coordinator steps that made progress on this core *)
-  steals : int;  (** threads this core stole *)
-  stolen_from : int;  (** threads stolen from this core *)
   ipis : int;  (** cross-core wakes/IPIs delivered to this core *)
 }
 
@@ -104,11 +89,11 @@ val set_step_observer : t -> (core:int -> cycles:int -> unit) option -> unit
 (** [set_step_observer t (Some f)] calls [f ~core ~cycles] after every
     coordinator step that made progress, with the cycles the stepped
     core's clock advanced. Feeds the uktrace profiling sampler; observers
-    must not touch clocks, engines or the RNG (determinism). *)
+    must not touch clocks or engines (determinism). *)
 
 val trace_hash : t -> int
-(** Rolling hash over (core, clock) of every step and every migration —
-    two runs with equal seeds and workloads must produce equal hashes. *)
+(** Rolling hash over (core, clock) of every step that made progress —
+    two runs of one workload on one core count produce equal hashes. *)
 
 val elapsed_ns : t -> float
 (** Max over all core clocks. *)

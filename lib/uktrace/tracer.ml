@@ -2,10 +2,9 @@
 
    Spans and instants carry a category (the owning subsystem), a core id
    and a cycle timestamp. Events land in a bounded ring (overflow drops
-   the oldest), so tracing is always safe to leave on; span nesting is
-   additionally folded online into a flamegraph table (exact even after
-   ring overflow) and the innermost-open-span category is what the
-   profiling sampler attributes stepped cycles to.
+   the oldest), so tracing is always safe to leave on, and the
+   innermost-open-span category is what the profiling sampler
+   attributes stepped cycles to.
 
    Nothing here writes the clock or draws from an RNG: enabling tracing
    cannot perturb a simulation, which is what keeps trace_hash replay
@@ -15,12 +14,7 @@ type phase = B | E | I
 
 type event = { ph : phase; ts : int; core : int; cat : string; name : string }
 
-type frame = {
-  fcat : string;
-  fname : string;
-  fstart : int;
-  mutable child_cycles : int;
-}
+type frame = { fcat : string; fname : string; fstart : int }
 
 type t = {
   capacity : int;
@@ -32,7 +26,6 @@ type t = {
   mutable spans_closed : int;
   mutable enabled : bool;
   stacks : (int, frame list ref) Hashtbl.t; (* core -> open spans, innermost first *)
-  flame : (string, int ref) Hashtbl.t; (* "cat:name;..." -> self cycles *)
   span_cycles : Metric.Histogram.t; (* distribution of span durations *)
   attrib : (string, int ref) Hashtbl.t; (* sampler: category -> cycles *)
   cores : (int, int ref) Hashtbl.t; (* sampler: core -> cycles *)
@@ -50,7 +43,6 @@ let create ?(capacity = 65536) () =
     spans_closed = 0;
     enabled = false;
     stacks = Hashtbl.create 16;
-    flame = Hashtbl.create 64;
     span_cycles = Metric.Histogram.create ();
     attrib = Hashtbl.create 16;
     cores = Hashtbl.create 16;
@@ -66,7 +58,6 @@ let reset t =
   t.recorded <- 0;
   t.spans_closed <- 0;
   Hashtbl.reset t.stacks;
-  Hashtbl.reset t.flame;
   Metric.Histogram.reset t.span_cycles;
   Hashtbl.reset t.attrib;
   Hashtbl.reset t.cores
@@ -112,19 +103,9 @@ let instant t ?(core = 0) ~cat ~ts name =
 let begin_span t ?(core = 0) ~cat ~ts name =
   if t.enabled then begin
     let s = stack_of t core in
-    s := { fcat = cat; fname = name; fstart = ts; child_cycles = 0 } :: !s;
+    s := { fcat = cat; fname = name; fstart = ts } :: !s;
     push t { ph = B; ts; core; cat; name }
   end
-
-let bump tbl key cycles =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := !r + cycles
-  | None -> Hashtbl.replace tbl key (ref cycles)
-
-let path_of frames =
-  (* frames is innermost-first; the folded path reads root-first. *)
-  String.concat ";"
-    (List.rev_map (fun f -> f.fcat ^ ":" ^ f.fname) frames)
 
 let end_span t ?(core = 0) ~ts () =
   if t.enabled then begin
@@ -133,11 +114,7 @@ let end_span t ?(core = 0) ~ts () =
     | [] -> () (* unmatched end: ignore *)
     | f :: rest ->
         s := rest;
-        let dur = max 0 (ts - f.fstart) in
-        let self = max 0 (dur - f.child_cycles) in
-        (match rest with p :: _ -> p.child_cycles <- p.child_cycles + dur | [] -> ());
-        bump t.flame (path_of (f :: rest)) self;
-        Metric.Histogram.observe t.span_cycles dur;
+        Metric.Histogram.observe t.span_cycles (max 0 (ts - f.fstart));
         t.spans_closed <- t.spans_closed + 1;
         push t { ph = E; ts; core; cat = f.fcat; name = f.fname }
   end
@@ -157,6 +134,11 @@ let span t clock ?(core = 0) ~cat name f =
 
 (* --- profiling sampler --------------------------------------------------- *)
 
+let bump tbl key cycles =
+  match Hashtbl.find_opt tbl key with
+  | Some r -> r := !r + cycles
+  | None -> Hashtbl.replace tbl key (ref cycles)
+
 (* Called from the Uksim.Engine / Uksmp.Smp step observers with the
    cycles one step consumed: charge them to the innermost open span's
    category on that core (or "unattributed") and to the core itself. *)
@@ -171,18 +153,12 @@ let attribute t ~core ~cycles =
     bump t.cores core cycles
   end
 
-let table_to_list tbl =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) tbl []
+let attribution t =
+  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.attrib []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let attribution t = table_to_list t.attrib
 
 let core_cycles t =
   Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.cores [] |> List.sort compare
-
-(* --- flamegraph ---------------------------------------------------------- *)
-
-let flame t = table_to_list t.flame
 
 (* --- Chrome trace_event export ------------------------------------------- *)
 

@@ -4,10 +4,8 @@
     {!instant} events carry a category (owning subsystem), a core id and
     a cycle timestamp. Events land in a bounded ring — overflow drops
     the oldest and is counted — so tracing is always safe to leave
-    enabled. Span nesting is folded online into a flamegraph table
-    (exact even after ring overflow), and the innermost open span's
-    category is what the profiling sampler ({!attribute}) charges
-    stepped cycles to.
+    enabled. The innermost open span's category is what the profiling
+    sampler ({!attribute}) charges stepped cycles to.
 
     Determinism guarantee: the tracer never advances a clock and never
     draws randomness, so enabling or disabling it cannot change a
@@ -35,8 +33,8 @@ val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
 val reset : t -> unit
-(** Drop all events, open spans, flamegraph and sampler state. Keeps the
-    enabled flag. *)
+(** Drop all events, open spans and sampler state. Keeps the enabled
+    flag. *)
 
 (** {1 Recording} *)
 
@@ -69,10 +67,6 @@ val events : t -> event list
 val dropped : t -> int
 val recorded : t -> int
 val spans_closed : t -> int
-
-val flame : t -> (string * int) list
-(** Folded flamegraph: ["cat:name;cat:name"] root-first path -> self
-    cycles (children's cycles excluded), largest first. *)
 
 val to_chrome_json : t -> string
 (** Chrome [trace_event] JSON (load in chrome://tracing or Perfetto);

@@ -163,7 +163,7 @@ let decoders =
           { Ukcheck.Schedule.seed = 1; cores = 2;
             decisions =
               [ { kind = "dispatch@0"; arity = 2; choice = 1 };
-                { kind = "steal_victim"; arity = 3; choice = 2 } ] };
+                { kind = "step_core"; arity = 3; choice = 2 } ] };
       decode = (fun s -> Ukcheck.Schedule.of_string s <> None) };
     { name = "Httpd.frame";
       valid = "GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n";

@@ -79,47 +79,45 @@ let test_copy_counters () =
   Alcotest.(check int) "copied bytes accounted" (bytes_before + 17 + 7 + 7 + 7)
     (Nb.copied_bytes_total ())
 
-(* --- debug-mode lifetime guards (planted bugs must trip) ------------------- *)
+(* --- lifetime guards (planted bugs must trip; always on) ------------------- *)
 
 let test_guard_use_after_give () =
-  Nb.set_debug true;
-  Fun.protect ~finally:(fun () -> Nb.set_debug false) (fun () ->
-      (* Planted bug: a handler keeps reading a buffer it already handed
-         back. *)
-      let b = Nb.of_bytes (Bytes.of_string "frame") in
-      Nb.recycle b;
-      Alcotest.check_raises "read after give" (Invalid_argument "Netbuf: use after give")
-        (fun () -> ignore (Nb.copy_out b));
-      Alcotest.check_raises "window op after give"
-        (Invalid_argument "Netbuf: use after give") (fun () -> Nb.pull b 1);
-      (* Reissued storage invalidates stale descriptors even when the
-         descriptor itself was never given. *)
-      let clock = Uksim.Clock.create () in
-      let p = Nb.Pool.create ~clock ~count:1 ~size:64 () in
-      let stale = Option.get (Nb.Pool.take p) in
-      let keep = Nb.share stale in
-      Nb.recycle stale;
-      Nb.recycle keep;
-      let fresh = Option.get (Nb.Pool.take p) in
-      Alcotest.(check bool) "stale descriptor not live" false (Nb.live keep);
-      Alcotest.check_raises "stale generation trapped"
-        (Invalid_argument "Netbuf: use after give") (fun () -> ignore (Nb.view keep));
-      Nb.recycle fresh)
-
-let test_guard_double_give () =
-  Nb.set_debug true;
-  Fun.protect ~finally:(fun () -> Nb.set_debug false) (fun () ->
-      (* Planted bug: two layers both think they own the buffer's end of
-         life. *)
-      let b = Nb.of_bytes (Bytes.of_string "frame") in
-      Nb.recycle b;
-      Alcotest.check_raises "double give" (Invalid_argument "Netbuf: double give")
-        (fun () -> Nb.recycle b));
-  (* With guards off, the double give is (deliberately) a silent no-op on
-     a dead descriptor — the hot path pays no check. *)
+  (* Planted bug: a handler keeps reading a buffer it already handed
+     back. *)
   let b = Nb.of_bytes (Bytes.of_string "frame") in
   Nb.recycle b;
-  Nb.recycle b
+  Alcotest.check_raises "read after give" (Invalid_argument "Netbuf: use after give")
+    (fun () -> ignore (Nb.copy_out b));
+  Alcotest.check_raises "window op after give"
+    (Invalid_argument "Netbuf: use after give") (fun () -> Nb.pull b 1);
+  (* Reissued storage invalidates stale descriptors even when the
+     descriptor itself was never given. *)
+  let clock = Uksim.Clock.create () in
+  let p = Nb.Pool.create ~clock ~count:1 ~size:64 () in
+  let stale = Option.get (Nb.Pool.take p) in
+  let keep = Nb.share stale in
+  Nb.recycle stale;
+  Nb.recycle keep;
+  let fresh = Option.get (Nb.Pool.take p) in
+  Alcotest.(check bool) "stale descriptor not live" false (Nb.live keep);
+  Alcotest.check_raises "stale generation trapped"
+    (Invalid_argument "Netbuf: use after give") (fun () -> ignore (Nb.view keep));
+  Nb.recycle fresh
+
+(* Planted bug: two layers both think they own the buffer's end of life.
+   The guard has no switch: the second recycle raises, on a heap cell
+   and on a pooled one, and the pooled cell goes back to its pool once. *)
+let test_guard_double_give () =
+  let b = Nb.of_bytes (Bytes.of_string "frame") in
+  Nb.recycle b;
+  Alcotest.check_raises "double give" (Invalid_argument "Netbuf: double give") (fun () ->
+      Nb.recycle b);
+  let p = Nb.Pool.create ~clock:(Uksim.Clock.create ()) ~count:2 ~size:64 () in
+  let pb = Option.get (Nb.Pool.take p) in
+  Nb.recycle pb;
+  Alcotest.check_raises "pooled double give" (Invalid_argument "Netbuf: double give")
+    (fun () -> Nb.recycle pb);
+  Alcotest.(check int) "the cell came back once" 2 (Nb.Pool.available p)
 
 (* --- copy path vs zero-copy path: protocol equivalence --------------------- *)
 
@@ -348,7 +346,7 @@ let test_fast_load_reply_exceeds_mss () =
   let big = String.concat "" (List.init 50 (fun i -> Printf.sprintf "line-%04d-%s\n" i (String.make 90 'x'))) in
   Alcotest.(check bool) "page spans several segments" true
     (String.length big > 2 * Uknetstack.Tcp.mss);
-  let c = Cl.create ~seed:11 ~fastpath:Cl.fastpath_default ~n:1 () in
+  let c = Cl.create ~fastpath:Cl.fastpath_default ~n:1 () in
   ignore (Cl.add_httpd c ~transport:netbuf (Ukapps.Httpd.In_memory [ ("/big.html", big) ]));
   let r =
     Cl.run_load c ~transport:netbuf ~port:80 ~connections_per_core:2 ~requests_per_core:60
@@ -443,7 +441,7 @@ let netbuf_bounds_prop =
 
 let test_fast_cluster_replay () =
   let run () =
-    let c = Cl.create ~seed:7 ~fastpath:Cl.fastpath_default ~n:2 () in
+    let c = Cl.create ~fastpath:Cl.fastpath_default ~n:2 () in
     ignore (Cl.add_httpd c ~transport:netbuf (Ukapps.Httpd.In_memory
       [ ("/index.html", Ukapps.Httpd.default_page) ]));
     let r =
@@ -462,7 +460,7 @@ let test_fast_cluster_replay () =
   Alcotest.(check (float 0.0)) "elapsed replays exactly" t1 t2
 
 let test_fast_resp_copy_free () =
-  let c = Cl.create ~seed:3 ~fastpath:Cl.fastpath_default ~n:2 () in
+  let c = Cl.create ~fastpath:Cl.fastpath_default ~n:2 () in
   let workers = Cl.add_resp c ~transport:netbuf ~populate:4096 () in
   (* Pre-population went through the direct execute path and counts as
      commands; the load below must add exactly one command per request. *)
@@ -489,7 +487,7 @@ let test_fast_resp_copy_free () =
    the same schedule either way. *)
 let test_omitted_fastpath () =
   let run fastpath =
-    let c = Cl.create ~seed:5 ?fastpath ~n:2 () in
+    let c = Cl.create ?fastpath ~n:2 () in
     ignore (Cl.add_resp c ~transport:Ukapps.Serve.Socket ~populate:64 ());
     let r =
       Cl.run_load c ~transport:Ukapps.Serve.Socket ~port:6379 ~connections_per_core:2
@@ -1061,7 +1059,7 @@ let test_cluster_counts_once () =
   List.iter
     (fun (name, transport) ->
       Uktrace.Registry.clear ();
-      let c = Cl.create ~seed:5 ~n:2 () in
+      let c = Cl.create ~n:2 () in
       (* The pair registers its two device sources on a cleared registry. *)
       let device id =
         List.find (fun s -> Uktrace.Source.id s = id) (Uktrace.Registry.sources ())
@@ -1285,7 +1283,7 @@ let test_pools_balance () =
             (fun n ->
               Uktrace.Registry.clear ();
               let label = Printf.sprintf "%s/%s/%d cores" app config n in
-              let c = Cl.create ~seed:11 ?fastpath ~n () in
+              let c = Cl.create ?fastpath ~n () in
               add c ~transport;
               let r =
                 Cl.run_load c ~transport ~port ~connections_per_core:2 ~requests_per_core

@@ -220,7 +220,7 @@ let netbuf = Ukapps.Serve.Netbuf { rtc = true }
 
 let test_legacy_fast_equivalence () =
   let serve fast =
-    let c = Cl.create ~seed:5 ~n:1 () in
+    let c = Cl.create ~n:1 () in
     let transport = if fast then netbuf else Ukapps.Serve.Socket in
     let workers = Cl.add_infer c ~transport ~size_mb:2 () in
     let requests = counting "requests" in
@@ -242,7 +242,7 @@ let test_legacy_fast_equivalence () =
 
 let test_batch_knob_trades_latency_for_throughput () =
   let run max_batch =
-    let c = Cl.create ~seed:9 ~n:1 () in
+    let c = Cl.create ~n:1 () in
     ignore (Cl.add_infer c ~transport:netbuf ~size_mb:4 ~max_batch ());
     Cl.run_load c ~transport:netbuf ~port:8000 ~connections_per_core:8 ~requests_per_core:240
       (Infer.client ())
@@ -257,7 +257,7 @@ let test_smp_replay_deterministic () =
   (* 8 cores: 4 server cores each loading its own weights and serving,
      4 client cores driving steered flows — replayed byte-identically. *)
   let go () =
-    let c = Cl.create ~seed:21 ~n:4 () in
+    let c = Cl.create ~n:4 () in
     ignore (Cl.add_infer c ~transport:netbuf ~size_mb:2 ());
     let r =
       Cl.run_load c ~transport:netbuf ~port:8000 ~connections_per_core:2 ~requests_per_core:120

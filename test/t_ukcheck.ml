@@ -24,11 +24,11 @@ let lost_wakeup_fixture smp ~seed:_ =
   let consumer_done = ref false in
   let ctid = ref (-1) in
   ignore
-    (Smp.spawn_on smp ~core:0 ~pinned:true ~name:"producer" (fun () ->
+    (Sched.spawn (Smp.sched_of smp ~core:0) ~name:"producer" (fun () ->
          flag := true;
          Sched.wake (Smp.sched_of smp ~core:0) !ctid));
   ctid :=
-    Smp.spawn_on smp ~core:0 ~pinned:true ~name:"consumer" (fun () ->
+    Sched.spawn (Smp.sched_of smp ~core:0) ~name:"consumer" (fun () ->
         if not !flag then begin
           Sched.yield ();
           Sched.block ()
@@ -87,11 +87,11 @@ let test_explorer_passes_correct_code () =
     let consumer_done = ref false in
     let ctid = ref (-1) in
     ignore
-      (Smp.spawn_on smp ~core:0 ~pinned:true ~name:"producer" (fun () ->
+      (Sched.spawn (Smp.sched_of smp ~core:0) ~name:"producer" (fun () ->
            flag := true;
            Sched.wake (Smp.sched_of smp ~core:0) !ctid));
     ctid :=
-      Smp.spawn_on smp ~core:0 ~pinned:true ~name:"consumer" (fun () ->
+      Sched.spawn (Smp.sched_of smp ~core:0) ~name:"consumer" (fun () ->
           if not !flag then Sched.block ();
           consumer_done := true);
     fun () -> Prop.require !consumer_done "consumer never completed"
@@ -122,7 +122,7 @@ let test_explored_fault_seeds () =
     let view = Ukfault.Faultalloc.alloc faulty in
     let got = ref 0 and failed = ref 0 in
     ignore
-      (Smp.spawn_on smp ~core:0 ~pinned:true (fun () ->
+      (Sched.spawn (Smp.sched_of smp ~core:0) (fun () ->
            for _ = 1 to 20 do
              match Ukalloc.Alloc.uk_malloc view 64 with
              | Some a ->
@@ -154,8 +154,8 @@ let test_lockset_flags_racy_counter () =
   let counter = Shared.cell ~name:"racy_counter" 0 in
   for c = 0 to 1 do
     ignore
-      (Smp.spawn_on smp ~core:c ~pinned:true (fun () ->
-           Smp.charge smp 500;
+      (Sched.spawn (Smp.sched_of smp ~core:c) (fun () ->
+           Uksim.Clock.advance (Smp.clock_of smp ~core:c) 500;
            Shared.update counter (fun v -> v + 1)))
   done;
   Smp.run smp;
@@ -181,7 +181,7 @@ let test_lockset_silent_on_locked_counter () =
   let m = Uklock.Lock.Mutex.create ~name:"counter_lock" (Uklock.Lock.Threaded (Smp.sched_of smp ~core:0)) in
   for _ = 1 to 2 do
     ignore
-      (Smp.spawn_on smp ~core:0 ~pinned:true (fun () ->
+      (Sched.spawn (Smp.sched_of smp ~core:0) (fun () ->
            Uklock.Lock.Mutex.lock m;
            Shared.update counter (fun v -> v + 1);
            Uklock.Lock.Mutex.unlock m))
@@ -201,11 +201,11 @@ let test_lockset_wake_handoff_no_false_positive () =
   let cell = Shared.cell ~name:"handoff" 0 in
   let ctid = ref (-1) in
   ctid :=
-    Smp.spawn_on smp ~core:1 ~pinned:true ~name:"consumer" (fun () ->
+    Sched.spawn (Smp.sched_of smp ~core:1) ~name:"consumer" (fun () ->
         Sched.block ();
         ignore (Shared.read cell));
   ignore
-    (Smp.spawn_on smp ~core:0 ~pinned:true ~name:"producer" (fun () ->
+    (Sched.spawn (Smp.sched_of smp ~core:0) ~name:"producer" (fun () ->
          Sched.sleep_ns 100.0 (* let the consumer block first *);
          Shared.write cell 42;
          Sched.wake (Smp.sched_of smp ~core:0) !ctid));
@@ -221,7 +221,7 @@ let test_lockset_silent_on_cluster_workload () =
      cluster smoke with the detector attached must report nothing, and
      attaching must not change the run (same trace hash as detached). *)
   let run_cluster ~detect =
-    let c = Ukapps.Cluster.create ~seed:11 ~n:4 () in
+    let c = Ukapps.Cluster.create ~n:4 () in
     let det = if detect then Some (Lockset.attach (Ukapps.Cluster.smp c)) else None in
     let transport = Ukapps.Serve.Socket in
     ignore (Ukapps.Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "ok") ]));
@@ -261,7 +261,7 @@ let test_prop_check_passes () =
     (fun smp ~seed:_ ->
       let n = ref 0 in
       for c = 0 to 1 do
-        ignore (Smp.spawn_on smp ~core:c ~pinned:true (fun () -> incr n))
+        ignore (Sched.spawn (Smp.sched_of smp ~core:c) (fun () -> incr n))
       done;
       fun () -> Prop.require (!n = 2) "lost an increment")
 
@@ -280,7 +280,7 @@ let test_prop_uklock_mutex () =
       List.iter
         (fun core ->
           ignore
-            (Smp.spawn_on smp ~core ~pinned:true (fun () ->
+            (Sched.spawn (Smp.sched_of smp ~core) (fun () ->
                  Sched.yield ();
                  Uklock.Lock.Mutex.lock m;
                  let v = !count in
@@ -307,7 +307,7 @@ let test_prop_percore_arena () =
         let view = Ukalloc.Percore.view arena ~core in
         for _ = 0 to 2 do
           ignore
-            (Smp.spawn_on smp ~core ~pinned:true (fun () ->
+            (Sched.spawn (Smp.sched_of smp ~core) (fun () ->
                  for _ = 1 to 3 do
                    match Ukalloc.Alloc.uk_malloc view 96 with
                    | None -> note "arena oom"

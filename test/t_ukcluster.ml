@@ -421,7 +421,7 @@ let detector_fixture smp ~seed =
   Detector.start d;
   (* competing work on both cores gives the explorer its choice points *)
   for core = 0 to 1 do
-    ignore (Uksmp.Smp.spawn_on smp ~core (fun () -> ()))
+    ignore (Uksched.Sched.spawn (Uksmp.Smp.sched_of smp ~core) (fun () -> ()))
   done;
   fun () ->
     Ukcheck.Prop.all

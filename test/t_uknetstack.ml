@@ -639,7 +639,7 @@ let test_frag_reassembly_under_explored_orders () =
     let completed = ref None in
     for i = 0 to 3 do
       ignore
-        (Uksmp.Smp.spawn_on smp ~core:0 ~pinned:true (fun () ->
+        (Uksched.Sched.spawn (Uksmp.Smp.sched_of smp ~core:0) (fun () ->
              match
                Frag.insert f ~src ~id:7 ~proto:17 ~frag_offset:(i * 8) ~more_frags:(i < 3)
                  (Bytes.sub payload (i * 8) 8)
@@ -731,6 +731,61 @@ let test_stack_tcp_end_to_end () =
          S.Tcp_socket.close s2 flow));
   Uksched.Sched.run sched;
   Alcotest.(check (list string)) "three echoes" [ "re:m1"; "re:m2"; "re:m3" ] (List.rev !got)
+
+(* A passive connection goes to the listener on its local port. The
+   first client connects from port 80 to the listener on 81, so routing
+   by the remote port would hand it to the listener on 80. *)
+let test_stack_accept_routes_by_local_port () =
+  let _, sched, s1, s2 = two_stacks () in
+  let addr (ip, port) = Printf.sprintf "%s:%d" (A.Ipv4.to_string ip) port in
+  let accepted = Hashtbl.create 2 in
+  List.iter
+    (fun port ->
+      let l = S.Tcp_socket.listen s1 ~port () in
+      ignore
+        (Uksched.Sched.spawn sched ~name:(Printf.sprintf "server%d" port) (fun () ->
+             match S.Tcp_socket.accept ~block:true l with
+             | None -> ()
+             | Some flow -> (
+                 Hashtbl.replace accepted port
+                   (addr (Tcp.local_addr flow), addr (Tcp.remote_addr flow));
+                 match S.Tcp_socket.recv ~block:true s1 flow ~max:4096 with
+                 | None -> ()
+                 | Some req ->
+                     ignore
+                       (S.Tcp_socket.send ~block:true s1 flow
+                          (Bytes.cat (Bytes.of_string (Printf.sprintf "p%d:" port)) req))))))
+    [ 80; 81 ];
+  let replies = ref [] and client_ends = ref [] in
+  ignore
+    (Uksched.Sched.spawn sched ~name:"client" (fun () ->
+         List.iter
+           (fun (lport, port) ->
+             let flow =
+               S.Tcp_socket.connect s2 ?lport ~dst:(A.Ipv4.of_string "10.0.0.1", port) ()
+             in
+             client_ends := addr (Tcp.local_addr flow) :: !client_ends;
+             ignore (S.Tcp_socket.send ~block:true s2 flow (Bytes.of_string "hi"));
+             (match S.Tcp_socket.recv ~block:true s2 flow ~max:4096 with
+             | Some data -> replies := Bytes.to_string data :: !replies
+             | None -> ());
+             S.Tcp_socket.close s2 flow)
+           [ (Some 80, 81); (None, 80) ]));
+  Uksched.Sched.run sched;
+  Alcotest.(check (list string)) "each reply from the dialled listener" [ "p81:hi"; "p80:hi" ]
+    (List.rev !replies);
+  match List.rev !client_ends with
+  | [ first; second ] ->
+      Alcotest.(check string) "forced client port" "10.0.0.2:80" first;
+      Alcotest.(check (option (pair string string)))
+        "listener 81 accepted the connection from port 80"
+        (Some ("10.0.0.1:81", first))
+        (Hashtbl.find_opt accepted 81);
+      Alcotest.(check (option (pair string string)))
+        "listener 80 accepted the ephemeral connection"
+        (Some ("10.0.0.1:80", second))
+        (Hashtbl.find_opt accepted 80)
+  | ends -> Alcotest.failf "expected two client connections, got %d" (List.length ends)
 
 (* Each request and each reply arms a retransmit timer that the peer's
    ACK disarms. Disarming cancels the pending engine event, so however
@@ -829,6 +884,8 @@ let suite =
       test_frag_reassembly_under_explored_orders;
     Alcotest.test_case "stack: udp echo" `Quick test_stack_udp_echo;
     Alcotest.test_case "stack: tcp end to end" `Quick test_stack_tcp_end_to_end;
+    Alcotest.test_case "stack: accept routes by the connection's local port" `Quick
+      test_stack_accept_routes_by_local_port;
     Alcotest.test_case "stack: one pending timer event per connection" `Quick
       test_stack_timer_events_bounded;
     Alcotest.test_case "stack: arp" `Quick test_stack_arp_populated;

@@ -12,8 +12,8 @@ let test_spawn_everywhere () =
   let ran = Array.make 4 false in
   for c = 0 to 3 do
     ignore
-      (Smp.spawn_on smp ~core:c ~pinned:true (fun () ->
-           Smp.charge smp 1000;
+      (Uksched.Sched.spawn (Smp.sched_of smp ~core:c) (fun () ->
+           Uksim.Clock.advance (Smp.clock_of smp ~core:c) 1000;
            ran.(c) <- true))
   done;
   Smp.run smp;
@@ -30,11 +30,11 @@ let test_cross_core_wake_is_ipi () =
   let tid = ref (-1) in
   let woken = ref false in
   tid :=
-    Smp.spawn_on smp ~core:1 ~pinned:true (fun () ->
+    Uksched.Sched.spawn (Smp.sched_of smp ~core:1) (fun () ->
         Uksched.Sched.block ();
         woken := true);
   ignore
-    (Smp.spawn_on smp ~core:0 ~pinned:true (fun () ->
+    (Uksched.Sched.spawn (Smp.sched_of smp ~core:0) (fun () ->
          (* sleep so the core-1 thread runs (and blocks) first *)
          Uksched.Sched.sleep_ns 100.0;
          (* wake through core 0's scheduler: the thread lives on core 1,
@@ -49,7 +49,9 @@ let test_cross_core_wake_is_ipi () =
    and its source still reads what it counted. *)
 let[@inline never] run_and_drop weak =
   let smp = Smp.create ~cores:2 () in
-  ignore (Smp.spawn_on smp ~core:0 ~pinned:true (fun () -> Smp.charge smp 1000));
+  ignore
+    (Uksched.Sched.spawn (Smp.sched_of smp ~core:0) (fun () ->
+         Uksim.Clock.advance (Smp.clock_of smp ~core:0) 1000));
   Smp.run smp;
   Weak.set weak 0 (Some smp)
 
@@ -66,55 +68,61 @@ let test_registered_source_keeps_no_domain () =
     (Uktrace.Source.count src "core0.steps");
   Uktrace.Registry.clear ()
 
-(* --- work stealing ------------------------------------------------------- *)
+(* --- threads stay home ---------------------------------------------------- *)
 
-let steal_makespan ~cores ~tasks ~cost =
-  let smp = Smp.create ~cores () in
-  let done_count = ref 0 in
-  for _ = 1 to tasks do
-    (* all unpinned work lands on core 0; idle cores must steal it *)
-    ignore
-      (Smp.spawn_on smp ~core:0 (fun () ->
-           Smp.charge smp cost;
-           incr done_count))
-  done;
-  Smp.run smp;
-  Alcotest.(check int) "all tasks ran" tasks !done_count;
-  (smp, Smp.elapsed_ns smp)
-
-let test_steal_liveness () =
-  let tasks = 40 and cost = 200_000 in
-  let smp, para = steal_makespan ~cores:4 ~tasks ~cost in
-  let _, serial = steal_makespan ~cores:1 ~tasks ~cost in
-  let total_steals =
-    let s = ref 0 in
-    for c = 0 to 3 do
-      s := !s + (Smp.stats smp ~core:c).Smp.steals
-    done;
-    !s
-  in
-  Alcotest.(check bool) "steals happened" true (total_steals > 0);
-  for c = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "core %d participated" c)
-      true
-      ((Smp.stats smp ~core:c).Smp.steps > 0)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "stealing beats serial (%.0f vs %.0f ns)" para serial)
-    true
-    (para < 0.5 *. serial)
-
-let test_pinned_never_stolen () =
+(* No thread migrates: twenty threads spawned on core 0 of a 4-core
+   domain all run there while cores 1-3 idle, however much work is
+   queued behind them. *)
+let test_threads_stay_on_their_core () =
   let smp = Smp.create ~cores:4 () in
+  let cores_seen = ref [] in
   for _ = 1 to 20 do
-    ignore (Smp.spawn_on smp ~core:0 ~pinned:true (fun () -> Smp.charge smp 100_000))
+    ignore
+      (Uksched.Sched.spawn (Smp.sched_of smp ~core:0) (fun () ->
+           cores_seen := Smp.current_core smp :: !cores_seen;
+           Uksim.Clock.advance (Smp.clock_of smp ~core:0) 100_000))
   done;
   Smp.run smp;
+  Alcotest.(check (list (option int))) "all 20 ran on core 0" (List.init 20 (fun _ -> Some 0))
+    !cores_seen;
   for c = 1 to 3 do
-    Alcotest.(check int) (Printf.sprintf "core %d stole nothing" c) 0
-      (Smp.stats smp ~core:c).Smp.steals
+    Alcotest.(check int) (Printf.sprintf "core %d took no step" c) 0 (Smp.stats smp ~core:c).Smp.steps
   done
+
+(* [run] stops once no core has a ready thread or a pending event. A
+   daemon blocked for good lets it return; a non-daemon blocked for
+   good makes it raise [Deadlock] naming it, after the other cores'
+   work has run. An idle core's clock stays where it was. *)
+let test_run_stops_when_idle () =
+  let smp = Smp.create ~cores:3 () in
+  let woke_at = ref 0.0 in
+  ignore
+    (Uksched.Sched.spawn (Smp.sched_of smp ~core:1) ~name:"service" ~daemon:true (fun () ->
+         Uksched.Sched.block ()));
+  ignore
+    (Uksched.Sched.spawn (Smp.sched_of smp ~core:0) ~name:"sleeper" (fun () ->
+         Uksched.Sched.sleep_ns 5000.0;
+         woke_at := Uksim.Clock.ns (Smp.clock_of smp ~core:0)));
+  Smp.run smp;
+  Alcotest.(check bool) "the sleeper woke" true (!woke_at >= 5000.0);
+  Alcotest.(check (float 0.0)) "the run ends at the last step" !woke_at (Smp.elapsed_ns smp);
+  Alcotest.(check int) "core 2 took no step" 0 (Smp.stats smp ~core:2).Smp.steps;
+  Alcotest.(check int) "core 2's clock never moved" 0
+    (Uksim.Clock.cycles (Smp.clock_of smp ~core:2));
+  let smp = Smp.create ~cores:2 () in
+  let worked = ref false in
+  ignore
+    (Uksched.Sched.spawn (Smp.sched_of smp ~core:1) ~name:"waiter" (fun () ->
+         Uksched.Sched.block ()));
+  ignore
+    (Uksched.Sched.spawn (Smp.sched_of smp ~core:0) ~name:"worker" (fun () ->
+         Uksched.Sched.sleep_ns 1000.0;
+         worked := true));
+  match Smp.run smp with
+  | () -> Alcotest.fail "a thread blocked for good went unreported"
+  | exception Uksched.Sched.Deadlock names ->
+      Alcotest.(check (list string)) "the blocked thread is named" [ "waiter" ] names;
+      Alcotest.(check bool) "the other core's work ran first" true !worked
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -122,9 +130,12 @@ let test_trace_determinism () =
   List.iter
     (fun cores ->
       let go () =
-        let smp = Smp.create ~seed:42 ~cores () in
+        let smp = Smp.create ~cores () in
         for i = 0 to (8 * cores) - 1 do
-          ignore (Smp.spawn_on smp ~core:(i mod cores) (fun () -> Smp.charge smp (1000 * (1 + (i mod 7)))))
+          let core = i mod cores in
+          ignore
+            (Uksched.Sched.spawn (Smp.sched_of smp ~core) (fun () ->
+                 Uksim.Clock.advance (Smp.clock_of smp ~core) (1000 * (1 + (i mod 7)))))
         done;
         Smp.run smp;
         (Smp.trace_hash smp, Smp.elapsed_ns smp)
@@ -136,7 +147,7 @@ let test_trace_determinism () =
 
 let test_cluster_determinism () =
   let go () =
-    let c = Cluster.create ~seed:7 ~n:2 () in
+    let c = Cluster.create ~n:2 () in
     let transport = Ukapps.Serve.Socket in
     ignore (Cluster.add_httpd c ~transport (Ukapps.Httpd.In_memory [ ("/x", "hello") ]));
     let r =
@@ -363,8 +374,9 @@ let suite =
     Alcotest.test_case "smp: cross-core wake charges IPI" `Quick test_cross_core_wake_is_ipi;
     Alcotest.test_case "smp: a registered source keeps no dropped domain" `Quick
       test_registered_source_keeps_no_domain;
-    Alcotest.test_case "smp: work stealing liveness + speedup" `Quick test_steal_liveness;
-    Alcotest.test_case "smp: pinned threads never stolen" `Quick test_pinned_never_stolen;
+    Alcotest.test_case "smp: threads run on the core they were spawned on" `Quick
+      test_threads_stay_on_their_core;
+    Alcotest.test_case "smp: run stops when no core can act" `Quick test_run_stops_when_idle;
     Alcotest.test_case "smp: trace determinism across runs" `Quick test_trace_determinism;
     Alcotest.test_case "cluster: same-seed replay is identical" `Quick test_cluster_determinism;
     Alcotest.test_case "rss: stable and symmetric" `Quick test_rss_stability;

@@ -514,7 +514,7 @@ let test_journal_ring_wraps_via_checkpoint () =
 (* --- the served workload ---------------------------------------------------- *)
 
 let test_store_server_cluster () =
-  let cl = Ukapps.Cluster.create ~seed:11 ~n:1 () in
+  let cl = Ukapps.Cluster.create ~n:1 () in
   ignore (Ukapps.Cluster.add_store cl ~transport:Ukapps.Serve.Socket ~keys:64 ());
   let commits = counting "commits" in
   let r =
@@ -529,7 +529,7 @@ let test_store_server_cluster () =
 
 let test_store_server_fast_replay_identical () =
   let run () =
-    let cl = Ukapps.Cluster.create ~seed:23 ~n:2 () in
+    let cl = Ukapps.Cluster.create ~n:2 () in
     let transport = Ukapps.Serve.Netbuf { rtc = true } in
     let srvs = Ukapps.Cluster.add_store cl ~transport ~keys:64 () in
     let r =
