@@ -237,6 +237,16 @@ let tcp_io t : Tcp.io =
                 Uksim.Engine.arm t.engine delay_cycles (fun () -> Tcp.on_timer conn)
               in
               fun () -> Uksim.Engine.cancel t.engine timer);
+          (* TIME_WAIT expiry, or giving up after the last retransmit: the
+             connection leaves [conns], unless its four-tuple already names
+             a newer one. *)
+          timer_closed =
+            (fun conn ->
+              let rip, rport = Tcp.remote_addr conn in
+              let key = conn_key ~lport:(snd (Tcp.local_addr conn)) ~rip ~rport in
+              match Hashtbl.find_opt t.conns key with
+              | Some c when c == conn -> Hashtbl.remove t.conns key
+              | Some _ | None -> ());
           wake = (fun tid -> Uksched.Sched.wake t.sched tid);
           retransmitted =
             (fun ~fast -> C.incr (if fast then t.tcp_fast_retransmits else t.tcp_retransmits));

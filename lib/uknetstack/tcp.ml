@@ -94,6 +94,7 @@ and io = {
   charge : int -> unit;
   tx_segment : conn -> Pkt.Tcp.t -> tx_payload -> unit;
   set_timer : conn -> delay_cycles:int -> unit -> unit;
+  timer_closed : conn -> unit; (* [on_timer] has just closed it *)
   wake : Uksched.Sched.tid -> unit;
   retransmitted : fast:bool -> unit;
   notify_accept : conn -> unit;
@@ -455,7 +456,8 @@ let on_timer c =
     match c.st with
     | Time_wait ->
         c.st <- Closed;
-        wake_opt c c.recv_waiter
+        wake_opt c c.recv_waiter;
+        c.io.timer_closed c
     | Listen | Closed -> ()
     | Syn_sent | Syn_rcvd | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
     | Last_ack -> (
@@ -470,7 +472,8 @@ let on_timer c =
               drop_pending c;
               wake_opt c c.recv_waiter;
               wake_opt c c.send_waiter;
-              wake_opt c c.connect_waiter
+              wake_opt c c.connect_waiter;
+              c.io.timer_closed c
             end
             else begin
               c.retransmits <- c.retransmits + 1;

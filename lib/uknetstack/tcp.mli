@@ -51,6 +51,9 @@ type io = {
           cancels it; the stack must call {!on_timer} when it fires. A
           connection cancels its previous timer before it sets a new one
           and when it disarms, so at most one is ever pending. *)
+  timer_closed : conn -> unit;
+      (** {!on_timer} has just closed the connection: TIME_WAIT ran out,
+          or it gave up after its last retransmission *)
   wake : Uksched.Sched.tid -> unit;
   retransmitted : fast:bool -> unit;
       (** a segment went out again: on a retransmission timeout, or on

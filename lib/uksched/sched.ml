@@ -31,7 +31,8 @@ type t = {
   clock : Uksim.Clock.t;
   engine : Uksim.Engine.t;
   ready : thread Queue.t;
-  threads : (tid, thread) Hashtbl.t;
+  threads : (tid, thread) Hashtbl.t; (* exited threads too, for [thread_name] *)
+  mutable blocked : int; (* blocked non-daemon threads *)
   mutable next_tid : int;
   mutable current : thread option;
   mutable grp : group option;
@@ -57,6 +58,7 @@ let create_cooperative ~clock ~engine =
     engine;
     ready = Queue.create ();
     threads = Hashtbl.create 16;
+    blocked = 0;
     next_tid = 1;
     current = None;
     grp = None;
@@ -127,10 +129,18 @@ let spawn t ?name:(tname = "thread") ?(daemon = false) ?pinned:_ f =
   Queue.push th t.ready;
   tid
 
+(* [blocked] counts the blocked non-daemon threads, so [run] needs no
+   walk over [threads]. A thread blocks only here, from [dispatch], and
+   leaves that state only in [wake_local]. *)
+let mark_blocked t th =
+  th.state <- Sblocked;
+  if not th.daemon then t.blocked <- t.blocked + 1
+
 let wake_local t tid =
   match Hashtbl.find_opt t.threads tid with
   | Some th when th.state = Sblocked ->
       th.state <- Sready;
+      if not th.daemon then t.blocked <- t.blocked - 1;
       Queue.push th t.ready;
       notify t (Woken tid);
       true
@@ -182,10 +192,10 @@ let dispatch t th =
       Queue.push th t.ready
   | Blocked_k k ->
       th.cont <- Some k;
-      th.state <- Sblocked
+      mark_blocked t th
   | Slept (c, k) ->
       th.cont <- Some k;
-      th.state <- Sblocked;
+      mark_blocked t th;
       Uksim.Engine.after t.engine c (fun () -> wake t th.tid)
 
 let blocked_names t =
@@ -252,9 +262,8 @@ let rec run t =
       if th.state = Sready then dispatch t th;
       run t
   | None ->
-      let blocked = blocked_names t in
-      if blocked <> [] then
-        if Uksim.Engine.step t.engine then run t else raise (Deadlock blocked)
+      if t.blocked > 0 then
+        if Uksim.Engine.step t.engine then run t else raise (Deadlock (blocked_names t))
 
 let alive t =
   Hashtbl.fold (fun _ th acc -> if th.state = Sexited then acc else acc + 1) t.threads 0

@@ -114,7 +114,8 @@ type t = {
   jcap : int; (* replay bound: log sectors past the live slot before a flip *)
   mutable cache : Tree.obj Htbl.t; (* the live trees' objects; see [sweep] *)
   mutable sweep_at : int; (* the cache size at which the next sweep runs *)
-  locs : (int * int) Htbl.t; (* object -> (byte address, frame bytes) *)
+  locs : int Htbl.t; (* object -> its home, packed: see [pack] *)
+  mutable wbuf : bytes; (* where records are encoded; see [build_record] *)
   mutable head : hash; (* last durable commit, null before the first *)
   mutable root : hash; (* working tree (may be ahead of head) *)
   mutable epoch : int; (* of the live root slot *)
@@ -137,7 +138,7 @@ type t = {
 (* One encoded record, its objects' homes already assigned inside it. *)
 and record = {
   ch : hash; (* its commit object *)
-  objs : hash list; (* newly durable objects, post-order *)
+  objs : hash list; (* newly durable objects, parents before children *)
   lba : int;
   data : bytes; (* header, payload and trailer sectors *)
   rsec : int;
@@ -165,12 +166,18 @@ let log_head t = t.log_head
      commit  "C <root> <addr %x> <len %d> <parents> <hex msg>\n",
              per parent "<hash> <addr %x> <len %d>\n"
 
-   A record is written in place, field by field, by a cursor built for
-   this grammar: each number comes out as the digits Printf's %016x,
-   %08x, %x, %08d or %d would print, and each key or message byte as
-   two hex digits. *)
+   A body of 10^8 bytes or more has no frame: its length would not fit
+   the header. Frames are written field by field, once, by a cursor
+   built for this grammar: each number comes out as the digits Printf's
+   %016x, %08x, %x, %08d or %d would print, and each key or message
+   byte as two hex digits. *)
 
 let hex_digit = "0123456789abcdef"
+
+(* Byte [b]'s two hex digits, at [2 * b] and [2 * b + 1]. *)
+let hex_pairs =
+  String.init 512 (fun i -> hex_digit.[(i lsr (if i land 1 = 0 then 5 else 1)) land 15])
+
 let imax (a : int) b = if a > b then a else b
 
 (* How many digits [v] needs: base 16 reads it as an unsigned 63-bit
@@ -186,43 +193,49 @@ let hex_digits v =
 
 let dec_digits v =
   let m = abs v (* min_int stays negative: 19 digits *) in
-  let rec go n p = if m < p || n = 19 then n else go (n + 1) (p * 10) in
-  if m < 0 then 19 else go 1 10
+  if m < 0 then 19
+  else if m < 10 then 1
+  else if m < 100 then 2
+  else if m < 1000 then 3
+  else if m < 10000 then 4
+  else
+    let rec go n p = if m < p || n = 19 then n else go (n + 1) (p * 10) in
+    go 5 100_000
 
-(* A write position in [buf]. A sizing cursor moves exactly as a writing
-   one would but writes nothing, so one grammar both sizes a frame and
-   writes it. *)
-type cursor = { buf : bytes; mutable pos : int; sizing : bool }
+(* A write position in [buf]. *)
+type cursor = { mutable buf : bytes; mutable pos : int }
 
-let measure put =
-  let c = { buf = Bytes.empty; pos = 0; sizing = true } in
-  put c;
-  c.pos
-
-(* The bounds check for a field of [n] bytes: the digit loops below
-   check once per field, then write unchecked. *)
-let room c n = if c.pos + n > Bytes.length c.buf then invalid_arg "Store: write past the buffer"
+(* Make room for a field of [n] bytes: a buffer too short for it is
+   replaced by one at least twice as long. The digit loops below make
+   room once per field, then write unchecked. *)
+let room c n =
+  if c.pos + n > Bytes.length c.buf then begin
+    let buf = Bytes.create (imax (c.pos + n) (imax 4096 (2 * Bytes.length c.buf))) in
+    Bytes.blit c.buf 0 buf 0 c.pos;
+    c.buf <- buf
+  end
 
 let put_char c ch =
-  if not c.sizing then Bytes.set c.buf c.pos ch;
+  room c 1;
+  Bytes.unsafe_set c.buf c.pos ch;
   c.pos <- c.pos + 1
 
 let put_string c s =
-  if not c.sizing then Bytes.blit_string s 0 c.buf c.pos (String.length s);
-  c.pos <- c.pos + String.length s
+  let n = String.length s in
+  room c n;
+  Bytes.unsafe_blit_string s 0 c.buf c.pos n;
+  c.pos <- c.pos + n
 
 (* %0<width>x: [v] as an unsigned 63-bit word, zero-padded to [width]
    digits, or longer if it needs more. No word needs more than 16. *)
 let put_hex c ~width v =
   let n = if width >= 16 then width else imax width (hex_digits v) in
-  if not c.sizing then begin
-    room c n;
-    let v = ref v in
-    for i = c.pos + n - 1 downto c.pos do
-      Bytes.unsafe_set c.buf i (String.unsafe_get hex_digit (!v land 15));
-      v := !v lsr 4
-    done
-  end;
+  room c n;
+  let v = ref v in
+  for i = c.pos + n - 1 downto c.pos do
+    Bytes.unsafe_set c.buf i (String.unsafe_get hex_digit (!v land 15));
+    v := !v lsr 4
+  done;
   c.pos <- c.pos + n
 
 (* %0<width>d: the sign, if any, counts in [width]. *)
@@ -230,95 +243,133 @@ let put_dec c ~width v =
   if v < 0 then put_char c '-';
   let d = dec_digits v in
   let n = imax (if v < 0 then width - 1 else width) d in
-  if not c.sizing then begin
-    room c n;
-    Bytes.unsafe_fill c.buf c.pos (n - d) '0';
-    let v = ref v in
-    for i = c.pos + n - 1 downto c.pos + n - d do
-      Bytes.unsafe_set c.buf i (Char.unsafe_chr (48 + abs (!v mod 10)));
-      v := !v / 10
-    done
-  end;
+  room c n;
+  Bytes.unsafe_fill c.buf c.pos (n - d) '0';
+  let v = ref v in
+  for i = c.pos + n - 1 downto c.pos + n - d do
+    Bytes.unsafe_set c.buf i (Char.unsafe_chr (48 + abs (!v mod 10)));
+    v := !v / 10
+  done;
   c.pos <- c.pos + n
 
-let put_hash c h = put_hex c ~width:16 h
+(* %016x, two digits a step. *)
+let put_hash c h =
+  room c 16;
+  let v = ref h in
+  for i = 7 downto 0 do
+    let b = 2 * (!v land 255) and at = c.pos + (2 * i) in
+    Bytes.unsafe_set c.buf at (String.unsafe_get hex_pairs b);
+    Bytes.unsafe_set c.buf (at + 1) (String.unsafe_get hex_pairs (b + 1));
+    v := !v lsr 8
+  done;
+  c.pos <- c.pos + 16
+
 let put_int c v = put_dec c ~width:1 v
 
 (* Two hex digits per byte of [s]. *)
 let put_hex_bytes c s =
   let n = 2 * String.length s in
-  if not c.sizing then begin
-    room c n;
-    for i = 0 to String.length s - 1 do
-      let b = Char.code (String.unsafe_get s i) in
-      Bytes.unsafe_set c.buf (c.pos + (2 * i)) (String.unsafe_get hex_digit (b lsr 4));
-      Bytes.unsafe_set c.buf (c.pos + (2 * i) + 1) (String.unsafe_get hex_digit (b land 15))
-    done
-  end;
+  room c n;
+  for i = 0 to String.length s - 1 do
+    let b = 2 * Char.code (String.unsafe_get s i) and at = c.pos + (2 * i) in
+    Bytes.unsafe_set c.buf at (String.unsafe_get hex_pairs b);
+    Bytes.unsafe_set c.buf (at + 1) (String.unsafe_get hex_pairs (b + 1))
+  done;
   c.pos <- c.pos + n
 
-let loc_of t h =
-  if h = null then (0, 0)
-  else match Htbl.find_opt t.locs h with
-    | Some l -> l
-    | None -> raise (Err Ukvfs.Fs.Eio)
+(* An object's home, its frame's (byte address, length), packed into one
+   word: the address in the low 32 bits, the length in the 31 above
+   them. A frame's address fits its 8 hex digits and its body its 8
+   decimal ones, so every home fits; a child ref that does not is no
+   home. The null tree's home is 0. *)
+let fits addr len = addr >= 0 && addr <= max_addr && len >= 0 && len < 1 lsl 31
+let pack addr len = addr lor (len lsl 32)
+let addr_of p = p land max_addr
+let len_of p = p lsr 32
 
-(* A child ref, located by [loc]: "<hash> <addr %x> <len %d>". *)
-let put_ref c loc h =
-  let addr, len = loc h in
-  put_hash c h; put_char c ' '; put_hex c ~width:1 addr; put_char c ' '; put_int c len
+let home t h =
+  if h = null then 0
+  else match Htbl.find t.locs h with p -> p | exception Not_found -> raise (Err Ukvfs.Fs.Eio)
 
-let put_body c loc (o : Tree.obj) =
+(* A child ref, [home] giving its home: "<hash> <addr %x> <len %d>". *)
+let put_ref c home h =
+  let p = home h in
+  put_hash c h; put_char c ' '; put_hex c ~width:1 (addr_of p); put_char c ' ';
+  put_int c (len_of p)
+
+let put_body c home (o : Tree.obj) =
   match o with
   | Tree.Blob v -> put_string c v
   | Tree.Node (Tree.Leaf entries) ->
       put_string c "L "; put_int c (List.length entries); put_char c '\n';
       List.iter
-        (fun (k, vh) -> put_ref c loc vh; put_char c ' '; put_hex_bytes c k; put_char c '\n')
+        (fun (k, vh) -> put_ref c home vh; put_char c ' '; put_hex_bytes c k; put_char c '\n')
         entries
   | Tree.Node (Tree.Branch (n, kids)) ->
       put_string c "T "; put_int c n; put_char c ' '; put_int c (List.length kids);
       put_char c '\n';
       List.iter
-        (fun (nb, ch) -> put_int c nb; put_char c ' '; put_ref c loc ch; put_char c '\n')
+        (fun (nb, ch) -> put_int c nb; put_char c ' '; put_ref c home ch; put_char c '\n')
         kids
   | Tree.Commit { root; parents; msg } ->
-      put_string c "C "; put_ref c loc root; put_char c ' '; put_int c (List.length parents);
+      put_string c "C "; put_ref c home root; put_char c ' '; put_int c (List.length parents);
       put_char c ' '; put_hex_bytes c msg; put_char c '\n';
-      List.iter (fun p -> put_ref c loc p; put_char c '\n') parents
+      List.iter (fun p -> put_ref c home p; put_char c '\n') parents
 
 let kind_of = function
   | Tree.Blob _ -> 'b'
   | Tree.Node _ -> 'n'
   | Tree.Commit _ -> 'c'
 
-(* [addr] is the frame's own home — embedded so replay and cold reads
-   can check that a frame is the one they asked for. *)
-let put_header c h o ~blen ~addr =
-  put_string c "o "; put_hash c h; put_char c ' '; put_char c (kind_of o); put_char c ' ';
-  put_dec c ~width:8 blen; put_char c ' '; put_hex c ~width:8 addr; put_char c '\n'
+(* The longest body the header's %08d length field holds. *)
+let max_body = 99_999_999
 
-(* A frame's body length and whole length. *)
-let frame_size loc h o ~addr =
-  let blen = measure (fun c -> put_body c loc o) in
-  (blen, measure (fun c -> put_header c h o ~blen ~addr) + blen)
+(* [h]'s frame at the cursor, at byte address [addr] (its own home,
+   embedded so replay and cold reads can check that a frame is the one
+   they asked for): the header with its body length left blank, the
+   body, then that length. A longer body than [max_body] is refused with
+   [Einval], a blob's before it is written. Returns the frame's
+   length. *)
+let put_frame c home h o ~addr =
+  (match o with
+  | Tree.Blob v when String.length v > max_body -> raise (Err Ukvfs.Fs.Einval)
+  | Tree.Blob _ | Tree.Node _ | Tree.Commit _ -> ());
+  let start = c.pos in
+  put_string c "o "; put_hash c h; put_char c ' '; put_char c (kind_of o); put_char c ' ';
+  room c 8;
+  let blen_at = c.pos in
+  c.pos <- c.pos + 8;
+  put_char c ' '; put_hex c ~width:8 addr; put_char c '\n';
+  let body = c.pos in
+  put_body c home o;
+  let stop = c.pos in
+  if stop - body > max_body then raise (Err Ukvfs.Fs.Einval);
+  c.pos <- blen_at;
+  put_dec c ~width:8 (stop - body);
+  c.pos <- stop;
+  stop - start
 
 (* One frame on its own, as a record holds it. *)
 let encode_frame ~loc h o ~addr =
-  let blen, flen = frame_size loc h o ~addr in
-  let c = { buf = Bytes.create flen; pos = 0; sizing = false } in
-  put_header c h o ~blen ~addr;
-  put_body c loc o;
-  Bytes.unsafe_to_string c.buf
+  let home h =
+    let addr, len = loc h in
+    if fits addr len then pack addr len
+    else invalid_arg "Store.encode_frame: a child ref is no home"
+  in
+  let c = { buf = Bytes.empty; pos = 0 } in
+  (try ignore (put_frame c home h o ~addr)
+   with Err _ -> invalid_arg "Store.encode_frame: body too long");
+  Bytes.sub_string c.buf 0 c.pos
 
 (* A checksummed line at [at] of [buf]: the core [put] writes, then
    " <FNV of the core, %016x>\n". Root slots and record headers and
    trailers are such lines. *)
 let put_line buf ~at put =
-  let c = { buf; pos = at; sizing = false } in
+  let c = { buf; pos = at } in
   put c;
-  let ck = D.fnv buf at (c.pos - at) in
-  put_char c ' '; put_hash c ck; put_char c '\n'
+  let ck = D.fnv c.buf at (c.pos - at) in
+  put_char c ' '; put_hash c ck; put_char c '\n';
+  if c.buf != buf then invalid_arg "Store: a line past its buffer"
 
 let of_hex s =
   if String.length s mod 2 <> 0 then raise (Err Ukvfs.Fs.Eio);
@@ -336,7 +387,8 @@ let take_line s pos =
   | None -> raise (Err Ukvfs.Fs.Eio)
   | Some nl -> (String.sub s pos (nl - pos), nl + 1)
 
-let note_loc t h addr len = if h <> null && len > 0 then Htbl.replace t.locs h (addr, len)
+let note_loc t h addr len =
+  if h <> null && len > 0 && fits addr len then Htbl.replace t.locs h (pack addr len)
 
 (* A frame's child refs name homes on the medium, so only a frame that
    has been checked may add them. *)
@@ -434,7 +486,7 @@ let slot_sector t ~epoch ~pos =
   let sec = Bytes.make t.dev.B.sector_size '\000' in
   put_line sec ~at:0 (fun c ->
       put_string c slot_magic; put_char c ' '; put_int c epoch; put_char c ' ';
-      put_int c t.jcap; put_char c ' '; put_ref c (loc_of t) t.head;
+      put_int c t.jcap; put_char c ' '; put_ref c (home t) t.head;
       put_char c ' '; put_int c (t.next_seq - 1); put_char c ' '; put_int c pos);
   sec
 
@@ -571,8 +623,8 @@ let load_obj t h =
       C.incr t.m.cache_misses;
       match Htbl.find_opt t.locs h with
       | None -> raise (Err Ukvfs.Fs.Eio)
-      | Some (addr, len) -> (
-          if addr < 0 then raise (Err Ukvfs.Fs.Eio);
+      | Some p -> (
+          let addr = addr_of p and len = len_of p in
           await_io t;
           let ss = t.dev.B.sector_size in
           let off = addr mod ss in
@@ -650,7 +702,7 @@ let default_journal_sectors = 256
 let mk ~clock dev ~jcap =
   let t =
     { clock; dev; jcap; cache = Htbl.create 256; sweep_at = sweep_floor;
-      locs = Htbl.create 256;
+      locs = Htbl.create 256; wbuf = Bytes.empty;
       head = null; root = null; epoch = 0; next_seq = 1;
       log_head = 2; slot_pos = 2; m = Lazy.force metrics;
       src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 };
@@ -686,65 +738,49 @@ let dirty t =
   if t.head = null then t.root <> null
   else (commit_of t t.head).Tree.root <> t.root
 
-(* Post-order walk of the objects reachable from [root] that have no
-   home yet: children precede parents, so location assignment can run in
-   list order. A record is built only while none is in flight, so every
-   object in [locs] then has its home on the medium, and the walk stops
-   there: after a mount too, where most homes are known from child refs
-   alone. *)
-let collect_new t root =
-  let seen = Htbl.create 64 in
-  let acc = ref [] in
+(* Encode, at the log head, the record that commits the working root with
+   the head as its parent. One post-order walk loads each object that has
+   no home yet and, as it returns, writes the object's frame into the
+   store's buffer and makes the frame's byte address its home, so every
+   child ref resolves. A record is built only while none is in flight, so
+   every object in [locs] then has its home on the medium, and the walk
+   stops there: after a mount too, where most homes are known from child
+   refs alone. The payload is then copied once, between the header and
+   trailer sectors. The homes are taken back if a frame is refused or the
+   record does not fit the device, and by [unassign] if its write fails.
+   The buffer is kept for the next record while it is at most half the
+   replay bound: a record is most often a small part of that bound, and
+   one past half of it (a bulk load) leaves no buffer of its size
+   behind. *)
+let build_record t ~msg =
+  let ss = t.dev.B.sector_size in
+  let parents = if t.head = null then [] else [ t.head ] in
+  let ch = put_obj t (Tree.Commit { root = t.root; parents; msg }) in
+  let lba = t.log_head in
+  let base = (lba + 1) * ss in
+  let c = { buf = t.wbuf; pos = 0 } in
+  let home = home t in
+  let objs = ref [] in
   let rec walk h =
-    if h <> null && (not (Htbl.mem seen h)) && not (Htbl.mem t.locs h) then begin
-      Htbl.replace seen h ();
-      (match load_obj t h with
+    if h <> null && not (Htbl.mem t.locs h) then begin
+      let o = load_obj t h in
+      (match o with
       | Tree.Blob _ -> ()
       | Tree.Node (Tree.Leaf entries) -> List.iter (fun (_, vh) -> walk vh) entries
       | Tree.Node (Tree.Branch (_, kids)) -> List.iter (fun (_, ch) -> walk ch) kids
       | Tree.Commit { root; parents; _ } ->
           walk root;
           List.iter walk parents);
-      acc := h :: !acc
+      let addr = base + c.pos in
+      Htbl.replace t.locs h (pack addr (put_frame c home h o ~addr));
+      objs := h :: !objs
     end
   in
-  walk root;
-  List.rev !acc
-
-(* Encode, at the log head, the record that commits the working root with
-   the head as its parent: each new object's home is its frame's byte
-   address inside the payload, assigned in post-order so every child ref
-   resolves. The frames are sized and their homes assigned first, so the
-   record is written once, in place, into a buffer of its own size. The
-   homes are taken back if the record does not fit the device, and by
-   [unassign] if its write fails. *)
-let build_record t ~msg =
-  let ss = t.dev.B.sector_size in
-  let parents = if t.head = null then [] else [ t.head ] in
-  let cobj = Tree.Commit { root = t.root; parents; msg } in
-  let ch = put_obj t cobj in
-  let objs = collect_new t ch in
-  let lba = t.log_head in
-  let loc = loc_of t in
-  let assigned = ref [] in
-  let rollback () = List.iter (fun h -> Htbl.remove t.locs h) !assigned in
-  (* (hash, object, home, body length) per frame, last first, and the
-     payload length. *)
-  let frames, plen =
-    try
-      List.fold_left
-        (fun (frames, plen) h ->
-          let o = Htbl.find t.cache h in
-          let addr = ((lba + 1) * ss) + plen in
-          let blen, flen = frame_size loc h o ~addr in
-          Htbl.replace t.locs h (addr, flen);
-          assigned := h :: !assigned;
-          ((h, o, addr, blen) :: frames, plen + flen))
-        ([], 0) objs
-    with e ->
-      rollback ();
-      raise e
-  in
+  let rollback () = List.iter (fun h -> Htbl.remove t.locs h) !objs in
+  let walked = try Ok (walk ch) with e -> Error e in
+  t.wbuf <- (if 2 * Bytes.length c.buf <= t.jcap * ss then c.buf else Bytes.empty);
+  (match walked with Ok () -> () | Error e -> rollback (); raise e);
+  let plen = c.pos in
   let psec = max 1 (sectors_of t plen) in
   let rsec = 2 + psec in
   if lba + rsec > t.dev.B.capacity_sectors then begin
@@ -753,12 +789,7 @@ let build_record t ~msg =
   end;
   let seq = t.next_seq in
   let data = Bytes.make (rsec * ss) '\000' in
-  let c = { buf = data; pos = ss; sizing = false } in
-  List.iter
-    (fun (h, o, addr, blen) ->
-      put_header c h o ~blen ~addr;
-      put_body c loc o)
-    (List.rev frames);
+  Bytes.blit c.buf 0 data ss plen;
   put_line data ~at:0 (fun c ->
       put_string c jr_magic; put_char c ' '; put_int c seq; put_char c ' '; put_int c psec;
       put_char c ' '; put_hash c ch);
@@ -766,7 +797,7 @@ let build_record t ~msg =
       put_string c jc_magic; put_char c ' '; put_int c seq; put_char c ' '; put_int c plen;
       put_char c ' '; put_hash c (D.bytes_hash data ~pos:ss ~len:plen));
   charge t (Uksim.Cost.memcpy (rsec * ss) + Uksim.Cost.checksum plen);
-  { ch; objs; lba; data; rsec; seq }
+  { ch; objs = !objs; lba; data; rsec; seq }
 
 (* The synchronous commit: write the record, publish it, and wait out
    the flip the publish may have started. *)
@@ -858,7 +889,7 @@ let replay_record t ~lba ~expect_seq =
                     List.iter
                       (fun (h, obj, addr, flen, _) ->
                         Htbl.replace t.cache h obj;
-                        Htbl.replace t.locs h (addr, flen))
+                        note_loc t h addr flen)
                       frames;
                     t.head <- chash;
                     C.incr t.m.replayed_records;

@@ -82,7 +82,11 @@ val commit : t -> ?msg:string -> unit -> (hash, errno) result
 (** Write one record holding every object reachable from the new commit
     that has no home on the medium yet, and fsync. The new commit's one
     parent is the head (it has none before the first commit). A clean
-    working tree returns the head. *)
+    working tree returns the head. [Einval], writing nothing, when an
+    object's frame body would be 10^8 bytes or more (a value that long,
+    or a key or message whose hex encoding is), since its length would
+    not fit the frame header; [Enospc] when the record does not fit the
+    device. *)
 
 val checkout : t -> hash -> (unit, errno) result
 (** Make a commit the head and its tree the working tree: the next
@@ -126,7 +130,10 @@ val jc_magic : string
 
 val encode_frame : loc:(hash -> int * int) -> hash -> Tree.obj -> addr:int -> string
 (** One object's frame, as a record holds it at byte address [addr];
-    [loc] gives each child ref's (byte address, frame length). *)
+    [loc] gives each child ref's (byte address, frame length). Raises
+    [Invalid_argument] when [loc] gives an address outside
+    [0, {!max_addr}] or a length outside [0, 2^31), or when the body
+    would be 10^8 bytes or more. *)
 
 val decode_frame :
   string -> int -> (hash * Tree.obj * int * int * (hash * int * int) list) option

@@ -6,17 +6,22 @@
 let page = 4096
 let sample = 64
 
+(* FNV-1a, masked to [max_int]. The mask is applied once, at the end:
+   the low 62 bits of a product, and of an xor with a byte, depend only
+   on the low 62 bits of their operands, so masking every step gives the
+   same word. One range check, then unchecked loads; a [len] of 0 or
+   less hashes nothing, whatever [off] is ([off + len - 1] could wrap). *)
 let fnv buf off len =
   let h = ref 0x3bf29ce484222325 in
-  for i = off to off + len - 1 do
-    h := ((!h lxor Char.code (Bytes.get buf i)) * 0x100000001b3) land max_int
-  done;
-  !h
+  if len > 0 then begin
+    if off < 0 || off > Bytes.length buf - len then invalid_arg "Digest.fnv";
+    for i = off to off + len - 1 do
+      h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * 0x100000001b3
+    done
+  end;
+  !h land max_int
 
-let fnv_string s =
-  let h = ref 0x3bf29ce484222325 in
-  String.iter (fun c -> h := ((!h lxor Char.code c) * 0x100000001b3) land max_int) s;
-  !h
+let fnv_string s = fnv (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let mix a b =
   let z = ref ((a + 0x101 + (b * 0x2545F4914F6CDD1D)) land max_int) in

@@ -12,7 +12,9 @@ val sample : int
 (** Bytes hashed per page probe (64). *)
 
 val fnv : bytes -> int -> int -> int
-(** [fnv buf off len] is {!fnv_string} of [buf[off, off+len)]. *)
+(** [fnv buf off len] is {!fnv_string} of [buf[off, off+len)] (the seed
+    when [len <= 0]). Raises [Invalid_argument] when [len > 0] and that
+    range is not inside [buf]. *)
 
 val fnv_string : string -> int
 (** FNV-1a over the whole string, masked to [max_int]. *)

@@ -144,6 +144,7 @@ let fake_io net : Tcp.io =
         in
         net.sent <- (hdr, data) :: net.sent);
     set_timer = (fun _ ~delay_cycles:_ -> ignore);
+    timer_closed = ignore;
     wake = (fun _ -> ());
     retransmitted = (fun ~fast:_ -> ());
     notify_accept = (fun _ -> ());

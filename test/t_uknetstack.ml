@@ -242,6 +242,7 @@ let fake_io net : Tcp.io =
         let timer = (conn, Uksim.Clock.cycles net.clock + delay_cycles) in
         net.timers <- timer :: net.timers;
         fun () -> net.timers <- List.filter (fun t -> t != timer) net.timers);
+    timer_closed = ignore;
     wake = (fun _ -> ());
     retransmitted =
       (fun ~fast ->
@@ -787,6 +788,50 @@ let test_stack_accept_routes_by_local_port () =
         (Hashtbl.find_opt accepted 80)
   | ends -> Alcotest.failf "expected two client connections, got %d" (List.length ends)
 
+(* The client closes first, so its end waits in TIME_WAIT until a timer
+   closes it 2 MSL later. The stack then drops the connection from its
+   table, and the same explicit local port can dial the same listener
+   again. *)
+let test_stack_reconnect_after_time_wait () =
+  let _, sched, s1, s2 = two_stacks () in
+  let l = S.Tcp_socket.listen s1 ~port:80 () in
+  ignore
+    (Uksched.Sched.spawn sched ~name:"server" (fun () ->
+         for _ = 1 to 2 do
+           match S.Tcp_socket.accept ~block:true l with
+           | None -> ()
+           | Some flow ->
+               (match S.Tcp_socket.recv ~block:true s1 flow ~max:4096 with
+               | Some req -> ignore (S.Tcp_socket.send ~block:true s1 flow req)
+               | None -> ());
+               while S.Tcp_socket.recv ~block:true s1 flow ~max:4096 <> None do
+                 ()
+               done;
+               S.Tcp_socket.close s1 flow
+         done));
+  let replies = ref [] and first = ref None in
+  ignore
+    (Uksched.Sched.spawn sched ~name:"client" (fun () ->
+         let dial msg =
+           let flow =
+             S.Tcp_socket.connect s2 ~lport:4000 ~dst:(A.Ipv4.of_string "10.0.0.1", 80) ()
+           in
+           ignore (S.Tcp_socket.send ~block:true s2 flow (Bytes.of_string msg));
+           (match S.Tcp_socket.recv ~block:true s2 flow ~max:4096 with
+           | Some data -> replies := Bytes.to_string data :: !replies
+           | None -> ());
+           S.Tcp_socket.close s2 flow;
+           flow
+         in
+         let flow = dial "one" in
+         Uksched.Sched.sleep_ns 3.0e9;
+         first := Some (S.Tcp_socket.state flow);
+         ignore (dial "two")));
+  Uksched.Sched.run sched;
+  Alcotest.(check (option string)) "the first connection closed on its timer" (Some "CLOSED")
+    (Option.map Tcp.state_to_string !first);
+  Alcotest.(check (list string)) "both dials answered" [ "one"; "two" ] (List.rev !replies)
+
 (* Each request and each reply arms a retransmit timer that the peer's
    ACK disarms. Disarming cancels the pending engine event, so however
    many request/reply rounds one connection runs, the engine holds a
@@ -888,6 +933,8 @@ let suite =
       test_stack_accept_routes_by_local_port;
     Alcotest.test_case "stack: one pending timer event per connection" `Quick
       test_stack_timer_events_bounded;
+    Alcotest.test_case "stack: a local port is free again after TIME_WAIT" `Quick
+      test_stack_reconnect_after_time_wait;
     Alcotest.test_case "stack: arp" `Quick test_stack_arp_populated;
     Alcotest.test_case "stack: udp port management" `Quick test_stack_port_management;
   ]

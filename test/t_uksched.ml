@@ -130,6 +130,39 @@ let test_many_switches_constant_stack () =
   Sched.run s;
   Alcotest.(check int) "100k yields" 100_000 !n
 
+(* Exited threads stay in the scheduler's table, so [thread_name] still
+   answers for them, while [run] counts the blocked threads instead of
+   walking that table each time its ready queue empties. With 5,000
+   exited threads, 20,000 one-cycle sleeps run, a run with only a daemon
+   left blocked returns, and a deadlock names just the blocked
+   thread. *)
+let test_exited_threads_stay_named () =
+  let clock, engine = env () in
+  let s = Sched.create_cooperative ~clock ~engine in
+  let first = Sched.spawn s ~name:"gone-0" (fun () -> ()) in
+  for i = 1 to 4_999 do
+    ignore (Sched.spawn s ~name:(Printf.sprintf "gone-%d" i) (fun () -> ()))
+  done;
+  Sched.run s;
+  Alcotest.(check (option string)) "an exited thread keeps its name" (Some "gone-0")
+    (Sched.thread_name s first);
+  let slept = ref 0 in
+  ignore (Sched.spawn s ~name:"service" ~daemon:true (fun () -> Sched.block ()));
+  ignore
+    (Sched.spawn s ~name:"sleeper" (fun () ->
+         for _ = 1 to 20_000 do
+           Sched.sleep_ns 1.0;
+           incr slept
+         done));
+  Sched.run s (* only the daemon is left blocked: returns, not raises *);
+  Alcotest.(check int) "every sleep ran" 20_000 !slept;
+  Alcotest.(check (list string)) "nothing stuck" [] (Sched.stuck s);
+  ignore (Sched.spawn s ~name:"stuck" (fun () -> Sched.block ()));
+  match Sched.run s with
+  | () -> Alcotest.fail "deadlock not detected"
+  | exception Sched.Deadlock names ->
+      Alcotest.(check (list string)) "only the blocked thread named" [ "stuck" ] names
+
 let suite =
   [
     Alcotest.test_case "cooperative interleaving" `Quick test_coop_interleaving;
@@ -142,4 +175,6 @@ let suite =
     Alcotest.test_case "self and names" `Quick test_self_and_names;
     Alcotest.test_case "spawn from thread" `Quick test_spawn_from_thread;
     Alcotest.test_case "50k context switches" `Quick test_many_switches_constant_stack;
+    Alcotest.test_case "exited threads stay named and cost run nothing" `Quick
+      test_exited_threads_stay_named;
   ]

@@ -1459,6 +1459,37 @@ let prop_frame_writer_matches_printf =
    assembly of its frames: keys, values and messages of arbitrary bytes,
    several commits, and a checkpoint. Child refs are located from the
    frames themselves, not from what the writer recorded. *)
+let records_match_printf commits =
+  let _, dev, t = fresh () in
+  List.iter
+    (fun (kvs, msg) ->
+      List.iter (fun (k, v) -> set t k v) kvs;
+      ignore (St.commit t ~msg ()))
+    commits;
+  ok (St.checkpoint t);
+  let ss = dev.B.sector_size in
+  let records = log_records dev ~upto:(St.log_head t) in
+  let homes = Hashtbl.create 64 in
+  List.iter
+    (fun (h, _, addr, flen, _) -> Hashtbl.replace homes h (addr, flen))
+    (log_frames dev ~upto:(St.log_head t));
+  let loc h = if h = St.null then (0, 0) else Hashtbl.find homes h in
+  List.for_all
+    (fun ((lba, psec) as record) ->
+      let seq, _, ch = Option.get (St.parse_jheader (read_sectors dev ~lba ~sectors:1)) in
+      let frame (h, o, addr, _, _) = Ref.frame ~loc h o ~addr in
+      let payload = String.concat "" (List.map frame (record_frames dev record)) in
+      Bytes.to_string (read_sectors dev ~lba ~sectors:(2 + psec))
+      = Ref.record ss ~seq ~ch payload)
+    records
+  && List.for_all
+       (fun lba ->
+         let sec = read_sectors dev ~lba ~sectors:1 in
+         match St.parse_slot sec with
+         | Some fields -> Bytes.to_string sec = Ref.slot ss fields
+         | None -> false)
+       [ 0; 1 ]
+
 let prop_records_match_printf =
   let upto n = QCheck.Gen.(string_size ~gen:char (int_range 0 n)) in
   QCheck.Test.make ~name:"records and root slots match the Printf assembly" ~count:40
@@ -1466,36 +1497,20 @@ let prop_records_match_printf =
        QCheck.Gen.(
          list_size (int_range 1 4)
            (pair (list_size (int_range 1 30) (pair (upto 12) (upto 600))) (upto 40))))
-    (fun commits ->
-      let _, dev, t = fresh () in
-      List.iter
-        (fun (kvs, msg) ->
-          List.iter (fun (k, v) -> set t k v) kvs;
-          ignore (St.commit t ~msg ()))
-        commits;
-      ok (St.checkpoint t);
-      let ss = dev.B.sector_size in
-      let records = log_records dev ~upto:(St.log_head t) in
-      let homes = Hashtbl.create 64 in
-      List.iter
-        (fun (h, _, addr, flen, _) -> Hashtbl.replace homes h (addr, flen))
-        (log_frames dev ~upto:(St.log_head t));
-      let loc h = if h = St.null then (0, 0) else Hashtbl.find homes h in
-      List.for_all
-        (fun ((lba, psec) as record) ->
-          let seq, _, ch = Option.get (St.parse_jheader (read_sectors dev ~lba ~sectors:1)) in
-          let frame (h, o, addr, _, _) = Ref.frame ~loc h o ~addr in
-          let payload = String.concat "" (List.map frame (record_frames dev record)) in
-          Bytes.to_string (read_sectors dev ~lba ~sectors:(2 + psec))
-          = Ref.record ss ~seq ~ch payload)
-        records
-      && List.for_all
-           (fun lba ->
-             let sec = read_sectors dev ~lba ~sectors:1 in
-             match St.parse_slot sec with
-             | Some fields -> Bytes.to_string sec = Ref.slot ss fields
-             | None -> false)
-           [ 0; 1 ])
+    records_match_printf
+
+(* The writer encodes records in a buffer it keeps while it is at most
+   half the replay bound (64 sectors here). A first record past that
+   bound, one the buffer then keeps, and small records after it, which
+   reuse that buffer: bytes an earlier record left in it would show in
+   their padding. *)
+let test_records_after_a_large_one_match_printf () =
+  let kvs n len =
+    List.init n (fun i -> (Printf.sprintf "k%d-%d" len i, String.make len (Char.chr (97 + i))))
+  in
+  Alcotest.(check bool) "records and root slots match the Printf assembly" true
+    (records_match_printf
+       [ (kvs 30 2000, "large"); (kvs 10 600, "kept"); (kvs 1 3, "small"); (kvs 2 5, "") ])
 
 (* --- hostile bytes ------------------------------------------------------------------ *)
 
@@ -1587,6 +1602,108 @@ let test_frame_address_width () =
   Alcotest.(check bool) "one sector more is Einval" true
     (St.format ~clock:c (sized (last + 1)) = Error Ukvfs.Fs.Einval)
 
+(* A frame's body length is 8 decimal digits of a fixed-width header, so
+   a body of 10^8 bytes has no frame. Its COMMIT is refused with Einval
+   before the value is written anywhere, and the homes the record had
+   given out are taken back: once the value is deleted, the next record
+   holds every other new object again, and a mount recovers it. *)
+let test_frame_body_bound () =
+  let c, dev, t = fresh ~capacity_sectors:262_144 () in
+  set t "small" "v";
+  let c1 = commit t in
+  let others = List.init 16 (fun i -> (Printf.sprintf "other-%02d" i, Printf.sprintf "w%d" i)) in
+  List.iter (fun (k, v) -> set t k v) others;
+  set t "big" (String.make 100_000_000 'x');
+  let head = St.log_head t in
+  Alcotest.(check bool) "a 10^8-byte value is Einval" true (St.commit t () = Error Ukvfs.Fs.Einval);
+  Alcotest.(check int) "the head stays" c1 (St.head t);
+  Alcotest.(check int) "nothing was written" head (St.log_head t);
+  Alcotest.(check bool) "the value goes" true (del t "big");
+  let c2 = commit t in
+  let blobs =
+    List.filter_map
+      (fun (_, o, _, _, _) -> match o with Tr.Blob v -> Some v | Tr.Node _ | Tr.Commit _ -> None)
+      (log_frames dev ~upto:(St.log_head t))
+  in
+  Alcotest.(check (list string)) "every value written once, none taken as homed"
+    (List.sort compare ("v" :: List.map snd others))
+    (List.sort compare blobs);
+  let t' = ok (St.open_ ~clock:c dev) in
+  Alcotest.(check int) "mount recovers the commit" c2 (St.head t');
+  Alcotest.(check (list (pair string string))) "and its tree"
+    (List.sort compare (("small", "v") :: others))
+    (ok (St.to_list t'))
+
+(* Child refs that a frame decodes but that name no home: an address past
+   [max_addr], a negative length, a length of 2^31 or more. Unchecked,
+   the first and last would pack into the value's real home. The frame
+   still hashes to itself, so mount takes it. Read cold, the value it
+   names is Eio; replayed, the value's own frame in the record gives its
+   home. *)
+let test_hostile_child_refs () =
+  let cases =
+    [
+      ("address past max_addr", fun addr len -> (addr + (St.max_addr + 1), len));
+      ("negative length", fun addr len -> (addr, -len));
+      ("length 2^31 or more", fun addr len -> (addr, len + (1 lsl 31)));
+    ]
+  in
+  List.iter
+    (fun checkpointed ->
+      List.iter
+        (fun (what, bad) ->
+          let c, dev, t = fresh () in
+          set t "k" "v";
+          let head = commit t in
+          if checkpointed then ok (St.checkpoint t);
+          let ss = dev.B.sector_size in
+          let lba, psec = List.hd (log_records dev ~upto:(St.log_head t)) in
+          let seq, _, ch = Option.get (St.parse_jheader (read_sectors dev ~lba ~sectors:1)) in
+          let frames = record_frames dev (lba, psec) in
+          (* The record again, its frames laid out anew by the Printf
+             encoder, every ref to the value given [bad] of its home. *)
+          let homes = Hashtbl.create 4 in
+          List.iter (fun (h, _, addr, flen, _) -> Hashtbl.replace homes h (addr, flen)) frames;
+          let value =
+            List.find_map
+              (fun (h, o, _, _, _) -> match o with Tr.Blob _ -> Some h | _ -> None)
+              frames
+          in
+          let payload = Buffer.create 256 in
+          List.iter
+            (fun (h, o, _, _, _) ->
+              let loc c =
+                if c = St.null then (0, 0)
+                else
+                  let addr, len = Hashtbl.find homes c in
+                  if Some c = value then bad addr len else (addr, len)
+              in
+              let addr = ((lba + 1) * ss) + Buffer.length payload in
+              let frame = Ref.frame ~loc h o ~addr in
+              Hashtbl.replace homes h (addr, String.length frame);
+              Buffer.add_string payload frame)
+            frames;
+          let record = Ref.record ss ~seq ~ch (Buffer.contents payload) in
+          write_sectors dev ~lba (Bytes.of_string record);
+          if checkpointed then begin
+            let epoch, jcap, _, _, _, aseq, _ =
+              Option.get (St.parse_slot (read_sectors dev ~lba:1 ~sectors:1))
+            in
+            let haddr, hlen = Hashtbl.find homes head in
+            let pos = lba + (String.length record / ss) in
+            write_sectors dev ~lba:1
+              (Bytes.of_string (Ref.slot ss (epoch, jcap, head, haddr, hlen, aseq, pos)))
+          end;
+          let label = Printf.sprintf "%s, %s" what (if checkpointed then "cold" else "replayed") in
+          let t' = ok (St.open_ ~clock:c dev) in
+          Alcotest.(check int) (label ^ ": mounted at the commit") head (St.head t');
+          Alcotest.(check bool) (label ^ ": the value") true
+            (St.get t' "k" = if checkpointed then Error Ukvfs.Fs.Eio else Ok (Some "v"));
+          Alcotest.(check bool) (label ^ ": the tree") true
+            (St.to_list t' = if checkpointed then Error Ukvfs.Fs.Eio else Ok [ ("k", "v") ]))
+        cases)
+    [ true; false ]
+
 let test_trace_source_registered () =
   let _, _, t = fresh () in
   set t "k" "v";
@@ -1639,8 +1756,12 @@ let suite =
      test_cold_set_beside_flight_at_sweep_point);
     QCheck_alcotest.to_alcotest prop_frame_writer_matches_printf;
     QCheck_alcotest.to_alcotest prop_records_match_printf;
+    ("records after one past the kept buffer match the Printf assembly", `Quick,
+     test_records_after_a_large_one_match_printf);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mount_total;
     ("500 commits fit a 16k-sector device", `Quick, test_space);
     ("frame address width", `Quick, test_frame_address_width);
+    ("a frame body of 10^8 bytes is Einval", `Quick, test_frame_body_bound);
+    ("child refs that name no home", `Quick, test_hostile_child_refs);
     ("trace source", `Quick, test_trace_source_registered);
   ]

@@ -8,6 +8,7 @@ module N = Ukvfs.Ninep
 module Nsrv = Ukvfs.Ninep_server
 module Ncl = Ukvfs.Ninep_client
 module Shfs = Ukvfs.Shfs
+module D = Ukvfs.Digest
 
 let clock () = Uksim.Clock.create ()
 
@@ -342,6 +343,47 @@ let test_shfs_as_fs () =
   | Error Fs.Enosys -> ()
   | _ -> Alcotest.fail "shfs is read-only via vfs"
 
+(* FNV-1a a byte at a time, masked to [max_int] at every step: the
+   reference the digest's FNV must equal. *)
+let ref_fnv s =
+  let h = ref 0x3bf29ce484222325 in
+  String.iter (fun c -> h := ((!h lxor Char.code c) * 0x100000001b3) land max_int) s;
+  !h
+
+(* Random bytes and an (off, len), mostly inside them. Inside (or with a
+   [len] of 0 or less, which hashes nothing), [fnv], [bytes_hash],
+   [fnv_string] and [string_hash] equal the reference; outside, [fnv] and
+   [bytes_hash] raise [Invalid_argument]. Extreme ints stand in for
+   [off] and [len] too: with them [off + len] wraps. *)
+let fnv_matches_reference_prop =
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:char (int_bound 300) >>= fun s ->
+      let n = String.length s in
+      let inside =
+        int_bound n >>= fun off -> map (fun len -> (s, off, len)) (int_bound (n - off))
+      in
+      let near =
+        frequency
+          [ (4, int_range (-8) (n + 8)); (1, oneofl [ min_int; min_int + 1; max_int ]) ]
+      in
+      let any = map2 (fun off len -> (s, off, len)) near near in
+      frequency [ (3, inside); (1, any) ])
+  in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  QCheck.Test.make ~name:"fnv and the hashes on it match a byte-at-a-time FNV-1a" ~count:1000
+    (QCheck.make ~print:(fun (s, off, len) -> Printf.sprintf "%S off=%d len=%d" s off len) gen)
+    (fun (s, off, len) ->
+      let b = Bytes.of_string s in
+      D.fnv_string s = ref_fnv s
+      && D.string_hash s = D.mix (ref_fnv s) (String.length s)
+      &&
+      if len > 0 && (off < 0 || off > String.length s - len) then
+        raises (fun () -> D.fnv b off len) && raises (fun () -> D.bytes_hash b ~pos:off ~len)
+      else
+        let sub = if len > 0 then String.sub s off len else "" in
+        D.fnv b off len = ref_fnv sub && D.bytes_hash b ~pos:off ~len = D.mix (ref_fnv sub) len)
+
 let suite =
   [
     Alcotest.test_case "ramfs basics" `Quick test_ramfs_basic;
@@ -354,6 +396,7 @@ let suite =
     Alcotest.test_case "vfs dentry cache" `Quick test_vfs_dentry_cache;
     Alcotest.test_case "9p codec examples" `Quick test_ninep_codec_examples;
     QCheck_alcotest.to_alcotest ninep_rw_roundtrip_prop;
+    QCheck_alcotest.to_alcotest fnv_matches_reference_prop;
     Alcotest.test_case "9p rejects truncation" `Quick test_ninep_truncated;
     Alcotest.test_case "9p end-to-end read" `Quick test_ninep_end_to_end_read;
     Alcotest.test_case "9p end-to-end write" `Quick test_ninep_end_to_end_write;
